@@ -73,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--policy", choices=("drop", "continue", "abort"),
                        default="continue")
     run_p.add_argument("--format", choices=("text", "json"), default="text")
-    run_p.add_argument("--workers", type=int, default=1)
     _add_generator_flags(run_p)
 
     gen_p = sub.add_parser("gen", help="generate a synthetic pcap")
@@ -103,7 +102,6 @@ def _cmd_run(args) -> int:
         output_path=args.output_path,
         mode=_MODES[args.mode],
         policy=args.policy,
-        workers=args.workers,
     )
     summary = run_pipeline(config)
     if args.format == "json":

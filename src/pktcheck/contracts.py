@@ -159,7 +159,7 @@ class ContractSpec:
 @dataclass(frozen=True)
 class Contract:
     """Elaborated, executable contract: orders verified, assertions proven,
-    constants inlined. Immutable and shareable across threads."""
+    constants inlined. Immutable once built."""
 
     nf_name: str
     constants: dict[str, int]

@@ -10,14 +10,13 @@ built and no checks are evaluated.
 from __future__ import annotations
 
 import ipaddress
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 
 from . import registry as registry_mod
 from .exceptions import ChainOrderError, ConfigError, EmitError, RegistryError
 from .headers import Packet
-from .registry import BYTES, OrderSpec, Registry
+from .registry import Registry
 
 COMPARATORS = {
     "==": lambda a, b: a == b,
@@ -212,8 +211,7 @@ class ContractRuntime:
     """Build-mode switch plus instrumentation counters.
 
     The mode is fixed before packets flow; flipping it afterwards is a
-    configuration error. Counters are incremented under a lock so worker
-    threads can share one runtime.
+    configuration error.
     """
 
     def __init__(self, mode: BuildMode = BuildMode.DEVELOPMENT):
@@ -221,7 +219,6 @@ class ContractRuntime:
         self.snapshots_built = 0
         self.checks_evaluated = 0
         self._packets_flowed = False
-        self._lock = threading.Lock()
 
     def set_mode(self, mode: BuildMode) -> None:
         if self._packets_flowed and mode is not self.mode:
@@ -234,14 +231,6 @@ class ContractRuntime:
     @property
     def development(self) -> bool:
         return self.mode is BuildMode.DEVELOPMENT
-
-    def count_snapshot(self) -> None:
-        with self._lock:
-            self.snapshots_built += 1
-
-    def count_checks(self, n: int) -> None:
-        with self._lock:
-            self.checks_evaluated += n
 
 
 class _DecodeCache:
@@ -270,16 +259,15 @@ class _DecodeCache:
 
 def build_snapshot(
     packet: Packet,
-    spec: OrderSpec,
     registry: Registry,
     runtime: ContractRuntime | None = None,
 ) -> IngressSnapshot:
     """Materialize the ingress mirror of ``packet``.
 
-    The chain must already match ``spec``; every accessor of every chain
-    entry is evaluated and stored together with the header's raw bytes.
+    The chain must already be parsed (``parse_chain``); every accessor of
+    every chain entry is evaluated and stored together with the header's
+    raw bytes.
     """
-    registry_mod.match_chain(packet, spec)
     snapshot = IngressSnapshot(raw_packet=bytes(packet.data))
     for entry in packet.chain:
         descriptor = registry.get(entry.header_type)
@@ -301,7 +289,7 @@ def build_snapshot(
             values=values, raw=raw
         )
     if runtime is not None:
-        runtime.count_snapshot()
+        runtime.snapshots_built += 1
     return snapshot
 
 
@@ -454,21 +442,19 @@ def _order_violation(nf, phase, exc: ChainOrderError, packet_index) -> Violation
     )
 
 
-def _run_phase(
+def _run_checks(
     contract,
     phase_name: str,
-    phase,
     packet: Packet,
+    decoded: list,
     snapshot: IngressSnapshot | None,
     registry: Registry,
     runtime: ContractRuntime,
     packet_index: int,
 ) -> list[Violation]:
-    try:
-        decoded = registry_mod.parse_chain(packet, phase.order, registry)
-        registry_mod.match_chain(packet, phase.order)
-    except ChainOrderError as exc:
-        return [_order_violation(contract.nf_name, phase_name, exc, packet_index)]
+    """Evaluate every check of one phase, without short-circuiting, on a
+    packet that ``parse_chain`` has just parsed along the phase's order."""
+    phase = getattr(contract, phase_name)
     cache = _DecodeCache(packet)
     cache.seed(decoded)
     violations = []
@@ -486,7 +472,7 @@ def _run_phase(
         )
         if violation is not None:
             violations.append(violation)
-    runtime.count_checks(len(phase.checks))
+    runtime.checks_evaluated += len(phase.checks)
     return violations
 
 
@@ -497,7 +483,8 @@ def run_ingress(
     runtime: ContractRuntime,
     packet_index: int = 0,
 ) -> tuple[list[Violation], IngressSnapshot | None]:
-    """Evaluate the ingress phase: order match, snapshot, then every check.
+    """Evaluate the ingress phase: parse along the order, snapshot, then
+    every check.
 
     No-op in Production. On an order mismatch the phase reports a single
     order violation; the checks are unresolvable without the declared
@@ -505,11 +492,9 @@ def run_ingress(
     """
     if not runtime.development or contract is None or contract.ingress is None:
         return [], None
-    phase = contract.ingress
     try:
-        decoded = registry_mod.parse_chain(packet, phase.order, registry)
-        registry_mod.match_chain(packet, phase.order)
-        snapshot = build_snapshot(packet, phase.order, registry, runtime)
+        decoded = registry_mod.parse_chain(packet, contract.ingress.order, registry)
+        snapshot = build_snapshot(packet, registry, runtime)
     except ChainOrderError as exc:
         return [_order_violation(contract.nf_name, "ingress", exc, packet_index)], None
     except ResolutionError as exc:
@@ -528,24 +513,10 @@ def run_ingress(
                 message=str(exc),
             )
         ], None
-    cache = _DecodeCache(packet)
-    cache.seed(decoded)
-    violations = []
-    for idx, check in enumerate(phase.checks):
-        violation = eval_check(
-            check,
-            packet,
-            snapshot,
-            registry,
-            nf=contract.nf_name,
-            phase="ingress",
-            check_index=idx,
-            packet_index=packet_index,
-            cache=cache,
-        )
-        if violation is not None:
-            violations.append(violation)
-    runtime.count_checks(len(phase.checks))
+    violations = _run_checks(
+        contract, "ingress", packet, decoded, snapshot, registry, runtime,
+        packet_index,
+    )
     return violations, snapshot
 
 
@@ -561,7 +532,11 @@ def run_egress(
     snapshot-sourced operands from the ingress mirror. No-op in Production."""
     if not runtime.development or contract is None or contract.egress is None:
         return []
-    return _run_phase(
-        contract, "egress", contract.egress, packet, snapshot, registry,
-        runtime, packet_index,
+    try:
+        decoded = registry_mod.parse_chain(packet, contract.egress.order, registry)
+    except ChainOrderError as exc:
+        return [_order_violation(contract.nf_name, "egress", exc, packet_index)]
+    return _run_checks(
+        contract, "egress", packet, decoded, snapshot, registry, runtime,
+        packet_index,
     )

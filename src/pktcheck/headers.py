@@ -127,6 +127,8 @@ class TcpHdr:
 
     ``flags`` is the 9-bit NS..FIN block; ``data_offset`` is the header
     length in 32-bit words, so the serialized size is data_offset * 4.
+    ``reserved`` holds the 3 bits between them, carried so that parse then
+    emit gives back the original bytes.
     """
 
     src_port: int
@@ -139,6 +141,7 @@ class TcpHdr:
     checksum: int
     urgent_ptr: int
     options: bytes = b""
+    reserved: int = 0
 
     MIN_SIZE = 20
 
@@ -165,6 +168,7 @@ class TcpHdr:
                 checksum=checksum,
                 urgent_ptr=urgent,
                 options=bytes(buf[offset + cls.MIN_SIZE : offset + size]),
+                reserved=(off_flags >> 9) & 0x7,
             ),
             size,
         )
@@ -175,6 +179,7 @@ class TcpHdr:
         _check_range(self.seq, 32, "seq")
         _check_range(self.ack, 32, "ack")
         _check_range(self.data_offset, 4, "data_offset")
+        _check_range(self.reserved, 3, "reserved")
         _check_range(self.flags, 9, "flags")
         _check_range(self.window, 16, "window")
         _check_range(self.checksum, 16, "checksum")
@@ -193,7 +198,7 @@ class TcpHdr:
                 self.dst_port,
                 self.seq,
                 self.ack,
-                (self.data_offset << 12) | self.flags,
+                (self.data_offset << 12) | (self.reserved << 9) | self.flags,
                 self.window,
                 self.checksum,
                 self.urgent_ptr,

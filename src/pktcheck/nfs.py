@@ -280,7 +280,7 @@ def make_mtu_too_big(
     name: str = "mtu-too-big",
 ) -> NetworkFunction:
     text = MTU_TOO_BIG_CONTRACT
-    spec = parse_contract_spec(text, nf_name=name, registry=registry)
+    spec = parse_contract_spec(text, nf_name=name)
     contract = elaborate(spec, registry)
 
     def transform(packet: Packet) -> TransformResult:
@@ -302,7 +302,7 @@ def make_srv6_change_pkt(
     name: str = "srv6-change-pkt",
 ) -> NetworkFunction:
     text = _srv6_contract(visit_new)
-    spec = parse_contract_spec(text, nf_name=name, registry=registry)
+    spec = parse_contract_spec(text, nf_name=name)
     contract = elaborate(spec, registry)
 
     def transform(packet: Packet) -> TransformResult:

@@ -3,6 +3,9 @@
 Per packet in Development mode the flow is ingress contract → transform →
 egress contract (the egress phase applies to rewritten packets, whose
 shape the contract describes). In Production only the transform runs.
+Packets flow one at a time, in input order, through a single loop. A pcap
+input is read lazily, record by record; the emitted records are collected
+in the summary.
 
 Violation policies:
 
@@ -24,15 +27,15 @@ from __future__ import annotations
 
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .engine import BuildMode, ContractRuntime, Violation, run_egress, run_ingress
 from .exceptions import ConfigError
 from .generator import GeneratorSpec, generate_records
 from .headers import Packet
 from .nfs import NetworkFunction, make_nf
-from .pcap import PcapRecord, read_pcap, write_pcap
+from .pcap import PcapRecord, iter_pcap, write_pcap
 from .registry import Registry, standard_registry
 
 POLICIES = ("drop", "continue", "abort")
@@ -49,7 +52,6 @@ class RunConfig:
     output_path: str | None = None
     mode: BuildMode = BuildMode.DEVELOPMENT
     policy: str = "continue"
-    workers: int = 1
     nf_options: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -61,8 +63,6 @@ class RunConfig:
             raise ConfigError(
                 "exactly one input source required: a pcap path or a generator spec"
             )
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
 
 
 @dataclass
@@ -112,161 +112,106 @@ class RunSummary:
         }
 
 
-@dataclass
-class _PacketOutcome:
-    violations: list[Violation]
-    out_data: bytes | None
-    drop_reason: str | None
-    ingress_ns: int
-    transform_ns: int
-    egress_ns: int
-
-
 def _check_key(violation: Violation) -> str:
     index = "order" if violation.check_index is None else violation.check_index
     return f"{violation.phase}#{index}"
 
 
-def _process_one(
-    nf: NetworkFunction,
-    data: bytes,
-    registry: Registry,
-    runtime: ContractRuntime,
-    index: int,
-) -> _PacketOutcome:
-    packet = Packet.from_bytes(data)
-    violations: list[Violation] = []
-    snapshot = None
-    ingress_ns = egress_ns = 0
-
-    if runtime.development and nf.contract is not None:
-        t0 = time.perf_counter_ns()
-        violations, snapshot = run_ingress(
-            nf.contract, packet, registry, runtime, packet_index=index
-        )
-        ingress_ns = time.perf_counter_ns() - t0
-
-    t0 = time.perf_counter_ns()
-    result = nf.apply(packet)
-    transform_ns = time.perf_counter_ns() - t0
-
-    if result.dropped:
-        return _PacketOutcome(
-            violations, None, result.drop_reason, ingress_ns, transform_ns, 0
-        )
-
-    if runtime.development and nf.contract is not None and result.rewritten:
-        t0 = time.perf_counter_ns()
-        violations = violations + run_egress(
-            nf.contract, result.packet, snapshot, registry, runtime,
-            packet_index=index,
-        )
-        egress_ns = time.perf_counter_ns() - t0
-
-    return _PacketOutcome(
-        violations,
-        bytes(result.packet.data),
-        None,
-        ingress_ns,
-        transform_ns,
-        egress_ns,
-    )
-
-
 def run_records(
     nf: NetworkFunction,
-    records: list[PcapRecord],
+    records: Iterable[PcapRecord],
     registry: Registry,
     *,
     runtime: ContractRuntime | None = None,
     policy: str = "continue",
-    workers: int = 1,
 ) -> RunSummary:
-    """Run every record through the NF and aggregate a RunSummary."""
+    """Run each record through the NF, in order, and aggregate a RunSummary.
+
+    ``records`` may be any iterable and is pulled one record at a time, so
+    a lazy reader never holds the whole input. Under ``abort`` no record
+    after the violating one is pulled.
+    """
     if policy not in POLICIES:
         raise ConfigError(f"unknown policy {policy!r}")
-    if workers > 1 and policy == "abort":
-        raise ConfigError("abort policy requires a single worker")
     if runtime is None:
         runtime = ContractRuntime()
     summary = RunSummary(nf_name=nf.name, mode=runtime.mode, policy=policy)
+    timings = summary.timings
+    checked = runtime.development and nf.contract is not None
 
-    def ingest(record_index_pairs):
-        for record, outcome in record_index_pairs:
-            summary.packets_in += 1
-            runtime.mark_packet_flow()
-            summary.timings["ingress_contract_ns"] += outcome.ingress_ns
-            summary.timings["transform_ns"] += outcome.transform_ns
-            summary.timings["egress_contract_ns"] += outcome.egress_ns
-            for violation in outcome.violations:
-                summary.violations.append(violation)
-                key = _check_key(violation)
-                summary.violations_by_check[key] = (
-                    summary.violations_by_check.get(key, 0) + 1
-                )
-            if outcome.out_data is None:
-                summary.packets_dropped += 1
-                summary.drops.append(
-                    (summary.packets_in - 1, outcome.drop_reason or "")
-                )
-            elif outcome.violations and policy in ("drop", "abort"):
-                summary.packets_dropped += 1
-            else:
-                summary.packets_out += 1
-                summary.out_records.append(
-                    PcapRecord(
-                        data=outcome.out_data,
-                        ts_sec=record.ts_sec,
-                        ts_usec=record.ts_usec,
-                    )
-                )
-            if outcome.violations and policy == "abort":
-                summary.aborted = True
-                return
+    for index, record in enumerate(records):
+        summary.packets_in += 1
+        runtime.mark_packet_flow()
+        packet = Packet.from_bytes(record.data)
+        violations, snapshot = [], None
 
-    if workers == 1:
-        def sequential():
-            for index, record in enumerate(records):
-                yield record, _process_one(nf, record.data, registry, runtime, index)
-        ingest(sequential())
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = pool.map(
-                lambda pair: _process_one(
-                    nf, pair[1].data, registry, runtime, pair[0]
-                ),
-                enumerate(records),
+        if checked:
+            t0 = time.perf_counter_ns()
+            violations, snapshot = run_ingress(
+                nf.contract, packet, registry, runtime, packet_index=index
             )
-            ingest(zip(records, outcomes))
+            timings["ingress_contract_ns"] += time.perf_counter_ns() - t0
+
+        t0 = time.perf_counter_ns()
+        result = nf.apply(packet)
+        timings["transform_ns"] += time.perf_counter_ns() - t0
+
+        if checked and result.rewritten and not result.dropped:
+            t0 = time.perf_counter_ns()
+            violations += run_egress(
+                nf.contract, result.packet, snapshot, registry, runtime,
+                packet_index=index,
+            )
+            timings["egress_contract_ns"] += time.perf_counter_ns() - t0
+
+        for violation in violations:
+            summary.violations.append(violation)
+            key = _check_key(violation)
+            summary.violations_by_check[key] = (
+                summary.violations_by_check.get(key, 0) + 1
+            )
+        if result.dropped:
+            summary.packets_dropped += 1
+            summary.drops.append((index, result.drop_reason or ""))
+        elif violations and policy in ("drop", "abort"):
+            summary.packets_dropped += 1
+        else:
+            summary.packets_out += 1
+            summary.out_records.append(
+                PcapRecord(
+                    data=bytes(result.packet.data),
+                    ts_sec=record.ts_sec,
+                    ts_usec=record.ts_usec,
+                )
+            )
+        if violations and policy == "abort":
+            summary.aborted = True
+            break
 
     summary.snapshots_built = runtime.snapshots_built
     summary.checks_evaluated = runtime.checks_evaluated
     return summary
 
 
-def _load_records(config: RunConfig) -> list[PcapRecord]:
-    if config.input_path is not None:
-        return read_pcap(config.input_path)
-    return generate_records(config.generator)
-
-
 def run_pipeline(
     config: RunConfig, registry: Registry | None = None
 ) -> RunSummary:
     """Build the NF (elaborating its contract), then stream the configured
-    input through it. Elaboration failures surface before any I/O."""
+    input through it. Elaboration failures surface before any I/O; a pcap
+    input is read lazily, record by record."""
     if registry is None:
         registry = standard_registry()
     nf = make_nf(config.nf_name, registry, **config.nf_options)
-    records = _load_records(config)
-    runtime = ContractRuntime(config.mode)
+    if config.input_path is not None:
+        records = iter_pcap(config.input_path)
+    else:
+        records = generate_records(config.generator)
     summary = run_records(
         nf,
         records,
         registry,
-        runtime=runtime,
+        runtime=ContractRuntime(config.mode),
         policy=config.policy,
-        workers=config.workers,
     )
     if config.output_path is not None:
         write_pcap(config.output_path, summary.out_records)

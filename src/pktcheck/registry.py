@@ -1,8 +1,11 @@
 """Header descriptor registry: predecessor rules, field accessors, and the
 order checks run at elaboration time and per packet.
 
-``verify_order`` runs once, when a pipeline is constructed; ``parse_chain``
-and ``match_chain`` are the per-packet operations.
+``verify_order`` runs once, when a contract is elaborated; ``parse_chain``
+is the per-packet operation. Parsing along an order that ``verify_order``
+accepted yields exactly that chain, so packets need no further order proof.
+``match_chain`` compares an already-parsed chain with an order; the packet
+path does not call it.
 """
 
 from __future__ import annotations
@@ -11,14 +14,7 @@ from dataclasses import dataclass, field
 
 from . import headers
 from .exceptions import ChainOrderError, ParseError, RegistryError
-from .headers import (
-    EthHdr,
-    Icmpv6PktTooBig,
-    Ipv6Hdr,
-    Packet,
-    Srv6RoutingHdr,
-    TcpHdr,
-)
+from .headers import Packet
 
 INT = "int"
 BYTES = "bytes"
@@ -37,15 +33,12 @@ class FieldAccessor:
 class HeaderDescriptor:
     """Registry entry for one header type.
 
-    ``size_rule`` is a constant byte count or a function of the decoded
-    header, so variable-length headers need no special-casing.
     ``protocol_number`` is the value identifying this header in its
     predecessor's linkage field; ``linkage_accessor`` names this header's
     own next-protocol field, if it has one.
     """
 
     header_type: str
-    size_rule: int | callable
     permitted_predecessors: frozenset[str]
     accessors: dict[str, FieldAccessor]
     parameter_slot: str | None = None
@@ -54,11 +47,6 @@ class HeaderDescriptor:
 
     def is_chain_root(self) -> bool:
         return not self.permitted_predecessors
-
-    def size_of(self, header) -> int:
-        if callable(self.size_rule):
-            return self.size_rule(header)
-        return self.size_rule
 
 
 @dataclass(frozen=True)
@@ -294,7 +282,6 @@ def standard_registry() -> Registry:
     reg = Registry()
     reg.register(HeaderDescriptor(
         header_type="EthHdr",
-        size_rule=EthHdr.SIZE,
         permitted_predecessors=frozenset(),
         parameter_slot=None,
         protocol_number=None,
@@ -307,7 +294,6 @@ def standard_registry() -> Registry:
     ))
     reg.register(HeaderDescriptor(
         header_type="Ipv6Hdr",
-        size_rule=Ipv6Hdr.SIZE,
         permitted_predecessors=frozenset({"EthHdr"}),
         parameter_slot=None,
         protocol_number=headers.ETHERTYPE_IPV6,
@@ -325,7 +311,6 @@ def standard_registry() -> Registry:
     ))
     reg.register(HeaderDescriptor(
         header_type="Srv6RoutingHdr",
-        size_rule=lambda h: Srv6RoutingHdr.MIN_SIZE + 8 * h.hdr_ext_len,
         permitted_predecessors=frozenset({"Ipv6Hdr", "Srv6RoutingHdr"}),
         parameter_slot=None,
         protocol_number=headers.PROTO_SRV6,
@@ -342,7 +327,6 @@ def standard_registry() -> Registry:
     ))
     reg.register(HeaderDescriptor(
         header_type="TcpHdr",
-        size_rule=lambda h: h.data_offset * 4,
         permitted_predecessors=frozenset({"Ipv6Hdr", "Srv6RoutingHdr"}),
         parameter_slot="Ipv6Hdr",
         protocol_number=headers.PROTO_TCP,
@@ -361,7 +345,6 @@ def standard_registry() -> Registry:
     ))
     reg.register(HeaderDescriptor(
         header_type="Icmpv6PktTooBig",
-        size_rule=lambda h: Icmpv6PktTooBig.MIN_SIZE + len(h.invoking_packet),
         permitted_predecessors=frozenset({"Ipv6Hdr"}),
         parameter_slot="Ipv6Hdr",
         protocol_number=headers.PROTO_ICMPV6,

@@ -83,6 +83,20 @@ def test_run_missing_input_exits_two(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_truncated_input_exits_two_without_output(tmp_path, capsys):
+    # the reader is lazy, so the damage surfaces only after earlier records
+    # have run; the run must still fail as a whole and write nothing
+    in_path, out_path = tmp_path / "in.pcap", tmp_path / "out.pcap"
+    assert main(["gen", "--out", str(in_path), "--count", "3"]) == 0
+    in_path.write_bytes(in_path.read_bytes()[:-1])
+    code = main(
+        ["run", "--nf", "mtu-too-big", "--in", str(in_path), "--out", str(out_path)]
+    )
+    assert code == 2
+    assert "truncated record 2" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_gen_invalid_spec_exits_two(tmp_path, capsys):
     code = main(
         ["gen", "--out", str(tmp_path / "x.pcap"), "--count", "2",

@@ -40,7 +40,7 @@ def _parsed_tcp6(registry, payload_len=1300):
 
 def _snapshot(registry, packet, runtime=None):
     parse_chain(packet, TCP6_ORDER, registry)
-    return build_snapshot(packet, TCP6_ORDER, registry, runtime)
+    return build_snapshot(packet, registry, runtime)
 
 
 # --- snapshots ---------------------------------------------------------------

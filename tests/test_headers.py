@@ -120,6 +120,31 @@ def test_tcp_emit_parse_identity(
     assert parsed == hdr
 
 
+@given(data=st.data(), data_offset=st.integers(5, 15))
+def test_tcp_parse_emit_identity(data, data_offset):
+    # every buffer TCP parses: a data offset of 5..15 words, enough bytes to
+    # hold it, anything at all in the other bits, trailing bytes allowed
+    size = 4 * data_offset
+    raw = bytearray(data.draw(st.binary(min_size=size, max_size=size + 8)))
+    raw[12] = (data_offset << 4) | (raw[12] & 0x0F)
+    hdr, consumed = TcpHdr.parse(bytes(raw))
+    assert consumed == size
+    assert hdr.emit() == bytes(raw[:size])
+
+
+def test_tcp_reserved_bits_are_kept_apart_from_flags():
+    raw = bytearray(build_tcp6_bytes()[54:74])
+    raw[12] |= 0x0E
+    hdr, _ = TcpHdr.parse(bytes(raw))
+    assert (hdr.reserved, hdr.flags) == (0x7, 0x018)
+    assert hdr.emit() == bytes(raw)
+    with pytest.raises(EmitError, match="reserved"):
+        TcpHdr(
+            src_port=1, dst_port=2, seq=0, ack=0, data_offset=5,
+            flags=0, window=0, checksum=0, urgent_ptr=0, reserved=8,
+        ).emit()
+
+
 def test_tcp_nine_bit_flags_packing():
     hdr = TcpHdr(
         src_port=1, dst_port=2, seq=0, ack=0, data_offset=5,

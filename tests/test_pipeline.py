@@ -19,7 +19,9 @@ from pktcheck import (
     read_pcap,
     run_pipeline,
     run_records,
+    write_pcap,
 )
+from pktcheck.pcap import iter_pcap
 
 from conftest import build_tcp6_bytes
 
@@ -34,10 +36,6 @@ def _mixed_records(n_big=4, n_small=3):
         for i in range(n_small)
     ]
     return records
-
-
-def _sort_key(violation):
-    return (violation.packet_index, violation.phase, violation.check_index or -1)
 
 
 def test_clean_run_counts(registry):
@@ -111,27 +109,52 @@ def test_policy_abort_stops_at_first_violation(registry):
     assert {v.packet_index for v in summary.violations} == {0}
 
 
-def test_abort_requires_single_worker(registry):
+def test_run_records_rejects_unknown_policy(registry):
     nf = make_nf("mtu-too-big", registry)
-    with pytest.raises(ConfigError, match="abort policy requires a single worker"):
-        run_records(nf, _mixed_records(), registry, policy="abort", workers=4)
     with pytest.raises(ConfigError, match="unknown policy"):
         run_records(nf, _mixed_records(), registry, policy="panic")
 
 
-def test_parallel_run_matches_sequential(registry):
+@pytest.mark.parametrize("policy", ["continue", "drop", "abort"])
+def test_streamed_pcap_matches_loaded_pcap(tmp_path, registry, policy):
+    path = tmp_path / "in.pcap"
+    write_pcap(path, _mixed_records())
     bad = make_nf("mtu-too-big", registry, omit_eth_swap=True)
-    records = _mixed_records(n_big=9, n_small=5)
-    seq = run_records(bad, records, registry, workers=1)
-    par = run_records(bad, records, registry, workers=4)
-    assert par.packets_in == seq.packets_in
-    assert par.packets_out == seq.packets_out
-    assert par.violations_by_check == seq.violations_by_check
-    assert sorted(map(_sort_key, par.violations)) == sorted(
-        map(_sort_key, seq.violations)
-    )
-    # order-preserving map: emitted stream is identical
-    assert [r.data for r in par.out_records] == [r.data for r in seq.out_records]
+    loaded = run_records(bad, read_pcap(path), registry, policy=policy)
+
+    pulled = []
+
+    def counted():
+        for record in iter_pcap(path):
+            pulled.append(record)
+            yield record
+
+    streamed = run_records(bad, counted(), registry, policy=policy)
+
+    def untimed(summary):
+        return {k: v for k, v in summary.to_json().items() if k != "timings"}
+
+    assert untimed(streamed) == untimed(loaded)
+    assert streamed.out_records == loaded.out_records
+    if policy == "abort":
+        # the first packet violates; nothing after it is read
+        assert streamed.aborted and len(pulled) == 1
+    else:
+        assert len(pulled) == 7
+
+
+def test_tcp_reserved_bits_pass_both_phases(registry):
+    # RFC 9293 reserves the 3 bits above NS; a packet that sets them is
+    # still valid input, and the snapshot must mirror it faithfully
+    data = bytearray(build_tcp6_bytes(payload_len=1300))
+    data[66] |= 0x0E
+    nf = make_nf("mtu-too-big", registry)
+    summary = run_records(nf, [PcapRecord(data=bytes(data))], registry)
+    assert summary.violations == []
+    assert summary.snapshots_built == 1
+    assert summary.packets_out == 1
+    # the reply quotes the invoking packet, reserved bits included
+    assert bytes(data[14:100]) in summary.out_records[0].data
 
 
 def test_transform_drops_are_not_violations(registry):
@@ -179,8 +202,6 @@ def test_uncontracted_nf_runs_bare(registry):
 
 def test_run_pipeline_round_trip(tmp_path, registry):
     in_path, out_path = tmp_path / "in.pcap", tmp_path / "out.pcap"
-    from pktcheck import write_pcap
-
     write_pcap(in_path, _mixed_records())
     summary = run_pipeline(
         RunConfig(
@@ -228,8 +249,6 @@ def test_run_config_validation():
         RunConfig(
             nf_name="x", input_path="a.pcap", generator=GeneratorSpec(count=1)
         )
-    with pytest.raises(ConfigError, match="workers must be"):
-        RunConfig(nf_name="x", input_path="a.pcap", workers=0)
 
 
 def test_order_verification_happens_once_per_phase(registry, monkeypatch):
@@ -244,15 +263,26 @@ def test_order_verification_happens_once_per_phase(registry, monkeypatch):
     import pktcheck.contracts as contracts_module
 
     monkeypatch.setattr(contracts_module, "verify_order", counting)
+    matches = []
+    original_match = registry_module.match_chain
+
+    def counting_match(packet, order_spec):
+        matches.append(order_spec)
+        return original_match(packet, order_spec)
+
+    monkeypatch.setattr(registry_module, "match_chain", counting_match)
 
     nf = make_nf("mtu-too-big", registry)
-    run_records(
+    summary = run_records(
         nf,
         [PcapRecord(data=build_tcp6_bytes(payload_len=1300)) for _ in range(50)],
         registry,
     )
-    # elaboration checked the two phase orders; the per-packet path never re-verifies
+    assert summary.violations == [] and summary.checks_evaluated == 50 * 7
+    # elaboration checked the two phase orders; the per-packet path never
+    # re-verifies, since parsing along the order already proves the chain
     assert len(calls) == 2
+    assert matches == []
 
 
 def test_production_mode_skips_contract_machinery(registry):

@@ -73,7 +73,6 @@ def test_registry_rejects_duplicate_registration(registry):
     fresh = Registry()
     descriptor = HeaderDescriptor(
         header_type="EthHdr",
-        size_rule=EthHdr.SIZE,
         permitted_predecessors=frozenset(),
         accessors={},
     )
@@ -88,7 +87,6 @@ def test_registry_rejects_dangling_predecessor():
         fresh.register(
             HeaderDescriptor(
                 header_type="EthHdr",
-                size_rule=EthHdr.SIZE,
                 permitted_predecessors=frozenset({"VlanHdr"}),
                 accessors={},
             )
@@ -101,7 +99,6 @@ def test_registry_frozen_blocks_registration(registry):
         registry.register(
             HeaderDescriptor(
                 header_type="VlanHdr",
-                size_rule=4,
                 permitted_predecessors=frozenset(),
                 accessors={},
             )
