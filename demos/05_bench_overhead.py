@@ -3,9 +3,11 @@
 
 Benchmarks `mtu-too-big` with contracts on (Development) and off
 (Production) and breaks the per-phase cost down. The ingress phase
-carries the snapshot build — decoding every header and mirroring it for
-later egress comparisons — so it dominates the contract overhead even
-though the egress phase evaluates six checks to ingress's one.
+carries the snapshot build — keeping the headers the order parse decoded
+and re-emitting each one to prove it mirrors the packet's bytes — so it
+dominates the contract overhead even though the egress phase evaluates
+six checks to ingress's one. Every check runs as an evaluator compiled
+once at elaboration, so neither phase decodes a header twice.
 """
 
 from pktcheck import GeneratorSpec, bench, generate_records

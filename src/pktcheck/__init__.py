@@ -30,7 +30,6 @@ from .engine import (
     Violation,
     build_snapshot,
     eval_check,
-    resolve_operand,
     run_egress,
     run_ingress,
 )
@@ -143,7 +142,6 @@ __all__ = [
     "pcap_bytes",
     "pseudo_header_checksum",
     "read_pcap",
-    "resolve_operand",
     "run_egress",
     "run_ingress",
     "run_pipeline",

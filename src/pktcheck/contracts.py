@@ -34,9 +34,9 @@ this happens once, before any packet flows.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .engine import COMPARATORS, Check, FieldRef, Operand, Source
+from .engine import COMPARATORS, Check, CompiledCheck, FieldRef, Operand, Source
 from .exceptions import ContractSyntaxError, ElaborationError, RegistryError
 from .registry import (
     BYTES,
@@ -159,13 +159,16 @@ class ContractSpec:
 @dataclass(frozen=True)
 class Contract:
     """Elaborated, executable contract: orders verified, assertions proven,
-    constants inlined. Immutable once built."""
+    constants inlined, and each phase's checks compiled into the
+    evaluators the engine runs. Immutable once built."""
 
     nf_name: str
     constants: dict[str, int]
     static_assertions: tuple[StaticAssertion, ...]
     ingress: PhaseSpec | None
     egress: PhaseSpec | None
+    ingress_checks: tuple[CompiledCheck, ...] = field(compare=False, repr=False)
+    egress_checks: tuple[CompiledCheck, ...] = field(compare=False, repr=False)
 
 
 class _Parser:
@@ -395,10 +398,13 @@ def parse_contract_spec(
     return spec
 
 
-def _order_types(phase: PhaseSpec | None) -> set[str]:
-    if phase is None:
-        return set()
-    return {element.header_type for element in phase.order.elements}
+def _layout(order: OrderSpec | None) -> dict[str, list[int]]:
+    """The index of each header in ``order``, by type, then occurrence."""
+    layout: dict[str, list[int]] = {}
+    if order is not None:
+        for i, element in enumerate(order.elements):
+            layout.setdefault(element.header_type, []).append(i)
+    return layout
 
 
 def _ref_kind(ref: FieldRef, registry: Registry) -> str:
@@ -409,8 +415,8 @@ def _validate_ref(
     ref: FieldRef,
     registry: Registry,
     phase_name: str,
-    visible_current: set[str],
-    visible_snapshot: set[str],
+    current_at: dict[str, list[int]],
+    ingress_at: dict[str, list[int]],
 ) -> None:
     if not registry.known(ref.header_type):
         raise ElaborationError(
@@ -427,16 +433,24 @@ def _validate_ref(
             f"{ref.param!r}"
         )
     if ref.source is Source.INGRESS_SNAPSHOT:
-        if ref.header_type not in visible_snapshot:
+        where, positions = "ingress", ingress_at.get(ref.header_type, [])
+        if not positions:
             raise ElaborationError(
                 f"{phase_name} check references {ref.describe()}, but "
                 f"{ref.header_type} is not in the ingress order (dangling "
                 "snapshot reference)"
             )
-    elif ref.header_type not in visible_current:
+    else:
+        where, positions = phase_name, current_at.get(ref.header_type, [])
+        if not positions:
+            raise ElaborationError(
+                f"{phase_name} check references {ref.describe()}, but "
+                f"{ref.header_type} is not in the {phase_name} order"
+            )
+    if not 0 <= ref.occurrence < len(positions):
         raise ElaborationError(
-            f"{phase_name} check references {ref.describe()}, but "
-            f"{ref.header_type} is not in the {phase_name} order"
+            f"{phase_name} check references {ref.describe()}, but the {where} "
+            f"order holds {len(positions)} {ref.header_type} header(s)"
         )
 
 
@@ -457,19 +471,20 @@ def _validate_phase(
                 f"{phase_name} order references unknown header type "
                 f"{element.param!r}"
             )
-    visible_current = _order_types(phase)
-    visible_snapshot = _order_types(spec.ingress)
+    current_at = _layout(phase.order)
+    ingress_at = _layout(spec.ingress.order if spec.ingress is not None else None)
     for check in phase.checks:
-        _validate_ref(
-            check.lhs, registry, phase_name, visible_current, visible_snapshot
-        )
+        if check.lhs.source is not Source.CURRENT_PACKET:
+            raise ElaborationError(
+                f"{phase_name} check {check.describe()}: the left-hand side "
+                "must read the packet in hand, not the ingress snapshot"
+            )
+        _validate_ref(check.lhs, registry, phase_name, current_at, ingress_at)
         lhs_kind = _ref_kind(check.lhs, registry)
         term_kinds = []
         for _, term in check.rhs.terms:
             if isinstance(term, FieldRef):
-                _validate_ref(
-                    term, registry, phase_name, visible_current, visible_snapshot
-                )
+                _validate_ref(term, registry, phase_name, current_at, ingress_at)
                 term_kinds.append(_ref_kind(term, registry))
             elif isinstance(term, str):
                 if term not in spec.constants:
@@ -513,6 +528,8 @@ def _validate_spec(spec: ContractSpec, registry: Registry) -> None:
 
 
 def _inline_constants(operand: Operand, constants: dict[str, int]) -> Operand:
+    if not any(isinstance(term, str) for _, term in operand.terms):
+        return operand
     terms = []
     for sign, term in operand.terms:
         if isinstance(term, str):
@@ -527,11 +544,82 @@ def _inline_constants(operand: Operand, constants: dict[str, int]) -> Operand:
 def _elaborate_phase(phase: PhaseSpec | None, constants: dict[str, int]):
     if phase is None:
         return None
-    checks = tuple(
-        Check(lhs=c.lhs, op=c.op, rhs=_inline_constants(c.rhs, constants))
-        for c in phase.checks
-    )
-    return PhaseSpec(order=phase.order, checks=checks)
+    checks = []
+    for check in phase.checks:
+        rhs = _inline_constants(check.rhs, constants)
+        checks.append(check if rhs is check.rhs else Check(check.lhs, check.op, rhs))
+    return PhaseSpec(order=phase.order, checks=tuple(checks))
+
+
+def _lhs_reader(ref: FieldRef, registry: Registry, current_at):
+    """Compile a validated left-hand reference into ``read(current)``."""
+    get = registry.accessor(ref.header_type, ref.accessor).get
+    i = current_at[ref.header_type][ref.occurrence]
+    return lambda current: get(current[i])
+
+
+def _reader(ref: FieldRef, registry: Registry, current_at, ingress_at):
+    """Compile a validated right-hand reference into
+    ``read(current, snapshot)``."""
+    get = registry.accessor(ref.header_type, ref.accessor).get
+    if ref.source is Source.INGRESS_SNAPSHOT:
+        i = ingress_at[ref.header_type][ref.occurrence]
+        return lambda current, snapshot: get(snapshot.headers[i])
+    i = current_at[ref.header_type][ref.occurrence]
+    return lambda current, snapshot: get(current[i])
+
+
+def _compile_operand(operand: Operand, kind: str, registry, current_at, ingress_at):
+    """Compile an inlined operand into ``value(current, snapshot)``: a
+    byte-sequence operand is its one field; an integer operand is its
+    folded literals plus its signed fields."""
+    reads = [(sign, _reader(term, registry, current_at, ingress_at))
+             for sign, term in operand.terms if isinstance(term, FieldRef)]
+    if kind == BYTES:
+        return reads[0][1]
+    const = sum(sign * term for sign, term in operand.terms
+                if not isinstance(term, FieldRef))
+    if not reads:
+        return lambda current, snapshot: const
+    if len(reads) == 1 and reads[0][0] == 1:
+        read = reads[0][1]
+        if const == 0:
+            return read
+        return lambda current, snapshot: read(current, snapshot) + const
+
+    def value(current, snapshot):
+        total = const
+        for sign, read in reads:
+            total += sign * read(current, snapshot)
+        return total
+
+    return value
+
+
+def _compile_phase(
+    phase: PhaseSpec | None, ingress: PhaseSpec | None, registry: Registry
+) -> tuple[CompiledCheck, ...]:
+    """Resolve each validated, inlined check of ``phase`` against the phase
+    order and the ingress order, once, before any packet flows."""
+    if phase is None:
+        return ()
+    current_at = _layout(phase.order)
+    ingress_at = _layout(ingress.order if ingress is not None else None)
+    compiled = []
+    for idx, check in enumerate(phase.checks):
+        snapshot_ref = next((ref for _, ref in check.rhs.terms
+                             if isinstance(ref, FieldRef)
+                             and ref.source is Source.INGRESS_SNAPSHOT), None)
+        compiled.append(CompiledCheck(
+            idx,
+            check,
+            _lhs_reader(check.lhs, registry, current_at),
+            _compile_operand(check.rhs, _ref_kind(check.lhs, registry), registry,
+                             current_at, ingress_at),
+            COMPARATORS[check.op],
+            snapshot_ref,
+        ))
+    return tuple(compiled)
 
 
 def check_static_assertions(spec: ContractSpec) -> None:
@@ -552,8 +640,8 @@ def elaborate(spec: ContractSpec, registry: Registry) -> Contract:
 
     Runs in every build mode, before any packet flows: validates everything
     against the registry, verifies both header orders, evaluates static
-    assertions, and inlines constants so the runtime checks are closed
-    forms.
+    assertions, inlines constants, and compiles each check into the
+    evaluator the engine runs per packet.
     """
     if not registry.frozen:
         raise ElaborationError("registry must be frozen before elaboration")
@@ -563,12 +651,16 @@ def elaborate(spec: ContractSpec, registry: Registry) -> Contract:
     if spec.egress is not None:
         verify_order(registry, spec.egress.order)
     check_static_assertions(spec)
+    ingress = _elaborate_phase(spec.ingress, spec.constants)
+    egress = _elaborate_phase(spec.egress, spec.constants)
     return Contract(
         nf_name=spec.nf_name,
         constants=dict(spec.constants),
         static_assertions=spec.static_assertions,
-        ingress=_elaborate_phase(spec.ingress, spec.constants),
-        egress=_elaborate_phase(spec.egress, spec.constants),
+        ingress=ingress,
+        egress=egress,
+        ingress_checks=_compile_phase(ingress, ingress, registry),
+        egress_checks=_compile_phase(egress, ingress, registry),
     )
 
 

@@ -1,6 +1,12 @@
 """Runtime contract engine: ingress snapshots, check evaluation, violation
 reporting, and build-mode gating.
 
+Each phase decodes a packet's headers once, in ``parse_chain``. The ingress
+snapshot keeps those header objects, and elaboration has already compiled
+every check into a ``CompiledCheck`` that indexes them and calls pre-bound
+accessors, so no header is decoded again and no name is looked up per
+packet.
+
 All checks in a phase are evaluated; violations are collected rather than
 thrown one at a time, so a single run can surface every failing condition.
 In Production mode the dynamic machinery is a no-op: no snapshots are
@@ -10,24 +16,24 @@ built and no checks are evaluated.
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from . import registry as registry_mod
-from .exceptions import ChainOrderError, ConfigError, EmitError, RegistryError
+from .exceptions import ChainOrderError, ConfigError, EmitError
 from .headers import Packet
 from .registry import Registry
 
 COMPARATORS = {
-    "==": lambda a, b: a == b,
-    "neq": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "==": operator.eq,
+    "neq": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
-
-ORDERED_COMPARATORS = frozenset({"<", "<=", ">", ">="})
 
 
 class Source(Enum):
@@ -111,42 +117,23 @@ class Check:
         return f"({self.lhs.describe()}, {self.op}, {self.rhs.describe()})"
 
 
-@dataclass
-class SnapshotEntry:
-    values: dict[str, object]
-    raw: bytes
-
-
-@dataclass
+@dataclass(slots=True)
 class IngressSnapshot:
-    """Immutable mirror of the packet as it entered the NF.
+    """Mirror of the packet as it entered the NF.
 
-    Keyed by (header type, occurrence); every registered accessor value is
-    materialized along with the header's raw bytes, so later mutation of
-    the packet cannot leak into egress comparisons. The full original
-    buffer is retained as well, for reporting and forensics.
+    ``headers`` holds the header objects that ``parse_chain`` decoded along
+    the ingress order, by their position in that order; nothing is decoded
+    again. Each was re-emitted and compared with its byte slice when the
+    snapshot was built, so it mirrors the ingress bytes. Transforms decode
+    headers of their own, so later mutation of the packet cannot leak into
+    egress comparisons.
     """
 
-    entries: dict[tuple[str, int], SnapshotEntry] = field(default_factory=dict)
-    raw_packet: bytes = b""
-
-    def lookup(self, ref: FieldRef):
-        entry = self.entries.get((ref.header_type, ref.occurrence))
-        if entry is None:
-            raise ResolutionError(
-                f"{ref.header_type}#{ref.occurrence} was not captured in the "
-                "ingress snapshot"
-            )
-        if ref.accessor not in entry.values:
-            raise ResolutionError(
-                f"ingress snapshot of {ref.header_type} has no accessor "
-                f"{ref.accessor!r}"
-            )
-        return entry.values[ref.accessor]
+    headers: tuple
 
 
 class ResolutionError(Exception):
-    """An operand could not be resolved against the packet or snapshot.
+    """The ingress snapshot could not mirror the packet.
 
     Turned into a distinguished resolution-error Violation, never a silent
     pass or a crash."""
@@ -233,173 +220,76 @@ class ContractRuntime:
         return self.mode is BuildMode.DEVELOPMENT
 
 
-class _DecodeCache:
-    """Per-phase cache of decoded headers for the current packet."""
-
-    def __init__(self, packet: Packet):
-        self.packet = packet
-        self._cache: dict[tuple[str, int], object] = {}
-
-    def seed(self, headers) -> None:
-        """Prime the cache with the headers decoded while parsing the chain."""
-        for entry, header in zip(self.packet.chain, headers):
-            self._cache[(entry.header_type, entry.occurrence)] = header
-
-    def get(self, header_type: str, occurrence: int):
-        key = (header_type, occurrence)
-        if key not in self._cache:
-            entry = self.packet.find(header_type, occurrence)
-            if entry is None:
-                raise ResolutionError(
-                    f"{header_type}#{occurrence} is not present in the packet chain"
-                )
-            self._cache[key] = self.packet.decode(entry)
-        return self._cache[key]
-
-
 def build_snapshot(
     packet: Packet,
-    registry: Registry,
+    headers: list,
     runtime: ContractRuntime | None = None,
 ) -> IngressSnapshot:
-    """Materialize the ingress mirror of ``packet``.
+    """Keep ``headers``, which ``parse_chain`` has just decoded from
+    ``packet``, as the ingress mirror.
 
-    The chain must already be parsed (``parse_chain``); every accessor of
-    every chain entry is evaluated and stored together with the header's
-    raw bytes.
+    Each header is emitted again and compared with its byte slice, so a
+    header that would not re-encode to the packet's bytes fails the
+    snapshot instead of misleading the egress checks.
     """
-    snapshot = IngressSnapshot(raw_packet=bytes(packet.data))
-    for entry in packet.chain:
-        descriptor = registry.get(entry.header_type)
-        header = packet.decode(entry)
-        values = {name: acc.get(header) for name, acc in descriptor.accessors.items()}
-        raw = bytes(packet.data[entry.offset : entry.offset + entry.length])
+    data = packet.data
+    for entry, header in zip(packet.chain, headers):
         try:
             mirrored = header.emit()
         except EmitError as exc:
             raise ResolutionError(
                 f"snapshot of {entry.header_type} cannot be re-encoded: {exc}"
             ) from None
-        if mirrored != raw:
+        if mirrored != data[entry.offset : entry.offset + entry.length]:
             raise ResolutionError(
                 f"snapshot of {entry.header_type} does not re-encode to the "
                 "original bytes; mirror would be unfaithful"
             )
-        snapshot.entries[(entry.header_type, entry.occurrence)] = SnapshotEntry(
-            values=values, raw=raw
-        )
     if runtime is not None:
         runtime.snapshots_built += 1
-    return snapshot
+    return IngressSnapshot(tuple(headers))
 
 
-def _resolve_ref(
-    ref: FieldRef,
-    packet: Packet,
-    snapshot: IngressSnapshot | None,
-    registry: Registry,
-    cache: _DecodeCache | None = None,
-):
-    if ref.source is Source.INGRESS_SNAPSHOT:
-        if snapshot is None:
-            raise ResolutionError(
-                f"{ref.describe()} needs the ingress snapshot, but none is available"
-            )
-        return snapshot.lookup(ref)
-    try:
-        accessor = registry.accessor(ref.header_type, ref.accessor)
-    except RegistryError as exc:
-        raise ResolutionError(str(exc)) from None
-    if cache is not None:
-        header = cache.get(ref.header_type, ref.occurrence)
-    else:
-        entry = packet.find(ref.header_type, ref.occurrence)
-        if entry is None:
-            raise ResolutionError(
-                f"{ref.header_type}#{ref.occurrence} is not present in the "
-                "packet chain"
-            )
-        header = packet.decode(entry)
-    return accessor.get(header)
+@dataclass(slots=True)
+class CompiledCheck:
+    """One check of an elaborated contract, resolved against its phase.
 
-
-def resolve_operand(
-    operand: Operand,
-    packet: Packet,
-    snapshot: IngressSnapshot | None,
-    registry: Registry,
-    constants: dict[str, int] | None = None,
-    cache: _DecodeCache | None = None,
-):
-    """Resolve an operand to an integer or byte-sequence value.
-
-    Named constants resolve through ``constants`` (elaborated contracts
-    have them inlined already). Arithmetic is integer-only.
+    ``lhs(current)`` reads the headers decoded along the phase order;
+    ``rhs(current, snapshot)`` reads them or the ingress snapshot's. Both
+    index those lists directly and call pre-bound accessors, with any
+    literals folded into one constant. ``snapshot_ref`` is the first
+    reference the check makes to the snapshot, or None if it makes none.
     """
-    total = 0
-    byte_value = None
-    for sign, term in operand.terms:
-        if isinstance(term, FieldRef):
-            value = _resolve_ref(term, packet, snapshot, registry, cache)
-        elif isinstance(term, str):
-            if constants is None or term not in constants:
-                raise ResolutionError(f"unbound constant {term!r}")
-            value = constants[term]
-        else:
-            value = term
-        if isinstance(value, (bytes, bytearray)):
-            if operand.is_arithmetic():
-                raise ResolutionError(
-                    f"byte-sequence value {render_value(value)} cannot take part "
-                    "in arithmetic"
-                )
-            byte_value = bytes(value)
-        else:
-            total += sign * value
-    return byte_value if byte_value is not None else total
+
+    index: int
+    check: Check
+    lhs: Callable
+    rhs: Callable
+    compare: Callable
+    snapshot_ref: FieldRef | None
 
 
 def eval_check(
-    check: Check,
-    packet: Packet,
+    compiled: CompiledCheck,
+    current: list,
     snapshot: IngressSnapshot | None,
-    registry: Registry,
-    *,
     nf: str = "?",
     phase: str = "?",
-    check_index: int = 0,
     packet_index: int = 0,
-    constants: dict[str, int] | None = None,
-    cache: _DecodeCache | None = None,
 ) -> Violation | None:
-    """Evaluate one check; return None on pass, a populated Violation on fail.
+    """Evaluate one compiled check; return None on pass, a populated
+    Violation on fail.
 
-    Resolution failures become resolution-kind violations rather than
-    exceptions: a missing header is exactly the dependency bug the
-    contract exists to surface.
+    ``current`` holds the headers ``parse_chain`` decoded along the phase
+    order. A check that reads a missing snapshot gives a resolution-kind
+    violation rather than an exception.
     """
-    try:
-        lhs_value = _resolve_ref(check.lhs, packet, None, registry, cache)
-        rhs_value = resolve_operand(
-            check.rhs, packet, snapshot, registry, constants, cache
-        )
-        lhs_bytes = isinstance(lhs_value, (bytes, bytearray))
-        rhs_bytes = isinstance(rhs_value, (bytes, bytearray))
-        if lhs_bytes != rhs_bytes:
-            raise ResolutionError(
-                f"type mismatch: {check.lhs.describe()} is "
-                f"{'bytes' if lhs_bytes else 'int'} but rhs is "
-                f"{'bytes' if rhs_bytes else 'int'}"
-            )
-        if lhs_bytes and check.op in ORDERED_COMPARATORS:
-            raise ResolutionError(
-                f"byte-sequence values admit only == and neq, not {check.op}"
-            )
-    except ResolutionError as exc:
+    check = compiled.check
+    if snapshot is None and compiled.snapshot_ref is not None:
         return Violation(
             nf=nf,
             phase=phase,
-            check_index=check_index,
+            check_index=compiled.index,
             lhs=check.lhs.describe(),
             lhs_value=None,
             op=check.op,
@@ -407,14 +297,20 @@ def eval_check(
             rhs_value=None,
             packet_index=packet_index,
             kind="resolution",
-            message=f"could not resolve {check.describe()}: {exc}",
+            message=(
+                f"could not resolve {check.describe()}: "
+                f"{compiled.snapshot_ref.describe()} needs the ingress "
+                "snapshot, but none is available"
+            ),
         )
-    if COMPARATORS[check.op](lhs_value, rhs_value):
+    lhs_value = compiled.lhs(current)
+    rhs_value = compiled.rhs(current, snapshot)
+    if compiled.compare(lhs_value, rhs_value):
         return None
     violation = Violation(
         nf=nf,
         phase=phase,
-        check_index=check_index,
+        check_index=compiled.index,
         lhs=check.lhs.describe(),
         lhs_value=render_value(lhs_value),
         op=check.op,
@@ -443,36 +339,22 @@ def _order_violation(nf, phase, exc: ChainOrderError, packet_index) -> Violation
 
 
 def _run_checks(
-    contract,
-    phase_name: str,
-    packet: Packet,
-    decoded: list,
+    checks: tuple[CompiledCheck, ...],
+    nf: str,
+    phase: str,
+    current: list,
     snapshot: IngressSnapshot | None,
-    registry: Registry,
     runtime: ContractRuntime,
     packet_index: int,
 ) -> list[Violation]:
-    """Evaluate every check of one phase, without short-circuiting, on a
-    packet that ``parse_chain`` has just parsed along the phase's order."""
-    phase = getattr(contract, phase_name)
-    cache = _DecodeCache(packet)
-    cache.seed(decoded)
+    """Evaluate every compiled check of one phase, without short-circuiting,
+    on the headers ``parse_chain`` has just decoded along the phase's order."""
     violations = []
-    for idx, check in enumerate(phase.checks):
-        violation = eval_check(
-            check,
-            packet,
-            snapshot,
-            registry,
-            nf=contract.nf_name,
-            phase=phase_name,
-            check_index=idx,
-            packet_index=packet_index,
-            cache=cache,
-        )
+    for compiled in checks:
+        violation = eval_check(compiled, current, snapshot, nf, phase, packet_index)
         if violation is not None:
             violations.append(violation)
-    runtime.checks_evaluated += len(phase.checks)
+    runtime.checks_evaluated += len(checks)
     return violations
 
 
@@ -494,7 +376,7 @@ def run_ingress(
         return [], None
     try:
         decoded = registry_mod.parse_chain(packet, contract.ingress.order, registry)
-        snapshot = build_snapshot(packet, registry, runtime)
+        snapshot = build_snapshot(packet, decoded, runtime)
     except ChainOrderError as exc:
         return [_order_violation(contract.nf_name, "ingress", exc, packet_index)], None
     except ResolutionError as exc:
@@ -514,8 +396,8 @@ def run_ingress(
             )
         ], None
     violations = _run_checks(
-        contract, "ingress", packet, decoded, snapshot, registry, runtime,
-        packet_index,
+        contract.ingress_checks, contract.nf_name, "ingress", decoded, snapshot,
+        runtime, packet_index,
     )
     return violations, snapshot
 
@@ -537,6 +419,6 @@ def run_egress(
     except ChainOrderError as exc:
         return [_order_violation(contract.nf_name, "egress", exc, packet_index)]
     return _run_checks(
-        contract, "egress", packet, decoded, snapshot, registry, runtime,
-        packet_index,
+        contract.egress_checks, contract.nf_name, "egress", decoded, snapshot,
+        runtime, packet_index,
     )

@@ -210,7 +210,11 @@ class TcpHdr:
 @dataclass
 class Icmpv6PktTooBig:
     """ICMPv6 Packet Too Big message: type 2, code 0, 32-bit MTU, then as
-    much of the invoking packet as fits the minimum-MTU reply budget."""
+    much of the invoking packet as fits the minimum-MTU reply budget.
+
+    The message runs to the end of the buffer, and both parse and emit
+    refuse one longer than that budget (RFC 4443 section 2.4(c)), so parse
+    then emit gives back the original bytes."""
 
     checksum: int
     mtu: int
@@ -219,6 +223,7 @@ class Icmpv6PktTooBig:
     code: int = 0
 
     MIN_SIZE = 8
+    MAX_SIZE = IPV6_MIN_MTU - IPV6_HDR_SIZE
 
     @classmethod
     def parse(cls, buf: bytes, offset: int = 0) -> tuple["Icmpv6PktTooBig", int]:
@@ -229,6 +234,11 @@ class Icmpv6PktTooBig:
                 f"not an ICMPv6 Packet Too Big message: type {msg_type}, code {code}"
             )
         size = len(buf) - offset
+        if size > cls.MAX_SIZE:
+            raise ParseError(
+                f"Packet Too Big message of {size} bytes exceeds the "
+                f"minimum-MTU reply budget of {cls.MAX_SIZE} bytes"
+            )
         return (
             cls(
                 checksum=checksum,
@@ -248,10 +258,10 @@ class Icmpv6PktTooBig:
             )
         _check_range(self.checksum, 16, "checksum")
         _check_range(self.mtu, 32, "mtu")
-        if self.MIN_SIZE + len(self.invoking_packet) > IPV6_MIN_MTU - IPV6_HDR_SIZE:
+        if self.MIN_SIZE + len(self.invoking_packet) > self.MAX_SIZE:
             raise EmitError(
                 "Packet Too Big body exceeds the minimum-MTU reply budget of "
-                f"{IPV6_MIN_MTU - IPV6_HDR_SIZE} bytes"
+                f"{self.MAX_SIZE} bytes"
             )
         return (
             struct.pack("!BBHI", self.msg_type, self.code, self.checksum, self.mtu)

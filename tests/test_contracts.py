@@ -1,16 +1,37 @@
 import pytest
 
+from types import SimpleNamespace
+
 from pktcheck import (
     ChainOrderError,
+    Check,
+    ContractSpec,
     ContractSyntaxError,
     ElaborationError,
+    FieldRef,
+    Operand,
+    PhaseSpec,
     Source,
     elaborate,
     explain_contract,
+    order,
     parse_contract_spec,
 )
 from pktcheck.nfs import MTU_TOO_BIG_CONTRACT
 from pktcheck.registry import Registry
+
+SRV6_ORDER = order("EthHdr", "Ipv6Hdr", "Srv6RoutingHdr")
+TWO_SRV6_ORDER = order("EthHdr", "Ipv6Hdr", "Srv6RoutingHdr", "Srv6RoutingHdr")
+
+
+def _srv6_spec(ingress_order, egress_order, check):
+    return ContractSpec(
+        nf_name="srv6",
+        constants={},
+        static_assertions=(),
+        ingress=PhaseSpec(order=ingress_order, checks=()),
+        egress=PhaseSpec(order=egress_order, checks=(check,)),
+    )
 
 
 def test_parse_constants_and_phases(registry):
@@ -205,6 +226,61 @@ def test_elaborate_inlines_constants(registry):
     )
     (ingress_check,) = contract.ingress.checks
     assert ingress_check.rhs.terms == ((1, 1280),)
+
+
+def test_elaborate_compiles_one_evaluator_per_check(registry):
+    contract = elaborate(
+        parse_contract_spec(MTU_TOO_BIG_CONTRACT, nf_name="mtu"), registry
+    )
+    assert [c.index for c in contract.ingress_checks] == [0]
+    assert [c.index for c in contract.egress_checks] == list(range(6))
+    assert [c.check for c in contract.egress_checks] == list(contract.egress.checks)
+    # only checks whose right-hand side reads the snapshot can miss it
+    assert [c.snapshot_ref is None for c in contract.egress_checks] == [
+        False, True, False, False, False, False
+    ]
+
+
+def test_compiled_check_indexes_the_named_occurrence(registry):
+    check = Check(
+        FieldRef("segments_left", "Srv6RoutingHdr", occurrence=1), "==",
+        Operand((
+            (1, FieldRef("segments_left", "Srv6RoutingHdr", occurrence=1,
+                         source=Source.INGRESS_SNAPSHOT)),
+            (1, FieldRef("tag", "Srv6RoutingHdr")),
+            (-1, 3),
+        )),
+    )
+    contract = elaborate(_srv6_spec(TWO_SRV6_ORDER, TWO_SRV6_ORDER, check), registry)
+    (compiled,) = contract.egress_checks
+    srh = [SimpleNamespace(segments_left=10 * i, tag=i) for i in range(4)]
+    snapshot = SimpleNamespace(headers=[SimpleNamespace(segments_left=100 + i)
+                                        for i in range(4)])
+    assert compiled.lhs(srh) == 30
+    assert compiled.rhs(srh, snapshot) == 103 + 2 - 3
+
+
+def test_elaboration_rejects_missing_occurrence(registry):
+    second = FieldRef("segments_left", "Srv6RoutingHdr", occurrence=1)
+    from_snapshot = FieldRef("segments_left", "Srv6RoutingHdr", occurrence=1,
+                             source=Source.INGRESS_SNAPSHOT)
+    first = FieldRef("segments_left", "Srv6RoutingHdr")
+    for ingress_order, egress_order, check in (
+        (SRV6_ORDER, SRV6_ORDER, Check(second, "==", Operand.literal(0))),
+        (SRV6_ORDER, TWO_SRV6_ORDER, Check(first, "==", Operand.ref(from_snapshot))),
+        (TWO_SRV6_ORDER, SRV6_ORDER, Check(second, "==", Operand.literal(0))),
+    ):
+        with pytest.raises(ElaborationError, match="holds 1 Srv6RoutingHdr"):
+            elaborate(_srv6_spec(ingress_order, egress_order, check), registry)
+    elaborate(_srv6_spec(TWO_SRV6_ORDER, TWO_SRV6_ORDER,
+                         Check(second, "==", Operand.ref(from_snapshot))), registry)
+
+
+def test_elaboration_rejects_lhs_reading_the_snapshot(registry):
+    lhs = FieldRef("segments_left", "Srv6RoutingHdr", source=Source.INGRESS_SNAPSHOT)
+    check = Check(lhs, "==", Operand.literal(0))
+    with pytest.raises(ElaborationError, match="left-hand side"):
+        elaborate(_srv6_spec(SRV6_ORDER, SRV6_ORDER, check), registry)
 
 
 def test_elaborate_requires_frozen_registry():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from pktcheck import (
@@ -5,9 +7,12 @@ from pktcheck import (
     Check,
     ConfigError,
     ContractRuntime,
+    ContractSpec,
+    ElaborationError,
     FieldRef,
     Operand,
     Packet,
+    PhaseSpec,
     Source,
     build_snapshot,
     elaborate,
@@ -15,7 +20,6 @@ from pktcheck import (
     order,
     parse_chain,
     parse_contract_spec,
-    resolve_operand,
     run_egress,
     run_ingress,
 )
@@ -32,15 +36,31 @@ def _tcp6(payload_len=1300):
     return Packet.from_bytes(build_tcp6_bytes(payload_len=payload_len))
 
 
-def _parsed_tcp6(registry, payload_len=1300):
-    packet = _tcp6(payload_len)
-    parse_chain(packet, TCP6_ORDER, registry)
-    return packet
+def _decoded_tcp6(registry, payload_len=1300):
+    """The headers parse_chain decodes from a fresh TCP/IPv6 packet."""
+    return parse_chain(_tcp6(payload_len), TCP6_ORDER, registry)
 
 
 def _snapshot(registry, packet, runtime=None):
-    parse_chain(packet, TCP6_ORDER, registry)
-    return build_snapshot(packet, registry, runtime)
+    headers = parse_chain(packet, TCP6_ORDER, registry)
+    return build_snapshot(packet, headers, runtime)
+
+
+def _compiled(registry, *checks, constants=None):
+    """Elaborate TCP/IPv6 ingress and egress phases around ``checks`` (the
+    egress phase's) and return its compiled checks."""
+    spec = ContractSpec(
+        nf_name="demo",
+        constants=constants or {},
+        static_assertions=(),
+        ingress=PhaseSpec(order=TCP6_ORDER, checks=()),
+        egress=PhaseSpec(order=TCP6_ORDER, checks=tuple(checks)),
+    )
+    return elaborate(spec, registry).egress_checks
+
+
+def _snap(accessor, header_type):
+    return FieldRef(accessor, header_type, source=Source.INGRESS_SNAPSHOT)
 
 
 # --- snapshots ---------------------------------------------------------------
@@ -49,15 +69,34 @@ def _snapshot(registry, packet, runtime=None):
 def test_snapshot_has_one_entry_per_chain_element(registry):
     packet = _tcp6()
     snapshot = _snapshot(registry, packet)
-    assert set(snapshot.entries) == {("EthHdr", 0), ("Ipv6Hdr", 0), ("TcpHdr", 0)}
-    assert snapshot.raw_packet == bytes(packet.data)
+    assert [type(h).__name__ for h in snapshot.headers] == [
+        "EthHdr", "Ipv6Hdr", "TcpHdr"
+    ]
 
 
 def test_snapshot_materializes_field_values(registry):
     snapshot = _snapshot(registry, _tcp6(1300))
-    assert snapshot.entries[("Ipv6Hdr", 0)].values["payload_len"] == 1300
-    assert snapshot.entries[("TcpHdr", 0)].values["src_port"] == 4242
-    assert snapshot.entries[("EthHdr", 0)].raw == build_tcp6_bytes()[:14]
+    assert snapshot.headers[1].payload_len == 1300
+    assert snapshot.headers[2].src_port == 4242
+    assert snapshot.headers[0].emit() == build_tcp6_bytes()[:14]
+
+
+def test_snapshot_keeps_the_headers_parse_chain_decoded(registry):
+    packet = _tcp6()
+    headers = parse_chain(packet, TCP6_ORDER, registry)
+    snapshot = build_snapshot(packet, headers)
+    assert all(kept is decoded for kept, decoded in zip(snapshot.headers, headers))
+
+
+def test_snapshot_rejects_a_header_that_does_not_mirror_its_bytes(registry):
+    packet = _tcp6()
+    headers = parse_chain(packet, TCP6_ORDER, registry)
+    headers[1] = replace(headers[1], hop_limit=headers[1].hop_limit - 1)
+    with pytest.raises(ResolutionError, match="Ipv6Hdr does not re-encode"):
+        build_snapshot(packet, headers)
+    headers[1] = replace(headers[1], version=5)
+    with pytest.raises(ResolutionError, match="Ipv6Hdr cannot be re-encoded"):
+        build_snapshot(packet, headers)
 
 
 def test_snapshot_is_immune_to_later_packet_mutation(registry):
@@ -65,8 +104,11 @@ def test_snapshot_is_immune_to_later_packet_mutation(registry):
     snapshot = _snapshot(registry, packet)
     packet.set_field("Ipv6Hdr", 0, "payload_len", 999)
     assert packet.header("Ipv6Hdr").payload_len == 999
-    ref = FieldRef("payload_len", "Ipv6Hdr", source=Source.INGRESS_SNAPSHOT)
-    assert snapshot.lookup(ref) == 1300
+    (compiled,) = _compiled(
+        registry, Check(FieldRef("payload_len", "Ipv6Hdr"), "==", Operand.ref(
+            _snap("payload_len", "Ipv6Hdr")))
+    )
+    assert compiled.rhs([], snapshot) == 1300
 
 
 def test_snapshot_counts_toward_runtime(registry):
@@ -76,136 +118,159 @@ def test_snapshot_counts_toward_runtime(registry):
 
 
 def test_snapshot_lookup_unknown_entries(registry):
-    snapshot = _snapshot(registry, _tcp6())
-    with pytest.raises(ResolutionError):
-        snapshot.lookup(FieldRef("mtu", "Icmpv6PktTooBig", source=Source.INGRESS_SNAPSHOT))
-    with pytest.raises(ResolutionError):
-        snapshot.lookup(FieldRef("nope", "Ipv6Hdr", source=Source.INGRESS_SNAPSHOT))
+    # a snapshot read of a header the ingress order does not capture, or of
+    # an accessor the header lacks, cannot be compiled
+    for ref in (_snap("mtu", "Icmpv6PktTooBig"), _snap("nope", "Ipv6Hdr")):
+        check = Check(FieldRef("payload_len", "Ipv6Hdr"), "==", Operand.ref(ref))
+        with pytest.raises(ElaborationError):
+            _compiled(registry, check)
 
 
 # --- operand resolution --------------------------------------------------------
 
 
 def test_resolve_literal_and_constant(registry):
-    packet = _parsed_tcp6(registry)
-    assert resolve_operand(Operand.literal(7), packet, None, registry) == 7
-    assert (
-        resolve_operand(
-            Operand.constant("MTU"), packet, None, registry, constants={"MTU": 1280}
-        )
-        == 1280
+    decoded = _decoded_tcp6(registry)
+    lhs = FieldRef("payload_len", "Ipv6Hdr")
+    literal, constant = _compiled(
+        registry,
+        Check(lhs, ">", Operand.literal(7)),
+        Check(lhs, ">", Operand.constant("MTU")),
+        constants={"MTU": 1280},
     )
-    with pytest.raises(ResolutionError, match="MTU"):
-        resolve_operand(Operand.constant("MTU"), packet, None, registry)
+    assert literal.rhs(decoded, None) == 7
+    assert constant.rhs(decoded, None) == 1280
+    with pytest.raises(ElaborationError, match="MTU"):
+        _compiled(registry, Check(lhs, ">", Operand.constant("MTU")))
 
 
 def test_resolve_field_refs_from_packet_and_snapshot(registry):
     packet = _tcp6()
     snapshot = _snapshot(registry, packet)
     packet.set_field("Ipv6Hdr", 0, "payload_len", 60)
+    decoded = parse_chain(packet, TCP6_ORDER, registry)
 
-    current = Operand.ref(FieldRef("payload_len", "Ipv6Hdr"))
-    original = Operand.ref(
-        FieldRef("payload_len", "Ipv6Hdr", source=Source.INGRESS_SNAPSHOT)
+    lhs = FieldRef("payload_len", "Ipv6Hdr")
+    current, original = _compiled(
+        registry,
+        Check(lhs, "==", Operand.ref(FieldRef("payload_len", "Ipv6Hdr"))),
+        Check(lhs, "==", Operand.ref(_snap("payload_len", "Ipv6Hdr"))),
     )
-    assert resolve_operand(current, packet, snapshot, registry) == 60
-    assert resolve_operand(original, packet, snapshot, registry) == 1300
+    assert current.lhs(decoded) == 60
+    assert current.rhs(decoded, snapshot) == 60
+    assert original.rhs(decoded, snapshot) == 1300
 
 
 def test_resolve_arithmetic_sum(registry):
     packet = _tcp6()
     snapshot = _snapshot(registry, packet)
     operand = Operand((
-        (1, FieldRef("payload_len", "Ipv6Hdr", source=Source.INGRESS_SNAPSHOT)),
+        (1, _snap("payload_len", "Ipv6Hdr")),
         (1, 16),
+        (-1, FieldRef("data_offset", "TcpHdr")),
         (-1, 6),
     ))
-    assert resolve_operand(operand, packet, snapshot, registry) == 1310
+    (compiled,) = _compiled(
+        registry, Check(FieldRef("payload_len", "Ipv6Hdr"), "==", operand)
+    )
+    assert compiled.rhs(snapshot.headers, snapshot) == 1300 + 16 - 5 - 6
 
 
 def test_resolve_rejects_bytes_in_arithmetic(registry):
-    packet = _parsed_tcp6(registry)
     operand = Operand(((1, FieldRef("src", "Ipv6Hdr")), (1, 1)))
-    with pytest.raises(ResolutionError, match="arithmetic"):
-        resolve_operand(operand, packet, None, registry)
+    with pytest.raises(ElaborationError, match="arithmetic"):
+        _compiled(registry, Check(FieldRef("payload_len", "Ipv6Hdr"), "==", operand))
 
 
 def test_resolve_requires_snapshot_when_referenced(registry):
-    packet = _parsed_tcp6(registry)
-    operand = Operand.ref(
-        FieldRef("payload_len", "Ipv6Hdr", source=Source.INGRESS_SNAPSHOT)
+    decoded = _decoded_tcp6(registry)
+    plain, from_snapshot = _compiled(
+        registry,
+        Check(FieldRef("payload_len", "Ipv6Hdr"), ">", Operand.literal(0)),
+        Check(FieldRef("payload_len", "Ipv6Hdr"), "==",
+              Operand.ref(_snap("payload_len", "Ipv6Hdr"))),
     )
-    with pytest.raises(ResolutionError, match="snapshot"):
-        resolve_operand(operand, packet, None, registry)
+    assert plain.snapshot_ref is None
+    assert eval_check(plain, decoded, None) is None
+    violation = eval_check(from_snapshot, decoded, None, "demo", "egress", 4)
+    assert violation.kind == "resolution"
+    assert violation.message == (
+        "could not resolve (payload_len[Ipv6Hdr], ==, "
+        "payload_len[Ipv6Hdr]@ingress): payload_len[Ipv6Hdr]@ingress needs "
+        "the ingress snapshot, but none is available"
+    )
 
 
 # --- check evaluation ----------------------------------------------------------
 
 
 def test_eval_check_pass_and_fail(registry):
-    packet = _parsed_tcp6(registry, payload_len=1300)
-    passing = Check(FieldRef("payload_len", "Ipv6Hdr"), ">", Operand.literal(1280))
-    failing = Check(FieldRef("payload_len", "Ipv6Hdr"), ">", Operand.literal(1300))
-    assert eval_check(passing, packet, None, registry) is None
-    violation = eval_check(
-        failing, packet, None, registry,
-        nf="demo", phase="ingress", check_index=0, packet_index=3,
+    decoded = _decoded_tcp6(registry, payload_len=1300)
+    passing, failing = _compiled(
+        registry,
+        Check(FieldRef("payload_len", "Ipv6Hdr"), ">", Operand.literal(1280)),
+        Check(FieldRef("payload_len", "Ipv6Hdr"), ">", Operand.literal(1300)),
     )
+    assert eval_check(passing, decoded, None) is None
+    violation = eval_check(failing, decoded, None, "demo", "ingress", 3)
     assert violation.lhs_value == 1300
     assert violation.rhs_value == 1300
     assert violation.kind == "check"
     assert violation.text() == (
-        "NF demo [ingress#0] payload_len[Ipv6Hdr]=1300 > 1300=1300 "
+        "NF demo [ingress#1] payload_len[Ipv6Hdr]=1300 > 1300=1300 "
         "FAILED (packet 3)"
     )
 
 
 def test_eval_check_bytes_equality(registry):
-    packet = _parsed_tcp6(registry)
-    same = Check(
+    decoded = _decoded_tcp6(registry)
+    (same,) = _compiled(registry, Check(
         FieldRef("src", "Ipv6Hdr"), "neq",
         Operand.ref(FieldRef("dst", "Ipv6Hdr")),
-    )
-    assert eval_check(same, packet, None, registry) is None
+    ))
+    assert eval_check(same, decoded, None) is None
 
 
 def test_eval_check_resolution_failure_is_a_violation(registry):
-    packet = _parsed_tcp6(registry)
-    missing = Check(FieldRef("mtu", "Icmpv6PktTooBig"), "==", Operand.literal(1280))
-    violation = eval_check(missing, packet, None, registry, nf="demo")
-    assert violation.kind == "resolution"
-    assert "Icmpv6PktTooBig" in violation.message
+    # egress after a failed ingress has no snapshot: every check that reads
+    # it reports a resolution violation, the others are still evaluated
+    contract = _mtu_contract(registry)
+    packet = send_too_big(_tcp6(1300)).packet
+    violations = run_egress(
+        contract, packet, None, registry, ContractRuntime(), packet_index=2
+    )
+    assert [v.check_index for v in violations] == [0, 2, 3, 4, 5]
+    assert all(v.kind == "resolution" and v.packet_index == 2 for v in violations)
+    assert "checksum[TcpHdr<Ipv6Hdr>]@ingress needs the ingress snapshot" in (
+        violations[0].message
+    )
 
 
 def test_eval_check_rejects_ordered_bytes_comparison(registry):
-    packet = _parsed_tcp6(registry)
     bad = Check(
         FieldRef("src", "Ipv6Hdr"), "<", Operand.ref(FieldRef("dst", "Ipv6Hdr"))
     )
-    violation = eval_check(bad, packet, None, registry)
-    assert violation.kind == "resolution"
+    with pytest.raises(ElaborationError, match="==|neq"):
+        _compiled(registry, bad)
 
 
 def test_eval_check_rejects_type_mismatch(registry):
-    packet = _parsed_tcp6(registry)
     bad = Check(FieldRef("src", "Ipv6Hdr"), "==", Operand.literal(5))
-    violation = eval_check(bad, packet, None, registry)
-    assert violation.kind == "resolution"
-    assert "mismatch" in violation.message
+    with pytest.raises(ElaborationError, match="compare"):
+        _compiled(registry, bad)
 
 
 def test_violation_json_shape(registry):
-    packet = _parsed_tcp6(registry)
-    failing = Check(FieldRef("payload_len", "Ipv6Hdr"), "<", Operand.literal(0))
-    violation = eval_check(
-        failing, packet, None, registry,
-        nf="demo", phase="egress", check_index=4, packet_index=9,
+    decoded = _decoded_tcp6(registry)
+    (failing,) = _compiled(
+        registry, Check(FieldRef("payload_len", "Ipv6Hdr"), "<", Operand.literal(0))
     )
+    violation = eval_check(failing, decoded, None, "demo", "egress", 9)
     blob = violation.to_json()
     assert blob == {
         "nf": "demo",
         "phase": "egress",
-        "check_index": 4,
+        "check_index": 0,
         "lhs": "payload_len[Ipv6Hdr]",
         "lhs_value": 1300,
         "op": "<",

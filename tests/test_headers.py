@@ -36,6 +36,14 @@ def test_eth_emit_parse_identity(dst, src, ether_type):
     assert parsed == hdr
 
 
+@given(raw=st.binary(min_size=14, max_size=22))
+def test_eth_parse_emit_identity(raw):
+    # every buffer of 14 bytes or more parses; trailing bytes allowed
+    hdr, consumed = EthHdr.parse(raw)
+    assert consumed == 14
+    assert hdr.emit() == raw[:14]
+
+
 def test_eth_field_offsets():
     raw = bytes(range(12)) + b"\x86\xdd"
     hdr, _ = EthHdr.parse(raw)
@@ -66,6 +74,17 @@ def test_ipv6_emit_parse_identity(
     parsed, consumed = Ipv6Hdr.parse(hdr.emit())
     assert consumed == 40
     assert parsed == hdr
+
+
+@given(data=st.data())
+def test_ipv6_parse_emit_identity(data):
+    # every buffer IPv6 parses: 40 bytes or more with version nibble 6,
+    # anything at all in the other bits, trailing bytes allowed
+    raw = bytearray(data.draw(st.binary(min_size=40, max_size=48)))
+    raw[0] = 0x60 | (raw[0] & 0x0F)
+    hdr, consumed = Ipv6Hdr.parse(bytes(raw))
+    assert consumed == 40
+    assert hdr.emit() == bytes(raw[:40])
 
 
 def test_ipv6_field_offsets():
@@ -184,6 +203,26 @@ def test_icmpv6_emit_parse_identity(checksum, mtu, body):
     assert parsed == hdr
 
 
+@given(raw=st.binary(min_size=8, max_size=1240))
+def test_icmpv6_parse_emit_identity(raw):
+    # every buffer ICMPv6 PTB parses: type 2, code 0, 8 to 1240 bytes, which
+    # the message consumes to the end
+    raw = b"\x02\x00" + raw[2:]
+    hdr, consumed = Icmpv6PktTooBig.parse(raw)
+    assert consumed == len(raw)
+    assert hdr.emit() == raw
+
+
+def test_icmpv6_parse_rejects_body_over_reply_budget():
+    # RFC 4443 2.4(c): a body that emit would refuse must not parse either
+    fits = Icmpv6PktTooBig(checksum=0, mtu=1280, invoking_packet=bytes(1232)).emit()
+    assert Icmpv6PktTooBig.parse(fits)[1] == 1240
+    with pytest.raises(ParseError, match="budget"):
+        Icmpv6PktTooBig.parse(fits + b"\x00")
+    with pytest.raises(ParseError, match="budget"):
+        Icmpv6PktTooBig.parse(fits[:8] + bytes(1300))
+
+
 def test_icmpv6_rejects_other_types():
     raw = bytearray(Icmpv6PktTooBig(checksum=0, mtu=1280, invoking_packet=b"").emit())
     raw[0] = 1
@@ -221,6 +260,22 @@ def test_srv6_emit_parse_identity(next_header, segments, flags, tag, data):
     parsed, consumed = Srv6RoutingHdr.parse(hdr.emit())
     assert consumed == 8 + 16 * len(segments)
     assert parsed == hdr
+
+
+@given(data=st.data(), n_segments=st.integers(1, 127))
+def test_srv6_parse_emit_identity(data, n_segments):
+    # every buffer SRv6 parses: routing type 4, an even extension length
+    # with a matching last entry, segments left within the list, anything
+    # at all in the other bytes, trailing bytes allowed
+    size = 8 + 16 * n_segments
+    raw = bytearray(data.draw(st.binary(min_size=size, max_size=size + 8)))
+    raw[1] = 2 * n_segments
+    raw[2] = 4
+    raw[3] = data.draw(st.integers(0, n_segments))
+    raw[4] = n_segments - 1
+    hdr, consumed = Srv6RoutingHdr.parse(bytes(raw))
+    assert consumed == size
+    assert hdr.emit() == bytes(raw[:size])
 
 
 def test_srv6_derived_fields():

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pktcheck.headers as headers_module
 import pktcheck.registry as registry_module
 from pktcheck import (
     BuildMode,
@@ -283,6 +284,37 @@ def test_order_verification_happens_once_per_phase(registry, monkeypatch):
     # re-verifies, since parsing along the order already proves the chain
     assert len(calls) == 2
     assert matches == []
+
+
+def test_each_header_is_decoded_once_per_phase(registry, monkeypatch):
+    nf = make_nf("mtu-too-big", registry)  # elaboration may look names up
+    counts = {"decode": 0, "accessor": 0, "emit": 0, "parse_header": 0}
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    Packet = headers_module.Packet
+    for name, owner in (("decode", Packet), ("parse_header", Packet),
+                        ("accessor", registry_module.Registry)):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    for cls in headers_module.HEADER_TYPES.values():
+        monkeypatch.setattr(cls, "emit", counting("emit", cls.emit))
+
+    summary = run_records(
+        nf,
+        [PcapRecord(data=build_tcp6_bytes(payload_len=1300)) for _ in range(50)],
+        registry,
+    )
+    assert summary.violations == [] and summary.snapshots_built == 50
+    # per packet: 3 headers parsed at ingress, 3 in the transform and 3 at
+    # egress; 4 emits build the reply and 3 re-emit the snapshot to prove
+    # it mirrors the ingress bytes; checks read the decoded headers through
+    # accessors bound at elaboration
+    assert counts == {"decode": 0, "accessor": 0, "emit": 50 * 7,
+                      "parse_header": 50 * 9}
 
 
 def test_production_mode_skips_contract_machinery(registry):
