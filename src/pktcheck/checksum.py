@@ -1,4 +1,14 @@
-"""Internet checksum arithmetic (RFC 1071) and the IPv6 pseudo-header rule."""
+"""Internet checksum arithmetic (RFC 1071) and the IPv6 pseudo-header rule.
+
+The one's-complement sum of 16-bit words is addition modulo 0xFFFF with
+0xFFFF standing in for zero (RFC 1071 section 2, deferred carries): since
+2**16 is 1 modulo 0xFFFF, a word's carry out of bit 15 wraps around to
+bit 0 in the remainder. A buffer read as one big-endian integer is the sum
+of its words, each scaled by a power of 2**16, so that integer modulo
+0xFFFF is the folded sum and no per-word loop is needed. The only case the
+remainder cannot tell apart is 0: a sum that is a nonzero multiple of
+0xFFFF folds to 0xFFFF, and only an all-zero buffer sums to 0.
+"""
 
 from __future__ import annotations
 
@@ -16,11 +26,12 @@ def internet_checksum(data: bytes) -> int:
     Odd-length input is padded with a trailing zero byte for summation.
     A result of 0xFFFF (zero sum) is returned as-is.
     """
+    value = int.from_bytes(data, "big")
     if len(data) % 2:
-        data = data + b"\x00"
-    total = sum(struct.unpack(f"!{len(data) // 2}H", data))
-    total = (total & 0xFFFF) + (total >> 16)
-    total += total >> 16
+        value <<= 8
+    total = value % 0xFFFF
+    if total == 0 and value:
+        total = 0xFFFF
     return ~total & 0xFFFF
 
 

@@ -152,16 +152,23 @@ def _gen_srv6(spec: GeneratorSpec, rng: random.Random) -> bytes:
 _TEMPLATE_BUILDERS = {"tcp6": _gen_tcp6, "srv6": _gen_srv6}
 
 
-def generate(spec: GeneratorSpec) -> list[Packet]:
-    """Generate ``spec.count`` packets; identical specs yield identical bytes."""
+def _generate_bytes(spec: GeneratorSpec):
     rng = random.Random(spec.seed)
     builder = _TEMPLATE_BUILDERS[spec.template]
-    return [Packet.from_bytes(builder(spec, rng)) for _ in range(spec.count)]
+    return (builder(spec, rng) for _ in range(spec.count))
+
+
+def generate(spec: GeneratorSpec) -> list[Packet]:
+    """Generate ``spec.count`` packets; identical specs yield identical bytes."""
+    return [Packet.from_bytes(raw) for raw in _generate_bytes(spec)]
 
 
 def generate_records(spec: GeneratorSpec) -> list[PcapRecord]:
-    """Generate packets wrapped in pcap records with sequential timestamps."""
+    """Generate packets wrapped in pcap records with sequential timestamps.
+
+    Records take the generated bytes directly: no ``Packet`` is built per
+    record only to be copied back out."""
     return [
-        PcapRecord(data=bytes(packet.data), ts_sec=0, ts_usec=index)
-        for index, packet in enumerate(generate(spec))
+        PcapRecord(data=raw, ts_sec=0, ts_usec=index)
+        for index, raw in enumerate(_generate_bytes(spec))
     ]

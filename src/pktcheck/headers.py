@@ -4,6 +4,12 @@ Wire layouts follow Ethernet II, the 40-byte fixed IPv6 header, TCP,
 ICMPv6 Packet Too Big (type 2, code 0), and the SRv6 Routing extension
 header (routing type 4). All multi-byte integers are big-endian on the
 wire and are decoded to host ints.
+
+Every packet pays for decoding, so each ``parse`` reads its fixed part
+with one ``struct.Struct`` compiled at import time. The format's ``s``
+fields yield MAC and IPv6 addresses as ``bytes``, the header is built from
+positional arguments, and the length check is a comparison that calls
+``_need`` only to raise its message.
 """
 
 from __future__ import annotations
@@ -26,6 +32,15 @@ PROTO_NONE = 59
 ICMPV6_PKT_TOO_BIG = 2
 SRV6_ROUTING_TYPE = 4
 
+_ETH = struct.Struct("!6s6sH")
+_IPV6 = struct.Struct("!IHBB16s16s")
+_TCP = struct.Struct("!HHIIHHHH")
+_ICMPV6_PTB = struct.Struct("!BBHI")
+_SRV6 = struct.Struct("!BBBBBBH")
+#: By segment count: the SRv6 segment list as that many 16-byte fields
+#: (an 8-bit extension length holds at most 127 segments).
+_SRV6_SEGMENTS = [struct.Struct("16s" * n) for n in range(128)]
+
 
 def _need(buf, offset, n, what):
     if offset + n > len(buf):
@@ -40,7 +55,7 @@ def _check_range(value, bits, what):
         raise EmitError(f"{what} out of range for {bits}-bit field: {value}")
 
 
-@dataclass
+@dataclass(slots=True)
 class EthHdr:
     """Ethernet II header: dst MAC, src MAC, ethertype. 14 bytes."""
 
@@ -52,11 +67,9 @@ class EthHdr:
 
     @classmethod
     def parse(cls, buf: bytes, offset: int = 0) -> tuple["EthHdr", int]:
-        _need(buf, offset, cls.SIZE, "Ethernet header")
-        dst = bytes(buf[offset : offset + 6])
-        src = bytes(buf[offset + 6 : offset + 12])
-        (ether_type,) = struct.unpack_from("!H", buf, offset + 12)
-        return cls(dst, src, ether_type), cls.SIZE
+        if offset + ETH_HDR_SIZE > len(buf):
+            _need(buf, offset, ETH_HDR_SIZE, "Ethernet header")
+        return cls(*_ETH.unpack_from(buf, offset)), ETH_HDR_SIZE
 
     def emit(self) -> bytes:
         if len(self.dst) != 6 or len(self.src) != 6:
@@ -65,7 +78,7 @@ class EthHdr:
         return self.dst + self.src + struct.pack("!H", self.ether_type)
 
 
-@dataclass
+@dataclass(slots=True)
 class Ipv6Hdr:
     """Fixed 40-byte IPv6 header. ``payload_len`` counts every byte after it."""
 
@@ -82,24 +95,19 @@ class Ipv6Hdr:
 
     @classmethod
     def parse(cls, buf: bytes, offset: int = 0) -> tuple["Ipv6Hdr", int]:
-        _need(buf, offset, cls.SIZE, "IPv6 header")
-        v_tc_fl, payload_len, next_header, hop_limit = struct.unpack_from(
-            "!IHBB", buf, offset
+        if offset + IPV6_HDR_SIZE > len(buf):
+            _need(buf, offset, IPV6_HDR_SIZE, "IPv6 header")
+        v_tc_fl, payload_len, next_header, hop_limit, src, dst = _IPV6.unpack_from(
+            buf, offset
         )
         version = v_tc_fl >> 28
         if version != 6:
             raise ParseError(f"IPv6 version nibble is {version}, expected 6")
         hdr = cls(
-            src=bytes(buf[offset + 8 : offset + 24]),
-            dst=bytes(buf[offset + 24 : offset + 40]),
-            payload_len=payload_len,
-            next_header=next_header,
-            hop_limit=hop_limit,
-            version=version,
-            traffic_class=(v_tc_fl >> 20) & 0xFF,
-            flow_label=v_tc_fl & 0xFFFFF,
+            src, dst, payload_len, next_header, hop_limit,
+            version, (v_tc_fl >> 20) & 0xFF, v_tc_fl & 0xFFFFF,
         )
-        return hdr, cls.SIZE
+        return hdr, IPV6_HDR_SIZE
 
     def emit(self) -> bytes:
         if self.version != 6:
@@ -121,7 +129,7 @@ class Ipv6Hdr:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class TcpHdr:
     """TCP header over IPv6. Options are carried as opaque bytes.
 
@@ -147,31 +155,23 @@ class TcpHdr:
 
     @classmethod
     def parse(cls, buf: bytes, offset: int = 0) -> tuple["TcpHdr", int]:
-        _need(buf, offset, cls.MIN_SIZE, "TCP header")
+        if offset + 20 > len(buf):
+            _need(buf, offset, 20, "TCP header")
         src_port, dst_port, seq, ack, off_flags, window, checksum, urgent = (
-            struct.unpack_from("!HHIIHHHH", buf, offset)
+            _TCP.unpack_from(buf, offset)
         )
         data_offset = off_flags >> 12
         if data_offset < 5:
             raise ParseError(f"TCP data offset {data_offset} below minimum 5")
         size = data_offset * 4
-        _need(buf, offset, size, "TCP header with options")
-        return (
-            cls(
-                src_port=src_port,
-                dst_port=dst_port,
-                seq=seq,
-                ack=ack,
-                data_offset=data_offset,
-                flags=off_flags & 0x1FF,
-                window=window,
-                checksum=checksum,
-                urgent_ptr=urgent,
-                options=bytes(buf[offset + cls.MIN_SIZE : offset + size]),
-                reserved=(off_flags >> 9) & 0x7,
-            ),
-            size,
+        if offset + size > len(buf):
+            _need(buf, offset, size, "TCP header with options")
+        options = bytes(buf[offset + 20 : offset + size]) if size > 20 else b""
+        hdr = cls(
+            src_port, dst_port, seq, ack, data_offset, off_flags & 0x1FF,
+            window, checksum, urgent, options, (off_flags >> 9) & 0x7,
         )
+        return hdr, size
 
     def emit(self) -> bytes:
         _check_range(self.src_port, 16, "src_port")
@@ -207,7 +207,7 @@ class TcpHdr:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class Icmpv6PktTooBig:
     """ICMPv6 Packet Too Big message: type 2, code 0, 32-bit MTU, then as
     much of the invoking packet as fits the minimum-MTU reply budget.
@@ -227,8 +227,9 @@ class Icmpv6PktTooBig:
 
     @classmethod
     def parse(cls, buf: bytes, offset: int = 0) -> tuple["Icmpv6PktTooBig", int]:
-        _need(buf, offset, cls.MIN_SIZE, "ICMPv6 Packet Too Big header")
-        msg_type, code, checksum, mtu = struct.unpack_from("!BBHI", buf, offset)
+        if offset + 8 > len(buf):
+            _need(buf, offset, 8, "ICMPv6 Packet Too Big header")
+        msg_type, code, checksum, mtu = _ICMPV6_PTB.unpack_from(buf, offset)
         if msg_type != ICMPV6_PKT_TOO_BIG or code != 0:
             raise ParseError(
                 f"not an ICMPv6 Packet Too Big message: type {msg_type}, code {code}"
@@ -239,16 +240,8 @@ class Icmpv6PktTooBig:
                 f"Packet Too Big message of {size} bytes exceeds the "
                 f"minimum-MTU reply budget of {cls.MAX_SIZE} bytes"
             )
-        return (
-            cls(
-                checksum=checksum,
-                mtu=mtu,
-                invoking_packet=bytes(buf[offset + cls.MIN_SIZE :]),
-                msg_type=msg_type,
-                code=code,
-            ),
-            size,
-        )
+        body = bytes(buf[offset + 8 :])
+        return cls(checksum, mtu, body, msg_type, code), size
 
     def emit(self) -> bytes:
         if self.msg_type != ICMPV6_PKT_TOO_BIG or self.code != 0:
@@ -269,7 +262,7 @@ class Icmpv6PktTooBig:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class Srv6RoutingHdr:
     """IPv6 Segment Routing header (routing type 4).
 
@@ -297,9 +290,10 @@ class Srv6RoutingHdr:
 
     @classmethod
     def parse(cls, buf: bytes, offset: int = 0) -> tuple["Srv6RoutingHdr", int]:
-        _need(buf, offset, cls.MIN_SIZE, "SRv6 routing header")
+        if offset + 8 > len(buf):
+            _need(buf, offset, 8, "SRv6 routing header")
         next_header, hdr_ext_len, routing_type, segments_left, last_entry, flags, tag = (
-            struct.unpack_from("!BBBBBBH", buf, offset)
+            _SRV6.unpack_from(buf, offset)
         )
         if routing_type != SRV6_ROUTING_TYPE:
             raise ParseError(
@@ -310,8 +304,9 @@ class Srv6RoutingHdr:
                 f"SRv6 header extension length {hdr_ext_len} cannot hold "
                 "16-byte segments"
             )
-        size = cls.MIN_SIZE + 8 * hdr_ext_len
-        _need(buf, offset, size, "SRv6 routing header segments")
+        size = 8 + 8 * hdr_ext_len
+        if offset + size > len(buf):
+            _need(buf, offset, size, "SRv6 routing header segments")
         n_segments = hdr_ext_len // 2
         if last_entry != n_segments - 1:
             raise ParseError(
@@ -323,19 +318,9 @@ class Srv6RoutingHdr:
                 f"SRv6 segments left {segments_left} exceeds "
                 f"segment count {n_segments}"
             )
-        base = offset + cls.MIN_SIZE
-        segments = [bytes(buf[base + 16 * i : base + 16 * (i + 1)]) for i in range(n_segments)]
-        return (
-            cls(
-                next_header=next_header,
-                segments_left=segments_left,
-                segments=segments,
-                flags=flags,
-                tag=tag,
-                routing_type=routing_type,
-            ),
-            size,
-        )
+        segments = list(_SRV6_SEGMENTS[n_segments].unpack_from(buf, offset + 8))
+        hdr = cls(next_header, segments_left, segments, flags, tag, routing_type)
+        return hdr, size
 
     def emit(self) -> bytes:
         if self.routing_type != SRV6_ROUTING_TYPE:
@@ -379,7 +364,7 @@ HEADER_TYPES = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class ChainEntry:
     """One parsed header's position in a packet."""
 
@@ -398,11 +383,18 @@ class Packet:
     last parsed header. Decoding never mutates the buffer; in-place
     mutation goes through :meth:`set_header` / :meth:`set_field`, which
     re-encode a header of unchanged size over its slice.
+
+    The chain is built by :meth:`parse_header` and cleared by
+    :meth:`reset_chain`, which keep a per-type count of its entries so an
+    entry's occurrence costs no scan.
     """
 
     data: bytearray
     chain: list[ChainEntry] = field(default_factory=list)
     payload_offset: int = 0
+    _occurrences: dict[str, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Packet":
@@ -413,6 +405,7 @@ class Packet:
 
     def reset_chain(self) -> None:
         self.chain.clear()
+        self._occurrences.clear()
         self.payload_offset = 0
 
     def parse_header(self, header_type: str, at_offset: int | None = None):
@@ -423,7 +416,9 @@ class Packet:
             raise ParseError(f"unknown header type {header_type!r}")
         offset = self.payload_offset if at_offset is None else at_offset
         header, consumed = cls.parse(self.data, offset)
-        occurrence = sum(1 for e in self.chain if e.header_type == header_type)
+        occurrences = self._occurrences
+        occurrence = occurrences.get(header_type, 0)
+        occurrences[header_type] = occurrence + 1
         self.chain.append(ChainEntry(header_type, occurrence, offset, consumed))
         self.payload_offset = offset + consumed
         return header, consumed

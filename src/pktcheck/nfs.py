@@ -24,7 +24,7 @@ identical whether contracts run or not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from .checksum import pseudo_header_checksum
@@ -172,11 +172,8 @@ def send_too_big(
     )
     icmp = Icmpv6PktTooBig(checksum=0, mtu=IPV6_MIN_MTU, invoking_packet=invoking)
     body = icmp.emit()
-    icmp = replace(
-        icmp,
-        checksum=pseudo_header_checksum(
-            new_ipv6.src, new_ipv6.dst, len(body), PROTO_ICMPV6, body
-        ),
+    icmp.checksum = pseudo_header_checksum(
+        new_ipv6.src, new_ipv6.dst, len(body), PROTO_ICMPV6, body
     )
     out = Packet.from_bytes(new_eth.emit() + new_ipv6.emit() + icmp.emit())
     return TransformResult(packet=out, rewritten=True)
@@ -225,7 +222,8 @@ def srv6_add_segment(
     payload length of the enclosing IPv6 header. ``visit_new`` additionally
     bumps segments-left so the new segment is actually visited; otherwise
     the insert is pure record-keeping. A full segment list (another entry
-    would overflow the 8-bit length) drops the packet with a reason.
+    would overflow the 8-bit length), or an IPv6 payload length that the
+    new segment would push past 16 bits, drops the packet with a reason.
 
     ``omit_payload_len_update`` leaves the IPv6 payload length stale — the
     consequence bug the egress contract flags on every affected packet.
@@ -243,29 +241,28 @@ def srv6_add_segment(
         return _passthrough(packet)
 
     if len(srh.segments) + 1 > MAX_SRV6_SEGMENTS:
-        return TransformResult(
-            packet=None,
-            rewritten=False,
-            drop_reason=(
-                f"segment list full: {len(srh.segments)} segments; appending "
-                "would overflow the routing header's 8-bit length field"
-            ),
+        reason = (
+            f"segment list full: {len(srh.segments)} segments; appending "
+            "would overflow the routing header's 8-bit length field"
         )
+        return TransformResult(packet=None, rewritten=False, drop_reason=reason)
+    if not omit_payload_len_update and ipv6.payload_len + len(segment) > 0xFFFF:
+        reason = (
+            f"IPv6 payload length {ipv6.payload_len} cannot grow by "
+            f"{len(segment)} bytes within its 16-bit field"
+        )
+        return TransformResult(packet=None, rewritten=False, drop_reason=reason)
 
-    new_srh = replace(
-        srh,
-        segments=list(srh.segments) + [bytes(segment)],
-        segments_left=srh.segments_left + (1 if visit_new else 0),
-    )
-    new_payload_len = ipv6.payload_len if omit_payload_len_update else (
-        ipv6.payload_len + len(segment)
-    )
-    new_ipv6 = replace(ipv6, payload_len=new_payload_len)
+    # srh and ipv6 were decoded just above, for this call alone, so they
+    # are updated in place
+    srh.segments.append(bytes(segment))
+    if visit_new:
+        srh.segments_left += 1
+    if not omit_payload_len_update:
+        ipv6.payload_len += len(segment)
     srh_entry = packet.chain[2]
     rest = bytes(packet.data[srh_entry.offset + srh_entry.length :])
-    out = Packet.from_bytes(
-        eth.emit() + new_ipv6.emit() + new_srh.emit() + rest
-    )
+    out = Packet.from_bytes(eth.emit() + ipv6.emit() + srh.emit() + rest)
     return TransformResult(packet=out, rewritten=True)
 
 

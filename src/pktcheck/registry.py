@@ -10,7 +10,8 @@ path does not call it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 
 from . import headers
 from .exceptions import ChainOrderError, ParseError, RegistryError
@@ -266,9 +267,13 @@ def match_chain(packet: Packet, spec: OrderSpec) -> None:
                 )
 
 
-def _accessors(kinds: dict[str, tuple[str, callable]]) -> dict[str, FieldAccessor]:
+def _accessors(kinds: dict[str, tuple[str, ...]]) -> dict[str, FieldAccessor]:
+    """One accessor per attribute name; each reads the header attribute of
+    that name, and ``kinds`` lists the names by value kind."""
     return {
-        name: FieldAccessor(name, kind, fn) for name, (kind, fn) in kinds.items()
+        name: FieldAccessor(name, kind, attrgetter(name))
+        for kind, names in kinds.items()
+        for name in names
     }
 
 
@@ -287,9 +292,8 @@ def standard_registry() -> Registry:
         protocol_number=None,
         linkage_accessor="ether_type",
         accessors=_accessors({
-            "dst": (BYTES, lambda h: h.dst),
-            "src": (BYTES, lambda h: h.src),
-            "ether_type": (INT, lambda h: h.ether_type),
+            BYTES: ("dst", "src"),
+            INT: ("ether_type",),
         }),
     ))
     reg.register(HeaderDescriptor(
@@ -299,14 +303,9 @@ def standard_registry() -> Registry:
         protocol_number=headers.ETHERTYPE_IPV6,
         linkage_accessor="next_header",
         accessors=_accessors({
-            "version": (INT, lambda h: h.version),
-            "traffic_class": (INT, lambda h: h.traffic_class),
-            "flow_label": (INT, lambda h: h.flow_label),
-            "payload_len": (INT, lambda h: h.payload_len),
-            "next_header": (INT, lambda h: h.next_header),
-            "hop_limit": (INT, lambda h: h.hop_limit),
-            "src": (BYTES, lambda h: h.src),
-            "dst": (BYTES, lambda h: h.dst),
+            INT: ("version", "traffic_class", "flow_label", "payload_len",
+                  "next_header", "hop_limit"),
+            BYTES: ("src", "dst"),
         }),
     ))
     reg.register(HeaderDescriptor(
@@ -316,13 +315,8 @@ def standard_registry() -> Registry:
         protocol_number=headers.PROTO_SRV6,
         linkage_accessor="next_header",
         accessors=_accessors({
-            "next_header": (INT, lambda h: h.next_header),
-            "hdr_ext_len": (INT, lambda h: h.hdr_ext_len),
-            "routing_type": (INT, lambda h: h.routing_type),
-            "segments_left": (INT, lambda h: h.segments_left),
-            "last_entry": (INT, lambda h: h.last_entry),
-            "flags": (INT, lambda h: h.flags),
-            "tag": (INT, lambda h: h.tag),
+            INT: ("next_header", "hdr_ext_len", "routing_type", "segments_left",
+                  "last_entry", "flags", "tag"),
         }),
     ))
     reg.register(HeaderDescriptor(
@@ -332,15 +326,8 @@ def standard_registry() -> Registry:
         protocol_number=headers.PROTO_TCP,
         linkage_accessor=None,
         accessors=_accessors({
-            "src_port": (INT, lambda h: h.src_port),
-            "dst_port": (INT, lambda h: h.dst_port),
-            "seq": (INT, lambda h: h.seq),
-            "ack": (INT, lambda h: h.ack),
-            "data_offset": (INT, lambda h: h.data_offset),
-            "flags": (INT, lambda h: h.flags),
-            "window": (INT, lambda h: h.window),
-            "checksum": (INT, lambda h: h.checksum),
-            "urgent_ptr": (INT, lambda h: h.urgent_ptr),
+            INT: ("src_port", "dst_port", "seq", "ack", "data_offset", "flags",
+                  "window", "checksum", "urgent_ptr"),
         }),
     ))
     reg.register(HeaderDescriptor(
@@ -350,10 +337,7 @@ def standard_registry() -> Registry:
         protocol_number=headers.PROTO_ICMPV6,
         linkage_accessor=None,
         accessors=_accessors({
-            "msg_type": (INT, lambda h: h.msg_type),
-            "code": (INT, lambda h: h.code),
-            "checksum": (INT, lambda h: h.checksum),
-            "mtu": (INT, lambda h: h.mtu),
+            INT: ("msg_type", "code", "checksum", "mtu"),
         }),
     ))
     return reg.freeze()

@@ -32,6 +32,48 @@ def test_brute_force_equivalence_on_random_buffers():
         assert internet_checksum(data) == ones_complement_oracle(data)
 
 
+# Random bytes almost never sum to 0 or to a multiple of 0xFFFF, the one
+# case where a remainder mod 0xFFFF must be told apart from a folded sum.
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 40, 1280, 1281])
+def test_all_zero_buffer_sums_to_zero(length):
+    data = bytes(length)
+    assert internet_checksum(data) == ones_complement_oracle(data) == 0xFFFF
+
+
+@pytest.mark.parametrize("length", [2, 4, 40, 1280])
+def test_all_ones_buffer_folds_to_0xffff(length):
+    data = b"\xff" * length
+    assert internet_checksum(data) == ones_complement_oracle(data) == 0x0000
+
+
+@given(st.lists(st.integers(0, 0xFFFF), max_size=64))
+def test_nonzero_multiple_of_0xffff_gives_zero(words):
+    # close the sum to a multiple of 0xFFFF with one last word
+    words = words + [(-sum(words)) % 0xFFFF]
+    if not any(words):
+        words[-1] = 0xFFFF
+    data = struct.pack(f"!{len(words)}H", *words)
+    assert internet_checksum(data) == ones_complement_oracle(data) == 0x0000
+
+
+def test_odd_lengths_match_oracle():
+    rng = random.Random(3)
+    short = [bytes([b]) for b in range(256)] + [
+        b"\x00\x00\x00", b"\xff\xff\x00", b"\xff\xff\xff", b"\x00\x01\xfe",
+    ] + [rng.randbytes(3) for _ in range(256)]
+    for data in short:
+        assert internet_checksum(data) == ones_complement_oracle(data), data
+
+
+def test_largest_odd_buffer_matches_oracle():
+    data = random.Random(65535).randbytes(65535)
+    assert internet_checksum(data) == ones_complement_oracle(data)
+    ones = b"\xff" * 65535
+    assert internet_checksum(ones) == ones_complement_oracle(ones) == 0x00FF
+
+
 @given(st.binary(max_size=512))
 def test_matches_oracle(data):
     assert internet_checksum(data) == ones_complement_oracle(data)

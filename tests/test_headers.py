@@ -1,7 +1,7 @@
 import struct
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pktcheck import (
@@ -406,3 +406,90 @@ def test_packet_parse_truncated():
     packet.parse_header("EthHdr")
     with pytest.raises(ParseError):
         packet.parse_header("Ipv6Hdr")
+
+
+# --- every codec on hostile input ---------------------------------------------------
+
+CODECS = [EthHdr, Ipv6Hdr, TcpHdr, Icmpv6PktTooBig, Srv6RoutingHdr]
+
+
+def _nudge(codec, raw, at, data):
+    """Set the bytes a codec checks first, so that drawn buffers also reach
+    its later checks rather than failing on the first one."""
+    if at + (13 if codec is TcpHdr else 5) > len(raw):
+        return
+    if codec is Ipv6Hdr:
+        raw[at] = 0x60 | (raw[at] & 0x0F)
+    elif codec is TcpHdr:
+        raw[at + 12] = (data.draw(st.integers(5, 15)) << 4) | (raw[at + 12] & 0x0F)
+    elif codec is Icmpv6PktTooBig:
+        raw[at : at + 2] = b"\x02\x00"
+    elif codec is Srv6RoutingHdr:
+        n_segments = data.draw(st.integers(1, 3))
+        raw[at + 1] = 2 * n_segments
+        raw[at + 2] = 4
+        raw[at + 3] = data.draw(st.integers(0, n_segments + 1))
+        raw[at + 4] = data.draw(st.sampled_from([n_segments - 1, n_segments]))
+
+
+@pytest.mark.parametrize("codec", CODECS, ids=lambda c: c.__name__)
+@settings(max_examples=300)
+@given(data=st.data())
+def test_parse_returns_or_raises_parse_error(codec, data):
+    # PAPER.md: a malformed packet can fail a check, never crash the
+    # checker; at the codec level that means ParseError and nothing else
+    offset = data.draw(st.integers(0, 8))
+    raw = bytearray(data.draw(st.binary(max_size=offset + 64)))
+    if data.draw(st.integers(0, 3)):
+        _nudge(codec, raw, offset, data)
+    buf = raw if data.draw(st.booleans()) else bytes(raw)
+    try:
+        hdr, consumed = codec.parse(buf, offset)
+    except ParseError:
+        return
+    assert 0 < consumed <= len(buf) - offset
+    assert hdr.emit() == bytes(buf[offset : offset + consumed])
+
+
+def _tcp_with_options_cut():
+    raw = bytearray(22)
+    raw[12] = 6 << 4  # 24-byte header, 2 bytes short
+    return bytes(raw)
+
+
+def _srv6_with_segments_cut():
+    good = Srv6RoutingHdr(
+        next_header=59, segments_left=0, segments=[bytes(16), bytes(16)]
+    ).emit()
+    return good[:24]
+
+
+@pytest.mark.parametrize(
+    "codec, buf, offset, message",
+    [
+        (EthHdr, bytes(13), 0,
+         "truncated Ethernet header: need 14 bytes at offset 0, have 13"),
+        (EthHdr, bytes(20), 10,
+         "truncated Ethernet header: need 14 bytes at offset 10, have 10"),
+        (Ipv6Hdr, bytes(39), 0,
+         "truncated IPv6 header: need 40 bytes at offset 0, have 39"),
+        (TcpHdr, bytes(19), 0,
+         "truncated TCP header: need 20 bytes at offset 0, have 19"),
+        (TcpHdr, _tcp_with_options_cut(), 0,
+         "truncated TCP header with options: need 24 bytes at offset 0, have 22"),
+        (Icmpv6PktTooBig, bytes(7), 0,
+         "truncated ICMPv6 Packet Too Big header: need 8 bytes at offset 0, have 7"),
+        (Srv6RoutingHdr, bytes(7), 0,
+         "truncated SRv6 routing header: need 8 bytes at offset 0, have 7"),
+        (Srv6RoutingHdr, _srv6_with_segments_cut(), 0,
+         "truncated SRv6 routing header segments: need 40 bytes at offset 0, "
+         "have 24"),
+    ],
+    ids=["eth", "eth-offset", "ipv6", "tcp", "tcp-options", "icmpv6", "srv6",
+         "srv6-segments"],
+)
+def test_truncation_messages(codec, buf, offset, message):
+    # order violations embed these texts, so they are pinned exactly
+    with pytest.raises(ParseError) as info:
+        codec.parse(buf, offset)
+    assert str(info.value) == message

@@ -13,6 +13,8 @@ from pktcheck import (
 )
 from pktcheck.headers import EthHdr, Ipv6Hdr
 from pktcheck.nfs import DEFAULT_SEGMENT, MAX_SRV6_SEGMENTS
+from pktcheck.pcap import PcapRecord
+from pktcheck.pipeline import run_records
 
 from conftest import build_tcp6_bytes, ones_complement_oracle
 
@@ -178,6 +180,26 @@ def test_full_segment_list_drops_with_reason():
     assert result.dropped
     assert result.packet is None
     assert "full" in result.drop_reason
+
+
+def test_payload_length_overflow_drops_with_reason(registry):
+    # a hostile IPv6 payload length near 0xFFFF has no room for 16 more
+    # bytes; the transform drops the packet instead of raising EmitError
+    raw = bytearray(_srv6_bytes())
+    raw[18:20] = b"\xff\xf8"
+    result = srv6_add_segment(Packet.from_bytes(bytes(raw)))
+    assert result.dropped
+    assert result.drop_reason == (
+        "IPv6 payload length 65528 cannot grow by 16 bytes within its 16-bit field"
+    )
+    stale = srv6_add_segment(
+        Packet.from_bytes(bytes(raw)), omit_payload_len_update=True
+    )
+    assert stale.rewritten
+    summary = run_records(
+        make_nf("srv6-change-pkt", registry), [PcapRecord(data=bytes(raw))], registry
+    )
+    assert (summary.packets_out, summary.packets_dropped) == (0, 1)
 
 
 def test_stale_length_mutant_leaves_payload_len(registry):

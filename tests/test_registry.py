@@ -3,6 +3,7 @@ import pytest
 from pktcheck import (
     ChainOrderError,
     EthHdr,
+    Icmpv6PktTooBig,
     Ipv6Hdr,
     Packet,
     RegistryError,
@@ -138,6 +139,10 @@ def test_parse_chain_wraps_truncation(registry):
     with pytest.raises(ChainOrderError) as excinfo:
         parse_chain(packet, order("EthHdr", "Ipv6Hdr"), registry)
     assert excinfo.value.index == 1
+    assert str(excinfo.value) == (
+        "order mismatch at index 1: cannot parse Ipv6Hdr: truncated IPv6 "
+        "header: need 40 bytes at offset 14, have 26"
+    )
 
 
 def test_match_chain_rejects_wrong_shape(registry):
@@ -163,3 +168,26 @@ def test_srv6_chain_with_repeated_headers(registry):
     headers = parse_chain(packet, spec, registry)
     assert headers[2].next_header == 43
     assert headers[3].next_header == 59
+    assert [e.occurrence for e in packet.chain] == [0, 0, 0, 1]
+    # a second parse resets the chain, and with it the occurrence counts
+    parse_chain(packet, spec, registry)
+    assert [e.occurrence for e in packet.chain] == [0, 0, 0, 1]
+
+
+def test_accessors_read_the_attribute_of_their_name(registry):
+    packet = Packet.from_bytes(build_tcp6_bytes())
+    decoded = parse_chain(
+        packet, order("EthHdr", "Ipv6Hdr", ("TcpHdr", "Ipv6Hdr")), registry
+    )
+    srv6 = Srv6RoutingHdr(next_header=59, segments_left=1, segments=[bytes(16)] * 2)
+    reply = Icmpv6PktTooBig(checksum=7, mtu=1280, invoking_packet=b"")
+    count = 0
+    for header in [*decoded, srv6, reply]:
+        descriptor = registry.get(type(header).__name__)
+        for name, accessor in descriptor.accessors.items():
+            value = accessor.get(header)
+            assert accessor.name == name
+            assert value == getattr(header, name)
+            assert isinstance(value, bytes if accessor.kind == "bytes" else int)
+            count += 1
+    assert count == 31
