@@ -25,10 +25,11 @@ source address equals the *original* destination address. Right-hand
 operands may be sums/differences of literals, constants, and field
 references (``payload_len[Ipv6Hdr] + 16``).
 
-``elaborate`` turns a parsed spec into an executable contract: header
-orders are verified against the registry, static assertions are evaluated
-(in every build mode), and constants are inlined into the checks. All of
-this happens once, before any packet flows.
+``elaborate`` turns a parsed spec into an executable contract in one walk
+over each phase: every field reference is resolved against the registry
+and the header orders, constants are inlined, and each check is compiled;
+then both orders are verified and the static assertions evaluated (in
+every build mode). All of this happens once, before any packet flows.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .exceptions import ContractSyntaxError, ElaborationError, RegistryError
 from .registry import (
     BYTES,
     INT,
+    FieldAccessor,
     OrderElement,
     OrderSpec,
     Registry,
@@ -157,16 +159,11 @@ class ContractSpec:
 
 
 @dataclass(frozen=True)
-class Contract:
+class Contract(ContractSpec):
     """Elaborated, executable contract: orders verified, assertions proven,
-    constants inlined, and each phase's checks compiled into the
+    and each phase's checks, constants inlined, compiled into the
     evaluators the engine runs. Immutable once built."""
 
-    nf_name: str
-    constants: dict[str, int]
-    static_assertions: tuple[StaticAssertion, ...]
-    ingress: PhaseSpec | None
-    egress: PhaseSpec | None
     ingress_checks: tuple[CompiledCheck, ...] = field(compare=False, repr=False)
     egress_checks: tuple[CompiledCheck, ...] = field(compare=False, repr=False)
 
@@ -383,48 +380,32 @@ class _Parser:
         self.error(f"expected integer or constant, found {tok.value!r}")
 
 
-def parse_contract_spec(
-    text: str, nf_name: str = "nf", registry: Registry | None = None
-) -> ContractSpec:
+def parse_contract_spec(text: str, nf_name: str = "nf") -> ContractSpec:
     """Parse a contract block into a ContractSpec.
 
-    Syntax problems raise ContractSyntaxError with line/column. When a
-    registry is supplied the parsed contract is also validated against it (unknown
-    header types, unknown accessors, unbound constants, type mismatches).
+    Syntax problems raise ContractSyntaxError with line/column; everything
+    that needs the registry is checked by ``elaborate``.
     """
-    spec = _Parser(text).parse_spec(nf_name)
-    if registry is not None:
-        _validate_spec(spec, registry)
-    return spec
+    return _Parser(text).parse_spec(nf_name)
 
 
-def _layout(order: OrderSpec | None) -> dict[str, list[int]]:
-    """The index of each header in ``order``, by type, then occurrence."""
-    layout: dict[str, list[int]] = {}
-    if order is not None:
-        for i, element in enumerate(order.elements):
-            layout.setdefault(element.header_type, []).append(i)
-    return layout
-
-
-def _ref_kind(ref: FieldRef, registry: Registry) -> str:
-    return registry.accessor(ref.header_type, ref.accessor).kind
-
-
-def _validate_ref(
+def _resolve(
     ref: FieldRef,
     registry: Registry,
     phase_name: str,
-    current_at: dict[str, list[int]],
-    ingress_at: dict[str, list[int]],
-) -> None:
+    current: OrderSpec,
+    ingress: OrderSpec | None,
+) -> tuple[FieldAccessor, int]:
+    """Check one field reference against the registry and the order it
+    reads (``current`` or ``ingress``); return its accessor and the index
+    of its header in that order."""
     if not registry.known(ref.header_type):
         raise ElaborationError(
             f"{phase_name} check references unknown header type "
             f"{ref.header_type!r}"
         )
     try:
-        registry.accessor(ref.header_type, ref.accessor)
+        accessor = registry.accessor(ref.header_type, ref.accessor)
     except RegistryError as exc:
         raise ElaborationError(str(exc)) from None
     if ref.param is not None and not registry.known(ref.param):
@@ -432,153 +413,42 @@ def _validate_ref(
             f"{phase_name} check references unknown header type parameter "
             f"{ref.param!r}"
         )
-    if ref.source is Source.INGRESS_SNAPSHOT:
-        where, positions = "ingress", ingress_at.get(ref.header_type, [])
-        if not positions:
-            raise ElaborationError(
-                f"{phase_name} check references {ref.describe()}, but "
-                f"{ref.header_type} is not in the ingress order (dangling "
-                "snapshot reference)"
-            )
-    else:
-        where, positions = phase_name, current_at.get(ref.header_type, [])
-        if not positions:
-            raise ElaborationError(
-                f"{phase_name} check references {ref.describe()}, but "
-                f"{ref.header_type} is not in the {phase_name} order"
-            )
+    snapshot = ref.source is Source.INGRESS_SNAPSHOT
+    where, order = ("ingress", ingress) if snapshot else (phase_name, current)
+    elements = order.elements if order is not None else ()
+    positions = [i for i, e in enumerate(elements) if e.header_type == ref.header_type]
+    if not positions:
+        raise ElaborationError(
+            f"{phase_name} check references {ref.describe()}, but "
+            f"{ref.header_type} is not in the {where} order"
+            + (" (dangling snapshot reference)" if snapshot else "")
+        )
     if not 0 <= ref.occurrence < len(positions):
         raise ElaborationError(
             f"{phase_name} check references {ref.describe()}, but the {where} "
             f"order holds {len(positions)} {ref.header_type} header(s)"
         )
+    i = positions[ref.occurrence]
+    if ref.param is not None and ref.param != elements[i].param:
+        raise ElaborationError(
+            f"{phase_name} check references {ref.describe()}, but the {where} "
+            f"order holds {elements[i]}"
+        )
+    return accessor, i
 
 
-def _validate_phase(
-    spec: ContractSpec,
-    phase: PhaseSpec,
-    phase_name: str,
-    registry: Registry,
-) -> None:
-    for element in phase.order.elements:
-        if not registry.known(element.header_type):
-            raise ElaborationError(
-                f"{phase_name} order references unknown header type "
-                f"{element.header_type!r}"
-            )
-        if element.param is not None and not registry.known(element.param):
-            raise ElaborationError(
-                f"{phase_name} order references unknown header type "
-                f"{element.param!r}"
-            )
-    current_at = _layout(phase.order)
-    ingress_at = _layout(spec.ingress.order if spec.ingress is not None else None)
-    for check in phase.checks:
-        if check.lhs.source is not Source.CURRENT_PACKET:
-            raise ElaborationError(
-                f"{phase_name} check {check.describe()}: the left-hand side "
-                "must read the packet in hand, not the ingress snapshot"
-            )
-        _validate_ref(check.lhs, registry, phase_name, current_at, ingress_at)
-        lhs_kind = _ref_kind(check.lhs, registry)
-        term_kinds = []
-        for _, term in check.rhs.terms:
-            if isinstance(term, FieldRef):
-                _validate_ref(term, registry, phase_name, current_at, ingress_at)
-                term_kinds.append(_ref_kind(term, registry))
-            elif isinstance(term, str):
-                if term not in spec.constants:
-                    raise ElaborationError(
-                        f"{phase_name} check {check.describe()} uses unbound "
-                        f"constant {term!r}"
-                    )
-                term_kinds.append(INT)
-            else:
-                term_kinds.append(INT)
-        if check.rhs.is_arithmetic():
-            bad = [k for k in term_kinds if k != INT]
-            if bad or lhs_kind != INT:
-                raise ElaborationError(
-                    f"{phase_name} check {check.describe()}: arithmetic "
-                    "operands require integer fields"
-                )
-        else:
-            if term_kinds[0] != lhs_kind:
-                raise ElaborationError(
-                    f"{phase_name} check {check.describe()}: cannot compare "
-                    f"{lhs_kind} field with {term_kinds[0]} operand"
-                )
-        if lhs_kind == BYTES and check.op not in ("==", "neq"):
-            raise ElaborationError(
-                f"{phase_name} check {check.describe()}: byte-sequence fields "
-                f"admit only == and neq, not {check.op}"
-            )
-        if check.op not in COMPARATORS:
-            raise ElaborationError(
-                f"{phase_name} check {check.describe()}: unknown comparator "
-                f"{check.op!r}"
-            )
-
-
-def _validate_spec(spec: ContractSpec, registry: Registry) -> None:
-    if spec.ingress is not None:
-        _validate_phase(spec, spec.ingress, "ingress", registry)
-    if spec.egress is not None:
-        _validate_phase(spec, spec.egress, "egress", registry)
-
-
-def _inline_constants(operand: Operand, constants: dict[str, int]) -> Operand:
-    if not any(isinstance(term, str) for _, term in operand.terms):
-        return operand
-    terms = []
-    for sign, term in operand.terms:
-        if isinstance(term, str):
-            if term not in constants:
-                raise ElaborationError(f"unbound constant {term!r}")
-            terms.append((sign, constants[term]))
-        else:
-            terms.append((sign, term))
-    return Operand(tuple(terms))
-
-
-def _elaborate_phase(phase: PhaseSpec | None, constants: dict[str, int]):
-    if phase is None:
-        return None
-    checks = []
-    for check in phase.checks:
-        rhs = _inline_constants(check.rhs, constants)
-        checks.append(check if rhs is check.rhs else Check(check.lhs, check.op, rhs))
-    return PhaseSpec(order=phase.order, checks=tuple(checks))
-
-
-def _lhs_reader(ref: FieldRef, registry: Registry, current_at):
-    """Compile a validated left-hand reference into ``read(current)``."""
-    get = registry.accessor(ref.header_type, ref.accessor).get
-    i = current_at[ref.header_type][ref.occurrence]
-    return lambda current: get(current[i])
-
-
-def _reader(ref: FieldRef, registry: Registry, current_at, ingress_at):
-    """Compile a validated right-hand reference into
-    ``read(current, snapshot)``."""
-    get = registry.accessor(ref.header_type, ref.accessor).get
-    if ref.source is Source.INGRESS_SNAPSHOT:
-        i = ingress_at[ref.header_type][ref.occurrence]
+def _reader(get, i: int, source: Source):
+    """``read(current, snapshot)`` for the header at index ``i``."""
+    if source is Source.INGRESS_SNAPSHOT:
         return lambda current, snapshot: get(snapshot.headers[i])
-    i = current_at[ref.header_type][ref.occurrence]
     return lambda current, snapshot: get(current[i])
 
 
-def _compile_operand(operand: Operand, kind: str, registry, current_at, ingress_at):
-    """Compile an inlined operand into ``value(current, snapshot)``: a
-    byte-sequence operand is its one field; an integer operand is its
-    folded literals plus its signed fields."""
-    reads = [(sign, _reader(term, registry, current_at, ingress_at))
-             for sign, term in operand.terms if isinstance(term, FieldRef)]
+def _compile_operand(reads: list, const: int, kind: str):
+    """``value(current, snapshot)``: a byte-sequence operand is its one
+    field; an integer operand is ``const`` plus its signed fields."""
     if kind == BYTES:
         return reads[0][1]
-    const = sum(sign * term for sign, term in operand.terms
-                if not isinstance(term, FieldRef))
     if not reads:
         return lambda current, snapshot: const
     if len(reads) == 1 and reads[0][0] == 1:
@@ -597,25 +467,79 @@ def _compile_operand(operand: Operand, kind: str, registry, current_at, ingress_
 
 
 def _compile_phase(
-    phase: PhaseSpec | None, ingress: PhaseSpec | None, registry: Registry
+    spec: ContractSpec,
+    phase: PhaseSpec | None,
+    phase_name: str,
+    registry: Registry,
 ) -> tuple[CompiledCheck, ...]:
-    """Resolve each validated, inlined check of ``phase`` against the phase
-    order and the ingress order, once, before any packet flows."""
+    """Check, inline and compile each check of ``phase`` in one walk.
+
+    Every reference is resolved once, against the phase order or the
+    ingress order; constants are inlined and folded with the literals into
+    one number; each read is bound to its header's index and accessor.
+    """
     if phase is None:
         return ()
-    current_at = _layout(phase.order)
-    ingress_at = _layout(ingress.order if ingress is not None else None)
+    for element in phase.order.elements:
+        for name in (element.header_type, element.param):
+            if name is not None and not registry.known(name):
+                raise ElaborationError(
+                    f"{phase_name} order references unknown header type {name!r}"
+                )
+    ingress = spec.ingress.order if spec.ingress is not None else None
     compiled = []
     for idx, check in enumerate(phase.checks):
-        snapshot_ref = next((ref for _, ref in check.rhs.terms
-                             if isinstance(ref, FieldRef)
-                             and ref.source is Source.INGRESS_SNAPSHOT), None)
+        if check.lhs.source is not Source.CURRENT_PACKET:
+            raise ElaborationError(
+                f"{phase_name} check {check.describe()}: the left-hand side "
+                "must read the packet in hand, not the ingress snapshot"
+            )
+        lhs, i = _resolve(check.lhs, registry, phase_name, phase.order, ingress)
+        terms, term_kinds, reads, const, snapshot_ref = [], [], [], 0, None
+        for sign, term in check.rhs.terms:
+            if isinstance(term, FieldRef):
+                accessor, j = _resolve(term, registry, phase_name, phase.order, ingress)
+                term_kinds.append(accessor.kind)
+                reads.append((sign, _reader(accessor.get, j, term.source)))
+                if snapshot_ref is None and term.source is Source.INGRESS_SNAPSHOT:
+                    snapshot_ref = term
+            else:
+                if isinstance(term, str):
+                    if term not in spec.constants:
+                        raise ElaborationError(
+                            f"{phase_name} check {check.describe()} uses unbound "
+                            f"constant {term!r}"
+                        )
+                    term = spec.constants[term]
+                term_kinds.append(INT)
+                const += sign * term
+            terms.append((sign, term))
+        if check.rhs.is_arithmetic():
+            if lhs.kind != INT or any(k != INT for k in term_kinds):
+                raise ElaborationError(
+                    f"{phase_name} check {check.describe()}: arithmetic "
+                    "operands require integer fields"
+                )
+        elif term_kinds[0] != lhs.kind:
+            raise ElaborationError(
+                f"{phase_name} check {check.describe()}: cannot compare "
+                f"{lhs.kind} field with {term_kinds[0]} operand"
+            )
+        if lhs.kind == BYTES and check.op not in ("==", "neq"):
+            raise ElaborationError(
+                f"{phase_name} check {check.describe()}: byte-sequence fields "
+                f"admit only == and neq, not {check.op}"
+            )
+        if check.op not in COMPARATORS:
+            raise ElaborationError(
+                f"{phase_name} check {check.describe()}: unknown comparator "
+                f"{check.op!r}"
+            )
         compiled.append(CompiledCheck(
             idx,
-            check,
-            _lhs_reader(check.lhs, registry, current_at),
-            _compile_operand(check.rhs, _ref_kind(check.lhs, registry), registry,
-                             current_at, ingress_at),
+            Check(check.lhs, check.op, Operand(tuple(terms))),
+            lambda current, get=lhs.get, i=i: get(current[i]),
+            _compile_operand(reads, const, lhs.kind),
             COMPARATORS[check.op],
             snapshot_ref,
         ))
@@ -638,29 +562,27 @@ def check_static_assertions(spec: ContractSpec) -> None:
 def elaborate(spec: ContractSpec, registry: Registry) -> Contract:
     """Produce the executable contract from its parsed form.
 
-    Runs in every build mode, before any packet flows: validates everything
-    against the registry, verifies both header orders, evaluates static
-    assertions, inlines constants, and compiles each check into the
-    evaluator the engine runs per packet.
+    Runs in every build mode, before any packet flows: checks every
+    reference against the registry while inlining constants and compiling
+    each check into the evaluator the engine runs per packet, then
+    verifies both header orders and evaluates the static assertions.
     """
     if not registry.frozen:
         raise ElaborationError("registry must be frozen before elaboration")
-    _validate_spec(spec, registry)
-    if spec.ingress is not None:
-        verify_order(registry, spec.ingress.order)
-    if spec.egress is not None:
-        verify_order(registry, spec.egress.order)
+    ingress_checks = _compile_phase(spec, spec.ingress, "ingress", registry)
+    egress_checks = _compile_phase(spec, spec.egress, "egress", registry)
+    for phase in (spec.ingress, spec.egress):
+        if phase is not None:
+            verify_order(registry, phase.order)
     check_static_assertions(spec)
-    ingress = _elaborate_phase(spec.ingress, spec.constants)
-    egress = _elaborate_phase(spec.egress, spec.constants)
     return Contract(
         nf_name=spec.nf_name,
         constants=dict(spec.constants),
         static_assertions=spec.static_assertions,
-        ingress=ingress,
-        egress=egress,
-        ingress_checks=_compile_phase(ingress, ingress, registry),
-        egress_checks=_compile_phase(egress, ingress, registry),
+        ingress=spec.ingress,
+        egress=spec.egress,
+        ingress_checks=ingress_checks,
+        egress_checks=egress_checks,
     )
 
 
@@ -675,17 +597,19 @@ def explain_contract(contract: Contract) -> str:
         lines.append("static assertions (proven at elaboration):")
         for assertion in contract.static_assertions:
             lines.append(f"  {assertion.text()}")
-    for phase_name, phase in (("ingress", contract.ingress),
-                              ("egress", contract.egress)):
+    for phase_name, phase, compiled in (
+        ("ingress", contract.ingress, contract.ingress_checks),
+        ("egress", contract.egress, contract.egress_checks),
+    ):
         if phase is None:
             lines.append(f"{phase_name}: (none)")
             continue
         lines.append(f"{phase_name}:")
         lines.append(f"  order: {phase.order}")
-        if phase.checks:
+        if compiled:
             lines.append("  checks:")
-            for idx, check in enumerate(phase.checks):
-                lines.append(f"    #{idx} {check.describe()}")
+            for c in compiled:
+                lines.append(f"    #{c.index} {c.check.describe()}")
         else:
             lines.append("  checks: (none)")
     return "\n".join(lines)

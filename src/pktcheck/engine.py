@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Callable
 
 from . import registry as registry_mod
-from .exceptions import ChainOrderError, ConfigError, EmitError
+from .exceptions import ChainOrderError, EmitError
 from .headers import Packet
 from .registry import Registry
 
@@ -195,25 +195,16 @@ class Violation:
 
 
 class ContractRuntime:
-    """Build-mode switch plus instrumentation counters.
+    """Build mode plus instrumentation counters.
 
-    The mode is fixed before packets flow; flipping it afterwards is a
-    configuration error.
+    The mode is fixed when the runtime is built; a run in the other mode
+    takes a runtime of its own.
     """
 
     def __init__(self, mode: BuildMode = BuildMode.DEVELOPMENT):
         self.mode = mode
         self.snapshots_built = 0
         self.checks_evaluated = 0
-        self._packets_flowed = False
-
-    def set_mode(self, mode: BuildMode) -> None:
-        if self._packets_flowed and mode is not self.mode:
-            raise ConfigError("build mode cannot change after packets have flowed")
-        self.mode = mode
-
-    def mark_packet_flow(self) -> None:
-        self._packets_flowed = True
 
     @property
     def development(self) -> bool:

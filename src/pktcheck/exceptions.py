@@ -48,7 +48,7 @@ class ElaborationError(PktCheckError):
 
 
 class ConfigError(PktCheckError):
-    """Invalid harness configuration or a disallowed mode change."""
+    """Invalid harness configuration."""
 
 
 class PcapError(PktCheckError):

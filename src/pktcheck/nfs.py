@@ -79,7 +79,6 @@ class NetworkFunction:
     name: str
     transform: Callable[[Packet], TransformResult]
     contract: Contract | None
-    contract_text: str | None = None
 
     def apply(self, packet: Packet) -> TransformResult:
         return self.transform(packet)
@@ -276,8 +275,7 @@ def make_mtu_too_big(
     omit_eth_swap: bool = False,
     name: str = "mtu-too-big",
 ) -> NetworkFunction:
-    text = MTU_TOO_BIG_CONTRACT
-    spec = parse_contract_spec(text, nf_name=name)
+    spec = parse_contract_spec(MTU_TOO_BIG_CONTRACT, nf_name=name)
     contract = elaborate(spec, registry)
 
     def transform(packet: Packet) -> TransformResult:
@@ -285,9 +283,7 @@ def make_mtu_too_big(
             packet, omit_ipv6_swap=omit_ipv6_swap, omit_eth_swap=omit_eth_swap
         )
 
-    return NetworkFunction(
-        name=name, transform=transform, contract=contract, contract_text=text
-    )
+    return NetworkFunction(name=name, transform=transform, contract=contract)
 
 
 def make_srv6_change_pkt(
@@ -298,8 +294,7 @@ def make_srv6_change_pkt(
     omit_payload_len_update: bool = False,
     name: str = "srv6-change-pkt",
 ) -> NetworkFunction:
-    text = _srv6_contract(visit_new)
-    spec = parse_contract_spec(text, nf_name=name)
+    spec = parse_contract_spec(_srv6_contract(visit_new), nf_name=name)
     contract = elaborate(spec, registry)
 
     def transform(packet: Packet) -> TransformResult:
@@ -310,9 +305,7 @@ def make_srv6_change_pkt(
             omit_payload_len_update=omit_payload_len_update,
         )
 
-    return NetworkFunction(
-        name=name, transform=transform, contract=contract, contract_text=text
-    )
+    return NetworkFunction(name=name, transform=transform, contract=contract)
 
 
 NF_FACTORIES: dict[str, Callable[..., NetworkFunction]] = {

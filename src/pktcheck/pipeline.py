@@ -141,7 +141,6 @@ def run_records(
 
     for index, record in enumerate(records):
         summary.packets_in += 1
-        runtime.mark_packet_flow()
         packet = Packet.from_bytes(record.data)
         violations, snapshot = [], None
 

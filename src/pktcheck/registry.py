@@ -36,7 +36,8 @@ class HeaderDescriptor:
 
     ``protocol_number`` is the value identifying this header in its
     predecessor's linkage field; ``linkage_accessor`` names this header's
-    own next-protocol field, if it has one.
+    own next-protocol field, if it has one. ``parameter_slot`` is the one
+    type an order element of this header may name as its ``<param>``.
     """
 
     header_type: str
@@ -154,7 +155,8 @@ def verify_order(registry: Registry, spec: OrderSpec) -> None:
     """Validate an order spec against the registry's predecessor rules.
 
     Runs at elaboration/pipeline-construction time, never per packet.
-    Raises ChainOrderError naming the offending adjacent pair.
+    Raises ChainOrderError naming the offending adjacent pair, or the
+    element whose ``<param>`` is out of scope or not its header's slot.
     """
     for element in spec:
         if not registry.known(element.header_type):
@@ -193,6 +195,16 @@ def verify_order(registry: Registry, spec: OrderSpec) -> None:
             0, first.header_type, None,
             f"{first.header_type} is not a chain root and cannot start {spec}",
         )
+    for i, element in enumerate(spec):
+        slot = registry.get(element.header_type).parameter_slot
+        if element.param is not None and element.param != slot:
+            raise ChainOrderError(
+                i, slot, element.param,
+                f"{element} names parameter {element.param}, but "
+                + (f"the parameter of {element.header_type} is {slot}" if slot
+                   else f"{element.header_type} takes no parameter")
+                + f" in {spec}",
+            )
 
 
 def parse_chain(packet: Packet, spec: OrderSpec, registry: Registry) -> list:

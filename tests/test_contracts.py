@@ -10,6 +10,7 @@ from pktcheck import (
     ElaborationError,
     FieldRef,
     Operand,
+    PktCheckError,
     PhaseSpec,
     Source,
     elaborate,
@@ -17,7 +18,7 @@ from pktcheck import (
     order,
     parse_contract_spec,
 )
-from pktcheck.nfs import MTU_TOO_BIG_CONTRACT
+from pktcheck.nfs import MTU_TOO_BIG_CONTRACT, make_nf
 from pktcheck.registry import Registry
 
 SRV6_ORDER = order("EthHdr", "Ipv6Hdr", "Srv6RoutingHdr")
@@ -35,7 +36,7 @@ def _srv6_spec(ingress_order, egress_order, check):
 
 
 def test_parse_constants_and_phases(registry):
-    spec = parse_contract_spec(MTU_TOO_BIG_CONTRACT, nf_name="mtu", registry=registry)
+    spec = elaborate(parse_contract_spec(MTU_TOO_BIG_CONTRACT, nf_name="mtu"), registry)
     assert spec.constants == {"IPV6_MIN_MTU": 1280, "ETH_HDR_SIZE": 14}
     assert str(spec.ingress.order) == "[EthHdr => Ipv6Hdr => TcpHdr<Ipv6Hdr>]"
     assert str(spec.egress.order) == "[EthHdr => Ipv6Hdr => Icmpv6PktTooBig<Ipv6Hdr>]"
@@ -45,7 +46,7 @@ def test_parse_constants_and_phases(registry):
 
 
 def test_rhs_source_depends_on_phase(registry):
-    spec = parse_contract_spec(MTU_TOO_BIG_CONTRACT, registry=registry)
+    spec = elaborate(parse_contract_spec(MTU_TOO_BIG_CONTRACT), registry)
     (ingress_check,) = spec.ingress.checks
     # pre-phase right-hand sides read the same (incoming) packet
     assert all(
@@ -69,7 +70,7 @@ def test_parse_accepts_leading_dot_and_input_key(registry):
         checks: [(.src[EthHdr], neq, .dst[EthHdr])]
     }
     """
-    spec = parse_contract_spec(text, registry=registry)
+    spec = elaborate(parse_contract_spec(text), registry)
     assert spec.ingress.checks[0].lhs.accessor == "src"
 
 
@@ -127,7 +128,7 @@ def test_parse_comments_and_hex_literals():
 def test_validation_rejects_unknown_header(registry):
     text = "check() pre { order: [EthHdr => GreHdr], checks: [(src[EthHdr], ==, 1)] }"
     with pytest.raises(ElaborationError, match="GreHdr"):
-        parse_contract_spec(text, registry=registry)
+        elaborate(parse_contract_spec(text), registry)
 
 
 def test_validation_rejects_unknown_accessor(registry):
@@ -139,7 +140,7 @@ def test_validation_rejects_unknown_accessor(registry):
     }
     """
     with pytest.raises(ElaborationError) as excinfo:
-        parse_contract_spec(text, registry=registry)
+        elaborate(parse_contract_spec(text), registry)
     assert "ttl" in str(excinfo.value)
     assert "hop_limit" in str(excinfo.value)
 
@@ -153,7 +154,7 @@ def test_validation_rejects_unbound_constant(registry):
     }
     """
     with pytest.raises(ElaborationError, match="MTU"):
-        parse_contract_spec(text, registry=registry)
+        elaborate(parse_contract_spec(text), registry)
 
 
 def test_validation_rejects_dangling_snapshot_reference(registry):
@@ -169,7 +170,7 @@ def test_validation_rejects_dangling_snapshot_reference(registry):
     }
     """
     with pytest.raises(ElaborationError, match="snapshot"):
-        parse_contract_spec(text, registry=registry)
+        elaborate(parse_contract_spec(text), registry)
 
 
 def test_validation_rejects_lhs_outside_phase_order(registry):
@@ -181,7 +182,7 @@ def test_validation_rejects_lhs_outside_phase_order(registry):
     }
     """
     with pytest.raises(ElaborationError, match="TcpHdr"):
-        parse_contract_spec(text, registry=registry)
+        elaborate(parse_contract_spec(text), registry)
 
 
 def test_validation_rejects_mixed_kinds(registry):
@@ -193,7 +194,7 @@ def test_validation_rejects_mixed_kinds(registry):
     }
     """
     with pytest.raises(ElaborationError, match="compare"):
-        parse_contract_spec(text, registry=registry)
+        elaborate(parse_contract_spec(text), registry)
 
 
 def test_validation_rejects_ordered_comparison_of_addresses(registry):
@@ -205,7 +206,7 @@ def test_validation_rejects_ordered_comparison_of_addresses(registry):
     }
     """
     with pytest.raises(ElaborationError, match="==|neq"):
-        parse_contract_spec(text, registry=registry)
+        elaborate(parse_contract_spec(text), registry)
 
 
 def test_validation_rejects_arithmetic_over_addresses(registry):
@@ -217,15 +218,15 @@ def test_validation_rejects_arithmetic_over_addresses(registry):
     }
     """
     with pytest.raises(ElaborationError, match="arithmetic"):
-        parse_contract_spec(text, registry=registry)
+        elaborate(parse_contract_spec(text), registry)
 
 
 def test_elaborate_inlines_constants(registry):
     contract = elaborate(
         parse_contract_spec(MTU_TOO_BIG_CONTRACT, nf_name="mtu"), registry
     )
-    (ingress_check,) = contract.ingress.checks
-    assert ingress_check.rhs.terms == ((1, 1280),)
+    (ingress_check,) = contract.ingress_checks
+    assert ingress_check.check.rhs.terms == ((1, 1280),)
 
 
 def test_elaborate_compiles_one_evaluator_per_check(registry):
@@ -274,6 +275,32 @@ def test_elaboration_rejects_missing_occurrence(registry):
             elaborate(_srv6_spec(ingress_order, egress_order, check), registry)
     elaborate(_srv6_spec(TWO_SRV6_ORDER, TWO_SRV6_ORDER,
                          Check(second, "==", Operand.ref(from_snapshot))), registry)
+
+
+def test_elaboration_rejects_a_reference_with_another_parameter(registry):
+    text = """
+    check()
+    pre {
+        order: [EthHdr => Ipv6Hdr => TcpHdr<Ipv6Hdr>],
+        checks: [(src_port[TcpHdr<EthHdr>], >, 0)]
+    }
+    """
+    with pytest.raises(ElaborationError) as excinfo:
+        elaborate(parse_contract_spec(text), registry)
+    assert str(excinfo.value) == (
+        "ingress check references src_port[TcpHdr<EthHdr>], but the ingress "
+        "order holds TcpHdr<Ipv6Hdr>"
+    )
+    snapshot_text = MTU_TOO_BIG_CONTRACT.replace(
+        "checksum[TcpHdr<Ipv6Hdr>]", "checksum[TcpHdr<EthHdr>]"
+    )
+    with pytest.raises(ElaborationError, match="but the ingress order holds "
+                                               "TcpHdr<Ipv6Hdr>"):
+        elaborate(parse_contract_spec(snapshot_text), registry)
+    # the same reference with its order's parameter, or with none, is fine
+    for ref in ("src_port[TcpHdr<Ipv6Hdr>]", "src_port[TcpHdr]"):
+        elaborate(parse_contract_spec(text.replace("src_port[TcpHdr<EthHdr>]", ref)),
+                  registry)
 
 
 def test_elaboration_rejects_lhs_reading_the_snapshot(registry):
@@ -343,3 +370,164 @@ def test_explain_renders_phases(registry):
     assert "[EthHdr => Ipv6Hdr => TcpHdr<Ipv6Hdr>]" in text
     assert "IPV6_MIN_MTU = 1280" in text
     assert "#5" in text
+
+
+def test_explain_text_of_the_catalog_contracts(registry):
+    mtu = make_nf("mtu-too-big", registry).contract
+    assert explain_contract(mtu) == """\
+contract for NF mtu-too-big
+constants:
+  IPV6_MIN_MTU = 1280
+  ETH_HDR_SIZE = 14
+static assertions (proven at elaboration):
+  IPV6_MIN_MTU + ETH_HDR_SIZE == 1294
+ingress:
+  order: [EthHdr => Ipv6Hdr => TcpHdr<Ipv6Hdr>]
+  checks:
+    #0 (payload_len[Ipv6Hdr], >, 1280)
+egress:
+  order: [EthHdr => Ipv6Hdr => Icmpv6PktTooBig<Ipv6Hdr>]
+  checks:
+    #0 (checksum[Icmpv6PktTooBig], neq, checksum[TcpHdr<Ipv6Hdr>]@ingress)
+    #1 (payload_len[Ipv6Hdr], ==, 1240)
+    #2 (src[Ipv6Hdr], ==, dst[Ipv6Hdr]@ingress)
+    #3 (dst[Ipv6Hdr], ==, src[Ipv6Hdr]@ingress)
+    #4 (src[EthHdr], ==, dst[EthHdr]@ingress)
+    #5 (dst[EthHdr], ==, src[EthHdr]@ingress)"""
+    srv6_text = """\
+contract for NF srv6-change-pkt
+constants:
+  SEG_BYTES = 16
+  SRV6_TYPE = 4
+static assertions (proven at elaboration):
+  SEG_BYTES * 8 == 128
+ingress:
+  order: [EthHdr => Ipv6Hdr => Srv6RoutingHdr]
+  checks:
+    #0 (routing_type[Srv6RoutingHdr], ==, 4)
+    #1 (segments_left[Srv6RoutingHdr], <=, last_entry[Srv6RoutingHdr] + 1)
+egress:
+  order: [EthHdr => Ipv6Hdr => Srv6RoutingHdr]
+  checks:
+    #0 (payload_len[Ipv6Hdr], ==, payload_len[Ipv6Hdr]@ingress + 16)
+    #1 (hdr_ext_len[Srv6RoutingHdr], ==, hdr_ext_len[Srv6RoutingHdr]@ingress + 2)
+    #2 (last_entry[Srv6RoutingHdr], ==, last_entry[Srv6RoutingHdr]@ingress + 1)
+    #3 (segments_left[Srv6RoutingHdr], ==, segments_left[Srv6RoutingHdr]@ingress)"""
+    srv6 = make_nf("srv6-change-pkt", registry).contract
+    assert explain_contract(srv6) == srv6_text
+    visiting = make_nf("srv6-change-pkt", registry, visit_new=True).contract
+    assert explain_contract(visiting) == srv6_text[:-1] + " + 1)"
+
+
+_TCP6 = "[EthHdr => Ipv6Hdr => TcpHdr<Ipv6Hdr>]"
+_PTB = "[EthHdr => Ipv6Hdr => Icmpv6PktTooBig<Ipv6Hdr>]"
+
+
+def _contract_text(pre=None, post=None, constants="", static=""):
+    """Contract text from (order, checks) pairs for each phase."""
+    text = f"check({constants})"
+    for keyword, phase in (("pre", pre), ("post", post)):
+        if phase is not None:
+            text += f" {keyword} {{ order: {phase[0]}, checks: [{phase[1]}] }}"
+    return text + (f" static: [{static}]" if static else "")
+
+
+#: Faulty contracts and the first error elaboration reports for each. The
+#: last five carry two faults: every reference error comes before any order
+#: error, ingress before egress, and checks before static assertions.
+ELABORATION_FAULTS = {
+    "unknown order parameter": (
+        _contract_text(pre=("[EthHdr => Ipv6Hdr => TcpHdr<GreHdr>]",
+                            "(src_port[TcpHdr], >, 0)")),
+        ElaborationError, "ingress order references unknown header type 'GreHdr'",
+    ),
+    "unknown check header": (
+        _contract_text(pre=(_TCP6, "(x[GreHdr], >, 0)")),
+        ElaborationError, "ingress check references unknown header type 'GreHdr'",
+    ),
+    "unknown accessor": (
+        _contract_text(pre=(_TCP6, "(ttl[Ipv6Hdr], >, 0)")),
+        ElaborationError,
+        "header Ipv6Hdr has no accessor 'ttl' (known: dst, flow_label, hop_limit, "
+        "next_header, payload_len, src, traffic_class, version)",
+    ),
+    "unknown reference parameter": (
+        _contract_text(pre=(_TCP6, "(src_port[TcpHdr<GreHdr>], >, 0)")),
+        ElaborationError,
+        "ingress check references unknown header type parameter 'GreHdr'",
+    ),
+    "dangling snapshot reference": (
+        _contract_text(pre=(_TCP6, "(payload_len[Ipv6Hdr], >, 0)"),
+                       post=(_TCP6, "(payload_len[Ipv6Hdr], ==, "
+                                    "hdr_ext_len[Srv6RoutingHdr])")),
+        ElaborationError,
+        "egress check references hdr_ext_len[Srv6RoutingHdr]@ingress, but "
+        "Srv6RoutingHdr is not in the ingress order (dangling snapshot reference)",
+    ),
+    "arithmetic with an address on the left": (
+        _contract_text(pre=("[EthHdr => Ipv6Hdr]",
+                            "(src[Ipv6Hdr], ==, payload_len[Ipv6Hdr] + 1)")),
+        ElaborationError,
+        "ingress check (src[Ipv6Hdr], ==, payload_len[Ipv6Hdr] + 1): arithmetic "
+        "operands require integer fields",
+    ),
+    "not a chain root": (
+        _contract_text(pre=("[Ipv6Hdr => TcpHdr<Ipv6Hdr>]", "(src_port[TcpHdr], >, 0)")),
+        ChainOrderError,
+        "Ipv6Hdr is not a chain root and cannot start [Ipv6Hdr => TcpHdr<Ipv6Hdr>]",
+    ),
+    "parameter out of scope": (
+        _contract_text(pre=("[EthHdr => Ipv6Hdr => TcpHdr<Srv6RoutingHdr>]",
+                            "(src_port[TcpHdr], >, 0)")),
+        ChainOrderError,
+        "TcpHdr<Srv6RoutingHdr> names parameter Srv6RoutingHdr but no earlier "
+        "element in [EthHdr => Ipv6Hdr => TcpHdr<Srv6RoutingHdr>] provides it",
+    ),
+    "unbound static constant": (
+        _contract_text(constants="A = 2", static="A + B == 7"),
+        ElaborationError, "static assertion uses unbound constant 'B'",
+    ),
+    "reference plus order fault": (
+        _contract_text(pre=("[EthHdr => TcpHdr<EthHdr>]", "(hop_limit[Ipv6Hdr], >, 0)")),
+        ElaborationError,
+        "ingress check references hop_limit[Ipv6Hdr], but Ipv6Hdr is not in the "
+        "ingress order",
+    ),
+    "ingress plus egress fault": (
+        _contract_text(pre=("[EthHdr => Ipv6Hdr => Srv6RoutingHdr]",
+                            "(tag[Srv6RoutingHdr], ==, src[Ipv6Hdr])"),
+                       post=(_PTB, "(mtu[Icmpv6PktTooBig], ==, FOO)")),
+        ElaborationError,
+        "ingress check (tag[Srv6RoutingHdr], ==, src[Ipv6Hdr]): cannot compare int "
+        "field with bytes operand",
+    ),
+    "egress reference plus ingress order fault": (
+        _contract_text(pre=("[Ipv6Hdr]", "(hop_limit[Ipv6Hdr], >, 0)"),
+                       post=(_PTB, "(mtu[TcpHdr], ==, 1)")),
+        ElaborationError,
+        "header TcpHdr has no accessor 'mtu' (known: ack, checksum, data_offset, "
+        "dst_port, flags, seq, src_port, urgent_ptr, window)",
+    ),
+    "both orders faulty": (
+        _contract_text(pre=("[EthHdr => Srv6RoutingHdr]", "(tag[Srv6RoutingHdr], >, 0)"),
+                       post=("[TcpHdr]", "(src_port[TcpHdr], >, 0)")),
+        ChainOrderError,
+        "Srv6RoutingHdr cannot follow EthHdr: permitted predecessors are "
+        "{Ipv6Hdr, Srv6RoutingHdr}",
+    ),
+    "unbound constant plus false static assertion": (
+        _contract_text(pre=(_TCP6, "(payload_len[Ipv6Hdr], >, MTU)"),
+                       constants="A = 1", static="A == 2"),
+        ElaborationError,
+        "ingress check (payload_len[Ipv6Hdr], >, MTU) uses unbound constant 'MTU'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ELABORATION_FAULTS)
+def test_elaboration_error_of_each_faulty_contract(registry, name):
+    text, error_type, message = ELABORATION_FAULTS[name]
+    with pytest.raises(PktCheckError) as excinfo:
+        elaborate(parse_contract_spec(text), registry)
+    assert type(excinfo.value) is error_type
+    assert str(excinfo.value) == message

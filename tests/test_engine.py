@@ -5,7 +5,6 @@ import pytest
 from pktcheck import (
     BuildMode,
     Check,
-    ConfigError,
     ContractRuntime,
     ContractSpec,
     ElaborationError,
@@ -360,13 +359,3 @@ def test_run_phases_are_noops_in_production(registry):
     assert run_egress(contract, packet, snapshot, registry, runtime) == []
     assert runtime.snapshots_built == 0
     assert runtime.checks_evaluated == 0
-
-
-def test_runtime_mode_locked_after_first_packet():
-    runtime = ContractRuntime(BuildMode.DEVELOPMENT)
-    runtime.set_mode(BuildMode.PRODUCTION)  # fine before any traffic
-    runtime.set_mode(BuildMode.DEVELOPMENT)
-    runtime.mark_packet_flow()
-    runtime.set_mode(BuildMode.DEVELOPMENT)  # same mode is harmless
-    with pytest.raises(ConfigError):
-        runtime.set_mode(BuildMode.PRODUCTION)

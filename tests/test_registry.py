@@ -70,6 +70,26 @@ def test_verify_order_requires_parameter_in_scope(registry):
         verify_order(registry, spec)
 
 
+def test_verify_order_requires_the_parameter_slot(registry):
+    with pytest.raises(ChainOrderError) as excinfo:
+        verify_order(registry, order("EthHdr", "Ipv6Hdr", ("TcpHdr", "EthHdr")))
+    assert str(excinfo.value) == (
+        "TcpHdr<EthHdr> names parameter EthHdr, but the parameter of TcpHdr is "
+        "Ipv6Hdr in [EthHdr => Ipv6Hdr => TcpHdr<EthHdr>]"
+    )
+    assert (excinfo.value.index, excinfo.value.expected, excinfo.value.found) == (
+        2, "Ipv6Hdr", "EthHdr"
+    )
+    with pytest.raises(ChainOrderError) as excinfo:
+        verify_order(registry, order("EthHdr", ("Ipv6Hdr", "EthHdr")))
+    assert str(excinfo.value) == (
+        "Ipv6Hdr<EthHdr> names parameter EthHdr, but Ipv6Hdr takes no parameter "
+        "in [EthHdr => Ipv6Hdr<EthHdr>]"
+    )
+    # a slotted header may still leave its parameter out
+    verify_order(registry, order("EthHdr", "Ipv6Hdr", "TcpHdr"))
+
+
 def test_registry_rejects_duplicate_registration(registry):
     fresh = Registry()
     descriptor = HeaderDescriptor(
