@@ -28,8 +28,9 @@ references (``payload_len[Ipv6Hdr] + 16``).
 ``elaborate`` turns a parsed spec into an executable contract in one walk
 over each phase: every field reference is resolved against the registry
 and the header orders, constants are inlined, and each check is compiled;
-then both orders are verified and the static assertions evaluated (in
-every build mode). All of this happens once, before any packet flows.
+then both orders are verified, each compiled into the walk that parses
+packets along it, and the static assertions are evaluated (in every build
+mode). All of this happens once, before any packet flows.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .registry import (
     FieldAccessor,
     OrderElement,
     OrderSpec,
+    OrderStep,
     Registry,
     verify_order,
 )
@@ -161,11 +163,14 @@ class ContractSpec:
 @dataclass(frozen=True)
 class Contract(ContractSpec):
     """Elaborated, executable contract: orders verified, assertions proven,
-    and each phase's checks, constants inlined, compiled into the
-    evaluators the engine runs. Immutable once built."""
+    each phase's order compiled into the walk ``parse_chain`` runs, and
+    each phase's checks, constants inlined, compiled into the evaluators
+    the engine runs. Immutable once built."""
 
     ingress_checks: tuple[CompiledCheck, ...] = field(compare=False, repr=False)
     egress_checks: tuple[CompiledCheck, ...] = field(compare=False, repr=False)
+    ingress_walk: tuple[OrderStep, ...] = field(compare=False, repr=False)
+    egress_walk: tuple[OrderStep, ...] = field(compare=False, repr=False)
 
 
 class _Parser:
@@ -535,9 +540,12 @@ def _compile_phase(
                 f"{phase_name} check {check.describe()}: unknown comparator "
                 f"{check.op!r}"
             )
+        rhs = Operand(tuple(terms))
         compiled.append(CompiledCheck(
             idx,
-            Check(check.lhs, check.op, Operand(tuple(terms))),
+            Check(check.lhs, check.op, rhs),
+            check.lhs.describe(),
+            rhs.describe(),
             lambda current, get=lhs.get, i=i: get(current[i]),
             _compile_operand(reads, const, lhs.kind),
             COMPARATORS[check.op],
@@ -565,15 +573,17 @@ def elaborate(spec: ContractSpec, registry: Registry) -> Contract:
     Runs in every build mode, before any packet flows: checks every
     reference against the registry while inlining constants and compiling
     each check into the evaluator the engine runs per packet, then
-    verifies both header orders and evaluates the static assertions.
+    verifies both header orders, compiling each into its walk, and
+    evaluates the static assertions.
     """
     if not registry.frozen:
         raise ElaborationError("registry must be frozen before elaboration")
     ingress_checks = _compile_phase(spec, spec.ingress, "ingress", registry)
     egress_checks = _compile_phase(spec, spec.egress, "egress", registry)
-    for phase in (spec.ingress, spec.egress):
-        if phase is not None:
-            verify_order(registry, phase.order)
+    ingress_walk, egress_walk = (
+        verify_order(registry, phase.order) if phase is not None else ()
+        for phase in (spec.ingress, spec.egress)
+    )
     check_static_assertions(spec)
     return Contract(
         nf_name=spec.nf_name,
@@ -583,6 +593,8 @@ def elaborate(spec: ContractSpec, registry: Registry) -> Contract:
         egress=spec.egress,
         ingress_checks=ingress_checks,
         egress_checks=egress_checks,
+        ingress_walk=ingress_walk,
+        egress_walk=egress_walk,
     )
 
 

@@ -1,11 +1,13 @@
 """Runtime contract engine: ingress snapshots, check evaluation, violation
 reporting, and build-mode gating.
 
-Each phase decodes a packet's headers once, in ``parse_chain``. The ingress
-snapshot keeps those header objects, and elaboration has already compiled
-every check into a ``CompiledCheck`` that indexes them and calls pre-bound
-accessors, so no header is decoded again and no name is looked up per
-packet.
+Each phase decodes a packet's headers once, in ``parse_chain``, which runs
+the walk elaboration compiled from the phase's order: codec calls at a
+running offset, with the linkage cross-checks and error texts fixed in
+advance. The ingress snapshot keeps those header objects, and elaboration
+has already compiled every check into a ``CompiledCheck`` that indexes
+them, calls pre-bound accessors and carries the texts of its operands, so
+no header is decoded again and no name is looked up per packet.
 
 All checks in a phase are evaluated; violations are collected rather than
 thrown one at a time, so a single run can surface every failing condition.
@@ -24,7 +26,6 @@ from typing import Callable
 from . import registry as registry_mod
 from .exceptions import ChainOrderError, EmitError
 from .headers import Packet
-from .registry import Registry
 
 COMPARATORS = {
     "==": operator.eq,
@@ -122,7 +123,7 @@ class IngressSnapshot:
     """Mirror of the packet as it entered the NF.
 
     ``headers`` holds the header objects that ``parse_chain`` decoded along
-    the ingress order, by their position in that order; nothing is decoded
+    the ingress walk, by their position in the order; nothing is decoded
     again. Each was re-emitted and compared with its byte slice when the
     snapshot was built, so it mirrors the ingress bytes. Transforms decode
     headers of their own, so later mutation of the packet cannot leak into
@@ -214,28 +215,31 @@ class ContractRuntime:
 def build_snapshot(
     packet: Packet,
     headers: list,
+    ends: list,
     runtime: ContractRuntime | None = None,
 ) -> IngressSnapshot:
     """Keep ``headers``, which ``parse_chain`` has just decoded from
-    ``packet``, as the ingress mirror.
+    ``packet`` and which end at ``ends``, as the ingress mirror.
 
-    Each header is emitted again and compared with its byte slice, so a
+    Each header is emitted again and compared with its byte span, so a
     header that would not re-encode to the packet's bytes fails the
     snapshot instead of misleading the egress checks.
     """
     data = packet.data
-    for entry, header in zip(packet.chain, headers):
+    start = 0
+    for header, end in zip(headers, ends):
         try:
             mirrored = header.emit()
         except EmitError as exc:
             raise ResolutionError(
-                f"snapshot of {entry.header_type} cannot be re-encoded: {exc}"
+                f"snapshot of {type(header).__name__} cannot be re-encoded: {exc}"
             ) from None
-        if mirrored != data[entry.offset : entry.offset + entry.length]:
+        if mirrored != data[start:end]:
             raise ResolutionError(
-                f"snapshot of {entry.header_type} does not re-encode to the "
+                f"snapshot of {type(header).__name__} does not re-encode to the "
                 "original bytes; mirror would be unfaithful"
             )
+        start = end
     if runtime is not None:
         runtime.snapshots_built += 1
     return IngressSnapshot(tuple(headers))
@@ -248,12 +252,16 @@ class CompiledCheck:
     ``lhs(current)`` reads the headers decoded along the phase order;
     ``rhs(current, snapshot)`` reads them or the ingress snapshot's. Both
     index those lists directly and call pre-bound accessors, with any
-    literals folded into one constant. ``snapshot_ref`` is the first
-    reference the check makes to the snapshot, or None if it makes none.
+    literals folded into one constant. ``lhs_text`` and ``rhs_text`` are
+    the operands' ``describe()`` texts, fixed here so that a failing check
+    only assembles its message. ``snapshot_ref`` is the first reference
+    the check makes to the snapshot, or None if it makes none.
     """
 
     index: int
     check: Check
+    lhs_text: str
+    rhs_text: str
     lhs: Callable
     rhs: Callable
     compare: Callable
@@ -275,16 +283,16 @@ def eval_check(
     order. A check that reads a missing snapshot gives a resolution-kind
     violation rather than an exception.
     """
-    check = compiled.check
     if snapshot is None and compiled.snapshot_ref is not None:
+        check = compiled.check
         return Violation(
             nf=nf,
             phase=phase,
             check_index=compiled.index,
-            lhs=check.lhs.describe(),
+            lhs=compiled.lhs_text,
             lhs_value=None,
             op=check.op,
-            rhs=check.rhs.describe(),
+            rhs=compiled.rhs_text,
             rhs_value=None,
             packet_index=packet_index,
             kind="resolution",
@@ -302,10 +310,10 @@ def eval_check(
         nf=nf,
         phase=phase,
         check_index=compiled.index,
-        lhs=check.lhs.describe(),
+        lhs=compiled.lhs_text,
         lhs_value=render_value(lhs_value),
-        op=check.op,
-        rhs=check.rhs.describe(),
+        op=compiled.check.op,
+        rhs=compiled.rhs_text,
         rhs_value=render_value(rhs_value),
         packet_index=packet_index,
     )
@@ -352,7 +360,6 @@ def _run_checks(
 def run_ingress(
     contract,
     packet: Packet,
-    registry: Registry,
     runtime: ContractRuntime,
     packet_index: int = 0,
 ) -> tuple[list[Violation], IngressSnapshot | None]:
@@ -366,8 +373,8 @@ def run_ingress(
     if not runtime.development or contract is None or contract.ingress is None:
         return [], None
     try:
-        decoded = registry_mod.parse_chain(packet, contract.ingress.order, registry)
-        snapshot = build_snapshot(packet, decoded, runtime)
+        decoded, ends = registry_mod.parse_chain(packet, contract.ingress_walk)
+        snapshot = build_snapshot(packet, decoded, ends, runtime)
     except ChainOrderError as exc:
         return [_order_violation(contract.nf_name, "ingress", exc, packet_index)], None
     except ResolutionError as exc:
@@ -397,7 +404,6 @@ def run_egress(
     contract,
     packet: Packet,
     snapshot: IngressSnapshot | None,
-    registry: Registry,
     runtime: ContractRuntime,
     packet_index: int = 0,
 ) -> list[Violation]:
@@ -406,7 +412,7 @@ def run_egress(
     if not runtime.development or contract is None or contract.egress is None:
         return []
     try:
-        decoded = registry_mod.parse_chain(packet, contract.egress.order, registry)
+        decoded, _ = registry_mod.parse_chain(packet, contract.egress_walk)
     except ChainOrderError as exc:
         return [_order_violation(contract.nf_name, "egress", exc, packet_index)]
     return _run_checks(

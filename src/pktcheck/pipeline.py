@@ -147,7 +147,7 @@ def run_records(
         if checked:
             t0 = time.perf_counter_ns()
             violations, snapshot = run_ingress(
-                nf.contract, packet, registry, runtime, packet_index=index
+                nf.contract, packet, runtime, packet_index=index
             )
             timings["ingress_contract_ns"] += time.perf_counter_ns() - t0
 
@@ -158,7 +158,7 @@ def run_records(
         if checked and result.rewritten and not result.dropped:
             t0 = time.perf_counter_ns()
             violations += run_egress(
-                nf.contract, result.packet, snapshot, registry, runtime,
+                nf.contract, result.packet, snapshot, runtime,
                 packet_index=index,
             )
             timings["egress_contract_ns"] += time.perf_counter_ns() - t0

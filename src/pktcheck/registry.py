@@ -1,9 +1,12 @@
 """Header descriptor registry: predecessor rules, field accessors, and the
 order checks run at elaboration time and per packet.
 
-``verify_order`` runs once, when a contract is elaborated; ``parse_chain``
-is the per-packet operation. Parsing along an order that ``verify_order``
-accepted yields exactly that chain, so packets need no further order proof.
+``verify_order`` runs once, when a contract is elaborated: it proves an
+order against the predecessor rules and compiles it into a walk, one
+``OrderStep`` per element, holding the codec, the linkage cross-check and
+the error texts. ``parse_chain`` runs a walk per packet: it calls each
+codec at a running offset and looks nothing up, and since the order is
+proven, the headers it decodes need no further order proof.
 ``match_chain`` compares an already-parsed chain with an order; the packet
 path does not call it.
 """
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from . import headers
 from .exceptions import ChainOrderError, ParseError, RegistryError
@@ -80,6 +84,21 @@ class OrderSpec:
 
     def __str__(self) -> str:
         return "[" + " => ".join(str(e) for e in self.elements) + "]"
+
+
+class OrderStep(NamedTuple):
+    """One element of a verified order, compiled for the per-packet walk:
+    its codec's ``parse``, the predecessor's linkage getter and the
+    protocol number it must announce (None when nothing is cross-checked),
+    and what its ``ChainOrderError`` names: the index, the header type and
+    the predecessor's linkage field, as "Ipv6Hdr next_header"."""
+
+    parse: Callable
+    linkage: Callable | None
+    proto: int | None
+    index: int
+    header_type: str
+    linkage_name: str | None
 
 
 def order(*specs: str | tuple[str, str]) -> OrderSpec:
@@ -151,8 +170,9 @@ class Registry:
             ) from None
 
 
-def verify_order(registry: Registry, spec: OrderSpec) -> None:
-    """Validate an order spec against the registry's predecessor rules.
+def verify_order(registry: Registry, spec: OrderSpec) -> tuple[OrderStep, ...]:
+    """Validate an order spec against the registry's predecessor rules and
+    compile it into the walk that ``parse_chain`` runs per packet.
 
     Runs at elaboration/pipeline-construction time, never per packet.
     Raises ChainOrderError naming the offending adjacent pair, or the
@@ -205,48 +225,60 @@ def verify_order(registry: Registry, spec: OrderSpec) -> None:
                    else f"{element.header_type} takes no parameter")
                 + f" in {spec}",
             )
+    walk = []
+    prev = None
+    for i, element in enumerate(spec):
+        name = element.header_type
+        codec = headers.HEADER_TYPES.get(name)
+        if codec is None:
+            raise ChainOrderError(i, name, None, f"{name} has no codec in {spec}")
+        descriptor = registry.get(name)
+        proto = descriptor.protocol_number
+        linkage = linkage_name = None
+        if prev is not None and prev.linkage_accessor and proto is not None:
+            linkage = prev.accessors[prev.linkage_accessor].get
+            linkage_name = f"{prev.header_type} {prev.linkage_accessor}"
+        walk.append(OrderStep(codec.parse, linkage, proto, i, name, linkage_name))
+        prev = descriptor
+    return tuple(walk)
 
 
-def parse_chain(packet: Packet, spec: OrderSpec, registry: Registry) -> list:
-    """Parse ``packet`` header-by-header along the declared order.
+def parse_chain(packet: Packet, walk: tuple[OrderStep, ...]) -> tuple[list, list]:
+    """Decode ``packet`` header by header along a walk from ``verify_order``.
 
-    Resets any existing chain. Each adjacent pair is cross-checked through
-    the predecessor's linkage field (ether_type / next_header) against the
-    successor's protocol number, so a packet whose bytes happen to decode
-    under the wrong type still fails cleanly. Returns the decoded headers;
+    Each step first cross-checks the predecessor's linkage field
+    (ether_type / next_header) against its header's protocol number, so a
+    packet whose bytes happen to decode under the wrong type still fails
+    cleanly, then calls the codec at the running offset. Nothing is looked
+    up and the packet's chain is left alone. Returns the decoded headers
+    and their end offsets (header i spans ``ends[i - 1]:ends[i]``, from 0);
     raises ChainOrderError at the offending index.
     """
-    packet.reset_chain()
+    data = packet.data
     decoded = []
-    prev_descriptor = None
-    prev_header = None
-    for i, element in enumerate(spec):
-        descriptor = registry.get(element.header_type)
-        if prev_descriptor is not None and prev_descriptor.linkage_accessor:
-            expected_proto = descriptor.protocol_number
-            if expected_proto is not None:
-                linkage = prev_descriptor.accessors[prev_descriptor.linkage_accessor]
-                actual = linkage.get(prev_header)
-                if actual != expected_proto:
-                    raise ChainOrderError(
-                        i, element.header_type, None,
-                        f"order mismatch at index {i}: {prev_descriptor.header_type} "
-                        f"{prev_descriptor.linkage_accessor}={actual:#x} does not "
-                        f"announce {element.header_type} "
-                        f"(protocol {expected_proto:#x})",
-                    )
+    ends = []
+    offset = 0
+    header = None
+    for parse, linkage, proto, index, name, linkage_name in walk:
+        if linkage is not None:
+            actual = linkage(header)
+            if actual != proto:
+                raise ChainOrderError(
+                    index, name, None,
+                    f"order mismatch at index {index}: {linkage_name}={actual:#x} "
+                    f"does not announce {name} (protocol {proto:#x})",
+                )
         try:
-            header, _ = packet.parse_header(element.header_type)
+            header, size = parse(data, offset)
         except ParseError as exc:
             raise ChainOrderError(
-                i, element.header_type, None,
-                f"order mismatch at index {i}: cannot parse "
-                f"{element.header_type}: {exc}",
+                index, name, None,
+                f"order mismatch at index {index}: cannot parse {name}: {exc}",
             ) from exc
         decoded.append(header)
-        prev_descriptor = descriptor
-        prev_header = header
-    return decoded
+        offset += size
+        ends.append(offset)
+    return decoded, ends
 
 
 def match_chain(packet: Packet, spec: OrderSpec) -> None:

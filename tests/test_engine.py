@@ -21,6 +21,7 @@ from pktcheck import (
     parse_contract_spec,
     run_egress,
     run_ingress,
+    verify_order,
 )
 from pktcheck.engine import ResolutionError, render_value
 from pktcheck.nfs import MTU_TOO_BIG_CONTRACT, send_too_big
@@ -35,14 +36,28 @@ def _tcp6(payload_len=1300):
     return Packet.from_bytes(build_tcp6_bytes(payload_len=payload_len))
 
 
+def _parse_tcp6(registry, packet):
+    """The headers and end offsets parse_chain decodes along TCP6_ORDER."""
+    return parse_chain(packet, verify_order(registry, TCP6_ORDER))
+
+
 def _decoded_tcp6(registry, payload_len=1300):
     """The headers parse_chain decodes from a fresh TCP/IPv6 packet."""
-    return parse_chain(_tcp6(payload_len), TCP6_ORDER, registry)
+    return _parse_tcp6(registry, _tcp6(payload_len))[0]
 
 
 def _snapshot(registry, packet, runtime=None):
-    headers = parse_chain(packet, TCP6_ORDER, registry)
-    return build_snapshot(packet, headers, runtime)
+    headers, ends = _parse_tcp6(registry, packet)
+    return build_snapshot(packet, headers, ends, runtime)
+
+
+def _set_payload_len(packet, value):
+    """Rewrite the IPv6 payload length in place, through the chain that
+    ``Packet.parse_header`` records (``parse_chain`` records none)."""
+    packet.reset_chain()
+    packet.parse_header("EthHdr")
+    packet.parse_header("Ipv6Hdr")
+    packet.set_field("Ipv6Hdr", 0, "payload_len", value)
 
 
 def _compiled(registry, *checks, constants=None):
@@ -82,26 +97,26 @@ def test_snapshot_materializes_field_values(registry):
 
 def test_snapshot_keeps_the_headers_parse_chain_decoded(registry):
     packet = _tcp6()
-    headers = parse_chain(packet, TCP6_ORDER, registry)
-    snapshot = build_snapshot(packet, headers)
+    headers, ends = _parse_tcp6(registry, packet)
+    snapshot = build_snapshot(packet, headers, ends)
     assert all(kept is decoded for kept, decoded in zip(snapshot.headers, headers))
 
 
 def test_snapshot_rejects_a_header_that_does_not_mirror_its_bytes(registry):
     packet = _tcp6()
-    headers = parse_chain(packet, TCP6_ORDER, registry)
+    headers, ends = _parse_tcp6(registry, packet)
     headers[1] = replace(headers[1], hop_limit=headers[1].hop_limit - 1)
     with pytest.raises(ResolutionError, match="Ipv6Hdr does not re-encode"):
-        build_snapshot(packet, headers)
+        build_snapshot(packet, headers, ends)
     headers[1] = replace(headers[1], version=5)
     with pytest.raises(ResolutionError, match="Ipv6Hdr cannot be re-encoded"):
-        build_snapshot(packet, headers)
+        build_snapshot(packet, headers, ends)
 
 
 def test_snapshot_is_immune_to_later_packet_mutation(registry):
     packet = _tcp6(1300)
     snapshot = _snapshot(registry, packet)
-    packet.set_field("Ipv6Hdr", 0, "payload_len", 999)
+    _set_payload_len(packet, 999)
     assert packet.header("Ipv6Hdr").payload_len == 999
     (compiled,) = _compiled(
         registry, Check(FieldRef("payload_len", "Ipv6Hdr"), "==", Operand.ref(
@@ -146,8 +161,8 @@ def test_resolve_literal_and_constant(registry):
 def test_resolve_field_refs_from_packet_and_snapshot(registry):
     packet = _tcp6()
     snapshot = _snapshot(registry, packet)
-    packet.set_field("Ipv6Hdr", 0, "payload_len", 60)
-    decoded = parse_chain(packet, TCP6_ORDER, registry)
+    _set_payload_len(packet, 60)
+    decoded, _ = _parse_tcp6(registry, packet)
 
     lhs = FieldRef("payload_len", "Ipv6Hdr")
     current, original = _compiled(
@@ -236,7 +251,7 @@ def test_eval_check_resolution_failure_is_a_violation(registry):
     contract = _mtu_contract(registry)
     packet = send_too_big(_tcp6(1300)).packet
     violations = run_egress(
-        contract, packet, None, registry, ContractRuntime(), packet_index=2
+        contract, packet, None, ContractRuntime(), packet_index=2
     )
     assert [v.check_index for v in violations] == [0, 2, 3, 4, 5]
     assert all(v.kind == "resolution" and v.packet_index == 2 for v in violations)
@@ -300,7 +315,7 @@ def _mtu_contract(registry):
 def test_run_ingress_returns_snapshot_on_pass(registry):
     contract = _mtu_contract(registry)
     runtime = ContractRuntime()
-    violations, snapshot = run_ingress(contract, _tcp6(1300), registry, runtime)
+    violations, snapshot = run_ingress(contract, _tcp6(1300), runtime)
     assert violations == []
     assert snapshot is not None
     assert runtime.snapshots_built == 1
@@ -311,7 +326,7 @@ def test_run_ingress_collects_check_violation(registry):
     contract = _mtu_contract(registry)
     runtime = ContractRuntime()
     violations, snapshot = run_ingress(
-        contract, _tcp6(1280), registry, runtime
+        contract, _tcp6(1280), runtime
     )
     assert len(violations) == 1
     assert violations[0].lhs == "payload_len[Ipv6Hdr]"
@@ -324,7 +339,7 @@ def test_run_ingress_order_mismatch_skips_checks(registry):
     srv6_like = bytearray(build_tcp6_bytes())
     srv6_like[20] = 43  # IPv6 next-header no longer announces TCP
     violations, snapshot = run_ingress(
-        contract, Packet.from_bytes(bytes(srv6_like)), registry, runtime
+        contract, Packet.from_bytes(bytes(srv6_like)), runtime
     )
     assert snapshot is None
     assert len(violations) == 1
@@ -340,11 +355,11 @@ def test_run_egress_all_checks_evaluated_no_short_circuit(registry):
     contract = _mtu_contract(registry)
     runtime = ContractRuntime()
     packet = _tcp6(1300)
-    violations, snapshot = run_ingress(contract, packet, registry, runtime)
+    violations, snapshot = run_ingress(contract, packet, runtime)
     assert violations == []
     result = send_too_big(packet, omit_ipv6_swap=True, omit_eth_swap=True)
     egress = run_egress(
-        contract, result.packet, snapshot, registry, runtime, packet_index=0
+        contract, result.packet, snapshot, runtime, packet_index=0
     )
     assert [v.check_index for v in egress] == [2, 3, 4, 5]
     assert runtime.checks_evaluated == 1 + 6
@@ -354,8 +369,8 @@ def test_run_phases_are_noops_in_production(registry):
     contract = _mtu_contract(registry)
     runtime = ContractRuntime(BuildMode.PRODUCTION)
     packet = _tcp6(1300)
-    violations, snapshot = run_ingress(contract, packet, registry, runtime)
+    violations, snapshot = run_ingress(contract, packet, runtime)
     assert (violations, snapshot) == ([], None)
-    assert run_egress(contract, packet, snapshot, registry, runtime) == []
+    assert run_egress(contract, packet, snapshot, runtime) == []
     assert runtime.snapshots_built == 0
     assert runtime.checks_evaluated == 0

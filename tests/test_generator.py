@@ -12,6 +12,7 @@ from pktcheck import (
     internet_checksum,
     order,
     parse_chain,
+    verify_order,
 )
 
 TCP6_ORDER = order("EthHdr", "Ipv6Hdr", ("TcpHdr", "Ipv6Hdr"))
@@ -38,7 +39,7 @@ def test_different_seeds_differ():
 def test_tcp6_packets_are_well_formed(registry, seed, length):
     spec = GeneratorSpec(count=2, template="tcp6", payload_len=length, seed=seed)
     for packet in generate(spec):
-        decoded = parse_chain(packet, TCP6_ORDER, registry)
+        decoded, _ = parse_chain(packet, verify_order(registry, TCP6_ORDER))
         ipv6 = decoded[1]
         assert ipv6.payload_len == length
         assert ipv6.src[:4] == bytes([0x20, 0x01, 0x0D, 0xB8])
@@ -56,7 +57,7 @@ def test_tcp6_packets_are_well_formed(registry, seed, length):
 def test_srv6_packets_are_well_formed(registry, seed, length):
     spec = GeneratorSpec(count=2, template="srv6", payload_len=length, seed=seed)
     for packet in generate(spec):
-        decoded = parse_chain(packet, SRV6_ORDER, registry)
+        decoded, _ = parse_chain(packet, verify_order(registry, SRV6_ORDER))
         ipv6, srh = decoded[1], decoded[2]
         assert ipv6.payload_len == length
         assert ipv6.next_header == 43

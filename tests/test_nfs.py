@@ -10,6 +10,7 @@ from pktcheck import (
     parse_chain,
     send_too_big,
     srv6_add_segment,
+    verify_order,
 )
 from pktcheck.headers import EthHdr, Ipv6Hdr
 from pktcheck.nfs import DEFAULT_SEGMENT, MAX_SRV6_SEGMENTS
@@ -47,12 +48,8 @@ def test_oversized_packet_becomes_icmpv6_reply(registry):
     result = send_too_big(Packet.from_bytes(original))
     assert result.rewritten
     out = result.packet
-    parse_chain(
-        out, order("EthHdr", "Ipv6Hdr", ("Icmpv6PktTooBig", "Ipv6Hdr")), registry
-    )
-    eth, ipv6, icmp = (
-        out.header("EthHdr"), out.header("Ipv6Hdr"), out.header("Icmpv6PktTooBig")
-    )
+    reply = order("EthHdr", "Ipv6Hdr", ("Icmpv6PktTooBig", "Ipv6Hdr"))
+    (eth, ipv6, icmp), _ = parse_chain(out, verify_order(registry, reply))
     assert eth.dst == original[6:12] and eth.src == original[0:6]
     assert ipv6.src == original[38:54] and ipv6.dst == original[22:38]
     assert ipv6.payload_len == 1240
@@ -221,7 +218,10 @@ def test_srv6_passes_through_foreign_packets():
 def test_output_reparses_cleanly(registry):
     packet = Packet.from_bytes(_srv6_bytes(n_segments=4, payload=b"xyz"))
     out = srv6_add_segment(packet).packet
-    parse_chain(out, order("EthHdr", "Ipv6Hdr", "Srv6RoutingHdr"), registry)
+    srv6 = order("EthHdr", "Ipv6Hdr", "Srv6RoutingHdr")
+    parse_chain(out, verify_order(registry, srv6))
+    for header_type in ("EthHdr", "Ipv6Hdr", "Srv6RoutingHdr"):
+        out.parse_header(header_type)
     out.check_chain_invariants()
 
 

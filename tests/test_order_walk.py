@@ -1,0 +1,253 @@
+"""The order walk: ``parse_chain`` along each catalog order.
+
+The error table pins the exact ``ChainOrderError`` of every way a packet
+can fail the three catalog orders: its arguments, its message and the
+``ParseError`` it chains from. The property compares the walk with a
+reference written here, which chains ``Packet.parse_header`` calls with
+linkage checks, on flipped, truncated and extended packets.
+"""
+
+import struct
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pktcheck import (
+    ChainOrderError,
+    GeneratorSpec,
+    Packet,
+    ParseError,
+    generate_records,
+    order,
+    parse_chain,
+    verify_order,
+)
+
+TCP6 = order("EthHdr", "Ipv6Hdr", ("TcpHdr", "Ipv6Hdr"))
+PTB = order("EthHdr", "Ipv6Hdr", ("Icmpv6PktTooBig", "Ipv6Hdr"))
+SRV6 = order("EthHdr", "Ipv6Hdr", "Srv6RoutingHdr")
+ORDERS = (TCP6, PTB, SRV6)
+
+ETH = bytes.fromhex("020000000002020000000001") + struct.pack("!H", 0x86DD)
+
+
+def _ipv6(payload_len, next_header, version=6):
+    return struct.pack("!IHBB", version << 28, payload_len, next_header, 64) + bytes(
+        range(32)
+    )
+
+
+def _tcp6(data_offset=5, **ipv6):
+    tcp = struct.pack("!HHIIHHHH", 4242, 80, 1, 2, (data_offset << 12) | 0x18, 8192, 0, 0)
+    return ETH + _ipv6(len(tcp) + 40, ipv6.pop("next_header", 6), **ipv6) + tcp + bytes(40)
+
+
+def _ptb(msg_type=2, code=0, body=64, next_header=58):
+    icmp = struct.pack("!BBHI", msg_type, code, 0x1234, 1280) + bytes(body)
+    return ETH + _ipv6(len(icmp), next_header) + icmp
+
+
+def _srv6(hdr_ext_len=4, routing_type=4, segments_left=1, last_entry=1, next_header=43,
+          segments=2):
+    srh = struct.pack(
+        "!BBBBBBH", 6, hdr_ext_len, routing_type, segments_left, last_entry, 0, 0
+    ) + bytes(16 * segments)
+    return ETH + _ipv6(len(srh) + 20, next_header) + srh + bytes(20)
+
+
+def _walk(packet, spec, registry):
+    return parse_chain(packet, verify_order(registry, spec))
+
+
+def _mismatch(i, prev, link, actual, header, proto):
+    return (f"order mismatch at index {i}: {prev} {link}={actual:#x} does not "
+            f"announce {header} (protocol {proto:#x})")
+
+
+def _cannot(i, header, reason):
+    return f"order mismatch at index {i}: cannot parse {header}: {reason}"
+
+
+def _truncated(what, need, offset, have):
+    return f"truncated {what}: need {need} bytes at offset {offset}, have {have}"
+
+
+# (order, packet bytes, index, expected header, message, chains a ParseError)
+ERROR_TABLE = [
+    # linkage mismatches at index 1 and index 2
+    (TCP6, ETH[:12] + b"\x08\x00" + _tcp6()[14:], 1, "Ipv6Hdr",
+     _mismatch(1, "EthHdr", "ether_type", 0x800, "Ipv6Hdr", 0x86DD), False),
+    (PTB, ETH[:12] + b"\x88\xb5" + _ptb()[14:], 1, "Ipv6Hdr",
+     _mismatch(1, "EthHdr", "ether_type", 0x88B5, "Ipv6Hdr", 0x86DD), False),
+    (SRV6, ETH[:12] + b"\x00\x00" + _srv6()[14:], 1, "Ipv6Hdr",
+     _mismatch(1, "EthHdr", "ether_type", 0, "Ipv6Hdr", 0x86DD), False),
+    (TCP6, _tcp6(next_header=17), 2, "TcpHdr",
+     _mismatch(2, "Ipv6Hdr", "next_header", 17, "TcpHdr", 6), False),
+    (PTB, _tcp6(), 2, "Icmpv6PktTooBig",
+     _mismatch(2, "Ipv6Hdr", "next_header", 6, "Icmpv6PktTooBig", 58), False),
+    (SRV6, _ptb(), 2, "Srv6RoutingHdr",
+     _mismatch(2, "Ipv6Hdr", "next_header", 58, "Srv6RoutingHdr", 43), False),
+    # truncation inside each header
+    (TCP6, _tcp6()[:9], 0, "EthHdr",
+     _cannot(0, "EthHdr", _truncated("Ethernet header", 14, 0, 9)), True),
+    (TCP6, b"", 0, "EthHdr",
+     _cannot(0, "EthHdr", _truncated("Ethernet header", 14, 0, 0)), True),
+    (PTB, _ptb()[:14], 1, "Ipv6Hdr",
+     _cannot(1, "Ipv6Hdr", _truncated("IPv6 header", 40, 14, 0)), True),
+    (SRV6, _srv6()[:53], 1, "Ipv6Hdr",
+     _cannot(1, "Ipv6Hdr", _truncated("IPv6 header", 40, 14, 39)), True),
+    (TCP6, _tcp6()[:73], 2, "TcpHdr",
+     _cannot(2, "TcpHdr", _truncated("TCP header", 20, 54, 19)), True),
+    (TCP6, _tcp6(data_offset=15)[:100], 2, "TcpHdr",
+     _cannot(2, "TcpHdr", _truncated("TCP header with options", 60, 54, 46)), True),
+    (PTB, _ptb()[:61], 2, "Icmpv6PktTooBig",
+     _cannot(2, "Icmpv6PktTooBig",
+             _truncated("ICMPv6 Packet Too Big header", 8, 54, 7)), True),
+    (SRV6, _srv6()[:60], 2, "Srv6RoutingHdr",
+     _cannot(2, "Srv6RoutingHdr", _truncated("SRv6 routing header", 8, 54, 6)), True),
+    (SRV6, _srv6()[:80], 2, "Srv6RoutingHdr",
+     _cannot(2, "Srv6RoutingHdr",
+             _truncated("SRv6 routing header segments", 40, 54, 26)), True),
+    # every codec ParseError the three orders reach
+    (TCP6, _tcp6(version=4), 1, "Ipv6Hdr",
+     _cannot(1, "Ipv6Hdr", "IPv6 version nibble is 4, expected 6"), True),
+    (SRV6, _srv6()[:14] + b"\x00" + _srv6()[15:], 1, "Ipv6Hdr",
+     _cannot(1, "Ipv6Hdr", "IPv6 version nibble is 0, expected 6"), True),
+    (TCP6, _tcp6(data_offset=4), 2, "TcpHdr",
+     _cannot(2, "TcpHdr", "TCP data offset 4 below minimum 5"), True),
+    (SRV6, _srv6(routing_type=3), 2, "Srv6RoutingHdr",
+     _cannot(2, "Srv6RoutingHdr", "routing type 3, expected 4 (SRv6)"), True),
+    (SRV6, _srv6(hdr_ext_len=3), 2, "Srv6RoutingHdr",
+     _cannot(2, "Srv6RoutingHdr",
+             "SRv6 header extension length 3 cannot hold 16-byte segments"), True),
+    (SRV6, _srv6(hdr_ext_len=0), 2, "Srv6RoutingHdr",
+     _cannot(2, "Srv6RoutingHdr",
+             "SRv6 header extension length 0 cannot hold 16-byte segments"), True),
+    (SRV6, _srv6(last_entry=2), 2, "Srv6RoutingHdr",
+     _cannot(2, "Srv6RoutingHdr", "SRv6 last entry 2 disagrees with 2 segments"), True),
+    (SRV6, _srv6(segments_left=3), 2, "Srv6RoutingHdr",
+     _cannot(2, "Srv6RoutingHdr", "SRv6 segments left 3 exceeds segment count 2"), True),
+    (PTB, _ptb(msg_type=1), 2, "Icmpv6PktTooBig",
+     _cannot(2, "Icmpv6PktTooBig",
+             "not an ICMPv6 Packet Too Big message: type 1, code 0"), True),
+    (PTB, _ptb(code=3), 2, "Icmpv6PktTooBig",
+     _cannot(2, "Icmpv6PktTooBig",
+             "not an ICMPv6 Packet Too Big message: type 2, code 3"), True),
+    (PTB, _ptb(body=1233), 2, "Icmpv6PktTooBig",
+     _cannot(2, "Icmpv6PktTooBig",
+             "Packet Too Big message of 1241 bytes exceeds the minimum-MTU "
+             "reply budget of 1240 bytes"), True),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, data, index, expected, message, chained", ERROR_TABLE,
+    ids=[f"{i}-{row[3]}" for i, row in enumerate(ERROR_TABLE)],
+)
+def test_walk_error_of_each_failure(registry, spec, data, index, expected, message,
+                                    chained):
+    with pytest.raises(ChainOrderError) as excinfo:
+        _walk(Packet.from_bytes(data), spec, registry)
+    exc = excinfo.value
+    assert type(exc) is ChainOrderError
+    assert (exc.index, exc.expected, exc.found, exc.reason) == (
+        index, expected, None, message
+    )
+    assert exc.args == (message,) and str(exc) == message
+    if chained:
+        assert type(exc.__cause__) is ParseError
+        assert message.endswith(": " + str(exc.__cause__))
+    else:
+        assert exc.__cause__ is None
+
+
+CLEAN = [
+    (TCP6, _tcp6(), [14, 54, 74]),
+    (TCP6, _tcp6(data_offset=8), [14, 54, 86]),
+    (PTB, _ptb(), [14, 54, 126]),
+    (PTB, _ptb(body=1232), [14, 54, 1294]),
+    (SRV6, _srv6(), [14, 54, 94]),
+    (SRV6, _srv6(hdr_ext_len=2, last_entry=0, segments=1), [14, 54, 78]),
+]
+
+
+@pytest.mark.parametrize("spec, data, ends", CLEAN, ids=[str(i) for i in range(len(CLEAN))])
+def test_walk_accepts_each_clean_packet(registry, spec, data, ends):
+    headers, walked_ends = _walk(Packet.from_bytes(data), spec, registry)
+    assert [type(h).__name__ for h in headers] == [e.header_type for e in spec]
+    assert walked_ends == ends
+    assert b"".join(h.emit() for h in headers) == data[: ends[-1]]
+
+
+# --- the walk against a parse_header reference ------------------------------------
+
+
+def _reference(packet, spec, registry):
+    """``Packet.parse_header`` along ``spec``, cross-checking each linkage
+    field before the header it announces."""
+    packet.reset_chain()
+    decoded, prev = [], None
+    for i, element in enumerate(spec):
+        name = element.header_type
+        descriptor = registry.get(name)
+        proto = descriptor.protocol_number
+        if prev is not None and prev.linkage_accessor and proto is not None:
+            actual = getattr(decoded[-1], prev.linkage_accessor)
+            if actual != proto:
+                raise ChainOrderError(
+                    i, name, None,
+                    _mismatch(i, prev.header_type, prev.linkage_accessor, actual, name,
+                              proto),
+                )
+        try:
+            header, _ = packet.parse_header(name)
+        except ParseError as exc:
+            raise ChainOrderError(i, name, None, _cannot(i, name, exc)) from exc
+        decoded.append(header)
+        prev = descriptor
+    return decoded, [entry.offset + entry.length for entry in packet.chain]
+
+
+def _outcome(parse, raw, spec, registry):
+    try:
+        return "parsed", parse(Packet.from_bytes(raw), spec, registry)
+    except ChainOrderError as exc:
+        cause = exc.__cause__
+        return "error", (type(exc), exc.args, exc.index, exc.expected, exc.found,
+                         str(exc), type(cause), str(cause))
+
+
+BASES = [
+    record.data
+    for template, lengths in (("tcp6", (60, 1400)), ("srv6", (24, 400)))
+    for record in generate_records(
+        GeneratorSpec(count=4, template=template, payload_len=lengths, seed=606)
+    )
+]
+#: The linkage and type bytes: ether_type, the IPv6 version nibble and
+#: next_header, the SRv6 fixed fields after the IPv6 header and the TCP
+#: data offset.
+HOT_BYTES = [12, 13, 14, 20, 54, 55, 56, 57, 58, 66, 67]
+
+
+@settings(max_examples=400, deadline=None)
+@given(base=st.sampled_from(BASES), kind=st.sampled_from(("flip", "truncate", "extend")),
+       data=st.data())
+def test_walk_agrees_with_a_parse_header_reference(registry, base, kind, data):
+    raw = bytearray(base)
+    if kind == "flip":
+        at = st.one_of(st.sampled_from(HOT_BYTES), st.integers(0, 95)).filter(
+            lambda i: i < len(raw)
+        )
+        for i, mask in data.draw(st.lists(st.tuples(at, st.integers(1, 255)),
+                                          min_size=1, max_size=3)):
+            raw[i] ^= mask
+    elif kind == "truncate":
+        del raw[data.draw(st.integers(0, len(raw) - 1)):]
+    else:
+        raw += data.draw(st.binary(min_size=1, max_size=64))
+    for spec in ORDERS:
+        assert _outcome(_walk, raw, spec, registry) == _outcome(
+            _reference, raw, spec, registry
+        )

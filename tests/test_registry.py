@@ -126,6 +126,18 @@ def test_registry_frozen_blocks_registration(registry):
         )
 
 
+def test_verify_order_requires_a_codec_for_each_type():
+    fresh = Registry()
+    fresh.register(HeaderDescriptor(
+        header_type="VlanHdr", permitted_predecessors=frozenset(), accessors={}
+    ))
+    with pytest.raises(ChainOrderError) as excinfo:
+        verify_order(fresh.freeze(), order("VlanHdr"))
+    assert (excinfo.value.index, str(excinfo.value)) == (
+        0, "VlanHdr has no codec in [VlanHdr]"
+    )
+
+
 def test_registry_unknown_lookups(registry):
     with pytest.raises(RegistryError, match="GreHdr"):
         registry.get("GreHdr")
@@ -137,10 +149,11 @@ def test_registry_unknown_lookups(registry):
 def test_parse_chain_decodes_declared_order(registry):
     packet = Packet.from_bytes(build_tcp6_bytes())
     spec = order("EthHdr", "Ipv6Hdr", ("TcpHdr", "Ipv6Hdr"))
-    headers = parse_chain(packet, spec, registry)
+    headers, ends = parse_chain(packet, verify_order(registry, spec))
     assert [type(h).__name__ for h in headers] == ["EthHdr", "Ipv6Hdr", "TcpHdr"]
     assert headers[1].payload_len == 1300
-    match_chain(packet, spec)
+    assert ends == [14, 54, 74]
+    assert packet.chain == []  # the walk records no chain entries
 
 
 def test_parse_chain_checks_protocol_linkage(registry):
@@ -149,7 +162,7 @@ def test_parse_chain_checks_protocol_linkage(registry):
     packet = Packet.from_bytes(build_tcp6_bytes())
     spec = order("EthHdr", "Ipv6Hdr", "Srv6RoutingHdr")
     with pytest.raises(ChainOrderError) as excinfo:
-        parse_chain(packet, spec, registry)
+        parse_chain(packet, verify_order(registry, spec))
     assert excinfo.value.index == 2
     assert "Srv6RoutingHdr" in str(excinfo.value)
 
@@ -157,7 +170,7 @@ def test_parse_chain_checks_protocol_linkage(registry):
 def test_parse_chain_wraps_truncation(registry):
     packet = Packet.from_bytes(build_tcp6_bytes()[:40])
     with pytest.raises(ChainOrderError) as excinfo:
-        parse_chain(packet, order("EthHdr", "Ipv6Hdr"), registry)
+        parse_chain(packet, verify_order(registry, order("EthHdr", "Ipv6Hdr")))
     assert excinfo.value.index == 1
     assert str(excinfo.value) == (
         "order mismatch at index 1: cannot parse Ipv6Hdr: truncated IPv6 "
@@ -167,7 +180,9 @@ def test_parse_chain_wraps_truncation(registry):
 
 def test_match_chain_rejects_wrong_shape(registry):
     packet = Packet.from_bytes(build_tcp6_bytes())
-    parse_chain(packet, order("EthHdr", "Ipv6Hdr", ("TcpHdr", "Ipv6Hdr")), registry)
+    for header_type in ("EthHdr", "Ipv6Hdr", "TcpHdr"):
+        packet.parse_header(header_type)
+    match_chain(packet, order("EthHdr", "Ipv6Hdr", ("TcpHdr", "Ipv6Hdr")))
     with pytest.raises(ChainOrderError):
         match_chain(packet, order("EthHdr", "Ipv6Hdr"))
     with pytest.raises(ChainOrderError):
@@ -185,20 +200,22 @@ def test_srv6_chain_with_repeated_headers(registry):
     eth = EthHdr(dst=bytes(6), src=bytes(6), ether_type=0x86DD)
     packet = Packet.from_bytes(eth.emit() + ipv6.emit() + outer.emit() + inner.emit())
     spec = order("EthHdr", "Ipv6Hdr", "Srv6RoutingHdr", "Srv6RoutingHdr")
-    headers = parse_chain(packet, spec, registry)
+    headers, _ = parse_chain(packet, verify_order(registry, spec))
     assert headers[2].next_header == 43
     assert headers[3].next_header == 59
-    assert [e.occurrence for e in packet.chain] == [0, 0, 0, 1]
-    # a second parse resets the chain, and with it the occurrence counts
-    parse_chain(packet, spec, registry)
-    assert [e.occurrence for e in packet.chain] == [0, 0, 0, 1]
+    # Packet.parse_header records the chain, with each entry's occurrence
+    for _ in range(2):
+        # a second parse resets the chain, and with it the occurrence counts
+        packet.reset_chain()
+        for element in spec:
+            packet.parse_header(element.header_type)
+        assert [e.occurrence for e in packet.chain] == [0, 0, 0, 1]
 
 
 def test_accessors_read_the_attribute_of_their_name(registry):
     packet = Packet.from_bytes(build_tcp6_bytes())
-    decoded = parse_chain(
-        packet, order("EthHdr", "Ipv6Hdr", ("TcpHdr", "Ipv6Hdr")), registry
-    )
+    tcp6 = order("EthHdr", "Ipv6Hdr", ("TcpHdr", "Ipv6Hdr"))
+    decoded, _ = parse_chain(packet, verify_order(registry, tcp6))
     srv6 = Srv6RoutingHdr(next_header=59, segments_left=1, segments=[bytes(16)] * 2)
     reply = Icmpv6PktTooBig(checksum=7, mtu=1280, invoking_packet=b"")
     count = 0
