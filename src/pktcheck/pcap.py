@@ -26,6 +26,9 @@ _GLOBAL_HDR = struct.Struct("<IHHiIII")
 _GLOBAL_HDR_BE = struct.Struct(">IHHiIII")
 _RECORD_HDR = struct.Struct("<IIII")
 _RECORD_HDR_BE = struct.Struct(">IIII")
+_FILE_HEADER = _GLOBAL_HDR.pack(
+    PCAP_MAGIC, VERSION_MAJOR, VERSION_MINOR, 0, 0, SNAPLEN, LINKTYPE_ETHERNET
+)
 
 
 @dataclass
@@ -43,26 +46,38 @@ def _open(target, mode: str):
     return target, False
 
 
+class PcapWriter:
+    """Streams records into an open binary file as a classic pcap: the
+    global header at construction, then each record as it is appended.
+    Any object with ``append`` can take a run's output; this one keeps
+    no record after writing it."""
+
+    def __init__(self, fobj: BinaryIO):
+        fobj.write(_FILE_HEADER)
+        self._write = fobj.write
+
+    def append(self, record: PcapRecord) -> None:
+        data = record.data
+        self._write(_RECORD_HDR.pack(record.ts_sec, record.ts_usec, len(data), len(data)))
+        self._write(data)
+
+    def extend(self, records: Iterable[PcapRecord]) -> int:
+        """Write every record, as ``append`` would; returns the count."""
+        write, pack = self._write, _RECORD_HDR.pack
+        count = 0
+        for record in records:
+            data = record.data
+            write(pack(record.ts_sec, record.ts_usec, len(data), len(data)))
+            write(data)
+            count += 1
+        return count
+
+
 def write_pcap(target: str | Path | BinaryIO, records: Iterable[PcapRecord]) -> int:
     """Write records to a classic pcap file; returns the record count."""
     fobj, owned = _open(target, "wb")
     try:
-        fobj.write(
-            _GLOBAL_HDR.pack(
-                PCAP_MAGIC, VERSION_MAJOR, VERSION_MINOR, 0, 0, SNAPLEN,
-                LINKTYPE_ETHERNET,
-            )
-        )
-        count = 0
-        for record in records:
-            fobj.write(
-                _RECORD_HDR.pack(
-                    record.ts_sec, record.ts_usec, len(record.data), len(record.data)
-                )
-            )
-            fobj.write(record.data)
-            count += 1
-        return count
+        return PcapWriter(fobj).extend(records)
     finally:
         if owned:
             fobj.close()

@@ -3,9 +3,12 @@
 Per packet in Development mode the flow is ingress contract → transform →
 egress contract (the egress phase applies to rewritten packets, whose
 shape the contract describes). In Production only the transform runs.
-Packets flow one at a time, in input order, through a single loop. A pcap
-input is read lazily, record by record; the emitted records are collected
-in the summary.
+Packets flow one at a time, in input order, through one loop picked per
+run: the checked loop (Development with a contract) times each phase; the
+transform-only loop runs ``Packet.from_bytes`` and ``nf.apply`` with no
+timers and keeps only counters and transform drops. A pcap input is read
+lazily; each emitted record goes to a sink as it is produced, by default
+the list ``summary.out_records``.
 
 Violation policies:
 
@@ -25,9 +28,11 @@ The summary always conserves packets: in == out + dropped.
 
 from __future__ import annotations
 
+import os
 import statistics
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable
 
 from .engine import BuildMode, ContractRuntime, Violation, run_egress, run_ingress
@@ -35,7 +40,7 @@ from .exceptions import ConfigError
 from .generator import GeneratorSpec, generate_records
 from .headers import Packet
 from .nfs import NetworkFunction, make_nf
-from .pcap import PcapRecord, iter_pcap, write_pcap
+from .pcap import PcapRecord, PcapWriter, iter_pcap
 from .registry import Registry, standard_registry
 
 POLICIES = ("drop", "continue", "abort")
@@ -67,6 +72,10 @@ class RunConfig:
 
 @dataclass
 class RunSummary:
+    """What one run did. ``timings`` are measured in Development only and
+    stay zero in Production, whose loop runs no timer. ``out_records`` holds
+    the emitted records only when the run's sink was left at its default."""
+
     nf_name: str
     mode: BuildMode
     policy: str
@@ -124,42 +133,70 @@ def run_records(
     *,
     runtime: ContractRuntime | None = None,
     policy: str = "continue",
+    out=None,
 ) -> RunSummary:
     """Run each record through the NF, in order, and aggregate a RunSummary.
 
     ``records`` may be any iterable and is pulled one record at a time, so
     a lazy reader never holds the whole input. Under ``abort`` no record
-    after the violating one is pulled.
+    after the violating one is pulled. Each emitted record goes to
+    ``out``, any object with ``append`` (a ``PcapWriter`` streams it to a
+    file); by default it is ``summary.out_records``.
     """
     if policy not in POLICIES:
         raise ConfigError(f"unknown policy {policy!r}")
     if runtime is None:
         runtime = ContractRuntime()
     summary = RunSummary(nf_name=nf.name, mode=runtime.mode, policy=policy)
-    timings = summary.timings
-    checked = runtime.development and nf.contract is not None
+    emit = (summary.out_records if out is None else out).append
+    if runtime.development and nf.contract is not None:
+        _run_checked(nf, records, runtime, policy, summary, emit)
+    else:
+        _run_transform_only(nf, records, summary, emit)
+    summary.snapshots_built = runtime.snapshots_built
+    summary.checks_evaluated = runtime.checks_evaluated
+    return summary
 
+
+def _run_transform_only(nf, records, summary: RunSummary, emit) -> None:
+    # Looked up per call, not at import, so that wrappers installed on
+    # Packet or the NF's class (e.g. a tracer's) still see every call.
+    from_bytes, apply = Packet.from_bytes, nf.apply
+    drops = summary.drops
+    index = -1
+    for index, record in enumerate(records):
+        result = apply(from_bytes(record.data))
+        if result.dropped:
+            drops.append((index, result.drop_reason or ""))
+        else:
+            emit(PcapRecord(bytes(result.packet.data), record.ts_sec, record.ts_usec))
+    summary.packets_in = index + 1
+    summary.packets_dropped = len(drops)
+    summary.packets_out = summary.packets_in - summary.packets_dropped
+
+
+def _run_checked(
+    nf, records, runtime: ContractRuntime, policy: str, summary: RunSummary, emit
+) -> None:
+    contract, timings = nf.contract, summary.timings
     for index, record in enumerate(records):
         summary.packets_in += 1
         packet = Packet.from_bytes(record.data)
-        violations, snapshot = [], None
 
-        if checked:
-            t0 = time.perf_counter_ns()
-            violations, snapshot = run_ingress(
-                nf.contract, packet, runtime, packet_index=index
-            )
-            timings["ingress_contract_ns"] += time.perf_counter_ns() - t0
+        t0 = time.perf_counter_ns()
+        violations, snapshot = run_ingress(
+            contract, packet, runtime, packet_index=index
+        )
+        timings["ingress_contract_ns"] += time.perf_counter_ns() - t0
 
         t0 = time.perf_counter_ns()
         result = nf.apply(packet)
         timings["transform_ns"] += time.perf_counter_ns() - t0
 
-        if checked and result.rewritten and not result.dropped:
+        if result.rewritten and not result.dropped:
             t0 = time.perf_counter_ns()
             violations += run_egress(
-                nf.contract, result.packet, snapshot, runtime,
-                packet_index=index,
+                contract, result.packet, snapshot, runtime, packet_index=index
             )
             timings["egress_contract_ns"] += time.perf_counter_ns() - t0
 
@@ -176,20 +213,10 @@ def run_records(
             summary.packets_dropped += 1
         else:
             summary.packets_out += 1
-            summary.out_records.append(
-                PcapRecord(
-                    data=bytes(result.packet.data),
-                    ts_sec=record.ts_sec,
-                    ts_usec=record.ts_usec,
-                )
-            )
+            emit(PcapRecord(bytes(result.packet.data), record.ts_sec, record.ts_usec))
         if violations and policy == "abort":
             summary.aborted = True
             break
-
-    summary.snapshots_built = runtime.snapshots_built
-    summary.checks_evaluated = runtime.checks_evaluated
-    return summary
 
 
 def run_pipeline(
@@ -197,7 +224,9 @@ def run_pipeline(
 ) -> RunSummary:
     """Build the NF (elaborating its contract), then stream the configured
     input through it. Elaboration failures surface before any I/O; a pcap
-    input is read lazily, record by record."""
+    input is read lazily, record by record. Output streams into
+    ``<output>.part``, which replaces the output only when the run completes
+    and is deleted on any error; ``summary.out_records`` then stays empty."""
     if registry is None:
         registry = standard_registry()
     nf = make_nf(config.nf_name, registry, **config.nf_options)
@@ -205,15 +234,20 @@ def run_pipeline(
         records = iter_pcap(config.input_path)
     else:
         records = generate_records(config.generator)
-    summary = run_records(
-        nf,
-        records,
-        registry,
-        runtime=ContractRuntime(config.mode),
-        policy=config.policy,
-    )
-    if config.output_path is not None:
-        write_pcap(config.output_path, summary.out_records)
+    runtime = ContractRuntime(config.mode)
+    if config.output_path is None:
+        return run_records(nf, records, registry, runtime=runtime, policy=config.policy)
+    part = Path(f"{config.output_path}.part")
+    try:
+        with open(part, "wb") as fobj:
+            summary = run_records(
+                nf, records, registry, runtime=runtime, policy=config.policy,
+                out=PcapWriter(fobj),
+            )
+        os.replace(part, config.output_path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
     return summary
 
 
@@ -228,8 +262,8 @@ def bench(
     """Time the three pipeline phases over ``repetitions`` full passes.
 
     Contracts-on passes run in Development, contracts-off in Production;
-    the report carries per-phase mean/stdev and the ingress share of
-    total contract overhead.
+    the report carries per-phase mean/stdev, each kind of pass's wall time
+    as a whole, and the ingress share of total contract overhead.
     """
     if repetitions < 1:
         raise ConfigError("repetitions must be >= 1")
@@ -240,16 +274,19 @@ def bench(
     phase_samples = {"ingress_contract_ns": [], "transform_ns": [], "egress_contract_ns": []}
     on_totals, off_totals = [], []
     for _ in range(repetitions):
+        t0 = time.perf_counter_ns()
         on = run_records(
             nf, records, registry, runtime=ContractRuntime(BuildMode.DEVELOPMENT)
         )
-        off = run_records(
+        t1 = time.perf_counter_ns()
+        run_records(
             nf, records, registry, runtime=ContractRuntime(BuildMode.PRODUCTION)
         )
+        t2 = time.perf_counter_ns()
+        on_totals.append(t1 - t0)
+        off_totals.append(t2 - t1)
         for phase in phase_samples:
             phase_samples[phase].append(on.timings[phase])
-        on_totals.append(sum(on.timings.values()))
-        off_totals.append(off.timings["transform_ns"])
 
     def stats(samples):
         return {

@@ -97,6 +97,16 @@ def test_run_truncated_input_exits_two_without_output(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_run_can_write_over_its_own_input(tmp_path, capsys):
+    in_path, other = tmp_path / "in.pcap", tmp_path / "other.pcap"
+    assert main(["gen", "--out", str(in_path), "--count", "4"]) == 0
+    for out in (other, in_path):
+        assert main(["run", "--nf", "mtu-too-big", "--in", str(in_path),
+                     "--out", str(out)]) == 0
+    assert in_path.read_bytes() == other.read_bytes()
+    assert len(read_pcap(in_path)) == 4
+
+
 def test_gen_invalid_spec_exits_two(tmp_path, capsys):
     code = main(
         ["gen", "--out", str(tmp_path / "x.pcap"), "--count", "2",

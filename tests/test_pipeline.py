@@ -1,8 +1,11 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pktcheck.headers as headers_module
+import pktcheck.pipeline as pipeline_module
 import pktcheck.registry as registry_module
 from pktcheck import (
     BuildMode,
@@ -37,6 +40,10 @@ def _mixed_records(n_big=4, n_small=3):
         for i in range(n_small)
     ]
     return records
+
+
+def _untimed(summary):
+    return {k: v for k, v in summary.to_json().items() if k != "timings"}
 
 
 def test_clean_run_counts(registry):
@@ -132,10 +139,7 @@ def test_streamed_pcap_matches_loaded_pcap(tmp_path, registry, policy):
 
     streamed = run_records(bad, counted(), registry, policy=policy)
 
-    def untimed(summary):
-        return {k: v for k, v in summary.to_json().items() if k != "timings"}
-
-    assert untimed(streamed) == untimed(loaded)
+    assert _untimed(streamed) == _untimed(loaded)
     assert streamed.out_records == loaded.out_records
     if policy == "abort":
         # the first packet violates; nothing after it is read
@@ -217,7 +221,64 @@ def test_run_pipeline_round_trip(tmp_path, registry):
     assert len(emitted) == 7
     # timestamps carried over from the input stream
     assert [r.ts_usec for r in emitted] == [0, 1, 2, 3, 100, 101, 102]
-    assert pcap_bytes(summary.out_records) == out_path.read_bytes()
+    listed = run_records(make_nf("mtu-too-big", registry), _mixed_records(), registry)
+    assert pcap_bytes(listed.out_records) == out_path.read_bytes()
+
+
+@pytest.mark.parametrize("policy", ["continue", "drop", "abort"])
+@pytest.mark.parametrize("mode", [BuildMode.DEVELOPMENT, BuildMode.PRODUCTION])
+def test_streamed_output_matches_a_list_sink(tmp_path, registry, mode, policy):
+    # mtu-too-big's precondition fails on the 3 small packets after the 4
+    # big ones, so the first violator in dev is packet 4
+    in_path, out_path = tmp_path / "in.pcap", tmp_path / "out.pcap"
+    write_pcap(in_path, _mixed_records())
+    streamed = run_pipeline(
+        RunConfig(nf_name="mtu-too-big", input_path=str(in_path),
+                  output_path=str(out_path), mode=mode, policy=policy),
+        registry,
+    )
+    listed = run_records(
+        make_nf("mtu-too-big", registry), read_pcap(in_path), registry,
+        runtime=ContractRuntime(mode), policy=policy,
+    )
+    assert streamed.out_records == []
+    assert out_path.read_bytes() == pcap_bytes(listed.out_records)
+    assert not (tmp_path / "out.pcap.part").exists()
+    assert _untimed(streamed) == _untimed(listed)
+    checked = mode is BuildMode.DEVELOPMENT
+    assert streamed.aborted == (checked and policy == "abort")
+    assert len(read_pcap(out_path)) == (4 if checked and policy != "continue" else 7)
+
+
+@pytest.mark.parametrize("mode", [BuildMode.DEVELOPMENT, BuildMode.PRODUCTION])
+def test_failed_run_leaves_the_existing_output_intact(
+    tmp_path, registry, monkeypatch, mode
+):
+    real = make_nf("mtu-too-big", registry)
+    calls = []
+
+    def failing(packet):
+        calls.append(packet)
+        if len(calls) == 3:
+            raise RuntimeError("transform failed")
+        return real.transform(packet)
+
+    monkeypatch.setattr(
+        pipeline_module, "make_nf",
+        lambda *args, **kwargs: NetworkFunction(real.name, failing, real.contract),
+    )
+    in_path, out_path = tmp_path / "in.pcap", tmp_path / "out.pcap"
+    write_pcap(in_path, _mixed_records())
+    out_path.write_bytes(b"previous output")
+    with pytest.raises(RuntimeError, match="transform failed"):
+        run_pipeline(
+            RunConfig(nf_name="mtu-too-big", input_path=str(in_path),
+                      output_path=str(out_path), mode=mode),
+            registry,
+        )
+    assert len(calls) == 3
+    assert out_path.read_bytes() == b"previous output"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.pcap", "out.pcap"]
 
 
 def test_run_pipeline_generator_source(registry):
@@ -334,6 +395,38 @@ def test_production_mode_skips_contract_machinery(registry):
     assert summary.packets_out == 7
 
 
+class _CountingClock:
+    """Stands in for the pipeline's ``time`` module and counts its timer calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def perf_counter_ns(self):
+        self.calls += 1
+        return time.perf_counter_ns()
+
+
+def test_production_elides_the_timers(registry, monkeypatch):
+    clock = _CountingClock()
+    monkeypatch.setattr(pipeline_module, "time", clock)
+    nf = make_nf("mtu-too-big", registry)
+    records = generate_records(GeneratorSpec(count=100, payload_len=1300, seed=9))
+
+    prod = run_records(
+        nf, records, registry, runtime=ContractRuntime(BuildMode.PRODUCTION)
+    )
+    assert clock.calls == 0
+    assert prod.snapshots_built == 0
+    assert prod.checks_evaluated == 0
+    assert set(prod.timings.values()) == {0}
+    assert prod.packets_out == 100
+
+    # the stand-in is the clock the checked loop reads: 2 calls per phase
+    dev = run_records(nf, records, registry)
+    assert clock.calls == 600
+    assert pcap_bytes(dev.out_records) == pcap_bytes(prod.out_records)
+
+
 def test_summary_json_shape(registry):
     nf = make_nf("mtu-too-big", registry, omit_eth_swap=True)
     summary = run_records(nf, _mixed_records(n_big=1, n_small=0), registry)
@@ -363,6 +456,7 @@ def test_bench_report_shape(registry):
         assert phase_stats["stdev_ns"] >= 0.0
     share = report["ingress_share_of_contract_overhead"]
     assert 0.0 < share < 1.0
+    assert report["contracts_on_total_ns"]["mean_ns"] > 0
     assert report["contracts_off_total_ns"]["mean_ns"] > 0
     with pytest.raises(ConfigError, match="repetitions"):
         bench("mtu-too-big", records, registry, repetitions=0)
