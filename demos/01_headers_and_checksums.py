@@ -2,10 +2,12 @@
 """Headers and checksums: parse, emit, poke bytes, verify sums.
 
 Walks through the byte-level toolkit everything else builds on: typed
-header dataclasses that round-trip through raw bytes, a Packet that
-tracks where each parsed header lives, and the one's-complement
+header dataclasses that round-trip through raw bytes, each decoding at
+a running offset into a Packet's bytes, and the one's-complement
 checksum with its pseudo-header wrapper.
 """
+
+from dataclasses import replace
 
 from pktcheck import (
     EthHdr,
@@ -37,18 +39,19 @@ def main() -> None:
     frame = eth.emit() + ipv6.emit() + segment
     print(f"frame is {len(frame)} bytes: 14 Eth + 40 IPv6 + {len(segment)} TCP")
 
-    print("\n== parsing tracks offsets, not copies ==")
+    print("\n== each codec decodes at its offset ==")
     packet = Packet.from_bytes(frame)
-    for name in ("EthHdr", "Ipv6Hdr", "TcpHdr"):
-        packet.parse_header(name)
-        entry = packet.find(name)
-        print(f"  {name:8s} occupies bytes {entry.offset:2d}..."
-              f"{entry.offset + entry.length - 1}")
-    print(f"  payload starts at byte {packet.payload_offset}: "
-          f"{packet.payload()!r}")
+    offset = 0
+    for codec in (EthHdr, Ipv6Hdr, TcpHdr):
+        _, size = codec.parse(packet.data, offset)
+        print(f"  {codec.__name__:8s} occupies bytes {offset:2d}..."
+              f"{offset + size - 1}")
+        offset += size
+    print(f"  payload starts at byte {offset}: {bytes(packet.data[offset:])!r}")
 
-    print("\n== field surgery works on the underlying bytes ==")
-    packet.set_field("Ipv6Hdr", 0, "hop_limit", 1)
+    print("\n== field surgery re-emits a header over its bytes ==")
+    parsed, _ = Ipv6Hdr.parse(packet.data, 14)
+    packet.data[14:54] = replace(parsed, hop_limit=1).emit()
     print(f"  hop_limit byte (offset 21) is now {packet.data[21]}")
 
     print("\n== the checksum and its worked example ==")

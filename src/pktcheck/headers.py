@@ -1,4 +1,4 @@
-"""Byte-level packet model: header structs, parse/emit, and the parsed chain.
+"""Byte-level packet model: header structs with parse/emit, and the packet.
 
 Wire layouts follow Ethernet II, the 40-byte fixed IPv6 header, TCP,
 ICMPv6 Packet Too Big (type 2, code 0), and the SRv6 Routing extension
@@ -10,12 +10,17 @@ with one ``struct.Struct`` compiled at import time. The format's ``s``
 fields yield MAC and IPv6 addresses as ``bytes``, the header is built from
 positional arguments, and the length check is a comparison that calls
 ``_need`` only to raise its message.
+
+A ``Packet`` is its bytes: the network functions and the order walks call
+the codecs at running offsets and build new packets rather than edit one.
+``Packet.parse_header``/``decode`` and their chain serve only the
+benchmark's tracer and the tests.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .exceptions import EmitError, ParseError
 
@@ -366,122 +371,39 @@ HEADER_TYPES = {
 
 @dataclass(slots=True)
 class ChainEntry:
-    """One parsed header's position in a packet."""
+    """Where a header decoded by ``Packet.parse_header`` sits in the bytes."""
 
     header_type: str
-    occurrence: int
     offset: int
     length: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
-    """An owned byte buffer plus the chain of headers parsed out of it.
-
-    A fresh packet is unparsed: empty chain, ``payload_offset == 0``.
-    Parsing appends chain entries and advances ``payload_offset`` past the
-    last parsed header. Decoding never mutates the buffer; in-place
-    mutation goes through :meth:`set_header` / :meth:`set_field`, which
-    re-encode a header of unchanged size over its slice.
-
-    The chain is built by :meth:`parse_header` and cleared by
-    :meth:`reset_chain`, which keep a per-type count of its entries so an
-    entry's occurrence costs no scan.
-    """
+    """A packet's bytes, plus the ``chain`` of headers that
+    :meth:`parse_header` has decoded from them (empty when fresh)."""
 
     data: bytearray
     chain: list[ChainEntry] = field(default_factory=list)
-    payload_offset: int = 0
-    _occurrences: dict[str, int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Packet":
-        return cls(data=bytearray(data))
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    def reset_chain(self) -> None:
-        self.chain.clear()
-        self._occurrences.clear()
-        self.payload_offset = 0
+        return cls(bytearray(data))
 
     def parse_header(self, header_type: str, at_offset: int | None = None):
-        """Decode one header at ``at_offset`` (default: current payload
-        offset), append its chain entry, and return (header, consumed)."""
+        """Decode one header at ``at_offset`` (default: where the chain ends)
+        and append its chain entry; return (header, consumed)."""
         cls = HEADER_TYPES.get(header_type)
         if cls is None:
             raise ParseError(f"unknown header type {header_type!r}")
-        offset = self.payload_offset if at_offset is None else at_offset
-        header, consumed = cls.parse(self.data, offset)
-        occurrences = self._occurrences
-        occurrence = occurrences.get(header_type, 0)
-        occurrences[header_type] = occurrence + 1
-        self.chain.append(ChainEntry(header_type, occurrence, offset, consumed))
-        self.payload_offset = offset + consumed
+        if at_offset is None:
+            last = self.chain[-1] if self.chain else None
+            at_offset = last.offset + last.length if last else 0
+        header, consumed = cls.parse(self.data, at_offset)
+        self.chain.append(ChainEntry(header_type, at_offset, consumed))
         return header, consumed
-
-    def find(self, header_type: str, occurrence: int = 0) -> ChainEntry | None:
-        for entry in self.chain:
-            if entry.header_type == header_type and entry.occurrence == occurrence:
-                return entry
-        return None
 
     def decode(self, entry: ChainEntry):
         """Re-decode the header value at a chain entry from the buffer."""
         header, _ = HEADER_TYPES[entry.header_type].parse(self.data, entry.offset)
         return header
-
-    def header(self, header_type: str, occurrence: int = 0):
-        entry = self.find(header_type, occurrence)
-        if entry is None:
-            raise ParseError(
-                f"{header_type}#{occurrence} is not in the parsed chain"
-            )
-        return self.decode(entry)
-
-    def set_header(self, entry: ChainEntry, header) -> None:
-        """Re-encode ``header`` in place over the entry's byte slice.
-
-        The serialized size must match the entry; size-changing edits
-        require rebuilding the packet.
-        """
-        encoded = header.emit()
-        if len(encoded) != entry.length:
-            raise EmitError(
-                f"in-place update of {entry.header_type} would change its size "
-                f"({entry.length} -> {len(encoded)} bytes)"
-            )
-        self.data[entry.offset : entry.offset + entry.length] = encoded
-
-    def set_field(self, header_type: str, occurrence: int, field_name: str, value) -> None:
-        entry = self.find(header_type, occurrence)
-        if entry is None:
-            raise ParseError(f"{header_type}#{occurrence} is not in the parsed chain")
-        self.set_header(entry, replace(self.decode(entry), **{field_name: value}))
-
-    def payload(self) -> bytes:
-        """Bytes past the last parsed header."""
-        return bytes(self.data[self.payload_offset :])
-
-    def check_chain_invariants(self) -> None:
-        """Raise if chain offsets overlap, run backwards, or overrun the buffer."""
-        cursor = 0
-        for entry in self.chain:
-            if entry.offset < cursor:
-                raise ParseError(
-                    f"chain entry {entry.header_type} at {entry.offset} "
-                    f"overlaps the previous header (expected >= {cursor})"
-                )
-            if entry.offset + entry.length > len(self.data):
-                raise ParseError(
-                    f"chain entry {entry.header_type} overruns the buffer"
-                )
-            cursor = entry.offset + entry.length
-        if self.chain and self.payload_offset != cursor:
-            raise ParseError(
-                f"payload offset {self.payload_offset} disagrees with the "
-                f"chain end {cursor}"
-            )

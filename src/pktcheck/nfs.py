@@ -42,6 +42,8 @@ from .headers import (
     Icmpv6PktTooBig,
     Ipv6Hdr,
     Packet,
+    Srv6RoutingHdr,
+    TcpHdr,
 )
 from .registry import Registry
 
@@ -52,6 +54,9 @@ MAX_INVOKING_BYTES = IPV6_MIN_MTU - IPV6_HDR_SIZE - Icmpv6PktTooBig.MIN_SIZE
 #: SRv6 hdr_ext_len is an 8-bit field counting 8-byte units, two per
 #: 16-byte segment; the list is full once another segment would not fit.
 MAX_SRV6_SEGMENTS = 0xFF // 2
+
+#: Offset of the header after Ethernet and the fixed IPv6 header.
+_L3_END = ETH_HDR_SIZE + IPV6_HDR_SIZE
 
 
 @dataclass
@@ -112,15 +117,15 @@ static: [IPV6_MIN_MTU + ETH_HDR_SIZE == 1294]
 def _parse_tcp6(packet: Packet):
     """Parse Eth/IPv6/TCP; return (eth, ipv6, tcp) or None if the packet
     is something else."""
+    data = packet.data
     try:
-        packet.reset_chain()
-        eth, _ = packet.parse_header("EthHdr")
+        eth, _ = EthHdr.parse(data)
         if eth.ether_type != ETHERTYPE_IPV6:
             return None
-        ipv6, _ = packet.parse_header("Ipv6Hdr")
+        ipv6, _ = Ipv6Hdr.parse(data, ETH_HDR_SIZE)
         if ipv6.next_header != PROTO_TCP:
             return None
-        tcp, _ = packet.parse_header("TcpHdr")
+        tcp, _ = TcpHdr.parse(data, _L3_END)
     except ParseError:
         return None
     return eth, ipv6, tcp
@@ -163,12 +168,10 @@ def send_too_big(
         hop_limit=64,
     )
 
-    invoking_avail = min(
-        ETH_HDR_SIZE + IPV6_HDR_SIZE + ipv6.payload_len, len(packet.data)
-    ) - ETH_HDR_SIZE
-    invoking = bytes(
-        packet.data[ETH_HDR_SIZE : ETH_HDR_SIZE + min(invoking_avail, MAX_INVOKING_BYTES)]
+    end = min(
+        _L3_END + ipv6.payload_len, len(packet.data), ETH_HDR_SIZE + MAX_INVOKING_BYTES
     )
+    invoking = bytes(packet.data[ETH_HDR_SIZE:end])
     icmp = Icmpv6PktTooBig(checksum=0, mtu=IPV6_MIN_MTU, invoking_packet=invoking)
     body = icmp.emit()
     icmp.checksum = pseudo_header_checksum(
@@ -227,15 +230,15 @@ def srv6_add_segment(
     ``omit_payload_len_update`` leaves the IPv6 payload length stale — the
     consequence bug the egress contract flags on every affected packet.
     """
+    data = packet.data
     try:
-        packet.reset_chain()
-        eth, _ = packet.parse_header("EthHdr")
+        eth, _ = EthHdr.parse(data)
         if eth.ether_type != ETHERTYPE_IPV6:
             return _passthrough(packet)
-        ipv6, _ = packet.parse_header("Ipv6Hdr")
+        ipv6, _ = Ipv6Hdr.parse(data, ETH_HDR_SIZE)
         if ipv6.next_header != PROTO_SRV6:
             return _passthrough(packet)
-        srh, _ = packet.parse_header("Srv6RoutingHdr")
+        srh, srh_size = Srv6RoutingHdr.parse(data, _L3_END)
     except ParseError:
         return _passthrough(packet)
 
@@ -259,8 +262,7 @@ def srv6_add_segment(
         srh.segments_left += 1
     if not omit_payload_len_update:
         ipv6.payload_len += len(segment)
-    srh_entry = packet.chain[2]
-    rest = bytes(packet.data[srh_entry.offset + srh_entry.length :])
+    rest = bytes(data[_L3_END + srh_size :])
     out = Packet.from_bytes(eth.emit() + ipv6.emit() + srh.emit() + rest)
     return TransformResult(packet=out, rewritten=True)
 

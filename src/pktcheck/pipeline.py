@@ -31,6 +31,7 @@ from __future__ import annotations
 import os
 import statistics
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -74,7 +75,7 @@ class RunConfig:
 class RunSummary:
     """What one run did. ``timings`` are measured in Development only and
     stay zero in Production, whose loop runs no timer. ``out_records`` holds
-    the emitted records only when the run's sink was left at its default."""
+    the emitted records only when ``run_records`` keeps its default sink."""
 
     nf_name: str
     mode: BuildMode
@@ -226,7 +227,8 @@ def run_pipeline(
     input through it. Elaboration failures surface before any I/O; a pcap
     input is read lazily, record by record. Output streams into
     ``<output>.part``, which replaces the output only when the run completes
-    and is deleted on any error; ``summary.out_records`` then stays empty."""
+    and is deleted on any error; with no output path the records are
+    dropped. ``summary.out_records`` stays empty either way."""
     if registry is None:
         registry = standard_registry()
     nf = make_nf(config.nf_name, registry, **config.nf_options)
@@ -236,7 +238,10 @@ def run_pipeline(
         records = generate_records(config.generator)
     runtime = ContractRuntime(config.mode)
     if config.output_path is None:
-        return run_records(nf, records, registry, runtime=runtime, policy=config.policy)
+        return run_records(
+            nf, records, registry, runtime=runtime, policy=config.policy,
+            out=deque(maxlen=0),
+        )
     part = Path(f"{config.output_path}.part")
     try:
         with open(part, "wb") as fobj:

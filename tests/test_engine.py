@@ -9,6 +9,7 @@ from pktcheck import (
     ContractSpec,
     ElaborationError,
     FieldRef,
+    Ipv6Hdr,
     Operand,
     Packet,
     PhaseSpec,
@@ -52,12 +53,10 @@ def _snapshot(registry, packet, runtime=None):
 
 
 def _set_payload_len(packet, value):
-    """Rewrite the IPv6 payload length in place, through the chain that
-    ``Packet.parse_header`` records (``parse_chain`` records none)."""
-    packet.reset_chain()
-    packet.parse_header("EthHdr")
-    packet.parse_header("Ipv6Hdr")
-    packet.set_field("Ipv6Hdr", 0, "payload_len", value)
+    """Rewrite the IPv6 payload length in place: re-emit the IPv6 header
+    over its 40 bytes."""
+    ipv6, _ = Ipv6Hdr.parse(packet.data, 14)
+    packet.data[14:54] = replace(ipv6, payload_len=value).emit()
 
 
 def _compiled(registry, *checks, constants=None):
@@ -117,7 +116,7 @@ def test_snapshot_is_immune_to_later_packet_mutation(registry):
     packet = _tcp6(1300)
     snapshot = _snapshot(registry, packet)
     _set_payload_len(packet, 999)
-    assert packet.header("Ipv6Hdr").payload_len == 999
+    assert Ipv6Hdr.parse(packet.data, 14)[0].payload_len == 999
     (compiled,) = _compiled(
         registry, Check(FieldRef("payload_len", "Ipv6Hdr"), "==", Operand.ref(
             _snap("payload_len", "Ipv6Hdr")))

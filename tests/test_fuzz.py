@@ -7,7 +7,9 @@ checker, and that Development and Production give the same output bytes.
 Generated traffic alone only shows this for packets that parse.
 """
 
+import hashlib
 import random
+import struct
 
 import pytest
 
@@ -32,33 +34,63 @@ def _mutate(data: bytes, rng: random.Random) -> bytes:
     return bytes(raw)
 
 
+CLEAN = generate_records(
+    GeneratorSpec(count=40, template="tcp6", payload_len=(1200, 1500), seed=SEED)
+) + generate_records(
+    GeneratorSpec(count=40, template="srv6", payload_len=(24, 200), seed=SEED)
+)
+
+
 def _mutants() -> list[PcapRecord]:
     rng = random.Random(SEED)
-    clean = generate_records(
-        GeneratorSpec(count=40, template="tcp6", payload_len=(1200, 1500), seed=SEED)
-    ) + generate_records(
-        GeneratorSpec(count=40, template="srv6", payload_len=(24, 200), seed=SEED)
-    )
-    data = [_mutate(record.data, rng) for record in clean for _ in range(3)]
+    data = [_mutate(record.data, rng) for record in CLEAN for _ in range(3)]
     return [PcapRecord(data=raw, ts_usec=index) for index, raw in enumerate(data)]
 
 
 MUTANTS = _mutants()
+
+#: NF variants under test, by pytest id.
+VARIANTS = {
+    "mtu": ("mtu-too-big", {}),
+    "mtu-no-swap": ("mtu-too-big", {"omit_ipv6_swap": True}),
+    "srv6": ("srv6-change-pkt", {}),
+    "srv6-stale-length": ("srv6-change-pkt", {"omit_payload_len_update": True}),
+}
+
+#: sha256 of each variant's Production output over MUTANTS then CLEAN,
+#: hashed by ``_digest``. Any change to these means some output byte moved.
+OUTPUT_DIGESTS = {
+    "mtu": "4b36098d40ace800845dfe0a4c713a6d2d3bf35e6a5dc7f7920ea90ba95639f0",
+    "mtu-no-swap": "0a1944ce59fa6da589c48675c5c795c74682233f121e89c1b4e0c7ab37ec7d3d",
+    "srv6": "72014380afbae9d31f884837605fa165007c224252f8e99baa2c0a80d0d87aa2",
+    "srv6-stale-length": "9bc5538bfbe944454bd8b2f679d71bf2ee072637885838d8d269de32d2c3d303",
+}
 
 
 def _out(summary):
     return [(record.ts_usec, record.data) for record in summary.out_records]
 
 
+def _digest(outputs) -> str:
+    h = hashlib.sha256()
+    for ts_usec, data in outputs:
+        h.update(struct.pack("!QI", ts_usec, len(data)))
+        h.update(data)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_output_bytes_are_pinned(registry, variant):
+    nf_name, options = VARIANTS[variant]
+    summary = run_records(
+        make_nf(nf_name, registry, **options), MUTANTS + CLEAN, registry,
+        runtime=ContractRuntime(BuildMode.PRODUCTION),
+    )
+    assert _digest(_out(summary)) == OUTPUT_DIGESTS[variant]
+
+
 @pytest.mark.parametrize(
-    "nf_name, options",
-    [
-        ("mtu-too-big", {}),
-        ("mtu-too-big", {"omit_ipv6_swap": True}),
-        ("srv6-change-pkt", {}),
-        ("srv6-change-pkt", {"omit_payload_len_update": True}),
-    ],
-    ids=["mtu", "mtu-no-swap", "srv6", "srv6-stale-length"],
+    "nf_name, options", list(VARIANTS.values()), ids=list(VARIANTS)
 )
 def test_mutated_traffic_never_crashes_and_modes_agree(registry, nf_name, options):
     nf = make_nf(nf_name, registry, **options)

@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -339,66 +340,27 @@ def test_srv6_emit_rejects_bad_segments():
 
 def test_packet_chain_parsing(tcp6_packet):
     eth, consumed = tcp6_packet.parse_header("EthHdr")
-    assert (consumed, tcp6_packet.payload_offset) == (14, 14)
+    assert consumed == 14
     ipv6, _ = tcp6_packet.parse_header("Ipv6Hdr")
     tcp, _ = tcp6_packet.parse_header("TcpHdr")
-    assert [e.header_type for e in tcp6_packet.chain] == [
-        "EthHdr", "Ipv6Hdr", "TcpHdr",
+    assert [(e.header_type, e.offset, e.length) for e in tcp6_packet.chain] == [
+        ("EthHdr", 0, 14), ("Ipv6Hdr", 14, 40), ("TcpHdr", 54, 20),
     ]
-    assert [e.offset for e in tcp6_packet.chain] == [0, 14, 54]
-    assert tcp6_packet.payload_offset == 74
     assert ipv6.payload_len == 1300
     assert tcp.src_port == 4242
-    assert len(tcp6_packet.payload()) == 1300 - 20
-    tcp6_packet.check_chain_invariants()
+    assert tcp6_packet.decode(tcp6_packet.chain[1]) == ipv6
+    assert len(tcp6_packet.data) - 74 == 1300 - 20
 
 
-def test_packet_occurrence_counts():
-    srh = Srv6RoutingHdr(next_header=43, segments_left=0, segments=[bytes(16)])
-    inner = Srv6RoutingHdr(next_header=59, segments_left=0, segments=[bytes(16)])
-    packet = Packet.from_bytes(srh.emit() + inner.emit())
-    packet.parse_header("Srv6RoutingHdr")
-    packet.parse_header("Srv6RoutingHdr")
-    assert [e.occurrence for e in packet.chain] == [0, 1]
-    assert packet.header("Srv6RoutingHdr", 1).next_header == 59
-
-
-def test_packet_set_field_in_place(tcp6_packet):
-    tcp6_packet.parse_header("EthHdr")
-    tcp6_packet.parse_header("Ipv6Hdr")
+def test_header_edit_in_place_changes_only_its_bytes(tcp6_packet):
     original = bytes(tcp6_packet.data)
-    tcp6_packet.set_field("Ipv6Hdr", 0, "payload_len", 60)
-    assert tcp6_packet.header("Ipv6Hdr").payload_len == 60
+    ipv6, _ = Ipv6Hdr.parse(tcp6_packet.data, 14)
+    tcp6_packet.data[14:54] = replace(ipv6, payload_len=60).emit()
+    assert Ipv6Hdr.parse(tcp6_packet.data, 14)[0].payload_len == 60
     assert len(tcp6_packet.data) == len(original)
     # only the two length bytes changed
     assert bytes(tcp6_packet.data[:18]) == original[:18]
     assert bytes(tcp6_packet.data[20:]) == original[20:]
-
-
-def test_packet_set_header_rejects_size_change(tcp6_packet):
-    tcp6_packet.parse_header("EthHdr")
-    tcp6_packet.parse_header("Ipv6Hdr")
-    tcp6_packet.parse_header("TcpHdr")
-    entry = tcp6_packet.find("TcpHdr")
-    grown = TcpHdr(
-        src_port=1, dst_port=2, seq=0, ack=0, data_offset=6,
-        flags=0, window=0, checksum=0, urgent_ptr=0, options=bytes(4),
-    )
-    with pytest.raises(EmitError):
-        tcp6_packet.set_header(entry, grown)
-
-
-def test_packet_reset_chain(tcp6_packet):
-    tcp6_packet.parse_header("EthHdr")
-    tcp6_packet.reset_chain()
-    assert tcp6_packet.chain == []
-    assert tcp6_packet.payload_offset == 0
-
-
-def test_packet_find_missing(tcp6_packet):
-    assert tcp6_packet.find("Ipv6Hdr") is None
-    with pytest.raises(ParseError):
-        tcp6_packet.header("Ipv6Hdr")
 
 
 def test_packet_parse_truncated():

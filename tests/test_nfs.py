@@ -137,9 +137,8 @@ def test_segment_append_updates_dependent_fields():
     out = result.packet
     assert len(out.data) == len(original) + 16
 
-    out.parse_header("EthHdr")
-    ipv6, _ = out.parse_header("Ipv6Hdr")
-    srh, _ = out.parse_header("Srv6RoutingHdr")
+    ipv6, _ = Ipv6Hdr.parse(out.data, 14)
+    srh, srh_size = Srv6RoutingHdr.parse(out.data, 54)
     before_ipv6, _ = Ipv6Hdr.parse(original, 14)
     before_srh, _ = Srv6RoutingHdr.parse(original, 54)
 
@@ -149,7 +148,7 @@ def test_segment_append_updates_dependent_fields():
     assert srh.segments_left == before_srh.segments_left
     assert srh.segments[:-1] == before_srh.segments
     assert srh.segments[-1] == DEFAULT_SEGMENT
-    assert out.payload() == b"\xaa" * 30  # trailing bytes untouched
+    assert out.data[54 + srh_size :] == b"\xaa" * 30  # trailing bytes untouched
 
 
 def test_segment_append_visit_new_bumps_segments_left():
@@ -219,10 +218,9 @@ def test_output_reparses_cleanly(registry):
     packet = Packet.from_bytes(_srv6_bytes(n_segments=4, payload=b"xyz"))
     out = srv6_add_segment(packet).packet
     srv6 = order("EthHdr", "Ipv6Hdr", "Srv6RoutingHdr")
-    parse_chain(out, verify_order(registry, srv6))
-    for header_type in ("EthHdr", "Ipv6Hdr", "Srv6RoutingHdr"):
-        out.parse_header(header_type)
-    out.check_chain_invariants()
+    _, ends = parse_chain(out, verify_order(registry, srv6))
+    assert ends == [14, 54, 54 + 8 + 16 * 5]
+    assert out.data[ends[-1] :] == b"xyz"
 
 
 # --- catalog ------------------------------------------------------------------------

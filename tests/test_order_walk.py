@@ -186,7 +186,6 @@ def test_walk_accepts_each_clean_packet(registry, spec, data, ends):
 def _reference(packet, spec, registry):
     """``Packet.parse_header`` along ``spec``, cross-checking each linkage
     field before the header it announces."""
-    packet.reset_chain()
     decoded, prev = [], None
     for i, element in enumerate(spec):
         name = element.header_type

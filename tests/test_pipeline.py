@@ -293,6 +293,23 @@ def test_run_pipeline_generator_source(registry):
     assert summary.violations == []
 
 
+@pytest.mark.parametrize("mode", [BuildMode.DEVELOPMENT, BuildMode.PRODUCTION])
+def test_run_pipeline_without_output_keeps_no_records(registry, mode):
+    # with nowhere to write, emitted records are counted and not held
+    summary = run_pipeline(
+        RunConfig(
+            nf_name="mtu-too-big",
+            generator=GeneratorSpec(count=8, payload_len=(200, 1500), seed=3),
+            mode=mode,
+        ),
+        registry,
+    )
+    assert summary.out_records == []
+    assert summary.packets_in == 8
+    assert summary.packets_out == 8
+    assert summary.packets_in == summary.packets_out + summary.packets_dropped
+
+
 def test_nf_is_built_before_input_is_read(registry):
     # a bad NF name fails fast as a configuration error even though the
     # input path does not exist — NF construction precedes I/O
@@ -375,12 +392,12 @@ def test_each_header_is_decoded_once_per_phase(registry, monkeypatch):
     )
     assert summary.violations == [] and summary.snapshots_built == 50
     # per packet: 3 headers decoded at ingress, 3 in the transform and 3 at
-    # egress, where only the transform goes through Packet.parse_header;
+    # egress, each by its codec's parse, none through Packet.parse_header;
     # 4 emits build the reply and 3 re-emit the snapshot to prove it
     # mirrors the ingress bytes; checks read the decoded headers through
     # accessors bound at elaboration
     assert counts == {"parse": 50 * 9, "decode": 0, "accessor": 0, "emit": 50 * 7,
-                      "parse_header": 50 * 3}
+                      "parse_header": 0}
 
 
 def test_production_mode_skips_contract_machinery(registry):
