@@ -23,7 +23,12 @@ Field references on a check's right-hand side read the current packet in
 ``(src[Ipv6Hdr], ==, dst[Ipv6Hdr])`` in ``post`` asserts that the outgoing
 source address equals the *original* destination address. Right-hand
 operands may be sums/differences of literals, constants, and field
-references (``payload_len[Ipv6Hdr] + 16``).
+references (``payload_len[Ipv6Hdr] + 16``). Elaboration folds the literals
+and constants of an operand into one number and compiles each check into
+one closure, ``test(current, snapshot)``, specialised by the operand's
+shape: a constant; one field of the packet in hand or of the snapshot, with
+or without a constant; or a signed sum. ``test`` returns None when the
+check holds and the two compared values when it does not.
 
 ``elaborate`` turns a parsed spec into an executable contract in one walk
 over each phase: every field reference is resolved against the registry
@@ -442,33 +447,52 @@ def _resolve(
     return accessor, i
 
 
-def _reader(get, i: int, source: Source):
-    """``read(current, snapshot)`` for the header at index ``i``."""
-    if source is Source.INGRESS_SNAPSHOT:
-        return lambda current, snapshot: get(snapshot.headers[i])
-    return lambda current, snapshot: get(current[i])
+def _compile_test(lhs_get, i: int, compare, reads: list, const: int, kind: str):
+    """``test(current, snapshot)`` for one check: None when
+    ``compare(lhs, rhs)`` holds, else ``(lhs, rhs)``.
 
-
-def _compile_operand(reads: list, const: int, kind: str):
-    """``value(current, snapshot)``: a byte-sequence operand is its one
-    field; an integer operand is ``const`` plus its signed fields."""
-    if kind == BYTES:
-        return reads[0][1]
+    The left-hand side is ``lhs_get(current[i])``. ``reads`` holds the
+    right-hand field reads as ``(sign, from_snapshot, get, j)``; ``const``
+    is the sum of its literals and constants. The closure is specialised
+    by the operand's shape so that a check costs one Python call: a
+    constant; one field of the packet in hand or of the snapshot, plus
+    ``const`` if it is not 0 (a byte-sequence operand is its one field);
+    or a signed sum.
+    """
     if not reads:
-        return lambda current, snapshot: const
-    if len(reads) == 1 and reads[0][0] == 1:
-        read = reads[0][1]
-        if const == 0:
-            return read
-        return lambda current, snapshot: read(current, snapshot) + const
-
-    def value(current, snapshot):
-        total = const
-        for sign, read in reads:
-            total += sign * read(current, snapshot)
-        return total
-
-    return value
+        def test(current, snapshot):
+            lhs = lhs_get(current[i])
+            return None if compare(lhs, const) else (lhs, const)
+    elif len(reads) == 1 and (reads[0][0] == 1 or kind == BYTES):
+        _, from_snapshot, get, j = reads[0]
+        if from_snapshot and const:
+            def test(current, snapshot):
+                lhs = lhs_get(current[i])
+                rhs = get(snapshot.headers[j]) + const
+                return None if compare(lhs, rhs) else (lhs, rhs)
+        elif from_snapshot:
+            def test(current, snapshot):
+                lhs = lhs_get(current[i])
+                rhs = get(snapshot.headers[j])
+                return None if compare(lhs, rhs) else (lhs, rhs)
+        elif const:
+            def test(current, snapshot):
+                lhs = lhs_get(current[i])
+                rhs = get(current[j]) + const
+                return None if compare(lhs, rhs) else (lhs, rhs)
+        else:
+            def test(current, snapshot):
+                lhs = lhs_get(current[i])
+                rhs = get(current[j])
+                return None if compare(lhs, rhs) else (lhs, rhs)
+    else:
+        def test(current, snapshot):
+            lhs = lhs_get(current[i])
+            rhs = const
+            for sign, from_snapshot, get, j in reads:
+                rhs += sign * get((snapshot.headers if from_snapshot else current)[j])
+            return None if compare(lhs, rhs) else (lhs, rhs)
+    return test
 
 
 def _compile_phase(
@@ -505,8 +529,9 @@ def _compile_phase(
             if isinstance(term, FieldRef):
                 accessor, j = _resolve(term, registry, phase_name, phase.order, ingress)
                 term_kinds.append(accessor.kind)
-                reads.append((sign, _reader(accessor.get, j, term.source)))
-                if snapshot_ref is None and term.source is Source.INGRESS_SNAPSHOT:
+                from_snapshot = term.source is Source.INGRESS_SNAPSHOT
+                reads.append((sign, from_snapshot, accessor.get, j))
+                if snapshot_ref is None and from_snapshot:
                     snapshot_ref = term
             else:
                 if isinstance(term, str):
@@ -546,9 +571,7 @@ def _compile_phase(
             Check(check.lhs, check.op, rhs),
             check.lhs.describe(),
             rhs.describe(),
-            lambda current, get=lhs.get, i=i: get(current[i]),
-            _compile_operand(reads, const, lhs.kind),
-            COMPARATORS[check.op],
+            _compile_test(lhs.get, i, COMPARATORS[check.op], reads, const, lhs.kind),
             snapshot_ref,
         ))
     return tuple(compiled)

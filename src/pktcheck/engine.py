@@ -5,9 +5,10 @@ Each phase decodes a packet's headers once, in ``parse_chain``, which runs
 the walk elaboration compiled from the phase's order: codec calls at a
 running offset, with the linkage cross-checks and error texts fixed in
 advance. The ingress snapshot keeps those header objects, and elaboration
-has already compiled every check into a ``CompiledCheck`` that indexes
-them, calls pre-bound accessors and carries the texts of its operands, so
-no header is decoded again and no name is looked up per packet.
+has already compiled every check into a ``CompiledCheck`` whose one
+``test`` call indexes them through pre-bound accessors, and which carries
+the texts of its operands, so no header is decoded again, no name is
+looked up per packet and only a failing check builds a Violation.
 
 All checks in a phase are evaluated; violations are collected rather than
 thrown one at a time, so a single run can surface every failing condition.
@@ -141,9 +142,8 @@ class ResolutionError(Exception):
 
 
 def render_value(value) -> object:
-    """Human/JSON rendering: ints pass through, addresses become text."""
-    if isinstance(value, bool):
-        return value
+    """Human/JSON rendering: ints (and bools) pass through, addresses
+    become text."""
     if isinstance(value, int):
         return value
     if isinstance(value, (bytes, bytearray)):
@@ -249,23 +249,60 @@ def build_snapshot(
 class CompiledCheck:
     """One check of an elaborated contract, resolved against its phase.
 
-    ``lhs(current)`` reads the headers decoded along the phase order;
-    ``rhs(current, snapshot)`` reads them or the ingress snapshot's. Both
-    index those lists directly and call pre-bound accessors, with any
-    literals folded into one constant. ``lhs_text`` and ``rhs_text`` are
-    the operands' ``describe()`` texts, fixed here so that a failing check
-    only assembles its message. ``snapshot_ref`` is the first reference
-    the check makes to the snapshot, or None if it makes none.
+    ``test(current, snapshot)`` evaluates the whole check in one call: it
+    reads the left-hand field from ``current``, the headers decoded along
+    the phase order, and the right-hand operand from them or from the
+    ingress snapshot's, by index and through pre-bound accessors, with the
+    literals folded into one constant. It returns None when the check
+    holds and ``(lhs_value, rhs_value)`` when it does not. ``lhs_text``
+    and ``rhs_text`` are the operands' ``describe()`` texts, fixed here so
+    that a failing check only assembles its message. ``snapshot_ref`` is
+    the first reference the check makes to the snapshot, or None if it
+    makes none; ``test`` needs a snapshot only when it is set.
     """
 
     index: int
     check: Check
     lhs_text: str
     rhs_text: str
-    lhs: Callable
-    rhs: Callable
-    compare: Callable
+    test: Callable
     snapshot_ref: FieldRef | None
+
+
+def _violation(
+    compiled: CompiledCheck,
+    values: tuple | None,
+    nf: str,
+    phase: str,
+    packet_index: int,
+) -> Violation:
+    """The Violation of a failing check, from the ``(lhs_value, rhs_value)``
+    its ``test`` returned; ``values`` None means the check reads a missing
+    snapshot, which gives a resolution-kind violation."""
+    check = compiled.check
+    violation = Violation(
+        nf=nf,
+        phase=phase,
+        check_index=compiled.index,
+        lhs=compiled.lhs_text,
+        lhs_value=None,
+        op=check.op,
+        rhs=compiled.rhs_text,
+        rhs_value=None,
+        packet_index=packet_index,
+    )
+    if values is None:
+        violation.kind = "resolution"
+        violation.message = (
+            f"could not resolve {check.describe()}: "
+            f"{compiled.snapshot_ref.describe()} needs the ingress "
+            "snapshot, but none is available"
+        )
+    else:
+        violation.lhs_value = render_value(values[0])
+        violation.rhs_value = render_value(values[1])
+        violation.message = violation.text()
+    return violation
 
 
 def eval_check(
@@ -281,44 +318,15 @@ def eval_check(
 
     ``current`` holds the headers ``parse_chain`` decoded along the phase
     order. A check that reads a missing snapshot gives a resolution-kind
-    violation rather than an exception.
+    violation rather than an exception. ``_run_checks`` calls each check's
+    ``test`` itself and builds the same Violation through the same helper.
     """
     if snapshot is None and compiled.snapshot_ref is not None:
-        check = compiled.check
-        return Violation(
-            nf=nf,
-            phase=phase,
-            check_index=compiled.index,
-            lhs=compiled.lhs_text,
-            lhs_value=None,
-            op=check.op,
-            rhs=compiled.rhs_text,
-            rhs_value=None,
-            packet_index=packet_index,
-            kind="resolution",
-            message=(
-                f"could not resolve {check.describe()}: "
-                f"{compiled.snapshot_ref.describe()} needs the ingress "
-                "snapshot, but none is available"
-            ),
-        )
-    lhs_value = compiled.lhs(current)
-    rhs_value = compiled.rhs(current, snapshot)
-    if compiled.compare(lhs_value, rhs_value):
+        return _violation(compiled, None, nf, phase, packet_index)
+    failed = compiled.test(current, snapshot)
+    if failed is None:
         return None
-    violation = Violation(
-        nf=nf,
-        phase=phase,
-        check_index=compiled.index,
-        lhs=compiled.lhs_text,
-        lhs_value=render_value(lhs_value),
-        op=compiled.check.op,
-        rhs=compiled.rhs_text,
-        rhs_value=render_value(rhs_value),
-        packet_index=packet_index,
-    )
-    violation.message = violation.text()
-    return violation
+    return _violation(compiled, failed, nf, phase, packet_index)
 
 
 def _order_violation(nf, phase, exc: ChainOrderError, packet_index) -> Violation:
@@ -347,12 +355,20 @@ def _run_checks(
     packet_index: int,
 ) -> list[Violation]:
     """Evaluate every compiled check of one phase, without short-circuiting,
-    on the headers ``parse_chain`` has just decoded along the phase's order."""
+    on the headers ``parse_chain`` has just decoded along the phase's order.
+
+    Each check is one ``test`` call; only a failing check builds a
+    Violation, from the values its ``test`` returned, as ``eval_check``
+    does."""
     violations = []
     for compiled in checks:
-        violation = eval_check(compiled, current, snapshot, nf, phase, packet_index)
-        if violation is not None:
-            violations.append(violation)
+        if snapshot is None and compiled.snapshot_ref is not None:
+            failed = None
+        else:
+            failed = compiled.test(current, snapshot)
+            if failed is None:
+                continue
+        violations.append(_violation(compiled, failed, nf, phase, packet_index))
     runtime.checks_evaluated += len(checks)
     return violations
 

@@ -11,6 +11,15 @@ fields yield MAC and IPv6 addresses as ``bytes``, the header is built from
 positional arguments, and the length check is a comparison that calls
 ``_need`` only to raise its message.
 
+Each ``emit`` packs with the same ``Struct`` as its ``parse``, which
+range-checks the 8-, 16- and 32-bit fields itself; the sub-byte fields and
+the lengths (addresses, TCP options, each SRv6 segment, the invoking
+packet) are tested first in one condition, since ``s`` fields pad or
+truncate silently. When that test fails or the pack refuses a field, the
+ordered checks run instead, so a refused header raises the same
+``EmitError``, naming the first bad field in the same order, as it would
+with no fast path.
+
 A ``Packet`` is its bytes: the network functions and the order walks call
 the codecs at running offsets and build new packets rather than edit one.
 ``Packet.parse_header``/``decode`` and their chain serve only the
@@ -55,6 +64,13 @@ def _need(buf, offset, n, what):
         )
 
 
+#: What the fast path of an ``emit`` may raise on a field its ``Struct`` or
+#: its shifts refuse; the ordered checks then raise today's error.
+_REFUSED = (struct.error, TypeError)
+#: Every SRv6 segment is an IPv6 address.
+_ADDRESS_LENGTH = {16}
+
+
 def _check_range(value, bits, what):
     if not 0 <= value < (1 << bits):
         raise EmitError(f"{what} out of range for {bits}-bit field: {value}")
@@ -77,6 +93,11 @@ class EthHdr:
         return cls(*_ETH.unpack_from(buf, offset)), ETH_HDR_SIZE
 
     def emit(self) -> bytes:
+        try:
+            if len(self.dst) == 6 == len(self.src):
+                return _ETH.pack(self.dst, self.src, self.ether_type)
+        except _REFUSED:
+            pass
         if len(self.dst) != 6 or len(self.src) != 6:
             raise EmitError("MAC addresses must be 6 bytes")
         _check_range(self.ether_type, 16, "ether_type")
@@ -115,6 +136,20 @@ class Ipv6Hdr:
         return hdr, IPV6_HDR_SIZE
 
     def emit(self) -> bytes:
+        try:
+            if (
+                self.version == 6
+                and 0 <= self.traffic_class < 0x100
+                and 0 <= self.flow_label < 0x100000
+                and len(self.src) == 16 == len(self.dst)
+            ):
+                return _IPV6.pack(
+                    (self.version << 28) | (self.traffic_class << 20) | self.flow_label,
+                    self.payload_len, self.next_header, self.hop_limit,
+                    self.src, self.dst,
+                )
+        except _REFUSED:
+            pass
         if self.version != 6:
             raise EmitError(f"IPv6 version must be 6, got {self.version}")
         _check_range(self.traffic_class, 8, "traffic_class")
@@ -179,6 +214,20 @@ class TcpHdr:
         return hdr, size
 
     def emit(self) -> bytes:
+        try:
+            if (
+                5 <= self.data_offset < 0x10
+                and 0 <= self.reserved < 0x8
+                and 0 <= self.flags < 0x200
+                and self.data_offset * 4 == self.MIN_SIZE + len(self.options)
+            ):
+                return _TCP.pack(
+                    self.src_port, self.dst_port, self.seq, self.ack,
+                    (self.data_offset << 12) | (self.reserved << 9) | self.flags,
+                    self.window, self.checksum, self.urgent_ptr,
+                ) + self.options
+        except _REFUSED:
+            pass
         _check_range(self.src_port, 16, "src_port")
         _check_range(self.dst_port, 16, "dst_port")
         _check_range(self.seq, 32, "seq")
@@ -249,6 +298,17 @@ class Icmpv6PktTooBig:
         return cls(checksum, mtu, body, msg_type, code), size
 
     def emit(self) -> bytes:
+        try:
+            if (
+                self.msg_type == ICMPV6_PKT_TOO_BIG
+                and self.code == 0
+                and len(self.invoking_packet) <= self.MAX_SIZE - self.MIN_SIZE
+            ):
+                return _ICMPV6_PTB.pack(
+                    self.msg_type, self.code, self.checksum, self.mtu
+                ) + self.invoking_packet
+        except _REFUSED:
+            pass
         if self.msg_type != ICMPV6_PKT_TOO_BIG or self.code != 0:
             raise EmitError(
                 f"Packet Too Big requires type 2 code 0, "
@@ -328,6 +388,19 @@ class Srv6RoutingHdr:
         return hdr, size
 
     def emit(self) -> bytes:
+        segments = self.segments
+        try:
+            if (
+                self.routing_type == SRV6_ROUTING_TYPE
+                and self.segments_left <= len(segments)
+                and set(map(len, segments)) == _ADDRESS_LENGTH
+            ):
+                return _SRV6.pack(
+                    self.next_header, 2 * len(segments), self.routing_type,
+                    self.segments_left, len(segments) - 1, self.flags, self.tag,
+                ) + b"".join(segments)
+        except _REFUSED:
+            pass
         if self.routing_type != SRV6_ROUTING_TYPE:
             raise EmitError(f"routing type must be {SRV6_ROUTING_TYPE}")
         if not self.segments:

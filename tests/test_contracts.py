@@ -2,6 +2,9 @@ import pytest
 
 from types import SimpleNamespace
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from pktcheck import (
     ChainOrderError,
     Check,
@@ -18,6 +21,7 @@ from pktcheck import (
     order,
     parse_contract_spec,
 )
+from pktcheck.engine import COMPARATORS
 from pktcheck.nfs import MTU_TOO_BIG_CONTRACT, make_nf
 from pktcheck.registry import Registry
 
@@ -257,8 +261,105 @@ def test_compiled_check_indexes_the_named_occurrence(registry):
     srh = [SimpleNamespace(segments_left=10 * i, tag=i) for i in range(4)]
     snapshot = SimpleNamespace(headers=[SimpleNamespace(segments_left=100 + i)
                                         for i in range(4)])
-    assert compiled.lhs(srh) == 30
-    assert compiled.rhs(srh, snapshot) == 103 + 2 - 3
+    assert compiled.test(srh, snapshot) == (30, 103 + 2 - 3)
+
+
+#: Field references the property below draws from: (header, accessor,
+#: occurrence) in TWO_SRV6_ORDER, by value kind.
+_INT_FIELDS = [("EthHdr", "ether_type", 0), ("Ipv6Hdr", "payload_len", 0),
+               ("Ipv6Hdr", "hop_limit", 0), ("Srv6RoutingHdr", "segments_left", 0),
+               ("Srv6RoutingHdr", "segments_left", 1), ("Srv6RoutingHdr", "tag", 1)]
+_BYTES_FIELDS = [("EthHdr", "src", 0), ("Ipv6Hdr", "dst", 0)]
+_ATTRS = ("ether_type", "payload_len", "hop_limit", "segments_left", "tag",
+          "src", "dst")
+
+
+def _ref(field, source=Source.CURRENT_PACKET):
+    header_type, accessor, occurrence = field
+    return FieldRef(accessor, header_type, occurrence=occurrence, source=source)
+
+
+_sources = st.sampled_from([Source.CURRENT_PACKET, Source.INGRESS_SNAPSHOT])
+_constants = st.lists(
+    st.tuples(st.sampled_from([1, -1]), st.one_of(st.integers(-3, 3), st.just("K"))),
+    max_size=2,
+)
+_int_refs = st.builds(_ref, st.sampled_from(_INT_FIELDS), _sources)
+
+
+@st.composite
+def _checks(draw):
+    """A check of one of the four operand shapes (constants only; one field
+    of the packet in hand, or of the snapshot, with or without constants; a
+    signed sum), or a byte-sequence comparison of one field."""
+    shape = draw(st.sampled_from(["constant", "current", "snapshot", "sum", "bytes"]))
+    if shape == "bytes":
+        lhs = _ref(draw(st.sampled_from(_BYTES_FIELDS)))
+        rhs = [(1, _ref(draw(st.sampled_from(_BYTES_FIELDS)), draw(_sources)))]
+        op = draw(st.sampled_from(["==", "neq"]))
+        return Check(lhs, op, Operand(tuple(rhs)))
+    lhs = _ref(draw(st.sampled_from(_INT_FIELDS)))
+    if shape == "constant":
+        rhs = [(1, draw(st.integers(-3, 3)))] + draw(_constants)
+    elif shape == "sum":
+        refs = st.tuples(st.sampled_from([1, -1]), _int_refs)
+        rhs = draw(st.lists(refs, min_size=1, max_size=3)) + draw(_constants)
+        rhs = draw(st.permutations(rhs))
+    else:
+        source = Source.CURRENT_PACKET if shape == "current" else Source.INGRESS_SNAPSHOT
+        rhs = [(1, _ref(draw(st.sampled_from(_INT_FIELDS)), source))] + draw(_constants)
+    op = draw(st.sampled_from(sorted(COMPARATORS)))
+    return Check(lhs, op, Operand(tuple(rhs)))
+
+
+def _headers(draw):
+    return [
+        SimpleNamespace(**{
+            name: draw(st.sampled_from([b"\x00" * 6, b"\x01" * 6]))
+            if name in ("src", "dst") else draw(st.integers(0, 4))
+            for name in _ATTRS
+        })
+        for _ in TWO_SRV6_ORDER.elements
+    ]
+
+
+def _direct(check, current, snapshot, constants):
+    """Evaluate ``check`` the slow way: getattr on the header at the
+    reference's index in the order, and a plain sum of the terms."""
+    def read(ref):
+        positions = [i for i, e in enumerate(TWO_SRV6_ORDER.elements)
+                     if e.header_type == ref.header_type]
+        headers = current if ref.source is Source.CURRENT_PACKET else snapshot.headers
+        return getattr(headers[positions[ref.occurrence]], ref.accessor)
+
+    lhs = read(check.lhs)
+    values = [
+        (sign, read(term) if isinstance(term, FieldRef)
+         else constants.get(term, term))
+        for sign, term in check.rhs.terms
+    ]
+    if isinstance(lhs, bytes):
+        rhs = values[0][1]
+    else:
+        rhs = sum(sign * value for sign, value in values)
+    return lhs, rhs
+
+
+@settings(max_examples=200)
+@given(check=_checks(), data=st.data())
+def test_compiled_test_agrees_with_direct_evaluation(registry, check, data):
+    constants = {"K": 2}
+    spec = ContractSpec(
+        nf_name="srv6", constants=constants, static_assertions=(),
+        ingress=PhaseSpec(order=TWO_SRV6_ORDER, checks=()),
+        egress=PhaseSpec(order=TWO_SRV6_ORDER, checks=(check,)),
+    )
+    (compiled,) = elaborate(spec, registry).egress_checks
+    current = _headers(data.draw)
+    snapshot = SimpleNamespace(headers=_headers(data.draw))
+    lhs, rhs = _direct(check, current, snapshot, constants)
+    expected = None if COMPARATORS[check.op](lhs, rhs) else (lhs, rhs)
+    assert compiled.test(current, snapshot) == expected
 
 
 def test_elaboration_rejects_missing_occurrence(registry):

@@ -121,7 +121,8 @@ def test_snapshot_is_immune_to_later_packet_mutation(registry):
         registry, Check(FieldRef("payload_len", "Ipv6Hdr"), "==", Operand.ref(
             _snap("payload_len", "Ipv6Hdr")))
     )
-    assert compiled.rhs([], snapshot) == 1300
+    decoded, _ = _parse_tcp6(registry, packet)
+    assert compiled.test(decoded, snapshot) == (999, 1300)
 
 
 def test_snapshot_counts_toward_runtime(registry):
@@ -147,12 +148,12 @@ def test_resolve_literal_and_constant(registry):
     lhs = FieldRef("payload_len", "Ipv6Hdr")
     literal, constant = _compiled(
         registry,
-        Check(lhs, ">", Operand.literal(7)),
-        Check(lhs, ">", Operand.constant("MTU")),
+        Check(lhs, "<", Operand.literal(7)),
+        Check(lhs, "<", Operand.constant("MTU")),
         constants={"MTU": 1280},
     )
-    assert literal.rhs(decoded, None) == 7
-    assert constant.rhs(decoded, None) == 1280
+    assert literal.test(decoded, None) == (1300, 7)
+    assert constant.test(decoded, None) == (1300, 1280)
     with pytest.raises(ElaborationError, match="MTU"):
         _compiled(registry, Check(lhs, ">", Operand.constant("MTU")))
 
@@ -166,12 +167,11 @@ def test_resolve_field_refs_from_packet_and_snapshot(registry):
     lhs = FieldRef("payload_len", "Ipv6Hdr")
     current, original = _compiled(
         registry,
-        Check(lhs, "==", Operand.ref(FieldRef("payload_len", "Ipv6Hdr"))),
+        Check(lhs, "neq", Operand.ref(FieldRef("payload_len", "Ipv6Hdr"))),
         Check(lhs, "==", Operand.ref(_snap("payload_len", "Ipv6Hdr"))),
     )
-    assert current.lhs(decoded) == 60
-    assert current.rhs(decoded, snapshot) == 60
-    assert original.rhs(decoded, snapshot) == 1300
+    assert current.test(decoded, snapshot) == (60, 60)
+    assert original.test(decoded, snapshot) == (60, 1300)
 
 
 def test_resolve_arithmetic_sum(registry):
@@ -186,7 +186,7 @@ def test_resolve_arithmetic_sum(registry):
     (compiled,) = _compiled(
         registry, Check(FieldRef("payload_len", "Ipv6Hdr"), "==", operand)
     )
-    assert compiled.rhs(snapshot.headers, snapshot) == 1300 + 16 - 5 - 6
+    assert compiled.test(snapshot.headers, snapshot) == (1300, 1300 + 16 - 5 - 6)
 
 
 def test_resolve_rejects_bytes_in_arithmetic(registry):

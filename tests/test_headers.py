@@ -455,3 +455,132 @@ def test_truncation_messages(codec, buf, offset, message):
     with pytest.raises(ParseError) as info:
         codec.parse(buf, offset)
     assert str(info.value) == message
+
+
+# --- emit refusals ---------------------------------------------------------------
+# Violations and resolution errors embed these texts, so each is pinned
+# exactly, and a header with several bad fields names the first in the order
+# below.
+
+
+def _valid_headers():
+    return {
+        EthHdr: EthHdr(dst=bytes(6), src=bytes(6), ether_type=0x86DD),
+        Ipv6Hdr: Ipv6Hdr(
+            src=bytes(16), dst=bytes(16), payload_len=0, next_header=59, hop_limit=64
+        ),
+        TcpHdr: TcpHdr(
+            src_port=1, dst_port=2, seq=3, ack=4, data_offset=5,
+            flags=0x12, window=100, checksum=0, urgent_ptr=0,
+        ),
+        Icmpv6PktTooBig: Icmpv6PktTooBig(checksum=0, mtu=1280, invoking_packet=b""),
+        Srv6RoutingHdr: Srv6RoutingHdr(
+            next_header=59, segments_left=0, segments=[bytes(16)]
+        ),
+    }
+
+
+#: Every range-checked field, codec by codec, in the order emit checks them.
+RANGE_FIELDS = {
+    EthHdr: [("ether_type", 16)],
+    Ipv6Hdr: [("traffic_class", 8), ("flow_label", 20), ("payload_len", 16),
+              ("next_header", 8), ("hop_limit", 8)],
+    TcpHdr: [("src_port", 16), ("dst_port", 16), ("seq", 32), ("ack", 32),
+             ("data_offset", 4), ("reserved", 3), ("flags", 9), ("window", 16),
+             ("checksum", 16), ("urgent_ptr", 16)],
+    Icmpv6PktTooBig: [("checksum", 16), ("mtu", 32)],
+    Srv6RoutingHdr: [("next_header", 8), ("segments_left", 8), ("flags", 8),
+                     ("tag", 16)],
+}
+#: Fields emit shifts into a shared word rather than packs on their own.
+SHIFTED = {(Ipv6Hdr, "version"), (Ipv6Hdr, "traffic_class"), (Ipv6Hdr, "flow_label"),
+           (TcpHdr, "data_offset"), (TcpHdr, "reserved"), (TcpHdr, "flags")}
+RANGE_CASES = [
+    (codec, name, bits, value)
+    for codec, fields in RANGE_FIELDS.items()
+    for name, bits in fields
+    for value in (-1, 1 << bits)
+]
+
+
+def _emit_error(header) -> str:
+    with pytest.raises(EmitError) as info:
+        header.emit()
+    return str(info.value)
+
+
+@pytest.mark.parametrize(
+    "codec, name, bits, value", RANGE_CASES,
+    ids=[f"{c.__name__}.{n}={v}" for c, n, _, v in RANGE_CASES],
+)
+def test_emit_names_the_out_of_range_field(codec, name, bits, value):
+    header = replace(_valid_headers()[codec], **{name: value})
+    assert _emit_error(header) == f"{name} out of range for {bits}-bit field: {value}"
+
+
+@pytest.mark.parametrize("codec", list(RANGE_FIELDS), ids=lambda c: c.__name__)
+def test_emit_names_the_first_of_several_bad_fields(codec):
+    fields = RANGE_FIELDS[codec]
+    header = replace(
+        _valid_headers()[codec], **{name: 1 << bits for name, bits in fields}
+    )
+    name, bits = fields[0]
+    assert _emit_error(header) == f"{name} out of range for {bits}-bit field: {1 << bits}"
+    # the last field checked, with one checked before it
+    header = replace(_valid_headers()[codec], **{fields[-1][0]: -1, fields[0][0]: -1})
+    assert _emit_error(header) == f"{name} out of range for {bits}-bit field: -1"
+
+
+def test_emit_names_a_derived_field():
+    header = Srv6RoutingHdr(next_header=59, segments_left=0, segments=[bytes(16)] * 128)
+    assert _emit_error(header) == "hdr_ext_len out of range for 8-bit field: 256"
+
+
+@pytest.mark.parametrize(
+    "codec, changes, message",
+    [
+        (EthHdr, {"dst": bytes(5)}, "MAC addresses must be 6 bytes"),
+        (EthHdr, {"src": bytes(7), "ether_type": -1}, "MAC addresses must be 6 bytes"),
+        (Ipv6Hdr, {"version": 4, "payload_len": -1}, "IPv6 version must be 6, got 4"),
+        (Ipv6Hdr, {"dst": bytes(15)}, "IPv6 addresses must be 16 bytes"),
+        (Ipv6Hdr, {"src": bytes(17), "hop_limit": 256},
+         "hop_limit out of range for 8-bit field: 256"),
+        (TcpHdr, {"data_offset": 4}, "TCP data offset 4 below minimum 5"),
+        (TcpHdr, {"data_offset": 6},
+         "TCP data offset 6 disagrees with 0 option bytes"),
+        (TcpHdr, {"options": bytes(3)},
+         "TCP data offset 5 disagrees with 3 option bytes"),
+        (Icmpv6PktTooBig, {"code": 1},
+         "Packet Too Big requires type 2 code 0, got type 2 code 1"),
+        (Icmpv6PktTooBig, {"invoking_packet": bytes(1233)},
+         "Packet Too Big body exceeds the minimum-MTU reply budget of 1240 bytes"),
+        (Srv6RoutingHdr, {"routing_type": 3, "segments": []}, "routing type must be 4"),
+        (Srv6RoutingHdr, {"segments": []},
+         "SRv6 routing header requires at least one segment"),
+        (Srv6RoutingHdr, {"segments": [bytes(15), bytes(17)]},
+         "SRv6 segments must be 16-byte addresses"),
+        (Srv6RoutingHdr, {"segments": [bytes(16), bytes(15)], "tag": -1},
+         "SRv6 segments must be 16-byte addresses"),
+        (Srv6RoutingHdr, {"segments_left": 2},
+         "segments left 2 exceeds segment count 1"),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else None,
+)
+def test_emit_refusal_messages(codec, changes, message):
+    assert _emit_error(replace(_valid_headers()[codec], **changes)) == message
+
+
+FLOAT_CASES = [
+    (codec, name) for codec, fields in RANGE_FIELDS.items() for name, _ in fields
+] + [(Ipv6Hdr, "version")]
+
+
+@pytest.mark.parametrize(
+    "codec, name", FLOAT_CASES, ids=[f"{c.__name__}.{n}" for c, n in FLOAT_CASES]
+)
+def test_emit_refuses_a_float_field_as_before(codec, name):
+    # in range, so no EmitError: the pack or the shift refuses it
+    header = _valid_headers()[codec]
+    header = replace(header, **{name: float(getattr(header, name))})
+    with pytest.raises(TypeError if (codec, name) in SHIFTED else struct.error):
+        header.emit()
