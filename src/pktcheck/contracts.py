@@ -447,7 +447,7 @@ def _resolve(
     return accessor, i
 
 
-def _compile_test(lhs_get, i: int, compare, reads: list, const: int, kind: str):
+def _compile_test(lhs_get, i: int, compare, reads: list, const: int):
     """``test(current, snapshot)`` for one check: None when
     ``compare(lhs, rhs)`` holds, else ``(lhs, rhs)``.
 
@@ -463,7 +463,7 @@ def _compile_test(lhs_get, i: int, compare, reads: list, const: int, kind: str):
         def test(current, snapshot):
             lhs = lhs_get(current[i])
             return None if compare(lhs, const) else (lhs, const)
-    elif len(reads) == 1 and (reads[0][0] == 1 or kind == BYTES):
+    elif len(reads) == 1 and reads[0][0] == 1:
         _, from_snapshot, get, j = reads[0]
         if from_snapshot and const:
             def test(current, snapshot):
@@ -571,7 +571,7 @@ def _compile_phase(
             Check(check.lhs, check.op, rhs),
             check.lhs.describe(),
             rhs.describe(),
-            _compile_test(lhs.get, i, COMPARATORS[check.op], reads, const, lhs.kind),
+            _compile_test(lhs.get, i, COMPARATORS[check.op], reads, const),
             snapshot_ref,
         ))
     return tuple(compiled)

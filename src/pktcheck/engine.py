@@ -104,7 +104,8 @@ class Operand:
         return [term for _, term in self.terms if isinstance(term, FieldRef)]
 
     def is_arithmetic(self) -> bool:
-        return len(self.terms) > 1
+        """A sum of several terms, or one negated term."""
+        return len(self.terms) > 1 or self.terms[0][0] < 0
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,15 @@ fields yield MAC and IPv6 addresses as ``bytes``, the header is built from
 positional arguments, and the length check is a comparison that calls
 ``_need`` only to raise its message.
 
-Each ``emit`` packs with the same ``Struct`` as its ``parse``, which
-range-checks the 8-, 16- and 32-bit fields itself; the sub-byte fields and
-the lengths (addresses, TCP options, each SRv6 segment, the invoking
-packet) are tested first in one condition, since ``s`` fields pad or
-truncate silently. When that test fails or the pack refuses a field, the
-ordered checks run instead, so a refused header raises the same
-``EmitError``, naming the first bad field in the same order, as it would
-with no fast path.
+Each ``emit`` has one serializer: the same ``Struct`` as its ``parse``,
+which range-checks the 8-, 16- and 32-bit fields itself. The sub-byte
+fields and the lengths (addresses, TCP options, each SRv6 segment, the
+invoking packet) are tested first in one condition, since ``s`` fields pad
+or truncate silently. The ordered checks after it only name a refusal:
+when the test fails or the pack refuses a field, they raise the
+``EmitError`` for the first bad field in a fixed order. A failed test
+always fails one of them, so if they all pass the field is in range but
+not an integer, and ``emit`` re-raises what the pack raised.
 
 A ``Packet`` is its bytes: the network functions and the order walks call
 the codecs at running offsets and build new packets rather than edit one.
@@ -64,8 +65,9 @@ def _need(buf, offset, n, what):
         )
 
 
-#: What the fast path of an ``emit`` may raise on a field its ``Struct`` or
-#: its shifts refuse; the ordered checks then raise today's error.
+#: What an ``emit`` may raise on a field its ``Struct`` or its shifts
+#: refuse; the ordered checks then name the field, and if none fails,
+#: ``emit`` re-raises the error.
 _REFUSED = (struct.error, TypeError)
 #: Every SRv6 segment is an IPv6 address.
 _ADDRESS_LENGTH = {16}
@@ -96,12 +98,12 @@ class EthHdr:
         try:
             if len(self.dst) == 6 == len(self.src):
                 return _ETH.pack(self.dst, self.src, self.ether_type)
-        except _REFUSED:
-            pass
+        except _REFUSED as exc:
+            refused = exc
         if len(self.dst) != 6 or len(self.src) != 6:
             raise EmitError("MAC addresses must be 6 bytes")
         _check_range(self.ether_type, 16, "ether_type")
-        return self.dst + self.src + struct.pack("!H", self.ether_type)
+        raise refused
 
 
 @dataclass(slots=True)
@@ -148,8 +150,8 @@ class Ipv6Hdr:
                     self.payload_len, self.next_header, self.hop_limit,
                     self.src, self.dst,
                 )
-        except _REFUSED:
-            pass
+        except _REFUSED as exc:
+            refused = exc
         if self.version != 6:
             raise EmitError(f"IPv6 version must be 6, got {self.version}")
         _check_range(self.traffic_class, 8, "traffic_class")
@@ -159,14 +161,7 @@ class Ipv6Hdr:
         _check_range(self.hop_limit, 8, "hop_limit")
         if len(self.src) != 16 or len(self.dst) != 16:
             raise EmitError("IPv6 addresses must be 16 bytes")
-        v_tc_fl = (self.version << 28) | (self.traffic_class << 20) | self.flow_label
-        return (
-            struct.pack(
-                "!IHBB", v_tc_fl, self.payload_len, self.next_header, self.hop_limit
-            )
-            + self.src
-            + self.dst
-        )
+        raise refused
 
 
 @dataclass(slots=True)
@@ -226,8 +221,8 @@ class TcpHdr:
                     (self.data_offset << 12) | (self.reserved << 9) | self.flags,
                     self.window, self.checksum, self.urgent_ptr,
                 ) + self.options
-        except _REFUSED:
-            pass
+        except _REFUSED as exc:
+            refused = exc
         _check_range(self.src_port, 16, "src_port")
         _check_range(self.dst_port, 16, "dst_port")
         _check_range(self.seq, 32, "seq")
@@ -245,20 +240,7 @@ class TcpHdr:
                 f"TCP data offset {self.data_offset} disagrees with "
                 f"{len(self.options)} option bytes"
             )
-        return (
-            struct.pack(
-                "!HHIIHHHH",
-                self.src_port,
-                self.dst_port,
-                self.seq,
-                self.ack,
-                (self.data_offset << 12) | (self.reserved << 9) | self.flags,
-                self.window,
-                self.checksum,
-                self.urgent_ptr,
-            )
-            + self.options
-        )
+        raise refused
 
 
 @dataclass(slots=True)
@@ -307,8 +289,8 @@ class Icmpv6PktTooBig:
                 return _ICMPV6_PTB.pack(
                     self.msg_type, self.code, self.checksum, self.mtu
                 ) + self.invoking_packet
-        except _REFUSED:
-            pass
+        except _REFUSED as exc:
+            refused = exc
         if self.msg_type != ICMPV6_PKT_TOO_BIG or self.code != 0:
             raise EmitError(
                 f"Packet Too Big requires type 2 code 0, "
@@ -321,10 +303,7 @@ class Icmpv6PktTooBig:
                 "Packet Too Big body exceeds the minimum-MTU reply budget of "
                 f"{self.MAX_SIZE} bytes"
             )
-        return (
-            struct.pack("!BBHI", self.msg_type, self.code, self.checksum, self.mtu)
-            + self.invoking_packet
-        )
+        raise refused
 
 
 @dataclass(slots=True)
@@ -399,8 +378,8 @@ class Srv6RoutingHdr:
                     self.next_header, 2 * len(segments), self.routing_type,
                     self.segments_left, len(segments) - 1, self.flags, self.tag,
                 ) + b"".join(segments)
-        except _REFUSED:
-            pass
+        except _REFUSED as exc:
+            refused = exc
         if self.routing_type != SRV6_ROUTING_TYPE:
             raise EmitError(f"routing type must be {SRV6_ROUTING_TYPE}")
         if not self.segments:
@@ -418,19 +397,7 @@ class Srv6RoutingHdr:
                 f"segments left {self.segments_left} exceeds "
                 f"segment count {len(self.segments)}"
             )
-        return (
-            struct.pack(
-                "!BBBBBBH",
-                self.next_header,
-                self.hdr_ext_len,
-                self.routing_type,
-                self.segments_left,
-                self.last_entry,
-                self.flags,
-                self.tag,
-            )
-            + b"".join(self.segments)
-        )
+        raise refused
 
 
 HEADER_TYPES = {

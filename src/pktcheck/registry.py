@@ -176,19 +176,11 @@ def verify_order(registry: Registry, spec: OrderSpec) -> tuple[OrderStep, ...]:
 
     Runs at elaboration/pipeline-construction time, never per packet.
     Raises ChainOrderError naming the offending adjacent pair, or the
-    element whose ``<param>`` is out of scope or not its header's slot.
+    element whose ``<param>`` is out of scope or not its header's slot. A
+    header type the registry does not know raises the ``RegistryError`` of
+    ``registry.get``, except at the head of an order, where the next
+    element's predecessor rule refuses it first.
     """
-    for element in spec:
-        if not registry.known(element.header_type):
-            raise ChainOrderError(
-                None, element.header_type, None,
-                f"unknown header type {element.header_type!r} in order {spec}",
-            )
-        if element.param is not None and not registry.known(element.param):
-            raise ChainOrderError(
-                None, element.param, None,
-                f"unknown parameter type {element.param!r} in order {spec}",
-            )
     for i in range(1, len(spec)):
         prev = spec.elements[i - 1]
         curr = spec.elements[i]

@@ -411,6 +411,19 @@ def test_elaboration_rejects_lhs_reading_the_snapshot(registry):
         elaborate(_srv6_spec(SRV6_ORDER, SRV6_ORDER, check), registry)
 
 
+def test_elaboration_rejects_a_negated_byte_sequence(registry):
+    # only a hand-built spec can negate a lone operand; a byte sequence has
+    # no negation, so it is refused as bytes in arithmetic are
+    src = FieldRef("src", "Ipv6Hdr")
+    check = Check(src, "==", Operand(((-1, src),)))
+    with pytest.raises(ElaborationError) as excinfo:
+        elaborate(_srv6_spec(SRV6_ORDER, SRV6_ORDER, check), registry)
+    assert str(excinfo.value) == (
+        "egress check (src[Ipv6Hdr], ==, -src[Ipv6Hdr]): arithmetic operands "
+        "require integer fields"
+    )
+
+
 def test_elaborate_requires_frozen_registry():
     with pytest.raises(ElaborationError, match="frozen"):
         elaborate(parse_contract_spec("check()"), Registry())

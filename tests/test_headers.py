@@ -15,6 +15,7 @@ from pktcheck import (
     Srv6RoutingHdr,
     TcpHdr,
 )
+from pktcheck.headers import ICMPV6_PKT_TOO_BIG, SRV6_ROUTING_TYPE
 
 from conftest import build_tcp6_bytes
 
@@ -584,3 +585,100 @@ def test_emit_refuses_a_float_field_as_before(codec, name):
     header = replace(header, **{name: float(getattr(header, name))})
     with pytest.raises(TypeError if (codec, name) in SHIFTED else struct.error):
         header.emit()
+
+
+# --- emit: the test and the ordered checks agree ---------------------------------
+# An emit whose one test fails, or whose pack refuses a field, leaves it to the
+# ordered checks to name the refusal; they must then raise, and an emit that
+# passes must give back its header. Each header breaks at most two fields, so
+# that every field is often the only bad one.
+
+
+def _bits(bits):
+    top = 1 << bits
+    return st.integers(0, top - 1), st.sampled_from([-2, -1, top, top + 1])
+
+
+def _binary(lengths):
+    return lengths.flatmap(lambda n: st.binary(min_size=n, max_size=n))
+
+
+def _length(n):
+    return _binary(st.just(n)), _binary(st.sampled_from([0, n - 1, n + 1]))
+
+
+def _bad_segment_list():
+    return st.one_of(
+        st.just([]),
+        st.lists(addrs, min_size=128, max_size=129),
+        st.tuples(st.lists(addrs, max_size=3), _length(16)[1], st.lists(addrs, max_size=3))
+        .map(lambda t: t[0] + [t[1]] + t[2]),
+    )
+
+
+#: Per codec, each field as (valid values, bad values). TCP ``data_offset``
+#: and SRv6 ``segments_left`` follow from the options and the segments, so
+#: they are drawn after them.
+EMIT_FIELDS = {
+    EthHdr: {"dst": _length(6), "src": _length(6), "ether_type": _bits(16)},
+    Ipv6Hdr: {
+        "src": _length(16), "dst": _length(16), "payload_len": _bits(16),
+        "next_header": _bits(8), "hop_limit": _bits(8),
+        "version": (st.just(6), st.sampled_from([-1, 0, 4, 7, 16])),
+        "traffic_class": _bits(8), "flow_label": _bits(20),
+    },
+    TcpHdr: {
+        "src_port": _bits(16), "dst_port": _bits(16), "seq": _bits(32),
+        "ack": _bits(32), "data_offset": (st.none(), st.integers(-1, 16)),
+        "flags": _bits(9), "window": _bits(16), "checksum": _bits(16),
+        "urgent_ptr": _bits(16), "reserved": _bits(3),
+        "options": (_binary(st.integers(0, 10).map(lambda n: 4 * n)),
+                    _binary(st.sampled_from([1, 2, 3, 41, 44]))),
+    },
+    Icmpv6PktTooBig: {
+        "checksum": _bits(16), "mtu": _bits(32),
+        "invoking_packet": (_binary(st.sampled_from([0, 1, 1231, 1232])),
+                            _binary(st.integers(1233, 1235))),
+        "msg_type": (st.just(ICMPV6_PKT_TOO_BIG), st.sampled_from([-1, 0, 3, 256])),
+        "code": (st.just(0), st.sampled_from([-1, 1, 255, 256])),
+    },
+    Srv6RoutingHdr: {
+        "next_header": _bits(8), "flags": _bits(8), "tag": _bits(16),
+        "routing_type": (st.just(SRV6_ROUTING_TYPE), st.sampled_from([-1, 0, 3, 256])),
+        "segments": (st.one_of(st.lists(addrs, min_size=1, max_size=3),
+                               st.lists(addrs, min_size=126, max_size=127)),
+                     _bad_segment_list()),
+        "segments_left": (st.none(), st.none()),
+    },
+}
+
+
+@st.composite
+def _emit_inputs(draw, codec):
+    fields = EMIT_FIELDS[codec]
+    shuffled = draw(st.permutations(sorted(fields)))
+    broken = set(shuffled[: draw(st.sampled_from([0, 1, 1, 2]))])
+    values = {name: draw(fields[name][name in broken]) for name in fields}
+    if "data_offset" in values and values["data_offset"] is None:
+        values["data_offset"] = 5 + len(values["options"]) // 4
+    if "segments_left" in values:
+        count = len(values["segments"])
+        values["segments_left"] = draw(
+            st.one_of(st.just(count + 1), st.sampled_from([-1, 256]))
+            if "segments_left" in broken
+            else st.integers(0, count)
+        )
+    return codec(**values)
+
+
+@pytest.mark.parametrize("codec", CODECS, ids=lambda c: c.__name__)
+@settings(max_examples=300)
+@given(data=st.data())
+def test_emit_gives_back_its_header_or_raises_emit_error(codec, data):
+    header = data.draw(_emit_inputs(codec))
+    try:
+        raw = header.emit()
+    except EmitError:
+        return
+    assert isinstance(raw, bytes)
+    assert codec.parse(raw) == (header, len(raw))

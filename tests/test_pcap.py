@@ -94,3 +94,33 @@ def test_pcap_bytes_equals_file_write(tmp_path):
     path = tmp_path / "same.pcap"
     write_pcap(path, records)
     assert pcap_bytes(records) == path.read_bytes()
+
+
+class _ReadSizes(io.BytesIO):
+    """A file that records the largest ``read`` size it was asked for."""
+
+    largest = 0
+
+    def read(self, size=-1):
+        self.largest = max(self.largest, size)
+        return super().read(size)
+
+
+def test_oversized_record_is_refused_before_it_is_read():
+    blob = pcap_bytes([PcapRecord(data=b"abcd")])
+    # a 60-byte file whose second record claims 2 GiB
+    fobj = _ReadSizes(blob + struct.pack("<IIII", 0, 0, 0x7FFFFFFF, 0x7FFFFFFF))
+    assert len(fobj.getvalue()) == 60
+    with pytest.raises(PcapError, match="record 1 claims 2147483647 bytes"):
+        read_pcap(fobj)
+    assert fobj.largest <= 262144
+
+
+def test_records_up_to_the_largest_snap_length_are_read():
+    # beyond the 65,535 the writer declares: a 65,535-byte payload under
+    # 54 header bytes, and libpcap's largest snap length
+    records = [PcapRecord(data=bytes(65589)), PcapRecord(data=bytes(262144))]
+    back = read_pcap(io.BytesIO(pcap_bytes(records)))
+    assert [len(r.data) for r in back] == [65589, 262144]
+    with pytest.raises(PcapError, match="record 0 claims 262145 bytes"):
+        read_pcap(io.BytesIO(pcap_bytes([PcapRecord(data=bytes(262145))])))

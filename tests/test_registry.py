@@ -55,8 +55,15 @@ def test_verify_order_names_the_offending_pair(registry):
 
 
 def test_verify_order_rejects_unknown_type(registry):
-    with pytest.raises(ChainOrderError, match="GreHdr"):
+    with pytest.raises(RegistryError, match="GreHdr"):
         verify_order(registry, order("EthHdr", "GreHdr"))
+    # an unknown <param> is out of scope, as no earlier element provides it
+    with pytest.raises(ChainOrderError) as excinfo:
+        verify_order(registry, order("EthHdr", "Ipv6Hdr", ("TcpHdr", "GreHdr")))
+    assert str(excinfo.value) == (
+        "TcpHdr<GreHdr> names parameter GreHdr but no earlier element in "
+        "[EthHdr => Ipv6Hdr => TcpHdr<GreHdr>] provides it"
+    )
 
 
 def test_verify_order_requires_chain_root_first(registry):
