@@ -24,7 +24,6 @@ from .engine import (
     Check,
     ContractRuntime,
     FieldRef,
-    IngressSnapshot,
     Operand,
     Source,
     Violation,
@@ -102,7 +101,6 @@ __all__ = [
     "IPV6_HDR_SIZE",
     "IPV6_MIN_MTU",
     "Icmpv6PktTooBig",
-    "IngressSnapshot",
     "Ipv6Hdr",
     "NetworkFunction",
     "Operand",

@@ -468,12 +468,12 @@ def _compile_test(lhs_get, i: int, compare, reads: list, const: int):
         if from_snapshot and const:
             def test(current, snapshot):
                 lhs = lhs_get(current[i])
-                rhs = get(snapshot.headers[j]) + const
+                rhs = get(snapshot[j]) + const
                 return None if compare(lhs, rhs) else (lhs, rhs)
         elif from_snapshot:
             def test(current, snapshot):
                 lhs = lhs_get(current[i])
-                rhs = get(snapshot.headers[j])
+                rhs = get(snapshot[j])
                 return None if compare(lhs, rhs) else (lhs, rhs)
         elif const:
             def test(current, snapshot):
@@ -490,7 +490,7 @@ def _compile_test(lhs_get, i: int, compare, reads: list, const: int):
             lhs = lhs_get(current[i])
             rhs = const
             for sign, from_snapshot, get, j in reads:
-                rhs += sign * get((snapshot.headers if from_snapshot else current)[j])
+                rhs += sign * get((snapshot if from_snapshot else current)[j])
             return None if compare(lhs, rhs) else (lhs, rhs)
     return test
 
@@ -524,15 +524,13 @@ def _compile_phase(
                 "must read the packet in hand, not the ingress snapshot"
             )
         lhs, i = _resolve(check.lhs, registry, phase_name, phase.order, ingress)
-        terms, term_kinds, reads, const, snapshot_ref = [], [], [], 0, None
+        terms, term_kinds, reads, const = [], [], [], 0
         for sign, term in check.rhs.terms:
             if isinstance(term, FieldRef):
                 accessor, j = _resolve(term, registry, phase_name, phase.order, ingress)
                 term_kinds.append(accessor.kind)
                 from_snapshot = term.source is Source.INGRESS_SNAPSHOT
                 reads.append((sign, from_snapshot, accessor.get, j))
-                if snapshot_ref is None and from_snapshot:
-                    snapshot_ref = term
             else:
                 if isinstance(term, str):
                     if term not in spec.constants:
@@ -572,7 +570,6 @@ def _compile_phase(
             check.lhs.describe(),
             rhs.describe(),
             _compile_test(lhs.get, i, COMPARATORS[check.op], reads, const),
-            snapshot_ref,
         ))
     return tuple(compiled)
 

@@ -4,16 +4,17 @@ reporting, and build-mode gating.
 Each phase decodes a packet's headers once, in ``parse_chain``, which runs
 the walk elaboration compiled from the phase's order: codec calls at a
 running offset, with the linkage cross-checks and error texts fixed in
-advance. The ingress snapshot keeps those header objects, and elaboration
-has already compiled every check into a ``CompiledCheck`` whose one
-``test`` call indexes them through pre-bound accessors, and which carries
-the texts of its operands, so no header is decoded again, no name is
-looked up per packet and only a failing check builds a Violation.
+advance. The ingress snapshot is the tuple of those headers. Elaboration
+has compiled every check into a ``CompiledCheck`` whose one ``test`` call
+indexes them through pre-bound accessors and which carries its operands'
+texts, so no header is decoded again, no name is looked up per packet and
+only a failing check builds a Violation.
 
 All checks in a phase are evaluated; violations are collected rather than
 thrown one at a time, so a single run can surface every failing condition.
-In Production mode the dynamic machinery is a no-op: no snapshots are
-built and no checks are evaluated.
+A packet whose ingress walk fails gives one violation, its root cause:
+egress does not run without the snapshot. In Production mode the dynamic
+machinery is a no-op: no snapshots are built and no checks are evaluated.
 """
 
 from __future__ import annotations
@@ -120,21 +121,6 @@ class Check:
         return f"({self.lhs.describe()}, {self.op}, {self.rhs.describe()})"
 
 
-@dataclass(slots=True)
-class IngressSnapshot:
-    """Mirror of the packet as it entered the NF.
-
-    ``headers`` holds the header objects that ``parse_chain`` decoded along
-    the ingress walk, by their position in the order; nothing is decoded
-    again. Each was re-emitted and compared with its byte slice when the
-    snapshot was built, so it mirrors the ingress bytes. Transforms decode
-    headers of their own, so later mutation of the packet cannot leak into
-    egress comparisons.
-    """
-
-    headers: tuple
-
-
 class ResolutionError(Exception):
     """The ingress snapshot could not mirror the packet.
 
@@ -218,13 +204,16 @@ def build_snapshot(
     headers: list,
     ends: list,
     runtime: ContractRuntime | None = None,
-) -> IngressSnapshot:
-    """Keep ``headers``, which ``parse_chain`` has just decoded from
-    ``packet`` and which end at ``ends``, as the ingress mirror.
+) -> tuple:
+    """The ingress snapshot: the tuple of ``headers``, which ``parse_chain``
+    has just decoded from ``packet`` and which end at ``ends``, by their
+    position in the ingress order.
 
     Each header is emitted again and compared with its byte span, so a
-    header that would not re-encode to the packet's bytes fails the
-    snapshot instead of misleading the egress checks.
+    header that would not re-encode to the packet's bytes raises
+    ResolutionError instead of misleading the egress checks. Transforms
+    decode headers of their own, so later mutation of the packet cannot
+    leak into egress comparisons.
     """
     data = packet.data
     start = 0
@@ -243,7 +232,7 @@ def build_snapshot(
         start = end
     if runtime is not None:
         runtime.snapshots_built += 1
-    return IngressSnapshot(tuple(headers))
+    return tuple(headers)
 
 
 @dataclass(slots=True)
@@ -253,13 +242,11 @@ class CompiledCheck:
     ``test(current, snapshot)`` evaluates the whole check in one call: it
     reads the left-hand field from ``current``, the headers decoded along
     the phase order, and the right-hand operand from them or from the
-    ingress snapshot's, by index and through pre-bound accessors, with the
+    ingress snapshot, by index and through pre-bound accessors, with the
     literals folded into one constant. It returns None when the check
     holds and ``(lhs_value, rhs_value)`` when it does not. ``lhs_text``
     and ``rhs_text`` are the operands' ``describe()`` texts, fixed here so
-    that a failing check only assembles its message. ``snapshot_ref`` is
-    the first reference the check makes to the snapshot, or None if it
-    makes none; ``test`` needs a snapshot only when it is set.
+    that a failing check only assembles its message.
     """
 
     index: int
@@ -267,49 +254,36 @@ class CompiledCheck:
     lhs_text: str
     rhs_text: str
     test: Callable
-    snapshot_ref: FieldRef | None
 
 
 def _violation(
     compiled: CompiledCheck,
-    values: tuple | None,
+    values: tuple,
     nf: str,
     phase: str,
     packet_index: int,
 ) -> Violation:
     """The Violation of a failing check, from the ``(lhs_value, rhs_value)``
-    its ``test`` returned; ``values`` None means the check reads a missing
-    snapshot, which gives a resolution-kind violation."""
-    check = compiled.check
+    its ``test`` returned."""
     violation = Violation(
         nf=nf,
         phase=phase,
         check_index=compiled.index,
         lhs=compiled.lhs_text,
-        lhs_value=None,
-        op=check.op,
+        lhs_value=render_value(values[0]),
+        op=compiled.check.op,
         rhs=compiled.rhs_text,
-        rhs_value=None,
+        rhs_value=render_value(values[1]),
         packet_index=packet_index,
     )
-    if values is None:
-        violation.kind = "resolution"
-        violation.message = (
-            f"could not resolve {check.describe()}: "
-            f"{compiled.snapshot_ref.describe()} needs the ingress "
-            "snapshot, but none is available"
-        )
-    else:
-        violation.lhs_value = render_value(values[0])
-        violation.rhs_value = render_value(values[1])
-        violation.message = violation.text()
+    violation.message = violation.text()
     return violation
 
 
 def eval_check(
     compiled: CompiledCheck,
     current: list,
-    snapshot: IngressSnapshot | None,
+    snapshot: tuple | None,
     nf: str = "?",
     phase: str = "?",
     packet_index: int = 0,
@@ -318,12 +292,10 @@ def eval_check(
     Violation on fail.
 
     ``current`` holds the headers ``parse_chain`` decoded along the phase
-    order. A check that reads a missing snapshot gives a resolution-kind
-    violation rather than an exception. ``_run_checks`` calls each check's
-    ``test`` itself and builds the same Violation through the same helper.
+    order; ``snapshot`` is the ingress snapshot, which only a check that
+    reads it needs. ``_run_checks`` calls each check's ``test`` itself and
+    builds the same Violation through the same helper.
     """
-    if snapshot is None and compiled.snapshot_ref is not None:
-        return _violation(compiled, None, nf, phase, packet_index)
     failed = compiled.test(current, snapshot)
     if failed is None:
         return None
@@ -351,7 +323,7 @@ def _run_checks(
     nf: str,
     phase: str,
     current: list,
-    snapshot: IngressSnapshot | None,
+    snapshot: tuple | None,
     runtime: ContractRuntime,
     packet_index: int,
 ) -> list[Violation]:
@@ -363,13 +335,9 @@ def _run_checks(
     does."""
     violations = []
     for compiled in checks:
-        if snapshot is None and compiled.snapshot_ref is not None:
-            failed = None
-        else:
-            failed = compiled.test(current, snapshot)
-            if failed is None:
-                continue
-        violations.append(_violation(compiled, failed, nf, phase, packet_index))
+        failed = compiled.test(current, snapshot)
+        if failed is not None:
+            violations.append(_violation(compiled, failed, nf, phase, packet_index))
     runtime.checks_evaluated += len(checks)
     return violations
 
@@ -379,13 +347,14 @@ def run_ingress(
     packet: Packet,
     runtime: ContractRuntime,
     packet_index: int = 0,
-) -> tuple[list[Violation], IngressSnapshot | None]:
+) -> tuple[list[Violation], tuple | None]:
     """Evaluate the ingress phase: parse along the order, snapshot, then
     every check.
 
     No-op in Production. On an order mismatch the phase reports a single
     order violation; the checks are unresolvable without the declared
-    chain and are not evaluated.
+    chain and are not evaluated. No snapshot is returned then, so egress
+    evaluates nothing either.
     """
     if not runtime.development or contract is None or contract.ingress is None:
         return [], None
@@ -420,13 +389,21 @@ def run_ingress(
 def run_egress(
     contract,
     packet: Packet,
-    snapshot: IngressSnapshot | None,
+    snapshot: tuple | None,
     runtime: ContractRuntime,
     packet_index: int = 0,
 ) -> list[Violation]:
-    """Evaluate the egress phase against the outgoing packet, resolving
-    snapshot-sourced operands from the ingress mirror. No-op in Production."""
+    """Evaluate the egress phase against the outgoing packet, reading
+    snapshot operands from the ingress snapshot. No-op in Production.
+
+    Without a snapshot, a contract with an ingress phase evaluates nothing:
+    its ingress order or mirror failed, and that violation is the packet's
+    one root cause. A contract without one runs egress as usual, since
+    elaboration refused every snapshot read in it.
+    """
     if not runtime.development or contract is None or contract.egress is None:
+        return []
+    if snapshot is None and contract.ingress is not None:
         return []
     try:
         decoded, _ = registry_mod.parse_chain(packet, contract.egress_walk)

@@ -20,16 +20,14 @@ PCAP_MAGIC = 0xA1B2C3D4
 VERSION_MAJOR = 2
 VERSION_MINOR = 4
 LINKTYPE_ETHERNET = 1
-SNAPLEN = 65535
+#: The snap length files declare, libpcap's largest: a generated frame
+#: (65,589 bytes at most) fits, and ``iter_pcap`` reads no longer record.
+SNAPLEN = 262144
 
 _GLOBAL_HDR = struct.Struct("<IHHiIII")
 _GLOBAL_HDR_BE = struct.Struct(">IHHiIII")
 _RECORD_HDR = struct.Struct("<IIII")
 _RECORD_HDR_BE = struct.Struct(">IIII")
-#: The largest record ``iter_pcap`` reads: libpcap's largest snap length.
-#: Not the file's own snaplen, which ``PcapWriter`` declares as 65,535 while
-#: a generated frame can run to 65,589 bytes.
-_MAX_RECORD_LEN = 262144
 _FILE_HEADER = _GLOBAL_HDR.pack(
     PCAP_MAGIC, VERSION_MAJOR, VERSION_MINOR, 0, 0, SNAPLEN, LINKTYPE_ETHERNET
 )
@@ -116,10 +114,10 @@ def iter_pcap(target: str | Path | BinaryIO) -> Iterator[PcapRecord]:
             if len(rec_head) < rhdr.size:
                 raise PcapError(f"truncated record header at record {index}")
             ts_sec, ts_usec, incl_len, orig_len = rhdr.unpack(rec_head)
-            if incl_len > _MAX_RECORD_LEN:
+            if incl_len > SNAPLEN:
                 raise PcapError(
                     f"record {index} claims {incl_len} bytes, over the "
-                    f"{_MAX_RECORD_LEN}-byte limit"
+                    f"{SNAPLEN}-byte limit"
                 )
             data = fobj.read(incl_len)
             if len(data) < incl_len:

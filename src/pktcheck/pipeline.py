@@ -58,7 +58,6 @@ class RunConfig:
     output_path: str | None = None
     mode: BuildMode = BuildMode.DEVELOPMENT
     policy: str = "continue"
-    nf_options: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.policy not in POLICIES:
@@ -231,7 +230,7 @@ def run_pipeline(
     dropped. ``summary.out_records`` stays empty either way."""
     if registry is None:
         registry = standard_registry()
-    nf = make_nf(config.nf_name, registry, **config.nf_options)
+    nf = make_nf(config.nf_name, registry)
     if config.input_path is not None:
         records = iter_pcap(config.input_path)
     else:
@@ -262,7 +261,6 @@ def bench(
     registry: Registry | None = None,
     *,
     repetitions: int = 1,
-    nf_options: dict | None = None,
 ) -> dict:
     """Time the three pipeline phases over ``repetitions`` full passes.
 
@@ -274,7 +272,7 @@ def bench(
         raise ConfigError("repetitions must be >= 1")
     if registry is None:
         registry = standard_registry()
-    nf = make_nf(nf_name, registry, **(nf_options or {}))
+    nf = make_nf(nf_name, registry)
 
     phase_samples = {"ingress_contract_ns": [], "transform_ns": [], "egress_contract_ns": []}
     on_totals, off_totals = [], []

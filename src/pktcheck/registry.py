@@ -177,10 +177,10 @@ def verify_order(registry: Registry, spec: OrderSpec) -> tuple[OrderStep, ...]:
     Runs at elaboration/pipeline-construction time, never per packet.
     Raises ChainOrderError naming the offending adjacent pair, or the
     element whose ``<param>`` is out of scope or not its header's slot. A
-    header type the registry does not know raises the ``RegistryError`` of
-    ``registry.get``, except at the head of an order, where the next
-    element's predecessor rule refuses it first.
+    header type the registry does not know, wherever it stands, raises the
+    ``RegistryError`` of ``registry.get``.
     """
+    root = registry.get(spec.elements[0].header_type)
     for i in range(1, len(spec)):
         prev = spec.elements[i - 1]
         curr = spec.elements[i]
@@ -201,11 +201,10 @@ def verify_order(registry: Registry, spec: OrderSpec) -> tuple[OrderStep, ...]:
                     f"{element} names parameter {element.param} but no earlier "
                     f"element in {spec} provides it",
                 )
-    first = spec.elements[0]
-    if not registry.get(first.header_type).is_chain_root():
+    if not root.is_chain_root():
         raise ChainOrderError(
-            0, first.header_type, None,
-            f"{first.header_type} is not a chain root and cannot start {spec}",
+            0, root.header_type, None,
+            f"{root.header_type} is not a chain root and cannot start {spec}",
         )
     for i, element in enumerate(spec):
         slot = registry.get(element.header_type).parameter_slot

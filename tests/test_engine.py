@@ -82,23 +82,24 @@ def _snap(accessor, header_type):
 def test_snapshot_has_one_entry_per_chain_element(registry):
     packet = _tcp6()
     snapshot = _snapshot(registry, packet)
-    assert [type(h).__name__ for h in snapshot.headers] == [
+    assert [type(h).__name__ for h in snapshot] == [
         "EthHdr", "Ipv6Hdr", "TcpHdr"
     ]
 
 
 def test_snapshot_materializes_field_values(registry):
     snapshot = _snapshot(registry, _tcp6(1300))
-    assert snapshot.headers[1].payload_len == 1300
-    assert snapshot.headers[2].src_port == 4242
-    assert snapshot.headers[0].emit() == build_tcp6_bytes()[:14]
+    assert snapshot[1].payload_len == 1300
+    assert snapshot[2].src_port == 4242
+    assert snapshot[0].emit() == build_tcp6_bytes()[:14]
 
 
 def test_snapshot_keeps_the_headers_parse_chain_decoded(registry):
     packet = _tcp6()
     headers, ends = _parse_tcp6(registry, packet)
     snapshot = build_snapshot(packet, headers, ends)
-    assert all(kept is decoded for kept, decoded in zip(snapshot.headers, headers))
+    assert type(snapshot) is tuple
+    assert all(kept is decoded for kept, decoded in zip(snapshot, headers, strict=True))
 
 
 def test_snapshot_rejects_a_header_that_does_not_mirror_its_bytes(registry):
@@ -186,32 +187,13 @@ def test_resolve_arithmetic_sum(registry):
     (compiled,) = _compiled(
         registry, Check(FieldRef("payload_len", "Ipv6Hdr"), "==", operand)
     )
-    assert compiled.test(snapshot.headers, snapshot) == (1300, 1300 + 16 - 5 - 6)
+    assert compiled.test(snapshot, snapshot) == (1300, 1300 + 16 - 5 - 6)
 
 
 def test_resolve_rejects_bytes_in_arithmetic(registry):
     operand = Operand(((1, FieldRef("src", "Ipv6Hdr")), (1, 1)))
     with pytest.raises(ElaborationError, match="arithmetic"):
         _compiled(registry, Check(FieldRef("payload_len", "Ipv6Hdr"), "==", operand))
-
-
-def test_resolve_requires_snapshot_when_referenced(registry):
-    decoded = _decoded_tcp6(registry)
-    plain, from_snapshot = _compiled(
-        registry,
-        Check(FieldRef("payload_len", "Ipv6Hdr"), ">", Operand.literal(0)),
-        Check(FieldRef("payload_len", "Ipv6Hdr"), "==",
-              Operand.ref(_snap("payload_len", "Ipv6Hdr"))),
-    )
-    assert plain.snapshot_ref is None
-    assert eval_check(plain, decoded, None) is None
-    violation = eval_check(from_snapshot, decoded, None, "demo", "egress", 4)
-    assert violation.kind == "resolution"
-    assert violation.message == (
-        "could not resolve (payload_len[Ipv6Hdr], ==, "
-        "payload_len[Ipv6Hdr]@ingress): payload_len[Ipv6Hdr]@ingress needs "
-        "the ingress snapshot, but none is available"
-    )
 
 
 # --- check evaluation ----------------------------------------------------------
@@ -242,21 +224,6 @@ def test_eval_check_bytes_equality(registry):
         Operand.ref(FieldRef("dst", "Ipv6Hdr")),
     ))
     assert eval_check(same, decoded, None) is None
-
-
-def test_eval_check_resolution_failure_is_a_violation(registry):
-    # egress after a failed ingress has no snapshot: every check that reads
-    # it reports a resolution violation, the others are still evaluated
-    contract = _mtu_contract(registry)
-    packet = send_too_big(_tcp6(1300)).packet
-    violations = run_egress(
-        contract, packet, None, ContractRuntime(), packet_index=2
-    )
-    assert [v.check_index for v in violations] == [0, 2, 3, 4, 5]
-    assert all(v.kind == "resolution" and v.packet_index == 2 for v in violations)
-    assert "checksum[TcpHdr<Ipv6Hdr>]@ingress needs the ingress snapshot" in (
-        violations[0].message
-    )
 
 
 def test_eval_check_rejects_ordered_bytes_comparison(registry):
@@ -362,6 +329,34 @@ def test_run_egress_all_checks_evaluated_no_short_circuit(registry):
     )
     assert [v.check_index for v in egress] == [2, 3, 4, 5]
     assert runtime.checks_evaluated == 1 + 6
+
+
+def test_run_egress_without_the_snapshot_evaluates_nothing(registry):
+    # ingress failed (order or mirror), so its violation is the packet's one
+    # root cause: egress neither decodes nor checks, even the checks that
+    # read no snapshot
+    contract = _mtu_contract(registry)
+    runtime = ContractRuntime()
+    packet = send_too_big(_tcp6(1300), omit_ipv6_swap=True).packet
+    assert run_egress(contract, packet, None, runtime, packet_index=2) == []
+    assert runtime.checks_evaluated == 0
+    # with its snapshot the same packet fails the address checks
+    _, snapshot = run_ingress(contract, _tcp6(1300), runtime)
+    failed = run_egress(contract, packet, snapshot, runtime)
+    assert [v.check_index for v in failed] == [2, 3]
+
+
+def test_run_egress_without_an_ingress_phase_runs_its_checks(registry):
+    spec = ContractSpec(
+        nf_name="demo", constants={}, static_assertions=(), ingress=None,
+        egress=PhaseSpec(order=TCP6_ORDER, checks=(
+            Check(FieldRef("payload_len", "Ipv6Hdr"), ">", Operand.literal(1300)),
+        )),
+    )
+    runtime = ContractRuntime()
+    (violation,) = run_egress(elaborate(spec, registry), _tcp6(1300), None, runtime)
+    assert violation.check_index == 0 and violation.kind == "check"
+    assert runtime.checks_evaluated == 1
 
 
 def test_run_phases_are_noops_in_production(registry):

@@ -13,7 +13,16 @@ import struct
 
 import pytest
 
-from pktcheck import BuildMode, ContractRuntime, GeneratorSpec, generate_records, make_nf
+from pktcheck import (
+    BuildMode,
+    ContractRuntime,
+    GeneratorSpec,
+    Packet,
+    build_snapshot,
+    generate_records,
+    make_nf,
+    parse_chain,
+)
 from pktcheck.pcap import PcapRecord
 from pktcheck.pipeline import POLICIES, run_records
 
@@ -125,3 +134,19 @@ def test_mutated_traffic_never_crashes_and_modes_agree(registry, nf_name, option
     abort = runs[BuildMode.DEVELOPMENT, "abort"]
     assert abort.aborted and abort.packets_in == first + 1
     assert _out(abort) == [(i, d) for i, d in _out(dev) if i < first]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_rewritten_packet_passes_its_ingress_walk(registry, variant):
+    # egress runs only on rewritten packets and only with the ingress
+    # snapshot, so the NFs must rewrite nothing their ingress walk refuses
+    nf_name, options = VARIANTS[variant]
+    nf = make_nf(nf_name, registry, **options)
+    rewritten = 0
+    for record in CLEAN + MUTANTS:
+        result = nf.apply(Packet.from_bytes(record.data))
+        if result.rewritten and not result.dropped:
+            packet = Packet.from_bytes(record.data)
+            build_snapshot(packet, *parse_chain(packet, nf.contract.ingress_walk))
+            rewritten += 1
+    assert rewritten >= len(CLEAN) // 2

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pktcheck import PcapError, PcapRecord, pcap_bytes, read_pcap, write_pcap
+from pktcheck.cli import main
 from pktcheck.pcap import LINKTYPE_ETHERNET, PCAP_MAGIC, SNAPLEN
 
 records_strategy = st.lists(
@@ -35,7 +36,7 @@ def test_file_layout_matches_hand_packed_bytes(tmp_path):
     assert count == 1
 
     expected = struct.pack(
-        "<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1
+        "<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 262144, 1
     ) + struct.pack("<IIII", 7, 9, 2, 2) + b"\xab\xcd"
     assert path.read_bytes() == expected
 
@@ -117,10 +118,23 @@ def test_oversized_record_is_refused_before_it_is_read():
 
 
 def test_records_up_to_the_largest_snap_length_are_read():
-    # beyond the 65,535 the writer declares: a 65,535-byte payload under
-    # 54 header bytes, and libpcap's largest snap length
+    # a 65,535-byte payload under 54 header bytes, and libpcap's largest
+    # snap length
     records = [PcapRecord(data=bytes(65589)), PcapRecord(data=bytes(262144))]
     back = read_pcap(io.BytesIO(pcap_bytes(records)))
     assert [len(r.data) for r in back] == [65589, 262144]
     with pytest.raises(PcapError, match="record 0 claims 262145 bytes"):
         read_pcap(io.BytesIO(pcap_bytes([PcapRecord(data=bytes(262145))])))
+
+
+def test_declared_snap_length_covers_the_largest_generated_frame(tmp_path, capsys):
+    # a record longer than the file's snaplen breaks the format, and
+    # libpcap readers truncate it
+    path = tmp_path / "big.pcap"
+    assert main(["gen", "--out", str(path), "--count", "1",
+                 "--payload-len", "65535"]) == 0
+    blob = path.read_bytes()
+    snaplen = struct.unpack_from("<I", blob, 16)[0]
+    incl_len = struct.unpack_from("<I", blob, 24 + 8)[0]
+    assert incl_len == 65589
+    assert snaplen >= incl_len

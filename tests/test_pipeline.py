@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,14 +18,17 @@ from pktcheck import (
     RunConfig,
     TransformResult,
     bench,
+    elaborate,
     generate_records,
     make_nf,
+    parse_contract_spec,
     pcap_bytes,
     read_pcap,
     run_pipeline,
     run_records,
     write_pcap,
 )
+from pktcheck.nfs import MTU_TOO_BIG_CONTRACT
 from pktcheck.pcap import iter_pcap
 
 from conftest import build_tcp6_bytes
@@ -146,6 +150,29 @@ def test_streamed_pcap_matches_loaded_pcap(tmp_path, registry, policy):
         assert streamed.aborted and len(pulled) == 1
     else:
         assert len(pulled) == 7
+
+
+def test_failed_ingress_order_is_the_one_root_cause(registry):
+    # an ingress order no tcp6 packet matches, on a transform that rewrites
+    # every oversized packet: each packet gets its order violation and
+    # nothing more, as egress has no snapshot to compare against
+    text = MTU_TOO_BIG_CONTRACT.replace(
+        "order: [EthHdr => Ipv6Hdr => TcpHdr<Ipv6Hdr>]",
+        "order: [EthHdr => Ipv6Hdr => Srv6RoutingHdr => TcpHdr<Ipv6Hdr>]",
+    )
+    nf = replace(
+        make_nf("mtu-too-big", registry),
+        contract=elaborate(parse_contract_spec(text, nf_name="mtu-too-big"), registry),
+    )
+    records = generate_records(GeneratorSpec(count=20, payload_len=1300, seed=5))
+    summary = run_records(nf, records, registry)
+    assert [(v.packet_index, v.phase, v.kind) for v in summary.violations] == [
+        (index, "ingress", "order") for index in range(20)
+    ]
+    assert summary.violations_by_check == {"ingress#order": 20}
+    assert summary.checks_evaluated == 0
+    assert summary.snapshots_built == 0
+    assert summary.packets_out == 20
 
 
 def test_tcp_reserved_bits_pass_both_phases(registry):

@@ -55,8 +55,10 @@ def test_verify_order_names_the_offending_pair(registry):
 
 
 def test_verify_order_rejects_unknown_type(registry):
-    with pytest.raises(RegistryError, match="GreHdr"):
-        verify_order(registry, order("EthHdr", "GreHdr"))
+    # at the head of an order as anywhere else
+    for spec in (order("EthHdr", "GreHdr"), order("GreHdr"), order("GreHdr", "Ipv6Hdr")):
+        with pytest.raises(RegistryError, match="GreHdr"):
+            verify_order(registry, spec)
     # an unknown <param> is out of scope, as no earlier element provides it
     with pytest.raises(ChainOrderError) as excinfo:
         verify_order(registry, order("EthHdr", "Ipv6Hdr", ("TcpHdr", "GreHdr")))
