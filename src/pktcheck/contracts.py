@@ -1,4 +1,4 @@
-"""The contract language: parsing and elaboration.
+"""The contract language: parsing, elaboration and phase generation.
 
 A contract block binds named constants, declares ingress (``pre``) and
 egress (``post``) phases — each a header order plus a list of field
@@ -23,28 +23,40 @@ Field references on a check's right-hand side read the current packet in
 ``(src[Ipv6Hdr], ==, dst[Ipv6Hdr])`` in ``post`` asserts that the outgoing
 source address equals the *original* destination address. Right-hand
 operands may be sums/differences of literals, constants, and field
-references (``payload_len[Ipv6Hdr] + 16``). Elaboration folds the literals
-and constants of an operand into one number and compiles each check into
-one closure, ``test(current, snapshot)``, specialised by the operand's
-shape: a constant; one field of the packet in hand or of the snapshot, with
-or without a constant; or a signed sum. ``test`` returns None when the
-check holds and the two compared values when it does not.
+references (``payload_len[Ipv6Hdr] + 16``).
 
 ``elaborate`` turns a parsed spec into an executable contract in one walk
 over each phase: every field reference is resolved against the registry
-and the header orders, constants are inlined, and each check is compiled;
-then both orders are verified, each compiled into the walk that parses
-packets along it, and the static assertions are evaluated (in every build
-mode). All of this happens once, before any packet flows.
+and the header orders, constants are inlined and folded with the literals
+into one number, and each check is compiled into a ``CompiledCheck`` that
+records its reads (header index, accessor, snapshot flag); then both
+orders are verified, each compiled into the walk that parses packets along
+it, and the static assertions are evaluated (in every build mode). All of
+this happens once, before any packet flows.
+
+On a contract's first Development use, each phase is generated as one
+Python function from source text and compiled: it follows the phase's walk
+with the linkage cross-checks inline, calls each codec at the running
+offset, re-emits each ingress header against its byte span, and evaluates
+every check as one inline comparison (see ``Phases``). Production never
+generates them.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 from .engine import COMPARATORS, Check, CompiledCheck, FieldRef, Operand, Source
-from .exceptions import ContractSyntaxError, ElaborationError, RegistryError
+from .exceptions import (
+    ContractSyntaxError,
+    ElaborationError,
+    EmitError,
+    ParseError,
+    RegistryError,
+)
 from .registry import (
     BYTES,
     INT,
@@ -165,17 +177,37 @@ class ContractSpec:
     egress: PhaseSpec | None
 
 
+class Phases(NamedTuple):
+    """A contract's generated phase functions; a phase the contract lacks
+    is None.
+
+    ``ingress(data)`` returns None when the packet fails the ingress walk
+    or its mirror, else ``(failed, snapshot)``. ``egress(data, snapshot)``
+    returns None when the packet fails the egress walk, else ``failed``.
+    ``failed`` lists each failing check as ``(index, lhs_value, rhs_value)``.
+    """
+
+    ingress: Callable | None
+    egress: Callable | None
+
+
 @dataclass(frozen=True)
 class Contract(ContractSpec):
     """Elaborated, executable contract: orders verified, assertions proven,
     each phase's order compiled into the walk ``parse_chain`` runs, and
-    each phase's checks, constants inlined, compiled into the evaluators
-    the engine runs. Immutable once built."""
+    each phase's checks, constants inlined, resolved into the reads they
+    make. Immutable once built; its ``phases`` are generated on first use."""
 
     ingress_checks: tuple[CompiledCheck, ...] = field(compare=False, repr=False)
     egress_checks: tuple[CompiledCheck, ...] = field(compare=False, repr=False)
     ingress_walk: tuple[OrderStep, ...] = field(compare=False, repr=False)
     egress_walk: tuple[OrderStep, ...] = field(compare=False, repr=False)
+
+    @cached_property
+    def phases(self) -> Phases:
+        """Each phase as one generated function, compiled when a
+        Development run first needs it; Production never does."""
+        return _generate_phases(self)
 
 
 class _Parser:
@@ -447,54 +479,6 @@ def _resolve(
     return accessor, i
 
 
-def _compile_test(lhs_get, i: int, compare, reads: list, const: int):
-    """``test(current, snapshot)`` for one check: None when
-    ``compare(lhs, rhs)`` holds, else ``(lhs, rhs)``.
-
-    The left-hand side is ``lhs_get(current[i])``. ``reads`` holds the
-    right-hand field reads as ``(sign, from_snapshot, get, j)``; ``const``
-    is the sum of its literals and constants. The closure is specialised
-    by the operand's shape so that a check costs one Python call: a
-    constant; one field of the packet in hand or of the snapshot, plus
-    ``const`` if it is not 0 (a byte-sequence operand is its one field);
-    or a signed sum.
-    """
-    if not reads:
-        def test(current, snapshot):
-            lhs = lhs_get(current[i])
-            return None if compare(lhs, const) else (lhs, const)
-    elif len(reads) == 1 and reads[0][0] == 1:
-        _, from_snapshot, get, j = reads[0]
-        if from_snapshot and const:
-            def test(current, snapshot):
-                lhs = lhs_get(current[i])
-                rhs = get(snapshot[j]) + const
-                return None if compare(lhs, rhs) else (lhs, rhs)
-        elif from_snapshot:
-            def test(current, snapshot):
-                lhs = lhs_get(current[i])
-                rhs = get(snapshot[j])
-                return None if compare(lhs, rhs) else (lhs, rhs)
-        elif const:
-            def test(current, snapshot):
-                lhs = lhs_get(current[i])
-                rhs = get(current[j]) + const
-                return None if compare(lhs, rhs) else (lhs, rhs)
-        else:
-            def test(current, snapshot):
-                lhs = lhs_get(current[i])
-                rhs = get(current[j])
-                return None if compare(lhs, rhs) else (lhs, rhs)
-    else:
-        def test(current, snapshot):
-            lhs = lhs_get(current[i])
-            rhs = const
-            for sign, from_snapshot, get, j in reads:
-                rhs += sign * get((snapshot if from_snapshot else current)[j])
-            return None if compare(lhs, rhs) else (lhs, rhs)
-    return test
-
-
 def _compile_phase(
     spec: ContractSpec,
     phase: PhaseSpec | None,
@@ -530,7 +514,7 @@ def _compile_phase(
                 accessor, j = _resolve(term, registry, phase_name, phase.order, ingress)
                 term_kinds.append(accessor.kind)
                 from_snapshot = term.source is Source.INGRESS_SNAPSHOT
-                reads.append((sign, from_snapshot, accessor.get, j))
+                reads.append((sign, from_snapshot, accessor, j))
             else:
                 if isinstance(term, str):
                     if term not in spec.constants:
@@ -569,7 +553,10 @@ def _compile_phase(
             Check(check.lhs, check.op, rhs),
             check.lhs.describe(),
             rhs.describe(),
-            _compile_test(lhs.get, i, COMPARATORS[check.op], reads, const),
+            lhs,
+            i,
+            tuple(reads),
+            const,
         ))
     return tuple(compiled)
 
@@ -616,6 +603,104 @@ def elaborate(spec: ContractSpec, registry: Registry) -> Contract:
         ingress_walk=ingress_walk,
         egress_walk=egress_walk,
     )
+
+
+#: Python's spelling of each contract comparator.
+_PY_OPS = {op: "!=" if op == "neq" else op for op in COMPARATORS}
+
+
+def _rhs_source(compiled: CompiledCheck, read) -> str:
+    """The right-hand operand of ``compiled`` as one expression; ``read``
+    spells a ``(from_snapshot, accessor, index)`` field read."""
+    if compiled.lhs.kind == BYTES:
+        return read(*compiled.reads[0][1:])
+    terms = [
+        f"{'+' if sign > 0 else '-'} {read(from_snapshot, accessor, j)}"
+        for sign, from_snapshot, accessor, j in compiled.reads
+    ]
+    if compiled.const or not terms:
+        terms.append(f"+ {compiled.const!r}")
+    expr = " ".join(terms)
+    return expr[2:] if expr[0] == "+" else "-" + expr[2:]
+
+
+def _phase_lines(
+    name: str,
+    walk: tuple[OrderStep, ...],
+    checks: tuple[CompiledCheck, ...],
+    namespace: dict,
+) -> list[str]:
+    """Source of one phase function (see ``Phases``), binding each step's
+    codec in ``namespace``.
+
+    Header ``k`` of the walk is ``hk`` and ends at offset ``ek``. Each step
+    cross-checks its predecessor's linkage field, then parses at the
+    running offset, as ``parse_chain`` does; at ingress every header is
+    re-emitted and compared with its byte span, as ``build_snapshot``
+    does. A snapshot read is ``sj = snap[j]`` at egress and ``hj`` at
+    ingress, where the snapshot is the headers in hand.
+    """
+    ingress = name == "ingress"
+    lines = [f"def {name}(data{'' if ingress else ', snap'}):", "    try:"]
+    for k, step in enumerate(walk):
+        parse = f"{name}_parse{k}"
+        namespace[parse] = step.parse
+        if step.linkage is not None:
+            lines += [
+                f"        if h{k - 1}.{step.linkage} != {step.proto!r}:",
+                "            return None",
+            ]
+        if k == 0:
+            lines.append(f"        h0, e0 = {parse}(data, 0)")
+        else:
+            lines.append(f"        h{k}, n = {parse}(data, e{k - 1})")
+            if ingress or k < len(walk) - 1:
+                lines.append(f"        e{k} = e{k - 1} + n")
+    if ingress:
+        mirror = " or ".join(
+            f"h{k}.emit() != data[{f'e{k - 1}' if k else ''}:e{k}]"
+            for k in range(len(walk))
+        )
+        lines += [f"        if {mirror}:", "            return None",
+                  "    except (ParseError, EmitError):"]
+    else:
+        lines.append("    except ParseError:")
+    lines += ["        return None", "    failed = []"]
+    if not ingress:
+        lines += [
+            f"    s{j} = snap[{j}]"
+            for j in sorted({j for c in checks for _, from_snapshot, _, j in c.reads
+                             if from_snapshot})
+        ]
+
+    def read(from_snapshot, accessor, j):
+        return f"{'s' if from_snapshot and not ingress else 'h'}{j}.{accessor.name}"
+
+    for c in checks:
+        lines += [
+            f"    lhs = h{c.lhs_index}.{c.lhs.name}",
+            f"    rhs = {_rhs_source(c, read)}",
+            f"    if not lhs {_PY_OPS[c.check.op]} rhs:",
+            f"        failed.append(({c.index}, lhs, rhs))",
+        ]
+    snapshot = ", ".join(f"h{k}" for k in range(len(walk)))
+    lines.append(f"    return failed, ({snapshot},)" if ingress else "    return failed")
+    return lines + [""]
+
+
+def _generate_phases(contract: Contract) -> Phases:
+    """Write each phase of ``contract`` as one function and compile both."""
+    namespace = {"ParseError": ParseError, "EmitError": EmitError}
+    lines = []
+    for name, phase, walk, checks in (
+        ("ingress", contract.ingress, contract.ingress_walk, contract.ingress_checks),
+        ("egress", contract.egress, contract.egress_walk, contract.egress_checks),
+    ):
+        if phase is not None:
+            lines += _phase_lines(name, walk, checks, namespace)
+    source = "\n".join(lines) + "\n"
+    exec(compile(source, f"<contract {contract.nf_name}>", "exec"), namespace)
+    return Phases(namespace.get("ingress"), namespace.get("egress"))
 
 
 def explain_contract(contract: Contract) -> str:

@@ -1,20 +1,28 @@
 """Runtime contract engine: ingress snapshots, check evaluation, violation
 reporting, and build-mode gating.
 
-Each phase decodes a packet's headers once, in ``parse_chain``, which runs
-the walk elaboration compiled from the phase's order: codec calls at a
-running offset, with the linkage cross-checks and error texts fixed in
-advance. The ingress snapshot is the tuple of those headers. Elaboration
-has compiled every check into a ``CompiledCheck`` whose one ``test`` call
-indexes them through pre-bound accessors and which carries its operands'
-texts, so no header is decoded again, no name is looked up per packet and
-only a failing check builds a Violation.
+Each phase runs one function that ``contracts`` generated for the contract
+on its first Development use: it decodes the packet along the phase's
+verified order with the codecs, at running offsets and with the linkage
+cross-checks inline, re-emits each ingress header to prove that the
+snapshot mirrors the packet's bytes, and evaluates every check as one
+inline comparison. The ingress snapshot is the tuple of the headers it
+decoded. It returns the failing checks as ``(index, lhs, rhs)``, so only a
+failing check builds a Violation, and its message is formatted only when
+something reads it.
+
+A packet the generated function refuses takes the slow path: ``parse_chain``
+(and, at ingress, ``build_snapshot``) run again to raise the exact
+``ChainOrderError`` or ``ResolutionError`` that becomes the packet's
+violation. ``eval_check`` and ``CompiledCheck.test`` evaluate one check the
+same way outside the packet path.
 
 All checks in a phase are evaluated; violations are collected rather than
 thrown one at a time, so a single run can surface every failing condition.
 A packet whose ingress walk fails gives one violation, its root cause:
 egress does not run without the snapshot. In Production mode the dynamic
-machinery is a no-op: no snapshots are built and no checks are evaluated.
+machinery is a no-op: no snapshots are built, no checks are evaluated and
+no phase function is generated.
 """
 
 from __future__ import annotations
@@ -23,11 +31,11 @@ import ipaddress
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 from . import registry as registry_mod
 from .exceptions import ChainOrderError, EmitError
 from .headers import Packet
+from .registry import BYTES, FieldAccessor
 
 COMPARATORS = {
     "==": operator.eq,
@@ -142,9 +150,13 @@ def render_value(value) -> object:
     return str(value)
 
 
-@dataclass
+@dataclass(slots=True)
 class Violation:
-    """Structured record of one failed check (or failed order match)."""
+    """Structured record of one failed check (or failed order match).
+
+    ``reason`` is the error text of an order or resolution violation and
+    None for a failed check, whose ``message`` is its ``text()``, formatted
+    only when read."""
 
     nf: str
     phase: str  # "ingress" | "egress"
@@ -156,7 +168,11 @@ class Violation:
     rhs_value: object
     packet_index: int
     kind: str = "check"  # "check" | "order" | "resolution"
-    message: str = ""
+    reason: str | None = None
+
+    @property
+    def message(self) -> str:
+        return self.text() if self.reason is None else self.reason
 
     def text(self) -> str:
         idx = "order" if self.check_index is None else str(self.check_index)
@@ -239,45 +255,55 @@ def build_snapshot(
 class CompiledCheck:
     """One check of an elaborated contract, resolved against its phase.
 
-    ``test(current, snapshot)`` evaluates the whole check in one call: it
-    reads the left-hand field from ``current``, the headers decoded along
-    the phase order, and the right-hand operand from them or from the
-    ingress snapshot, by index and through pre-bound accessors, with the
-    literals folded into one constant. It returns None when the check
-    holds and ``(lhs_value, rhs_value)`` when it does not. ``lhs_text``
-    and ``rhs_text`` are the operands' ``describe()`` texts, fixed here so
-    that a failing check only assembles its message.
+    The left-hand side reads ``lhs`` from the header at ``lhs_index`` of the
+    headers decoded along the phase order. ``reads`` holds the right-hand
+    field reads as ``(sign, from_snapshot, accessor, index)``, by index in
+    the phase order or in the ingress snapshot, and ``const`` is the sum of
+    the operand's literals and constants. ``lhs_text`` and ``rhs_text`` are
+    the operands' ``describe()`` texts, fixed here so that a failing check
+    only assembles its message. The generated phase functions read the
+    same fields inline.
     """
 
     index: int
     check: Check
     lhs_text: str
     rhs_text: str
-    test: Callable
+    lhs: FieldAccessor
+    lhs_index: int
+    reads: tuple[tuple[int, bool, FieldAccessor, int], ...]
+    const: int
+
+    def test(self, current, snapshot) -> tuple | None:
+        """Evaluate the check through the registry's accessors on
+        ``current``, the headers decoded along the phase order, and
+        ``snapshot``: None when it holds, else ``(lhs_value, rhs_value)``.
+        A byte-sequence operand is its one field."""
+        lhs = self.lhs.get(current[self.lhs_index])
+        values = [
+            (sign, accessor.get((snapshot if from_snapshot else current)[j]))
+            for sign, from_snapshot, accessor, j in self.reads
+        ]
+        if self.lhs.kind == BYTES:
+            rhs = values[0][1]
+        else:
+            rhs = self.const + sum(sign * value for sign, value in values)
+        return None if COMPARATORS[self.check.op](lhs, rhs) else (lhs, rhs)
 
 
 def _violation(
     compiled: CompiledCheck,
-    values: tuple,
+    lhs,
+    rhs,
     nf: str,
     phase: str,
     packet_index: int,
 ) -> Violation:
-    """The Violation of a failing check, from the ``(lhs_value, rhs_value)``
-    its ``test`` returned."""
-    violation = Violation(
-        nf=nf,
-        phase=phase,
-        check_index=compiled.index,
-        lhs=compiled.lhs_text,
-        lhs_value=render_value(values[0]),
-        op=compiled.check.op,
-        rhs=compiled.rhs_text,
-        rhs_value=render_value(values[1]),
-        packet_index=packet_index,
+    """The Violation of a failing check, from the values it compared."""
+    return Violation(
+        nf, phase, compiled.index, compiled.lhs_text, render_value(lhs),
+        compiled.check.op, compiled.rhs_text, render_value(rhs), packet_index,
     )
-    violation.message = violation.text()
-    return violation
 
 
 def eval_check(
@@ -293,53 +319,39 @@ def eval_check(
 
     ``current`` holds the headers ``parse_chain`` decoded along the phase
     order; ``snapshot`` is the ingress snapshot, which only a check that
-    reads it needs. ``_run_checks`` calls each check's ``test`` itself and
-    builds the same Violation through the same helper.
+    reads it needs. The phases evaluate the same comparison inline and
+    build the same Violation through the same helper.
     """
     failed = compiled.test(current, snapshot)
     if failed is None:
         return None
-    return _violation(compiled, failed, nf, phase, packet_index)
+    return _violation(compiled, *failed, nf, phase, packet_index)
 
 
-def _order_violation(nf, phase, exc: ChainOrderError, packet_index) -> Violation:
-    return Violation(
-        nf=nf,
-        phase=phase,
-        check_index=None,
-        lhs="order",
-        lhs_value=exc.found,
-        op=None,
-        rhs="expected",
-        rhs_value=exc.expected,
-        packet_index=packet_index,
-        kind="order",
-        message=str(exc),
+def _refusal(contract, phase: str, packet: Packet, packet_index: int) -> Violation:
+    """The violation of a packet that the generated ``phase`` refused:
+    ``parse_chain``, and at ingress ``build_snapshot``, run again to raise
+    the exact error. Raises RuntimeError if they accept the packet, since
+    the generated function and the reference walk then disagree."""
+    walk = contract.ingress_walk if phase == "ingress" else contract.egress_walk
+    try:
+        decoded, ends = registry_mod.parse_chain(packet, walk)
+        if phase == "ingress":
+            build_snapshot(packet, decoded, ends)
+    except ChainOrderError as exc:
+        return Violation(
+            contract.nf_name, phase, None, "order", exc.found, None, "expected",
+            exc.expected, packet_index, "order", str(exc),
+        )
+    except ResolutionError as exc:
+        return Violation(
+            contract.nf_name, phase, None, "snapshot", None, None, "packet", None,
+            packet_index, "resolution", str(exc),
+        )
+    raise RuntimeError(
+        f"generated {phase} phase of {contract.nf_name} refused packet "
+        f"{packet_index}, which its order walk accepts"
     )
-
-
-def _run_checks(
-    checks: tuple[CompiledCheck, ...],
-    nf: str,
-    phase: str,
-    current: list,
-    snapshot: tuple | None,
-    runtime: ContractRuntime,
-    packet_index: int,
-) -> list[Violation]:
-    """Evaluate every compiled check of one phase, without short-circuiting,
-    on the headers ``parse_chain`` has just decoded along the phase's order.
-
-    Each check is one ``test`` call; only a failing check builds a
-    Violation, from the values its ``test`` returned, as ``eval_check``
-    does."""
-    violations = []
-    for compiled in checks:
-        failed = compiled.test(current, snapshot)
-        if failed is not None:
-            violations.append(_violation(compiled, failed, nf, phase, packet_index))
-    runtime.checks_evaluated += len(checks)
-    return violations
 
 
 def run_ingress(
@@ -349,7 +361,7 @@ def run_ingress(
     packet_index: int = 0,
 ) -> tuple[list[Violation], tuple | None]:
     """Evaluate the ingress phase: parse along the order, snapshot, then
-    every check.
+    every check, in the contract's generated ingress function.
 
     No-op in Production. On an order mismatch the phase reports a single
     order violation; the checks are unresolvable without the declared
@@ -358,32 +370,18 @@ def run_ingress(
     """
     if not runtime.development or contract is None or contract.ingress is None:
         return [], None
-    try:
-        decoded, ends = registry_mod.parse_chain(packet, contract.ingress_walk)
-        snapshot = build_snapshot(packet, decoded, ends, runtime)
-    except ChainOrderError as exc:
-        return [_order_violation(contract.nf_name, "ingress", exc, packet_index)], None
-    except ResolutionError as exc:
-        return [
-            Violation(
-                nf=contract.nf_name,
-                phase="ingress",
-                check_index=None,
-                lhs="snapshot",
-                lhs_value=None,
-                op=None,
-                rhs="packet",
-                rhs_value=None,
-                packet_index=packet_index,
-                kind="resolution",
-                message=str(exc),
-            )
-        ], None
-    violations = _run_checks(
-        contract.ingress_checks, contract.nf_name, "ingress", decoded, snapshot,
-        runtime, packet_index,
-    )
-    return violations, snapshot
+    outcome = contract.phases.ingress(packet.data)
+    if outcome is None:
+        return [_refusal(contract, "ingress", packet, packet_index)], None
+    failed, snapshot = outcome
+    runtime.snapshots_built += 1
+    checks = contract.ingress_checks
+    runtime.checks_evaluated += len(checks)
+    nf = contract.nf_name
+    return [
+        _violation(checks[i], lhs, rhs, nf, "ingress", packet_index)
+        for i, lhs, rhs in failed
+    ], snapshot
 
 
 def run_egress(
@@ -394,7 +392,8 @@ def run_egress(
     packet_index: int = 0,
 ) -> list[Violation]:
     """Evaluate the egress phase against the outgoing packet, reading
-    snapshot operands from the ingress snapshot. No-op in Production.
+    snapshot operands from the ingress snapshot, in the contract's
+    generated egress function. No-op in Production.
 
     Without a snapshot, a contract with an ingress phase evaluates nothing:
     its ingress order or mirror failed, and that violation is the packet's
@@ -405,11 +404,13 @@ def run_egress(
         return []
     if snapshot is None and contract.ingress is not None:
         return []
-    try:
-        decoded, _ = registry_mod.parse_chain(packet, contract.egress_walk)
-    except ChainOrderError as exc:
-        return [_order_violation(contract.nf_name, "egress", exc, packet_index)]
-    return _run_checks(
-        contract.egress_checks, contract.nf_name, "egress", decoded, snapshot,
-        runtime, packet_index,
-    )
+    failed = contract.phases.egress(packet.data, snapshot)
+    if failed is None:
+        return [_refusal(contract, "egress", packet, packet_index)]
+    checks = contract.egress_checks
+    runtime.checks_evaluated += len(checks)
+    nf = contract.nf_name
+    return [
+        _violation(checks[i], lhs, rhs, nf, "egress", packet_index)
+        for i, lhs, rhs in failed
+    ]

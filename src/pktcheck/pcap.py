@@ -21,7 +21,7 @@ VERSION_MAJOR = 2
 VERSION_MINOR = 4
 LINKTYPE_ETHERNET = 1
 #: The snap length files declare, libpcap's largest: a generated frame
-#: (65,589 bytes at most) fits, and ``iter_pcap`` reads no longer record.
+#: (65,589 bytes at most) fits, and no longer record is written or read.
 SNAPLEN = 262144
 
 _GLOBAL_HDR = struct.Struct("<IHHiIII")
@@ -42,6 +42,10 @@ class PcapRecord:
     ts_usec: int = 0
 
 
+def _too_long(record: str, length: int) -> PcapError:
+    return PcapError(f"{record} claims {length} bytes, over the {SNAPLEN}-byte limit")
+
+
 def _open(target, mode: str):
     if isinstance(target, (str, Path)):
         return open(target, mode), True
@@ -59,7 +63,11 @@ class PcapWriter:
         self._write = fobj.write
 
     def append(self, record: PcapRecord) -> None:
+        """Write one record; one longer than ``SNAPLEN`` raises PcapError
+        before any of its bytes are written."""
         data = record.data
+        if len(data) > SNAPLEN:
+            raise _too_long("record", len(data))
         self._write(_RECORD_HDR.pack(record.ts_sec, record.ts_usec, len(data), len(data)))
         self._write(data)
 
@@ -69,6 +77,8 @@ class PcapWriter:
         count = 0
         for record in records:
             data = record.data
+            if len(data) > SNAPLEN:
+                raise _too_long(f"record {count}", len(data))
             write(pack(record.ts_sec, record.ts_usec, len(data), len(data)))
             write(data)
             count += 1
@@ -115,10 +125,7 @@ def iter_pcap(target: str | Path | BinaryIO) -> Iterator[PcapRecord]:
                 raise PcapError(f"truncated record header at record {index}")
             ts_sec, ts_usec, incl_len, orig_len = rhdr.unpack(rec_head)
             if incl_len > SNAPLEN:
-                raise PcapError(
-                    f"record {index} claims {incl_len} bytes, over the "
-                    f"{SNAPLEN}-byte limit"
-                )
+                raise _too_long(f"record {index}", incl_len)
             data = fobj.read(incl_len)
             if len(data) < incl_len:
                 raise PcapError(

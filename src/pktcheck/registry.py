@@ -1,12 +1,13 @@
 """Header descriptor registry: predecessor rules, field accessors, and the
-order checks run at elaboration time and per packet.
+order checks run at elaboration time.
 
 ``verify_order`` runs once, when a contract is elaborated: it proves an
 order against the predecessor rules and compiles it into a walk, one
-``OrderStep`` per element, holding the codec, the linkage cross-check and
-the error texts. ``parse_chain`` runs a walk per packet: it calls each
-codec at a running offset and looks nothing up, and since the order is
-proven, the headers it decodes need no further order proof.
+``OrderStep`` per element, holding the codec, the linkage field to
+cross-check and what the step's error names. A contract's generated phase
+functions follow its walks inline. ``parse_chain`` runs a walk on its own:
+it calls each codec at a running offset and looks nothing up, and raises
+the exact ``ChainOrderError`` of a packet the generated function refused.
 ``match_chain`` compares an already-parsed chain with an order; the packet
 path does not call it.
 """
@@ -27,7 +28,9 @@ BYTES = "bytes"
 
 @dataclass(frozen=True)
 class FieldAccessor:
-    """Named extraction of one value from a decoded header."""
+    """Named extraction of one value from a decoded header: ``get`` reads
+    the header attribute of that name, which the generated phase functions
+    read directly."""
 
     name: str
     kind: str  # INT or BYTES
@@ -88,17 +91,15 @@ class OrderSpec:
 
 class OrderStep(NamedTuple):
     """One element of a verified order, compiled for the per-packet walk:
-    its codec's ``parse``, the predecessor's linkage getter and the
-    protocol number it must announce (None when nothing is cross-checked),
-    and what its ``ChainOrderError`` names: the index, the header type and
-    the predecessor's linkage field, as "Ipv6Hdr next_header"."""
+    its codec's ``parse``, the predecessor's linkage field (None when
+    nothing is cross-checked) and the protocol number it must announce, and
+    the index and header type its ``ChainOrderError`` names."""
 
     parse: Callable
-    linkage: Callable | None
+    linkage: str | None
     proto: int | None
     index: int
     header_type: str
-    linkage_name: str | None
 
 
 def order(*specs: str | tuple[str, str]) -> OrderSpec:
@@ -225,11 +226,10 @@ def verify_order(registry: Registry, spec: OrderSpec) -> tuple[OrderStep, ...]:
             raise ChainOrderError(i, name, None, f"{name} has no codec in {spec}")
         descriptor = registry.get(name)
         proto = descriptor.protocol_number
-        linkage = linkage_name = None
-        if prev is not None and prev.linkage_accessor and proto is not None:
-            linkage = prev.accessors[prev.linkage_accessor].get
-            linkage_name = f"{prev.header_type} {prev.linkage_accessor}"
-        walk.append(OrderStep(codec.parse, linkage, proto, i, name, linkage_name))
+        linkage = None
+        if prev is not None and proto is not None:
+            linkage = prev.linkage_accessor
+        walk.append(OrderStep(codec.parse, linkage, proto, i, name))
         prev = descriptor
     return tuple(walk)
 
@@ -250,14 +250,15 @@ def parse_chain(packet: Packet, walk: tuple[OrderStep, ...]) -> tuple[list, list
     ends = []
     offset = 0
     header = None
-    for parse, linkage, proto, index, name, linkage_name in walk:
+    for parse, linkage, proto, index, name in walk:
         if linkage is not None:
-            actual = linkage(header)
+            actual = getattr(header, linkage)
             if actual != proto:
                 raise ChainOrderError(
                     index, name, None,
-                    f"order mismatch at index {index}: {linkage_name}={actual:#x} "
-                    f"does not announce {name} (protocol {proto:#x})",
+                    f"order mismatch at index {index}: {walk[index - 1].header_type} "
+                    f"{linkage}={actual:#x} does not announce {name} "
+                    f"(protocol {proto:#x})",
                 )
         try:
             header, size = parse(data, offset)

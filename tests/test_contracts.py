@@ -1,5 +1,6 @@
 import pytest
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 from hypothesis import given, settings
@@ -21,9 +22,10 @@ from pktcheck import (
     order,
     parse_contract_spec,
 )
+from pktcheck.contracts import _generate_phases
 from pktcheck.engine import COMPARATORS
 from pktcheck.nfs import MTU_TOO_BIG_CONTRACT, make_nf
-from pktcheck.registry import Registry
+from pktcheck.registry import OrderStep, Registry
 
 SRV6_ORDER = order("EthHdr", "Ipv6Hdr", "Srv6RoutingHdr")
 TWO_SRV6_ORDER = order("EthHdr", "Ipv6Hdr", "Srv6RoutingHdr", "Srv6RoutingHdr")
@@ -350,12 +352,22 @@ def test_compiled_test_agrees_with_direct_evaluation(registry, check, data):
         ingress=PhaseSpec(order=TWO_SRV6_ORDER, checks=()),
         egress=PhaseSpec(order=TWO_SRV6_ORDER, checks=(check,)),
     )
-    (compiled,) = elaborate(spec, registry).egress_checks
+    contract = elaborate(spec, registry)
+    (compiled,) = contract.egress_checks
     current = _headers(data.draw)
     snapshot = tuple(_headers(data.draw))
     lhs, rhs = _direct(check, current, snapshot, constants)
     expected = None if COMPARATORS[check.op](lhs, rhs) else (lhs, rhs)
     assert compiled.test(current, snapshot) == expected
+    # the generated egress phase makes the same comparison, on a walk whose
+    # steps hand it the same headers
+    walk = tuple(
+        OrderStep(lambda data, offset, header=header: (header, 0), None, None, k,
+                  element.header_type)
+        for k, (header, element) in enumerate(zip(current, TWO_SRV6_ORDER.elements))
+    )
+    egress = _generate_phases(replace(contract, egress_walk=walk)).egress
+    assert egress(b"", snapshot) == ([] if expected is None else [(0, *expected)])
 
 
 def test_elaboration_rejects_missing_occurrence(registry):

@@ -24,7 +24,8 @@ from pktcheck import (
     run_ingress,
     verify_order,
 )
-from pktcheck.engine import ResolutionError, render_value
+from pktcheck.contracts import Phases
+from pktcheck.engine import ResolutionError, Violation, render_value
 from pktcheck.nfs import MTU_TOO_BIG_CONTRACT, send_too_big
 
 from conftest import build_tcp6_bytes
@@ -262,6 +263,17 @@ def test_violation_json_shape(registry):
     }
 
 
+def test_check_violation_formats_its_message_when_read():
+    violation = Violation("demo", "egress", 2, "src[Ipv6Hdr]", "::1", "==",
+                          "dst[Ipv6Hdr]@ingress", "::2", 7)
+    assert violation.reason is None
+    assert violation.message == violation.text() == (
+        "NF demo [egress#2] src[Ipv6Hdr]=::1 == dst[Ipv6Hdr]@ingress=::2 "
+        "FAILED (packet 7)"
+    )
+    assert violation.to_json()["message"] == violation.text()
+
+
 def test_render_value_addresses():
     assert render_value(bytes(range(16))) == "1:203:405:607:809:a0b:c0d:e0f"
     assert render_value(bytes.fromhex("020000000001")) == "02:00:00:00:00:01"
@@ -368,3 +380,34 @@ def test_run_phases_are_noops_in_production(registry):
     assert run_egress(contract, packet, snapshot, runtime) == []
     assert runtime.snapshots_built == 0
     assert runtime.checks_evaluated == 0
+
+
+def test_run_ingress_reports_a_header_that_does_not_mirror_its_bytes(registry,
+                                                                  monkeypatch):
+    contract = _mtu_contract(registry)
+    emit = Ipv6Hdr.emit
+    monkeypatch.setattr(Ipv6Hdr, "emit", lambda self: emit(replace(self, hop_limit=1)))
+    runtime = ContractRuntime()
+    violations, snapshot = run_ingress(contract, _tcp6(1300), runtime, packet_index=5)
+    assert snapshot is None and runtime.snapshots_built == runtime.checks_evaluated == 0
+    (violation,) = violations
+    assert (violation.kind, violation.check_index, violation.packet_index) == (
+        "resolution", None, 5
+    )
+    assert violation.message == (
+        "snapshot of Ipv6Hdr does not re-encode to the original bytes; mirror "
+        "would be unfaithful"
+    )
+
+
+def test_a_refusal_the_order_walk_does_not_confirm_is_an_internal_error(registry):
+    contract = _mtu_contract(registry)
+    packet = _tcp6(1300)
+    _, snapshot = run_ingress(contract, packet, ContractRuntime())
+    reply = send_too_big(packet).packet
+    vars(contract)["phases"] = Phases(lambda data: None, lambda data, snap: None)
+    with pytest.raises(RuntimeError, match="generated ingress phase of mtu refused "
+                                           "packet 4, which its order walk accepts"):
+        run_ingress(contract, packet, ContractRuntime(), packet_index=4)
+    with pytest.raises(RuntimeError, match="generated egress phase of mtu refused"):
+        run_egress(contract, reply, snapshot, ContractRuntime())

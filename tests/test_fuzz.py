@@ -8,6 +8,7 @@ Generated traffic alone only shows this for packets that parse.
 """
 
 import hashlib
+import json
 import random
 import struct
 
@@ -23,6 +24,7 @@ from pktcheck import (
     make_nf,
     parse_chain,
 )
+from pktcheck import contracts
 from pktcheck.pcap import PcapRecord
 from pktcheck.pipeline import POLICIES, run_records
 
@@ -75,6 +77,16 @@ OUTPUT_DIGESTS = {
     "srv6-stale-length": "9bc5538bfbe944454bd8b2f679d71bf2ee072637885838d8d269de32d2c3d303",
 }
 
+#: sha256 of each variant's Development ``continue`` violations over MUTANTS
+#: then CLEAN, as the JSON list of their ``to_json()``. Any change to these
+#: means some violation, or a byte of its JSON, moved.
+VIOLATION_DIGESTS = {
+    "mtu": "b6810a44f126a2cb195cef086324dde65e98d8253a1ae0db91a82a8445bcea48",
+    "mtu-no-swap": "a76d854f3b476c989df05538ba3a6a2511db4c93e42cb9f07ff3fccaa447f615",
+    "srv6": "3e645c8a4b62bb558c21cc59d7a599af7487d5f89925a639d8bf2630e16f62a1",
+    "srv6-stale-length": "9f4c9717daafbc4de7cc9f5c79cdc1abdec3314cfb380355e098392a24bf0b05",
+}
+
 
 def _out(summary):
     return [(record.ts_usec, record.data) for record in summary.out_records]
@@ -96,6 +108,17 @@ def test_output_bytes_are_pinned(registry, variant):
         runtime=ContractRuntime(BuildMode.PRODUCTION),
     )
     assert _digest(_out(summary)) == OUTPUT_DIGESTS[variant]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_violations_are_pinned(registry, variant):
+    nf_name, options = VARIANTS[variant]
+    summary = run_records(
+        make_nf(nf_name, registry, **options), MUTANTS + CLEAN, registry,
+        runtime=ContractRuntime(BuildMode.DEVELOPMENT),
+    )
+    blob = json.dumps([violation.to_json() for violation in summary.violations])
+    assert hashlib.sha256(blob.encode()).hexdigest() == VIOLATION_DIGESTS[variant]
 
 
 @pytest.mark.parametrize(
@@ -134,6 +157,24 @@ def test_mutated_traffic_never_crashes_and_modes_agree(registry, nf_name, option
     abort = runs[BuildMode.DEVELOPMENT, "abort"]
     assert abort.aborted and abort.packets_in == first + 1
     assert _out(abort) == [(i, d) for i, d in _out(dev) if i < first]
+
+
+def test_production_never_generates_a_phase(registry, monkeypatch):
+    generated = []
+
+    def generate(contract):
+        generated.append(contract.nf_name)
+        return real(contract)
+
+    real = contracts._generate_phases
+    monkeypatch.setattr(contracts, "_generate_phases", generate)
+    for nf_name, options in VARIANTS.values():
+        nf = make_nf(nf_name, registry, **options)
+        run_records(nf, MUTANTS, registry, runtime=ContractRuntime(BuildMode.PRODUCTION))
+        assert generated == [] and "phases" not in vars(nf.contract)
+    # the first Development packet generates both phases, once
+    run_records(nf, MUTANTS, registry, runtime=ContractRuntime(BuildMode.DEVELOPMENT))
+    assert generated == [nf.name] and "phases" in vars(nf.contract)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -1,10 +1,13 @@
-"""The order walk: ``parse_chain`` along each catalog order.
+"""The order walk: ``parse_chain`` along each catalog order, and the phase
+functions generated from the catalog contracts.
 
 The error table pins the exact ``ChainOrderError`` of every way a packet
 can fail the three catalog orders: its arguments, its message and the
-``ParseError`` it chains from. The property compares the walk with a
+``ParseError`` it chains from. One property compares the walk with a
 reference written here, which chains ``Packet.parse_header`` calls with
-linkage checks, on flipped, truncated and extended packets.
+linkage checks; another compares each generated phase function with
+``parse_chain``, ``build_snapshot`` and each check's ``test``. Both run on
+flipped, truncated and extended packets.
 """
 
 import struct
@@ -18,11 +21,15 @@ from pktcheck import (
     GeneratorSpec,
     Packet,
     ParseError,
+    build_snapshot,
     generate_records,
+    make_nf,
     order,
     parse_chain,
+    standard_registry,
     verify_order,
 )
+from pktcheck.engine import ResolutionError
 
 TCP6 = order("EthHdr", "Ipv6Hdr", ("TcpHdr", "Ipv6Hdr"))
 PTB = order("EthHdr", "Ipv6Hdr", ("Icmpv6PktTooBig", "Ipv6Hdr"))
@@ -230,10 +237,7 @@ BASES = [
 HOT_BYTES = [12, 13, 14, 20, 54, 55, 56, 57, 58, 66, 67]
 
 
-@settings(max_examples=400, deadline=None)
-@given(base=st.sampled_from(BASES), kind=st.sampled_from(("flip", "truncate", "extend")),
-       data=st.data())
-def test_walk_agrees_with_a_parse_header_reference(registry, base, kind, data):
+def _mutated(base, kind, data):
     raw = bytearray(base)
     if kind == "flip":
         at = st.one_of(st.sampled_from(HOT_BYTES), st.integers(0, 95)).filter(
@@ -246,7 +250,108 @@ def test_walk_agrees_with_a_parse_header_reference(registry, base, kind, data):
         del raw[data.draw(st.integers(0, len(raw) - 1)):]
     else:
         raw += data.draw(st.binary(min_size=1, max_size=64))
+    return raw
+
+
+MUTATIONS = st.sampled_from(("flip", "truncate", "extend"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(base=st.sampled_from(BASES), kind=MUTATIONS, data=st.data())
+def test_walk_agrees_with_a_parse_header_reference(registry, base, kind, data):
+    raw = _mutated(base, kind, data)
     for spec in ORDERS:
         assert _outcome(_walk, raw, spec, registry) == _outcome(
             _reference, raw, spec, registry
         )
+
+
+# --- the generated phases against parse_chain and each check's test ----------------
+
+
+def _reference_phase(contract, phase, raw, snapshot):
+    """What ``parse_chain``, ``build_snapshot`` at ingress and each
+    ``CompiledCheck.test`` say of ``raw``, in the shape the generated phase
+    returns: None when the walk or the mirror refuses the packet."""
+    packet = Packet.from_bytes(raw)
+    ingress = phase == "ingress"
+    try:
+        decoded, ends = parse_chain(
+            packet, contract.ingress_walk if ingress else contract.egress_walk
+        )
+        if ingress:
+            snapshot = build_snapshot(packet, decoded, ends)
+    except (ChainOrderError, ResolutionError):
+        return None
+    failed = [
+        (check.index, *result)
+        for check in (contract.ingress_checks if ingress else contract.egress_checks)
+        if (result := check.test(decoded, snapshot)) is not None
+    ]
+    return (failed, snapshot) if ingress else failed
+
+
+#: Every catalog NF variant, each with its own contract.
+CATALOG = [
+    make_nf(name, standard_registry(), **options)
+    for name, options in (
+        ("mtu-too-big", {}), ("mtu-too-big", {"omit_ipv6_swap": True}),
+        ("srv6-change-pkt", {}), ("srv6-change-pkt", {"visit_new": True}),
+        ("srv6-change-pkt", {"omit_payload_len_update": True}),
+    )
+]
+OVERSIZE = [
+    record.data for record in generate_records(
+        GeneratorSpec(count=3, template="tcp6", payload_len=(1281, 1400), seed=607)
+    )
+]
+
+
+def _phase_cases():
+    """(contract, phase, base bytes, snapshot): every catalog ingress phase
+    on every base, and every egress phase on each packet its NF rewrote,
+    with the snapshot of the packet it came from."""
+    cases = []
+    for nf in CATALOG:
+        contract = nf.contract
+        for base in BASES + OVERSIZE:
+            cases.append((contract, "ingress", base, None))
+            result = nf.apply(Packet.from_bytes(base))
+            if result.rewritten and not result.dropped:
+                packet = Packet.from_bytes(base)
+                snapshot = build_snapshot(packet, *parse_chain(packet, contract.ingress_walk))
+                cases.append((contract, "egress", bytes(result.packet.data), snapshot))
+    return cases
+
+
+PHASE_CASES = _phase_cases()
+
+
+def test_phase_cases_cover_every_catalog_phase():
+    covered = {(id(contract), phase) for contract, phase, _, _ in PHASE_CASES}
+    assert covered == {(id(nf.contract), phase) for nf in CATALOG
+                       for phase in ("ingress", "egress")}
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=st.sampled_from(PHASE_CASES), kind=MUTATIONS, data=st.data())
+def test_generated_phase_agrees_with_the_walk_and_each_check(case, kind, data):
+    contract, phase, base, snapshot = case
+    raw = _mutated(base, kind, data)
+    generated = contract.phases.ingress(bytearray(raw)) if phase == "ingress" else (
+        contract.phases.egress(bytearray(raw), snapshot)
+    )
+    assert generated == _reference_phase(contract, phase, raw, snapshot)
+
+
+def test_generated_phase_agrees_on_every_unmutated_case():
+    failing = set()
+    for contract, phase, base, snapshot in PHASE_CASES:
+        generated = contract.phases.ingress(bytearray(base)) if phase == "ingress" else (
+            contract.phases.egress(bytearray(base), snapshot)
+        )
+        assert generated == _reference_phase(contract, phase, base, snapshot)
+        if generated and (generated[0] if phase == "ingress" else generated):
+            failing.add(phase)
+    # the cases reach failing checks in both phases, not only passing ones
+    assert failing == {"ingress", "egress"}

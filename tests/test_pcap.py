@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pktcheck import PcapError, PcapRecord, pcap_bytes, read_pcap, write_pcap
 from pktcheck.cli import main
-from pktcheck.pcap import LINKTYPE_ETHERNET, PCAP_MAGIC, SNAPLEN
+from pktcheck.pcap import LINKTYPE_ETHERNET, PCAP_MAGIC, SNAPLEN, PcapWriter
 
 records_strategy = st.lists(
     st.builds(
@@ -125,6 +125,23 @@ def test_records_up_to_the_largest_snap_length_are_read():
     assert [len(r.data) for r in back] == [65589, 262144]
     with pytest.raises(PcapError, match="record 0 claims 262145 bytes"):
         read_pcap(io.BytesIO(pcap_bytes([PcapRecord(data=bytes(262145))])))
+
+
+def test_writer_refuses_a_record_over_the_snap_length_before_writing_it():
+    big = PcapRecord(data=bytes(SNAPLEN + 1))
+    fobj = io.BytesIO()
+    writer = PcapWriter(fobj)
+    writer.append(PcapRecord(data=b"abcd"))
+    written = fobj.getvalue()
+    with pytest.raises(PcapError, match="record claims 262145 bytes, over the "
+                                        "262144-byte limit"):
+        writer.append(big)
+    assert fobj.getvalue() == written
+    fobj = io.BytesIO()
+    with pytest.raises(PcapError, match="record 1 claims 262145 bytes"):
+        PcapWriter(fobj).extend([PcapRecord(data=b"abcd"), big])
+    assert fobj.getvalue() == written
+    assert read_pcap(io.BytesIO(written))[0].data == b"abcd"
 
 
 def test_declared_snap_length_covers_the_largest_generated_frame(tmp_path, capsys):
