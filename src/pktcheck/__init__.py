@@ -68,7 +68,6 @@ from .pcap import PcapRecord, pcap_bytes, read_pcap, write_pcap
 from .pipeline import RunConfig, RunSummary, bench, run_pipeline, run_records
 from .registry import (
     HeaderDescriptor,
-    FieldAccessor,
     OrderElement,
     OrderSpec,
     Registry,
@@ -94,7 +93,6 @@ __all__ = [
     "ElaborationError",
     "EmitError",
     "EthHdr",
-    "FieldAccessor",
     "FieldRef",
     "GeneratorSpec",
     "HeaderDescriptor",

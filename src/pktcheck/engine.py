@@ -1,9 +1,10 @@
 """Runtime contract engine: ingress snapshots, check evaluation, violation
 reporting, and build-mode gating.
 
-Each phase runs one function that ``contracts`` generated for the contract
-on its first Development use: it decodes the packet along the phase's
-verified order with the codecs, at running offsets and with the linkage
+Each phase of an elaborated contract is a ``contracts.Phase``, and runs
+one function that ``contracts`` generated for it on its first Development
+use (``Phase.run``): it decodes the packet along the phase's verified
+order with the codecs, at running offsets and with the linkage
 cross-checks inline, re-emits each ingress header to prove that the
 snapshot mirrors the packet's bytes, and evaluates every check as one
 inline comparison. The ingress snapshot is the tuple of the headers it
@@ -15,7 +16,8 @@ A packet the generated function refuses takes the slow path: ``parse_chain``
 (and, at ingress, ``build_snapshot``) run again to raise the exact
 ``ChainOrderError`` or ``ResolutionError`` that becomes the packet's
 violation. ``eval_check`` and ``CompiledCheck.test`` evaluate one check the
-same way outside the packet path.
+same way outside the packet path, reading the attributes the check names
+with ``getattr``.
 
 All checks in a phase are evaluated; violations are collected rather than
 thrown one at a time, so a single run can surface every failing condition.
@@ -35,7 +37,6 @@ from enum import Enum
 from . import registry as registry_mod
 from .exceptions import ChainOrderError, EmitError
 from .headers import Packet
-from .registry import BYTES, FieldAccessor
 
 COMPARATORS = {
     "==": operator.eq,
@@ -255,40 +256,42 @@ def build_snapshot(
 class CompiledCheck:
     """One check of an elaborated contract, resolved against its phase.
 
-    The left-hand side reads ``lhs`` from the header at ``lhs_index`` of the
-    headers decoded along the phase order. ``reads`` holds the right-hand
-    field reads as ``(sign, from_snapshot, accessor, index)``, by index in
-    the phase order or in the ingress snapshot, and ``const`` is the sum of
-    the operand's literals and constants. ``lhs_text`` and ``rhs_text`` are
-    the operands' ``describe()`` texts, fixed here so that a failing check
-    only assembles its message. The generated phase functions read the
-    same fields inline.
+    The left-hand side reads the attribute named ``lhs`` of the header at
+    ``lhs_index`` of the headers decoded along the phase order, and ``op``
+    compares it with the right-hand side. ``reads`` holds the right-hand
+    field reads as ``(sign, from_snapshot, name, index)``, by index in the
+    phase order or in the ingress snapshot, and ``const`` is the sum of the
+    operand's literals and constants. When ``is_bytes``, both sides are
+    byte sequences and the right-hand side is its one read. ``lhs_text``
+    and ``rhs_text`` are the operands' ``describe()`` texts, constants
+    inlined, fixed here so that a failing check only assembles its message.
+    The generated phase functions read the same attributes inline.
     """
 
     index: int
-    check: Check
+    op: str
     lhs_text: str
     rhs_text: str
-    lhs: FieldAccessor
+    lhs: str
     lhs_index: int
-    reads: tuple[tuple[int, bool, FieldAccessor, int], ...]
+    reads: tuple[tuple[int, bool, str, int], ...]
     const: int
+    is_bytes: bool
 
     def test(self, current, snapshot) -> tuple | None:
-        """Evaluate the check through the registry's accessors on
-        ``current``, the headers decoded along the phase order, and
-        ``snapshot``: None when it holds, else ``(lhs_value, rhs_value)``.
-        A byte-sequence operand is its one field."""
-        lhs = self.lhs.get(current[self.lhs_index])
+        """Evaluate the check with ``getattr`` on ``current``, the headers
+        decoded along the phase order, and ``snapshot``: None when it
+        holds, else ``(lhs_value, rhs_value)``."""
+        lhs = getattr(current[self.lhs_index], self.lhs)
         values = [
-            (sign, accessor.get((snapshot if from_snapshot else current)[j]))
-            for sign, from_snapshot, accessor, j in self.reads
+            (sign, getattr((snapshot if from_snapshot else current)[j], name))
+            for sign, from_snapshot, name, j in self.reads
         ]
-        if self.lhs.kind == BYTES:
+        if self.is_bytes:
             rhs = values[0][1]
         else:
             rhs = self.const + sum(sign * value for sign, value in values)
-        return None if COMPARATORS[self.check.op](lhs, rhs) else (lhs, rhs)
+        return None if COMPARATORS[self.op](lhs, rhs) else (lhs, rhs)
 
 
 def _violation(
@@ -302,7 +305,7 @@ def _violation(
     """The Violation of a failing check, from the values it compared."""
     return Violation(
         nf, phase, compiled.index, compiled.lhs_text, render_value(lhs),
-        compiled.check.op, compiled.rhs_text, render_value(rhs), packet_index,
+        compiled.op, compiled.rhs_text, render_value(rhs), packet_index,
     )
 
 
@@ -328,28 +331,27 @@ def eval_check(
     return _violation(compiled, *failed, nf, phase, packet_index)
 
 
-def _refusal(contract, phase: str, packet: Packet, packet_index: int) -> Violation:
-    """The violation of a packet that the generated ``phase`` refused:
-    ``parse_chain``, and at ingress ``build_snapshot``, run again to raise
-    the exact error. Raises RuntimeError if they accept the packet, since
-    the generated function and the reference walk then disagree."""
-    walk = contract.ingress_walk if phase == "ingress" else contract.egress_walk
+def _refusal(phase, nf: str, packet: Packet, packet_index: int) -> Violation:
+    """The violation of a packet that ``phase.run`` refused: ``parse_chain``
+    along the phase's walk, and at ingress ``build_snapshot``, run again to
+    raise the exact error. Raises RuntimeError if they accept the packet,
+    since the generated function and the reference walk then disagree."""
     try:
-        decoded, ends = registry_mod.parse_chain(packet, walk)
-        if phase == "ingress":
+        decoded, ends = registry_mod.parse_chain(packet, phase.walk)
+        if phase.name == "ingress":
             build_snapshot(packet, decoded, ends)
     except ChainOrderError as exc:
         return Violation(
-            contract.nf_name, phase, None, "order", exc.found, None, "expected",
+            nf, phase.name, None, "order", exc.found, None, "expected",
             exc.expected, packet_index, "order", str(exc),
         )
     except ResolutionError as exc:
         return Violation(
-            contract.nf_name, phase, None, "snapshot", None, None, "packet", None,
+            nf, phase.name, None, "snapshot", None, None, "packet", None,
             packet_index, "resolution", str(exc),
         )
     raise RuntimeError(
-        f"generated {phase} phase of {contract.nf_name} refused packet "
+        f"generated {phase.name} phase of {nf} refused packet "
         f"{packet_index}, which its order walk accepts"
     )
 
@@ -370,14 +372,14 @@ def run_ingress(
     """
     if not runtime.development or contract is None or contract.ingress is None:
         return [], None
-    outcome = contract.phases.ingress(packet.data)
+    phase, nf = contract.ingress, contract.nf_name
+    outcome = phase.run(packet.data)
     if outcome is None:
-        return [_refusal(contract, "ingress", packet, packet_index)], None
+        return [_refusal(phase, nf, packet, packet_index)], None
     failed, snapshot = outcome
     runtime.snapshots_built += 1
-    checks = contract.ingress_checks
+    checks = phase.compiled
     runtime.checks_evaluated += len(checks)
-    nf = contract.nf_name
     return [
         _violation(checks[i], lhs, rhs, nf, "ingress", packet_index)
         for i, lhs, rhs in failed
@@ -404,12 +406,12 @@ def run_egress(
         return []
     if snapshot is None and contract.ingress is not None:
         return []
-    failed = contract.phases.egress(packet.data, snapshot)
+    phase, nf = contract.egress, contract.nf_name
+    failed = phase.run(packet.data, snapshot)
     if failed is None:
-        return [_refusal(contract, "egress", packet, packet_index)]
-    checks = contract.egress_checks
+        return [_refusal(phase, nf, packet, packet_index)]
+    checks = phase.compiled
     runtime.checks_evaluated += len(checks)
-    nf = contract.nf_name
     return [
         _violation(checks[i], lhs, rhs, nf, "egress", packet_index)
         for i, lhs, rhs in failed

@@ -1,5 +1,5 @@
-"""Header descriptor registry: predecessor rules, field accessors, and the
-order checks run at elaboration time.
+"""Header descriptor registry: predecessor rules, the kind of each readable
+header attribute, and the order checks run at elaboration time.
 
 ``verify_order`` runs once, when a contract is elaborated: it proves an
 order against the predecessor rules and compiles it into a walk, one
@@ -8,14 +8,15 @@ cross-check and what the step's error names. A contract's generated phase
 functions follow its walks inline. ``parse_chain`` runs a walk on its own:
 it calls each codec at a running offset and looks nothing up, and raises
 the exact ``ChainOrderError`` of a packet the generated function refused.
-``match_chain`` compares an already-parsed chain with an order; the packet
-path does not call it.
+A contract's checks name the header attributes they read; the registry
+only says which names each header has and whether each is an integer or
+a byte sequence. ``match_chain`` compares an already-parsed chain with an
+order; the packet path does not call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from . import headers
@@ -26,17 +27,6 @@ INT = "int"
 BYTES = "bytes"
 
 
-@dataclass(frozen=True)
-class FieldAccessor:
-    """Named extraction of one value from a decoded header: ``get`` reads
-    the header attribute of that name, which the generated phase functions
-    read directly."""
-
-    name: str
-    kind: str  # INT or BYTES
-    get: callable
-
-
 @dataclass
 class HeaderDescriptor:
     """Registry entry for one header type.
@@ -45,11 +35,13 @@ class HeaderDescriptor:
     predecessor's linkage field; ``linkage_accessor`` names this header's
     own next-protocol field, if it has one. ``parameter_slot`` is the one
     type an order element of this header may name as its ``<param>``.
+    ``accessors`` maps each attribute a check may read to its kind, INT or
+    BYTES.
     """
 
     header_type: str
     permitted_predecessors: frozenset[str]
-    accessors: dict[str, FieldAccessor]
+    accessors: dict[str, str]
     parameter_slot: str | None = None
     protocol_number: int | None = None
     linkage_accessor: str | None = None
@@ -160,7 +152,8 @@ class Registry:
     def known(self, header_type: str) -> bool:
         return header_type in self._descriptors
 
-    def accessor(self, header_type: str, name: str) -> FieldAccessor:
+    def accessor(self, header_type: str, name: str) -> str:
+        """The kind of accessor ``name`` of ``header_type``, INT or BYTES."""
         descriptor = self.get(header_type)
         try:
             return descriptor.accessors[name]
@@ -303,14 +296,9 @@ def match_chain(packet: Packet, spec: OrderSpec) -> None:
                 )
 
 
-def _accessors(kinds: dict[str, tuple[str, ...]]) -> dict[str, FieldAccessor]:
-    """One accessor per attribute name; each reads the header attribute of
-    that name, and ``kinds`` lists the names by value kind."""
-    return {
-        name: FieldAccessor(name, kind, attrgetter(name))
-        for kind, names in kinds.items()
-        for name in names
-    }
+def _accessors(kinds: dict[str, tuple[str, ...]]) -> dict[str, str]:
+    """The kind of each attribute name, from ``kinds``' names by kind."""
+    return {name: kind for kind, names in kinds.items() for name in names}
 
 
 def standard_registry() -> Registry:

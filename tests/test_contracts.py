@@ -22,7 +22,7 @@ from pktcheck import (
     order,
     parse_contract_spec,
 )
-from pktcheck.contracts import _generate_phases
+from pktcheck.contracts import _generate
 from pktcheck.engine import COMPARATORS
 from pktcheck.nfs import MTU_TOO_BIG_CONTRACT, make_nf
 from pktcheck.registry import OrderStep, Registry
@@ -106,6 +106,13 @@ def test_syntax_error_carries_line_and_column():
     with pytest.raises(ContractSyntaxError) as excinfo:
         parse_contract_spec("check()\npre { order: [EthHdr], checks: [(x, ??, 1)] }")
     assert excinfo.value.line == 2
+
+
+def test_syntax_error_on_an_integer_literal_with_a_leading_zero():
+    with pytest.raises(ContractSyntaxError) as excinfo:
+        parse_contract_spec("check(X = 08)")
+    assert (excinfo.value.line, excinfo.value.column) == (1, 11)
+    assert str(excinfo.value) == "invalid integer literal '08' (line 1, column 11)"
 
 
 def test_parse_rejects_trailing_input():
@@ -231,18 +238,21 @@ def test_elaborate_inlines_constants(registry):
     contract = elaborate(
         parse_contract_spec(MTU_TOO_BIG_CONTRACT, nf_name="mtu"), registry
     )
-    (ingress_check,) = contract.ingress_checks
-    assert ingress_check.check.rhs.terms == ((1, 1280),)
+    (ingress_check,) = contract.ingress.compiled
+    assert (ingress_check.reads, ingress_check.const) == ((), 1280)
 
 
 def test_elaborate_compiles_one_evaluator_per_check(registry):
     contract = elaborate(
         parse_contract_spec(MTU_TOO_BIG_CONTRACT, nf_name="mtu"), registry
     )
-    assert [c.index for c in contract.ingress_checks] == [0]
-    assert [c.index for c in contract.egress_checks] == list(range(6))
-    assert [c.check for c in contract.egress_checks] == list(contract.egress.checks)
-    assert all(callable(c.test) for c in contract.ingress_checks + contract.egress_checks)
+    assert [c.index for c in contract.ingress.compiled] == [0]
+    assert [c.index for c in contract.egress.compiled] == list(range(6))
+    assert [(c.lhs_text, c.op, c.rhs_text) for c in contract.egress.compiled] == [
+        (check.lhs.describe(), check.op, check.rhs.describe())
+        for check in contract.egress.checks
+    ]
+    assert all(callable(c.test) for c in contract.ingress.compiled + contract.egress.compiled)
 
 
 def test_compiled_check_indexes_the_named_occurrence(registry):
@@ -256,7 +266,7 @@ def test_compiled_check_indexes_the_named_occurrence(registry):
         )),
     )
     contract = elaborate(_srv6_spec(TWO_SRV6_ORDER, TWO_SRV6_ORDER, check), registry)
-    (compiled,) = contract.egress_checks
+    (compiled,) = contract.egress.compiled
     srh = [SimpleNamespace(segments_left=10 * i, tag=i) for i in range(4)]
     snapshot = tuple(SimpleNamespace(segments_left=100 + i) for i in range(4))
     assert compiled.test(srh, snapshot) == (30, 103 + 2 - 3)
@@ -353,7 +363,7 @@ def test_compiled_test_agrees_with_direct_evaluation(registry, check, data):
         egress=PhaseSpec(order=TWO_SRV6_ORDER, checks=(check,)),
     )
     contract = elaborate(spec, registry)
-    (compiled,) = contract.egress_checks
+    (compiled,) = contract.egress.compiled
     current = _headers(data.draw)
     snapshot = tuple(_headers(data.draw))
     lhs, rhs = _direct(check, current, snapshot, constants)
@@ -366,7 +376,7 @@ def test_compiled_test_agrees_with_direct_evaluation(registry, check, data):
                   element.header_type)
         for k, (header, element) in enumerate(zip(current, TWO_SRV6_ORDER.elements))
     )
-    egress = _generate_phases(replace(contract, egress_walk=walk)).egress
+    egress = _generate(replace(contract.egress, walk=walk))
     assert egress(b"", snapshot) == ([] if expected is None else [(0, *expected)])
 
 
@@ -430,6 +440,40 @@ def test_elaboration_rejects_a_negated_byte_sequence(registry):
         "egress check (src[Ipv6Hdr], ==, -src[Ipv6Hdr]): arithmetic operands "
         "require integer fields"
     )
+
+
+#: Right-hand operands that no parse produces, each with the refusal that
+#: names its check.
+_HAND_BUILT_OPERANDS = {
+    "no terms": (
+        Operand(()),
+        "egress check (hop_limit[Ipv6Hdr], ==, ): the right-hand side has no terms",
+    ),
+    "sign other than +1 or -1": (
+        Operand(((2, 3),)),
+        "egress check (hop_limit[Ipv6Hdr], ==, 3): term sign 2 is not +1 or -1",
+    ),
+    "float literal": (
+        Operand(((1, 2.5),)),
+        "egress check (hop_limit[Ipv6Hdr], ==, 2.5): literal 2.5 is not an integer",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _HAND_BUILT_OPERANDS)
+def test_elaboration_rejects_an_operand_no_parse_produces(registry, name):
+    operand, message = _HAND_BUILT_OPERANDS[name]
+    check = Check(FieldRef("hop_limit", "Ipv6Hdr"), "==", operand)
+    with pytest.raises(ElaborationError) as excinfo:
+        elaborate(_srv6_spec(SRV6_ORDER, SRV6_ORDER, check), registry)
+    assert str(excinfo.value) == message
+
+
+def test_contracts_of_one_text_share_their_compiled_phases(registry):
+    first, second = (make_nf("srv6-change-pkt", registry).contract for _ in range(2))
+    for one, other in ((first.ingress, second.ingress), (first.egress, second.egress)):
+        assert one.run is not other.run
+        assert one.run.__code__ is other.run.__code__
 
 
 def test_elaborate_requires_frozen_registry():

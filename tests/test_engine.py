@@ -24,7 +24,6 @@ from pktcheck import (
     run_ingress,
     verify_order,
 )
-from pktcheck.contracts import Phases
 from pktcheck.engine import ResolutionError, Violation, render_value
 from pktcheck.nfs import MTU_TOO_BIG_CONTRACT, send_too_big
 
@@ -70,7 +69,7 @@ def _compiled(registry, *checks, constants=None):
         ingress=PhaseSpec(order=TCP6_ORDER, checks=()),
         egress=PhaseSpec(order=TCP6_ORDER, checks=tuple(checks)),
     )
-    return elaborate(spec, registry).egress_checks
+    return elaborate(spec, registry).egress.compiled
 
 
 def _snap(accessor, header_type):
@@ -405,7 +404,8 @@ def test_a_refusal_the_order_walk_does_not_confirm_is_an_internal_error(registry
     packet = _tcp6(1300)
     _, snapshot = run_ingress(contract, packet, ContractRuntime())
     reply = send_too_big(packet).packet
-    vars(contract)["phases"] = Phases(lambda data: None, lambda data, snap: None)
+    vars(contract.ingress)["run"] = lambda data: None
+    vars(contract.egress)["run"] = lambda data, snap: None
     with pytest.raises(RuntimeError, match="generated ingress phase of mtu refused "
                                            "packet 4, which its order walk accepts"):
         run_ingress(contract, packet, ContractRuntime(), packet_index=4)

