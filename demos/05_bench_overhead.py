@@ -3,11 +3,12 @@
 
 Benchmarks `mtu-too-big` with contracts on (Development) and off
 (Production) and breaks the per-phase cost down. The ingress phase
-carries the snapshot build — keeping the headers the order parse decoded
-and re-emitting each one to prove it mirrors the packet's bytes — so it
-dominates the contract overhead even though the egress phase evaluates
-six checks to ingress's one. Every check runs as an evaluator compiled
-once at elaboration, so neither phase decodes a header twice.
+carries the snapshot build — decoding each header with its codec and
+re-emitting it to prove it mirrors the packet's bytes — so it dominates
+the contract overhead even though the egress phase evaluates six checks to
+ingress's one. Each phase runs as one function generated from the contract
+on its first Development use; the egress one builds no header objects, but
+reads the fields its checks name straight from the reply's bytes.
 """
 
 from pktcheck import GeneratorSpec, bench, generate_records

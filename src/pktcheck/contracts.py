@@ -37,10 +37,14 @@ one ``Phase``: the parsed phase plus its name, walk and compiled checks.
 
 On a phase's first Development use, ``Phase.run`` is generated as one
 Python function from source text: it follows the phase's walk with the
-linkage cross-checks inline, calls each codec at the running offset,
-re-emits each ingress header against its byte span, and evaluates every
-check as one inline comparison. Phases of the same text share one
-compiled code object. Production never generates them.
+linkage cross-checks inline and evaluates every check as one inline
+comparison. The ingress function calls each codec's ``parse`` at the
+running offset and re-emits each header against its byte span, since its
+headers become the snapshot. The egress function builds no header: it
+splices in each codec's ``FieldRead`` (``headers``), one ``unpack_from``
+plus the codec's tests per step, and reads only the fields its checks and
+linkage cross-checks name. Phases of the same text share one compiled code
+object. Production never generates them.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable
 
+from . import headers
 from .engine import COMPARATORS, Check, CompiledCheck, FieldRef, Operand, Source
 from .exceptions import (
     ContractSyntaxError,
@@ -595,14 +600,17 @@ def check_static_assertions(spec: ContractSpec) -> None:
 def elaborate(spec: ContractSpec, registry: Registry) -> Contract:
     """Produce the executable contract from its parsed form.
 
-    Runs in every build mode, before any packet flows: checks every
-    reference of both phases against the registry while inlining constants
-    and compiling each check into the reads the engine makes per packet,
-    then verifies both header orders, compiling each into its walk, and
-    evaluates the static assertions.
+    Runs in every build mode, before any packet flows: refuses a constant
+    that is not an ``int``, checks every reference of both phases against
+    the registry while inlining constants and compiling each check into the
+    reads the engine makes per packet, then verifies both header orders,
+    compiling each into its walk, and evaluates the static assertions.
     """
     if not registry.frozen:
         raise ElaborationError("registry must be frozen before elaboration")
+    for name, value in spec.constants.items():
+        if type(value) is not int:
+            raise ElaborationError(f"constant {name!r} = {value!r} is not an integer")
     phases = (("ingress", spec.ingress), ("egress", spec.egress))
     # every check of both phases resolves before either order is verified
     compiled = [_compile_phase(spec, phase, name, registry) for name, phase in phases]
@@ -652,19 +660,48 @@ def _generate(phase: Phase) -> Callable:
     """Write ``phase`` as one function (see ``Phase.run``) and compile it,
     binding each step's codec in a namespace of its own.
 
-    Header ``k`` of the walk is ``hk`` and ends at offset ``ek``. Each step
-    cross-checks its predecessor's linkage field, then parses at the
-    running offset, as ``parse_chain`` does; at ingress every header is
-    re-emitted and compared with its byte span, as ``build_snapshot``
-    does. A snapshot read is ``sj = snap[j]`` at egress and ``hj`` at
-    ingress, where the snapshot is the headers in hand.
+    Header ``k`` of the walk ends at offset ``ek``, and each step first
+    cross-checks its predecessor's linkage field, as ``parse_chain`` does.
+    At ingress, header ``k`` is ``hk``: each step calls its codec's
+    ``parse`` at the running offset, every header is re-emitted and
+    compared with its byte span, as ``build_snapshot`` does, and the
+    snapshot is the headers in hand. At egress no header is built: each
+    step splices in its codec's ``FieldRead``, so attribute ``a`` of header
+    ``k`` is the local ``hk_a``, and snapshot header ``j`` is
+    ``sj = snap[j]``.
     """
     name, walk, checks = phase.name, phase.walk, phase.compiled
-    namespace = {"ParseError": ParseError, "EmitError": EmitError}
     ingress = name == "ingress"
-    lines = [f"def {name}(data{'' if ingress else ', snap'}):", "    try:"]
+    namespace = {"ParseError": ParseError, "EmitError": EmitError}
+    if ingress:
+        lines = _parse_lines(walk, namespace)
+    else:
+        lines = _read_lines(walk, checks, namespace)
+
+    def read(from_snapshot, attribute, j):
+        if ingress:
+            return f"h{j}.{attribute}"
+        return f"s{j}.{attribute}" if from_snapshot else f"h{j}_{attribute}"
+
+    for c in checks:
+        lines += [
+            f"    lhs = {read(False, c.lhs, c.lhs_index)}",
+            f"    rhs = {_rhs_source(c, read)}",
+            f"    if not lhs {_PY_OPS[c.op]} rhs:",
+            f"        failed.append(({c.index}, lhs, rhs))",
+        ]
+    snapshot = ", ".join(f"h{k}" for k in range(len(walk)))
+    lines.append(f"    return failed, ({snapshot},)" if ingress else "    return failed")
+    exec(_compile("\n".join(lines) + "\n"), namespace)
+    return namespace[name]
+
+
+def _parse_lines(walk: tuple[OrderStep, ...], namespace: dict) -> list[str]:
+    """The ingress function up to its checks: each header parsed by its
+    codec and re-emitted against its byte span."""
+    lines = ["def ingress(data):", "    try:"]
     for k, step in enumerate(walk):
-        parse = f"{name}_parse{k}"
+        parse = f"ingress_parse{k}"
         namespace[parse] = step.parse
         if step.linkage is not None:
             lines += [
@@ -674,40 +711,56 @@ def _generate(phase: Phase) -> Callable:
         if k == 0:
             lines.append(f"        h0, e0 = {parse}(data, 0)")
         else:
-            lines.append(f"        h{k}, n = {parse}(data, e{k - 1})")
-            if ingress or k < len(walk) - 1:
-                lines.append(f"        e{k} = e{k - 1} + n")
-    if ingress:
-        mirror = " or ".join(
-            f"h{k}.emit() != data[{f'e{k - 1}' if k else ''}:e{k}]"
-            for k in range(len(walk))
-        )
-        lines += [f"        if {mirror}:", "            return None",
-                  "    except (ParseError, EmitError):"]
-    else:
-        lines.append("    except ParseError:")
-    lines += ["        return None", "    failed = []"]
-    if not ingress:
-        lines += [
-            f"    s{j} = snap[{j}]"
-            for j in sorted({j for c in checks for _, from_snapshot, _, j in c.reads
-                             if from_snapshot})
-        ]
+            lines += [f"        h{k}, n = {parse}(data, e{k - 1})",
+                      f"        e{k} = e{k - 1} + n"]
+    mirror = " or ".join(
+        f"h{k}.emit() != data[{f'e{k - 1}' if k else ''}:e{k}]"
+        for k in range(len(walk))
+    )
+    return lines + [
+        f"        if {mirror}:",
+        "            return None",
+        "    except (ParseError, EmitError):",
+        "        return None",
+        "    failed = []",
+    ]
 
-    def read(from_snapshot, attribute, j):
-        return f"{'s' if from_snapshot and not ingress else 'h'}{j}.{attribute}"
 
-    for c in checks:
+def _read_lines(
+    walk: tuple[OrderStep, ...], checks: tuple[CompiledCheck, ...], namespace: dict
+) -> list[str]:
+    """The egress function up to its checks: per step, a length guard, one
+    ``unpack_from`` of the codec's ``Struct``, the codec's tests in order,
+    the end offset, and a local for each attribute that a check or the next
+    step's linkage cross-check reads."""
+    used = {(c.lhs_index, c.lhs) for c in checks}
+    used |= {(j, attribute) for c in checks for _, from_snapshot, attribute, j in c.reads
+             if not from_snapshot}
+    used |= {(k - 1, step.linkage) for k, step in enumerate(walk) if step.linkage}
+    lines = ["def egress(data, snap):", "    n = len(data)"]
+    for k, step in enumerate(walk):
+        rule = headers.HEADER_TYPES[step.header_type].READ
+        unpack = f"egress_unpack{k}"
+        namespace[unpack] = rule.unpack.unpack_from
+        at = f"e{k - 1}" if k else "0"
+        names = {field: f"h{k}_{field}" for field in rule.fields}
+        names.update(at=at, length="n")
+        if step.linkage is not None:
+            lines += [f"    if h{k - 1}_{step.linkage} != {step.proto!r}:",
+                      "        return None"]
+        lines += [f"    if {at} + {rule.unpack.size} > n:", "        return None",
+                  f"    {', '.join(names[f] for f in rule.fields)} = {unpack}(data, {at})"]
+        for test in rule.tests:
+            lines += [f"    if not ({test.format_map(names)}):", "        return None"]
+        if k < len(walk) - 1:
+            lines.append(f"    e{k} = {at} + {rule.size.format_map(names)}")
         lines += [
-            f"    lhs = h{c.lhs_index}.{c.lhs}",
-            f"    rhs = {_rhs_source(c, read)}",
-            f"    if not lhs {_PY_OPS[c.op]} rhs:",
-            f"        failed.append(({c.index}, lhs, rhs))",
+            f"    h{k}_{attribute} = {rule.attributes[attribute].format_map(names)}"
+            for j, attribute in sorted(used)
+            if j == k and attribute in rule.attributes
         ]
-    snapshot = ", ".join(f"h{k}" for k in range(len(walk)))
-    lines.append(f"    return failed, ({snapshot},)" if ingress else "    return failed")
-    exec(_compile("\n".join(lines) + "\n"), namespace)
-    return namespace[name]
+    snapshot = {j for c in checks for _, from_snapshot, _, j in c.reads if from_snapshot}
+    return lines + ["    failed = []"] + [f"    s{j} = snap[{j}]" for j in sorted(snapshot)]
 
 
 def explain_contract(contract: Contract) -> str:

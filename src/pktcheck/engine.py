@@ -3,14 +3,15 @@ reporting, and build-mode gating.
 
 Each phase of an elaborated contract is a ``contracts.Phase``, and runs
 one function that ``contracts`` generated for it on its first Development
-use (``Phase.run``): it decodes the packet along the phase's verified
-order with the codecs, at running offsets and with the linkage
-cross-checks inline, re-emits each ingress header to prove that the
-snapshot mirrors the packet's bytes, and evaluates every check as one
-inline comparison. The ingress snapshot is the tuple of the headers it
-decoded. It returns the failing checks as ``(index, lhs, rhs)``, so only a
-failing check builds a Violation, and its message is formatted only when
-something reads it.
+use (``Phase.run``): it follows the phase's verified order at running
+offsets, with the linkage cross-checks inline, and evaluates every check as
+one inline comparison. At ingress it decodes each header with its codec
+and re-emits it to prove that the snapshot mirrors the packet's bytes; the
+ingress snapshot is the tuple of the headers it decoded. At egress it reads
+the fields its checks name straight from the bytes, with each codec's own
+tests, and builds no header. It returns the failing checks as ``(index,
+lhs, rhs)``, so only a failing check builds a Violation, and its message is
+formatted only when something reads it.
 
 A packet the generated function refuses takes the slow path: ``parse_chain``
 (and, at ingress, ``build_snapshot``) run again to raise the exact
@@ -56,6 +57,11 @@ class Source(Enum):
 class BuildMode(Enum):
     DEVELOPMENT = "dev"
     PRODUCTION = "prod"
+
+
+#: Bound once, so that the phase entry points read the mode with one
+#: global lookup per packet.
+_DEVELOPMENT = BuildMode.DEVELOPMENT
 
 
 @dataclass(frozen=True)
@@ -210,10 +216,6 @@ class ContractRuntime:
         self.mode = mode
         self.snapshots_built = 0
         self.checks_evaluated = 0
-
-    @property
-    def development(self) -> bool:
-        return self.mode is BuildMode.DEVELOPMENT
 
 
 def build_snapshot(
@@ -370,16 +372,19 @@ def run_ingress(
     chain and are not evaluated. No snapshot is returned then, so egress
     evaluates nothing either.
     """
-    if not runtime.development or contract is None or contract.ingress is None:
+    if runtime.mode is not _DEVELOPMENT or contract is None or contract.ingress is None:
         return [], None
-    phase, nf = contract.ingress, contract.nf_name
+    phase = contract.ingress
     outcome = phase.run(packet.data)
     if outcome is None:
-        return [_refusal(phase, nf, packet, packet_index)], None
+        return [_refusal(phase, contract.nf_name, packet, packet_index)], None
     failed, snapshot = outcome
     runtime.snapshots_built += 1
     checks = phase.compiled
     runtime.checks_evaluated += len(checks)
+    if not failed:  # the generated function's own empty list
+        return failed, snapshot
+    nf = contract.nf_name
     return [
         _violation(checks[i], lhs, rhs, nf, "ingress", packet_index)
         for i, lhs, rhs in failed
@@ -402,16 +407,19 @@ def run_egress(
     one root cause. A contract without one runs egress as usual, since
     elaboration refused every snapshot read in it.
     """
-    if not runtime.development or contract is None or contract.egress is None:
+    if runtime.mode is not _DEVELOPMENT or contract is None or contract.egress is None:
         return []
     if snapshot is None and contract.ingress is not None:
         return []
-    phase, nf = contract.egress, contract.nf_name
+    phase = contract.egress
     failed = phase.run(packet.data, snapshot)
     if failed is None:
-        return [_refusal(phase, nf, packet, packet_index)]
+        return [_refusal(phase, contract.nf_name, packet, packet_index)]
     checks = phase.compiled
     runtime.checks_evaluated += len(checks)
+    if not failed:
+        return failed
+    nf = contract.nf_name
     return [
         _violation(checks[i], lhs, rhs, nf, "egress", packet_index)
         for i, lhs, rhs in failed

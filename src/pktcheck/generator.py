@@ -164,11 +164,12 @@ def generate(spec: GeneratorSpec) -> list[Packet]:
 
 
 def generate_records(spec: GeneratorSpec) -> list[PcapRecord]:
-    """Generate packets wrapped in pcap records with sequential timestamps.
+    """Generate packets wrapped in pcap records with sequential timestamps,
+    one microsecond apart from 0.
 
     Records take the generated bytes directly: no ``Packet`` is built per
     record only to be copied back out."""
     return [
-        PcapRecord(data=raw, ts_sec=0, ts_usec=index)
+        PcapRecord(raw, *divmod(index, 1_000_000))
         for index, raw in enumerate(_generate_bytes(spec))
     ]

@@ -21,6 +21,11 @@ when the test fails or the pack refuses a field, they raise the
 always fails one of them, so if they all pass the field is in range but
 not an integer, and ``emit`` re-raises what the pack raised.
 
+Next to each ``parse``, the codec's ``READ`` is a ``FieldRead``: the same
+``Struct``, acceptance tests and size, written as source text that a
+generated egress phase splices in to read a header's fields straight from
+the bytes, without building the header or copying its variable part.
+
 A ``Packet`` is its bytes: the network functions and the order walks call
 the codecs at running offsets and build new packets rather than edit one.
 ``Packet.parse_header``/``decode`` and their chain serve only the
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .exceptions import EmitError, ParseError
 
@@ -73,6 +79,26 @@ _REFUSED = (struct.error, TypeError)
 _ADDRESS_LENGTH = {16}
 
 
+class FieldRead(NamedTuple):
+    """How a generated phase reads one header's fields from the bytes.
+
+    ``unpack`` is the codec's ``Struct`` and ``fields`` names the values it
+    yields, in order. ``tests`` are the codec's acceptance tests in its
+    ``parse`` order, ``size`` is the header's length in bytes, and
+    ``attributes`` gives each registry attribute that is not itself a
+    field. Each is Python source in which ``{name}`` stands for a field,
+    ``{at}`` for the header's offset and ``{length}`` for the buffer's
+    length. The packet holds the header when the buffer has ``unpack.size``
+    bytes at ``{at}`` and every test holds, exactly when ``parse`` returns.
+    """
+
+    unpack: struct.Struct
+    fields: tuple[str, ...]
+    tests: tuple[str, ...]
+    size: str
+    attributes: dict[str, str]
+
+
 def _check_range(value, bits, what):
     if not 0 <= value < (1 << bits):
         raise EmitError(f"{what} out of range for {bits}-bit field: {value}")
@@ -87,6 +113,7 @@ class EthHdr:
     ether_type: int
 
     SIZE = ETH_HDR_SIZE
+    READ = FieldRead(_ETH, ("dst", "src", "ether_type"), (), str(ETH_HDR_SIZE), {})
 
     @classmethod
     def parse(cls, buf: bytes, offset: int = 0) -> tuple["EthHdr", int]:
@@ -120,6 +147,13 @@ class Ipv6Hdr:
     flow_label: int = 0
 
     SIZE = IPV6_HDR_SIZE
+    READ = FieldRead(
+        _IPV6, ("v_tc_fl", "payload_len", "next_header", "hop_limit", "src", "dst"),
+        ("{v_tc_fl} >> 28 == 6",),
+        str(IPV6_HDR_SIZE),
+        {"version": "{v_tc_fl} >> 28", "traffic_class": "{v_tc_fl} >> 20 & 0xFF",
+         "flow_label": "{v_tc_fl} & 0xFFFFF"},
+    )
 
     @classmethod
     def parse(cls, buf: bytes, offset: int = 0) -> tuple["Ipv6Hdr", int]:
@@ -187,6 +221,13 @@ class TcpHdr:
     reserved: int = 0
 
     MIN_SIZE = 20
+    READ = FieldRead(
+        _TCP, ("src_port", "dst_port", "seq", "ack", "off_flags", "window", "checksum",
+               "urgent_ptr"),
+        ("{off_flags} >> 12 >= 5", "{at} + ({off_flags} >> 12) * 4 <= {length}"),
+        "({off_flags} >> 12) * 4",
+        {"data_offset": "{off_flags} >> 12", "flags": "{off_flags} & 0x1FF"},
+    )
 
     @classmethod
     def parse(cls, buf: bytes, offset: int = 0) -> tuple["TcpHdr", int]:
@@ -260,6 +301,13 @@ class Icmpv6PktTooBig:
 
     MIN_SIZE = 8
     MAX_SIZE = IPV6_MIN_MTU - IPV6_HDR_SIZE
+    READ = FieldRead(
+        _ICMPV6_PTB, ("msg_type", "code", "checksum", "mtu"),
+        (f"{{msg_type}} == {ICMPV6_PKT_TOO_BIG} and {{code}} == 0",
+         f"{{length}} - {{at}} <= {MAX_SIZE}"),
+        "{length} - {at}",
+        {},
+    )
 
     @classmethod
     def parse(cls, buf: bytes, offset: int = 0) -> tuple["Icmpv6PktTooBig", int]:
@@ -323,6 +371,17 @@ class Srv6RoutingHdr:
     routing_type: int = SRV6_ROUTING_TYPE
 
     MIN_SIZE = 8
+    READ = FieldRead(
+        _SRV6, ("next_header", "hdr_ext_len", "routing_type", "segments_left",
+                "last_entry", "flags", "tag"),
+        (f"{{routing_type}} == {SRV6_ROUTING_TYPE}",
+         "{hdr_ext_len} >= 2 and not {hdr_ext_len} % 2",
+         "{at} + 8 + 8 * {hdr_ext_len} <= {length}",
+         "{last_entry} == {hdr_ext_len} // 2 - 1",
+         "{segments_left} <= {last_entry} + 1"),
+        "8 + 8 * {hdr_ext_len}",
+        {},
+    )
 
     @property
     def hdr_ext_len(self) -> int:

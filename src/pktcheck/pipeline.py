@@ -149,7 +149,7 @@ def run_records(
         runtime = ContractRuntime()
     summary = RunSummary(nf_name=nf.name, mode=runtime.mode, policy=policy)
     emit = (summary.out_records if out is None else out).append
-    if runtime.development and nf.contract is not None:
+    if runtime.mode is BuildMode.DEVELOPMENT and nf.contract is not None:
         _run_checked(nf, records, runtime, policy, summary, emit)
     else:
         _run_transform_only(nf, records, summary, emit)
@@ -178,45 +178,52 @@ def _run_transform_only(nf, records, summary: RunSummary, emit) -> None:
 def _run_checked(
     nf, records, runtime: ContractRuntime, policy: str, summary: RunSummary, emit
 ) -> None:
-    contract, timings = nf.contract, summary.timings
+    # Looked up per call, as in _run_transform_only, so that a tracer's
+    # wrappers and clock still see every call.
+    contract, from_bytes, apply = nf.contract, Packet.from_bytes, nf.apply
+    ingress, egress, clock = run_ingress, run_egress, time.perf_counter_ns
+    found, by_check, drops = summary.violations, summary.violations_by_check, summary.drops
+    strict = policy != "continue"
+    ingress_ns = transform_ns = egress_ns = 0
+    index, dropped = -1, 0
     for index, record in enumerate(records):
-        summary.packets_in += 1
-        packet = Packet.from_bytes(record.data)
+        packet = from_bytes(record.data)
 
-        t0 = time.perf_counter_ns()
-        violations, snapshot = run_ingress(
-            contract, packet, runtime, packet_index=index
-        )
-        timings["ingress_contract_ns"] += time.perf_counter_ns() - t0
+        t0 = clock()
+        violations, snapshot = ingress(contract, packet, runtime, index)
+        ingress_ns += clock() - t0
 
-        t0 = time.perf_counter_ns()
-        result = nf.apply(packet)
-        timings["transform_ns"] += time.perf_counter_ns() - t0
+        t0 = clock()
+        result = apply(packet)
+        transform_ns += clock() - t0
 
-        if result.rewritten and not result.dropped:
-            t0 = time.perf_counter_ns()
-            violations += run_egress(
-                contract, result.packet, snapshot, runtime, packet_index=index
-            )
-            timings["egress_contract_ns"] += time.perf_counter_ns() - t0
+        out = result.packet
+        if out is not None and result.rewritten:
+            t0 = clock()
+            violations += egress(contract, out, snapshot, runtime, index)
+            egress_ns += clock() - t0
 
         for violation in violations:
-            summary.violations.append(violation)
+            found.append(violation)
             key = _check_key(violation)
-            summary.violations_by_check[key] = (
-                summary.violations_by_check.get(key, 0) + 1
-            )
-        if result.dropped:
-            summary.packets_dropped += 1
-            summary.drops.append((index, result.drop_reason or ""))
-        elif violations and policy in ("drop", "abort"):
-            summary.packets_dropped += 1
+            by_check[key] = by_check.get(key, 0) + 1
+        if out is None:
+            dropped += 1
+            drops.append((index, result.drop_reason or ""))
+        elif violations and strict:
+            dropped += 1
         else:
-            summary.packets_out += 1
-            emit(PcapRecord(bytes(result.packet.data), record.ts_sec, record.ts_usec))
+            emit(PcapRecord(bytes(out.data), record.ts_sec, record.ts_usec))
         if violations and policy == "abort":
             summary.aborted = True
             break
+    summary.packets_in = index + 1
+    summary.packets_dropped = dropped
+    summary.packets_out = summary.packets_in - dropped
+    timings = summary.timings
+    timings["ingress_contract_ns"] = ingress_ns
+    timings["transform_ns"] = transform_ns
+    timings["egress_contract_ns"] = egress_ns
 
 
 def run_pipeline(

@@ -1,6 +1,5 @@
 import pytest
 
-from dataclasses import replace
 from types import SimpleNamespace
 
 from hypothesis import given, settings
@@ -12,20 +11,23 @@ from pktcheck import (
     ContractSpec,
     ContractSyntaxError,
     ElaborationError,
+    EthHdr,
     FieldRef,
+    Ipv6Hdr,
     Operand,
     PktCheckError,
     PhaseSpec,
     Source,
+    Srv6RoutingHdr,
     elaborate,
     explain_contract,
     order,
     parse_contract_spec,
 )
-from pktcheck.contracts import _generate
 from pktcheck.engine import COMPARATORS
+from pktcheck.headers import ETHERTYPE_IPV6, PROTO_NONE, PROTO_SRV6
 from pktcheck.nfs import MTU_TOO_BIG_CONTRACT, make_nf
-from pktcheck.registry import OrderStep, Registry
+from pktcheck.registry import Registry
 
 SRV6_ORDER = order("EthHdr", "Ipv6Hdr", "Srv6RoutingHdr")
 TWO_SRV6_ORDER = order("EthHdr", "Ipv6Hdr", "Srv6RoutingHdr", "Srv6RoutingHdr")
@@ -170,6 +172,24 @@ def test_validation_rejects_unbound_constant(registry):
         elaborate(parse_contract_spec(text), registry)
 
 
+@pytest.mark.parametrize("value", [2.5, True, "3"], ids=["float", "bool", "str"])
+def test_elaboration_refuses_a_constant_that_is_not_an_int(registry, value):
+    # a hand-built spec can bind anything; the check and the static
+    # assertion would both use K, so the refusal has to come first
+    spec = ContractSpec(
+        nf_name="x", constants={"K": value},
+        static_assertions=(parse_contract_spec("check() static: [K * 2 >= 0]")
+                           .static_assertions),
+        ingress=PhaseSpec(order("EthHdr", "Ipv6Hdr"), (
+            Check(FieldRef("hop_limit", "Ipv6Hdr"), "<", Operand.constant("K")),
+        )),
+        egress=None,
+    )
+    with pytest.raises(ElaborationError) as excinfo:
+        elaborate(spec, registry)
+    assert str(excinfo.value) == f"constant 'K' = {value!r} is not an integer"
+
+
 def test_validation_rejects_dangling_snapshot_reference(registry):
     text = """
     check()
@@ -277,9 +297,8 @@ def test_compiled_check_indexes_the_named_occurrence(registry):
 _INT_FIELDS = [("EthHdr", "ether_type", 0), ("Ipv6Hdr", "payload_len", 0),
                ("Ipv6Hdr", "hop_limit", 0), ("Srv6RoutingHdr", "segments_left", 0),
                ("Srv6RoutingHdr", "segments_left", 1), ("Srv6RoutingHdr", "tag", 1)]
-_BYTES_FIELDS = [("EthHdr", "src", 0), ("Ipv6Hdr", "dst", 0)]
-_ATTRS = ("ether_type", "payload_len", "hop_limit", "segments_left", "tag",
-          "src", "dst")
+_BYTES_FIELDS = [("EthHdr", "src", 0), ("EthHdr", "dst", 0), ("Ipv6Hdr", "src", 0),
+                 ("Ipv6Hdr", "dst", 0)]
 
 
 def _ref(field, source=Source.CURRENT_PACKET):
@@ -302,8 +321,11 @@ def _checks(draw):
     signed sum), or a byte-sequence comparison of one field."""
     shape = draw(st.sampled_from(["constant", "current", "snapshot", "sum", "bytes"]))
     if shape == "bytes":
-        lhs = _ref(draw(st.sampled_from(_BYTES_FIELDS)))
-        rhs = [(1, _ref(draw(st.sampled_from(_BYTES_FIELDS)), draw(_sources)))]
+        lhs_field = draw(st.sampled_from(_BYTES_FIELDS))
+        lhs = _ref(lhs_field)
+        # a field of the same header, so of the same length
+        same = [f for f in _BYTES_FIELDS if f[0] == lhs_field[0]]
+        rhs = [(1, _ref(draw(st.sampled_from(same)), draw(_sources)))]
         op = draw(st.sampled_from(["==", "neq"]))
         return Check(lhs, op, Operand(tuple(rhs)))
     lhs = _ref(draw(st.sampled_from(_INT_FIELDS)))
@@ -320,14 +342,27 @@ def _checks(draw):
     return Check(lhs, op, Operand(tuple(rhs)))
 
 
+_MACS = st.sampled_from([b"\x00" * 6, b"\x01" * 6])
+_ADDRESSES = st.sampled_from([b"\x00" * 16, b"\x01" * 16])
+_SMALL = st.integers(0, 4)
+
+
+def _srh(draw, next_header):
+    segments = draw(st.lists(_ADDRESSES, min_size=1, max_size=2))
+    return Srv6RoutingHdr(next_header, draw(st.integers(0, len(segments))), segments,
+                          tag=draw(_SMALL))
+
+
 def _headers(draw):
+    """Headers along TWO_SRV6_ORDER that encode to a packet its walk accepts:
+    the linkage fields are fixed, and the other fields the checks read are
+    drawn from few values, so that comparisons go both ways."""
     return [
-        SimpleNamespace(**{
-            name: draw(st.sampled_from([b"\x00" * 6, b"\x01" * 6]))
-            if name in ("src", "dst") else draw(st.integers(0, 4))
-            for name in _ATTRS
-        })
-        for _ in TWO_SRV6_ORDER.elements
+        EthHdr(draw(_MACS), draw(_MACS), ETHERTYPE_IPV6),
+        Ipv6Hdr(draw(_ADDRESSES), draw(_ADDRESSES), draw(_SMALL), PROTO_SRV6,
+                draw(_SMALL)),
+        _srh(draw, PROTO_SRV6),
+        _srh(draw, PROTO_NONE),
     ]
 
 
@@ -369,15 +404,12 @@ def test_compiled_test_agrees_with_direct_evaluation(registry, check, data):
     lhs, rhs = _direct(check, current, snapshot, constants)
     expected = None if COMPARATORS[check.op](lhs, rhs) else (lhs, rhs)
     assert compiled.test(current, snapshot) == expected
-    # the generated egress phase makes the same comparison, on a walk whose
-    # steps hand it the same headers
-    walk = tuple(
-        OrderStep(lambda data, offset, header=header: (header, 0), None, None, k,
-                  element.header_type)
-        for k, (header, element) in enumerate(zip(current, TWO_SRV6_ORDER.elements))
+    # the generated egress phase makes the same comparison, reading the
+    # fields from the headers' bytes
+    data = bytearray(b"".join(header.emit() for header in current))
+    assert contract.egress.run(data, snapshot) == (
+        [] if expected is None else [(0, *expected)]
     )
-    egress = _generate(replace(contract.egress, walk=walk))
-    assert egress(b"", snapshot) == ([] if expected is None else [(0, *expected)])
 
 
 def test_elaboration_rejects_missing_occurrence(registry):

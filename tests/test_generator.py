@@ -99,3 +99,15 @@ def test_records_have_sequential_timestamps():
     assert all(r.ts_sec == 0 for r in records)
     packets = generate(GeneratorSpec(count=5, payload_len=30, seed=4))
     assert [r.data for r in records] == [bytes(p.data) for p in packets]
+
+
+def test_timestamps_carry_into_seconds_at_a_million_records(monkeypatch):
+    # count from record 999,998 instead of building a million packets
+    from pktcheck import generator
+
+    monkeypatch.setattr(generator, "enumerate",
+                        lambda iterable: enumerate(iterable, 999_998), raising=False)
+    records = generate_records(GeneratorSpec(count=3, payload_len=30, seed=4))
+    assert [(r.ts_sec, r.ts_usec) for r in records] == [
+        (0, 999_998), (0, 999_999), (1, 0)
+    ]

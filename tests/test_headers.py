@@ -14,6 +14,7 @@ from pktcheck import (
     ParseError,
     Srv6RoutingHdr,
     TcpHdr,
+    standard_registry,
 )
 from pktcheck.headers import ICMPV6_PKT_TOO_BIG, SRV6_ROUTING_TYPE
 
@@ -412,6 +413,52 @@ def test_parse_returns_or_raises_parse_error(codec, data):
         return
     assert 0 < consumed <= len(buf) - offset
     assert hdr.emit() == bytes(buf[offset : offset + consumed])
+
+
+ACCESSORS = {codec: standard_registry().get(codec.__name__).accessors for codec in CODECS}
+
+
+def _field_read(codec, buf, at):
+    """``codec.READ`` evaluated as a generated phase splices it in: None
+    when the length guard or a test refuses the buffer, else the header's
+    size and the value of each registry attribute."""
+    rule = codec.READ
+    if at + rule.unpack.size > len(buf):
+        return None
+    names = dict(zip(rule.fields, rule.fields), at="at", length="length")
+    values = dict(zip(rule.fields, rule.unpack.unpack_from(buf, at)), at=at,
+                  length=len(buf))
+
+    def value(source):
+        return eval(source.format_map(names), {}, values)
+
+    if not all(value(test) for test in rule.tests):
+        return None
+    return value(rule.size), {
+        name: values[name] if name in rule.fields else value(rule.attributes[name])
+        for name in ACCESSORS[codec]
+    }
+
+
+@pytest.mark.parametrize("codec", CODECS, ids=lambda c: c.__name__)
+@settings(max_examples=300)
+@given(data=st.data())
+def test_field_read_agrees_with_parse(codec, data):
+    # what a generated egress phase reads without building the header
+    offset = data.draw(st.integers(0, 8))
+    raw = bytearray(data.draw(st.binary(max_size=offset + 64)))
+    if data.draw(st.integers(0, 3)):
+        _nudge(codec, raw, offset, data)
+    # reach the Packet Too Big reply budget too
+    raw += bytes(data.draw(st.one_of(st.just(0), st.integers(1220, 1250))))
+    buf = raw if data.draw(st.booleans()) else bytes(raw)
+    try:
+        hdr, consumed = codec.parse(buf, offset)
+    except ParseError:
+        expected = None
+    else:
+        expected = consumed, {name: getattr(hdr, name) for name in ACCESSORS[codec]}
+    assert _field_read(codec, buf, offset) == expected
 
 
 def _tcp_with_options_cut():

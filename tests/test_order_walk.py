@@ -1,5 +1,6 @@
 """The order walk: ``parse_chain`` along each catalog order, and the phase
-functions generated from the catalog contracts.
+functions generated from the catalog contracts and from hand-built egress
+phases that read every field of every codec.
 
 The error table pins the exact ``ChainOrderError`` of every way a packet
 can fail the three catalog orders: its arguments, its message and the
@@ -10,6 +11,7 @@ linkage checks; another compares each generated phase function with
 flipped, truncated and extended packets.
 """
 
+import random
 import struct
 
 import pytest
@@ -18,10 +20,16 @@ from hypothesis import strategies as st
 
 from pktcheck import (
     ChainOrderError,
+    Check,
+    ContractSpec,
+    FieldRef,
     GeneratorSpec,
+    Operand,
     Packet,
     ParseError,
+    PhaseSpec,
     build_snapshot,
+    elaborate,
     generate_records,
     make_nf,
     order,
@@ -237,10 +245,10 @@ BASES = [
 HOT_BYTES = [12, 13, 14, 20, 54, 55, 56, 57, 58, 66, 67]
 
 
-def _mutated(base, kind, data):
+def _mutated(base, kind, data, span=96):
     raw = bytearray(base)
     if kind == "flip":
-        at = st.one_of(st.sampled_from(HOT_BYTES), st.integers(0, 95)).filter(
+        at = st.one_of(st.sampled_from(HOT_BYTES), st.integers(0, span - 1)).filter(
             lambda i: i < len(raw)
         )
         for i, mask in data.draw(st.lists(st.tuples(at, st.integers(1, 255)),
@@ -333,11 +341,95 @@ def test_phase_cases_cover_every_catalog_phase():
                        for phase in ("ingress", "egress")}
 
 
+def _every_field_phase(*elements):
+    """An egress phase along ``elements`` whose checks read every registry
+    attribute of every header: each integer is compared with 0 by ``<``
+    and each byte sequence with itself by ``neq``, so every check fails and
+    reports the value it read, and a sum per header of several integers
+    reads them on the right-hand side."""
+    registry = standard_registry()
+    spec = order(*elements)
+    checks, seen = [], {}
+    for element in spec:
+        name = element.header_type
+        occurrence = seen[name] = seen.get(name, -1) + 1
+        ints = []
+        for attribute, kind in registry.get(name).accessors.items():
+            ref = FieldRef(attribute, name, element.param, occurrence)
+            if kind == "bytes":
+                checks.append(Check(ref, "neq", Operand.ref(ref)))
+            else:
+                checks.append(Check(ref, "<", Operand.literal(0)))
+                ints.append(ref)
+        if len(ints) > 1:
+            checks.append(Check(ints[0], "==", Operand(tuple(
+                (sign, ref) for sign, ref in zip((1, -1) * len(ints), ints[1:])
+            ))))
+    return elaborate(ContractSpec("fields", {}, (), None, PhaseSpec(spec, tuple(checks))),
+                     registry)
+
+
+def _eth(rng):
+    return rng.randbytes(12) + struct.pack("!H", 0x86DD)
+
+
+def _ipv6_fields(rng, rest, next_header):
+    return struct.pack("!IHBB", (6 << 28) | rng.getrandbits(28), len(rest), next_header,
+                       rng.getrandbits(8)) + rng.randbytes(32) + rest
+
+
+def _tcp_fields(rng, data_offset):
+    return struct.pack(
+        "!HHIIHHHH", rng.getrandbits(16), rng.getrandbits(16), rng.getrandbits(32),
+        rng.getrandbits(32), (data_offset << 12) | rng.getrandbits(12),
+        rng.getrandbits(16), rng.getrandbits(16), rng.getrandbits(16),
+    ) + rng.randbytes(4 * data_offset - 20) + rng.randbytes(rng.randint(0, 40))
+
+
+def _srh_fields(rng, next_header, segments, rest):
+    return struct.pack(
+        "!BBBBBBH", next_header, 2 * segments, 4, rng.randint(0, segments), segments - 1,
+        rng.getrandbits(8), rng.getrandbits(16),
+    ) + rng.randbytes(16 * segments) + rest
+
+
+def _ptb_fields(rng, body):
+    return struct.pack("!BBHI", 2, 0, rng.getrandbits(16), rng.getrandbits(32)) + (
+        rng.randbytes(body)
+    )
+
+
+def _field_cases():
+    """(contract, "egress", base bytes, None, span): hand-built egress phases
+    that reach every codec's field read, TCP options and a TCP header under
+    two SRv6 headers included, each on packets with random field values;
+    ``span`` covers each base's header bytes."""
+    rng = random.Random(608)
+    tcp6 = _every_field_phase("EthHdr", "Ipv6Hdr", ("TcpHdr", "Ipv6Hdr"))
+    srv6_tcp = _every_field_phase("EthHdr", "Ipv6Hdr", "Srv6RoutingHdr", "Srv6RoutingHdr",
+                                  ("TcpHdr", "Ipv6Hdr"))
+    ptb = _every_field_phase("EthHdr", "Ipv6Hdr", ("Icmpv6PktTooBig", "Ipv6Hdr"))
+    cases = []
+    for data_offset in (5, 6, 15):
+        raw = _eth(rng) + _ipv6_fields(rng, _tcp_fields(rng, data_offset), 6)
+        cases.append((tcp6, raw, 54 + 4 * data_offset))
+        srhs = _srh_fields(rng, 43, 1, _srh_fields(rng, 6, 2, _tcp_fields(rng, data_offset)))
+        cases.append((srv6_tcp, _eth(rng) + _ipv6_fields(rng, srhs, 43),
+                      54 + 24 + 40 + 4 * data_offset))
+    for body in (0, 64, 1232):
+        cases.append((ptb, _eth(rng) + _ipv6_fields(rng, _ptb_fields(rng, body), 58), 62))
+    return [(contract, "egress", raw, None, span) for contract, raw, span in cases]
+
+
+FIELD_CASES = _field_cases()
+
+
 @settings(max_examples=600, deadline=None)
-@given(case=st.sampled_from(PHASE_CASES), kind=MUTATIONS, data=st.data())
+@given(case=st.sampled_from([case + (96,) for case in PHASE_CASES] + FIELD_CASES),
+       kind=MUTATIONS, data=st.data())
 def test_generated_phase_agrees_with_the_walk_and_each_check(case, kind, data):
-    contract, phase, base, snapshot = case
-    raw = _mutated(base, kind, data)
+    contract, phase, base, snapshot, span = case
+    raw = _mutated(base, kind, data, span)
     generated = contract.ingress.run(bytearray(raw)) if phase == "ingress" else (
         contract.egress.run(bytearray(raw), snapshot)
     )
@@ -345,6 +437,14 @@ def test_generated_phase_agrees_with_the_walk_and_each_check(case, kind, data):
 
 
 def test_generated_phase_agrees_on_every_unmutated_case():
+    for contract, phase, base, snapshot, _ in FIELD_CASES:
+        generated = contract.egress.run(bytearray(base), snapshot)
+        # each case's walk accepts it, so every check by < or neq fails and
+        # reports what it read
+        assert {c.index for c in contract.egress.compiled if c.op != "=="} <= {
+            i for i, _, _ in generated
+        }
+        assert generated == _reference_phase(contract, phase, base, snapshot)
     failing = set()
     for contract, phase, base, snapshot in PHASE_CASES:
         generated = contract.ingress.run(bytearray(base)) if phase == "ingress" else (
