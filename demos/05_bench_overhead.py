@@ -3,9 +3,9 @@
 
 Benchmarks `mtu-too-big` with contracts on (Development) and off
 (Production) and breaks the per-phase cost down. The ingress phase
-carries the snapshot build — decoding each header with its codec and
-re-emitting it to prove it mirrors the packet's bytes — so it dominates
-the contract overhead even though the egress phase evaluates six checks to
+carries the snapshot build — decoding each header into an object with its
+codec, and keeping those objects as the snapshot — so it dominates the
+contract overhead even though the egress phase evaluates six checks to
 ingress's one. Each phase runs as one function generated from the contract
 on its first Development use; the egress one builds no header objects, but
 reads the fields its checks name straight from the reply's bytes.

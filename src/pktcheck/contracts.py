@@ -39,12 +39,12 @@ On a phase's first Development use, ``Phase.run`` is generated as one
 Python function from source text: it follows the phase's walk with the
 linkage cross-checks inline and evaluates every check as one inline
 comparison. The ingress function calls each codec's ``parse`` at the
-running offset and re-emits each header against its byte span, since its
-headers become the snapshot. The egress function builds no header: it
-splices in each codec's ``FieldRead`` (``headers``), one ``unpack_from``
-plus the codec's tests per step, and reads only the fields its checks and
-linkage cross-checks name. Phases of the same text share one compiled code
-object. Production never generates them.
+running offset, and the headers it decodes become the snapshot. The
+egress function builds no header: it splices in each codec's
+``FieldRead`` (``headers``), one ``unpack_from`` plus the codec's tests per
+step, and reads only the fields its checks and linkage cross-checks name.
+Phases of the same text share one compiled code object. Production never
+generates them.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from .engine import COMPARATORS, Check, CompiledCheck, FieldRef, Operand, Source
 from .exceptions import (
     ContractSyntaxError,
     ElaborationError,
-    EmitError,
     ParseError,
     RegistryError,
 )
@@ -204,7 +203,7 @@ class Phase(PhaseSpec):
         run first needs it; Production never does.
 
         ``ingress(data)`` returns None when the packet fails the ingress
-        walk or its mirror, else ``(failed, snapshot)``.
+        walk, else ``(failed, snapshot)``.
         ``egress(data, snapshot)`` returns None when the packet fails the
         egress walk, else ``failed``. ``failed`` lists each failing check
         as ``(index, lhs_value, rhs_value)``.
@@ -663,16 +662,14 @@ def _generate(phase: Phase) -> Callable:
     Header ``k`` of the walk ends at offset ``ek``, and each step first
     cross-checks its predecessor's linkage field, as ``parse_chain`` does.
     At ingress, header ``k`` is ``hk``: each step calls its codec's
-    ``parse`` at the running offset, every header is re-emitted and
-    compared with its byte span, as ``build_snapshot`` does, and the
-    snapshot is the headers in hand. At egress no header is built: each
-    step splices in its codec's ``FieldRead``, so attribute ``a`` of header
-    ``k`` is the local ``hk_a``, and snapshot header ``j`` is
-    ``sj = snap[j]``.
+    ``parse`` at the running offset, and the snapshot is the headers in
+    hand. At egress no header is built: each step splices in its codec's
+    ``FieldRead``, so attribute ``a`` of header ``k`` is the local
+    ``hk_a``, and snapshot header ``j`` is ``sj = snap[j]``.
     """
     name, walk, checks = phase.name, phase.walk, phase.compiled
     ingress = name == "ingress"
-    namespace = {"ParseError": ParseError, "EmitError": EmitError}
+    namespace = {"ParseError": ParseError}
     if ingress:
         lines = _parse_lines(walk, namespace)
     else:
@@ -698,7 +695,7 @@ def _generate(phase: Phase) -> Callable:
 
 def _parse_lines(walk: tuple[OrderStep, ...], namespace: dict) -> list[str]:
     """The ingress function up to its checks: each header parsed by its
-    codec and re-emitted against its byte span."""
+    codec at the end offset of the one before."""
     lines = ["def ingress(data):", "    try:"]
     for k, step in enumerate(walk):
         parse = f"ingress_parse{k}"
@@ -711,19 +708,10 @@ def _parse_lines(walk: tuple[OrderStep, ...], namespace: dict) -> list[str]:
         if k == 0:
             lines.append(f"        h0, e0 = {parse}(data, 0)")
         else:
-            lines += [f"        h{k}, n = {parse}(data, e{k - 1})",
-                      f"        e{k} = e{k - 1} + n"]
-    mirror = " or ".join(
-        f"h{k}.emit() != data[{f'e{k - 1}' if k else ''}:e{k}]"
-        for k in range(len(walk))
-    )
-    return lines + [
-        f"        if {mirror}:",
-        "            return None",
-        "    except (ParseError, EmitError):",
-        "        return None",
-        "    failed = []",
-    ]
+            lines.append(f"        h{k}, n = {parse}(data, e{k - 1})")
+            if k < len(walk) - 1:
+                lines.append(f"        e{k} = e{k - 1} + n")
+    return lines + ["    except ParseError:", "        return None", "    failed = []"]
 
 
 def _read_lines(

@@ -5,20 +5,21 @@ Each phase of an elaborated contract is a ``contracts.Phase``, and runs
 one function that ``contracts`` generated for it on its first Development
 use (``Phase.run``): it follows the phase's verified order at running
 offsets, with the linkage cross-checks inline, and evaluates every check as
-one inline comparison. At ingress it decodes each header with its codec
-and re-emits it to prove that the snapshot mirrors the packet's bytes; the
-ingress snapshot is the tuple of the headers it decoded. At egress it reads
-the fields its checks name straight from the bytes, with each codec's own
-tests, and builds no header. It returns the failing checks as ``(index,
-lhs, rhs)``, so only a failing check builds a Violation, and its message is
-formatted only when something reads it.
+one inline comparison. At ingress it decodes each header with its codec,
+and the ingress snapshot is the tuple of the headers it decoded. The codecs
+are lossless (``emit(parse(b))`` is ``b``'s span, a property the tests pin
+for every buffer a codec accepts), so the snapshot holds exactly the
+packet's ingress bytes. At egress it reads the fields its checks name
+straight from the bytes, with each codec's own tests, and builds no header.
+It returns the failing checks as ``(index, lhs, rhs)``, so only a failing
+check builds a Violation, and its message is formatted only when something
+reads it.
 
-A packet the generated function refuses takes the slow path: ``parse_chain``
-(and, at ingress, ``build_snapshot``) run again to raise the exact
-``ChainOrderError`` or ``ResolutionError`` that becomes the packet's
-violation. ``eval_check`` and ``CompiledCheck.test`` evaluate one check the
-same way outside the packet path, reading the attributes the check names
-with ``getattr``.
+A packet the generated function refuses takes the slow path:
+``parse_chain`` runs again to raise the exact ``ChainOrderError`` that
+becomes the packet's violation. ``build_snapshot``, ``eval_check`` and
+``CompiledCheck.test`` do what the phases do one step at a time, outside
+the packet path, reading the attributes a check names with ``getattr``.
 
 All checks in a phase are evaluated; violations are collected rather than
 thrown one at a time, so a single run can surface every failing condition.
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import registry as registry_mod
-from .exceptions import ChainOrderError, EmitError
+from .exceptions import ChainOrderError
 from .headers import Packet
 
 COMPARATORS = {
@@ -136,13 +137,6 @@ class Check:
         return f"({self.lhs.describe()}, {self.op}, {self.rhs.describe()})"
 
 
-class ResolutionError(Exception):
-    """The ingress snapshot could not mirror the packet.
-
-    Turned into a distinguished resolution-error Violation, never a silent
-    pass or a crash."""
-
-
 def render_value(value) -> object:
     """Human/JSON rendering: ints (and bools) pass through, addresses
     become text."""
@@ -161,9 +155,9 @@ def render_value(value) -> object:
 class Violation:
     """Structured record of one failed check (or failed order match).
 
-    ``reason`` is the error text of an order or resolution violation and
-    None for a failed check, whose ``message`` is its ``text()``, formatted
-    only when read."""
+    ``reason`` is the error text of an order violation and None for a
+    failed check, whose ``message`` is its ``text()``, formatted only when
+    read."""
 
     nf: str
     phase: str  # "ingress" | "egress"
@@ -174,7 +168,7 @@ class Violation:
     rhs: str
     rhs_value: object
     packet_index: int
-    kind: str = "check"  # "check" | "order" | "resolution"
+    kind: str = "check"  # "check" | "order"
     reason: str | None = None
 
     @property
@@ -218,37 +212,13 @@ class ContractRuntime:
         self.checks_evaluated = 0
 
 
-def build_snapshot(
-    packet: Packet,
-    headers: list,
-    ends: list,
-    runtime: ContractRuntime | None = None,
-) -> tuple:
+def build_snapshot(headers: list, runtime: ContractRuntime | None = None) -> tuple:
     """The ingress snapshot: the tuple of ``headers``, which ``parse_chain``
-    has just decoded from ``packet`` and which end at ``ends``, by their
-    position in the ingress order.
+    has just decoded along the ingress order, by their position in it.
 
-    Each header is emitted again and compared with its byte span, so a
-    header that would not re-encode to the packet's bytes raises
-    ResolutionError instead of misleading the egress checks. Transforms
-    decode headers of their own, so later mutation of the packet cannot
-    leak into egress comparisons.
+    Transforms decode headers of their own, so later mutation of the packet
+    cannot leak into egress comparisons.
     """
-    data = packet.data
-    start = 0
-    for header, end in zip(headers, ends):
-        try:
-            mirrored = header.emit()
-        except EmitError as exc:
-            raise ResolutionError(
-                f"snapshot of {type(header).__name__} cannot be re-encoded: {exc}"
-            ) from None
-        if mirrored != data[start:end]:
-            raise ResolutionError(
-                f"snapshot of {type(header).__name__} does not re-encode to the "
-                "original bytes; mirror would be unfaithful"
-            )
-        start = end
     if runtime is not None:
         runtime.snapshots_built += 1
     return tuple(headers)
@@ -335,22 +305,15 @@ def eval_check(
 
 def _refusal(phase, nf: str, packet: Packet, packet_index: int) -> Violation:
     """The violation of a packet that ``phase.run`` refused: ``parse_chain``
-    along the phase's walk, and at ingress ``build_snapshot``, run again to
-    raise the exact error. Raises RuntimeError if they accept the packet,
-    since the generated function and the reference walk then disagree."""
+    along the phase's walk, run again to raise the exact error. Raises
+    RuntimeError if it accepts the packet, since the generated function and
+    the reference walk then disagree."""
     try:
-        decoded, ends = registry_mod.parse_chain(packet, phase.walk)
-        if phase.name == "ingress":
-            build_snapshot(packet, decoded, ends)
+        registry_mod.parse_chain(packet, phase.walk)
     except ChainOrderError as exc:
         return Violation(
             nf, phase.name, None, "order", exc.found, None, "expected",
             exc.expected, packet_index, "order", str(exc),
-        )
-    except ResolutionError as exc:
-        return Violation(
-            nf, phase.name, None, "snapshot", None, None, "packet", None,
-            packet_index, "resolution", str(exc),
         )
     raise RuntimeError(
         f"generated {phase.name} phase of {nf} refused packet "
@@ -403,8 +366,8 @@ def run_egress(
     generated egress function. No-op in Production.
 
     Without a snapshot, a contract with an ingress phase evaluates nothing:
-    its ingress order or mirror failed, and that violation is the packet's
-    one root cause. A contract without one runs egress as usual, since
+    its ingress order failed, and that order violation is the packet's one
+    root cause. A contract without one runs egress as usual, since
     elaboration refused every snapshot read in it.
     """
     if runtime.mode is not _DEVELOPMENT or contract is None or contract.egress is None:

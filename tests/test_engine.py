@@ -24,7 +24,7 @@ from pktcheck import (
     run_ingress,
     verify_order,
 )
-from pktcheck.engine import ResolutionError, Violation, render_value
+from pktcheck.engine import Violation, render_value
 from pktcheck.nfs import MTU_TOO_BIG_CONTRACT, send_too_big
 
 from conftest import build_tcp6_bytes
@@ -48,8 +48,7 @@ def _decoded_tcp6(registry, payload_len=1300):
 
 
 def _snapshot(registry, packet, runtime=None):
-    headers, ends = _parse_tcp6(registry, packet)
-    return build_snapshot(packet, headers, ends, runtime)
+    return build_snapshot(_parse_tcp6(registry, packet)[0], runtime)
 
 
 def _set_payload_len(packet, value):
@@ -96,21 +95,10 @@ def test_snapshot_materializes_field_values(registry):
 
 def test_snapshot_keeps_the_headers_parse_chain_decoded(registry):
     packet = _tcp6()
-    headers, ends = _parse_tcp6(registry, packet)
-    snapshot = build_snapshot(packet, headers, ends)
+    headers, _ = _parse_tcp6(registry, packet)
+    snapshot = build_snapshot(headers)
     assert type(snapshot) is tuple
     assert all(kept is decoded for kept, decoded in zip(snapshot, headers, strict=True))
-
-
-def test_snapshot_rejects_a_header_that_does_not_mirror_its_bytes(registry):
-    packet = _tcp6()
-    headers, ends = _parse_tcp6(registry, packet)
-    headers[1] = replace(headers[1], hop_limit=headers[1].hop_limit - 1)
-    with pytest.raises(ResolutionError, match="Ipv6Hdr does not re-encode"):
-        build_snapshot(packet, headers, ends)
-    headers[1] = replace(headers[1], version=5)
-    with pytest.raises(ResolutionError, match="Ipv6Hdr cannot be re-encoded"):
-        build_snapshot(packet, headers, ends)
 
 
 def test_snapshot_is_immune_to_later_packet_mutation(registry):
@@ -343,7 +331,7 @@ def test_run_egress_all_checks_evaluated_no_short_circuit(registry):
 
 
 def test_run_egress_without_the_snapshot_evaluates_nothing(registry):
-    # ingress failed (order or mirror), so its violation is the packet's one
+    # ingress failed its order, so that violation is the packet's one
     # root cause: egress neither decodes nor checks, even the checks that
     # read no snapshot
     contract = _mtu_contract(registry)
@@ -379,24 +367,6 @@ def test_run_phases_are_noops_in_production(registry):
     assert run_egress(contract, packet, snapshot, runtime) == []
     assert runtime.snapshots_built == 0
     assert runtime.checks_evaluated == 0
-
-
-def test_run_ingress_reports_a_header_that_does_not_mirror_its_bytes(registry,
-                                                                  monkeypatch):
-    contract = _mtu_contract(registry)
-    emit = Ipv6Hdr.emit
-    monkeypatch.setattr(Ipv6Hdr, "emit", lambda self: emit(replace(self, hop_limit=1)))
-    runtime = ContractRuntime()
-    violations, snapshot = run_ingress(contract, _tcp6(1300), runtime, packet_index=5)
-    assert snapshot is None and runtime.snapshots_built == runtime.checks_evaluated == 0
-    (violation,) = violations
-    assert (violation.kind, violation.check_index, violation.packet_index) == (
-        "resolution", None, 5
-    )
-    assert violation.message == (
-        "snapshot of Ipv6Hdr does not re-encode to the original bytes; mirror "
-        "would be unfaithful"
-    )
 
 
 def test_a_refusal_the_order_walk_does_not_confirm_is_an_internal_error(registry):

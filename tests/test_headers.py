@@ -506,9 +506,9 @@ def test_truncation_messages(codec, buf, offset, message):
 
 
 # --- emit refusals ---------------------------------------------------------------
-# Violations and resolution errors embed these texts, so each is pinned
-# exactly, and a header with several bad fields names the first in the order
-# below.
+# The CLI reports a refusal by its text, as it does any PktCheckError, so
+# each is pinned exactly, and a header with several bad fields names the
+# first in the order below.
 
 
 def _valid_headers():

@@ -7,8 +7,10 @@ can fail the three catalog orders: its arguments, its message and the
 ``ParseError`` it chains from. One property compares the walk with a
 reference written here, which chains ``Packet.parse_header`` calls with
 linkage checks; another compares each generated phase function with
-``parse_chain``, ``build_snapshot`` and each check's ``test``. Both run on
-flipped, truncated and extended packets.
+``parse_chain``, ``build_snapshot`` and each check's ``test``, and checks
+that every ingress packet the walk accepts re-encodes to its header bytes,
+so the snapshot holds the packet's ingress bytes. Both run on flipped,
+truncated and extended packets.
 """
 
 import random
@@ -37,7 +39,6 @@ from pktcheck import (
     standard_registry,
     verify_order,
 )
-from pktcheck.engine import ResolutionError
 
 TCP6 = order("EthHdr", "Ipv6Hdr", ("TcpHdr", "Ipv6Hdr"))
 PTB = order("EthHdr", "Ipv6Hdr", ("Icmpv6PktTooBig", "Ipv6Hdr"))
@@ -280,17 +281,20 @@ def test_walk_agrees_with_a_parse_header_reference(registry, base, kind, data):
 def _reference_phase(contract, phase, raw, snapshot):
     """What ``parse_chain``, ``build_snapshot`` at ingress and each
     ``CompiledCheck.test`` say of ``raw``, in the shape the generated phase
-    returns: None when the walk or the mirror refuses the packet."""
+    returns: None when the walk refuses the packet. An ingress packet the
+    walk accepts must re-encode to its header bytes, so that the snapshot
+    holds exactly what arrived."""
     packet = Packet.from_bytes(raw)
     ingress = phase == "ingress"
     try:
         decoded, ends = parse_chain(
             packet, contract.ingress.walk if ingress else contract.egress.walk
         )
-        if ingress:
-            snapshot = build_snapshot(packet, decoded, ends)
-    except (ChainOrderError, ResolutionError):
+    except ChainOrderError:
         return None
+    if ingress:
+        assert b"".join(h.emit() for h in decoded) == raw[:ends[-1]]
+        snapshot = build_snapshot(decoded)
     failed = [
         (check.index, *result)
         for check in (contract.ingress.compiled if ingress else contract.egress.compiled)
@@ -313,6 +317,9 @@ OVERSIZE = [
         GeneratorSpec(count=3, template="tcp6", payload_len=(1281, 1400), seed=607)
     )
 ]
+#: The first of them again with the 3 reserved TCP bits set (byte 66 holds
+#: the data offset and those bits), which the snapshot must keep too.
+OVERSIZE.append(OVERSIZE[0][:66] + bytes([OVERSIZE[0][66] | 0x0E]) + OVERSIZE[0][67:])
 
 
 def _phase_cases():
@@ -326,8 +333,8 @@ def _phase_cases():
             cases.append((contract, "ingress", base, None))
             result = nf.apply(Packet.from_bytes(base))
             if result.rewritten and not result.dropped:
-                packet = Packet.from_bytes(base)
-                snapshot = build_snapshot(packet, *parse_chain(packet, contract.ingress.walk))
+                decoded, _ = parse_chain(Packet.from_bytes(base), contract.ingress.walk)
+                snapshot = build_snapshot(decoded)
                 cases.append((contract, "egress", bytes(result.packet.data), snapshot))
     return cases
 

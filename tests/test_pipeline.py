@@ -177,7 +177,7 @@ def test_failed_ingress_order_is_the_one_root_cause(registry):
 
 def test_tcp_reserved_bits_pass_both_phases(registry):
     # RFC 9293 reserves the 3 bits above NS; a packet that sets them is
-    # still valid input, and the snapshot must mirror it faithfully
+    # still valid input, and the snapshot and the reply must keep them
     data = bytearray(build_tcp6_bytes(payload_len=1300))
     data[66] |= 0x0E
     nf = make_nf("mtu-too-big", registry)
@@ -420,10 +420,9 @@ def test_each_header_is_decoded_once_per_phase(registry, monkeypatch):
     assert summary.violations == [] and summary.snapshots_built == 50
     # per packet: 3 headers decoded at ingress and 3 in the transform, each
     # by its codec's parse, none through Packet.parse_header; egress reads
-    # its fields from the bytes and decodes none; 4 emits build the reply
-    # and 3 re-emit the snapshot to prove it mirrors the ingress bytes;
-    # checks read the decoded headers through accessors bound at elaboration
-    assert counts == {"parse": 50 * 6, "decode": 0, "accessor": 0, "emit": 50 * 7,
+    # its fields from the bytes and decodes none; the 4 emits all build the
+    # reply, since the snapshot is the ingress headers as decoded
+    assert counts == {"parse": 50 * 6, "decode": 0, "accessor": 0, "emit": 50 * 4,
                       "parse_header": 0}
 
 
