@@ -40,9 +40,11 @@ Python function from source text: it follows the phase's walk with the
 linkage cross-checks inline and evaluates every check as one inline
 comparison. The ingress function calls each codec's ``parse`` at the
 running offset, and the headers it decodes become the snapshot. The
-egress function builds no header: it splices in each codec's
-``FieldRead`` (``headers``), one ``unpack_from`` plus the codec's tests per
-step, and reads only the fields its checks and linkage cross-checks name.
+egress function builds no header: it splices in each codec's ``READ``, the
+one layout (``headers.FieldRead``) that the codec's ``parse`` and the
+registry's attribute kinds also come from: one ``unpack_from`` plus the
+layout's tests per step, reading only the fields its checks and linkage
+cross-checks name.
 Phases of the same text share one compiled code object. Production never
 generates them.
 """
@@ -733,17 +735,21 @@ def _read_lines(
         at = f"e{k - 1}" if k else "0"
         names = {field: f"h{k}_{field}" for field in rule.fields}
         names.update(at=at, length="n")
+        names.update(
+            {a: f"({rule.spell(e, names)})" for a, e in rule.attributes.items()}
+        )
+        names["size"] = f"({rule.spell(rule.size, names)})"
         if step.linkage is not None:
             lines += [f"    if h{k - 1}_{step.linkage} != {step.proto!r}:",
                       "        return None"]
         lines += [f"    if {at} + {rule.unpack.size} > n:", "        return None",
                   f"    {', '.join(names[f] for f in rule.fields)} = {unpack}(data, {at})"]
-        for test in rule.tests:
-            lines += [f"    if not ({test.format_map(names)}):", "        return None"]
+        for test, _ in rule.tests:
+            lines += [f"    if not ({rule.spell(test, names)}):", "        return None"]
         if k < len(walk) - 1:
-            lines.append(f"    e{k} = {at} + {rule.size.format_map(names)}")
+            lines.append(f"    e{k} = {at} + {names['size']}")
         lines += [
-            f"    h{k}_{attribute} = {rule.attributes[attribute].format_map(names)}"
+            f"    h{k}_{attribute} = {names[attribute]}"
             for j, attribute in sorted(used)
             if j == k and attribute in rule.attributes
         ]

@@ -5,26 +5,27 @@ ICMPv6 Packet Too Big (type 2, code 0), and the SRv6 Routing extension
 header (routing type 4). All multi-byte integers are big-endian on the
 wire and are decoded to host ints.
 
-Every packet pays for decoding, so each ``parse`` reads its fixed part
-with one ``struct.Struct`` compiled at import time. The format's ``s``
-fields yield MAC and IPv6 addresses as ``bytes``, the header is built from
-positional arguments, and the length check is a comparison that calls
-``_need`` only to raise its message.
+Each codec states its wire layout once, as its ``READ`` (a
+``FieldRead``), and three things come from it: the codec's ``parse``,
+which ``_codec`` generates at import; the field reads that a generated
+egress phase splices in to read a header's fields straight from the bytes
+(``contracts``); and the kind of each attribute a contract may read
+(``registry``). Every packet pays for decoding, so the generated ``parse``
+runs what a hand-written one would: a length guard, one ``unpack_from`` of
+a ``struct.Struct`` compiled at import (whose ``s`` fields yield MAC and
+IPv6 addresses as ``bytes``), each test in order, and the header built
+from positional arguments.
 
-Each ``emit`` has one serializer: the same ``Struct`` as its ``parse``,
-which range-checks the 8-, 16- and 32-bit fields itself. The sub-byte
-fields and the lengths (addresses, TCP options, each SRv6 segment, the
-invoking packet) are tested first in one condition, since ``s`` fields pad
-or truncate silently. The ordered checks after it only name a refusal:
-when the test fails or the pack refuses a field, they raise the
-``EmitError`` for the first bad field in a fixed order. A failed test
-always fails one of them, so if they all pass the field is in range but
-not an integer, and ``emit`` re-raises what the pack raised.
-
-Next to each ``parse``, the codec's ``READ`` is a ``FieldRead``: the same
-``Struct``, acceptance tests and size, written as source text that a
-generated egress phase splices in to read a header's fields straight from
-the bytes, without building the header or copying its variable part.
+Each ``emit`` is written by hand and has one serializer: the same
+``Struct`` as its ``parse``, which range-checks the 8-, 16- and 32-bit
+fields itself. The sub-byte fields and the lengths (addresses, TCP
+options, each SRv6 segment, the invoking packet) are tested first in one
+condition, since ``s`` fields pad or truncate silently. The ordered checks
+after it only name a refusal: when the test fails or the pack refuses a
+field, they raise the ``EmitError`` for the first bad field in a fixed
+order. A failed test always fails one of them, so if they all pass the
+field is in range but not an integer, and ``emit`` re-raises what the pack
+raised.
 
 A ``Packet`` is its bytes: the network functions and the order walks call
 the codecs at running offsets and build new packets rather than edit one.
@@ -34,8 +35,9 @@ benchmark's tracer and the tests.
 
 from __future__ import annotations
 
+import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 from .exceptions import EmitError, ParseError
@@ -63,14 +65,6 @@ _SRV6 = struct.Struct("!BBBBBBH")
 _SRV6_SEGMENTS = [struct.Struct("16s" * n) for n in range(128)]
 
 
-def _need(buf, offset, n, what):
-    if offset + n > len(buf):
-        raise ParseError(
-            f"truncated {what}: need {n} bytes at offset {offset}, "
-            f"have {len(buf) - offset}"
-        )
-
-
 #: What an ``emit`` may raise on a field its ``Struct`` or its shifts
 #: refuse; the ordered checks then name the field, and if none fails,
 #: ``emit`` re-raises the error.
@@ -80,23 +74,85 @@ _ADDRESS_LENGTH = {16}
 
 
 class FieldRead(NamedTuple):
-    """How a generated phase reads one header's fields from the bytes.
+    """A codec's wire layout: what its generated ``parse`` runs, what a
+    generated egress phase reads, and the attributes a contract may read.
 
-    ``unpack`` is the codec's ``Struct`` and ``fields`` names the values it
-    yields, in order. ``tests`` are the codec's acceptance tests in its
-    ``parse`` order, ``size`` is the header's length in bytes, and
+    ``name`` is what a truncation error calls the header. ``unpack`` is the
+    codec's ``Struct`` and ``fields`` names the values it yields, in order.
+    ``tests`` are the acceptance tests in ``parse`` order, each paired with
+    its ``ParseError`` text, and ``size`` is the header's length in bytes.
     ``attributes`` gives each registry attribute that is not itself a
-    field. Each is Python source in which ``{name}`` stands for a field,
-    ``{at}`` for the header's offset and ``{length}`` for the buffer's
-    length. The packet holds the header when the buffer has ``unpack.size``
-    bytes at ``{at}`` and every test holds, exactly when ``parse`` returns.
+    field, and ``extras`` each constructor argument that is neither: the
+    variable-length part and TCP's reserved bits. Each is a Python
+    expression, and each text an f-string, over the fields, the attributes,
+    ``size``, ``at`` (the header's offset), ``length`` (the buffer's length)
+    and ``buf`` (the buffer). The packet holds the header when the buffer
+    has ``unpack.size`` bytes at ``at`` and every test holds, exactly when
+    ``parse`` returns.
     """
 
+    name: str
     unpack: struct.Struct
     fields: tuple[str, ...]
-    tests: tuple[str, ...]
+    tests: tuple[tuple[str, str], ...]
     size: str
-    attributes: dict[str, str]
+    attributes: dict[str, str] = {}
+    extras: dict[str, str] = {}
+
+    def spell(self, source: str, names: dict[str, str]) -> str:
+        """``source`` with each name that ``names`` maps replaced by its
+        spelling there."""
+        return _NAME.sub(lambda m: names.get(m[0], m[0]), source)
+
+
+#: A name in a layout's expression.
+_NAME = re.compile(r"\b[A-Za-z_]\w*")
+#: A replacement field of an f-string text.
+_REPLACEMENT = re.compile(r"\{[^{}]*\}")
+
+
+def _truncated(what: str, need: str) -> str:
+    """The text of a header that needs ``need`` bytes at ``at``, past the
+    buffer's end."""
+    return (f"truncated {what}: need {{{need}}} bytes at offset {{at}}, "
+            "have {length - at}")
+
+
+def _codec(cls):
+    """Generate ``cls.parse(buf, offset=0)`` from ``cls.READ``.
+
+    The generated function checks that the fixed part fits, unpacks it into
+    a local per field, binds a local per attribute and the size, raises the
+    ``ParseError`` of the first test that fails, and returns the header,
+    built positionally in its constructor's order, with its size.
+    """
+    layout = cls.READ
+    names = {"at": "offset", "length": "len(buf)"}
+
+    def spell(source):
+        return layout.spell(source, names)
+
+    def raise_(text):
+        return f"raise ParseError(f{_REPLACEMENT.sub(lambda m: spell(m[0]), text)!r})"
+
+    fixed = layout.unpack.size
+    lines = [
+        "def define(cls, unpack):",
+        "  def parse(buf, offset=0):",
+        f"    if offset + {fixed} > len(buf):",
+        f"        {raise_(_truncated(layout.name, str(fixed)))}",
+        f"    {', '.join(layout.fields)} = unpack(buf, offset)",
+        *(f"    {name} = {spell(source)}" for name, source in layout.attributes.items()),
+        f"    size = {spell(layout.size)}",
+    ]
+    for test, text in layout.tests:
+        lines += [f"    if not ({spell(test)}):", f"        {raise_(text)}"]
+    arguments = (spell(layout.extras.get(f.name, f.name)) for f in fields(cls))
+    lines += [f"    return cls({', '.join(arguments)}), size", "  return parse"]
+    scope = {}
+    exec(compile("\n".join(lines), f"<{cls.__name__}.parse>", "exec"), globals(), scope)
+    cls.parse = staticmethod(scope["define"](cls, layout.unpack.unpack_from))
+    return cls
 
 
 def _check_range(value, bits, what):
@@ -104,6 +160,7 @@ def _check_range(value, bits, what):
         raise EmitError(f"{what} out of range for {bits}-bit field: {value}")
 
 
+@_codec
 @dataclass(slots=True)
 class EthHdr:
     """Ethernet II header: dst MAC, src MAC, ethertype. 14 bytes."""
@@ -112,14 +169,9 @@ class EthHdr:
     src: bytes
     ether_type: int
 
-    SIZE = ETH_HDR_SIZE
-    READ = FieldRead(_ETH, ("dst", "src", "ether_type"), (), str(ETH_HDR_SIZE), {})
-
-    @classmethod
-    def parse(cls, buf: bytes, offset: int = 0) -> tuple["EthHdr", int]:
-        if offset + ETH_HDR_SIZE > len(buf):
-            _need(buf, offset, ETH_HDR_SIZE, "Ethernet header")
-        return cls(*_ETH.unpack_from(buf, offset)), ETH_HDR_SIZE
+    READ = FieldRead(
+        "Ethernet header", _ETH, ("dst", "src", "ether_type"), (), str(ETH_HDR_SIZE)
+    )
 
     def emit(self) -> bytes:
         try:
@@ -133,6 +185,7 @@ class EthHdr:
         raise refused
 
 
+@_codec
 @dataclass(slots=True)
 class Ipv6Hdr:
     """Fixed 40-byte IPv6 header. ``payload_len`` counts every byte after it."""
@@ -146,30 +199,14 @@ class Ipv6Hdr:
     traffic_class: int = 0
     flow_label: int = 0
 
-    SIZE = IPV6_HDR_SIZE
     READ = FieldRead(
-        _IPV6, ("v_tc_fl", "payload_len", "next_header", "hop_limit", "src", "dst"),
-        ("{v_tc_fl} >> 28 == 6",),
+        "IPv6 header", _IPV6,
+        ("v_tc_fl", "payload_len", "next_header", "hop_limit", "src", "dst"),
+        (("version == 6", "IPv6 version nibble is {version}, expected 6"),),
         str(IPV6_HDR_SIZE),
-        {"version": "{v_tc_fl} >> 28", "traffic_class": "{v_tc_fl} >> 20 & 0xFF",
-         "flow_label": "{v_tc_fl} & 0xFFFFF"},
+        {"version": "v_tc_fl >> 28", "traffic_class": "v_tc_fl >> 20 & 0xFF",
+         "flow_label": "v_tc_fl & 0xFFFFF"},
     )
-
-    @classmethod
-    def parse(cls, buf: bytes, offset: int = 0) -> tuple["Ipv6Hdr", int]:
-        if offset + IPV6_HDR_SIZE > len(buf):
-            _need(buf, offset, IPV6_HDR_SIZE, "IPv6 header")
-        v_tc_fl, payload_len, next_header, hop_limit, src, dst = _IPV6.unpack_from(
-            buf, offset
-        )
-        version = v_tc_fl >> 28
-        if version != 6:
-            raise ParseError(f"IPv6 version nibble is {version}, expected 6")
-        hdr = cls(
-            src, dst, payload_len, next_header, hop_limit,
-            version, (v_tc_fl >> 20) & 0xFF, v_tc_fl & 0xFFFFF,
-        )
-        return hdr, IPV6_HDR_SIZE
 
     def emit(self) -> bytes:
         try:
@@ -198,6 +235,7 @@ class Ipv6Hdr:
         raise refused
 
 
+@_codec
 @dataclass(slots=True)
 class TcpHdr:
     """TCP header over IPv6. Options are carried as opaque bytes.
@@ -222,32 +260,16 @@ class TcpHdr:
 
     MIN_SIZE = 20
     READ = FieldRead(
-        _TCP, ("src_port", "dst_port", "seq", "ack", "off_flags", "window", "checksum",
-               "urgent_ptr"),
-        ("{off_flags} >> 12 >= 5", "{at} + ({off_flags} >> 12) * 4 <= {length}"),
-        "({off_flags} >> 12) * 4",
-        {"data_offset": "{off_flags} >> 12", "flags": "{off_flags} & 0x1FF"},
+        "TCP header", _TCP,
+        ("src_port", "dst_port", "seq", "ack", "off_flags", "window", "checksum",
+         "urgent_ptr"),
+        (("data_offset >= 5", "TCP data offset {data_offset} below minimum 5"),
+         ("at + size <= length", _truncated("TCP header with options", "size"))),
+        "data_offset * 4",
+        {"data_offset": "off_flags >> 12", "flags": "off_flags & 0x1FF"},
+        {"options": 'bytes(buf[at + 20 : at + size]) if size > 20 else b""',
+         "reserved": "off_flags >> 9 & 0x7"},
     )
-
-    @classmethod
-    def parse(cls, buf: bytes, offset: int = 0) -> tuple["TcpHdr", int]:
-        if offset + 20 > len(buf):
-            _need(buf, offset, 20, "TCP header")
-        src_port, dst_port, seq, ack, off_flags, window, checksum, urgent = (
-            _TCP.unpack_from(buf, offset)
-        )
-        data_offset = off_flags >> 12
-        if data_offset < 5:
-            raise ParseError(f"TCP data offset {data_offset} below minimum 5")
-        size = data_offset * 4
-        if offset + size > len(buf):
-            _need(buf, offset, size, "TCP header with options")
-        options = bytes(buf[offset + 20 : offset + size]) if size > 20 else b""
-        hdr = cls(
-            src_port, dst_port, seq, ack, data_offset, off_flags & 0x1FF,
-            window, checksum, urgent, options, (off_flags >> 9) & 0x7,
-        )
-        return hdr, size
 
     def emit(self) -> bytes:
         try:
@@ -284,6 +306,7 @@ class TcpHdr:
         raise refused
 
 
+@_codec
 @dataclass(slots=True)
 class Icmpv6PktTooBig:
     """ICMPv6 Packet Too Big message: type 2, code 0, 32-bit MTU, then as
@@ -302,30 +325,16 @@ class Icmpv6PktTooBig:
     MIN_SIZE = 8
     MAX_SIZE = IPV6_MIN_MTU - IPV6_HDR_SIZE
     READ = FieldRead(
-        _ICMPV6_PTB, ("msg_type", "code", "checksum", "mtu"),
-        (f"{{msg_type}} == {ICMPV6_PKT_TOO_BIG} and {{code}} == 0",
-         f"{{length}} - {{at}} <= {MAX_SIZE}"),
-        "{length} - {at}",
-        {},
+        "ICMPv6 Packet Too Big header", _ICMPV6_PTB,
+        ("msg_type", "code", "checksum", "mtu"),
+        ((f"msg_type == {ICMPV6_PKT_TOO_BIG} and code == 0",
+          "not an ICMPv6 Packet Too Big message: type {msg_type}, code {code}"),
+         (f"size <= {MAX_SIZE}",
+          "Packet Too Big message of {size} bytes exceeds the minimum-MTU reply "
+          f"budget of {MAX_SIZE} bytes")),
+        "length - at",
+        extras={"invoking_packet": "bytes(buf[at + 8 :])"},
     )
-
-    @classmethod
-    def parse(cls, buf: bytes, offset: int = 0) -> tuple["Icmpv6PktTooBig", int]:
-        if offset + 8 > len(buf):
-            _need(buf, offset, 8, "ICMPv6 Packet Too Big header")
-        msg_type, code, checksum, mtu = _ICMPV6_PTB.unpack_from(buf, offset)
-        if msg_type != ICMPV6_PKT_TOO_BIG or code != 0:
-            raise ParseError(
-                f"not an ICMPv6 Packet Too Big message: type {msg_type}, code {code}"
-            )
-        size = len(buf) - offset
-        if size > cls.MAX_SIZE:
-            raise ParseError(
-                f"Packet Too Big message of {size} bytes exceeds the "
-                f"minimum-MTU reply budget of {cls.MAX_SIZE} bytes"
-            )
-        body = bytes(buf[offset + 8 :])
-        return cls(checksum, mtu, body, msg_type, code), size
 
     def emit(self) -> bytes:
         try:
@@ -354,6 +363,7 @@ class Icmpv6PktTooBig:
         raise refused
 
 
+@_codec
 @dataclass(slots=True)
 class Srv6RoutingHdr:
     """IPv6 Segment Routing header (routing type 4).
@@ -372,15 +382,22 @@ class Srv6RoutingHdr:
 
     MIN_SIZE = 8
     READ = FieldRead(
-        _SRV6, ("next_header", "hdr_ext_len", "routing_type", "segments_left",
-                "last_entry", "flags", "tag"),
-        (f"{{routing_type}} == {SRV6_ROUTING_TYPE}",
-         "{hdr_ext_len} >= 2 and not {hdr_ext_len} % 2",
-         "{at} + 8 + 8 * {hdr_ext_len} <= {length}",
-         "{last_entry} == {hdr_ext_len} // 2 - 1",
-         "{segments_left} <= {last_entry} + 1"),
-        "8 + 8 * {hdr_ext_len}",
-        {},
+        "SRv6 routing header", _SRV6,
+        ("next_header", "hdr_ext_len", "routing_type", "segments_left", "last_entry",
+         "flags", "tag"),
+        ((f"routing_type == {SRV6_ROUTING_TYPE}",
+          f"routing type {{routing_type}}, expected {SRV6_ROUTING_TYPE} (SRv6)"),
+         ("hdr_ext_len >= 2 and not hdr_ext_len % 2",
+          "SRv6 header extension length {hdr_ext_len} cannot hold 16-byte segments"),
+         ("at + size <= length", _truncated("SRv6 routing header segments", "size")),
+         ("last_entry == hdr_ext_len // 2 - 1",
+          "SRv6 last entry {last_entry} disagrees with {hdr_ext_len // 2} segments"),
+         ("segments_left <= last_entry + 1",
+          "SRv6 segments left {segments_left} exceeds segment count {hdr_ext_len // 2}")),
+        "8 + 8 * hdr_ext_len",
+        extras={
+            "segments": "list(_SRV6_SEGMENTS[hdr_ext_len // 2].unpack_from(buf, at + 8))"
+        },
     )
 
     @property
@@ -390,40 +407,6 @@ class Srv6RoutingHdr:
     @property
     def last_entry(self) -> int:
         return len(self.segments) - 1
-
-    @classmethod
-    def parse(cls, buf: bytes, offset: int = 0) -> tuple["Srv6RoutingHdr", int]:
-        if offset + 8 > len(buf):
-            _need(buf, offset, 8, "SRv6 routing header")
-        next_header, hdr_ext_len, routing_type, segments_left, last_entry, flags, tag = (
-            _SRV6.unpack_from(buf, offset)
-        )
-        if routing_type != SRV6_ROUTING_TYPE:
-            raise ParseError(
-                f"routing type {routing_type}, expected {SRV6_ROUTING_TYPE} (SRv6)"
-            )
-        if hdr_ext_len < 2 or hdr_ext_len % 2:
-            raise ParseError(
-                f"SRv6 header extension length {hdr_ext_len} cannot hold "
-                "16-byte segments"
-            )
-        size = 8 + 8 * hdr_ext_len
-        if offset + size > len(buf):
-            _need(buf, offset, size, "SRv6 routing header segments")
-        n_segments = hdr_ext_len // 2
-        if last_entry != n_segments - 1:
-            raise ParseError(
-                f"SRv6 last entry {last_entry} disagrees with "
-                f"{n_segments} segments"
-            )
-        if segments_left > last_entry + 1:
-            raise ParseError(
-                f"SRv6 segments left {segments_left} exceeds "
-                f"segment count {n_segments}"
-            )
-        segments = list(_SRV6_SEGMENTS[n_segments].unpack_from(buf, offset + 8))
-        hdr = cls(next_header, segments_left, segments, flags, tag, routing_type)
-        return hdr, size
 
     def emit(self) -> bytes:
         segments = self.segments

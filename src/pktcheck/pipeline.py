@@ -149,12 +149,14 @@ def run_records(
         runtime = ContractRuntime()
     summary = RunSummary(nf_name=nf.name, mode=runtime.mode, policy=policy)
     emit = (summary.out_records if out is None else out).append
+    # a reused runtime's counters already hold earlier runs' counts
+    snapshots, checks = runtime.snapshots_built, runtime.checks_evaluated
     if runtime.mode is BuildMode.DEVELOPMENT and nf.contract is not None:
         _run_checked(nf, records, runtime, policy, summary, emit)
     else:
         _run_transform_only(nf, records, summary, emit)
-    summary.snapshots_built = runtime.snapshots_built
-    summary.checks_evaluated = runtime.checks_evaluated
+    summary.snapshots_built = runtime.snapshots_built - snapshots
+    summary.checks_evaluated = runtime.checks_evaluated - checks
     return summary
 
 

@@ -10,14 +10,16 @@ it calls each codec at a running offset and looks nothing up, and raises
 the exact ``ChainOrderError`` of a packet the generated function refused.
 A contract's checks name the header attributes they read; the registry
 only says which names each header has and whether each is an integer or
-a byte sequence. ``match_chain`` compares an already-parsed chain with an
-order; the packet path does not call it.
+a byte sequence, as derived once, at import, from each codec's ``READ``.
+``match_chain`` compares an already-parsed chain with an order; the
+packet path does not call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 from . import headers
 from .exceptions import ChainOrderError, ParseError, RegistryError
@@ -41,7 +43,7 @@ class HeaderDescriptor:
 
     header_type: str
     permitted_predecessors: frozenset[str]
-    accessors: dict[str, str]
+    accessors: Mapping[str, str]
     parameter_slot: str | None = None
     protocol_number: int | None = None
     linkage_accessor: str | None = None
@@ -296,9 +298,22 @@ def match_chain(packet: Packet, spec: OrderSpec) -> None:
                 )
 
 
-def _accessors(kinds: dict[str, tuple[str, ...]]) -> dict[str, str]:
-    """The kind of each attribute name, from ``kinds``' names by kind."""
-    return {name: kind for kind, names in kinds.items() for name in names}
+def _kinds(codec) -> Mapping[str, str]:
+    """The kind of each attribute a check may read of ``codec``, from its
+    layout: every unpacked field the header has, BYTES when its ``Struct``
+    yields bytes and INT otherwise, then every derived attribute, INT."""
+    layout = codec.READ
+    values = layout.unpack.unpack(bytes(layout.unpack.size))
+    kinds = {
+        name: BYTES if isinstance(value, bytes) else INT
+        for name, value in zip(layout.fields, values)
+        if hasattr(codec, name)
+    }
+    return MappingProxyType(kinds | dict.fromkeys(layout.attributes, INT))
+
+
+#: Each header type's attribute kinds, derived once, at import.
+_KINDS = {name: _kinds(codec) for name, codec in headers.HEADER_TYPES.items()}
 
 
 def standard_registry() -> Registry:
@@ -315,10 +330,7 @@ def standard_registry() -> Registry:
         parameter_slot=None,
         protocol_number=None,
         linkage_accessor="ether_type",
-        accessors=_accessors({
-            BYTES: ("dst", "src"),
-            INT: ("ether_type",),
-        }),
+        accessors=_KINDS["EthHdr"],
     ))
     reg.register(HeaderDescriptor(
         header_type="Ipv6Hdr",
@@ -326,11 +338,7 @@ def standard_registry() -> Registry:
         parameter_slot=None,
         protocol_number=headers.ETHERTYPE_IPV6,
         linkage_accessor="next_header",
-        accessors=_accessors({
-            INT: ("version", "traffic_class", "flow_label", "payload_len",
-                  "next_header", "hop_limit"),
-            BYTES: ("src", "dst"),
-        }),
+        accessors=_KINDS["Ipv6Hdr"],
     ))
     reg.register(HeaderDescriptor(
         header_type="Srv6RoutingHdr",
@@ -338,10 +346,7 @@ def standard_registry() -> Registry:
         parameter_slot=None,
         protocol_number=headers.PROTO_SRV6,
         linkage_accessor="next_header",
-        accessors=_accessors({
-            INT: ("next_header", "hdr_ext_len", "routing_type", "segments_left",
-                  "last_entry", "flags", "tag"),
-        }),
+        accessors=_KINDS["Srv6RoutingHdr"],
     ))
     reg.register(HeaderDescriptor(
         header_type="TcpHdr",
@@ -349,10 +354,7 @@ def standard_registry() -> Registry:
         parameter_slot="Ipv6Hdr",
         protocol_number=headers.PROTO_TCP,
         linkage_accessor=None,
-        accessors=_accessors({
-            INT: ("src_port", "dst_port", "seq", "ack", "data_offset", "flags",
-                  "window", "checksum", "urgent_ptr"),
-        }),
+        accessors=_KINDS["TcpHdr"],
     ))
     reg.register(HeaderDescriptor(
         header_type="Icmpv6PktTooBig",
@@ -360,8 +362,6 @@ def standard_registry() -> Registry:
         parameter_slot="Ipv6Hdr",
         protocol_number=headers.PROTO_ICMPV6,
         linkage_accessor=None,
-        accessors=_accessors({
-            INT: ("msg_type", "code", "checksum", "mtu"),
-        }),
+        accessors=_KINDS["Icmpv6PktTooBig"],
     ))
     return reg.freeze()

@@ -1,8 +1,8 @@
-import struct
-
 import pytest
 
-from pktcheck import GeneratorSpec, Packet, generate, standard_registry
+from pktcheck import Packet, standard_registry
+
+from oracles import build_tcp6_bytes
 
 
 @pytest.fixture(scope="session")
@@ -10,37 +10,6 @@ def registry():
     return standard_registry()
 
 
-def ones_complement_oracle(data: bytes) -> int:
-    """Independent checksum reference: fold after every 16-bit word."""
-    if len(data) % 2:
-        data = data + b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
-
-
-def build_tcp6_bytes(
-    payload_len: int = 1300,
-    eth_src: bytes = bytes.fromhex("020000000001"),
-    eth_dst: bytes = bytes.fromhex("020000000002"),
-    ip_src: bytes = bytes(range(16)),
-    ip_dst: bytes = bytes(range(16, 32)),
-) -> bytes:
-    """Hand-packed Eth/IPv6/TCP packet, independof the header classes."""
-    eth = eth_dst + eth_src + struct.pack("!H", 0x86DD)
-    ipv6 = struct.pack("!IHBB", 6 << 28, payload_len, 6, 64) + ip_src + ip_dst
-    tcp = struct.pack("!HHIIHHHH", 4242, 80, 1, 2, (5 << 12) | 0x018, 8192, 0, 0)
-    return eth + ipv6 + tcp + bytes(payload_len - len(tcp))
-
-
 @pytest.fixture
 def tcp6_packet() -> Packet:
     return Packet.from_bytes(build_tcp6_bytes())
-
-
-def tcp6_packets(count: int, payload_len=1300, seed: int = 11) -> list[Packet]:
-    return generate(
-        GeneratorSpec(count=count, template="tcp6", payload_len=payload_len, seed=seed)
-    )

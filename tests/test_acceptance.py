@@ -41,7 +41,7 @@ from pktcheck.registry import standard_registry
 
 import io
 
-from conftest import build_tcp6_bytes, ones_complement_oracle
+from oracles import build_tcp6_bytes, ones_complement_oracle
 
 _REGISTRY = standard_registry()
 

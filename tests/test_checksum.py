@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from pktcheck import EmitError, internet_checksum, pseudo_header_checksum
 from pktcheck.checksum import ICMPV6_PROTO, TCP_PROTO
 
-from conftest import ones_complement_oracle
+from oracles import ones_complement_oracle
 
 
 def test_worked_example():

@@ -27,7 +27,7 @@ from pktcheck import (
 from pktcheck.engine import Violation, render_value
 from pktcheck.nfs import MTU_TOO_BIG_CONTRACT, send_too_big
 
-from conftest import build_tcp6_bytes
+from oracles import build_tcp6_bytes
 
 TCP6_ORDER = order("EthHdr", "Ipv6Hdr", ("TcpHdr", "Ipv6Hdr"))
 

@@ -18,7 +18,7 @@ from pktcheck import (
 )
 from pktcheck.headers import ICMPV6_PKT_TOO_BIG, SRV6_ROUTING_TYPE
 
-from conftest import build_tcp6_bytes
+from oracles import REFERENCE_PARSE, build_tcp6_bytes
 
 macs = st.binary(min_size=6, max_size=6)
 addrs = st.binary(min_size=16, max_size=16)
@@ -379,13 +379,21 @@ CODECS = [EthHdr, Ipv6Hdr, TcpHdr, Icmpv6PktTooBig, Srv6RoutingHdr]
 
 def _nudge(codec, raw, at, data):
     """Set the bytes a codec checks first, so that drawn buffers also reach
-    its later checks rather than failing on the first one."""
-    if at + (13 if codec is TcpHdr else 5) > len(raw):
-        return
+    its later checks rather than failing on the first one. The buffer is
+    padded to the header's fixed part, and to the length that a TCP or SRv6
+    header declares."""
+
+    def pad(size):
+        raw.extend(bytes(max(0, at + size - len(raw))))
+
+    pad(codec.READ.unpack.size)
     if codec is Ipv6Hdr:
         raw[at] = 0x60 | (raw[at] & 0x0F)
     elif codec is TcpHdr:
-        raw[at + 12] = (data.draw(st.integers(5, 15)) << 4) | (raw[at + 12] & 0x0F)
+        data_offset = data.draw(st.integers(5, 15))
+        # the low nibble holds the reserved bits and NS
+        raw[at + 12] = (data_offset << 4) | data.draw(st.integers(0, 15))
+        pad(4 * data_offset)
     elif codec is Icmpv6PktTooBig:
         raw[at : at + 2] = b"\x02\x00"
     elif codec is Srv6RoutingHdr:
@@ -394,6 +402,7 @@ def _nudge(codec, raw, at, data):
         raw[at + 2] = 4
         raw[at + 3] = data.draw(st.integers(0, n_segments + 1))
         raw[at + 4] = data.draw(st.sampled_from([n_segments - 1, n_segments]))
+        pad(8 + 16 * n_segments)
 
 
 @pytest.mark.parametrize("codec", CODECS, ids=lambda c: c.__name__)
@@ -419,46 +428,57 @@ ACCESSORS = {codec: standard_registry().get(codec.__name__).accessors for codec 
 
 
 def _field_read(codec, buf, at):
-    """``codec.READ`` evaluated as a generated phase splices it in: None
-    when the length guard or a test refuses the buffer, else the header's
-    size and the value of each registry attribute."""
+    """``codec.READ`` evaluated as a generated egress phase splices it in:
+    None when the length guard or a test refuses the buffer, else the
+    header's size and the value of each registry attribute."""
     rule = codec.READ
     if at + rule.unpack.size > len(buf):
         return None
-    names = dict(zip(rule.fields, rule.fields), at="at", length="length")
     values = dict(zip(rule.fields, rule.unpack.unpack_from(buf, at)), at=at,
-                  length=len(buf))
-
-    def value(source):
-        return eval(source.format_map(names), {}, values)
-
-    if not all(value(test) for test in rule.tests):
+                  length=len(buf), buf=buf)
+    values.update(
+        {name: eval(source, {}, values) for name, source in rule.attributes.items()}
+    )
+    values["size"] = eval(rule.size, {}, values)
+    if not all(eval(test, {}, values) for test, _ in rule.tests):
         return None
-    return value(rule.size), {
-        name: values[name] if name in rule.fields else value(rule.attributes[name])
-        for name in ACCESSORS[codec]
-    }
+    return values["size"], {name: values[name] for name in ACCESSORS[codec]}
+
+
+def _outcome(parse, buf, offset):
+    """What ``parse`` does with the buffer: its header and size, or the
+    text of the ``ParseError`` it raises."""
+    try:
+        return parse(buf, offset)
+    except ParseError as exc:
+        return str(exc)
 
 
 @pytest.mark.parametrize("codec", CODECS, ids=lambda c: c.__name__)
 @settings(max_examples=300)
 @given(data=st.data())
 def test_field_read_agrees_with_parse(codec, data):
-    # what a generated egress phase reads without building the header
+    # The hand-written parse in tests/oracles.py is the reference for both
+    # things the codec's layout generates: its parse, which must return the
+    # same header or raise the same text, and the field reads of a
+    # generated egress phase, which build no header.
     offset = data.draw(st.integers(0, 8))
     raw = bytearray(data.draw(st.binary(max_size=offset + 64)))
     if data.draw(st.integers(0, 3)):
         _nudge(codec, raw, offset, data)
     # reach the Packet Too Big reply budget too
     raw += bytes(data.draw(st.one_of(st.just(0), st.integers(1220, 1250))))
+    if data.draw(st.booleans()):
+        del raw[data.draw(st.integers(0, len(raw))):]
     buf = raw if data.draw(st.booleans()) else bytes(raw)
-    try:
-        hdr, consumed = codec.parse(buf, offset)
-    except ParseError:
-        expected = None
+    expected = _outcome(REFERENCE_PARSE[codec], buf, offset)
+    assert _outcome(codec.parse, buf, offset) == expected
+    if isinstance(expected, str):
+        assert _field_read(codec, buf, offset) is None
     else:
-        expected = consumed, {name: getattr(hdr, name) for name in ACCESSORS[codec]}
-    assert _field_read(codec, buf, offset) == expected
+        hdr, consumed = expected
+        read = consumed, {name: getattr(hdr, name) for name in ACCESSORS[codec]}
+        assert _field_read(codec, buf, offset) == read
 
 
 def _tcp_with_options_cut():

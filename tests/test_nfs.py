@@ -17,7 +17,7 @@ from pktcheck.nfs import DEFAULT_SEGMENT, MAX_SRV6_SEGMENTS
 from pktcheck.pcap import PcapRecord
 from pktcheck.pipeline import run_records
 
-from conftest import build_tcp6_bytes, ones_complement_oracle
+from oracles import build_tcp6_bytes, ones_complement_oracle
 
 import struct
 

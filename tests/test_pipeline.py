@@ -31,7 +31,7 @@ from pktcheck import (
 from pktcheck.nfs import MTU_TOO_BIG_CONTRACT
 from pktcheck.pcap import iter_pcap
 
-from conftest import build_tcp6_bytes
+from oracles import build_tcp6_bytes
 
 
 def _mixed_records(n_big=4, n_small=3):
@@ -61,6 +61,19 @@ def test_clean_run_counts(registry):
     # one ingress check per packet, plus six egress checks per rewrite
     assert summary.checks_evaluated == 7 * 1 + 7 * 6
     assert summary.snapshots_built == 7
+
+
+def test_reused_runtime_reports_each_runs_own_counts(registry):
+    # RunSummary describes one run, so a runtime shared by two runs must not
+    # carry the first run's counts into the second's summary
+    nf = make_nf("mtu-too-big", registry)
+    runtime = ContractRuntime(BuildMode.DEVELOPMENT)
+    records = _mixed_records(n_big=3, n_small=0)
+    first = run_records(nf, records, registry, runtime=runtime)
+    second = run_records(nf, records, registry, runtime=runtime)
+    assert (first.snapshots_built, first.checks_evaluated) == (3, 21)
+    assert (second.snapshots_built, second.checks_evaluated) == (3, 21)
+    assert (runtime.snapshots_built, runtime.checks_evaluated) == (6, 42)
 
 
 def test_small_packets_violate_the_ingress_precondition(registry):
@@ -402,8 +415,7 @@ def test_each_header_is_decoded_once_per_phase(registry, monkeypatch):
 
     # the walks bind each codec's parse at elaboration, so count it first
     for cls in headers_module.HEADER_TYPES.values():
-        parse = classmethod(counting("parse", cls.parse.__func__))
-        monkeypatch.setattr(cls, "parse", parse)
+        monkeypatch.setattr(cls, "parse", staticmethod(counting("parse", cls.parse)))
     nf = make_nf("mtu-too-big", registry)  # elaboration may look names up
     Packet = headers_module.Packet
     for name, owner in (("decode", Packet), ("parse_header", Packet),

@@ -11,11 +11,12 @@ from pktcheck import (
     match_chain,
     order,
     parse_chain,
+    standard_registry,
     verify_order,
 )
 from pktcheck.registry import HeaderDescriptor, OrderElement, OrderSpec, Registry
 
-from conftest import build_tcp6_bytes
+from oracles import build_tcp6_bytes
 
 
 def test_order_helper_and_rendering():
@@ -228,3 +229,31 @@ def test_accessors_read_the_attribute_of_their_name(registry):
             assert isinstance(value, bytes if kind == "bytes" else int)
             count += 1
     assert count == 31
+    # The kinds are derived from each codec's layout: none may drop out,
+    # and a packed word (v_tc_fl, off_flags) never becomes readable.
+    assert {name: dict(registry.get(name).accessors) for name in KINDS} == KINDS
+    # They are derived once, at import, not on every standard_registry().
+    again = standard_registry()
+    assert all(
+        again.get(name).accessors is registry.get(name).accessors for name in KINDS
+    )
+
+
+INT, BYTES = "int", "bytes"
+#: Each header's readable attributes and their kinds.
+KINDS = {
+    "EthHdr": {"dst": BYTES, "src": BYTES, "ether_type": INT},
+    "Ipv6Hdr": {
+        "version": INT, "traffic_class": INT, "flow_label": INT, "payload_len": INT,
+        "next_header": INT, "hop_limit": INT, "src": BYTES, "dst": BYTES,
+    },
+    "Srv6RoutingHdr": {
+        "next_header": INT, "hdr_ext_len": INT, "routing_type": INT,
+        "segments_left": INT, "last_entry": INT, "flags": INT, "tag": INT,
+    },
+    "TcpHdr": {
+        "src_port": INT, "dst_port": INT, "seq": INT, "ack": INT, "data_offset": INT,
+        "flags": INT, "window": INT, "checksum": INT, "urgent_ptr": INT,
+    },
+    "Icmpv6PktTooBig": {"msg_type": INT, "code": INT, "checksum": INT, "mtu": INT},
+}
