@@ -40,10 +40,10 @@ Python function from source text: it follows the phase's walk with the
 linkage cross-checks inline and evaluates every check as one inline
 comparison. The ingress function calls each codec's ``parse`` at the
 running offset, and the headers it decodes become the snapshot. The
-egress function builds no header: it splices in each codec's ``READ``, the
-one layout (``headers.FieldRead``) that the codec's ``parse`` and the
-registry's attribute kinds also come from: one ``unpack_from`` plus the
-layout's tests per step, reading only the fields its checks and linkage
+egress function builds no header: per step it splices in the lines that
+each codec's ``READ`` writes (``headers.FieldRead.step``, which the
+codec's generated ``parse`` runs too): one ``unpack_from`` plus the
+layout's tests, reading only the fields its checks and linkage
 cross-checks name.
 Phases of the same text share one compiled code object. Production never
 generates them.
@@ -719,10 +719,11 @@ def _parse_lines(walk: tuple[OrderStep, ...], namespace: dict) -> list[str]:
 def _read_lines(
     walk: tuple[OrderStep, ...], checks: tuple[CompiledCheck, ...], namespace: dict
 ) -> list[str]:
-    """The egress function up to its checks: per step, a length guard, one
-    ``unpack_from`` of the codec's ``Struct``, the codec's tests in order,
-    the end offset, and a local for each attribute that a check or the next
-    step's linkage cross-check reads."""
+    """The egress function up to its checks: per step, the codec's layout
+    step (a length guard, one ``unpack_from`` of its ``Struct`` and its
+    tests in order, each refusal returning None), the end offset, and a
+    local for each sub-field that a check or the next step's linkage
+    cross-check reads."""
     used = {(c.lhs_index, c.lhs) for c in checks}
     used |= {(j, attribute) for c in checks for _, from_snapshot, attribute, j in c.reads
              if not from_snapshot}
@@ -734,24 +735,20 @@ def _read_lines(
         namespace[unpack] = rule.unpack.unpack_from
         at = f"e{k - 1}" if k else "0"
         names = {field: f"h{k}_{field}" for field in rule.fields}
-        names.update(at=at, length="n")
-        names.update(
-            {a: f"({rule.spell(e, names)})" for a, e in rule.attributes.items()}
-        )
+        names.update(at=at, length="n", buf="data", unpack=unpack)
+        reads = rule.reads()
+        names.update({a: f"({rule.spell(e, names)})" for a, e in reads.items()})
         names["size"] = f"({rule.spell(rule.size, names)})"
         if step.linkage is not None:
             lines += [f"    if h{k - 1}_{step.linkage} != {step.proto!r}:",
                       "        return None"]
-        lines += [f"    if {at} + {rule.unpack.size} > n:", "        return None",
-                  f"    {', '.join(names[f] for f in rule.fields)} = {unpack}(data, {at})"]
-        for test, _ in rule.tests:
-            lines += [f"    if not ({rule.spell(test, names)}):", "        return None"]
+        lines += [f"    {line}" for line in rule.step(names, "return None")]
         if k < len(walk) - 1:
             lines.append(f"    e{k} = {at} + {names['size']}")
         lines += [
             f"    h{k}_{attribute} = {names[attribute]}"
             for j, attribute in sorted(used)
-            if j == k and attribute in rule.attributes
+            if j == k and attribute in reads
         ]
     snapshot = {j for c in checks for _, from_snapshot, _, j in c.reads if from_snapshot}
     return lines + ["    failed = []"] + [f"    s{j} = snap[{j}]" for j in sorted(snapshot)]

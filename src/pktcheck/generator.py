@@ -40,7 +40,7 @@ TEMPLATES = ("tcp6", "srv6")
 
 #: Smallest IPv6 payload per template: a bare TCP header, or an SRv6
 #: routing header with one segment.
-_MIN_PAYLOAD = {"tcp6": TcpHdr.MIN_SIZE, "srv6": Srv6RoutingHdr.MIN_SIZE + 16}
+_MIN_PAYLOAD = {"tcp6": TcpHdr.READ.unpack.size, "srv6": Srv6RoutingHdr.READ.unpack.size + 16}
 
 TCP_FLAG_PSH_ACK = 0x018
 
@@ -99,7 +99,7 @@ def _pick_payload_len(spec: GeneratorSpec, rng: random.Random) -> int:
 def _gen_tcp6(spec: GeneratorSpec, rng: random.Random) -> bytes:
     payload_len = _pick_payload_len(spec, rng)
     src, dst = _random_addr(rng), _random_addr(rng)
-    app_bytes = rng.randbytes(payload_len - TcpHdr.MIN_SIZE)
+    app_bytes = rng.randbytes(payload_len - TcpHdr.READ.unpack.size)
     tcp = TcpHdr(
         src_port=rng.randint(1024, 65535),
         dst_port=rng.choice((80, 443, 8080)),
@@ -128,7 +128,7 @@ def _gen_tcp6(spec: GeneratorSpec, rng: random.Random) -> bytes:
 def _gen_srv6(spec: GeneratorSpec, rng: random.Random) -> bytes:
     payload_len = _pick_payload_len(spec, rng)
     # Fit 1..4 segments inside the requested IPv6 payload length.
-    max_segments = min(4, (payload_len - Srv6RoutingHdr.MIN_SIZE) // 16)
+    max_segments = min(4, (payload_len - Srv6RoutingHdr.READ.unpack.size) // 16)
     n_segments = rng.randint(1, max(1, max_segments))
     srh = Srv6RoutingHdr(
         next_header=PROTO_NONE,

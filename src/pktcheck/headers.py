@@ -6,26 +6,25 @@ header (routing type 4). All multi-byte integers are big-endian on the
 wire and are decoded to host ints.
 
 Each codec states its wire layout once, as its ``READ`` (a
-``FieldRead``), and three things come from it: the codec's ``parse``,
-which ``_codec`` generates at import; the field reads that a generated
-egress phase splices in to read a header's fields straight from the bytes
-(``contracts``); and the kind of each attribute a contract may read
-(``registry``). Every packet pays for decoding, so the generated ``parse``
-runs what a hand-written one would: a length guard, one ``unpack_from`` of
-a ``struct.Struct`` compiled at import (whose ``s`` fields yield MAC and
-IPv6 addresses as ``bytes``), each test in order, and the header built
-from positional arguments.
-
-Each ``emit`` is written by hand and has one serializer: the same
-``Struct`` as its ``parse``, which range-checks the 8-, 16- and 32-bit
-fields itself. The sub-byte fields and the lengths (addresses, TCP
-options, each SRv6 segment, the invoking packet) are tested first in one
-condition, since ``s`` fields pad or truncate silently. The ordered checks
-after it only name a refusal: when the test fails or the pack refuses a
-field, they raise the ``EmitError`` for the first bad field in a fixed
-order. A failed test always fails one of them, so if they all pass the
-field is in range but not an integer, and ``emit`` re-raises what the pack
-raised.
+``FieldRead``), and four things come from it: the codec's ``parse`` and
+``emit``, which ``_codec`` generates at import; the field reads that a
+generated egress phase splices in to read a header's fields straight from
+the bytes (``contracts``); and the kind of each attribute a contract may
+read (``registry``). Each generated function runs what a hand-written one
+would. ``parse`` checks the length, makes one ``unpack_from`` of a
+``struct.Struct`` compiled at import (whose ``s`` fields yield MAC and
+IPv6 addresses as ``bytes``), runs each test in order and builds the
+header from positional arguments. ``emit`` tests in one condition what
+the ``Struct`` cannot refuse (the sub-fields it shifts into a packed word,
+and the layout's emit tests, such as lengths that an ``s`` field would pad
+or truncate silently), then packs with the same ``Struct``, which
+range-checks every other field. When the condition fails or the pack
+refuses a field, ``emit`` raises the ``EmitError`` of the first check
+that fails in one order: the emit tests checked first, a range check of
+every integer on the wire in layout order, then the emit tests checked
+last. A failed condition always fails one of them, so when none fails the
+field is in range but not an integer, and ``emit`` re-raises what the
+pack raised.
 
 A ``Packet`` is its bytes: the network functions and the order walks call
 the codecs at running offsets and build new packets rather than edit one.
@@ -42,8 +41,17 @@ from typing import NamedTuple
 
 from .exceptions import EmitError, ParseError
 
-ETH_HDR_SIZE = 14
-IPV6_HDR_SIZE = 40
+_ETH = struct.Struct("!6s6sH")
+_IPV6 = struct.Struct("!IHBB16s16s")
+_TCP = struct.Struct("!HHIIHHHH")
+_ICMPV6_PTB = struct.Struct("!BBHI")
+_SRV6 = struct.Struct("!BBBBBBH")
+#: By segment count: the SRv6 segment list as that many 16-byte fields
+#: (an 8-bit extension length holds at most 127 segments).
+_SRV6_SEGMENTS = [struct.Struct("16s" * n) for n in range(128)]
+
+ETH_HDR_SIZE = _ETH.size
+IPV6_HDR_SIZE = _IPV6.size
 IPV6_MIN_MTU = 1280
 
 ETHERTYPE_IPV6 = 0x86DD
@@ -55,40 +63,37 @@ PROTO_NONE = 59
 ICMPV6_PKT_TOO_BIG = 2
 SRV6_ROUTING_TYPE = 4
 
-_ETH = struct.Struct("!6s6sH")
-_IPV6 = struct.Struct("!IHBB16s16s")
-_TCP = struct.Struct("!HHIIHHHH")
-_ICMPV6_PTB = struct.Struct("!BBHI")
-_SRV6 = struct.Struct("!BBBBBBH")
-#: By segment count: the SRv6 segment list as that many 16-byte fields
-#: (an 8-bit extension length holds at most 127 segments).
-_SRV6_SEGMENTS = [struct.Struct("16s" * n) for n in range(128)]
-
-
-#: What an ``emit`` may raise on a field its ``Struct`` or its shifts
-#: refuse; the ordered checks then name the field, and if none fails,
-#: ``emit`` re-raises the error.
-_REFUSED = (struct.error, TypeError)
-#: Every SRv6 segment is an IPv6 address.
-_ADDRESS_LENGTH = {16}
-
 
 class FieldRead(NamedTuple):
-    """A codec's wire layout: what its generated ``parse`` runs, what a
-    generated egress phase reads, and the attributes a contract may read.
+    """A codec's wire layout: what its generated ``parse`` and ``emit``
+    run, what a generated egress phase reads, and the attributes a contract
+    may read.
 
     ``name`` is what a truncation error calls the header. ``unpack`` is the
     codec's ``Struct`` and ``fields`` names the values it yields, in order.
-    ``tests`` are the acceptance tests in ``parse`` order, each paired with
-    its ``ParseError`` text, and ``size`` is the header's length in bytes.
-    ``attributes`` gives each registry attribute that is not itself a
-    field, and ``extras`` each constructor argument that is neither: the
-    variable-length part and TCP's reserved bits. Each is a Python
-    expression, and each text an f-string, over the fields, the attributes,
-    ``size``, ``at`` (the header's offset), ``length`` (the buffer's length)
-    and ``buf`` (the buffer). The packet holds the header when the buffer
-    has ``unpack.size`` bytes at ``at`` and every test holds, exactly when
-    ``parse`` returns.
+    ``words`` gives the sub-fields of each packed word, most significant
+    first, with their widths in bits, which fill the word. ``tests`` are
+    the acceptance tests in ``parse`` order, each paired with its
+    ``ParseError`` text, and ``size`` is the header's length in bytes.
+    ``extras`` gives each constructor argument that is neither a field nor
+    a sub-field: the variable-length part. ``hidden`` names the sub-fields
+    a contract may not read: TCP's reserved bits. The packet holds the
+    header when the buffer has ``unpack.size`` bytes at ``at`` and every
+    test holds, exactly when ``parse`` returns.
+
+    ``emit`` packs the header's fields and, in order, each ``computed``
+    field: a field on the wire that the header does not hold, which the
+    codec also gets as a property. ``emit_first`` and ``emit_last`` are
+    the tests ``emit`` checks before and after its range checks, each
+    paired with its ``EmitError`` text, and ``tail`` is the bytes after
+    the fixed part.
+
+    Each is a Python expression, and each text an f-string, that may name
+    ``fixed`` (the fixed part's length). Those of ``parse`` are over the
+    fields, the sub-fields, ``size``, ``at`` (the header's offset),
+    ``length`` (the buffer's length) and ``buf`` (the buffer); those of
+    ``emit`` over the header's attributes and the ``computed`` fields, each
+    of which may use those before it.
     """
 
     name: str
@@ -96,19 +101,86 @@ class FieldRead(NamedTuple):
     fields: tuple[str, ...]
     tests: tuple[tuple[str, str], ...]
     size: str
-    attributes: dict[str, str] = {}
+    words: dict[str, dict[str, int]] = {}
     extras: dict[str, str] = {}
+    hidden: tuple[str, ...] = ()
+    computed: dict[str, str] = {}
+    emit_first: tuple[tuple[str, str], ...] = ()
+    emit_last: tuple[tuple[str, str], ...] = ()
+    tail: str = ""
 
     def spell(self, source: str, names: dict[str, str]) -> str:
         """``source`` with each name that ``names`` maps replaced by its
-        spelling there."""
+        spelling there, and ``fixed`` by the fixed part's length."""
+        names = {"fixed": str(self.unpack.size), **names}
         return _NAME.sub(lambda m: names.get(m[0], m[0]), source)
+
+    def wire(self) -> list[tuple[str, int | None, str | None, int]]:
+        """Each value on the wire in layout order, a packed word's
+        sub-fields in its place: its name, its width in bits (None for a
+        byte string) and, for a sub-field, its word and its shift there."""
+        wire = []
+        for name, code in zip(self.fields, _CODE.findall(self.unpack.format)):
+            bits = None if code.endswith("s") else 8 * struct.calcsize("!" + code)
+            if name not in self.words:
+                wire.append((name, bits, None, 0))
+                continue
+            for sub, width in self.words[name].items():
+                bits -= width
+                wire.append((sub, width, name, bits))
+            if bits:
+                raise ValueError(f"the sub-fields of {name} do not fill it")
+        return wire
+
+    def reads(self) -> dict[str, str]:
+        """Each sub-field as an expression over its word; the most
+        significant needs no mask."""
+        reads = {}
+        for name, width, word, shift in self.wire():
+            if word is not None:
+                read = f"{word} >> {shift}" if shift else word
+                top = next(iter(self.words[word]))
+                reads[name] = read if name == top else f"{read} & 0x{(1 << width) - 1:X}"
+        return reads
+
+    def step(self, names: dict[str, str], refuse: str) -> list[str]:
+        """The source lines that read the header at ``at``: the length
+        guard, one ``unpack_from`` into the fields, the sub-fields and the
+        size, and the tests in order.
+
+        ``names`` spells each name it maps (``unpack`` is the bound
+        ``unpack_from``); each sub-field and ``size`` that it does not map
+        is bound to a local of its own name. ``refuse`` is the statement
+        that refuses the buffer, formatted with the f-string text of the
+        refusal: ``raise ParseError(f{!r})`` or ``return None``.
+        """
+
+        def spell(source):
+            return self.spell(source, names)
+
+        def refusal(text):
+            return refuse.format(_REPLACEMENT.sub(lambda m: spell(m[0]), text))
+
+        at, fixed = spell("at"), self.unpack.size
+        lines = [
+            f"if {at} + {fixed} > {spell('length')}:",
+            f"    {refusal(_truncated(self.name, 'fixed'))}",
+            f"{', '.join(map(spell, self.fields))} = {spell('unpack')}({spell('buf')}, {at})",
+        ]
+        lines += [f"{a} = {spell(e)}" for a, e in self.reads().items() if a not in names]
+        if "size" not in names:
+            lines.append(f"size = {spell(self.size)}")
+        for test, text in self.tests:
+            lines += [f"if not ({spell(test)}):", f"    {refusal(text)}"]
+        return lines
 
 
 #: A name in a layout's expression.
 _NAME = re.compile(r"\b[A-Za-z_]\w*")
 #: A replacement field of an f-string text.
 _REPLACEMENT = re.compile(r"\{[^{}]*\}")
+#: One field's code in a ``struct`` format.
+_CODE = re.compile(r"\d*[A-Za-z?]")
 
 
 def _truncated(what: str, need: str) -> str:
@@ -118,46 +190,82 @@ def _truncated(what: str, need: str) -> str:
             "have {length - at}")
 
 
-def _codec(cls):
-    """Generate ``cls.parse(buf, offset=0)`` from ``cls.READ``.
-
-    The generated function checks that the fixed part fits, unpacks it into
-    a local per field, binds a local per attribute and the size, raises the
-    ``ParseError`` of the first test that fails, and returns the header,
-    built positionally in its constructor's order, with its size.
-    """
+def _emit_lines(cls) -> list[str]:
+    """The source of ``cls.emit``, from ``cls.READ`` (see the module
+    docstring)."""
     layout = cls.READ
-    names = {"at": "offset", "length": "len(buf)"}
+    names = {f.name: f"self.{f.name}" for f in fields(cls)}
 
     def spell(source):
         return layout.spell(source, names)
 
-    def raise_(text):
-        return f"raise ParseError(f{_REPLACEMENT.sub(lambda m: spell(m[0]), text)!r})"
+    def check(test, text):
+        text = _REPLACEMENT.sub(lambda m: spell(m[0]), text)
+        return [f"    if not ({spell(test)}):", f"      raise EmitError(f{text!r})"]
 
-    fixed = layout.unpack.size
+    wire = layout.wire()
+    tops = {next(iter(subs)) for subs in layout.words.values()}
+    tests = [test for test, _ in layout.emit_first]
+    # The pack refuses a word's most significant sub-field out of range.
+    tests += [f"0 <= {name} < {1 << width}"
+              for name, width, word, _ in wire if word and name not in tops]
+    tests += [test for test, _ in layout.emit_last]
+    terms = {}
+    for name, _, word, shift in wire:
+        terms.setdefault(word or name, []).append(f"{name} << {shift}" if shift else name)
+    packed = f"pack({', '.join(' | '.join(t) for t in terms.values())})"
+    if layout.tail:
+        packed += f" + {layout.tail}"
+    computed = [f"{name} = {spell(source)}" for name, source in layout.computed.items()]
     lines = [
-        "def define(cls, unpack):",
-        "  def parse(buf, offset=0):",
-        f"    if offset + {fixed} > len(buf):",
-        f"        {raise_(_truncated(layout.name, str(fixed)))}",
-        f"    {', '.join(layout.fields)} = unpack(buf, offset)",
-        *(f"    {name} = {spell(source)}" for name, source in layout.attributes.items()),
-        f"    size = {spell(layout.size)}",
+        "  def emit(self):",
+        "    try:",
+        *(f"      {line}" for line in computed),
+        f"      if {spell(' and '.join(f'({test})' for test in tests))}:",
+        f"        return {spell(packed)}",
+        "    except (struct.error, TypeError) as exc:",
+        "      refused = exc",
     ]
-    for test, text in layout.tests:
-        lines += [f"    if not ({spell(test)}):", f"        {raise_(text)}"]
-    arguments = (spell(layout.extras.get(f.name, f.name)) for f in fields(cls))
-    lines += [f"    return cls({', '.join(arguments)}), size", "  return parse"]
+    for test, text in layout.emit_first:
+        lines += check(test, text)
+    lines += (f"    {line}" for line in computed)
+    for name, width, _, _ in wire:
+        if width:
+            lines += check(f"0 <= {name} < {1 << width}",
+                           f"{name} out of range for {width}-bit field: {{{name}}}")
+    for test, text in layout.emit_last:
+        lines += check(test, text)
+    return lines + ["    raise refused"]
+
+
+def _codec(cls):
+    """Generate ``cls.parse(buf, offset=0)``, ``cls.emit()`` and a property
+    per computed field from ``cls.READ``.
+
+    The generated ``parse`` runs the layout's step (``FieldRead.step``),
+    raising the ``ParseError`` of the first refusal, and returns the header,
+    built positionally in its constructor's order, with its size.
+    """
+    layout = cls.READ
+    names = {"at": "offset", "length": "len(buf)"}
+    arguments = (layout.spell(layout.extras.get(f.name, f.name), names) for f in fields(cls))
+    own = {f.name: f"self.{f.name}" for f in fields(cls)}
+    for name, source in layout.computed.items():
+        own[name] = f"({layout.spell(source, own)})"
+    lines = [
+        "def define(cls, unpack, pack):",
+        "  def parse(buf, offset=0):",
+        *(f"    {line}" for line in layout.step(names, "raise ParseError(f{!r})")),
+        f"    return cls({', '.join(arguments)}), size",
+        *_emit_lines(cls),
+        "  cls.parse = staticmethod(parse)",
+        "  cls.emit = emit",
+        *(f"  cls.{name} = property(lambda self: {own[name]})" for name in layout.computed),
+    ]
     scope = {}
-    exec(compile("\n".join(lines), f"<{cls.__name__}.parse>", "exec"), globals(), scope)
-    cls.parse = staticmethod(scope["define"](cls, layout.unpack.unpack_from))
+    exec(compile("\n".join(lines), f"<{cls.__name__} codec>", "exec"), globals(), scope)
+    scope["define"](cls, layout.unpack.unpack_from, layout.unpack.pack)
     return cls
-
-
-def _check_range(value, bits, what):
-    if not 0 <= value < (1 << bits):
-        raise EmitError(f"{what} out of range for {bits}-bit field: {value}")
 
 
 @_codec
@@ -170,19 +278,9 @@ class EthHdr:
     ether_type: int
 
     READ = FieldRead(
-        "Ethernet header", _ETH, ("dst", "src", "ether_type"), (), str(ETH_HDR_SIZE)
+        "Ethernet header", _ETH, ("dst", "src", "ether_type"), (), "fixed",
+        emit_first=(("len(dst) == 6 == len(src)", "MAC addresses must be 6 bytes"),),
     )
-
-    def emit(self) -> bytes:
-        try:
-            if len(self.dst) == 6 == len(self.src):
-                return _ETH.pack(self.dst, self.src, self.ether_type)
-        except _REFUSED as exc:
-            refused = exc
-        if len(self.dst) != 6 or len(self.src) != 6:
-            raise EmitError("MAC addresses must be 6 bytes")
-        _check_range(self.ether_type, 16, "ether_type")
-        raise refused
 
 
 @_codec
@@ -203,36 +301,11 @@ class Ipv6Hdr:
         "IPv6 header", _IPV6,
         ("v_tc_fl", "payload_len", "next_header", "hop_limit", "src", "dst"),
         (("version == 6", "IPv6 version nibble is {version}, expected 6"),),
-        str(IPV6_HDR_SIZE),
-        {"version": "v_tc_fl >> 28", "traffic_class": "v_tc_fl >> 20 & 0xFF",
-         "flow_label": "v_tc_fl & 0xFFFFF"},
+        "fixed",
+        words={"v_tc_fl": {"version": 4, "traffic_class": 8, "flow_label": 20}},
+        emit_first=(("version == 6", "IPv6 version must be 6, got {version}"),),
+        emit_last=(("len(src) == 16 == len(dst)", "IPv6 addresses must be 16 bytes"),),
     )
-
-    def emit(self) -> bytes:
-        try:
-            if (
-                self.version == 6
-                and 0 <= self.traffic_class < 0x100
-                and 0 <= self.flow_label < 0x100000
-                and len(self.src) == 16 == len(self.dst)
-            ):
-                return _IPV6.pack(
-                    (self.version << 28) | (self.traffic_class << 20) | self.flow_label,
-                    self.payload_len, self.next_header, self.hop_limit,
-                    self.src, self.dst,
-                )
-        except _REFUSED as exc:
-            refused = exc
-        if self.version != 6:
-            raise EmitError(f"IPv6 version must be 6, got {self.version}")
-        _check_range(self.traffic_class, 8, "traffic_class")
-        _check_range(self.flow_label, 20, "flow_label")
-        _check_range(self.payload_len, 16, "payload_len")
-        _check_range(self.next_header, 8, "next_header")
-        _check_range(self.hop_limit, 8, "hop_limit")
-        if len(self.src) != 16 or len(self.dst) != 16:
-            raise EmitError("IPv6 addresses must be 16 bytes")
-        raise refused
 
 
 @_codec
@@ -258,7 +331,6 @@ class TcpHdr:
     options: bytes = b""
     reserved: int = 0
 
-    MIN_SIZE = 20
     READ = FieldRead(
         "TCP header", _TCP,
         ("src_port", "dst_port", "seq", "ack", "off_flags", "window", "checksum",
@@ -266,44 +338,16 @@ class TcpHdr:
         (("data_offset >= 5", "TCP data offset {data_offset} below minimum 5"),
          ("at + size <= length", _truncated("TCP header with options", "size"))),
         "data_offset * 4",
-        {"data_offset": "off_flags >> 12", "flags": "off_flags & 0x1FF"},
-        {"options": 'bytes(buf[at + 20 : at + size]) if size > 20 else b""',
-         "reserved": "off_flags >> 9 & 0x7"},
+        words={"off_flags": {"data_offset": 4, "reserved": 3, "flags": 9}},
+        extras={"options": 'bytes(buf[at + fixed : at + size]) if size > fixed else b""'},
+        hidden=("reserved",),
+        emit_last=(
+            ("data_offset >= 5", "TCP data offset {data_offset} below minimum 5"),
+            ("data_offset * 4 == fixed + len(options)",
+             "TCP data offset {data_offset} disagrees with {len(options)} option bytes"),
+        ),
+        tail="options",
     )
-
-    def emit(self) -> bytes:
-        try:
-            if (
-                5 <= self.data_offset < 0x10
-                and 0 <= self.reserved < 0x8
-                and 0 <= self.flags < 0x200
-                and self.data_offset * 4 == self.MIN_SIZE + len(self.options)
-            ):
-                return _TCP.pack(
-                    self.src_port, self.dst_port, self.seq, self.ack,
-                    (self.data_offset << 12) | (self.reserved << 9) | self.flags,
-                    self.window, self.checksum, self.urgent_ptr,
-                ) + self.options
-        except _REFUSED as exc:
-            refused = exc
-        _check_range(self.src_port, 16, "src_port")
-        _check_range(self.dst_port, 16, "dst_port")
-        _check_range(self.seq, 32, "seq")
-        _check_range(self.ack, 32, "ack")
-        _check_range(self.data_offset, 4, "data_offset")
-        _check_range(self.reserved, 3, "reserved")
-        _check_range(self.flags, 9, "flags")
-        _check_range(self.window, 16, "window")
-        _check_range(self.checksum, 16, "checksum")
-        _check_range(self.urgent_ptr, 16, "urgent_ptr")
-        if self.data_offset < 5:
-            raise EmitError(f"TCP data offset {self.data_offset} below minimum 5")
-        if self.data_offset * 4 != self.MIN_SIZE + len(self.options):
-            raise EmitError(
-                f"TCP data offset {self.data_offset} disagrees with "
-                f"{len(self.options)} option bytes"
-            )
-        raise refused
 
 
 @_codec
@@ -322,7 +366,6 @@ class Icmpv6PktTooBig:
     msg_type: int = ICMPV6_PKT_TOO_BIG
     code: int = 0
 
-    MIN_SIZE = 8
     MAX_SIZE = IPV6_MIN_MTU - IPV6_HDR_SIZE
     READ = FieldRead(
         "ICMPv6 Packet Too Big header", _ICMPV6_PTB,
@@ -333,34 +376,15 @@ class Icmpv6PktTooBig:
           "Packet Too Big message of {size} bytes exceeds the minimum-MTU reply "
           f"budget of {MAX_SIZE} bytes")),
         "length - at",
-        extras={"invoking_packet": "bytes(buf[at + 8 :])"},
+        extras={"invoking_packet": "bytes(buf[at + fixed :])"},
+        emit_first=((f"msg_type == {ICMPV6_PKT_TOO_BIG} and code == 0",
+                     f"Packet Too Big requires type {ICMPV6_PKT_TOO_BIG} code 0, "
+                     "got type {msg_type} code {code}"),),
+        emit_last=((f"len(invoking_packet) <= {MAX_SIZE} - fixed",
+                    "Packet Too Big body exceeds the minimum-MTU reply budget of "
+                    f"{MAX_SIZE} bytes"),),
+        tail="invoking_packet",
     )
-
-    def emit(self) -> bytes:
-        try:
-            if (
-                self.msg_type == ICMPV6_PKT_TOO_BIG
-                and self.code == 0
-                and len(self.invoking_packet) <= self.MAX_SIZE - self.MIN_SIZE
-            ):
-                return _ICMPV6_PTB.pack(
-                    self.msg_type, self.code, self.checksum, self.mtu
-                ) + self.invoking_packet
-        except _REFUSED as exc:
-            refused = exc
-        if self.msg_type != ICMPV6_PKT_TOO_BIG or self.code != 0:
-            raise EmitError(
-                f"Packet Too Big requires type 2 code 0, "
-                f"got type {self.msg_type} code {self.code}"
-            )
-        _check_range(self.checksum, 16, "checksum")
-        _check_range(self.mtu, 32, "mtu")
-        if self.MIN_SIZE + len(self.invoking_packet) > self.MAX_SIZE:
-            raise EmitError(
-                "Packet Too Big body exceeds the minimum-MTU reply budget of "
-                f"{self.MAX_SIZE} bytes"
-            )
-        raise refused
 
 
 @_codec
@@ -380,7 +404,6 @@ class Srv6RoutingHdr:
     tag: int = 0
     routing_type: int = SRV6_ROUTING_TYPE
 
-    MIN_SIZE = 8
     READ = FieldRead(
         "SRv6 routing header", _SRV6,
         ("next_header", "hdr_ext_len", "routing_type", "segments_left", "last_entry",
@@ -394,52 +417,22 @@ class Srv6RoutingHdr:
           "SRv6 last entry {last_entry} disagrees with {hdr_ext_len // 2} segments"),
          ("segments_left <= last_entry + 1",
           "SRv6 segments left {segments_left} exceeds segment count {hdr_ext_len // 2}")),
-        "8 + 8 * hdr_ext_len",
+        "fixed + 8 * hdr_ext_len",
         extras={
-            "segments": "list(_SRV6_SEGMENTS[hdr_ext_len // 2].unpack_from(buf, at + 8))"
+            "segments": "list(_SRV6_SEGMENTS[hdr_ext_len // 2].unpack_from(buf, at + fixed))"
         },
+        computed={"hdr_ext_len": "2 * len(segments)", "last_entry": "hdr_ext_len // 2 - 1"},
+        emit_first=(
+            (f"routing_type == {SRV6_ROUTING_TYPE}",
+             f"routing type must be {SRV6_ROUTING_TYPE}"),
+            ("segments", "SRv6 routing header requires at least one segment"),
+            ("[*map(len, segments)].count(16) == len(segments)",
+             "SRv6 segments must be 16-byte addresses"),
+        ),
+        emit_last=(("segments_left <= last_entry + 1",
+                    "segments left {segments_left} exceeds segment count {len(segments)}"),),
+        tail='b"".join(segments)',
     )
-
-    @property
-    def hdr_ext_len(self) -> int:
-        return 2 * len(self.segments)
-
-    @property
-    def last_entry(self) -> int:
-        return len(self.segments) - 1
-
-    def emit(self) -> bytes:
-        segments = self.segments
-        try:
-            if (
-                self.routing_type == SRV6_ROUTING_TYPE
-                and self.segments_left <= len(segments)
-                and set(map(len, segments)) == _ADDRESS_LENGTH
-            ):
-                return _SRV6.pack(
-                    self.next_header, 2 * len(segments), self.routing_type,
-                    self.segments_left, len(segments) - 1, self.flags, self.tag,
-                ) + b"".join(segments)
-        except _REFUSED as exc:
-            refused = exc
-        if self.routing_type != SRV6_ROUTING_TYPE:
-            raise EmitError(f"routing type must be {SRV6_ROUTING_TYPE}")
-        if not self.segments:
-            raise EmitError("SRv6 routing header requires at least one segment")
-        if any(len(s) != 16 for s in self.segments):
-            raise EmitError("SRv6 segments must be 16-byte addresses")
-        _check_range(self.next_header, 8, "next_header")
-        _check_range(self.hdr_ext_len, 8, "hdr_ext_len")
-        _check_range(self.last_entry, 8, "last_entry")
-        _check_range(self.segments_left, 8, "segments_left")
-        _check_range(self.flags, 8, "flags")
-        _check_range(self.tag, 16, "tag")
-        if self.segments_left > self.last_entry + 1:
-            raise EmitError(
-                f"segments left {self.segments_left} exceeds "
-                f"segment count {len(self.segments)}"
-            )
-        raise refused
 
 
 HEADER_TYPES = {

@@ -49,7 +49,7 @@ from .registry import Registry
 
 #: Largest invoking-packet slice that keeps the ICMPv6 reply's IPv6 payload
 #: at exactly IPV6_MIN_MTU - IPV6_HDR_SIZE bytes.
-MAX_INVOKING_BYTES = IPV6_MIN_MTU - IPV6_HDR_SIZE - Icmpv6PktTooBig.MIN_SIZE
+MAX_INVOKING_BYTES = IPV6_MIN_MTU - IPV6_HDR_SIZE - Icmpv6PktTooBig.READ.unpack.size
 
 #: SRv6 hdr_ext_len is an 8-bit field counting 8-byte units, two per
 #: 16-byte segment; the list is full once another segment would not fit.

@@ -300,16 +300,15 @@ def match_chain(packet: Packet, spec: OrderSpec) -> None:
 
 def _kinds(codec) -> Mapping[str, str]:
     """The kind of each attribute a check may read of ``codec``, from its
-    layout: every unpacked field the header has, BYTES when its ``Struct``
-    yields bytes and INT otherwise, then every derived attribute, INT."""
+    layout: every value on the wire but the hidden ones, with a packed
+    word's sub-fields in its place, BYTES for a ``struct`` ``s`` field and
+    INT otherwise."""
     layout = codec.READ
-    values = layout.unpack.unpack(bytes(layout.unpack.size))
-    kinds = {
-        name: BYTES if isinstance(value, bytes) else INT
-        for name, value in zip(layout.fields, values)
-        if hasattr(codec, name)
-    }
-    return MappingProxyType(kinds | dict.fromkeys(layout.attributes, INT))
+    return MappingProxyType({
+        name: BYTES if bits is None else INT
+        for name, bits, _, _ in layout.wire()
+        if name not in layout.hidden
+    })
 
 
 #: Each header type's attribute kinds, derived once, at import.

@@ -3,13 +3,23 @@
 ``ones_complement_oracle`` and ``build_tcp6_bytes`` compute without the
 package's checksum code or header classes. ``REFERENCE_PARSE`` holds a
 hand-written ``parse`` per codec, each test and ``ParseError`` text spelled
-out; the codecs' own ``parse`` is generated from their ``READ`` layouts,
-so these are what ``tests/test_headers.py`` holds it to.
+out; ``REFERENCE_EMIT`` holds a hand-written ``emit`` per codec, with its
+``struct`` format, its range checks and each ``EmitError`` text spelled
+out. The codecs' own ``parse`` and ``emit`` are generated from their
+``READ`` layouts, so these are what ``tests/test_headers.py`` holds them to.
 """
 
 import struct
 
-from pktcheck import EthHdr, Icmpv6PktTooBig, Ipv6Hdr, ParseError, Srv6RoutingHdr, TcpHdr
+from pktcheck import (
+    EmitError,
+    EthHdr,
+    Icmpv6PktTooBig,
+    Ipv6Hdr,
+    ParseError,
+    Srv6RoutingHdr,
+    TcpHdr,
+)
 from pktcheck.headers import ICMPV6_PKT_TOO_BIG, SRV6_ROUTING_TYPE
 
 
@@ -149,4 +159,152 @@ REFERENCE_PARSE = {
     TcpHdr: parse_tcp,
     Icmpv6PktTooBig: parse_icmpv6_ptb,
     Srv6RoutingHdr: parse_srv6,
+}
+
+
+#: What a reference ``emit`` may raise on a field its pack or its shifts
+#: refuse; the ordered checks then name the field, and if none fails, it
+#: re-raises the error.
+_REFUSED = (struct.error, TypeError)
+
+
+def _check_range(value, bits, what):
+    if not 0 <= value < (1 << bits):
+        raise EmitError(f"{what} out of range for {bits}-bit field: {value}")
+
+
+def emit_eth(h):
+    try:
+        if len(h.dst) == 6 == len(h.src):
+            return struct.pack("!6s6sH", h.dst, h.src, h.ether_type)
+    except _REFUSED as exc:
+        refused = exc
+    if len(h.dst) != 6 or len(h.src) != 6:
+        raise EmitError("MAC addresses must be 6 bytes")
+    _check_range(h.ether_type, 16, "ether_type")
+    raise refused
+
+
+def emit_ipv6(h):
+    try:
+        if (
+            h.version == 6
+            and 0 <= h.traffic_class < 0x100
+            and 0 <= h.flow_label < 0x100000
+            and len(h.src) == 16 == len(h.dst)
+        ):
+            return struct.pack(
+                "!IHBB16s16s",
+                (h.version << 28) | (h.traffic_class << 20) | h.flow_label,
+                h.payload_len, h.next_header, h.hop_limit, h.src, h.dst,
+            )
+    except _REFUSED as exc:
+        refused = exc
+    if h.version != 6:
+        raise EmitError(f"IPv6 version must be 6, got {h.version}")
+    _check_range(h.traffic_class, 8, "traffic_class")
+    _check_range(h.flow_label, 20, "flow_label")
+    _check_range(h.payload_len, 16, "payload_len")
+    _check_range(h.next_header, 8, "next_header")
+    _check_range(h.hop_limit, 8, "hop_limit")
+    if len(h.src) != 16 or len(h.dst) != 16:
+        raise EmitError("IPv6 addresses must be 16 bytes")
+    raise refused
+
+
+def emit_tcp(h):
+    try:
+        if (
+            5 <= h.data_offset < 0x10
+            and 0 <= h.reserved < 0x8
+            and 0 <= h.flags < 0x200
+            and h.data_offset * 4 == 20 + len(h.options)
+        ):
+            return struct.pack(
+                "!HHIIHHHH", h.src_port, h.dst_port, h.seq, h.ack,
+                (h.data_offset << 12) | (h.reserved << 9) | h.flags,
+                h.window, h.checksum, h.urgent_ptr,
+            ) + h.options
+    except _REFUSED as exc:
+        refused = exc
+    _check_range(h.src_port, 16, "src_port")
+    _check_range(h.dst_port, 16, "dst_port")
+    _check_range(h.seq, 32, "seq")
+    _check_range(h.ack, 32, "ack")
+    _check_range(h.data_offset, 4, "data_offset")
+    _check_range(h.reserved, 3, "reserved")
+    _check_range(h.flags, 9, "flags")
+    _check_range(h.window, 16, "window")
+    _check_range(h.checksum, 16, "checksum")
+    _check_range(h.urgent_ptr, 16, "urgent_ptr")
+    if h.data_offset < 5:
+        raise EmitError(f"TCP data offset {h.data_offset} below minimum 5")
+    if h.data_offset * 4 != 20 + len(h.options):
+        raise EmitError(
+            f"TCP data offset {h.data_offset} disagrees with "
+            f"{len(h.options)} option bytes"
+        )
+    raise refused
+
+
+def emit_icmpv6_ptb(h):
+    try:
+        if h.msg_type == 2 and h.code == 0 and len(h.invoking_packet) <= 1240 - 8:
+            return struct.pack("!BBHI", h.msg_type, h.code, h.checksum, h.mtu) + (
+                h.invoking_packet
+            )
+    except _REFUSED as exc:
+        refused = exc
+    if h.msg_type != 2 or h.code != 0:
+        raise EmitError(
+            f"Packet Too Big requires type 2 code 0, got type {h.msg_type} code {h.code}"
+        )
+    _check_range(h.checksum, 16, "checksum")
+    _check_range(h.mtu, 32, "mtu")
+    if 8 + len(h.invoking_packet) > 1240:
+        raise EmitError(
+            "Packet Too Big body exceeds the minimum-MTU reply budget of 1240 bytes"
+        )
+    raise refused
+
+
+def emit_srv6(h):
+    segments = h.segments
+    try:
+        if (
+            h.routing_type == 4
+            and h.segments_left <= len(segments)
+            and set(map(len, segments)) == {16}
+        ):
+            return struct.pack(
+                "!BBBBBBH", h.next_header, 2 * len(segments), h.routing_type,
+                h.segments_left, len(segments) - 1, h.flags, h.tag,
+            ) + b"".join(segments)
+    except _REFUSED as exc:
+        refused = exc
+    if h.routing_type != 4:
+        raise EmitError("routing type must be 4")
+    if not segments:
+        raise EmitError("SRv6 routing header requires at least one segment")
+    if any(len(s) != 16 for s in segments):
+        raise EmitError("SRv6 segments must be 16-byte addresses")
+    _check_range(h.next_header, 8, "next_header")
+    _check_range(2 * len(segments), 8, "hdr_ext_len")
+    _check_range(len(segments) - 1, 8, "last_entry")
+    _check_range(h.segments_left, 8, "segments_left")
+    _check_range(h.flags, 8, "flags")
+    _check_range(h.tag, 16, "tag")
+    if h.segments_left > len(segments):
+        raise EmitError(
+            f"segments left {h.segments_left} exceeds segment count {len(segments)}"
+        )
+    raise refused
+
+
+REFERENCE_EMIT = {
+    EthHdr: emit_eth,
+    Ipv6Hdr: emit_ipv6,
+    TcpHdr: emit_tcp,
+    Icmpv6PktTooBig: emit_icmpv6_ptb,
+    Srv6RoutingHdr: emit_srv6,
 }
