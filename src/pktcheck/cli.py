@@ -151,6 +151,9 @@ def _cmd_bench(args) -> int:
         print(f"  contracts on  total    mean={on:14.0f} ns")
         print(f"  contracts off total    mean={off:14.0f} ns")
         print(f"  ingress share of contract overhead: {share:.1%}")
+        for mode, latency in report["latency_us"].items():
+            print(f"  {mode:4s} closed-loop latency p50={latency['p50']:.2f} us  "
+                  f"p99={latency['p99']:.2f} us")
     return 0
 
 

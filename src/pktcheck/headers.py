@@ -46,9 +46,6 @@ _IPV6 = struct.Struct("!IHBB16s16s")
 _TCP = struct.Struct("!HHIIHHHH")
 _ICMPV6_PTB = struct.Struct("!BBHI")
 _SRV6 = struct.Struct("!BBBBBBH")
-#: By segment count: the SRv6 segment list as that many 16-byte fields
-#: (an 8-bit extension length holds at most 127 segments).
-_SRV6_SEGMENTS = [struct.Struct("16s" * n) for n in range(128)]
 
 ETH_HDR_SIZE = _ETH.size
 IPV6_HDR_SIZE = _IPV6.size
@@ -433,6 +430,18 @@ class Srv6RoutingHdr:
                     "segments left {segments_left} exceeds segment count {len(segments)}"),),
         tail='b"".join(segments)',
     )
+
+
+#: The most segments an SRv6 routing header holds: ``hdr_ext_len`` counts
+#: 8-byte units, two per 16-byte segment, up to the largest value its
+#: width in the layout allows.
+MAX_SRV6_SEGMENTS = next(
+    ((1 << bits) - 1) // 2
+    for name, bits, _, _ in Srv6RoutingHdr.READ.wire() if name == "hdr_ext_len"
+)
+#: By segment count: the SRv6 segment list as that many 16-byte fields,
+#: which the generated ``Srv6RoutingHdr.parse`` unpacks with.
+_SRV6_SEGMENTS = [struct.Struct("16s" * n) for n in range(MAX_SRV6_SEGMENTS + 1)]
 
 
 HEADER_TYPES = {

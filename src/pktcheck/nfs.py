@@ -35,6 +35,7 @@ from .headers import (
     ETHERTYPE_IPV6,
     IPV6_HDR_SIZE,
     IPV6_MIN_MTU,
+    MAX_SRV6_SEGMENTS,
     PROTO_ICMPV6,
     PROTO_SRV6,
     PROTO_TCP,
@@ -51,15 +52,11 @@ from .registry import Registry
 #: at exactly IPV6_MIN_MTU - IPV6_HDR_SIZE bytes.
 MAX_INVOKING_BYTES = IPV6_MIN_MTU - IPV6_HDR_SIZE - Icmpv6PktTooBig.READ.unpack.size
 
-#: SRv6 hdr_ext_len is an 8-bit field counting 8-byte units, two per
-#: 16-byte segment; the list is full once another segment would not fit.
-MAX_SRV6_SEGMENTS = 0xFF // 2
-
 #: Offset of the header after Ethernet and the fixed IPv6 header.
 _L3_END = ETH_HDR_SIZE + IPV6_HDR_SIZE
 
 
-@dataclass
+@dataclass(slots=True)
 class TransformResult:
     """Outcome of one NF transform application.
 
@@ -114,23 +111,6 @@ static: [IPV6_MIN_MTU + ETH_HDR_SIZE == 1294]
 """
 
 
-def _parse_tcp6(packet: Packet):
-    """Parse Eth/IPv6/TCP; return (eth, ipv6, tcp) or None if the packet
-    is something else."""
-    data = packet.data
-    try:
-        eth, _ = EthHdr.parse(data)
-        if eth.ether_type != ETHERTYPE_IPV6:
-            return None
-        ipv6, _ = Ipv6Hdr.parse(data, ETH_HDR_SIZE)
-        if ipv6.next_header != PROTO_TCP:
-            return None
-        tcp, _ = TcpHdr.parse(data, _L3_END)
-    except ParseError:
-        return None
-    return eth, ipv6, tcp
-
-
 def send_too_big(
     packet: Packet,
     *,
@@ -145,12 +125,21 @@ def send_too_big(
     IPv6 payload at exactly 1240 bytes, and is addressed back to the
     sender. The ``omit_*`` flags suppress the address swaps, simulating
     the bug the egress contract exists to catch.
+
+    Pass-through is decided on the Ethernet and IPv6 headers alone, so
+    that an undersized packet costs no TCP decode; an oversized one is
+    rewritten only if its TCP header decodes too.
     """
-    parsed = _parse_tcp6(packet)
-    if parsed is None:
-        return _passthrough(packet)
-    eth, ipv6, _ = parsed
-    if ipv6.payload_len <= IPV6_MIN_MTU:
+    data = packet.data
+    try:
+        eth, _ = EthHdr.parse(data)
+        if eth.ether_type != ETHERTYPE_IPV6:
+            return _passthrough(packet)
+        ipv6, _ = Ipv6Hdr.parse(data, ETH_HDR_SIZE)
+        if ipv6.next_header != PROTO_TCP or ipv6.payload_len <= IPV6_MIN_MTU:
+            return _passthrough(packet)
+        TcpHdr.parse(data, _L3_END)
+    except ParseError:
         return _passthrough(packet)
 
     if omit_eth_swap:

@@ -6,7 +6,10 @@ shape the contract describes). In Production only the transform runs.
 Packets flow one at a time, in input order, through one loop picked per
 run: the checked loop (Development with a contract) times each phase; the
 transform-only loop runs ``Packet.from_bytes`` and ``nf.apply`` with no
-timers and keeps only counters and transform drops. A pcap input is read
+timers and keeps only counters and transform drops. Each loop returns
+what it counted, and ``run_records`` builds one fresh ``RunSummary`` from
+that after the loop; the per-check violation counts are derived from the
+violations when read, not kept as the loop runs. A pcap input is read
 lazily; each emitted record goes to a sink as it is produced, by default
 the list ``summary.out_records``.
 
@@ -23,16 +26,18 @@ Independently of policy, a transform may drop a packet itself (e.g. a
 full SRv6 segment list); such drops are counted and carry a reason but
 are not contract violations.
 
-The summary always conserves packets: in == out + dropped.
+The summary conserves packets by construction: ``packets_out`` is
+``packets_in - packets_dropped``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import statistics
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -70,32 +75,41 @@ class RunConfig:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class RunSummary:
     """What one run did. ``timings`` are measured in Development only and
     stay zero in Production, whose loop runs no timer. ``out_records`` holds
-    the emitted records only when ``run_records`` keeps its default sink."""
+    the emitted records only when ``run_records`` keeps its default sink.
+    ``packets_out`` and ``violations_by_check`` are derived, on each read,
+    from the packet counts and from ``violations``."""
 
     nf_name: str
     mode: BuildMode
     policy: str
-    packets_in: int = 0
-    packets_out: int = 0
-    packets_dropped: int = 0
-    violations: list[Violation] = field(default_factory=list)
-    violations_by_check: dict[str, int] = field(default_factory=dict)
-    drops: list[tuple[int, str]] = field(default_factory=list)
-    timings: dict[str, int] = field(
-        default_factory=lambda: {
-            "ingress_contract_ns": 0,
-            "transform_ns": 0,
-            "egress_contract_ns": 0,
-        }
-    )
-    snapshots_built: int = 0
-    checks_evaluated: int = 0
-    aborted: bool = False
-    out_records: list[PcapRecord] = field(default_factory=list)
+    packets_in: int
+    packets_dropped: int
+    violations: list[Violation]
+    drops: list[tuple[int, str]]
+    timings: dict[str, int]
+    snapshots_built: int
+    checks_evaluated: int
+    aborted: bool
+    out_records: list[PcapRecord]
+
+    @property
+    def packets_out(self) -> int:
+        return self.packets_in - self.packets_dropped
+
+    @property
+    def violations_by_check(self) -> dict[str, int]:
+        """Violations per check, keyed ``phase#index`` (``phase#order`` for
+        an order violation), in the order each key first failed."""
+        counts = {}
+        for violation in self.violations:
+            index = "order" if violation.check_index is None else violation.check_index
+            key = f"{violation.phase}#{index}"
+            counts[key] = counts.get(key, 0) + 1
+        return counts
 
     def exit_code(self) -> int:
         return 1 if self.violations else 0
@@ -109,7 +123,7 @@ class RunSummary:
             "packets_out": self.packets_out,
             "packets_dropped": self.packets_dropped,
             "violations": [v.to_json() for v in self.violations],
-            "violations_by_check": dict(self.violations_by_check),
+            "violations_by_check": self.violations_by_check,
             "transform_drops": [
                 {"packet_index": index, "reason": reason}
                 for index, reason in self.drops
@@ -121,11 +135,6 @@ class RunSummary:
         }
 
 
-def _check_key(violation: Violation) -> str:
-    index = "order" if violation.check_index is None else violation.check_index
-    return f"{violation.phase}#{index}"
-
-
 def run_records(
     nf: NetworkFunction,
     records: Iterable[PcapRecord],
@@ -135,36 +144,44 @@ def run_records(
     policy: str = "continue",
     out=None,
 ) -> RunSummary:
-    """Run each record through the NF, in order, and aggregate a RunSummary.
+    """Run each record through the NF, in order, and return a RunSummary.
 
     ``records`` may be any iterable and is pulled one record at a time, so
     a lazy reader never holds the whole input. Under ``abort`` no record
     after the violating one is pulled. Each emitted record goes to
     ``out``, any object with ``append`` (a ``PcapWriter`` streams it to a
-    file); by default it is ``summary.out_records``.
+    file); by default it is ``summary.out_records``. Every call returns a
+    summary, lists and dicts of its own.
     """
     if policy not in POLICIES:
         raise ConfigError(f"unknown policy {policy!r}")
     if runtime is None:
         runtime = ContractRuntime()
-    summary = RunSummary(nf_name=nf.name, mode=runtime.mode, policy=policy)
-    emit = (summary.out_records if out is None else out).append
+    out_records = []
+    emit = (out_records if out is None else out).append
     # a reused runtime's counters already hold earlier runs' counts
     snapshots, checks = runtime.snapshots_built, runtime.checks_evaluated
     if runtime.mode is BuildMode.DEVELOPMENT and nf.contract is not None:
-        _run_checked(nf, records, runtime, policy, summary, emit)
+        packets_in, dropped, violations, drops, timings, aborted = _run_checked(
+            nf, records, runtime, policy, emit
+        )
     else:
-        _run_transform_only(nf, records, summary, emit)
-    summary.snapshots_built = runtime.snapshots_built - snapshots
-    summary.checks_evaluated = runtime.checks_evaluated - checks
-    return summary
+        packets_in, drops = _run_transform_only(nf, records, emit)
+        dropped, violations, aborted = len(drops), [], False
+        timings = {"ingress_contract_ns": 0, "transform_ns": 0, "egress_contract_ns": 0}
+    return RunSummary(
+        nf.name, runtime.mode, policy, packets_in, dropped, violations, drops, timings,
+        runtime.snapshots_built - snapshots, runtime.checks_evaluated - checks, aborted,
+        out_records,
+    )
 
 
-def _run_transform_only(nf, records, summary: RunSummary, emit) -> None:
+def _run_transform_only(nf, records, emit) -> tuple[int, list]:
+    """Returns (packets in, transform drops)."""
     # Looked up per call, not at import, so that wrappers installed on
     # Packet or the NF's class (e.g. a tracer's) still see every call.
     from_bytes, apply = Packet.from_bytes, nf.apply
-    drops = summary.drops
+    drops = []
     index = -1
     for index, record in enumerate(records):
         result = apply(from_bytes(record.data))
@@ -172,20 +189,18 @@ def _run_transform_only(nf, records, summary: RunSummary, emit) -> None:
             drops.append((index, result.drop_reason or ""))
         else:
             emit(PcapRecord(bytes(result.packet.data), record.ts_sec, record.ts_usec))
-    summary.packets_in = index + 1
-    summary.packets_dropped = len(drops)
-    summary.packets_out = summary.packets_in - summary.packets_dropped
+    return index + 1, drops
 
 
-def _run_checked(
-    nf, records, runtime: ContractRuntime, policy: str, summary: RunSummary, emit
-) -> None:
+def _run_checked(nf, records, runtime: ContractRuntime, policy: str, emit) -> tuple:
+    """Returns (packets in, packets dropped, violations, transform drops,
+    phase timings, aborted)."""
     # Looked up per call, as in _run_transform_only, so that a tracer's
     # wrappers and clock still see every call.
     contract, from_bytes, apply = nf.contract, Packet.from_bytes, nf.apply
     ingress, egress, clock = run_ingress, run_egress, time.perf_counter_ns
-    found, by_check, drops = summary.violations, summary.violations_by_check, summary.drops
-    strict = policy != "continue"
+    found, drops = [], []
+    strict, aborted = policy != "continue", False
     ingress_ns = transform_ns = egress_ns = 0
     index, dropped = -1, 0
     for index, record in enumerate(records):
@@ -205,10 +220,7 @@ def _run_checked(
             violations += egress(contract, out, snapshot, runtime, index)
             egress_ns += clock() - t0
 
-        for violation in violations:
-            found.append(violation)
-            key = _check_key(violation)
-            by_check[key] = by_check.get(key, 0) + 1
+        found += violations
         if out is None:
             dropped += 1
             drops.append((index, result.drop_reason or ""))
@@ -217,15 +229,14 @@ def _run_checked(
         else:
             emit(PcapRecord(bytes(out.data), record.ts_sec, record.ts_usec))
         if violations and policy == "abort":
-            summary.aborted = True
+            aborted = True
             break
-    summary.packets_in = index + 1
-    summary.packets_dropped = dropped
-    summary.packets_out = summary.packets_in - dropped
-    timings = summary.timings
-    timings["ingress_contract_ns"] = ingress_ns
-    timings["transform_ns"] = transform_ns
-    timings["egress_contract_ns"] = egress_ns
+    timings = {
+        "ingress_contract_ns": ingress_ns,
+        "transform_ns": transform_ns,
+        "egress_contract_ns": egress_ns,
+    }
+    return index + 1, dropped, found, drops, timings, aborted
 
 
 def run_pipeline(
@@ -271,11 +282,16 @@ def bench(
     *,
     repetitions: int = 1,
 ) -> dict:
-    """Time the three pipeline phases over ``repetitions`` full passes.
+    """Time the three pipeline phases over ``repetitions`` full passes,
+    then each record's latency on its own.
 
     Contracts-on passes run in Development, contracts-off in Production;
     the report carries per-phase mean/stdev, each kind of pass's wall time
-    as a whole, and the ingress share of total contract overhead.
+    as a whole, and the ingress share of total contract overhead, all from
+    the passes. After them, ``latency_us`` gives per mode (``dev``,
+    ``prod``) the nearest-rank p50 and p99 of a closed loop: each record in
+    turn through ``run_records`` on its own, the next only after the
+    previous returned.
     """
     if repetitions < 1:
         raise ConfigError("repetitions must be >= 1")
@@ -300,6 +316,19 @@ def bench(
         for phase in phase_samples:
             phase_samples[phase].append(on.timings[phase])
 
+    latency_us = {}
+    for mode in (BuildMode.DEVELOPMENT, BuildMode.PRODUCTION):
+        runtime = ContractRuntime(mode)
+        calls = []
+        for record in records:
+            t0 = time.perf_counter_ns()
+            run_records(nf, [record], registry, runtime=runtime)
+            calls.append((time.perf_counter_ns() - t0) / 1000)
+        calls.sort()
+        latency_us[mode.value] = {
+            "p50": _nearest_rank(calls, 50), "p99": _nearest_rank(calls, 99)
+        }
+
     def stats(samples):
         return {
             "mean_ns": statistics.fmean(samples),
@@ -320,4 +349,13 @@ def bench(
         "ingress_share_of_contract_overhead": (
             ingress_mean / contract_overhead if contract_overhead else 0.0
         ),
+        "latency_us": latency_us,
     }
+
+
+def _nearest_rank(ordered: list[float], q: int) -> float:
+    """The ``q``-th percentile of the sorted ``ordered``, by nearest rank;
+    0.0 when it is empty."""
+    if not ordered:
+        return 0.0
+    return ordered[max(0, math.ceil(len(ordered) * q / 100) - 1)]

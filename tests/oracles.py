@@ -7,6 +7,9 @@ out; ``REFERENCE_EMIT`` holds a hand-written ``emit`` per codec, with its
 ``struct`` format, its range checks and each ``EmitError`` text spelled
 out. The codecs' own ``parse`` and ``emit`` are generated from their
 ``READ`` layouts, so these are what ``tests/test_headers.py`` holds them to.
+``reference_send_too_big`` is mtu-too-big's transform in its earlier
+order, the whole Eth/IPv6/TCP chain decoded before the length decides
+pass-through, which ``tests/test_nfs.py`` holds the reordered one to.
 """
 
 import struct
@@ -16,11 +19,15 @@ from pktcheck import (
     EthHdr,
     Icmpv6PktTooBig,
     Ipv6Hdr,
+    Packet,
     ParseError,
     Srv6RoutingHdr,
     TcpHdr,
+    TransformResult,
+    pseudo_header_checksum,
 )
 from pktcheck.headers import ICMPV6_PKT_TOO_BIG, SRV6_ROUTING_TYPE
+from pktcheck.nfs import MAX_INVOKING_BYTES
 
 
 def ones_complement_oracle(data: bytes) -> int:
@@ -308,3 +315,45 @@ REFERENCE_EMIT = {
     Icmpv6PktTooBig: emit_icmpv6_ptb,
     Srv6RoutingHdr: emit_srv6,
 }
+
+
+def _parse_tcp6(packet):
+    data = packet.data
+    try:
+        eth, _ = EthHdr.parse(data)
+        if eth.ether_type != 0x86DD:
+            return None
+        ipv6, _ = Ipv6Hdr.parse(data, 14)
+        if ipv6.next_header != 6:
+            return None
+        tcp, _ = TcpHdr.parse(data, 54)
+    except ParseError:
+        return None
+    return eth, ipv6, tcp
+
+
+def reference_send_too_big(packet, *, omit_ipv6_swap=False, omit_eth_swap=False):
+    parsed = _parse_tcp6(packet)
+    if parsed is None:
+        return TransformResult(packet=packet, rewritten=False)
+    eth, ipv6, _ = parsed
+    if ipv6.payload_len <= 1280:
+        return TransformResult(packet=packet, rewritten=False)
+
+    if omit_eth_swap:
+        new_eth = EthHdr(dst=eth.dst, src=eth.src, ether_type=0x86DD)
+    else:
+        new_eth = EthHdr(dst=eth.src, src=eth.dst, ether_type=0x86DD)
+    new_src, new_dst = (
+        (ipv6.src, ipv6.dst) if omit_ipv6_swap else (ipv6.dst, ipv6.src)
+    )
+    new_ipv6 = Ipv6Hdr(
+        src=new_src, dst=new_dst, payload_len=1240, next_header=58, hop_limit=64
+    )
+    end = min(54 + ipv6.payload_len, len(packet.data), 14 + MAX_INVOKING_BYTES)
+    invoking = bytes(packet.data[14:end])
+    icmp = Icmpv6PktTooBig(checksum=0, mtu=1280, invoking_packet=invoking)
+    body = icmp.emit()
+    icmp.checksum = pseudo_header_checksum(new_src, new_dst, len(body), 58, body)
+    out = Packet.from_bytes(new_eth.emit() + new_ipv6.emit() + icmp.emit())
+    return TransformResult(packet=out, rewritten=True)

@@ -126,6 +126,7 @@ def test_bench_json(capsys):
     assert report["packets"] == 30
     assert report["repetitions"] == 2
     assert 0.0 < report["ingress_share_of_contract_overhead"] < 1.0
+    assert set(report["latency_us"]) == {"dev", "prod"}
 
 
 def test_bench_text(capsys):
@@ -133,6 +134,8 @@ def test_bench_text(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "ingress share of contract overhead" in out
+    assert "dev  closed-loop latency p50=" in out
+    assert "prod closed-loop latency p50=" in out
 
 
 def test_explain_prints_contract(capsys):

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pktcheck import (
     ConfigError,
+    EmitError,
     Packet,
     Srv6RoutingHdr,
     internet_checksum,
@@ -12,12 +15,13 @@ from pktcheck import (
     srv6_add_segment,
     verify_order,
 )
+from pktcheck import headers
 from pktcheck.headers import EthHdr, Ipv6Hdr
 from pktcheck.nfs import DEFAULT_SEGMENT, MAX_SRV6_SEGMENTS
 from pktcheck.pcap import PcapRecord
 from pktcheck.pipeline import run_records
 
-from oracles import build_tcp6_bytes, ones_complement_oracle
+from oracles import build_tcp6_bytes, ones_complement_oracle, reference_send_too_big
 
 import struct
 
@@ -102,6 +106,62 @@ def test_non_tcp_packets_pass_through():
     assert not send_too_big(truncated).rewritten
 
 
+_LENGTHS = st.sampled_from([20, 100, 1260, 1280, 1281, 1300]) | st.integers(20, 1500)
+
+
+@st.composite
+def _mutated_tcp6(draw):
+    """A tcp6 frame of any payload length with, optionally, a rewritten
+    TCP data offset, a claimed IPv6 payload length, a few header bytes
+    overwritten and a truncation."""
+    data = bytearray(build_tcp6_bytes(payload_len=draw(_LENGTHS)))
+    if draw(st.booleans()):
+        # below 5 refuses the TCP header; above 5 claims options
+        data[66] = draw(st.integers(0, 15)) << 4 | data[66] & 0x0F
+    if draw(st.booleans()):
+        claimed = draw(st.sampled_from([1280, 1281]) | st.integers(0, 0xFFFF))
+        data[18:20] = claimed.to_bytes(2, "big")
+    for _ in range(draw(st.integers(0, 3))):
+        data[draw(st.integers(0, min(79, len(data) - 1)))] = draw(st.integers(0, 255))
+    if draw(st.booleans()):
+        del data[draw(st.integers(0, len(data))):]
+    return bytes(data)
+
+
+def _bad_tcp_offset(payload_len):
+    data = bytearray(build_tcp6_bytes(payload_len=payload_len))
+    data[66] = 4 << 4 | data[66] & 0x0F  # TCP data offset below 5
+    return bytes(data)
+
+
+@settings(max_examples=400, deadline=None)
+@example(data=_bad_tcp_offset(1280), omit_ipv6_swap=False, omit_eth_swap=False)
+@example(data=_bad_tcp_offset(1281), omit_ipv6_swap=False, omit_eth_swap=False)
+@example(data=build_tcp6_bytes(payload_len=1300)[:60], omit_ipv6_swap=False,
+         omit_eth_swap=False)
+@example(data=build_tcp6_bytes(payload_len=1300), omit_ipv6_swap=True,
+         omit_eth_swap=False)
+@given(
+    data=st.binary(max_size=120) | _mutated_tcp6(),
+    omit_ipv6_swap=st.booleans(),
+    omit_eth_swap=st.booleans(),
+)
+def test_pass_through_decided_first_matches_the_full_decode(
+    data, omit_ipv6_swap, omit_eth_swap
+):
+    # send_too_big settles pass-through before it decodes TCP; the reference
+    # decodes all three headers first, so any malformed TCP header, whatever
+    # the payload length, must give the same outcome under both orders
+    flags = {"omit_ipv6_swap": omit_ipv6_swap, "omit_eth_swap": omit_eth_swap}
+    packet = Packet.from_bytes(data)
+    got = send_too_big(packet, **flags)
+    want = reference_send_too_big(Packet.from_bytes(data), **flags)
+    assert (got.rewritten, got.drop_reason) == (want.rewritten, want.drop_reason)
+    assert bytes(got.packet.data) == bytes(want.packet.data)
+    if not got.rewritten:
+        assert got.packet is packet
+
+
 def test_transform_is_deterministic():
     original = build_tcp6_bytes(payload_len=1350)
     first = send_too_big(Packet.from_bytes(original))
@@ -176,6 +236,21 @@ def test_full_segment_list_drops_with_reason():
     assert result.dropped
     assert result.packet is None
     assert "full" in result.drop_reason
+
+
+def test_segment_limit_comes_from_the_layout():
+    # hdr_ext_len counts 8-byte units, two per segment, in its declared width
+    widths = {name: bits for name, bits, _, _ in Srv6RoutingHdr.READ.wire()}
+    assert widths["hdr_ext_len"] == 8
+    assert MAX_SRV6_SEGMENTS == ((1 << widths["hdr_ext_len"]) - 1) // 2 == 127
+    assert headers.MAX_SRV6_SEGMENTS is MAX_SRV6_SEGMENTS
+    assert [s.size for s in headers._SRV6_SEGMENTS] == [16 * n for n in range(128)]
+    full = Srv6RoutingHdr(next_header=59, segments_left=0,
+                          segments=[bytes([i]) * 16 for i in range(MAX_SRV6_SEGMENTS)])
+    assert Srv6RoutingHdr.parse(full.emit()) == (full, 8 + 16 * MAX_SRV6_SEGMENTS)
+    full.segments.append(bytes(16))
+    with pytest.raises(EmitError, match="hdr_ext_len out of range for 8-bit field: 256"):
+        full.emit()
 
 
 def test_payload_length_overflow_drops_with_reason(registry):

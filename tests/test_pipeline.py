@@ -486,6 +486,11 @@ def test_summary_json_shape(registry):
     nf = make_nf("mtu-too-big", registry, omit_eth_swap=True)
     summary = run_records(nf, _mixed_records(n_big=1, n_small=0), registry)
     blob = summary.to_json()
+    assert list(blob) == [
+        "nf", "mode", "policy", "packets_in", "packets_out", "packets_dropped",
+        "violations", "violations_by_check", "transform_drops", "timings",
+        "snapshots_built", "checks_evaluated", "aborted",
+    ]
     assert blob["nf"] == "mtu-too-big"
     assert blob["mode"] == "dev"
     assert blob["policy"] == "continue"
@@ -496,6 +501,50 @@ def test_summary_json_shape(registry):
         "ingress_contract_ns", "transform_ns", "egress_contract_ns",
     }
     assert blob["aborted"] is False
+
+
+def test_each_call_builds_a_summary_of_its_own(registry):
+    # a single-record call per packet, as a packet-at-a-time caller makes:
+    # no list or dict of one call's summary may be another's
+    nf = make_nf("mtu-too-big", registry, omit_eth_swap=True)
+    runtime = ContractRuntime(BuildMode.DEVELOPMENT)
+    record = _mixed_records(n_big=1, n_small=0)[0]
+    first = run_records(nf, [record], registry, runtime=runtime)
+    second = run_records(nf, [record], registry, runtime=runtime)
+    for name in ("violations", "drops", "timings", "out_records"):
+        assert getattr(first, name) is not getattr(second, name)
+    assert first.violations == second.violations and len(first.violations) == 2
+    first.violations.clear()
+    assert len(second.violations) == 2
+
+
+@pytest.mark.parametrize("mode", [BuildMode.DEVELOPMENT, BuildMode.PRODUCTION])
+@pytest.mark.parametrize("policy", ["continue", "drop", "abort"])
+def test_summary_derives_out_and_per_check_counts(registry, mode, policy):
+    nf = make_nf("mtu-too-big", registry, omit_ipv6_swap=True)
+    summary = run_records(
+        nf, _mixed_records(n_big=3, n_small=3), registry,
+        runtime=ContractRuntime(mode), policy=policy,
+    )
+    assert summary.packets_out == summary.packets_in - summary.packets_dropped
+    counts = {}
+    for v in summary.violations:
+        key = f"{v.phase}#{'order' if v.check_index is None else v.check_index}"
+        counts[key] = counts.get(key, 0) + 1
+    assert summary.violations_by_check == counts
+    with pytest.raises(AttributeError):
+        summary.packets_out = 0
+    with pytest.raises(AttributeError):
+        summary.violations_by_check = {}
+
+
+def test_violations_by_check_keeps_first_seen_order(registry):
+    # the small packet fails ingress#0 after the big ones failed egress
+    nf = make_nf("mtu-too-big", registry, omit_eth_swap=True)
+    summary = run_records(nf, _mixed_records(n_big=2, n_small=1), registry)
+    assert list(summary.violations_by_check.items()) == [
+        ("egress#4", 2), ("egress#5", 2), ("ingress#0", 1),
+    ]
 
 
 def test_bench_report_shape(registry):
@@ -513,6 +562,11 @@ def test_bench_report_shape(registry):
     assert 0.0 < share < 1.0
     assert report["contracts_on_total_ns"]["mean_ns"] > 0
     assert report["contracts_off_total_ns"]["mean_ns"] > 0
+    # closed-loop latency per mode, one single-record call per record
+    assert list(report["latency_us"]) == ["dev", "prod"]
+    for latency in report["latency_us"].values():
+        assert list(latency) == ["p50", "p99"]
+        assert 0 < latency["p50"] <= latency["p99"]
     with pytest.raises(ConfigError, match="repetitions"):
         bench("mtu-too-big", records, registry, repetitions=0)
 
