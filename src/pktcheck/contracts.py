@@ -38,13 +38,14 @@ one ``Phase``: the parsed phase plus its name, walk and compiled checks.
 On a phase's first Development use, ``Phase.run`` is generated as one
 Python function from source text: it follows the phase's walk with the
 linkage cross-checks inline and evaluates every check as one inline
-comparison. The ingress function calls each codec's ``parse`` at the
-running offset, and the headers it decodes become the snapshot. The
-egress function builds no header: per step it splices in the lines that
-each codec's ``READ`` writes (``headers.FieldRead.step``, which the
-codec's generated ``parse`` runs too): one ``unpack_from`` plus the
-layout's tests, reading only the fields its checks and linkage
-cross-checks name.
+comparison. Both phases are written by one generator: per step it splices
+in the lines that each codec's ``READ`` writes (``headers.FieldRead.step``,
+which the codec's generated ``parse`` runs too): one ``unpack_from`` plus
+the layout's tests, each refusal raising the exact ``ChainOrderError`` of
+``registry.parse_chain``. The ingress function then builds each header
+from the fields read, as ``parse`` does, and the headers become the
+snapshot; the egress function builds none and keeps only the fields its
+checks and linkage cross-checks name.
 Phases of the same text share one compiled code object. Production never
 generates them.
 """
@@ -59,9 +60,9 @@ from typing import Callable
 from . import headers
 from .engine import COMPARATORS, Check, CompiledCheck, FieldRef, Operand, Source
 from .exceptions import (
+    ChainOrderError,
     ContractSyntaxError,
     ElaborationError,
-    ParseError,
     RegistryError,
 )
 from .registry import (
@@ -192,8 +193,9 @@ class ContractSpec:
 @dataclass(frozen=True)
 class Phase(PhaseSpec):
     """One elaborated phase, ``name`` "ingress" or "egress": its order
-    compiled into the ``walk`` that ``parse_chain`` runs, and its checks,
-    constants inlined, resolved into the ``compiled`` reads they make."""
+    compiled into the ``walk`` that ``run`` and ``parse_chain`` follow, and
+    its checks, constants inlined, resolved into the ``compiled`` reads
+    they make."""
 
     name: str
     walk: tuple[OrderStep, ...] = field(compare=False, repr=False)
@@ -204,11 +206,11 @@ class Phase(PhaseSpec):
         """The phase as one generated function, compiled when a Development
         run first needs it; Production never does.
 
-        ``ingress(data)`` returns None when the packet fails the ingress
-        walk, else ``(failed, snapshot)``.
-        ``egress(data, snapshot)`` returns None when the packet fails the
-        egress walk, else ``failed``. ``failed`` lists each failing check
-        as ``(index, lhs_value, rhs_value)``.
+        ``ingress(data)`` returns ``(failed, snapshot)`` and
+        ``egress(data, snapshot)`` returns ``failed``, which lists each
+        failing check as ``(index, lhs_value, rhs_value)``. A packet that
+        fails the phase's walk raises the ``ChainOrderError`` that
+        ``parse_chain`` raises for it.
         """
         return _generate(self)
 
@@ -659,27 +661,66 @@ def _compile(source: str):
 
 def _generate(phase: Phase) -> Callable:
     """Write ``phase`` as one function (see ``Phase.run``) and compile it,
-    binding each step's codec in a namespace of its own.
+    in a namespace of its own over the codecs' module scope, where their
+    layouts' expressions resolve.
 
-    Header ``k`` of the walk ends at offset ``ek``, and each step first
-    cross-checks its predecessor's linkage field, as ``parse_chain`` does.
-    At ingress, header ``k`` is ``hk``: each step calls its codec's
-    ``parse`` at the running offset, and the snapshot is the headers in
-    hand. At egress no header is built: each step splices in its codec's
-    ``FieldRead``, so attribute ``a`` of header ``k`` is the local
-    ``hk_a``, and snapshot header ``j`` is ``sj = snap[j]``.
+    Per step of the walk, header ``k`` first cross-checks its predecessor's
+    linkage field, as ``parse_chain`` does, then splices in its codec's
+    layout step (``headers.FieldRead.step``: a length guard, one
+    ``unpack_from`` of its ``Struct`` and its tests in order). Attribute
+    ``a`` of header ``k`` is the local ``hk_a`` and the header ends at
+    offset ``ek``; of the sub-fields, only those that a check or the next
+    step's linkage cross-check reads get a local. Each refusal raises the
+    ``ChainOrderError`` that ``parse_chain`` raises there, with the same
+    text. At ingress each step then builds header ``hk`` from what it
+    read, as the codec's ``parse`` does, and the snapshot is the headers
+    built. At egress no header is built, and snapshot header ``j`` is
+    ``sj = snap[j]``.
     """
     name, walk, checks = phase.name, phase.walk, phase.compiled
     ingress = name == "ingress"
-    namespace = {"ParseError": ParseError}
-    if ingress:
-        lines = _parse_lines(walk, namespace)
-    else:
-        lines = _read_lines(walk, checks, namespace)
+    namespace = {**vars(headers), "ChainOrderError": ChainOrderError}
+    used = {(c.lhs_index, c.lhs) for c in checks}
+    used |= {(j, attribute) for c in checks
+             for _, from_snapshot, attribute, j in c.reads if not from_snapshot}
+    used |= {(k - 1, step.linkage) for k, step in enumerate(walk) if step.linkage}
+    lines = ["def ingress(data):" if ingress else "def egress(data, snap):",
+             "    n = len(data)"]
+    for k, step in enumerate(walk):
+        header = step.header_type
+        codec = namespace[header] = headers.HEADER_TYPES[header]
+        rule = codec.READ
+        unpack = f"unpack{k}"
+        namespace[unpack] = rule.unpack.unpack_from
+        at = f"e{k - 1}" if k else "0"
+        names = {field: f"h{k}_{field}" for field in rule.fields}
+        names.update(at=at, length="n", buf="data", unpack=unpack)
+        reads = rule.reads()
+        names.update({a: f"({rule.spell(e, names)})" for a, e in reads.items()})
+        names["size"] = f"({rule.spell(rule.size, names)})"
+        mismatch = f"order mismatch at index {k}: "
+        if step.linkage is not None:
+            link = f"h{k - 1}_{step.linkage}"
+            text = (f"{mismatch}{walk[k - 1].header_type} {step.linkage}="
+                    f"{{{link}:#x}} does not announce {header} "
+                    f"(protocol {step.proto:#x})")
+            lines += [f"    if {link} != {step.proto!r}:",
+                      f"        raise ChainOrderError({k}, {header!r}, None, f{text!r})"]
+        cannot = f"{mismatch}cannot parse {header}: "
+        refuse = f"raise ChainOrderError({k}, {header!r}, None, {cannot!r} f{{!r}})"
+        lines += [f"    {line}" for line in rule.step(names, refuse)]
+        if k < len(walk) - 1:
+            lines.append(f"    e{k} = {at} + {names['size']}")
+        kept = [a for a in reads if (k, a) in used]
+        lines += [f"    h{k}_{a} = {names[a]}" for a in kept]
+        names.update({a: f"h{k}_{a}" for a in kept})
+        if ingress:
+            lines.append(f"    h{k} = {header}({rule.arguments(codec, names)})")
+    lines.append("    failed = []")
+    snapshot = {j for c in checks for _, from_snapshot, _, j in c.reads if from_snapshot}
+    lines += [f"    s{j} = snap[{j}]" for j in sorted(snapshot)]
 
     def read(from_snapshot, attribute, j):
-        if ingress:
-            return f"h{j}.{attribute}"
         return f"s{j}.{attribute}" if from_snapshot else f"h{j}_{attribute}"
 
     for c in checks:
@@ -689,69 +730,10 @@ def _generate(phase: Phase) -> Callable:
             f"    if not lhs {_PY_OPS[c.op]} rhs:",
             f"        failed.append(({c.index}, lhs, rhs))",
         ]
-    snapshot = ", ".join(f"h{k}" for k in range(len(walk)))
-    lines.append(f"    return failed, ({snapshot},)" if ingress else "    return failed")
+    headers_built = ", ".join(f"h{k}" for k in range(len(walk)))
+    lines.append(f"    return failed, ({headers_built},)" if ingress else "    return failed")
     exec(_compile("\n".join(lines) + "\n"), namespace)
     return namespace[name]
-
-
-def _parse_lines(walk: tuple[OrderStep, ...], namespace: dict) -> list[str]:
-    """The ingress function up to its checks: each header parsed by its
-    codec at the end offset of the one before."""
-    lines = ["def ingress(data):", "    try:"]
-    for k, step in enumerate(walk):
-        parse = f"ingress_parse{k}"
-        namespace[parse] = step.parse
-        if step.linkage is not None:
-            lines += [
-                f"        if h{k - 1}.{step.linkage} != {step.proto!r}:",
-                "            return None",
-            ]
-        if k == 0:
-            lines.append(f"        h0, e0 = {parse}(data, 0)")
-        else:
-            lines.append(f"        h{k}, n = {parse}(data, e{k - 1})")
-            if k < len(walk) - 1:
-                lines.append(f"        e{k} = e{k - 1} + n")
-    return lines + ["    except ParseError:", "        return None", "    failed = []"]
-
-
-def _read_lines(
-    walk: tuple[OrderStep, ...], checks: tuple[CompiledCheck, ...], namespace: dict
-) -> list[str]:
-    """The egress function up to its checks: per step, the codec's layout
-    step (a length guard, one ``unpack_from`` of its ``Struct`` and its
-    tests in order, each refusal returning None), the end offset, and a
-    local for each sub-field that a check or the next step's linkage
-    cross-check reads."""
-    used = {(c.lhs_index, c.lhs) for c in checks}
-    used |= {(j, attribute) for c in checks for _, from_snapshot, attribute, j in c.reads
-             if not from_snapshot}
-    used |= {(k - 1, step.linkage) for k, step in enumerate(walk) if step.linkage}
-    lines = ["def egress(data, snap):", "    n = len(data)"]
-    for k, step in enumerate(walk):
-        rule = headers.HEADER_TYPES[step.header_type].READ
-        unpack = f"egress_unpack{k}"
-        namespace[unpack] = rule.unpack.unpack_from
-        at = f"e{k - 1}" if k else "0"
-        names = {field: f"h{k}_{field}" for field in rule.fields}
-        names.update(at=at, length="n", buf="data", unpack=unpack)
-        reads = rule.reads()
-        names.update({a: f"({rule.spell(e, names)})" for a, e in reads.items()})
-        names["size"] = f"({rule.spell(rule.size, names)})"
-        if step.linkage is not None:
-            lines += [f"    if h{k - 1}_{step.linkage} != {step.proto!r}:",
-                      "        return None"]
-        lines += [f"    {line}" for line in rule.step(names, "return None")]
-        if k < len(walk) - 1:
-            lines.append(f"    e{k} = {at} + {names['size']}")
-        lines += [
-            f"    h{k}_{attribute} = {names[attribute]}"
-            for j, attribute in sorted(used)
-            if j == k and attribute in reads
-        ]
-    snapshot = {j for c in checks for _, from_snapshot, _, j in c.reads if from_snapshot}
-    return lines + ["    failed = []"] + [f"    s{j} = snap[{j}]" for j in sorted(snapshot)]
 
 
 def explain_contract(contract: Contract) -> str:

@@ -4,22 +4,24 @@ reporting, and build-mode gating.
 Each phase of an elaborated contract is a ``contracts.Phase``, and runs
 one function that ``contracts`` generated for it on its first Development
 use (``Phase.run``): it follows the phase's verified order at running
-offsets, with the linkage cross-checks inline, and evaluates every check as
-one inline comparison. At ingress it decodes each header with its codec,
-and the ingress snapshot is the tuple of the headers it decoded. The codecs
-are lossless (``emit(parse(b))`` is ``b``'s span, a property the tests pin
-for every buffer a codec accepts), so the snapshot holds exactly the
-packet's ingress bytes. At egress it reads the fields its checks name
-straight from the bytes, with each codec's own tests, and builds no header.
-It returns the failing checks as ``(index, lhs, rhs)``, so only a failing
-check builds a Violation, and its message is formatted only when something
-reads it.
+offsets, reading each header's fields straight from the bytes with its
+codec's own tests and the linkage cross-checks inline, and evaluates every
+check as one inline comparison. At ingress it also builds each header from
+the fields it read, as the codec's ``parse`` does, and the ingress snapshot
+is the tuple of those headers. The codecs are lossless (``emit(parse(b))``
+is ``b``'s span, a property the tests pin for every buffer a codec
+accepts), so the snapshot holds exactly the packet's ingress bytes. At
+egress it builds no header. It returns the failing checks as
+``(index, lhs, rhs)``, so only a failing check builds a Violation, and its
+message is formatted only when something reads it. A packet the walk
+refuses raises, in place, the exact ``ChainOrderError`` that
+``parse_chain`` raises for it, and that error becomes the packet's one
+order violation.
 
-A packet the generated function refuses takes the slow path:
-``parse_chain`` runs again to raise the exact ``ChainOrderError`` that
-becomes the packet's violation. ``build_snapshot``, ``eval_check`` and
+``parse_chain``, ``build_snapshot``, ``eval_check`` and
 ``CompiledCheck.test`` do what the phases do one step at a time, outside
-the packet path, reading the attributes a check names with ``getattr``.
+the packet path, reading the attributes a check names with ``getattr``:
+the tests hold the generated phases to them.
 
 All checks in a phase are evaluated; violations are collected rather than
 thrown one at a time, so a single run can surface every failing condition.
@@ -36,7 +38,6 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 
-from . import registry as registry_mod
 from .exceptions import ChainOrderError
 from .headers import Packet
 
@@ -155,9 +156,10 @@ def render_value(value) -> object:
 class Violation:
     """Structured record of one failed check (or failed order match).
 
-    ``reason`` is the error text of an order violation and None for a
-    failed check, whose ``message`` is its ``text()``, formatted only when
-    read."""
+    ``reason`` is the error text of an order violation, which is its
+    ``message``, and None for a failed check, whose ``message`` is its
+    ``text()``, formatted only when read. ``text()`` is the one-line
+    report of either."""
 
     nf: str
     phase: str  # "ingress" | "egress"
@@ -176,11 +178,13 @@ class Violation:
         return self.text() if self.reason is None else self.reason
 
     def text(self) -> str:
-        idx = "order" if self.check_index is None else str(self.check_index)
+        if self.reason is not None:
+            return (f"NF {self.nf} [{self.phase}#order] {self.reason} "
+                    f"(packet {self.packet_index})")
         return (
-            f"NF {self.nf} [{self.phase}#{idx}] {self.lhs}={self.lhs_value} "
-            f"{self.op or '??'} {self.rhs}={self.rhs_value} FAILED "
-            f"(packet {self.packet_index})"
+            f"NF {self.nf} [{self.phase}#{self.check_index}] "
+            f"{self.lhs}={self.lhs_value} {self.op} {self.rhs}={self.rhs_value} "
+            f"FAILED (packet {self.packet_index})"
         )
 
     def to_json(self) -> dict:
@@ -303,21 +307,11 @@ def eval_check(
     return _violation(compiled, *failed, nf, phase, packet_index)
 
 
-def _refusal(phase, nf: str, packet: Packet, packet_index: int) -> Violation:
-    """The violation of a packet that ``phase.run`` refused: ``parse_chain``
-    along the phase's walk, run again to raise the exact error. Raises
-    RuntimeError if it accepts the packet, since the generated function and
-    the reference walk then disagree."""
-    try:
-        registry_mod.parse_chain(packet, phase.walk)
-    except ChainOrderError as exc:
-        return Violation(
-            nf, phase.name, None, "order", exc.found, None, "expected",
-            exc.expected, packet_index, "order", str(exc),
-        )
-    raise RuntimeError(
-        f"generated {phase.name} phase of {nf} refused packet "
-        f"{packet_index}, which its order walk accepts"
+def _refusal(exc: ChainOrderError, nf: str, phase: str, packet_index: int) -> Violation:
+    """The order violation of a packet whose walk refused it with ``exc``."""
+    return Violation(
+        nf, phase, None, "order", exc.found, None, "expected", exc.expected,
+        packet_index, "order", str(exc),
     )
 
 
@@ -338,10 +332,10 @@ def run_ingress(
     if runtime.mode is not _DEVELOPMENT or contract is None or contract.ingress is None:
         return [], None
     phase = contract.ingress
-    outcome = phase.run(packet.data)
-    if outcome is None:
-        return [_refusal(phase, contract.nf_name, packet, packet_index)], None
-    failed, snapshot = outcome
+    try:
+        failed, snapshot = phase.run(packet.data)
+    except ChainOrderError as exc:
+        return [_refusal(exc, contract.nf_name, "ingress", packet_index)], None
     runtime.snapshots_built += 1
     checks = phase.compiled
     runtime.checks_evaluated += len(checks)
@@ -375,9 +369,10 @@ def run_egress(
     if snapshot is None and contract.ingress is not None:
         return []
     phase = contract.egress
-    failed = phase.run(packet.data, snapshot)
-    if failed is None:
-        return [_refusal(phase, contract.nf_name, packet, packet_index)]
+    try:
+        failed = phase.run(packet.data, snapshot)
+    except ChainOrderError as exc:
+        return [_refusal(exc, contract.nf_name, "egress", packet_index)]
     checks = phase.compiled
     runtime.checks_evaluated += len(checks)
     if not failed:

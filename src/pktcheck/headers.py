@@ -8,10 +8,10 @@ wire and are decoded to host ints.
 Each codec states its wire layout once, as its ``READ`` (a
 ``FieldRead``), and four things come from it: the codec's ``parse`` and
 ``emit``, which ``_codec`` generates at import; the field reads that a
-generated egress phase splices in to read a header's fields straight from
-the bytes (``contracts``); and the kind of each attribute a contract may
-read (``registry``). Each generated function runs what a hand-written one
-would. ``parse`` checks the length, makes one ``unpack_from`` of a
+generated contract phase splices in to read a header's fields straight
+from the bytes (``contracts``); and the kind of each attribute a contract
+may read (``registry``). Each generated function runs what a hand-written
+one would. ``parse`` checks the length, makes one ``unpack_from`` of a
 ``struct.Struct`` compiled at import (whose ``s`` fields yield MAC and
 IPv6 addresses as ``bytes``), runs each test in order and builds the
 header from positional arguments. ``emit`` tests in one condition what
@@ -26,7 +26,7 @@ last. A failed condition always fails one of them, so when none fails the
 field is in range but not an integer, and ``emit`` re-raises what the
 pack raised.
 
-A ``Packet`` is its bytes: the network functions and the order walks call
+A ``Packet`` is its bytes: the network functions and ``parse_chain`` call
 the codecs at running offsets and build new packets rather than edit one.
 ``Packet.parse_header``/``decode`` and their chain serve only the
 benchmark's tracer and the tests.
@@ -63,8 +63,8 @@ SRV6_ROUTING_TYPE = 4
 
 class FieldRead(NamedTuple):
     """A codec's wire layout: what its generated ``parse`` and ``emit``
-    run, what a generated egress phase reads, and the attributes a contract
-    may read.
+    run, what a generated contract phase reads, and the attributes a
+    contract may read.
 
     ``name`` is what a truncation error calls the header. ``unpack`` is the
     codec's ``Struct`` and ``fields`` names the values it yields, in order.
@@ -149,7 +149,7 @@ class FieldRead(NamedTuple):
         ``unpack_from``); each sub-field and ``size`` that it does not map
         is bound to a local of its own name. ``refuse`` is the statement
         that refuses the buffer, formatted with the f-string text of the
-        refusal: ``raise ParseError(f{!r})`` or ``return None``.
+        refusal, such as ``raise ParseError(f{!r})``.
         """
 
         def spell(source):
@@ -170,6 +170,13 @@ class FieldRead(NamedTuple):
         for test, text in self.tests:
             lines += [f"if not ({spell(test)}):", f"    {refusal(text)}"]
         return lines
+
+    def arguments(self, cls, names: dict[str, str]) -> str:
+        """The arguments that build ``cls`` from what ``step`` read, in its
+        constructor's order: each field or sub-field as ``names`` spells
+        it, and each other argument by its ``extras`` expression."""
+        return ", ".join(self.spell(self.extras.get(f.name, f.name), names)
+                         for f in fields(cls))
 
 
 #: A name in a layout's expression.
@@ -245,7 +252,6 @@ def _codec(cls):
     """
     layout = cls.READ
     names = {"at": "offset", "length": "len(buf)"}
-    arguments = (layout.spell(layout.extras.get(f.name, f.name), names) for f in fields(cls))
     own = {f.name: f"self.{f.name}" for f in fields(cls)}
     for name, source in layout.computed.items():
         own[name] = f"({layout.spell(source, own)})"
@@ -253,7 +259,7 @@ def _codec(cls):
         "def define(cls, unpack, pack):",
         "  def parse(buf, offset=0):",
         *(f"    {line}" for line in layout.step(names, "raise ParseError(f{!r})")),
-        f"    return cls({', '.join(arguments)}), size",
+        f"    return cls({layout.arguments(cls, names)}), size",
         *_emit_lines(cls),
         "  cls.parse = staticmethod(parse)",
         "  cls.emit = emit",

@@ -5,9 +5,10 @@ header attribute, and the order checks run at elaboration time.
 order against the predecessor rules and compiles it into a walk, one
 ``OrderStep`` per element, holding the codec, the linkage field to
 cross-check and what the step's error names. A contract's generated phase
-functions follow its walks inline. ``parse_chain`` runs a walk on its own:
-it calls each codec at a running offset and looks nothing up, and raises
-the exact ``ChainOrderError`` of a packet the generated function refused.
+functions follow its walks inline and raise the same errors.
+``parse_chain`` runs a walk on its own, outside the packet path: it calls
+each codec at a running offset and looks nothing up, and the tests hold
+the generated phases to it, down to each ``ChainOrderError`` text.
 A contract's checks name the header attributes they read; the registry
 only says which names each header has and whether each is an integer or
 a byte sequence, as derived once, at import, from each codec's ``READ``.

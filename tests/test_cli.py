@@ -53,6 +53,21 @@ def test_run_violations_exit_one(capsys):
     assert "violations=2" in out
 
 
+def test_run_text_output_gives_the_reason_of_each_order_violation(capsys):
+    code = main(
+        ["run", "--nf", "srv6-change-pkt", "--count", "2", "--template", "tcp6",
+         "--payload-len", "100"]
+    )
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[:2] == [
+        f"NF srv6-change-pkt [ingress#order] order mismatch at index 2: Ipv6Hdr "
+        f"next_header=0x6 does not announce Srv6RoutingHdr (protocol 0x2b) "
+        f"(packet {index})"
+        for index in range(2)
+    ]
+
+
 def test_run_prod_mode_reports_no_violations(capsys):
     code = main(
         ["run", "--nf", "srv6-change-pkt", "--count", "2", "--template", "tcp6",

@@ -367,17 +367,3 @@ def test_run_phases_are_noops_in_production(registry):
     assert run_egress(contract, packet, snapshot, runtime) == []
     assert runtime.snapshots_built == 0
     assert runtime.checks_evaluated == 0
-
-
-def test_a_refusal_the_order_walk_does_not_confirm_is_an_internal_error(registry):
-    contract = _mtu_contract(registry)
-    packet = _tcp6(1300)
-    _, snapshot = run_ingress(contract, packet, ContractRuntime())
-    reply = send_too_big(packet).packet
-    vars(contract.ingress)["run"] = lambda data: None
-    vars(contract.egress)["run"] = lambda data, snap: None
-    with pytest.raises(RuntimeError, match="generated ingress phase of mtu refused "
-                                           "packet 4, which its order walk accepts"):
-        run_ingress(contract, packet, ContractRuntime(), packet_index=4)
-    with pytest.raises(RuntimeError, match="generated egress phase of mtu refused"):
-        run_egress(contract, reply, snapshot, ContractRuntime())

@@ -4,13 +4,14 @@ phases that read every field of every codec.
 
 The error table pins the exact ``ChainOrderError`` of every way a packet
 can fail the three catalog orders: its arguments, its message and the
-``ParseError`` it chains from. One property compares the walk with a
+``ParseError`` it chains from, and that the generated phases raise the same
+error along the same orders. One property compares the walk with a
 reference written here, which chains ``Packet.parse_header`` calls with
 linkage checks; another compares each generated phase function with
-``parse_chain``, ``build_snapshot`` and each check's ``test``, and checks
-that every ingress packet the walk accepts re-encodes to its header bytes,
-so the snapshot holds the packet's ingress bytes. Both run on flipped,
-truncated and extended packets.
+``parse_chain``, ``build_snapshot`` and each check's ``test``, refusals
+included down to their text, and checks that every ingress packet the walk
+accepts re-encodes to its header bytes, so the snapshot holds the packet's
+ingress bytes. Both run on flipped, truncated and extended packets.
 """
 
 import random
@@ -176,6 +177,13 @@ def test_walk_error_of_each_failure(registry, spec, data, index, expected, messa
         assert message.endswith(": " + str(exc.__cause__))
     else:
         assert exc.__cause__ is None
+    # the generated phases along the same order raise the same error
+    phase = PhaseSpec(spec, ())
+    contract = elaborate(ContractSpec("walk", {}, (), phase, phase), registry)
+    for name in ("ingress", "egress"):
+        assert _generated_phase(contract, name, data, None) == (
+            index, expected, None, message
+        )
 
 
 CLEAN = [
@@ -278,20 +286,38 @@ def test_walk_agrees_with_a_parse_header_reference(registry, base, kind, data):
 # --- the generated phases against parse_chain and each check's test ----------------
 
 
+def _refused(exc):
+    """What a refusal says: the error's index, expected and found types and
+    its text."""
+    assert type(exc) is ChainOrderError and exc.args == (str(exc),)
+    return exc.index, exc.expected, exc.found, str(exc)
+
+
+def _generated_phase(contract, phase, raw, snapshot):
+    """What the generated phase function says of ``raw``: what it returns,
+    or what its refusal says."""
+    try:
+        if phase == "ingress":
+            return contract.ingress.run(bytearray(raw))
+        return contract.egress.run(bytearray(raw), snapshot)
+    except ChainOrderError as exc:
+        return _refused(exc)
+
+
 def _reference_phase(contract, phase, raw, snapshot):
     """What ``parse_chain``, ``build_snapshot`` at ingress and each
-    ``CompiledCheck.test`` say of ``raw``, in the shape the generated phase
-    returns: None when the walk refuses the packet. An ingress packet the
-    walk accepts must re-encode to its header bytes, so that the snapshot
-    holds exactly what arrived."""
+    ``CompiledCheck.test`` say of ``raw``, in the shape of
+    ``_generated_phase``: what ``parse_chain``'s refusal says when the walk
+    refuses the packet. An ingress packet the walk accepts must re-encode
+    to its header bytes, so that the snapshot holds exactly what arrived."""
     packet = Packet.from_bytes(raw)
     ingress = phase == "ingress"
     try:
         decoded, ends = parse_chain(
             packet, contract.ingress.walk if ingress else contract.egress.walk
         )
-    except ChainOrderError:
-        return None
+    except ChainOrderError as exc:
+        return _refused(exc)
     if ingress:
         assert b"".join(h.emit() for h in decoded) == raw[:ends[-1]]
         snapshot = build_snapshot(decoded)
@@ -437,15 +463,14 @@ FIELD_CASES = _field_cases()
 def test_generated_phase_agrees_with_the_walk_and_each_check(case, kind, data):
     contract, phase, base, snapshot, span = case
     raw = _mutated(base, kind, data, span)
-    generated = contract.ingress.run(bytearray(raw)) if phase == "ingress" else (
-        contract.egress.run(bytearray(raw), snapshot)
+    assert _generated_phase(contract, phase, raw, snapshot) == _reference_phase(
+        contract, phase, raw, snapshot
     )
-    assert generated == _reference_phase(contract, phase, raw, snapshot)
 
 
 def test_generated_phase_agrees_on_every_unmutated_case():
     for contract, phase, base, snapshot, _ in FIELD_CASES:
-        generated = contract.egress.run(bytearray(base), snapshot)
+        generated = _generated_phase(contract, phase, base, snapshot)
         # each case's walk accepts it, so every check by < or neq fails and
         # reports what it read
         assert {c.index for c in contract.egress.compiled if c.op != "=="} <= {
@@ -454,11 +479,10 @@ def test_generated_phase_agrees_on_every_unmutated_case():
         assert generated == _reference_phase(contract, phase, base, snapshot)
     failing = set()
     for contract, phase, base, snapshot in PHASE_CASES:
-        generated = contract.ingress.run(bytearray(base)) if phase == "ingress" else (
-            contract.egress.run(bytearray(base), snapshot)
-        )
+        generated = _generated_phase(contract, phase, base, snapshot)
         assert generated == _reference_phase(contract, phase, base, snapshot)
-        if generated and (generated[0] if phase == "ingress" else generated):
+        failed = generated[0] if phase == "ingress" else generated
+        if isinstance(failed, list) and failed:  # not a refusal's tuple
             failing.add(phase)
     # the cases reach failing checks in both phases, not only passing ones
     assert failing == {"ingress", "egress"}

@@ -10,10 +10,12 @@ import pktcheck.pipeline as pipeline_module
 import pktcheck.registry as registry_module
 from pktcheck import (
     BuildMode,
+    ChainOrderError,
     ConfigError,
     ContractRuntime,
     GeneratorSpec,
     NetworkFunction,
+    Packet,
     PcapRecord,
     RunConfig,
     TransformResult,
@@ -21,6 +23,7 @@ from pktcheck import (
     elaborate,
     generate_records,
     make_nf,
+    parse_chain,
     parse_contract_spec,
     pcap_bytes,
     read_pcap,
@@ -186,6 +189,45 @@ def test_failed_ingress_order_is_the_one_root_cause(registry):
     assert summary.checks_evaluated == 0
     assert summary.snapshots_built == 0
     assert summary.packets_out == 20
+
+
+@pytest.mark.parametrize("policy", ["continue", "drop"])
+@pytest.mark.parametrize("fault, reason", [
+    ("cut", "order mismatch at index 2: cannot parse Icmpv6PktTooBig: truncated "
+            "ICMPv6 Packet Too Big header: need 8 bytes at offset 54, have 4"),
+    ("mislinked", "order mismatch at index 2: Ipv6Hdr next_header=0x6 does not "
+                  "announce Icmpv6PktTooBig (protocol 0x3a)"),
+])
+def test_a_reply_the_egress_walk_refuses_is_one_order_violation(registry, policy, fault,
+                                                                 reason):
+    # a transform on mtu-too-big's contract whose reply is cut inside the
+    # ICMPv6 header, or whose IPv6 next_header announces TCP: each packet
+    # gets the one egress order violation that parse_chain's error names
+    correct = make_nf("mtu-too-big", registry)
+
+    def broken(packet):
+        reply = bytearray(correct.apply(packet).packet.data)
+        if fault == "cut":
+            del reply[58:]
+        else:
+            reply[20] = 6
+        return TransformResult(Packet(reply), rewritten=True)
+
+    nf = replace(correct, transform=broken)
+    records = generate_records(GeneratorSpec(count=6, payload_len=(1281, 1400), seed=9))
+    summary = run_records(nf, records, registry, policy=policy)
+    expected = []
+    for index, record in enumerate(records):
+        with pytest.raises(ChainOrderError) as excinfo:
+            parse_chain(broken(Packet.from_bytes(record.data)).packet,
+                        nf.contract.egress.walk)
+        expected.append((index, "egress", "order", None, str(excinfo.value)))
+    assert expected[0][-1] == reason
+    assert [(v.packet_index, v.phase, v.kind, v.check_index, v.message)
+            for v in summary.violations] == expected
+    assert summary.violations_by_check == {"egress#order": 6}
+    assert summary.checks_evaluated == 6  # the ingress check; egress evaluates none
+    assert len(summary.out_records) == (0 if policy == "drop" else 6)
 
 
 def test_tcp_reserved_bits_pass_both_phases(registry):
@@ -430,11 +472,12 @@ def test_each_header_is_decoded_once_per_phase(registry, monkeypatch):
         registry,
     )
     assert summary.violations == [] and summary.snapshots_built == 50
-    # per packet: 3 headers decoded at ingress and 3 in the transform, each
-    # by its codec's parse, none through Packet.parse_header; egress reads
-    # its fields from the bytes and decodes none; the 4 emits all build the
+    # per packet: the transform decodes its 3 headers by their codec's
+    # parse, none through Packet.parse_header; ingress decodes its 3 inline,
+    # from each codec's layout step, and calls no parse; egress reads its
+    # fields from the bytes and decodes none; the 4 emits all build the
     # reply, since the snapshot is the ingress headers as decoded
-    assert counts == {"parse": 50 * 6, "decode": 0, "accessor": 0, "emit": 50 * 4,
+    assert counts == {"parse": 50 * 3, "decode": 0, "accessor": 0, "emit": 50 * 4,
                       "parse_header": 0}
 
 
