@@ -16,9 +16,6 @@ import struct
 
 from .exceptions import EmitError
 
-TCP_PROTO = 6
-ICMPV6_PROTO = 58
-
 
 def internet_checksum(data: bytes) -> int:
     """One's-complement of the one's-complement 16-bit sum of ``data``.

@@ -23,10 +23,8 @@ from .generator import GeneratorSpec, generate_records
 from .nfs import NF_FACTORIES, make_nf
 from .contracts import explain_contract
 from .pcap import write_pcap
-from .pipeline import RunConfig, bench, run_pipeline
+from .pipeline import POLICIES, RunConfig, bench, run_pipeline
 from .registry import standard_registry
-
-_MODES = {"dev": BuildMode.DEVELOPMENT, "prod": BuildMode.PRODUCTION}
 
 
 def _add_generator_flags(parser: argparse.ArgumentParser) -> None:
@@ -69,9 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--in", dest="input_path",
                        help="input pcap (omit to use the generator flags)")
     run_p.add_argument("--out", dest="output_path", help="output pcap path")
-    run_p.add_argument("--mode", choices=sorted(_MODES), default="dev")
-    run_p.add_argument("--policy", choices=("drop", "continue", "abort"),
-                       default="continue")
+    run_p.add_argument("--mode", choices=[mode.value for mode in BuildMode], default="dev")
+    run_p.add_argument("--policy", choices=POLICIES, default="continue")
     run_p.add_argument("--format", choices=("text", "json"), default="text")
     _add_generator_flags(run_p)
 
@@ -100,7 +97,7 @@ def _cmd_run(args) -> int:
         input_path=args.input_path,
         generator=None if args.input_path else _generator_spec(args),
         output_path=args.output_path,
-        mode=_MODES[args.mode],
+        mode=BuildMode(args.mode),
         policy=args.policy,
     )
     summary = run_pipeline(config)

@@ -41,11 +41,11 @@ linkage cross-checks inline and evaluates every check as one inline
 comparison. Both phases are written by one generator: per step it splices
 in the lines that each codec's ``READ`` writes (``headers.FieldRead.step``,
 which the codec's generated ``parse`` runs too): one ``unpack_from`` plus
-the layout's tests, each refusal raising the exact ``ChainOrderError`` of
-``registry.parse_chain``. The ingress function then builds each header
-from the fields read, as ``parse`` does, and the headers become the
-snapshot; the egress function builds none and keeps only the fields its
-checks and linkage cross-checks name.
+the layout's tests, each refusal raising the ``ChainOrderError`` of
+``registry.walk_error``, as ``registry.parse_chain`` does. The ingress
+function then builds each header from the fields read, as ``parse``
+does, and the headers become the snapshot; the egress function builds
+none and keeps only the fields its checks and linkage cross-checks name.
 Phases of the same text share one compiled code object. Production never
 generates them.
 """
@@ -59,12 +59,7 @@ from typing import Callable
 
 from . import headers
 from .engine import COMPARATORS, Check, CompiledCheck, FieldRef, Operand, Source
-from .exceptions import (
-    ChainOrderError,
-    ContractSyntaxError,
-    ElaborationError,
-    RegistryError,
-)
+from .exceptions import ContractSyntaxError, ElaborationError, RegistryError
 from .registry import (
     BYTES,
     INT,
@@ -73,6 +68,7 @@ from .registry import (
     OrderStep,
     Registry,
     verify_order,
+    walk_error,
 )
 
 _TOKEN_RE = re.compile(
@@ -609,8 +605,6 @@ def elaborate(spec: ContractSpec, registry: Registry) -> Contract:
     reads the engine makes per packet, then verifies both header orders,
     compiling each into its walk, and evaluates the static assertions.
     """
-    if not registry.frozen:
-        raise ElaborationError("registry must be frozen before elaboration")
     for name, value in spec.constants.items():
         if type(value) is not int:
             raise ElaborationError(f"constant {name!r} = {value!r} is not an integer")
@@ -671,15 +665,15 @@ def _generate(phase: Phase) -> Callable:
     ``a`` of header ``k`` is the local ``hk_a`` and the header ends at
     offset ``ek``; of the sub-fields, only those that a check or the next
     step's linkage cross-check reads get a local. Each refusal raises the
-    ``ChainOrderError`` that ``parse_chain`` raises there, with the same
-    text. At ingress each step then builds header ``hk`` from what it
+    ``ChainOrderError`` of ``registry.walk_error``, as ``parse_chain`` does
+    there. At ingress each step then builds header ``hk`` from what it
     read, as the codec's ``parse`` does, and the snapshot is the headers
     built. At egress no header is built, and snapshot header ``j`` is
     ``sj = snap[j]``.
     """
     name, walk, checks = phase.name, phase.walk, phase.compiled
     ingress = name == "ingress"
-    namespace = {**vars(headers), "ChainOrderError": ChainOrderError}
+    namespace = {**vars(headers), "walk_error": walk_error, "walk": walk}
     used = {(c.lhs_index, c.lhs) for c in checks}
     used |= {(j, attribute) for c in checks
              for _, from_snapshot, attribute, j in c.reads if not from_snapshot}
@@ -698,16 +692,11 @@ def _generate(phase: Phase) -> Callable:
         reads = rule.reads()
         names.update({a: f"({rule.spell(e, names)})" for a, e in reads.items()})
         names["size"] = f"({rule.spell(rule.size, names)})"
-        mismatch = f"order mismatch at index {k}: "
         if step.linkage is not None:
             link = f"h{k - 1}_{step.linkage}"
-            text = (f"{mismatch}{walk[k - 1].header_type} {step.linkage}="
-                    f"{{{link}:#x}} does not announce {header} "
-                    f"(protocol {step.proto:#x})")
             lines += [f"    if {link} != {step.proto!r}:",
-                      f"        raise ChainOrderError({k}, {header!r}, None, f{text!r})"]
-        cannot = f"{mismatch}cannot parse {header}: "
-        refuse = f"raise ChainOrderError({k}, {header!r}, None, {cannot!r} f{{!r}})"
+                      f"        raise walk_error(walk, {k}, {link})"]
+        refuse = f"raise walk_error(walk, {k}, reason=f{{!r}})"
         lines += [f"    {line}" for line in rule.step(names, refuse)]
         if k < len(walk) - 1:
             lines.append(f"    e{k} = {at} + {names['size']}")

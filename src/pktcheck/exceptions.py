@@ -14,7 +14,8 @@ class EmitError(PktCheckError):
 
 
 class RegistryError(PktCheckError):
-    """Raised on bad header registrations or mutation of a frozen registry."""
+    """Raised when a registry's descriptors do not check as it is built,
+    on a lookup it cannot answer, and on an empty order."""
 
 
 class ChainOrderError(PktCheckError):

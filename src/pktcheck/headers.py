@@ -9,8 +9,9 @@ Each codec states its wire layout once, as its ``READ`` (a
 ``FieldRead``), and four things come from it: the codec's ``parse`` and
 ``emit``, which ``_codec`` generates at import; the field reads that a
 generated contract phase splices in to read a header's fields straight
-from the bytes (``contracts``); and the kind of each attribute a contract
-may read (``registry``). Each generated function runs what a hand-written
+from the bytes (``contracts``); and the header's registry descriptor
+(``registry``): the kind of each attribute a contract may read, and the
+header's place in a chain. Each generated function runs what a hand-written
 one would. ``parse`` checks the length, makes one ``unpack_from`` of a
 ``struct.Struct`` compiled at import (whose ``s`` fields yield MAC and
 IPv6 addresses as ``bytes``), runs each test in order and builds the
@@ -63,8 +64,8 @@ SRV6_ROUTING_TYPE = 4
 
 class FieldRead(NamedTuple):
     """A codec's wire layout: what its generated ``parse`` and ``emit``
-    run, what a generated contract phase reads, and the attributes a
-    contract may read.
+    run, what a generated contract phase reads, the attributes a contract
+    may read, and where the header may stand in a chain.
 
     ``name`` is what a truncation error calls the header. ``unpack`` is the
     codec's ``Struct`` and ``fields`` names the values it yields, in order.
@@ -91,6 +92,12 @@ class FieldRead(NamedTuple):
     ``length`` (the buffer's length) and ``buf`` (the buffer); those of
     ``emit`` over the header's attributes and the ``computed`` fields, each
     of which may use those before it.
+
+    The rest places the header in a chain, with defaults that describe a
+    chain root. ``after`` names the types it may follow and ``slot`` the
+    one type its order element may name as ``<param>``. ``proto`` is the
+    number that announces it in its predecessor's linkage field, and
+    ``linkage`` names its own next-protocol field, if it has one.
     """
 
     name: str
@@ -105,6 +112,10 @@ class FieldRead(NamedTuple):
     emit_first: tuple[tuple[str, str], ...] = ()
     emit_last: tuple[tuple[str, str], ...] = ()
     tail: str = ""
+    after: frozenset[str] = frozenset()
+    slot: str | None = None
+    proto: int | None = None
+    linkage: str | None = None
 
     def spell(self, source: str, names: dict[str, str]) -> str:
         """``source`` with each name that ``names`` maps replaced by its
@@ -283,6 +294,7 @@ class EthHdr:
     READ = FieldRead(
         "Ethernet header", _ETH, ("dst", "src", "ether_type"), (), "fixed",
         emit_first=(("len(dst) == 6 == len(src)", "MAC addresses must be 6 bytes"),),
+        linkage="ether_type",
     )
 
 
@@ -308,6 +320,7 @@ class Ipv6Hdr:
         words={"v_tc_fl": {"version": 4, "traffic_class": 8, "flow_label": 20}},
         emit_first=(("version == 6", "IPv6 version must be 6, got {version}"),),
         emit_last=(("len(src) == 16 == len(dst)", "IPv6 addresses must be 16 bytes"),),
+        after=frozenset({"EthHdr"}), proto=ETHERTYPE_IPV6, linkage="next_header",
     )
 
 
@@ -350,6 +363,7 @@ class TcpHdr:
              "TCP data offset {data_offset} disagrees with {len(options)} option bytes"),
         ),
         tail="options",
+        after=frozenset({"Ipv6Hdr", "Srv6RoutingHdr"}), slot="Ipv6Hdr", proto=PROTO_TCP,
     )
 
 
@@ -387,6 +401,7 @@ class Icmpv6PktTooBig:
                     "Packet Too Big body exceeds the minimum-MTU reply budget of "
                     f"{MAX_SIZE} bytes"),),
         tail="invoking_packet",
+        after=frozenset({"Ipv6Hdr"}), slot="Ipv6Hdr", proto=PROTO_ICMPV6,
     )
 
 
@@ -435,6 +450,9 @@ class Srv6RoutingHdr:
         emit_last=(("segments_left <= last_entry + 1",
                     "segments left {segments_left} exceeds segment count {len(segments)}"),),
         tail='b"".join(segments)',
+        # Extension headers chain: SRv6 may follow another SRv6 header.
+        after=frozenset({"Ipv6Hdr", "Srv6RoutingHdr"}), proto=PROTO_SRV6,
+        linkage="next_header",
     )
 
 

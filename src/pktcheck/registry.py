@@ -1,26 +1,30 @@
 """Header descriptor registry: predecessor rules, the kind of each readable
 header attribute, and the order checks run at elaboration time.
 
+Every header states its own chain rules next to its wire layout (the
+``after``, ``slot``, ``proto`` and ``linkage`` of its codec's ``READ``),
+and ``standard_registry`` is the one registry built from those layouts
+at import, each descriptor also carrying the kind, integer or byte
+sequence, of each attribute a contract's checks may read. A ``Registry``
+checks its descriptors once, when it is built, and never changes.
+
 ``verify_order`` runs once, when a contract is elaborated: it proves an
 order against the predecessor rules and compiles it into a walk, one
 ``OrderStep`` per element, holding the codec, the linkage field to
 cross-check and what the step's error names. A contract's generated phase
-functions follow its walks inline and raise the same errors.
-``parse_chain`` runs a walk on its own, outside the packet path: it calls
-each codec at a running offset and looks nothing up, and the tests hold
-the generated phases to it, down to each ``ChainOrderError`` text.
-A contract's checks name the header attributes they read; the registry
-only says which names each header has and whether each is an integer or
-a byte sequence, as derived once, at import, from each codec's ``READ``.
-``match_chain`` compares an already-parsed chain with an order; the
-packet path does not call it.
+functions follow its walks inline and raise the same errors, which
+``walk_error`` builds for both. ``parse_chain`` runs a walk on its own,
+outside the packet path: it calls each codec at a running offset and
+looks nothing up, and the tests hold the generated phases to it, down to
+each ``ChainOrderError`` text. ``match_chain`` compares an already-parsed
+chain with an order; the packet path does not call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from . import headers
 from .exceptions import ChainOrderError, ParseError, RegistryError
@@ -30,7 +34,7 @@ INT = "int"
 BYTES = "bytes"
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeaderDescriptor:
     """Registry entry for one header type.
 
@@ -109,42 +113,30 @@ def order(*specs: str | tuple[str, str]) -> OrderSpec:
 
 
 class Registry:
-    """Write-once store of header descriptors.
+    """Read-only store of header descriptors, checked whole when built: a
+    duplicate type, a predecessor or parameter type it does not hold, or a
+    linkage field that is not one of its header's integer accessors is
+    refused with a ``RegistryError``."""
 
-    Registration happens during setup; the registry is frozen before
-    elaboration and shared read-only afterwards.
-    """
-
-    def __init__(self):
+    def __init__(self, descriptors: Iterable[HeaderDescriptor]):
         self._descriptors: dict[str, HeaderDescriptor] = {}
-        self._frozen = False
-
-    def register(self, descriptor: HeaderDescriptor) -> HeaderDescriptor:
-        if self._frozen:
-            raise RegistryError("registry is frozen; no further registrations")
-        if descriptor.header_type in self._descriptors:
-            raise RegistryError(f"duplicate header type {descriptor.header_type!r}")
-        known = set(self._descriptors) | {descriptor.header_type}
-        for pred in descriptor.permitted_predecessors:
-            if pred not in known:
+        for descriptor in descriptors:
+            if descriptor.header_type in self._descriptors:
+                raise RegistryError(f"duplicate header type {descriptor.header_type!r}")
+            self._descriptors[descriptor.header_type] = descriptor
+        for name, descriptor in self._descriptors.items():
+            for pred in sorted(descriptor.permitted_predecessors):
+                if pred not in self._descriptors:
+                    raise RegistryError(f"{name} names unknown predecessor {pred!r}")
+            slot = descriptor.parameter_slot
+            if slot and slot not in self._descriptors:
+                raise RegistryError(f"{name} names unknown parameter type {slot!r}")
+            linkage = descriptor.linkage_accessor
+            if linkage is not None and descriptor.accessors.get(linkage) != INT:
                 raise RegistryError(
-                    f"{descriptor.header_type} names unknown predecessor {pred!r}"
+                    f"{name} names linkage field {linkage!r}, which is not one of "
+                    f"its integer accessors"
                 )
-        if descriptor.parameter_slot and descriptor.parameter_slot not in known:
-            raise RegistryError(
-                f"{descriptor.header_type} names unknown parameter type "
-                f"{descriptor.parameter_slot!r}"
-            )
-        self._descriptors[descriptor.header_type] = descriptor
-        return descriptor
-
-    def freeze(self) -> "Registry":
-        self._frozen = True
-        return self
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
 
     def get(self, header_type: str) -> HeaderDescriptor:
         try:
@@ -230,39 +222,47 @@ def verify_order(registry: Registry, spec: OrderSpec) -> tuple[OrderStep, ...]:
     return tuple(walk)
 
 
+def walk_error(walk: tuple[OrderStep, ...], index: int, actual: int | None = None,
+               reason: object = None) -> ChainOrderError:
+    """The ``ChainOrderError`` that ``walk`` raises at step ``index``: its
+    codec refused the bytes for ``reason``, or, when there is no reason,
+    its predecessor's linkage field reads ``actual``, which does not
+    announce it. ``parse_chain`` and the generated phases both raise it."""
+    step = walk[index]
+    name = step.header_type
+    if reason is not None:
+        text = f"cannot parse {name}: {reason}"
+    else:
+        text = (f"{walk[index - 1].header_type} {step.linkage}={actual:#x} does not "
+                f"announce {name} (protocol {step.proto:#x})")
+    return ChainOrderError(index, name, None, f"order mismatch at index {index}: {text}")
+
+
 def parse_chain(packet: Packet, walk: tuple[OrderStep, ...]) -> tuple[list, list]:
     """Decode ``packet`` header by header along a walk from ``verify_order``.
 
-    Each step first cross-checks the predecessor's linkage field
-    (ether_type / next_header) against its header's protocol number, so a
-    packet whose bytes happen to decode under the wrong type still fails
-    cleanly, then calls the codec at the running offset. Nothing is looked
-    up and the packet's chain is left alone. Returns the decoded headers
-    and their end offsets (header i spans ``ends[i - 1]:ends[i]``, from 0);
-    raises ChainOrderError at the offending index.
+    Each step first cross-checks the predecessor's linkage field against
+    its header's protocol number, so a packet whose bytes happen to decode
+    under the wrong type still fails cleanly, then calls the codec at the
+    running offset. Nothing is looked up and the packet's chain is left
+    alone. Returns the decoded headers and their end offsets (header i
+    spans ``ends[i - 1]:ends[i]``, from 0); raises the ``walk_error`` of
+    the offending index.
     """
     data = packet.data
     decoded = []
     ends = []
     offset = 0
     header = None
-    for parse, linkage, proto, index, name in walk:
+    for parse, linkage, proto, index, _ in walk:
         if linkage is not None:
             actual = getattr(header, linkage)
             if actual != proto:
-                raise ChainOrderError(
-                    index, name, None,
-                    f"order mismatch at index {index}: {walk[index - 1].header_type} "
-                    f"{linkage}={actual:#x} does not announce {name} "
-                    f"(protocol {proto:#x})",
-                )
+                raise walk_error(walk, index, actual)
         try:
             header, size = parse(data, offset)
         except ParseError as exc:
-            raise ChainOrderError(
-                index, name, None,
-                f"order mismatch at index {index}: cannot parse {name}: {exc}",
-            ) from exc
+            raise walk_error(walk, index, reason=exc) from exc
         decoded.append(header)
         offset += size
         ends.append(offset)
@@ -299,69 +299,33 @@ def match_chain(packet: Packet, spec: OrderSpec) -> None:
                 )
 
 
-def _kinds(codec) -> Mapping[str, str]:
-    """The kind of each attribute a check may read of ``codec``, from its
-    layout: every value on the wire but the hidden ones, with a packed
-    word's sub-fields in its place, BYTES for a ``struct`` ``s`` field and
-    INT otherwise."""
+def _descriptor(name: str, codec) -> HeaderDescriptor:
+    """The descriptor of ``codec``, from its layout: its chain rules, and
+    the kind of each attribute a check may read (every value on the wire
+    but the hidden ones, with a packed word's sub-fields in its place,
+    BYTES for a ``struct`` ``s`` field and INT otherwise)."""
     layout = codec.READ
-    return MappingProxyType({
-        name: BYTES if bits is None else INT
-        for name, bits, _, _ in layout.wire()
-        if name not in layout.hidden
-    })
+    return HeaderDescriptor(
+        header_type=name,
+        permitted_predecessors=layout.after,
+        accessors=MappingProxyType({
+            field: BYTES if bits is None else INT
+            for field, bits, _, _ in layout.wire()
+            if field not in layout.hidden
+        }),
+        parameter_slot=layout.slot,
+        protocol_number=layout.proto,
+        linkage_accessor=layout.linkage,
+    )
 
 
-#: Each header type's attribute kinds, derived once, at import.
-_KINDS = {name: _kinds(codec) for name, codec in headers.HEADER_TYPES.items()}
+#: The registry of the framework's header types, built once, at import.
+_STANDARD = Registry(
+    _descriptor(name, codec) for name, codec in headers.HEADER_TYPES.items()
+)
 
 
 def standard_registry() -> Registry:
-    """Registry of the framework's five header types.
-
-    Predecessor sets generalize single-predecessor declarations so that
-    extension headers chain: SRv6 may follow IPv6 or another SRv6 header,
-    and TCP may sit under either.
-    """
-    reg = Registry()
-    reg.register(HeaderDescriptor(
-        header_type="EthHdr",
-        permitted_predecessors=frozenset(),
-        parameter_slot=None,
-        protocol_number=None,
-        linkage_accessor="ether_type",
-        accessors=_KINDS["EthHdr"],
-    ))
-    reg.register(HeaderDescriptor(
-        header_type="Ipv6Hdr",
-        permitted_predecessors=frozenset({"EthHdr"}),
-        parameter_slot=None,
-        protocol_number=headers.ETHERTYPE_IPV6,
-        linkage_accessor="next_header",
-        accessors=_KINDS["Ipv6Hdr"],
-    ))
-    reg.register(HeaderDescriptor(
-        header_type="Srv6RoutingHdr",
-        permitted_predecessors=frozenset({"Ipv6Hdr", "Srv6RoutingHdr"}),
-        parameter_slot=None,
-        protocol_number=headers.PROTO_SRV6,
-        linkage_accessor="next_header",
-        accessors=_KINDS["Srv6RoutingHdr"],
-    ))
-    reg.register(HeaderDescriptor(
-        header_type="TcpHdr",
-        permitted_predecessors=frozenset({"Ipv6Hdr", "Srv6RoutingHdr"}),
-        parameter_slot="Ipv6Hdr",
-        protocol_number=headers.PROTO_TCP,
-        linkage_accessor=None,
-        accessors=_KINDS["TcpHdr"],
-    ))
-    reg.register(HeaderDescriptor(
-        header_type="Icmpv6PktTooBig",
-        permitted_predecessors=frozenset({"Ipv6Hdr"}),
-        parameter_slot="Ipv6Hdr",
-        protocol_number=headers.PROTO_ICMPV6,
-        linkage_accessor=None,
-        accessors=_KINDS["Icmpv6PktTooBig"],
-    ))
-    return reg.freeze()
+    """The registry of the framework's five header types, shared by every
+    caller."""
+    return _STANDARD

@@ -27,7 +27,6 @@ from pktcheck import (
 from pktcheck.engine import COMPARATORS
 from pktcheck.headers import ETHERTYPE_IPV6, PROTO_NONE, PROTO_SRV6
 from pktcheck.nfs import MTU_TOO_BIG_CONTRACT, make_nf
-from pktcheck.registry import Registry
 
 SRV6_ORDER = order("EthHdr", "Ipv6Hdr", "Srv6RoutingHdr")
 TWO_SRV6_ORDER = order("EthHdr", "Ipv6Hdr", "Srv6RoutingHdr", "Srv6RoutingHdr")
@@ -506,11 +505,6 @@ def test_contracts_of_one_text_share_their_compiled_phases(registry):
     for one, other in ((first.ingress, second.ingress), (first.egress, second.egress)):
         assert one.run is not other.run
         assert one.run.__code__ is other.run.__code__
-
-
-def test_elaborate_requires_frozen_registry():
-    with pytest.raises(ElaborationError, match="frozen"):
-        elaborate(parse_contract_spec("check()"), Registry())
 
 
 def test_elaborate_rejects_bad_order(registry):

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
 from pktcheck import (
@@ -100,52 +102,87 @@ def test_verify_order_requires_the_parameter_slot(registry):
     verify_order(registry, order("EthHdr", "Ipv6Hdr", "TcpHdr"))
 
 
-def test_registry_rejects_duplicate_registration(registry):
-    fresh = Registry()
-    descriptor = HeaderDescriptor(
-        header_type="EthHdr",
-        permitted_predecessors=frozenset(),
+def _descriptor(header_type, *predecessors, **fields):
+    return HeaderDescriptor(
+        header_type=header_type,
+        permitted_predecessors=frozenset(predecessors),
         accessors={},
+        **fields,
     )
-    fresh.register(descriptor)
+
+
+def test_registry_rejects_duplicate_registration():
+    descriptor = _descriptor("EthHdr")
     with pytest.raises(RegistryError, match="duplicate"):
-        fresh.register(descriptor)
+        Registry([descriptor, descriptor])
 
 
 def test_registry_rejects_dangling_predecessor():
-    fresh = Registry()
-    with pytest.raises(RegistryError, match="VlanHdr"):
-        fresh.register(
-            HeaderDescriptor(
-                header_type="EthHdr",
-                permitted_predecessors=frozenset({"VlanHdr"}),
-                accessors={},
-            )
-        )
+    with pytest.raises(RegistryError) as excinfo:
+        Registry([_descriptor("EthHdr", "VlanHdr")])
+    assert str(excinfo.value) == "EthHdr names unknown predecessor 'VlanHdr'"
+    with pytest.raises(RegistryError) as excinfo:
+        Registry([_descriptor("EthHdr"), _descriptor("TcpHdr", "EthHdr",
+                                                      parameter_slot="Ipv6Hdr")])
+    assert str(excinfo.value) == "TcpHdr names unknown parameter type 'Ipv6Hdr'"
 
 
-def test_registry_frozen_blocks_registration(registry):
-    assert registry.frozen
-    with pytest.raises(RegistryError, match="frozen"):
-        registry.register(
-            HeaderDescriptor(
-                header_type="VlanHdr",
-                permitted_predecessors=frozenset(),
-                accessors={},
-            )
-        )
+def test_registry_checks_do_not_depend_on_order(registry):
+    # TcpHdr may follow Srv6RoutingHdr, listed after it
+    names = ["EthHdr", "Ipv6Hdr", "TcpHdr", "Srv6RoutingHdr", "Icmpv6PktTooBig"]
+    rebuilt = Registry(registry.get(name) for name in names)
+    assert all(rebuilt.get(name) is registry.get(name) for name in names)
+
+
+@pytest.mark.parametrize("linkage", ["nxt_hdr", "src"])
+def test_registry_refuses_a_linkage_field_the_header_cannot_read(registry, linkage):
+    # an unknown field, and a BYTES one: neither can announce a protocol
+    descriptors = [
+        replace(registry.get(name), linkage_accessor=linkage) if name == "Ipv6Hdr"
+        else registry.get(name)
+        for name in ("EthHdr", "Ipv6Hdr", "Srv6RoutingHdr", "TcpHdr", "Icmpv6PktTooBig")
+    ]
+    with pytest.raises(RegistryError) as excinfo:
+        Registry(descriptors)
+    assert str(excinfo.value) == (
+        f"Ipv6Hdr names linkage field {linkage!r}, which is not one of its integer "
+        "accessors"
+    )
 
 
 def test_verify_order_requires_a_codec_for_each_type():
-    fresh = Registry()
-    fresh.register(HeaderDescriptor(
-        header_type="VlanHdr", permitted_predecessors=frozenset(), accessors={}
-    ))
     with pytest.raises(ChainOrderError) as excinfo:
-        verify_order(fresh.freeze(), order("VlanHdr"))
+        verify_order(Registry([_descriptor("VlanHdr")]), order("VlanHdr"))
     assert (excinfo.value.index, str(excinfo.value)) == (
         0, "VlanHdr has no codec in [VlanHdr]"
     )
+
+
+#: Each header's chain rules: predecessors, parameter slot, protocol number
+#: and linkage field.
+CHAIN_RULES = {
+    "EthHdr": (set(), None, None, "ether_type"),
+    "Ipv6Hdr": ({"EthHdr"}, None, 0x86DD, "next_header"),
+    "Srv6RoutingHdr": ({"Ipv6Hdr", "Srv6RoutingHdr"}, None, 43, "next_header"),
+    "TcpHdr": ({"Ipv6Hdr", "Srv6RoutingHdr"}, "Ipv6Hdr", 6, None),
+    "Icmpv6PktTooBig": ({"Ipv6Hdr"}, "Ipv6Hdr", 58, None),
+}
+
+
+def test_standard_chain_rules(registry):
+    assert {
+        name: (set(d.permitted_predecessors), d.parameter_slot, d.protocol_number,
+               d.linkage_accessor)
+        for name in CHAIN_RULES for d in [registry.get(name)]
+    } == CHAIN_RULES
+
+
+def test_standard_registry_is_built_once_and_read_only(registry):
+    assert standard_registry() is standard_registry() is registry
+    with pytest.raises(FrozenInstanceError):
+        registry.get("Ipv6Hdr").linkage_accessor = "nxt_hdr"
+    with pytest.raises(TypeError):
+        registry.get("Ipv6Hdr").accessors["nxt_hdr"] = "int"
 
 
 def test_registry_unknown_lookups(registry):
@@ -232,11 +269,6 @@ def test_accessors_read_the_attribute_of_their_name(registry):
     # The kinds are derived from each codec's layout: none may drop out,
     # and a packed word (v_tc_fl, off_flags) never becomes readable.
     assert {name: dict(registry.get(name).accessors) for name in KINDS} == KINDS
-    # They are derived once, at import, not on every standard_registry().
-    again = standard_registry()
-    assert all(
-        again.get(name).accessors is registry.get(name).accessors for name in KINDS
-    )
 
 
 INT, BYTES = "int", "bytes"
