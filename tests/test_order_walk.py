@@ -40,6 +40,7 @@ from pktcheck import (
     standard_registry,
     verify_order,
 )
+from pktcheck.headers import HEADER_TYPES
 
 TCP6 = order("EthHdr", "Ipv6Hdr", ("TcpHdr", "Ipv6Hdr"))
 PTB = order("EthHdr", "Ipv6Hdr", ("Icmpv6PktTooBig", "Ipv6Hdr"))
@@ -338,6 +339,26 @@ CATALOG = [
         ("srv6-change-pkt", {"omit_payload_len_update": True}),
     )
 ]
+_ETH_STEP = ("EthHdr", None, None, 0)
+_IPV6_STEP = ("Ipv6Hdr", "ether_type", 0x86DD, 1)
+_SRV6_WALK = (_ETH_STEP, _IPV6_STEP, ("Srv6RoutingHdr", "next_header", 43, 2))
+#: Each catalog variant's (ingress, egress) walks, as (header type, linkage
+#: field, protocol number, index) per step.
+WALKS = [
+    ((_ETH_STEP, _IPV6_STEP, ("TcpHdr", "next_header", 6, 2)),
+     (_ETH_STEP, _IPV6_STEP, ("Icmpv6PktTooBig", "next_header", 58, 2))),
+] * 2 + [(_SRV6_WALK, _SRV6_WALK)] * 3
+
+
+def test_catalog_walks():
+    for nf, walks in zip(CATALOG, WALKS, strict=True):
+        phases = (nf.contract.ingress, nf.contract.egress)
+        for phase, pinned in zip(phases, walks):
+            walk = phase.walk
+            assert [(s.header_type, s.linkage, s.proto, s.index) for s in walk] == list(pinned)
+            assert all(s.parse is HEADER_TYPES[s.header_type].parse for s in walk)
+
+
 OVERSIZE = [
     record.data for record in generate_records(
         GeneratorSpec(count=3, template="tcp6", payload_len=(1281, 1400), seed=607)

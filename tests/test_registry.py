@@ -193,6 +193,48 @@ def test_registry_unknown_lookups(registry):
     assert "hop_limit" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("lookup, text", [
+    (lambda r: r.get("GreHdr"), "unknown header type 'GreHdr'"),
+    (lambda r: r.accessor("GreHdr", "ttl"), "unknown header type 'GreHdr'"),
+    (lambda r: r.accessor("Ipv6Hdr", "ttl"),
+     "header Ipv6Hdr has no accessor 'ttl' (known: dst, flow_label, hop_limit, "
+     "next_header, payload_len, src, traffic_class, version)"),
+    # the hidden reserved bits are no accessor
+    (lambda r: r.accessor("TcpHdr", "reserved"),
+     "header TcpHdr has no accessor 'reserved' (known: ack, checksum, data_offset, "
+     "dst_port, flags, seq, src_port, urgent_ptr, window)"),
+], ids=["get", "accessor-type", "accessor-ipv6", "accessor-hidden"])
+def test_registry_lookup_refusal_texts(registry, lookup, text):
+    with pytest.raises(RegistryError) as excinfo:
+        lookup(registry)
+    assert str(excinfo.value) == text
+
+
+@pytest.mark.parametrize("spec, error", [
+    (order("EthHdr", "Ipv6Hdr", ("Icmpv6PktTooBig", "Ipv6Hdr"), "Ipv6Hdr"),
+     (3, "Ipv6Hdr", "Icmpv6PktTooBig",
+      "Ipv6Hdr cannot follow Icmpv6PktTooBig: permitted predecessors are {EthHdr}")),
+    (order("EthHdr", "TcpHdr"),
+     (1, "TcpHdr", "EthHdr",
+      "TcpHdr cannot follow EthHdr: permitted predecessors are "
+      "{Ipv6Hdr, Srv6RoutingHdr}")),
+    (order("EthHdr", "EthHdr"),
+     (1, "EthHdr", "EthHdr",
+      "EthHdr cannot follow EthHdr: permitted predecessors are {none (chain root)}")),
+    (order("Ipv6Hdr", ("TcpHdr", "Ipv6Hdr")),
+     (0, "Ipv6Hdr", None,
+      "Ipv6Hdr is not a chain root and cannot start [Ipv6Hdr => TcpHdr<Ipv6Hdr>]")),
+    (order("Srv6RoutingHdr"),
+     (0, "Srv6RoutingHdr", None,
+      "Srv6RoutingHdr is not a chain root and cannot start [Srv6RoutingHdr]")),
+], ids=["one-predecessor", "two-predecessors", "chain-root", "not-root", "lone-not-root"])
+def test_verify_order_refusal_texts(registry, spec, error):
+    with pytest.raises(ChainOrderError) as excinfo:
+        verify_order(registry, spec)
+    exc = excinfo.value
+    assert (exc.index, exc.expected, exc.found, str(exc)) == error
+
+
 def test_parse_chain_decodes_declared_order(registry):
     packet = Packet.from_bytes(build_tcp6_bytes())
     spec = order("EthHdr", "Ipv6Hdr", ("TcpHdr", "Ipv6Hdr"))
