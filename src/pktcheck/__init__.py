@@ -67,7 +67,6 @@ from .nfs import (
 from .pcap import PcapRecord, pcap_bytes, read_pcap, write_pcap
 from .pipeline import RunConfig, RunSummary, bench, run_pipeline, run_records
 from .registry import (
-    HeaderDescriptor,
     OrderElement,
     OrderSpec,
     Registry,
@@ -95,7 +94,6 @@ __all__ = [
     "EthHdr",
     "FieldRef",
     "GeneratorSpec",
-    "HeaderDescriptor",
     "IPV6_HDR_SIZE",
     "IPV6_MIN_MTU",
     "Icmpv6PktTooBig",

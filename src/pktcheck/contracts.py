@@ -60,9 +60,8 @@ from typing import Callable
 from . import headers
 from .engine import COMPARATORS, Check, CompiledCheck, FieldRef, Operand, Source
 from .exceptions import ContractSyntaxError, ElaborationError, RegistryError
+from .headers import BYTES, INT
 from .registry import (
-    BYTES,
-    INT,
     OrderElement,
     OrderSpec,
     OrderStep,
@@ -682,7 +681,7 @@ def _generate(phase: Phase) -> Callable:
              "    n = len(data)"]
     for k, step in enumerate(walk):
         header = step.header_type
-        codec = namespace[header] = headers.HEADER_TYPES[header]
+        codec = namespace[header] = step.codec
         rule = codec.READ
         unpack = f"unpack{k}"
         namespace[unpack] = rule.unpack.unpack_from

@@ -38,7 +38,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 
-from .exceptions import ChainOrderError
+from .exceptions import ChainOrderError, ConfigError
 from .headers import Packet
 
 COMPARATORS = {
@@ -64,6 +64,15 @@ class BuildMode(Enum):
 #: Bound once, so that the phase entry points read the mode with one
 #: global lookup per packet.
 _DEVELOPMENT = BuildMode.DEVELOPMENT
+
+
+def check_build_mode(mode: BuildMode) -> None:
+    """Refuse a ``mode`` that is not a ``BuildMode``: the phase entry points
+    test it by identity, so its string value would silently run Production."""
+    if not isinstance(mode, BuildMode):
+        raise ConfigError(
+            f"unknown build mode {mode!r} (known: {', '.join(m.value for m in BuildMode)})"
+        )
 
 
 @dataclass(frozen=True)
@@ -211,6 +220,7 @@ class ContractRuntime:
     """
 
     def __init__(self, mode: BuildMode = BuildMode.DEVELOPMENT):
+        check_build_mode(mode)
         self.mode = mode
         self.snapshots_built = 0
         self.checks_evaluated = 0

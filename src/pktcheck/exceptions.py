@@ -14,8 +14,8 @@ class EmitError(PktCheckError):
 
 
 class RegistryError(PktCheckError):
-    """Raised when a registry's descriptors do not check as it is built,
-    on a lookup it cannot answer, and on an empty order."""
+    """Raised when a registry's codecs' chain rules do not check as it is
+    built, on a lookup it cannot answer, and on an empty order."""
 
 
 class ChainOrderError(PktCheckError):

@@ -62,6 +62,14 @@ class GeneratorSpec:
             )
         if self.count < 0:
             raise ConfigError("count must be non-negative")
+        payload = self.payload_len
+        if not isinstance(payload, int) and not (
+            isinstance(payload, tuple) and len(payload) == 2
+            and all(isinstance(n, int) for n in payload)
+        ):
+            raise ConfigError(
+                f"payload length must be an int or a pair of ints, not {payload!r}"
+            )
         lo, hi = self.payload_bounds()
         if lo > hi:
             raise ConfigError(f"empty payload length range {self.payload_len!r}")
@@ -77,8 +85,7 @@ class GeneratorSpec:
     def payload_bounds(self) -> tuple[int, int]:
         if isinstance(self.payload_len, int):
             return self.payload_len, self.payload_len
-        lo, hi = self.payload_len
-        return lo, hi
+        return self.payload_len
 
 
 def _random_mac(rng: random.Random) -> bytes:

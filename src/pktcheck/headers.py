@@ -9,10 +9,10 @@ Each codec states its wire layout once, as its ``READ`` (a
 ``FieldRead``), and four things come from it: the codec's ``parse`` and
 ``emit``, which ``_codec`` generates at import; the field reads that a
 generated contract phase splices in to read a header's fields straight
-from the bytes (``contracts``); and the header's registry descriptor
-(``registry``): the kind of each attribute a contract may read, and the
-header's place in a chain. Each generated function runs what a hand-written
-one would. ``parse`` checks the length, makes one ``unpack_from`` of a
+from the bytes (``contracts``); the kind of each attribute a contract may
+read (``FieldRead.kinds``); and the header's place in a chain, which the
+registry reads straight from the layout (``registry``). Each generated
+function runs what a hand-written one would. ``parse`` checks the length, makes one ``unpack_from`` of a
 ``struct.Struct`` compiled at import (whose ``s`` fields yield MAC and
 IPv6 addresses as ``bytes``), runs each test in order and builds the
 header from positional arguments. ``emit`` tests in one condition what
@@ -60,6 +60,10 @@ PROTO_NONE = 59
 
 ICMPV6_PKT_TOO_BIG = 2
 SRV6_ROUTING_TYPE = 4
+
+#: The kinds of attribute a contract may read: an integer or a byte string.
+INT = "int"
+BYTES = "bytes"
 
 
 class FieldRead(NamedTuple):
@@ -139,6 +143,13 @@ class FieldRead(NamedTuple):
             if bits:
                 raise ValueError(f"the sub-fields of {name} do not fill it")
         return wire
+
+    def kinds(self) -> dict[str, str]:
+        """The kind of each attribute a contract may read: every value on
+        the wire but the hidden ones, a packed word's sub-fields in its
+        place, BYTES for a ``struct`` ``s`` field and INT otherwise."""
+        return {name: BYTES if bits is None else INT
+                for name, bits, _, _ in self.wire() if name not in self.hidden}
 
     def reads(self) -> dict[str, str]:
         """Each sub-field as an expression over its word; the most

@@ -41,7 +41,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .engine import BuildMode, ContractRuntime, Violation, run_egress, run_ingress
+from .engine import (
+    BuildMode,
+    ContractRuntime,
+    Violation,
+    check_build_mode,
+    run_egress,
+    run_ingress,
+)
 from .exceptions import ConfigError
 from .generator import GeneratorSpec, generate_records
 from .headers import Packet
@@ -65,6 +72,7 @@ class RunConfig:
     policy: str = "continue"
 
     def __post_init__(self):
+        check_build_mode(self.mode)
         if self.policy not in POLICIES:
             raise ConfigError(
                 f"unknown policy {self.policy!r} (known: {', '.join(POLICIES)})"

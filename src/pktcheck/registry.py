@@ -1,12 +1,14 @@
-"""Header descriptor registry: predecessor rules, the kind of each readable
-header attribute, and the order checks run at elaboration time.
+"""The header registry: a read-only map from header type name to codec,
+and the order checks run at elaboration time.
 
-Every header states its own chain rules next to its wire layout (the
-``after``, ``slot``, ``proto`` and ``linkage`` of its codec's ``READ``),
-and ``standard_registry`` is the one registry built from those layouts
-at import, each descriptor also carrying the kind, integer or byte
-sequence, of each attribute a contract's checks may read. A ``Registry``
-checks its descriptors once, when it is built, and never changes.
+Every header states its own chain rules next to its wire layout, in its
+codec's ``READ``: ``after`` names the types it may follow, ``slot`` the
+type its order element may name as ``<param>``, ``proto`` the number that
+announces it and ``linkage`` its own next-protocol field. A ``Registry``
+reads them there, checks them once, when it is built, and derives each
+codec's attribute kinds (``FieldRead.kinds``) then too; it never changes.
+``standard_registry`` is the one registry of the framework's codecs, built
+at import.
 
 ``verify_order`` runs once, when a contract is elaborated: it proves an
 order against the predecessor rules and compiles it into a walk, one
@@ -23,38 +25,11 @@ chain with an order; the packet path does not call it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import headers
 from .exceptions import ChainOrderError, ParseError, RegistryError
-from .headers import Packet
-
-INT = "int"
-BYTES = "bytes"
-
-
-@dataclass(frozen=True)
-class HeaderDescriptor:
-    """Registry entry for one header type.
-
-    ``protocol_number`` is the value identifying this header in its
-    predecessor's linkage field; ``linkage_accessor`` names this header's
-    own next-protocol field, if it has one. ``parameter_slot`` is the one
-    type an order element of this header may name as its ``<param>``.
-    ``accessors`` maps each attribute a check may read to its kind, INT or
-    BYTES.
-    """
-
-    header_type: str
-    permitted_predecessors: frozenset[str]
-    accessors: Mapping[str, str]
-    parameter_slot: str | None = None
-    protocol_number: int | None = None
-    linkage_accessor: str | None = None
-
-    def is_chain_root(self) -> bool:
-        return not self.permitted_predecessors
+from .headers import INT, Packet
 
 
 @dataclass(frozen=True)
@@ -90,11 +65,11 @@ class OrderSpec:
 
 class OrderStep(NamedTuple):
     """One element of a verified order, compiled for the per-packet walk:
-    its codec's ``parse``, the predecessor's linkage field (None when
+    the registry's codec for it, the predecessor's linkage field (None when
     nothing is cross-checked) and the protocol number it must announce, and
     the index and header type its ``ChainOrderError`` names."""
 
-    parse: Callable
+    codec: type
     linkage: str | None
     proto: int | None
     index: int
@@ -113,54 +88,57 @@ def order(*specs: str | tuple[str, str]) -> OrderSpec:
 
 
 class Registry:
-    """Read-only store of header descriptors, checked whole when built: a
-    duplicate type, a predecessor or parameter type it does not hold, or a
-    linkage field that is not one of its header's integer accessors is
-    refused with a ``RegistryError``."""
+    """Read-only map from header type name to codec, checked whole when
+    built: a duplicate type, a predecessor or parameter type it does not
+    hold, or a linkage field that is not one of its header's integer
+    attributes is refused with a ``RegistryError``. Each codec's attribute
+    kinds are derived once, here, and every lookup reads them."""
 
-    def __init__(self, descriptors: Iterable[HeaderDescriptor]):
-        self._descriptors: dict[str, HeaderDescriptor] = {}
-        for descriptor in descriptors:
-            if descriptor.header_type in self._descriptors:
-                raise RegistryError(f"duplicate header type {descriptor.header_type!r}")
-            self._descriptors[descriptor.header_type] = descriptor
-        for name, descriptor in self._descriptors.items():
-            for pred in sorted(descriptor.permitted_predecessors):
-                if pred not in self._descriptors:
+    def __init__(self, codecs: Iterable[type]):
+        self._codecs: dict[str, type] = {}
+        for codec in codecs:
+            name = codec.__name__
+            if name in self._codecs:
+                raise RegistryError(f"duplicate header type {name!r}")
+            self._codecs[name] = codec
+        self._kinds = {name: codec.READ.kinds() for name, codec in self._codecs.items()}
+        for name, codec in self._codecs.items():
+            layout = codec.READ
+            for pred in sorted(layout.after):
+                if pred not in self._codecs:
                     raise RegistryError(f"{name} names unknown predecessor {pred!r}")
-            slot = descriptor.parameter_slot
-            if slot and slot not in self._descriptors:
-                raise RegistryError(f"{name} names unknown parameter type {slot!r}")
-            linkage = descriptor.linkage_accessor
-            if linkage is not None and descriptor.accessors.get(linkage) != INT:
+            if layout.slot and layout.slot not in self._codecs:
+                raise RegistryError(f"{name} names unknown parameter type {layout.slot!r}")
+            if layout.linkage is not None and self._kinds[name].get(layout.linkage) != INT:
                 raise RegistryError(
-                    f"{name} names linkage field {linkage!r}, which is not one of "
-                    f"its integer accessors"
+                    f"{name} names linkage field {layout.linkage!r}, which is not one "
+                    f"of its integer accessors"
                 )
 
-    def get(self, header_type: str) -> HeaderDescriptor:
+    def get(self, header_type: str) -> type:
         try:
-            return self._descriptors[header_type]
+            return self._codecs[header_type]
         except KeyError:
             raise RegistryError(f"unknown header type {header_type!r}") from None
 
     def known(self, header_type: str) -> bool:
-        return header_type in self._descriptors
+        return header_type in self._codecs
 
     def accessor(self, header_type: str, name: str) -> str:
         """The kind of accessor ``name`` of ``header_type``, INT or BYTES."""
-        descriptor = self.get(header_type)
+        self.get(header_type)
+        kinds = self._kinds[header_type]
         try:
-            return descriptor.accessors[name]
+            return kinds[name]
         except KeyError:
             raise RegistryError(
                 f"header {header_type} has no accessor {name!r} "
-                f"(known: {', '.join(sorted(descriptor.accessors))})"
+                f"(known: {', '.join(sorted(kinds))})"
             ) from None
 
 
 def verify_order(registry: Registry, spec: OrderSpec) -> tuple[OrderStep, ...]:
-    """Validate an order spec against the registry's predecessor rules and
+    """Validate an order spec against its codecs' predecessor rules and
     compile it into the walk that ``parse_chain`` runs per packet.
 
     Runs at elaboration/pipeline-construction time, never per packet.
@@ -169,17 +147,16 @@ def verify_order(registry: Registry, spec: OrderSpec) -> tuple[OrderStep, ...]:
     header type the registry does not know, wherever it stands, raises the
     ``RegistryError`` of ``registry.get``.
     """
-    root = registry.get(spec.elements[0].header_type)
-    for i in range(1, len(spec)):
-        prev = spec.elements[i - 1]
-        curr = spec.elements[i]
-        descriptor = registry.get(curr.header_type)
-        if prev.header_type not in descriptor.permitted_predecessors:
+    codecs = []
+    for i, element in enumerate(spec):
+        name = element.header_type
+        codecs.append(registry.get(name))
+        after = codecs[i].READ.after
+        if i and (prev := spec.elements[i - 1].header_type) not in after:
             raise ChainOrderError(
-                i, curr.header_type, prev.header_type,
-                f"{curr.header_type} cannot follow {prev.header_type}: permitted "
-                f"predecessors are "
-                f"{{{', '.join(sorted(descriptor.permitted_predecessors)) or 'none (chain root)'}}}",
+                i, name, prev,
+                f"{name} cannot follow {prev}: permitted predecessors are "
+                f"{{{', '.join(sorted(after)) or 'none (chain root)'}}}",
             )
     for i, element in enumerate(spec):
         if element.param is not None:
@@ -190,13 +167,13 @@ def verify_order(registry: Registry, spec: OrderSpec) -> tuple[OrderStep, ...]:
                     f"{element} names parameter {element.param} but no earlier "
                     f"element in {spec} provides it",
                 )
-    if not root.is_chain_root():
+    root = spec.elements[0].header_type
+    if codecs[0].READ.after:
         raise ChainOrderError(
-            0, root.header_type, None,
-            f"{root.header_type} is not a chain root and cannot start {spec}",
+            0, root, None, f"{root} is not a chain root and cannot start {spec}"
         )
     for i, element in enumerate(spec):
-        slot = registry.get(element.header_type).parameter_slot
+        slot = codecs[i].READ.slot
         if element.param is not None and element.param != slot:
             raise ChainOrderError(
                 i, slot, element.param,
@@ -206,19 +183,10 @@ def verify_order(registry: Registry, spec: OrderSpec) -> tuple[OrderStep, ...]:
                 + f" in {spec}",
             )
     walk = []
-    prev = None
-    for i, element in enumerate(spec):
-        name = element.header_type
-        codec = headers.HEADER_TYPES.get(name)
-        if codec is None:
-            raise ChainOrderError(i, name, None, f"{name} has no codec in {spec}")
-        descriptor = registry.get(name)
-        proto = descriptor.protocol_number
-        linkage = None
-        if prev is not None and proto is not None:
-            linkage = prev.linkage_accessor
-        walk.append(OrderStep(codec.parse, linkage, proto, i, name))
-        prev = descriptor
+    for i, (element, codec) in enumerate(zip(spec, codecs)):
+        proto = codec.READ.proto
+        linkage = codecs[i - 1].READ.linkage if i and proto is not None else None
+        walk.append(OrderStep(codec, linkage, proto, i, element.header_type))
     return tuple(walk)
 
 
@@ -254,13 +222,13 @@ def parse_chain(packet: Packet, walk: tuple[OrderStep, ...]) -> tuple[list, list
     ends = []
     offset = 0
     header = None
-    for parse, linkage, proto, index, _ in walk:
+    for codec, linkage, proto, index, _ in walk:
         if linkage is not None:
             actual = getattr(header, linkage)
             if actual != proto:
                 raise walk_error(walk, index, actual)
         try:
-            header, size = parse(data, offset)
+            header, size = codec.parse(data, offset)
         except ParseError as exc:
             raise walk_error(walk, index, reason=exc) from exc
         decoded.append(header)
@@ -299,30 +267,8 @@ def match_chain(packet: Packet, spec: OrderSpec) -> None:
                 )
 
 
-def _descriptor(name: str, codec) -> HeaderDescriptor:
-    """The descriptor of ``codec``, from its layout: its chain rules, and
-    the kind of each attribute a check may read (every value on the wire
-    but the hidden ones, with a packed word's sub-fields in its place,
-    BYTES for a ``struct`` ``s`` field and INT otherwise)."""
-    layout = codec.READ
-    return HeaderDescriptor(
-        header_type=name,
-        permitted_predecessors=layout.after,
-        accessors=MappingProxyType({
-            field: BYTES if bits is None else INT
-            for field, bits, _, _ in layout.wire()
-            if field not in layout.hidden
-        }),
-        parameter_slot=layout.slot,
-        protocol_number=layout.proto,
-        linkage_accessor=layout.linkage,
-    )
-
-
 #: The registry of the framework's header types, built once, at import.
-_STANDARD = Registry(
-    _descriptor(name, codec) for name, codec in headers.HEADER_TYPES.items()
-)
+_STANDARD = Registry(headers.HEADER_TYPES.values())
 
 
 def standard_registry() -> Registry:

@@ -93,6 +93,16 @@ def test_spec_validation():
         GeneratorSpec(count=1, payload_len=65536)
 
 
+@pytest.mark.parametrize("payload_len", [(100,), (60, 100, 200), [60, 100], "100",
+                                         (60.0, 100), None])
+def test_spec_refuses_a_payload_length_of_another_shape(payload_len):
+    with pytest.raises(ConfigError) as excinfo:
+        GeneratorSpec(count=1, payload_len=payload_len)
+    assert str(excinfo.value) == (
+        f"payload length must be an int or a pair of ints, not {payload_len!r}"
+    )
+
+
 def test_records_have_sequential_timestamps():
     records = generate_records(GeneratorSpec(count=5, payload_len=30, seed=4))
     assert [r.ts_usec for r in records] == [0, 1, 2, 3, 4]

@@ -424,7 +424,7 @@ def test_parse_returns_or_raises_parse_error(codec, data):
     assert hdr.emit() == bytes(buf[offset : offset + consumed])
 
 
-ACCESSORS = {codec: standard_registry().get(codec.__name__).accessors for codec in CODECS}
+ACCESSORS = {codec: codec.READ.kinds() for codec in CODECS}
 
 
 def _field_read(codec, buf, at):

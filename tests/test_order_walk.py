@@ -214,22 +214,22 @@ def _reference(packet, spec, registry):
     decoded, prev = [], None
     for i, element in enumerate(spec):
         name = element.header_type
-        descriptor = registry.get(name)
-        proto = descriptor.protocol_number
-        if prev is not None and prev.linkage_accessor and proto is not None:
-            actual = getattr(decoded[-1], prev.linkage_accessor)
+        layout = registry.get(name).READ
+        proto = layout.proto
+        if prev is not None and prev.linkage and proto is not None:
+            actual = getattr(decoded[-1], prev.linkage)
             if actual != proto:
                 raise ChainOrderError(
                     i, name, None,
-                    _mismatch(i, prev.header_type, prev.linkage_accessor, actual, name,
-                              proto),
+                    _mismatch(i, spec.elements[i - 1].header_type, prev.linkage, actual,
+                              name, proto),
                 )
         try:
             header, _ = packet.parse_header(name)
         except ParseError as exc:
             raise ChainOrderError(i, name, None, _cannot(i, name, exc)) from exc
         decoded.append(header)
-        prev = descriptor
+        prev = layout
     return decoded, [entry.offset + entry.length for entry in packet.chain]
 
 
@@ -356,7 +356,7 @@ def test_catalog_walks():
         for phase, pinned in zip(phases, walks):
             walk = phase.walk
             assert [(s.header_type, s.linkage, s.proto, s.index) for s in walk] == list(pinned)
-            assert all(s.parse is HEADER_TYPES[s.header_type].parse for s in walk)
+            assert all(s.codec is HEADER_TYPES[s.header_type] for s in walk)
 
 
 OVERSIZE = [
@@ -408,7 +408,7 @@ def _every_field_phase(*elements):
         name = element.header_type
         occurrence = seen[name] = seen.get(name, -1) + 1
         ints = []
-        for attribute, kind in registry.get(name).accessors.items():
+        for attribute, kind in registry.get(name).READ.kinds().items():
             ref = FieldRef(attribute, name, element.param, occurrence)
             if kind == "bytes":
                 checks.append(Check(ref, "neq", Operand.ref(ref)))

@@ -412,6 +412,19 @@ def test_run_config_validation():
         )
 
 
+@pytest.mark.parametrize("mode", ["dev", "prod", None])
+def test_a_mode_that_is_not_a_build_mode_is_refused(mode):
+    # a mode's string value would fail every identity test against
+    # Development, and so run Production silently
+    text = f"unknown build mode {mode!r} (known: dev, prod)"
+    with pytest.raises(ConfigError) as excinfo:
+        RunConfig(nf_name="mtu-too-big", generator=GeneratorSpec(count=1), mode=mode)
+    assert str(excinfo.value) == text
+    with pytest.raises(ConfigError) as excinfo:
+        ContractRuntime(mode)
+    assert str(excinfo.value) == text
+
+
 def test_order_verification_happens_once_per_phase(registry, monkeypatch):
     calls = []
     original = registry_module.verify_order

@@ -1,5 +1,3 @@
-from dataclasses import FrozenInstanceError, replace
-
 import pytest
 
 from pktcheck import (
@@ -16,7 +14,8 @@ from pktcheck import (
     standard_registry,
     verify_order,
 )
-from pktcheck.registry import HeaderDescriptor, OrderElement, OrderSpec, Registry
+from pktcheck.headers import HEADER_TYPES, FieldRead
+from pktcheck.registry import OrderElement, OrderSpec, Registry
 
 from oracles import build_tcp6_bytes
 
@@ -102,28 +101,24 @@ def test_verify_order_requires_the_parameter_slot(registry):
     verify_order(registry, order("EthHdr", "Ipv6Hdr", "TcpHdr"))
 
 
-def _descriptor(header_type, *predecessors, **fields):
-    return HeaderDescriptor(
-        header_type=header_type,
-        permitted_predecessors=frozenset(predecessors),
-        accessors={},
-        **fields,
-    )
+def _stub(name, codec=EthHdr, **layout):
+    """A stub codec named ``name``: ``codec``'s layout with ``layout``
+    replaced."""
+    return type(name, (), {"READ": codec.READ._replace(**layout)})
 
 
 def test_registry_rejects_duplicate_registration():
-    descriptor = _descriptor("EthHdr")
-    with pytest.raises(RegistryError, match="duplicate"):
-        Registry([descriptor, descriptor])
+    with pytest.raises(RegistryError) as excinfo:
+        Registry([EthHdr, _stub("EthHdr")])
+    assert str(excinfo.value) == "duplicate header type 'EthHdr'"
 
 
 def test_registry_rejects_dangling_predecessor():
     with pytest.raises(RegistryError) as excinfo:
-        Registry([_descriptor("EthHdr", "VlanHdr")])
+        Registry([_stub("EthHdr", after=frozenset({"VlanHdr"}))])
     assert str(excinfo.value) == "EthHdr names unknown predecessor 'VlanHdr'"
     with pytest.raises(RegistryError) as excinfo:
-        Registry([_descriptor("EthHdr"), _descriptor("TcpHdr", "EthHdr",
-                                                      parameter_slot="Ipv6Hdr")])
+        Registry([EthHdr, _stub("TcpHdr", after=frozenset({"EthHdr"}), slot="Ipv6Hdr")])
     assert str(excinfo.value) == "TcpHdr names unknown parameter type 'Ipv6Hdr'"
 
 
@@ -137,25 +132,24 @@ def test_registry_checks_do_not_depend_on_order(registry):
 @pytest.mark.parametrize("linkage", ["nxt_hdr", "src"])
 def test_registry_refuses_a_linkage_field_the_header_cannot_read(registry, linkage):
     # an unknown field, and a BYTES one: neither can announce a protocol
-    descriptors = [
-        replace(registry.get(name), linkage_accessor=linkage) if name == "Ipv6Hdr"
-        else registry.get(name)
+    codecs = [
+        _stub(name, Ipv6Hdr, linkage=linkage) if name == "Ipv6Hdr" else registry.get(name)
         for name in ("EthHdr", "Ipv6Hdr", "Srv6RoutingHdr", "TcpHdr", "Icmpv6PktTooBig")
     ]
     with pytest.raises(RegistryError) as excinfo:
-        Registry(descriptors)
+        Registry(codecs)
     assert str(excinfo.value) == (
         f"Ipv6Hdr names linkage field {linkage!r}, which is not one of its integer "
         "accessors"
     )
 
 
-def test_verify_order_requires_a_codec_for_each_type():
-    with pytest.raises(ChainOrderError) as excinfo:
-        verify_order(Registry([_descriptor("VlanHdr")]), order("VlanHdr"))
-    assert (excinfo.value.index, str(excinfo.value)) == (
-        0, "VlanHdr has no codec in [VlanHdr]"
-    )
+def test_walk_steps_carry_the_registry_codecs():
+    # a registry of its own, holding a stub codec, compiles walks over it
+    vlan = _stub("VlanHdr", after=frozenset({"EthHdr"}), proto=0x8100)
+    walk = verify_order(Registry([EthHdr, vlan]), order("EthHdr", "VlanHdr"))
+    assert walk[1] == (vlan, "ether_type", 0x8100, 1, "VlanHdr")
+    assert walk[0].codec is EthHdr
 
 
 #: Each header's chain rules: predecessors, parameter slot, protocol number
@@ -171,18 +165,38 @@ CHAIN_RULES = {
 
 def test_standard_chain_rules(registry):
     assert {
-        name: (set(d.permitted_predecessors), d.parameter_slot, d.protocol_number,
-               d.linkage_accessor)
-        for name in CHAIN_RULES for d in [registry.get(name)]
+        name: (set(r.after), r.slot, r.proto, r.linkage)
+        for name in CHAIN_RULES for r in [registry.get(name).READ]
     } == CHAIN_RULES
 
 
 def test_standard_registry_is_built_once_and_read_only(registry):
     assert standard_registry() is standard_registry() is registry
-    with pytest.raises(FrozenInstanceError):
-        registry.get("Ipv6Hdr").linkage_accessor = "nxt_hdr"
-    with pytest.raises(TypeError):
-        registry.get("Ipv6Hdr").accessors["nxt_hdr"] = "int"
+    # its entries are the codecs themselves, whose layouts cannot be edited
+    assert all(registry.get(name) is codec for name, codec in HEADER_TYPES.items())
+    with pytest.raises(AttributeError):
+        registry.get("Ipv6Hdr").READ.linkage = "nxt_hdr"
+    # neither the kinds a layout derives nor the list a registry was built
+    # from reach it afterwards
+    registry.get("Ipv6Hdr").READ.kinds()["nxt_hdr"] = "int"
+    with pytest.raises(RegistryError, match="nxt_hdr"):
+        registry.accessor("Ipv6Hdr", "nxt_hdr")
+    codecs = [EthHdr]
+    rebuilt = Registry(codecs)
+    codecs.append(Ipv6Hdr)
+    assert not rebuilt.known("Ipv6Hdr")
+
+
+def test_registry_derives_kinds_once(monkeypatch):
+    calls = []
+    kinds = FieldRead.kinds
+    monkeypatch.setattr(FieldRead, "kinds", lambda self: calls.append(self) or kinds(self))
+    rebuilt = Registry(HEADER_TYPES.values())
+    assert len(calls) == len(HEADER_TYPES)
+    for name in KINDS:
+        for attribute, kind in KINDS[name].items():
+            assert rebuilt.accessor(name, attribute) == kind
+    assert len(calls) == len(HEADER_TYPES)
 
 
 def test_registry_unknown_lookups(registry):
@@ -302,15 +316,14 @@ def test_accessors_read_the_attribute_of_their_name(registry):
     reply = Icmpv6PktTooBig(checksum=7, mtu=1280, invoking_packet=b"")
     count = 0
     for header in [*decoded, srv6, reply]:
-        descriptor = registry.get(type(header).__name__)
-        for name, kind in descriptor.accessors.items():
+        for name, kind in registry.get(type(header).__name__).READ.kinds().items():
             value = getattr(header, name)
             assert isinstance(value, bytes if kind == "bytes" else int)
             count += 1
     assert count == 31
     # The kinds are derived from each codec's layout: none may drop out,
     # and a packed word (v_tc_fl, off_flags) never becomes readable.
-    assert {name: dict(registry.get(name).accessors) for name in KINDS} == KINDS
+    assert {name: registry.get(name).READ.kinds() for name in KINDS} == KINDS
 
 
 INT, BYTES = "int", "bytes"
