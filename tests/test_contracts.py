@@ -116,6 +116,55 @@ def test_syntax_error_on_an_integer_literal_with_a_leading_zero():
     assert str(excinfo.value) == "invalid integer literal '08' (line 1, column 11)"
 
 
+SYNTAX_ERRORS = {
+    "unexpected-character": (
+        "check(A = 1)\npre {\n    order: [EthHdr] $\n}",
+        "unexpected character '$'", 3, 21,
+    ),
+    "invalid-literal": (
+        "check(A = 1,\n      B = 08)",
+        "invalid integer literal '08'", 2, 11,
+    ),
+    "end-of-input": (
+        "check(A = 1)\npre {\n    order: [EthHdr],\n    checks: [",
+        "expected '(', found 'end of input'", 4, 14,
+    ),
+    "end-of-input-after-blanks": (
+        "check(A = 1)\npre {\n  ",
+        "expected keyword 'order', found 'end of input'", 3, 3,
+    ),
+    "trailing-input": (
+        "check(A = 1)\nstatic: [A == 1]\n  junk",
+        "unexpected trailing input 'junk'", 3, 3,
+    ),
+    "after-comments": (
+        "check(A = 1)  # binds A\n# a whole-line comment\n  pre { order [EthHdr] }",
+        "expected ':', found '['", 3, 15,
+    ),
+    "end-of-input-in-a-comment": (
+        "check(A = 1\n# no closing paren",
+        "expected ')', found 'end of input'", 2, 19,
+    ),
+    "duplicate-constant": (
+        "check(A = 1,\n      A = 2)",
+        "duplicate constant 'A'", 2, 7,
+    ),
+    "carriage-returns": (
+        "check()\r\npre {\r\n  order: [EthHdr] ?",
+        "unexpected character '?'", 3, 19,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SYNTAX_ERRORS)
+def test_syntax_error_text_line_and_column(case):
+    text, message, line, column = SYNTAX_ERRORS[case]
+    with pytest.raises(ContractSyntaxError) as excinfo:
+        parse_contract_spec(text)
+    assert (excinfo.value.line, excinfo.value.column) == (line, column)
+    assert str(excinfo.value) == f"{message} (line {line}, column {column})"
+
+
 def test_parse_rejects_trailing_input():
     with pytest.raises(ContractSyntaxError, match="trailing"):
         parse_contract_spec("check() junk")
