@@ -58,9 +58,7 @@ from .headers import (
 from .nfs import (
     NetworkFunction,
     TransformResult,
-    make_mtu_too_big,
     make_nf,
-    make_srv6_change_pkt,
     send_too_big,
     srv6_add_segment,
 )
@@ -126,9 +124,7 @@ __all__ = [
     "generate",
     "generate_records",
     "internet_checksum",
-    "make_mtu_too_big",
     "make_nf",
-    "make_srv6_change_pkt",
     "match_chain",
     "order",
     "parse_chain",

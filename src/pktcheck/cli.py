@@ -20,7 +20,7 @@ import sys
 from .engine import BuildMode
 from .exceptions import PktCheckError
 from .generator import GeneratorSpec, generate_records
-from .nfs import NF_FACTORIES, make_nf
+from .nfs import CATALOG, make_nf
 from .contracts import explain_contract
 from .pcap import write_pcap
 from .pipeline import POLICIES, RunConfig, bench, run_pipeline
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run packets through an NF")
-    run_p.add_argument("--nf", required=True, choices=sorted(NF_FACTORIES))
+    run_p.add_argument("--nf", required=True, choices=sorted(CATALOG))
     run_p.add_argument("--in", dest="input_path",
                        help="input pcap (omit to use the generator flags)")
     run_p.add_argument("--out", dest="output_path", help="output pcap path")
@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_generator_flags(gen_p)
 
     bench_p = sub.add_parser("bench", help="benchmark contract overhead")
-    bench_p.add_argument("--nf", required=True, choices=sorted(NF_FACTORIES))
+    bench_p.add_argument("--nf", required=True, choices=sorted(CATALOG))
     bench_p.add_argument("--in", dest="input_path",
                          help="input pcap (omit to use the generator flags)")
     bench_p.add_argument("--reps", type=int, default=1,
@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_generator_flags(bench_p)
 
     explain_p = sub.add_parser("explain", help="print an NF's elaborated contract")
-    explain_p.add_argument("--nf", required=True, choices=sorted(NF_FACTORIES))
+    explain_p.add_argument("--nf", required=True, choices=sorted(CATALOG))
 
     return parser
 

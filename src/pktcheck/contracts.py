@@ -55,7 +55,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import headers
 from .engine import COMPARATORS, Check, CompiledCheck, FieldRef, Operand, Source
@@ -77,6 +77,7 @@ _TOKEN_RE = re.compile(
   | (?P<int>0x[0-9A-Fa-f]+|\d+)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<punct>=>|==|<=|>=|[(){}\[\],:=<>+\-*.])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -84,45 +85,37 @@ _TOKEN_RE = re.compile(
 _COMPARATOR_PUNCT = {"==", "<", "<=", ">", ">="}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "int" | "name" | punct text | "eof"
     value: object
-    line: int
-    column: int
+    pos: int  # offset into the contract text
+
+
+def _syntax_error(text: str, message: str, pos: int) -> ContractSyntaxError:
+    """The error for ``message`` at offset ``pos`` of ``text``, with the
+    line and column that offset falls on."""
+    line, column = text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+    return ContractSyntaxError(message, line, column)
 
 
 def _tokenize(text: str) -> list[Token]:
     tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ContractSyntaxError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        column = m.start() - line_start + 1
-        if m.lastgroup == "int":
+    for m in _TOKEN_RE.finditer(text):
+        kind, word, pos = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            raise _syntax_error(text, f"unexpected character {word!r}", pos)
+        if kind == "int":
             try:
-                value = int(m.group(), 0)
+                tokens.append(Token("int", int(word, 0), pos))
             except ValueError:
-                raise ContractSyntaxError(
-                    f"invalid integer literal {m.group()!r}", line, column
+                raise _syntax_error(
+                    text, f"invalid integer literal {word!r}", pos
                 ) from None
-            tokens.append(Token("int", value, line, column))
-        elif m.lastgroup == "name":
-            tokens.append(Token("name", m.group(), line, column))
-        elif m.lastgroup == "punct":
-            tokens.append(Token(m.group(), m.group(), line, column))
-        # whitespace/comments: track line numbers only
-        newlines = m.group().count("\n")
-        if newlines:
-            line += newlines
-            line_start = m.start() + m.group().rindex("\n") + 1
-        pos = m.end()
-    tokens.append(Token("eof", None, line, len(text) - line_start + 1))
+        elif kind == "name":
+            tokens.append(Token("name", word, pos))
+        elif kind == "punct":
+            tokens.append(Token(word, word, pos))
+    tokens.append(Token("eof", None, len(text)))
     return tokens
 
 
@@ -218,6 +211,7 @@ class Contract(ContractSpec):
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -233,7 +227,7 @@ class _Parser:
 
     def error(self, message: str, tok: Token | None = None):
         tok = tok or self.peek()
-        raise ContractSyntaxError(message, tok.line, tok.column)
+        raise _syntax_error(self.text, message, tok.pos)
 
     def expect(self, kind: str, what: str | None = None) -> Token:
         tok = self.peek()

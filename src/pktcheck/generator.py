@@ -60,6 +60,8 @@ class GeneratorSpec:
             raise ConfigError(
                 f"unknown template {self.template!r} (known: {', '.join(TEMPLATES)})"
             )
+        if not isinstance(self.count, int):
+            raise ConfigError(f"count must be an int, not {self.count!r}")
         if self.count < 0:
             raise ConfigError("count must be non-negative")
         payload = self.payload_len

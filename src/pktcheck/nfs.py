@@ -15,16 +15,20 @@ Two NFs are provided, addressable by name:
     ingress snapshot, which is what catches the classic bug of growing
     the segment list while forgetting the outer length field.
 
-Factory functions accept fault-injection flags (``omit_ipv6_swap``,
+The catalog is data: each NF's transform and its contract, parsed once,
+at import. ``make_nf`` elaborates the contract against a registry and binds
+switches to the transform: fault-injection flags (``omit_ipv6_swap``,
 ``omit_payload_len_update``, ...) that produce deliberately buggy variants
-for exercising the contract machinery. Transforms are pure functions of
-the packet bytes: they never consult the ingress snapshot, so behavior is
-identical whether contracts run or not.
+for exercising the contract machinery, and srv6-change-pkt's ``visit_new``,
+which picks its contract too. Transforms are pure functions of the packet
+bytes: they never consult the ingress snapshot, so behavior is identical
+whether contracts run or not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .checksum import pseudo_header_checksum
@@ -259,58 +263,42 @@ def srv6_add_segment(
 # --- catalog -----------------------------------------------------------------
 
 
-def make_mtu_too_big(
-    registry: Registry,
-    *,
-    omit_ipv6_swap: bool = False,
-    omit_eth_swap: bool = False,
-    name: str = "mtu-too-big",
-) -> NetworkFunction:
-    spec = parse_contract_spec(MTU_TOO_BIG_CONTRACT, nf_name=name)
-    contract = elaborate(spec, registry)
-
-    def transform(packet: Packet) -> TransformResult:
-        return send_too_big(
-            packet, omit_ipv6_swap=omit_ipv6_swap, omit_eth_swap=omit_eth_swap
-        )
-
-    return NetworkFunction(name=name, transform=transform, contract=contract)
-
-
-def make_srv6_change_pkt(
-    registry: Registry,
-    *,
-    segment: bytes = DEFAULT_SEGMENT,
-    visit_new: bool = False,
-    omit_payload_len_update: bool = False,
-    name: str = "srv6-change-pkt",
-) -> NetworkFunction:
-    spec = parse_contract_spec(_srv6_contract(visit_new), nf_name=name)
-    contract = elaborate(spec, registry)
-
-    def transform(packet: Packet) -> TransformResult:
-        return srv6_add_segment(
-            packet,
-            segment=segment,
-            visit_new=visit_new,
-            omit_payload_len_update=omit_payload_len_update,
-        )
-
-    return NetworkFunction(name=name, transform=transform, contract=contract)
-
-
-NF_FACTORIES: dict[str, Callable[..., NetworkFunction]] = {
-    "mtu-too-big": make_mtu_too_big,
-    "srv6-change-pkt": make_srv6_change_pkt,
+#: Each catalog NF's transform, the switches ``make_nf`` may bind to it and
+#: its contract, parsed once, at import, keyed by ``visit_new``: only
+#: srv6-change-pkt's contract depends on it.
+CATALOG: dict[str, tuple[Callable[..., TransformResult], frozenset, dict]] = {
+    "mtu-too-big": (send_too_big, frozenset({"omit_ipv6_swap", "omit_eth_swap"}), {
+        False: parse_contract_spec(MTU_TOO_BIG_CONTRACT, nf_name="mtu-too-big"),
+    }),
+    "srv6-change-pkt": (
+        srv6_add_segment, frozenset({"visit_new", "omit_payload_len_update"}), {
+            visit_new: parse_contract_spec(
+                _srv6_contract(visit_new), nf_name="srv6-change-pkt"
+            )
+            for visit_new in (False, True)
+        },
+    ),
 }
 
 
-def make_nf(name: str, registry: Registry, **options) -> NetworkFunction:
-    """Build a catalog NF by name; options reach the factory unchanged."""
+def make_nf(name: str, registry: Registry, /, **switches) -> NetworkFunction:
+    """Build a catalog NF by name: elaborate its parsed contract against
+    ``registry`` and bind ``switches`` to its transform. A switch it does not
+    take is refused here, before any packet flows; the clean NF calls the
+    transform itself."""
     try:
-        factory = NF_FACTORIES[name]
+        transform, known, specs = CATALOG[name]
     except KeyError:
         raise ConfigError(
-            f"unknown NF {name!r} (known: {', '.join(sorted(NF_FACTORIES))})"
+            f"unknown NF {name!r} (known: {', '.join(sorted(CATALOG))})"
         ) from None
-    return factory(registry, **options)
+    unknown = sorted(set(switches) - known)
+    if unknown:
+        raise ConfigError(
+            f"unknown switch {', '.join(map(repr, unknown))} for NF {name!r} "
+            f"(known: {', '.join(sorted(known))})"
+        )
+    contract = elaborate(specs[bool(switches.get("visit_new"))], registry)
+    if switches:
+        transform = partial(transform, **switches)
+    return NetworkFunction(name=name, transform=transform, contract=contract)

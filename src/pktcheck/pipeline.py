@@ -301,6 +301,8 @@ def bench(
     turn through ``run_records`` on its own, the next only after the
     previous returned.
     """
+    if not isinstance(repetitions, int):
+        raise ConfigError(f"repetitions must be an int, not {repetitions!r}")
     if repetitions < 1:
         raise ConfigError("repetitions must be >= 1")
     if registry is None:

@@ -13,8 +13,8 @@ at import.
 ``verify_order`` runs once, when a contract is elaborated: it proves an
 order against the predecessor rules and compiles it into a walk, one
 ``OrderStep`` per element, holding the codec, the linkage field to
-cross-check and what the step's error names. A contract's generated phase
-functions follow its walks inline and raise the same errors, which
+cross-check and the protocol number it must read. A contract's generated
+phase functions follow its walks inline and raise the same errors, which
 ``walk_error`` builds for both. ``parse_chain`` runs a walk on its own,
 outside the packet path: it calls each codec at a running offset and
 looks nothing up, and the tests hold the generated phases to it, down to
@@ -66,14 +66,18 @@ class OrderSpec:
 class OrderStep(NamedTuple):
     """One element of a verified order, compiled for the per-packet walk:
     the registry's codec for it, the predecessor's linkage field (None when
-    nothing is cross-checked) and the protocol number it must announce, and
-    the index and header type its ``ChainOrderError`` names."""
+    nothing is cross-checked) and the protocol number it must announce. Its
+    index in the walk is its position there."""
 
     codec: type
     linkage: str | None
     proto: int | None
-    index: int
-    header_type: str
+
+    @property
+    def header_type(self) -> str:
+        """The type its ``ChainOrderError`` names: a ``Registry`` names each
+        codec by its class name."""
+        return self.codec.__name__
 
 
 def order(*specs: str | tuple[str, str]) -> OrderSpec:
@@ -183,10 +187,10 @@ def verify_order(registry: Registry, spec: OrderSpec) -> tuple[OrderStep, ...]:
                 + f" in {spec}",
             )
     walk = []
-    for i, (element, codec) in enumerate(zip(spec, codecs)):
+    for i, codec in enumerate(codecs):
         proto = codec.READ.proto
         linkage = codecs[i - 1].READ.linkage if i and proto is not None else None
-        walk.append(OrderStep(codec, linkage, proto, i, element.header_type))
+        walk.append(OrderStep(codec, linkage, proto))
     return tuple(walk)
 
 
@@ -222,7 +226,7 @@ def parse_chain(packet: Packet, walk: tuple[OrderStep, ...]) -> tuple[list, list
     ends = []
     offset = 0
     header = None
-    for codec, linkage, proto, index, _ in walk:
+    for index, (codec, linkage, proto) in enumerate(walk):
         if linkage is not None:
             actual = getattr(header, linkage)
             if actual != proto:

@@ -194,6 +194,22 @@ def test_production_never_generates_a_phase(registry, monkeypatch):
     assert all("run" in vars(phase) for phase in phases)
 
 
+def test_building_a_variant_parses_no_contract_text(registry, monkeypatch):
+    # every contract text is parsed through _Parser.parse_spec; the
+    # catalog's texts were parsed once, at import
+    parsed = []
+    real = contracts._Parser.parse_spec
+
+    def parse_spec(parser, nf_name):
+        parsed.append(nf_name)
+        return real(parser, nf_name)
+
+    monkeypatch.setattr(contracts._Parser, "parse_spec", parse_spec)
+    for nf_name, options in VARIANTS.values():
+        make_nf(nf_name, registry, **options)
+    assert parsed == []
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_every_rewritten_packet_passes_its_ingress_walk(registry, variant):
     # egress runs only on rewritten packets and only with the ingress

@@ -103,6 +103,14 @@ def test_spec_refuses_a_payload_length_of_another_shape(payload_len):
     )
 
 
+@pytest.mark.parametrize("count", [2.5, "3", None])
+def test_spec_refuses_a_count_that_is_not_an_int(count):
+    # a float count used to pass validation and fail inside generation
+    with pytest.raises(ConfigError) as excinfo:
+        GeneratorSpec(count=count)
+    assert str(excinfo.value) == f"count must be an int, not {count!r}"
+
+
 def test_records_have_sequential_timestamps():
     records = generate_records(GeneratorSpec(count=5, payload_len=30, seed=4))
     assert [r.ts_usec for r in records] == [0, 1, 2, 3, 4]

@@ -313,3 +313,37 @@ def test_catalog_nfs_have_contracts(registry):
         assert nf.contract.nf_name == name
         assert nf.contract.ingress is not None
         assert nf.contract.egress is not None
+
+
+@pytest.mark.parametrize("name, switches, message", [
+    ("mtu-too-big", {"bogus": True},
+     "unknown switch 'bogus' for NF 'mtu-too-big' (known: omit_eth_swap, omit_ipv6_swap)"),
+    ("mtu-too-big", {"visit_new": True, "omit_payload_len_update": True},
+     "unknown switch 'omit_payload_len_update', 'visit_new' for NF 'mtu-too-big' "
+     "(known: omit_eth_swap, omit_ipv6_swap)"),
+    ("srv6-change-pkt", {"segment": DEFAULT_SEGMENT},
+     "unknown switch 'segment' for NF 'srv6-change-pkt' "
+     "(known: omit_payload_len_update, visit_new)"),
+    ("srv6-change-pkt", {"name": "renamed"},
+     "unknown switch 'name' for NF 'srv6-change-pkt' "
+     "(known: omit_payload_len_update, visit_new)"),
+], ids=["bogus", "another-nfs-switches", "segment", "name"])
+def test_make_nf_refuses_an_unknown_switch_when_built(registry, name, switches, message):
+    with pytest.raises(ConfigError) as excinfo:
+        make_nf(name, registry, **switches)
+    assert str(excinfo.value) == message
+
+
+def test_a_clean_catalog_nf_calls_its_transform_itself(registry):
+    # no wrapper between NetworkFunction.apply and the transform
+    assert make_nf("mtu-too-big", registry).transform is send_too_big
+    assert make_nf("srv6-change-pkt", registry).transform is srv6_add_segment
+
+
+def test_a_truthy_visit_new_selects_the_visit_new_contract(registry):
+    visiting = make_nf("srv6-change-pkt", registry, visit_new=True)
+    truthy = make_nf("srv6-change-pkt", registry, visit_new="yes")
+    assert truthy.contract == visiting.contract
+    assert truthy.contract != make_nf("srv6-change-pkt", registry).contract
+    packet = Packet.from_bytes(_srv6_bytes(n_segments=2, segments_left=1))
+    assert truthy.apply(packet).packet.data == visiting.apply(packet).packet.data

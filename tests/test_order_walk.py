@@ -339,14 +339,14 @@ CATALOG = [
         ("srv6-change-pkt", {"omit_payload_len_update": True}),
     )
 ]
-_ETH_STEP = ("EthHdr", None, None, 0)
-_IPV6_STEP = ("Ipv6Hdr", "ether_type", 0x86DD, 1)
-_SRV6_WALK = (_ETH_STEP, _IPV6_STEP, ("Srv6RoutingHdr", "next_header", 43, 2))
+_ETH_STEP = ("EthHdr", None, None)
+_IPV6_STEP = ("Ipv6Hdr", "ether_type", 0x86DD)
+_SRV6_WALK = (_ETH_STEP, _IPV6_STEP, ("Srv6RoutingHdr", "next_header", 43))
 #: Each catalog variant's (ingress, egress) walks, as (header type, linkage
-#: field, protocol number, index) per step.
+#: field, protocol number) per step, by position.
 WALKS = [
-    ((_ETH_STEP, _IPV6_STEP, ("TcpHdr", "next_header", 6, 2)),
-     (_ETH_STEP, _IPV6_STEP, ("Icmpv6PktTooBig", "next_header", 58, 2))),
+    ((_ETH_STEP, _IPV6_STEP, ("TcpHdr", "next_header", 6)),
+     (_ETH_STEP, _IPV6_STEP, ("Icmpv6PktTooBig", "next_header", 58))),
 ] * 2 + [(_SRV6_WALK, _SRV6_WALK)] * 3
 
 
@@ -355,7 +355,7 @@ def test_catalog_walks():
         phases = (nf.contract.ingress, nf.contract.egress)
         for phase, pinned in zip(phases, walks):
             walk = phase.walk
-            assert [(s.header_type, s.linkage, s.proto, s.index) for s in walk] == list(pinned)
+            assert [(s.header_type, s.linkage, s.proto) for s in walk] == list(pinned)
             assert all(s.codec is HEADER_TYPES[s.header_type] for s in walk)
 
 

@@ -627,6 +627,14 @@ def test_bench_report_shape(registry):
         bench("mtu-too-big", records, registry, repetitions=0)
 
 
+@pytest.mark.parametrize("repetitions", [1.5, "2", None])
+def test_bench_refuses_repetitions_that_are_not_an_int(registry, repetitions):
+    records = generate_records(GeneratorSpec(count=2, payload_len=1300, seed=5))
+    with pytest.raises(ConfigError) as excinfo:
+        bench("mtu-too-big", records, registry, repetitions=repetitions)
+    assert str(excinfo.value) == f"repetitions must be an int, not {repetitions!r}"
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     n_big=st.integers(0, 5),

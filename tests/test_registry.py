@@ -148,7 +148,8 @@ def test_walk_steps_carry_the_registry_codecs():
     # a registry of its own, holding a stub codec, compiles walks over it
     vlan = _stub("VlanHdr", after=frozenset({"EthHdr"}), proto=0x8100)
     walk = verify_order(Registry([EthHdr, vlan]), order("EthHdr", "VlanHdr"))
-    assert walk[1] == (vlan, "ether_type", 0x8100, 1, "VlanHdr")
+    assert walk[1] == (vlan, "ether_type", 0x8100)
+    assert walk[1].header_type == "VlanHdr"
     assert walk[0].codec is EthHdr
 
 
