@@ -22,6 +22,8 @@ from pktcheck import (
     generate_records,
     make_nf,
     parse_chain,
+    run_egress,
+    run_ingress,
 )
 from pktcheck import contracts
 from pktcheck.pcap import PcapRecord
@@ -172,6 +174,46 @@ def test_mutated_traffic_never_crashes_and_modes_agree(registry, nf_name, option
     abort = runs[BuildMode.DEVELOPMENT, "abort"]
     assert abort.aborted and abort.packets_in == first + 1
     assert _out(abort) == [(i, d) for i, d in _out(dev) if i < first]
+
+
+def _one_packet_at_a_time(nf, records, policy):
+    """What a Development run must give: each record through ``run_ingress``,
+    ``nf.apply`` and ``run_egress`` in turn, the one-packet API, with
+    ``policy`` applied, as (violation JSON, transform drops, emitted
+    records, aborted, snapshots built, checks evaluated)."""
+    runtime = ContractRuntime(BuildMode.DEVELOPMENT)
+    found, drops, out, aborted = [], [], [], False
+    for index, record in enumerate(records):
+        packet = Packet.from_bytes(record.data)
+        violations, snapshot = run_ingress(nf.contract, packet, runtime, index)
+        result = nf.apply(packet)
+        if result.packet is not None and result.rewritten:
+            violations += run_egress(nf.contract, result.packet, snapshot, runtime, index)
+        found += violations
+        if result.packet is None:
+            drops.append((index, result.drop_reason or ""))
+        elif not violations or policy == "continue":
+            out.append((record.ts_usec, bytes(result.packet.data)))
+        if violations and policy == "abort":
+            aborted = True
+            break
+    return ([v.to_json() for v in found], drops, out, aborted,
+            runtime.snapshots_built, runtime.checks_evaluated)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_the_checked_loop_equals_the_one_packet_api(registry, variant, policy):
+    nf_name, options = VARIANTS[variant]
+    nf = make_nf(nf_name, registry, **options)
+    summary = run_records(
+        nf, MUTANTS + CLEAN, registry, runtime=ContractRuntime(BuildMode.DEVELOPMENT),
+        policy=policy,
+    )
+    assert (
+        [v.to_json() for v in summary.violations], summary.drops, _out(summary),
+        summary.aborted, summary.snapshots_built, summary.checks_evaluated,
+    ) == _one_packet_at_a_time(nf, MUTANTS + CLEAN, policy)
 
 
 def test_production_never_generates_a_phase(registry, monkeypatch):

@@ -16,6 +16,7 @@ from pktcheck import (
     GeneratorSpec,
     NetworkFunction,
     Packet,
+    PcapError,
     PcapRecord,
     RunConfig,
     TransformResult,
@@ -77,6 +78,20 @@ def test_reused_runtime_reports_each_runs_own_counts(registry):
     assert (first.snapshots_built, first.checks_evaluated) == (3, 21)
     assert (second.snapshots_built, second.checks_evaluated) == (3, 21)
     assert (runtime.snapshots_built, runtime.checks_evaluated) == (6, 42)
+
+
+def test_a_run_that_raises_mid_stream_keeps_the_counts_it_made(tmp_path, registry):
+    # a pcap cut inside its 4th record raises only once 3 packets are
+    # through, and the shared runtime must count exactly those 3
+    nf = make_nf("mtu-too-big", registry)
+    runtime = ContractRuntime(BuildMode.DEVELOPMENT)
+    run_records(nf, _mixed_records(n_big=2, n_small=0), registry, runtime=runtime)
+    assert (runtime.snapshots_built, runtime.checks_evaluated) == (2, 14)
+    path = tmp_path / "cut.pcap"
+    path.write_bytes(pcap_bytes(_mixed_records(n_big=4, n_small=0))[:-1])
+    with pytest.raises(PcapError, match="truncated record 3"):
+        run_records(nf, iter_pcap(path), registry, runtime=runtime)
+    assert (runtime.snapshots_built, runtime.checks_evaluated) == (2 + 3, 14 + 3 * 7)
 
 
 def test_small_packets_violate_the_ingress_precondition(registry):
