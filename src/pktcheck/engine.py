@@ -18,6 +18,15 @@ refuses raises, in place, the exact ``ChainOrderError`` that
 ``parse_chain`` raises for it, and that error becomes the packet's one
 order violation.
 
+``run_ingress`` and ``run_egress`` are the one-packet API: each runs one
+phase's function on one packet, counts its walk into a ``ContractRuntime``
+and turns what failed into Violations. The pipeline's checked loop calls
+the phase functions itself, with the same semantics and the same
+Violation builder, ``_violations``, and the tests hold that loop to
+``run_ingress`` → transform → ``run_egress``, packet by packet.
+``_violations`` renders a value only for a byte check (an address becomes
+text); an int check's values are the ints compared.
+
 ``parse_chain``, ``build_snapshot``, ``eval_check`` and
 ``CompiledCheck.test`` do what the phases do one step at a time, outside
 the packet path, reading the attributes a check names with ``getattr``:
@@ -280,21 +289,6 @@ class CompiledCheck:
         return None if COMPARATORS[self.op](lhs, rhs) else (lhs, rhs)
 
 
-def _violation(
-    compiled: CompiledCheck,
-    lhs,
-    rhs,
-    nf: str,
-    phase: str,
-    packet_index: int,
-) -> Violation:
-    """The Violation of a failing check, from the values it compared."""
-    return Violation(
-        nf, phase, compiled.index, compiled.lhs_text, render_value(lhs),
-        compiled.op, compiled.rhs_text, render_value(rhs), packet_index,
-    )
-
-
 def eval_check(
     compiled: CompiledCheck,
     current: list,
@@ -308,13 +302,33 @@ def eval_check(
 
     ``current`` holds the headers ``parse_chain`` decoded along the phase
     order; ``snapshot`` is the ingress snapshot, which only a check that
-    reads it needs. The phases evaluate the same comparison inline and
-    build the same Violation through the same helper.
+    reads it needs. The phases evaluate the same comparison inline, and
+    ``_violations`` builds the same Violation from what they return.
     """
     failed = compiled.test(current, snapshot)
     if failed is None:
         return None
-    return _violation(compiled, *failed, nf, phase, packet_index)
+    lhs, rhs = failed
+    return Violation(
+        nf, phase, compiled.index, compiled.lhs_text, render_value(lhs),
+        compiled.op, compiled.rhs_text, render_value(rhs), packet_index,
+    )
+
+
+def _violations(phase, failed: list, nf: str, packet_index: int) -> list[Violation]:
+    """The Violations of ``failed``, which a generated phase function
+    returned: ``(index, lhs_value, rhs_value)`` per failing check of
+    ``phase``. Only a byte check renders its values; an int renders as
+    itself."""
+    checks, name, found = phase.compiled, phase.name, []
+    for i, lhs, rhs in failed:
+        check = checks[i]
+        if check.is_bytes:
+            lhs, rhs = render_value(lhs), render_value(rhs)
+        found.append(Violation(
+            nf, name, i, check.lhs_text, lhs, check.op, check.rhs_text, rhs, packet_index
+        ))
+    return found
 
 
 def _refusal(exc: ChainOrderError, nf: str, phase: str, packet_index: int) -> Violation:
@@ -347,15 +361,10 @@ def run_ingress(
     except ChainOrderError as exc:
         return [_refusal(exc, contract.nf_name, "ingress", packet_index)], None
     runtime.snapshots_built += 1
-    checks = phase.compiled
-    runtime.checks_evaluated += len(checks)
-    if not failed:  # the generated function's own empty list
-        return failed, snapshot
-    nf = contract.nf_name
-    return [
-        _violation(checks[i], lhs, rhs, nf, "ingress", packet_index)
-        for i, lhs, rhs in failed
-    ], snapshot
+    runtime.checks_evaluated += len(phase.compiled)
+    if failed:  # else the generated function's own empty list
+        failed = _violations(phase, failed, contract.nf_name, packet_index)
+    return failed, snapshot
 
 
 def run_egress(
@@ -383,12 +392,7 @@ def run_egress(
         failed = phase.run(packet.data, snapshot)
     except ChainOrderError as exc:
         return [_refusal(exc, contract.nf_name, "egress", packet_index)]
-    checks = phase.compiled
-    runtime.checks_evaluated += len(checks)
-    if not failed:
-        return failed
-    nf = contract.nf_name
-    return [
-        _violation(checks[i], lhs, rhs, nf, "egress", packet_index)
-        for i, lhs, rhs in failed
-    ]
+    runtime.checks_evaluated += len(phase.compiled)
+    if failed:
+        failed = _violations(phase, failed, contract.nf_name, packet_index)
+    return failed

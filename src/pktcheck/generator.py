@@ -60,14 +60,15 @@ class GeneratorSpec:
             raise ConfigError(
                 f"unknown template {self.template!r} (known: {', '.join(TEMPLATES)})"
             )
-        if not isinstance(self.count, int):
+        # type() and not isinstance(): a bool is an int, but no count
+        if type(self.count) is not int:
             raise ConfigError(f"count must be an int, not {self.count!r}")
         if self.count < 0:
             raise ConfigError("count must be non-negative")
         payload = self.payload_len
-        if not isinstance(payload, int) and not (
+        if type(payload) is not int and not (
             isinstance(payload, tuple) and len(payload) == 2
-            and all(isinstance(n, int) for n in payload)
+            and all(type(n) is int for n in payload)
         ):
             raise ConfigError(
                 f"payload length must be an int or a pair of ints, not {payload!r}"

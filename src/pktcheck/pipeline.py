@@ -1,17 +1,31 @@
 """Packet pipeline: drive an NF over a packet stream with its contracts.
 
 Per packet in Development mode the flow is ingress contract → transform →
-egress contract (the egress phase applies to rewritten packets, whose
-shape the contract describes). In Production only the transform runs.
-Packets flow one at a time, in input order, through one loop picked per
-run: the checked loop (Development with a contract) times each phase; the
-transform-only loop runs ``Packet.from_bytes`` and ``nf.apply`` with no
-timers and keeps only counters and transform drops. Each loop returns
-what it counted, and ``run_records`` builds one fresh ``RunSummary`` from
-that after the loop; the per-check violation counts are derived from the
-violations when read, not kept as the loop runs. A pcap input is read
-lazily; each emitted record goes to a sink as it is produced, by default
-the list ``summary.out_records``.
+egress contract. The egress phase applies to rewritten packets, whose
+shape the contract describes, and needs the ingress snapshot when the
+contract has an ingress phase: a packet whose ingress walk failed has that
+order violation as its one root cause.
+In Production only the transform runs. Packets flow one at a time, in
+input order, through one loop picked per run:
+
+- the checked loop (Development with a contract) calls each phase's
+  generated function (``Phase.run``) itself, with the semantics of
+  ``engine.run_ingress`` and ``engine.run_egress``, the one-packet API
+  that the tests hold it to. It keeps its walk counts in locals and adds
+  them to the runtime once, also when the run raises. It reads the clock
+  once per phase boundary, ``t0 | ingress | t1 | transform | t2 | egress
+  | t3``: 4 reads for a packet that runs egress, 3 for any other. Between
+  two reads there is only that phase's call and the Violations it builds,
+  plus the previous phase's running sum and, before egress, the test
+  whether egress runs;
+- the transform-only loop runs ``Packet.from_bytes`` and ``nf.apply``
+  with no timers and keeps only counters and transform drops.
+
+Each loop returns what it counted, and ``run_records`` builds one fresh
+``RunSummary`` from that after the loop; the per-check violation counts
+are derived from the violations when read, not kept as the loop runs. A
+pcap input is read lazily; each emitted record goes to a sink as it is
+produced, by default the list ``summary.out_records``.
 
 Violation policies:
 
@@ -45,11 +59,16 @@ from .engine import (
     BuildMode,
     ContractRuntime,
     Violation,
+    _refusal,
+    _violations,
     check_build_mode,
+    # Not called here: the checked loop calls each phase itself. Kept
+    # because pktbench/test_pktbench.py::test_uninstall_restores_every_binding
+    # reads pipeline.run_ingress.
     run_egress,
     run_ingress,
 )
-from .exceptions import ConfigError
+from .exceptions import ChainOrderError, ConfigError
 from .generator import GeneratorSpec, generate_records
 from .headers import Packet
 from .nfs import NetworkFunction, make_nf
@@ -202,43 +221,72 @@ def _run_transform_only(nf, records, emit) -> tuple[int, list]:
 
 def _run_checked(nf, records, runtime: ContractRuntime, policy: str, emit) -> tuple:
     """Returns (packets in, packets dropped, violations, transform drops,
-    phase timings, aborted)."""
+    phase timings, aborted); the module docstring gives its clock reads."""
     # Looked up per call, as in _run_transform_only, so that a tracer's
     # wrappers and clock still see every call.
     contract, from_bytes, apply = nf.contract, Packet.from_bytes, nf.apply
-    ingress, egress, clock = run_ingress, run_egress, time.perf_counter_ns
+    clock = time.perf_counter_ns
+    name, ingress, egress = contract.nf_name, contract.ingress, contract.egress
+    run_in = ingress.run if ingress is not None else None
+    run_out = egress.run if egress is not None else None
     found, drops = [], []
     strict, aborted = policy != "continue", False
     ingress_ns = transform_ns = egress_ns = 0
-    index, dropped = -1, 0
-    for index, record in enumerate(records):
-        packet = from_bytes(record.data)
+    index, dropped, walks_in, walks_out = -1, 0, 0, 0
+    try:
+        for index, record in enumerate(records):
+            packet = from_bytes(record.data)
 
-        t0 = clock()
-        violations, snapshot = ingress(contract, packet, runtime, index)
-        ingress_ns += clock() - t0
-
-        t0 = clock()
-        result = apply(packet)
-        transform_ns += clock() - t0
-
-        out = result.packet
-        if out is not None and result.rewritten:
             t0 = clock()
-            violations += egress(contract, out, snapshot, runtime, index)
-            egress_ns += clock() - t0
+            if run_in is None:
+                violations, snapshot = [], None
+            else:
+                try:
+                    violations, snapshot = run_in(packet.data)
+                except ChainOrderError as exc:
+                    violations, snapshot = [_refusal(exc, name, "ingress", index)], None
+                else:
+                    walks_in += 1
+                    if violations:
+                        violations = _violations(ingress, violations, name, index)
+            t1 = clock()
+            ingress_ns += t1 - t0
 
-        found += violations
-        if out is None:
-            dropped += 1
-            drops.append((index, result.drop_reason or ""))
-        elif violations and strict:
-            dropped += 1
-        else:
-            emit(PcapRecord(bytes(out.data), record.ts_sec, record.ts_usec))
-        if violations and policy == "abort":
-            aborted = True
-            break
+            result = apply(packet)
+            t2 = clock()
+            transform_ns += t2 - t1
+
+            out = result.packet
+            # egress needs the ingress snapshot, unless there is no ingress
+            if (out is not None and result.rewritten and run_out is not None
+                    and (snapshot is not None or run_in is None)):
+                try:
+                    failed = run_out(out.data, snapshot)
+                except ChainOrderError as exc:
+                    violations += [_refusal(exc, name, "egress", index)]
+                else:
+                    walks_out += 1
+                    if failed:
+                        violations += _violations(egress, failed, name, index)
+                egress_ns += clock() - t2
+
+            found += violations
+            if out is None:
+                dropped += 1
+                drops.append((index, result.drop_reason or ""))
+            elif violations and strict:
+                dropped += 1
+            else:
+                emit(PcapRecord(bytes(out.data), record.ts_sec, record.ts_usec))
+            if violations and policy == "abort":
+                aborted = True
+                break
+    finally:
+        runtime.snapshots_built += walks_in
+        if walks_in:
+            runtime.checks_evaluated += walks_in * len(ingress.compiled)
+        if walks_out:
+            runtime.checks_evaluated += walks_out * len(egress.compiled)
     timings = {
         "ingress_contract_ns": ingress_ns,
         "transform_ns": transform_ns,
@@ -301,7 +349,7 @@ def bench(
     turn through ``run_records`` on its own, the next only after the
     previous returned.
     """
-    if not isinstance(repetitions, int):
+    if type(repetitions) is not int:  # a bool is an int, but no count
         raise ConfigError(f"repetitions must be an int, not {repetitions!r}")
     if repetitions < 1:
         raise ConfigError("repetitions must be >= 1")

@@ -20,12 +20,16 @@ from pktcheck import (
     GeneratorSpec,
     Packet,
     generate_records,
+    NetworkFunction,
+    elaborate,
     make_nf,
     parse_chain,
+    parse_contract_spec,
     run_egress,
     run_ingress,
 )
 from pktcheck import contracts
+from pktcheck.nfs import send_too_big
 from pktcheck.pcap import PcapRecord
 from pktcheck.pipeline import POLICIES, run_records
 
@@ -214,6 +218,36 @@ def test_the_checked_loop_equals_the_one_packet_api(registry, variant, policy):
         [v.to_json() for v in summary.violations], summary.drops, _out(summary),
         summary.aborted, summary.snapshots_built, summary.checks_evaluated,
     ) == _one_packet_at_a_time(nf, MUTANTS + CLEAN, policy)
+
+
+#: mtu-too-big's contract cut to one phase: its ingress phase, or its egress
+#: order with a check that reads no snapshot and fails on every reply.
+ONE_PHASE_CONTRACTS = {
+    "ingress-only": """check()
+    pre {
+        order: [EthHdr => Ipv6Hdr => TcpHdr<Ipv6Hdr>],
+        checks: [(payload_len[Ipv6Hdr], >, 1280)]
+    }""",
+    "egress-only": """check()
+    post {
+        order: [EthHdr => Ipv6Hdr => Icmpv6PktTooBig<Ipv6Hdr>],
+        checks: [(payload_len[Ipv6Hdr], <, 1240)]
+    }""",
+}
+
+
+@pytest.mark.parametrize("text", ONE_PHASE_CONTRACTS.values(), ids=list(ONE_PHASE_CONTRACTS))
+def test_a_one_phase_contract_runs_as_the_one_packet_api(registry, text):
+    # without an ingress phase, egress runs on every rewritten packet
+    contract = elaborate(parse_contract_spec(text, nf_name="mtu-too-big"), registry)
+    nf = NetworkFunction("mtu-too-big", send_too_big, contract)
+    summary = run_records(nf, MUTANTS + CLEAN, registry)
+    expected = _one_packet_at_a_time(nf, MUTANTS + CLEAN, "continue")
+    assert (
+        [v.to_json() for v in summary.violations], summary.drops, _out(summary),
+        summary.aborted, summary.snapshots_built, summary.checks_evaluated,
+    ) == expected
+    assert expected[0] and expected[5]
 
 
 def test_production_never_generates_a_phase(registry, monkeypatch):

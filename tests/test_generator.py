@@ -94,7 +94,7 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize("payload_len", [(100,), (60, 100, 200), [60, 100], "100",
-                                         (60.0, 100), None])
+                                         (60.0, 100), None, (True, 300)])
 def test_spec_refuses_a_payload_length_of_another_shape(payload_len):
     with pytest.raises(ConfigError) as excinfo:
         GeneratorSpec(count=1, payload_len=payload_len)
@@ -103,7 +103,7 @@ def test_spec_refuses_a_payload_length_of_another_shape(payload_len):
     )
 
 
-@pytest.mark.parametrize("count", [2.5, "3", None])
+@pytest.mark.parametrize("count", [2.5, "3", None, True])
 def test_spec_refuses_a_count_that_is_not_an_int(count):
     # a float count used to pass validation and fail inside generation
     with pytest.raises(ConfigError) as excinfo:

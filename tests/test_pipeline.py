@@ -547,10 +547,16 @@ def test_production_elides_the_timers(registry, monkeypatch):
     assert set(prod.timings.values()) == {0}
     assert prod.packets_out == 100
 
-    # the stand-in is the clock the checked loop reads: 2 calls per phase
+    # the stand-in is the clock the checked loop reads: one call per phase
+    # boundary, 4 per rewritten packet
     dev = run_records(nf, records, registry)
-    assert clock.calls == 600
+    assert clock.calls == 400
     assert pcap_bytes(dev.out_records) == pcap_bytes(prod.out_records)
+
+    # a pass-through runs no egress and reads 3
+    clock.calls = 0
+    run_records(nf, _mixed_records(n_big=4, n_small=3), registry)
+    assert clock.calls == 4 * 4 + 3 * 3
 
 
 def test_summary_json_shape(registry):
@@ -642,7 +648,7 @@ def test_bench_report_shape(registry):
         bench("mtu-too-big", records, registry, repetitions=0)
 
 
-@pytest.mark.parametrize("repetitions", [1.5, "2", None])
+@pytest.mark.parametrize("repetitions", [1.5, "2", None, True])
 def test_bench_refuses_repetitions_that_are_not_an_int(registry, repetitions):
     records = generate_records(GeneratorSpec(count=2, payload_len=1300, seed=5))
     with pytest.raises(ConfigError) as excinfo:
