@@ -263,7 +263,7 @@ def _run_checked(nf, records, runtime: ContractRuntime, policy: str, emit) -> tu
                 try:
                     failed = run_out(out.data, snapshot)
                 except ChainOrderError as exc:
-                    violations += [_refusal(exc, name, "egress", index)]
+                    violations.append(_refusal(exc, name, "egress", index))
                 else:
                     walks_out += 1
                     if failed:

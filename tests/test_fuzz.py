@@ -18,10 +18,10 @@ from pktcheck import (
     BuildMode,
     ContractRuntime,
     GeneratorSpec,
-    Packet,
-    generate_records,
     NetworkFunction,
+    Packet,
     elaborate,
+    generate_records,
     make_nf,
     parse_chain,
     parse_contract_spec,
@@ -205,6 +205,12 @@ def _one_packet_at_a_time(nf, records, policy):
             runtime.snapshots_built, runtime.checks_evaluated)
 
 
+def _as_one_packet_at_a_time(summary):
+    """``summary`` in the shape ``_one_packet_at_a_time`` returns."""
+    return ([v.to_json() for v in summary.violations], summary.drops, _out(summary),
+            summary.aborted, summary.snapshots_built, summary.checks_evaluated)
+
+
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_the_checked_loop_equals_the_one_packet_api(registry, variant, policy):
@@ -214,10 +220,9 @@ def test_the_checked_loop_equals_the_one_packet_api(registry, variant, policy):
         nf, MUTANTS + CLEAN, registry, runtime=ContractRuntime(BuildMode.DEVELOPMENT),
         policy=policy,
     )
-    assert (
-        [v.to_json() for v in summary.violations], summary.drops, _out(summary),
-        summary.aborted, summary.snapshots_built, summary.checks_evaluated,
-    ) == _one_packet_at_a_time(nf, MUTANTS + CLEAN, policy)
+    assert _as_one_packet_at_a_time(summary) == _one_packet_at_a_time(
+        nf, MUTANTS + CLEAN, policy
+    )
 
 
 #: mtu-too-big's contract cut to one phase: its ingress phase, or its egress
@@ -243,11 +248,9 @@ def test_a_one_phase_contract_runs_as_the_one_packet_api(registry, text):
     nf = NetworkFunction("mtu-too-big", send_too_big, contract)
     summary = run_records(nf, MUTANTS + CLEAN, registry)
     expected = _one_packet_at_a_time(nf, MUTANTS + CLEAN, "continue")
-    assert (
-        [v.to_json() for v in summary.violations], summary.drops, _out(summary),
-        summary.aborted, summary.snapshots_built, summary.checks_evaluated,
-    ) == expected
-    assert expected[0] and expected[5]
+    assert _as_one_packet_at_a_time(summary) == expected
+    violations, *_, checks_evaluated = expected
+    assert violations and checks_evaluated
 
 
 def test_production_never_generates_a_phase(registry, monkeypatch):
