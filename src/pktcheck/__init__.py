@@ -27,8 +27,6 @@ from .engine import (
     Operand,
     Source,
     Violation,
-    build_snapshot,
-    eval_check,
     run_egress,
     run_ingress,
 )
@@ -68,9 +66,7 @@ from .registry import (
     OrderElement,
     OrderSpec,
     Registry,
-    match_chain,
     order,
-    parse_chain,
     standard_registry,
     verify_order,
 )
@@ -117,17 +113,13 @@ __all__ = [
     "TransformResult",
     "Violation",
     "bench",
-    "build_snapshot",
     "elaborate",
-    "eval_check",
     "explain_contract",
     "generate",
     "generate_records",
     "internet_checksum",
     "make_nf",
-    "match_chain",
     "order",
-    "parse_chain",
     "parse_contract_spec",
     "pcap_bytes",
     "pseudo_header_checksum",

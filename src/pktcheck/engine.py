@@ -70,11 +70,6 @@ class BuildMode(Enum):
     PRODUCTION = "prod"
 
 
-#: Bound once, so that the phase entry points read the mode with one
-#: global lookup per packet.
-_DEVELOPMENT = BuildMode.DEVELOPMENT
-
-
 def check_build_mode(mode: BuildMode) -> None:
     """Refuse a ``mode`` that is not a ``BuildMode``: the phase entry points
     test it by identity, so its string value would silently run Production."""
@@ -353,7 +348,8 @@ def run_ingress(
     chain and are not evaluated. No snapshot is returned then, so egress
     evaluates nothing either.
     """
-    if runtime.mode is not _DEVELOPMENT or contract is None or contract.ingress is None:
+    if (runtime.mode is not BuildMode.DEVELOPMENT or contract is None
+            or contract.ingress is None):
         return [], None
     phase = contract.ingress
     try:
@@ -383,7 +379,8 @@ def run_egress(
     root cause. A contract without one runs egress as usual, since
     elaboration refused every snapshot read in it.
     """
-    if runtime.mode is not _DEVELOPMENT or contract is None or contract.egress is None:
+    if (runtime.mode is not BuildMode.DEVELOPMENT or contract is None
+            or contract.egress is None):
         return []
     if snapshot is None and contract.ingress is not None:
         return []

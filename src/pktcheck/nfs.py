@@ -22,7 +22,8 @@ switches to the transform: fault-injection flags (``omit_ipv6_swap``,
 for exercising the contract machinery, and srv6-change-pkt's ``visit_new``,
 which picks its contract too. Transforms are pure functions of the packet
 bytes: they never consult the ingress snapshot, so behavior is identical
-whether contracts run or not.
+whether contracts run or not. They report only their output: the checked
+loop, not the NF, decides which outputs the egress contract checks.
 """
 
 from __future__ import annotations
@@ -64,13 +65,14 @@ _L3_END = ETH_HDR_SIZE + IPV6_HDR_SIZE
 class TransformResult:
     """Outcome of one NF transform application.
 
-    ``packet`` is the outgoing packet (None when dropped); ``rewritten``
-    says whether the NF produced a new packet shape — the egress contract
-    describes rewritten packets only, so pass-throughs skip it.
+    ``packet`` is the outgoing packet, None when the transform drops it
+    with ``drop_reason``. A pass-through returns the packet it was given.
+    Which outputs the egress contract checks is not the NF's to say: the
+    checked loop runs egress on each output whose bytes differ from its
+    input's.
     """
 
     packet: Packet | None
-    rewritten: bool = False
     drop_reason: str | None = None
 
     @property
@@ -88,10 +90,6 @@ class NetworkFunction:
 
     def apply(self, packet: Packet) -> TransformResult:
         return self.transform(packet)
-
-
-def _passthrough(packet: Packet) -> TransformResult:
-    return TransformResult(packet=packet, rewritten=False)
 
 
 # --- mtu-too-big -------------------------------------------------------------
@@ -131,20 +129,20 @@ def send_too_big(
     the bug the egress contract exists to catch.
 
     Pass-through is decided on the Ethernet and IPv6 headers alone, so
-    that an undersized packet costs no TCP decode; an oversized one is
-    rewritten only if its TCP header decodes too.
+    that an undersized packet costs no TCP decode; an oversized one gets a
+    reply only if its TCP header decodes too.
     """
     data = packet.data
     try:
         eth, _ = EthHdr.parse(data)
         if eth.ether_type != ETHERTYPE_IPV6:
-            return _passthrough(packet)
+            return TransformResult(packet)
         ipv6, _ = Ipv6Hdr.parse(data, ETH_HDR_SIZE)
         if ipv6.next_header != PROTO_TCP or ipv6.payload_len <= IPV6_MIN_MTU:
-            return _passthrough(packet)
+            return TransformResult(packet)
         TcpHdr.parse(data, _L3_END)
     except ParseError:
-        return _passthrough(packet)
+        return TransformResult(packet)
 
     if omit_eth_swap:
         new_eth = EthHdr(dst=eth.dst, src=eth.src, ether_type=ETHERTYPE_IPV6)
@@ -171,12 +169,12 @@ def send_too_big(
         new_ipv6.src, new_ipv6.dst, len(body), PROTO_ICMPV6, body
     )
     out = Packet.from_bytes(new_eth.emit() + new_ipv6.emit() + icmp.emit())
-    return TransformResult(packet=out, rewritten=True)
+    return TransformResult(out)
 
 
 # --- srv6-change-pkt ---------------------------------------------------------
 
-#: Default segment appended by srv6-change-pkt: a stable documentation-range
+#: The segment srv6-change-pkt appends: a stable documentation-range
 #: address so identical inputs yield identical outputs.
 DEFAULT_SEGMENT = bytes.fromhex("20010db8000000000000000000000099")
 
@@ -206,11 +204,10 @@ static: [SEG_BYTES * 8 == 128]
 def srv6_add_segment(
     packet: Packet,
     *,
-    segment: bytes = DEFAULT_SEGMENT,
     visit_new: bool = False,
     omit_payload_len_update: bool = False,
 ) -> TransformResult:
-    """Append ``segment`` to the packet's SRv6 routing header.
+    """Append ``DEFAULT_SEGMENT`` to the packet's SRv6 routing header.
 
     Growing the segment list ripples into three other fields: last entry
     and the extension-header length inside the routing header, and the
@@ -227,37 +224,37 @@ def srv6_add_segment(
     try:
         eth, _ = EthHdr.parse(data)
         if eth.ether_type != ETHERTYPE_IPV6:
-            return _passthrough(packet)
+            return TransformResult(packet)
         ipv6, _ = Ipv6Hdr.parse(data, ETH_HDR_SIZE)
         if ipv6.next_header != PROTO_SRV6:
-            return _passthrough(packet)
+            return TransformResult(packet)
         srh, srh_size = Srv6RoutingHdr.parse(data, _L3_END)
     except ParseError:
-        return _passthrough(packet)
+        return TransformResult(packet)
 
     if len(srh.segments) + 1 > MAX_SRV6_SEGMENTS:
         reason = (
             f"segment list full: {len(srh.segments)} segments; appending "
             "would overflow the routing header's 8-bit length field"
         )
-        return TransformResult(packet=None, rewritten=False, drop_reason=reason)
-    if not omit_payload_len_update and ipv6.payload_len + len(segment) > 0xFFFF:
+        return TransformResult(None, reason)
+    if not omit_payload_len_update and ipv6.payload_len + len(DEFAULT_SEGMENT) > 0xFFFF:
         reason = (
             f"IPv6 payload length {ipv6.payload_len} cannot grow by "
-            f"{len(segment)} bytes within its 16-bit field"
+            f"{len(DEFAULT_SEGMENT)} bytes within its 16-bit field"
         )
-        return TransformResult(packet=None, rewritten=False, drop_reason=reason)
+        return TransformResult(None, reason)
 
     # srh and ipv6 were decoded just above, for this call alone, so they
     # are updated in place
-    srh.segments.append(bytes(segment))
+    srh.segments.append(DEFAULT_SEGMENT)
     if visit_new:
         srh.segments_left += 1
     if not omit_payload_len_update:
-        ipv6.payload_len += len(segment)
+        ipv6.payload_len += len(DEFAULT_SEGMENT)
     rest = bytes(data[_L3_END + srh_size :])
     out = Packet.from_bytes(eth.emit() + ipv6.emit() + srh.emit() + rest)
-    return TransformResult(packet=out, rewritten=True)
+    return TransformResult(out)
 
 
 # --- catalog -----------------------------------------------------------------

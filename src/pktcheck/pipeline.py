@@ -1,10 +1,11 @@
 """Packet pipeline: drive an NF over a packet stream with its contracts.
 
 Per packet in Development mode the flow is ingress contract → transform →
-egress contract. The egress phase applies to rewritten packets, whose
-shape the contract describes, and needs the ingress snapshot when the
-contract has an ingress phase: a packet whose ingress walk failed has that
-order violation as its one root cause.
+egress contract. The egress phase applies to each output whose bytes differ
+from its input record's: the loop observes what the NF changed, the NF
+reports nothing. It needs the ingress snapshot when the contract has an
+ingress phase: a packet whose ingress walk failed has that order violation
+as its one root cause.
 In Production only the transform runs. Packets flow one at a time, in
 input order, through one loop picked per run:
 
@@ -257,8 +258,10 @@ def _run_checked(nf, records, runtime: ContractRuntime, policy: str, emit) -> tu
             transform_ns += t2 - t1
 
             out = result.packet
-            # egress needs the ingress snapshot, unless there is no ingress
-            if (out is not None and result.rewritten and run_out is not None
+            # egress checks each output that differs from the record, not
+            # from packet.data, which the transform may have edited in place;
+            # it needs the ingress snapshot, unless there is no ingress
+            if (out is not None and out.data != record.data and run_out is not None
                     and (snapshot is not None or run_in is None)):
                 try:
                     failed = run_out(out.data, snapshot)

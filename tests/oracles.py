@@ -335,10 +335,10 @@ def _parse_tcp6(packet):
 def reference_send_too_big(packet, *, omit_ipv6_swap=False, omit_eth_swap=False):
     parsed = _parse_tcp6(packet)
     if parsed is None:
-        return TransformResult(packet=packet, rewritten=False)
+        return TransformResult(packet)
     eth, ipv6, _ = parsed
     if ipv6.payload_len <= 1280:
-        return TransformResult(packet=packet, rewritten=False)
+        return TransformResult(packet)
 
     if omit_eth_swap:
         new_eth = EthHdr(dst=eth.dst, src=eth.src, ether_type=0x86DD)
@@ -356,4 +356,4 @@ def reference_send_too_big(packet, *, omit_ipv6_swap=False, omit_eth_swap=False)
     body = icmp.emit()
     icmp.checksum = pseudo_header_checksum(new_src, new_dst, len(body), 58, body)
     out = Packet.from_bytes(new_eth.emit() + new_ipv6.emit() + icmp.emit())
-    return TransformResult(packet=out, rewritten=True)
+    return TransformResult(out)

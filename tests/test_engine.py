@@ -14,18 +14,16 @@ from pktcheck import (
     Packet,
     PhaseSpec,
     Source,
-    build_snapshot,
     elaborate,
-    eval_check,
     order,
-    parse_chain,
     parse_contract_spec,
     run_egress,
     run_ingress,
     verify_order,
 )
-from pktcheck.engine import Violation, render_value
+from pktcheck.engine import Violation, build_snapshot, eval_check, render_value
 from pktcheck.nfs import MTU_TOO_BIG_CONTRACT, send_too_big
+from pktcheck.registry import parse_chain
 
 from oracles import build_tcp6_bytes
 

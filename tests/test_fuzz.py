@@ -23,7 +23,6 @@ from pktcheck import (
     elaborate,
     generate_records,
     make_nf,
-    parse_chain,
     parse_contract_spec,
     run_egress,
     run_ingress,
@@ -32,6 +31,7 @@ from pktcheck import contracts
 from pktcheck.nfs import send_too_big
 from pktcheck.pcap import PcapRecord
 from pktcheck.pipeline import POLICIES, run_records
+from pktcheck.registry import parse_chain
 
 SEED = 4041
 HEADER_BYTES = 96  # mutations aim at the headers, where the checks look
@@ -182,16 +182,17 @@ def test_mutated_traffic_never_crashes_and_modes_agree(registry, nf_name, option
 
 def _one_packet_at_a_time(nf, records, policy):
     """What a Development run must give: each record through ``run_ingress``,
-    ``nf.apply`` and ``run_egress`` in turn, the one-packet API, with
-    ``policy`` applied, as (violation JSON, transform drops, emitted
-    records, aborted, snapshots built, checks evaluated)."""
+    ``nf.apply`` and, on each output whose bytes differ from the record's,
+    ``run_egress`` in turn, the one-packet API, with ``policy`` applied, as
+    (violation JSON, transform drops, emitted records, aborted, snapshots
+    built, checks evaluated)."""
     runtime = ContractRuntime(BuildMode.DEVELOPMENT)
     found, drops, out, aborted = [], [], [], False
     for index, record in enumerate(records):
         packet = Packet.from_bytes(record.data)
         violations, snapshot = run_ingress(nf.contract, packet, runtime, index)
         result = nf.apply(packet)
-        if result.packet is not None and result.rewritten:
+        if result.packet is not None and result.packet.data != record.data:
             violations += run_egress(nf.contract, result.packet, snapshot, runtime, index)
         found += violations
         if result.packet is None:
@@ -243,7 +244,8 @@ ONE_PHASE_CONTRACTS = {
 
 @pytest.mark.parametrize("text", ONE_PHASE_CONTRACTS.values(), ids=list(ONE_PHASE_CONTRACTS))
 def test_a_one_phase_contract_runs_as_the_one_packet_api(registry, text):
-    # without an ingress phase, egress runs on every rewritten packet
+    # without an ingress phase, egress runs on every output that differs
+    # from its input
     contract = elaborate(parse_contract_spec(text, nf_name="mtu-too-big"), registry)
     nf = NetworkFunction("mtu-too-big", send_too_big, contract)
     summary = run_records(nf, MUTANTS + CLEAN, registry)
@@ -291,14 +293,15 @@ def test_building_a_variant_parses_no_contract_text(registry, monkeypatch):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_every_rewritten_packet_passes_its_ingress_walk(registry, variant):
-    # egress runs only on rewritten packets and only with the ingress
-    # snapshot, so the NFs must rewrite nothing their ingress walk refuses
+    # egress runs only on outputs that differ from their input and only
+    # with the ingress snapshot, so the NFs must rewrite nothing their
+    # ingress walk refuses
     nf_name, options = VARIANTS[variant]
     nf = make_nf(nf_name, registry, **options)
     rewritten = 0
     for record in CLEAN + MUTANTS:
         result = nf.apply(Packet.from_bytes(record.data))
-        if result.rewritten and not result.dropped:
+        if not result.dropped and result.packet.data != record.data:
             parse_chain(Packet.from_bytes(record.data), nf.contract.ingress.walk)
             rewritten += 1
     assert rewritten >= len(CLEAN) // 2

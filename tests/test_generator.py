@@ -11,9 +11,9 @@ from pktcheck import (
     generate_records,
     internet_checksum,
     order,
-    parse_chain,
     verify_order,
 )
+from pktcheck.registry import parse_chain
 
 TCP6_ORDER = order("EthHdr", "Ipv6Hdr", ("TcpHdr", "Ipv6Hdr"))
 SRV6_ORDER = order("EthHdr", "Ipv6Hdr", "Srv6RoutingHdr")

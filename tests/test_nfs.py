@@ -10,7 +10,6 @@ from pktcheck import (
     internet_checksum,
     make_nf,
     order,
-    parse_chain,
     send_too_big,
     srv6_add_segment,
     verify_order,
@@ -20,6 +19,7 @@ from pktcheck.headers import EthHdr, Ipv6Hdr
 from pktcheck.nfs import DEFAULT_SEGMENT, MAX_SRV6_SEGMENTS
 from pktcheck.pcap import PcapRecord
 from pktcheck.pipeline import run_records
+from pktcheck.registry import parse_chain
 
 from oracles import build_tcp6_bytes, ones_complement_oracle, reference_send_too_big
 
@@ -50,8 +50,8 @@ def _srv6_bytes(n_segments=2, payload=b"", segments_left=1):
 def test_oversized_packet_becomes_icmpv6_reply(registry):
     original = build_tcp6_bytes(payload_len=1300)
     result = send_too_big(Packet.from_bytes(original))
-    assert result.rewritten
     out = result.packet
+    assert out.data != original
     reply = order("EthHdr", "Ipv6Hdr", ("Icmpv6PktTooBig", "Ipv6Hdr"))
     (eth, ipv6, icmp), _ = parse_chain(out, verify_order(registry, reply))
     assert eth.dst == original[6:12] and eth.src == original[0:6]
@@ -86,24 +86,23 @@ def test_reply_checksum_verifies_against_pseudo_header():
 
 def test_threshold_is_strict():
     at_limit = Packet.from_bytes(build_tcp6_bytes(payload_len=1280))
-    result = send_too_big(at_limit)
-    assert not result.rewritten
-    assert result.packet is at_limit
+    assert send_too_big(at_limit).packet is at_limit
 
-    above = Packet.from_bytes(build_tcp6_bytes(payload_len=1281))
-    assert send_too_big(above).rewritten
+    above = build_tcp6_bytes(payload_len=1281)
+    assert send_too_big(Packet.from_bytes(above)).packet.data != above
 
 
 def test_non_tcp_packets_pass_through():
     srv6 = Packet.from_bytes(_srv6_bytes())
-    assert not send_too_big(srv6).rewritten
+    assert send_too_big(srv6).packet is srv6
 
     not_ipv6 = bytearray(build_tcp6_bytes(payload_len=1300))
     not_ipv6[12:14] = b"\x08\x00"
-    assert not send_too_big(Packet.from_bytes(bytes(not_ipv6))).rewritten
+    not_ipv6 = Packet.from_bytes(bytes(not_ipv6))
+    assert send_too_big(not_ipv6).packet is not_ipv6
 
     truncated = Packet.from_bytes(build_tcp6_bytes(payload_len=1300)[:40])
-    assert not send_too_big(truncated).rewritten
+    assert send_too_big(truncated).packet is truncated
 
 
 _LENGTHS = st.sampled_from([20, 100, 1260, 1280, 1281, 1300]) | st.integers(20, 1500)
@@ -153,13 +152,16 @@ def test_pass_through_decided_first_matches_the_full_decode(
     # decodes all three headers first, so any malformed TCP header, whatever
     # the payload length, must give the same outcome under both orders
     flags = {"omit_ipv6_swap": omit_ipv6_swap, "omit_eth_swap": omit_eth_swap}
-    packet = Packet.from_bytes(data)
+    packet, reference_input = Packet.from_bytes(data), Packet.from_bytes(data)
     got = send_too_big(packet, **flags)
-    want = reference_send_too_big(Packet.from_bytes(data), **flags)
-    assert (got.rewritten, got.drop_reason) == (want.rewritten, want.drop_reason)
+    want = reference_send_too_big(reference_input, **flags)
+    assert (got.packet is packet, got.drop_reason) == (
+        want.packet is reference_input, want.drop_reason
+    )
     assert bytes(got.packet.data) == bytes(want.packet.data)
-    if not got.rewritten:
-        assert got.packet is packet
+    # a pass-through returns its input, and a rewrite new bytes, so the
+    # checked loop's byte comparison finds exactly the rewrites
+    assert (got.packet is packet) == (got.packet.data == data)
 
 
 def test_transform_is_deterministic():
@@ -193,7 +195,6 @@ def test_swap_omission_changes_only_addresses():
 def test_segment_append_updates_dependent_fields():
     original = _srv6_bytes(n_segments=2, payload=b"\xaa" * 30)
     result = srv6_add_segment(Packet.from_bytes(original))
-    assert result.rewritten
     out = result.packet
     assert len(out.data) == len(original) + 16
 
@@ -218,16 +219,6 @@ def test_segment_append_visit_new_bumps_segments_left():
     out.parse_header("Ipv6Hdr")
     srh, _ = out.parse_header("Srv6RoutingHdr")
     assert srh.segments_left == 2
-
-
-def test_segment_append_custom_segment():
-    target = bytes(range(100, 116))
-    packet = Packet.from_bytes(_srv6_bytes())
-    out = srv6_add_segment(packet, segment=target).packet
-    out.parse_header("EthHdr")
-    out.parse_header("Ipv6Hdr")
-    srh, _ = out.parse_header("Srv6RoutingHdr")
-    assert srh.segments[-1] == target
 
 
 def test_full_segment_list_drops_with_reason():
@@ -266,7 +257,7 @@ def test_payload_length_overflow_drops_with_reason(registry):
     stale = srv6_add_segment(
         Packet.from_bytes(bytes(raw)), omit_payload_len_update=True
     )
-    assert stale.rewritten
+    assert stale.packet.data != raw
     summary = run_records(
         make_nf("srv6-change-pkt", registry), [PcapRecord(data=bytes(raw))], registry
     )
@@ -286,7 +277,7 @@ def test_stale_length_mutant_leaves_payload_len(registry):
 
 def test_srv6_passes_through_foreign_packets():
     tcp6 = Packet.from_bytes(build_tcp6_bytes(payload_len=100))
-    assert not srv6_add_segment(tcp6).rewritten
+    assert srv6_add_segment(tcp6).packet is tcp6
 
 
 def test_output_reparses_cleanly(registry):

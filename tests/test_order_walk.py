@@ -31,16 +31,16 @@ from pktcheck import (
     Packet,
     ParseError,
     PhaseSpec,
-    build_snapshot,
     elaborate,
     generate_records,
     make_nf,
     order,
-    parse_chain,
     standard_registry,
     verify_order,
 )
+from pktcheck.engine import build_snapshot
 from pktcheck.headers import HEADER_TYPES
+from pktcheck.registry import parse_chain
 
 TCP6 = order("EthHdr", "Ipv6Hdr", ("TcpHdr", "Ipv6Hdr"))
 PTB = order("EthHdr", "Ipv6Hdr", ("Icmpv6PktTooBig", "Ipv6Hdr"))
@@ -379,7 +379,7 @@ def _phase_cases():
         for base in BASES + OVERSIZE:
             cases.append((contract, "ingress", base, None))
             result = nf.apply(Packet.from_bytes(base))
-            if result.rewritten and not result.dropped:
+            if not result.dropped and result.packet.data != base:
                 decoded, _ = parse_chain(Packet.from_bytes(base), contract.ingress.walk)
                 snapshot = build_snapshot(decoded)
                 cases.append((contract, "egress", bytes(result.packet.data), snapshot))

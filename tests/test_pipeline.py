@@ -24,7 +24,6 @@ from pktcheck import (
     elaborate,
     generate_records,
     make_nf,
-    parse_chain,
     parse_contract_spec,
     pcap_bytes,
     read_pcap,
@@ -34,6 +33,7 @@ from pktcheck import (
 )
 from pktcheck.nfs import MTU_TOO_BIG_CONTRACT
 from pktcheck.pcap import iter_pcap
+from pktcheck.registry import parse_chain
 
 from oracles import build_tcp6_bytes
 
@@ -226,7 +226,7 @@ def test_a_reply_the_egress_walk_refuses_is_one_order_violation(registry, policy
             del reply[58:]
         else:
             reply[20] = 6
-        return TransformResult(Packet(reply), rewritten=True)
+        return TransformResult(Packet(reply))
 
     nf = replace(correct, transform=broken)
     records = generate_records(GeneratorSpec(count=6, payload_len=(1281, 1400), seed=9))
@@ -243,6 +243,43 @@ def test_a_reply_the_egress_walk_refuses_is_one_order_violation(registry, policy
     assert summary.violations_by_check == {"egress#order": 6}
     assert summary.checks_evaluated == 6  # the ingress check; egress evaluates none
     assert len(summary.out_records) == (0 if policy == "drop" else 6)
+
+
+@pytest.mark.parametrize("in_place", [False, True], ids=["new-packet", "in-place"])
+def test_a_tampered_pass_through_is_checked_at_egress(registry, in_place):
+    # the loop, not the NF, decides which outputs egress checks: a wrapper
+    # that changes the IPv6 hop limit of each packet mtu-too-big passes
+    # through, in a new Packet or in the one it was given, reports no
+    # rewrite, and each tampered packet still gets its egress order
+    # violation after its ingress one
+    clean = make_nf("mtu-too-big", registry)
+
+    def tamper(packet):
+        passed = clean.apply(packet).packet
+        assert passed is packet
+        data = packet.data if in_place else bytearray(packet.data)
+        data[21] ^= 0x80  # Ipv6Hdr hop_limit
+        return TransformResult(packet if in_place else Packet(data))
+
+    records = generate_records(GeneratorSpec(count=50, payload_len=(60, 1280), seed=3))
+    reference = run_records(clean, records, registry)
+    summary = run_records(replace(clean, transform=tamper), records, registry)
+
+    reason = ("order mismatch at index 2: Ipv6Hdr next_header=0x6 does not "
+              "announce Icmpv6PktTooBig (protocol 0x3a)")
+    assert [(v.packet_index, v.phase, v.check_index) for v in reference.violations] == [
+        (index, "ingress", 0) for index in range(50)
+    ]
+    assert [(v.packet_index, v.phase, v.check_index) for v in summary.violations] == [
+        (index, phase, check) for index in range(50)
+        for phase, check in (("ingress", 0), ("egress", None))
+    ]
+    assert summary.violations[::2] == reference.violations
+    assert {v.message for v in summary.violations[1::2]} == {reason}
+    assert summary.violations_by_check == {"ingress#0": 50, "egress#order": 50}
+    assert summary.packets_out == 50
+    assert all(out.data != record.data
+               for out, record in zip(summary.out_records, records))
 
 
 def test_tcp_reserved_bits_pass_both_phases(registry):
@@ -291,7 +328,7 @@ def test_transform_drops_are_not_violations(registry):
 def test_uncontracted_nf_runs_bare(registry):
     nf = NetworkFunction(
         name="id",
-        transform=lambda p: TransformResult(p, rewritten=False),
+        transform=lambda p: TransformResult(p),
         contract=None,
     )
     records = _mixed_records(n_big=2, n_small=2)

@@ -8,14 +8,12 @@ from pktcheck import (
     Packet,
     RegistryError,
     Srv6RoutingHdr,
-    match_chain,
     order,
-    parse_chain,
     standard_registry,
     verify_order,
 )
 from pktcheck.headers import HEADER_TYPES, FieldRead
-from pktcheck.registry import OrderElement, OrderSpec, Registry
+from pktcheck.registry import OrderElement, OrderSpec, Registry, match_chain, parse_chain
 
 from oracles import build_tcp6_bytes
 
