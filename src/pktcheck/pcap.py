@@ -33,9 +33,10 @@ _FILE_HEADER = _GLOBAL_HDR.pack(
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class PcapRecord:
-    """One captured packet: microsecond timestamp plus raw bytes."""
+    """One captured packet: microsecond timestamp plus raw bytes. The
+    pipeline may emit a caller's record unchanged, as the same object."""
 
     data: bytes
     ts_sec: int = 0
@@ -101,6 +102,15 @@ def read_pcap(target: str | Path | BinaryIO) -> list[PcapRecord]:
 
 
 def iter_pcap(target: str | Path | BinaryIO) -> Iterator[PcapRecord]:
+    """Yield the records of a classic pcap file lazily, one per ``next``,
+    reading either byte order. A path is opened on the first ``next`` and
+    closed when the iterator is exhausted or closed; an open file is left
+    open. Malformed input raises PcapError when reached: a global header
+    under 24 bytes ("truncated pcap global header"), an unknown magic
+    ("bad pcap magic"), a link type other than Ethernet ("unsupported link
+    type"), a partial record header ("truncated record header at record
+    N"), an included length over ``SNAPLEN`` ("record N claims ... bytes")
+    or a record cut short ("truncated record N")."""
     fobj, owned = _open(target, "rb")
     try:
         head = fobj.read(_GLOBAL_HDR.size)
@@ -132,7 +142,7 @@ def iter_pcap(target: str | Path | BinaryIO) -> Iterator[PcapRecord]:
                     f"truncated record {index}: expected {incl_len} bytes, "
                     f"got {len(data)}"
                 )
-            yield PcapRecord(data=data, ts_sec=ts_sec, ts_usec=ts_usec)
+            yield PcapRecord(data, ts_sec, ts_usec)
             index += 1
     finally:
         if owned:

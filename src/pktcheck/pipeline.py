@@ -18,9 +18,15 @@ input order, through one loop picked per run:
   | t3``: 4 reads for a packet that runs egress, 3 for any other. Between
   two reads there is only that phase's call and the Violations it builds,
   plus the previous phase's running sum and, before egress, the test
-  whether egress runs;
+  whether egress runs, whose byte comparison also picks what is emitted;
 - the transform-only loop runs ``Packet.from_bytes`` and ``nf.apply``
-  with no timers and keeps only counters and transform drops.
+  with no timers, keeps only counters and transform drops, and makes the
+  same byte comparison to pick what is emitted.
+
+Neither loop copies a packet the NF did not change: an output whose bytes
+equal its input record's is emitted as that record, so ``out_records``
+may share record objects with the input; each rewritten packet becomes a
+new ``PcapRecord`` whose ``data`` is ``bytes``.
 
 Each loop returns what it counted, and ``run_records`` builds one fresh
 ``RunSummary`` from that after the loop; the per-check violation counts
@@ -107,7 +113,8 @@ class RunConfig:
 class RunSummary:
     """What one run did. ``timings`` are measured in Development only and
     stay zero in Production, whose loop runs no timer. ``out_records`` holds
-    the emitted records only when ``run_records`` keeps its default sink.
+    the emitted records only when ``run_records`` keeps its default sink;
+    an unchanged packet's record there is the input record object itself.
     ``packets_out`` and ``violations_by_check`` are derived, on each read,
     from the packet counts and from ``violations``."""
 
@@ -178,8 +185,10 @@ def run_records(
     a lazy reader never holds the whole input. Under ``abort`` no record
     after the violating one is pulled. Each emitted record goes to
     ``out``, any object with ``append`` (a ``PcapWriter`` streams it to a
-    file); by default it is ``summary.out_records``. Every call returns a
-    summary, lists and dicts of its own.
+    file); by default it is ``summary.out_records``. An output whose
+    bytes equal its input record's reaches ``out`` as that record itself,
+    not a copy, so the sink may share objects with ``records``. Every call
+    returns a summary, lists and dicts of its own.
     """
     if policy not in POLICIES:
         raise ConfigError(f"unknown policy {policy!r}")
@@ -213,10 +222,13 @@ def _run_transform_only(nf, records, emit) -> tuple[int, list]:
     index = -1
     for index, record in enumerate(records):
         result = apply(from_bytes(record.data))
-        if result.dropped:
+        out = result.packet
+        if out is None:
             drops.append((index, result.drop_reason or ""))
+        elif out.data == record.data:
+            emit(record)
         else:
-            emit(PcapRecord(bytes(result.packet.data), record.ts_sec, record.ts_usec))
+            emit(PcapRecord(bytes(out.data), record.ts_sec, record.ts_usec))
     return index + 1, drops
 
 
@@ -261,8 +273,8 @@ def _run_checked(nf, records, runtime: ContractRuntime, policy: str, emit) -> tu
             # egress checks each output that differs from the record, not
             # from packet.data, which the transform may have edited in place;
             # it needs the ingress snapshot, unless there is no ingress
-            if (out is not None and out.data != record.data and run_out is not None
-                    and (snapshot is not None or run_in is None)):
+            changed = out is not None and out.data != record.data
+            if changed and run_out is not None and (snapshot is not None or run_in is None):
                 try:
                     failed = run_out(out.data, snapshot)
                 except ChainOrderError as exc:
@@ -279,8 +291,10 @@ def _run_checked(nf, records, runtime: ContractRuntime, policy: str, emit) -> tu
                 drops.append((index, result.drop_reason or ""))
             elif violations and strict:
                 dropped += 1
-            else:
+            elif changed:
                 emit(PcapRecord(bytes(out.data), record.ts_sec, record.ts_usec))
+            else:
+                emit(record)
             if violations and policy == "abort":
                 aborted = True
                 break

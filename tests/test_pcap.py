@@ -30,6 +30,15 @@ def test_round_trip_preserves_records(records):
     ]
 
 
+def test_a_record_is_slotted():
+    # one record per packet: no per-instance dict
+    record = PcapRecord(b"\x01", 2, 3)
+    assert (record.data, record.ts_sec, record.ts_usec) == (b"\x01", 2, 3)
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
 def test_file_layout_matches_hand_packed_bytes(tmp_path):
     path = tmp_path / "one.pcap"
     count = write_pcap(path, [PcapRecord(data=b"\xab\xcd", ts_sec=7, ts_usec=9)])

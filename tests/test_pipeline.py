@@ -245,14 +245,9 @@ def test_a_reply_the_egress_walk_refuses_is_one_order_violation(registry, policy
     assert len(summary.out_records) == (0 if policy == "drop" else 6)
 
 
-@pytest.mark.parametrize("in_place", [False, True], ids=["new-packet", "in-place"])
-def test_a_tampered_pass_through_is_checked_at_egress(registry, in_place):
-    # the loop, not the NF, decides which outputs egress checks: a wrapper
-    # that changes the IPv6 hop limit of each packet mtu-too-big passes
-    # through, in a new Packet or in the one it was given, reports no
-    # rewrite, and each tampered packet still gets its egress order
-    # violation after its ingress one
-    clean = make_nf("mtu-too-big", registry)
+def _tampering(clean, in_place):
+    """``clean`` wrapped so that each packet it passes through leaves with
+    its IPv6 hop limit changed, in a new Packet or in the one it was given."""
 
     def tamper(packet):
         passed = clean.apply(packet).packet
@@ -261,9 +256,20 @@ def test_a_tampered_pass_through_is_checked_at_egress(registry, in_place):
         data[21] ^= 0x80  # Ipv6Hdr hop_limit
         return TransformResult(packet if in_place else Packet(data))
 
+    return replace(clean, transform=tamper)
+
+
+@pytest.mark.parametrize("in_place", [False, True], ids=["new-packet", "in-place"])
+def test_a_tampered_pass_through_is_checked_at_egress(registry, in_place):
+    # the loop, not the NF, decides which outputs egress checks: a wrapper
+    # that changes the IPv6 hop limit of each packet mtu-too-big passes
+    # through, in a new Packet or in the one it was given, reports no
+    # rewrite, and each tampered packet still gets its egress order
+    # violation after its ingress one
+    clean = make_nf("mtu-too-big", registry)
     records = generate_records(GeneratorSpec(count=50, payload_len=(60, 1280), seed=3))
     reference = run_records(clean, records, registry)
-    summary = run_records(replace(clean, transform=tamper), records, registry)
+    summary = run_records(_tampering(clean, in_place), records, registry)
 
     reason = ("order mismatch at index 2: Ipv6Hdr next_header=0x6 does not "
               "announce Icmpv6PktTooBig (protocol 0x3a)")
@@ -280,6 +286,57 @@ def test_a_tampered_pass_through_is_checked_at_egress(registry, in_place):
     assert summary.packets_out == 50
     assert all(out.data != record.data
                for out, record in zip(summary.out_records, records))
+
+
+@pytest.mark.parametrize("mode", [BuildMode.DEVELOPMENT, BuildMode.PRODUCTION])
+def test_a_pass_through_is_emitted_as_its_input_record(registry, mode):
+    # an output whose bytes equal its input's is not copied: the record the
+    # caller passed in reaches the sink as itself, timestamps and all
+    records = _mixed_records(n_big=0, n_small=6)
+    nf = make_nf("mtu-too-big", registry)
+    summary = run_records(nf, records, registry, runtime=ContractRuntime(mode))
+    assert summary.packets_out == 6
+    assert len(summary.violations) == (6 if mode is BuildMode.DEVELOPMENT else 0)
+    assert all(out is record for out, record in zip(summary.out_records, records))
+
+
+@pytest.mark.parametrize("mode", [BuildMode.DEVELOPMENT, BuildMode.PRODUCTION])
+@pytest.mark.parametrize("nf_name, payload_len", [
+    ("mtu-too-big", (1281, 1400)), ("srv6-change-pkt", (40, 400)),
+])
+def test_a_rewritten_packet_is_emitted_as_a_new_bytes_record(
+    registry, mode, nf_name, payload_len
+):
+    template = "srv6" if nf_name == "srv6-change-pkt" else "tcp6"
+    records = generate_records(
+        GeneratorSpec(count=8, template=template, payload_len=payload_len, seed=11)
+    )
+    nf = make_nf(nf_name, registry)
+    summary = run_records(nf, records, registry, runtime=ContractRuntime(mode))
+    assert summary.violations == [] and summary.packets_out == 8
+    for out, record in zip(summary.out_records, records):
+        assert out is not record
+        assert type(out.data) is bytes and out.data != record.data
+        assert (out.ts_sec, out.ts_usec) == (record.ts_sec, record.ts_usec)
+        assert out.data == bytes(nf.apply(Packet.from_bytes(record.data)).packet.data)
+
+
+@pytest.mark.parametrize("mode", [BuildMode.DEVELOPMENT, BuildMode.PRODUCTION])
+@pytest.mark.parametrize("in_place", [False, True], ids=["new-packet", "in-place"])
+def test_a_tampered_pass_through_emits_the_tampered_bytes(registry, mode, in_place):
+    # a transform that edits its input in place and returns it changed the
+    # packet, so the loop must compare bytes, not test whether the output
+    # is the packet it handed in, before it reuses the input record
+    records = generate_records(GeneratorSpec(count=20, payload_len=(60, 1280), seed=5))
+    nf = _tampering(make_nf("mtu-too-big", registry), in_place)
+    summary = run_records(nf, records, registry, runtime=ContractRuntime(mode))
+    expected = []
+    for record in records:
+        data = bytearray(record.data)
+        data[21] ^= 0x80
+        expected.append(bytes(data))
+    assert [out.data for out in summary.out_records] == expected
+    assert not any(out is record for out, record in zip(summary.out_records, records))
 
 
 def test_tcp_reserved_bits_pass_both_phases(registry):
