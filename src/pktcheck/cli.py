@@ -19,7 +19,7 @@ import sys
 
 from .engine import BuildMode
 from .exceptions import PktCheckError
-from .generator import GeneratorSpec, generate_records
+from .generator import TEMPLATES, GeneratorSpec, generate_records
 from .nfs import CATALOG, make_nf
 from .contracts import explain_contract
 from .pcap import write_pcap
@@ -29,13 +29,13 @@ from .registry import standard_registry
 
 def _add_generator_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--count", type=int, default=100,
-                        help="number of packets to generate (default 100)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="generator seed (default 0)")
-    parser.add_argument("--template", choices=("tcp6", "srv6"), default="tcp6",
-                        help="packet template (default tcp6)")
-    parser.add_argument("--payload-len", type=int, default=1300,
-                        help="fixed IPv6 payload length (default 1300)")
+                        help="number of packets to generate (default %(default)s)")
+    parser.add_argument("--seed", type=int, default=GeneratorSpec.seed,
+                        help="generator seed (default %(default)s)")
+    parser.add_argument("--template", choices=TEMPLATES, default=GeneratorSpec.template,
+                        help="packet template (default %(default)s)")
+    parser.add_argument("--payload-len", type=int, default=GeneratorSpec.payload_len,
+                        help="fixed IPv6 payload length (default %(default)s)")
     parser.add_argument("--payload-len-range", nargs=2, type=int,
                         metavar=("LO", "HI"),
                         help="random IPv6 payload length range (overrides --payload-len)")
@@ -67,8 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--in", dest="input_path",
                        help="input pcap (omit to use the generator flags)")
     run_p.add_argument("--out", dest="output_path", help="output pcap path")
-    run_p.add_argument("--mode", choices=[mode.value for mode in BuildMode], default="dev")
-    run_p.add_argument("--policy", choices=POLICIES, default="continue")
+    run_p.add_argument("--mode", choices=[mode.value for mode in BuildMode],
+                       default=RunConfig.mode.value)
+    run_p.add_argument("--policy", choices=POLICIES, default=RunConfig.policy)
     run_p.add_argument("--format", choices=("text", "json"), default="text")
     _add_generator_flags(run_p)
 
@@ -81,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--in", dest="input_path",
                          help="input pcap (omit to use the generator flags)")
     bench_p.add_argument("--reps", type=int, default=1,
-                         help="repetitions per measurement (default 1)")
+                         help="repetitions per measurement (default %(default)s)")
     bench_p.add_argument("--format", choices=("text", "json"), default="text")
     _add_generator_flags(bench_p)
 

@@ -229,18 +229,21 @@ class _Parser:
         tok = tok or self.peek()
         raise _syntax_error(self.text, message, tok.pos)
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
+    def refuse(self, expected: str):
+        """Raise the error of finding the next token where ``expected`` was
+        due."""
         tok = self.peek()
-        if tok.kind != kind:
-            shown = tok.value if tok.kind != "eof" else "end of input"
-            self.error(f"expected {what or kind!r}, found {shown!r}")
+        shown = tok.value if tok.kind != "eof" else "end of input"
+        self.error(f"expected {expected}, found {shown!r}")
+
+    def expect(self, kind: str, what: str | None = None) -> Token:
+        if self.peek().kind != kind:
+            self.refuse(repr(what or kind))
         return self.advance()
 
     def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "name" or tok.value != word:
-            shown = tok.value if tok.kind != "eof" else "end of input"
-            self.error(f"expected keyword {word!r}, found {shown!r}")
+        if not self.at_keyword(word):
+            self.refuse(f"keyword {word!r}")
         return self.advance()
 
     def at_keyword(self, word: str) -> bool:
@@ -343,10 +346,7 @@ class _Parser:
         if tok.kind == "name" and tok.value == "neq":
             self.advance()
             return "neq"
-        self.error(
-            "expected comparator (one of ==, neq, <, <=, >, >=), "
-            f"found {tok.value!r}"
-        )
+        self.refuse("comparator (one of ==, neq, <, <=, >, >=)")
 
     def parse_fieldref(self, source: Source) -> FieldRef:
         if self.peek().kind == ".":
@@ -378,9 +378,7 @@ class _Parser:
             if tok.kind == "name" and self.tokens[self.pos + 1].kind != "[":
                 return self.advance().value
             return self.parse_fieldref(source)
-        self.error(
-            f"expected integer, constant, or field reference, found {tok.value!r}"
-        )
+        self.refuse("integer, constant, or field reference")
 
     def parse_asserts(self) -> tuple[StaticAssertion, ...]:
         self.expect_keyword("static")
@@ -419,7 +417,7 @@ class _Parser:
             return ("int", self.advance().value)
         if tok.kind == "name":
             return ("const", self.advance().value)
-        self.error(f"expected integer or constant, found {tok.value!r}")
+        self.refuse("integer or constant")
 
 
 def parse_contract_spec(text: str, nf_name: str = "nf") -> ContractSpec:

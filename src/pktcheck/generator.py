@@ -1,15 +1,8 @@
 """Deterministic synthetic packet generation.
 
-Two templates:
-
-``tcp6``
-    Eth/IPv6/TCP with a valid TCP checksum. ``payload_len`` sets the IPv6
-    payload length (TCP header + application bytes), so ``payload_len=1300``
-    makes a packet that trips the MTU threshold of ``mtu-too-big``.
-
-``srv6``
-    Eth/IPv6/SRv6 routing header (1–4 segments) followed by opaque
-    payload bytes.
+Each template is one entry of ``TEMPLATES``: a builder that draws one IPv6
+payload of the requested length and hands it to ``_frame``, which puts the
+IPv6 and Ethernet headers in front, and the smallest length it takes.
 
 Generation is reproducible: the same GeneratorSpec (including seed)
 yields the same byte stream. Timestamps are sequential microseconds so
@@ -35,12 +28,6 @@ from .headers import (
     TcpHdr,
 )
 from .pcap import PcapRecord
-
-TEMPLATES = ("tcp6", "srv6")
-
-#: Smallest IPv6 payload per template: a bare TCP header, or an SRv6
-#: routing header with one segment.
-_MIN_PAYLOAD = {"tcp6": TcpHdr.READ.unpack.size, "srv6": Srv6RoutingHdr.READ.unpack.size + 16}
 
 TCP_FLAG_PSH_ACK = 0x018
 
@@ -76,7 +63,7 @@ class GeneratorSpec:
         lo, hi = self.payload_bounds()
         if lo > hi:
             raise ConfigError(f"empty payload length range {self.payload_len!r}")
-        minimum = _MIN_PAYLOAD[self.template]
+        _, minimum = TEMPLATES[self.template]
         if lo < minimum:
             raise ConfigError(
                 f"payload length {lo} below template minimum {minimum} "
@@ -101,13 +88,20 @@ def _random_addr(rng: random.Random) -> bytes:
     return bytes([0x20, 0x01, 0x0D, 0xB8]) + rng.randbytes(12)
 
 
-def _pick_payload_len(spec: GeneratorSpec, rng: random.Random) -> int:
-    lo, hi = spec.payload_bounds()
-    return lo if lo == hi else rng.randint(lo, hi)
+def _frame(rng: random.Random, src: bytes, dst: bytes, next_header: int,
+           payload: bytes) -> bytes:
+    """``payload`` behind an IPv6 header whose payload length is its length,
+    behind an Ethernet header with random MACs."""
+    ipv6 = Ipv6Hdr(src=src, dst=dst, payload_len=len(payload), next_header=next_header,
+                   hop_limit=64)
+    eth = EthHdr(dst=_random_mac(rng), src=_random_mac(rng), ether_type=ETHERTYPE_IPV6)
+    return eth.emit() + ipv6.emit() + payload
 
 
-def _gen_tcp6(spec: GeneratorSpec, rng: random.Random) -> bytes:
-    payload_len = _pick_payload_len(spec, rng)
+def _gen_tcp6(rng: random.Random, payload_len: int) -> bytes:
+    """Eth/IPv6/TCP with a valid TCP checksum; ``payload_len`` counts the
+    TCP header and its application bytes, so 1300 trips mtu-too-big's MTU
+    threshold."""
     src, dst = _random_addr(rng), _random_addr(rng)
     app_bytes = rng.randbytes(payload_len - TcpHdr.READ.unpack.size)
     tcp = TcpHdr(
@@ -124,20 +118,12 @@ def _gen_tcp6(spec: GeneratorSpec, rng: random.Random) -> bytes:
     segment = tcp.emit() + app_bytes
     tcp_checksum = pseudo_header_checksum(src, dst, len(segment), PROTO_TCP, segment)
     segment = replace(tcp, checksum=tcp_checksum).emit() + app_bytes
-    ipv6 = Ipv6Hdr(
-        src=src,
-        dst=dst,
-        payload_len=payload_len,
-        next_header=PROTO_TCP,
-        hop_limit=64,
-    )
-    eth = EthHdr(dst=_random_mac(rng), src=_random_mac(rng), ether_type=ETHERTYPE_IPV6)
-    return eth.emit() + ipv6.emit() + segment
+    return _frame(rng, src, dst, PROTO_TCP, segment)
 
 
-def _gen_srv6(spec: GeneratorSpec, rng: random.Random) -> bytes:
-    payload_len = _pick_payload_len(spec, rng)
-    # Fit 1..4 segments inside the requested IPv6 payload length.
+def _gen_srv6(rng: random.Random, payload_len: int) -> bytes:
+    """Eth/IPv6/SRv6 routing header of 1–4 segments, no more than fit,
+    followed by opaque payload bytes."""
     max_segments = min(4, (payload_len - Srv6RoutingHdr.READ.unpack.size) // 16)
     n_segments = rng.randint(1, max(1, max_segments))
     srh = Srv6RoutingHdr(
@@ -148,24 +134,26 @@ def _gen_srv6(spec: GeneratorSpec, rng: random.Random) -> bytes:
     )
     srh_bytes = srh.emit()
     rest = rng.randbytes(payload_len - len(srh_bytes))
-    ipv6 = Ipv6Hdr(
-        src=_random_addr(rng),
-        dst=_random_addr(rng),
-        payload_len=payload_len,
-        next_header=PROTO_SRV6,
-        hop_limit=64,
-    )
-    eth = EthHdr(dst=_random_mac(rng), src=_random_mac(rng), ether_type=ETHERTYPE_IPV6)
-    return eth.emit() + ipv6.emit() + srh_bytes + rest
+    src, dst = _random_addr(rng), _random_addr(rng)
+    return _frame(rng, src, dst, PROTO_SRV6, srh_bytes + rest)
 
 
-_TEMPLATE_BUILDERS = {"tcp6": _gen_tcp6, "srv6": _gen_srv6}
+#: Every template by name: the function that builds one of its frames from
+#: the RNG and an IPv6 payload length, and the smallest length it takes (a
+#: bare TCP header, or an SRv6 routing header with one segment).
+TEMPLATES = {
+    "tcp6": (_gen_tcp6, TcpHdr.READ.unpack.size),
+    "srv6": (_gen_srv6, Srv6RoutingHdr.READ.unpack.size + 16),
+}
 
 
 def _generate_bytes(spec: GeneratorSpec):
     rng = random.Random(spec.seed)
-    builder = _TEMPLATE_BUILDERS[spec.template]
-    return (builder(spec, rng) for _ in range(spec.count))
+    build, _ = TEMPLATES[spec.template]
+    lo, hi = spec.payload_bounds()
+    return (
+        build(rng, lo if lo == hi else rng.randint(lo, hi)) for _ in range(spec.count)
+    )
 
 
 def generate(spec: GeneratorSpec) -> list[Packet]:

@@ -2,7 +2,13 @@ import json
 
 import pytest
 
-from pktcheck import read_pcap
+from pktcheck import (
+    GeneratorSpec,
+    PcapRecord,
+    generate_records,
+    read_pcap,
+    write_pcap,
+)
 from pktcheck.cli import main
 
 
@@ -17,6 +23,21 @@ def test_gen_writes_parseable_pcap(tmp_path, capsys, registry):
     records = read_pcap(out)
     assert len(records) == 5
     assert all(len(r.data) == 14 + 40 + 1300 for r in records)
+
+
+def test_gen_payload_length_range(tmp_path, capsys):
+    out = tmp_path / "gen.pcap"
+    code = main(
+        ["gen", "--out", str(out), "--count", "20", "--template", "srv6",
+         "--payload-len-range", "100", "200", "--seed", "3"]
+    )
+    assert code == 0
+    records = read_pcap(out)
+    assert records == generate_records(
+        GeneratorSpec(count=20, template="srv6", payload_len=(100, 200), seed=3)
+    )
+    assert all(14 + 40 + 100 <= len(r.data) <= 14 + 40 + 200 for r in records)
+    assert len({len(r.data) for r in records}) > 1
 
 
 def test_run_clean_stream_exits_zero(capsys):
@@ -92,6 +113,41 @@ def test_run_writes_output_pcap(tmp_path, capsys):
     assert all(len(r.data) == 1294 for r in records)  # Eth + IPv6 + 1240
 
 
+def test_run_text_output_names_each_transform_drop(tmp_path, capsys):
+    # an SRv6 packet whose IPv6 payload length claims 0xFFF8 bytes: one more
+    # segment would overflow the field, so srv6-change-pkt drops it
+    clean, grown = generate_records(GeneratorSpec(count=2, template="srv6",
+                                                payload_len=100))
+    near_max = bytearray(grown.data)
+    near_max[18:20] = (0xFFF8).to_bytes(2, "big")
+    in_path = tmp_path / "in.pcap"
+    write_pcap(in_path, [clean, PcapRecord(bytes(near_max), 0, 1)])
+    code = main(["run", "--nf", "srv6-change-pkt", "--in", str(in_path)])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "packet 1 dropped by transform: IPv6 payload length 65528 cannot grow by 16 "
+        "bytes within its 16-bit field",
+        "srv6-change-pkt: in=2 out=1 dropped=1 violations=0 mode=dev policy=continue",
+    ]
+
+
+def test_run_text_output_says_the_run_aborted(capsys):
+    # 100-byte payloads fail mtu-too-big's ingress check, the first one ends
+    # the run
+    code = main(
+        ["run", "--nf", "mtu-too-big", "--count", "3", "--payload-len", "100",
+         "--policy", "abort"]
+    )
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert len(lines) == 3
+    assert lines[0].startswith("NF mtu-too-big [ingress#0] ")
+    assert lines[1:] == [
+        "mtu-too-big: in=1 out=0 dropped=1 violations=1 mode=dev policy=abort",
+        "run aborted at first violating packet",
+    ]
+
+
 def test_run_missing_input_exits_two(capsys):
     code = main(["run", "--nf", "mtu-too-big", "--in", "/nonexistent.pcap"])
     assert code == 2
@@ -142,6 +198,17 @@ def test_bench_json(capsys):
     assert report["repetitions"] == 2
     assert 0.0 < report["ingress_share_of_contract_overhead"] < 1.0
     assert set(report["latency_us"]) == {"dev", "prod"}
+
+
+def test_bench_reads_its_input_pcap(tmp_path, capsys):
+    in_path = tmp_path / "in.pcap"
+    assert main(["gen", "--out", str(in_path), "--count", "7", "--seed", "2"]) == 0
+    capsys.readouterr()
+    # the generator flags would make 30 packets; the input has 7
+    code = main(["bench", "--nf", "mtu-too-big", "--in", str(in_path), "--count", "30",
+                 "--format", "json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["packets"] == 7
 
 
 def test_bench_text(capsys):

@@ -153,6 +153,30 @@ SYNTAX_ERRORS = {
         "check()\r\npre {\r\n  order: [EthHdr] ?",
         "unexpected character '?'", 3, 19,
     ),
+    "comparator-at-end-of-input": (
+        "check() pre { order: [EthHdr], checks: [(ether_type[EthHdr],",
+        "expected comparator (one of ==, neq, <, <=, >, >=), found 'end of input'", 1, 61,
+    ),
+    "comparator": (
+        "check()\npre { order: [EthHdr],\n  checks: [(ether_type[EthHdr], [, 1)] }",
+        "expected comparator (one of ==, neq, <, <=, >, >=), found '['", 3, 33,
+    ),
+    "operand-at-end-of-input": (
+        "check() pre { order: [EthHdr], checks: [(ether_type[EthHdr], ==,",
+        "expected integer, constant, or field reference, found 'end of input'", 1, 65,
+    ),
+    "operand": (
+        "check()\npre { order: [EthHdr],\n  checks: [(ether_type[EthHdr], ==, ])] }",
+        "expected integer, constant, or field reference, found ']'", 3, 37,
+    ),
+    "static-atom-at-end-of-input": (
+        "check(A = 1) static: [A ==",
+        "expected integer or constant, found 'end of input'", 1, 27,
+    ),
+    "static-atom": (
+        "check(A = 1)\nstatic: [A == 1 + ]",
+        "expected integer or constant, found ']'", 2, 19,
+    ),
 }
 
 

@@ -11,6 +11,7 @@ import hashlib
 import json
 import random
 import struct
+from dataclasses import replace
 
 import pytest
 
@@ -20,6 +21,7 @@ from pktcheck import (
     GeneratorSpec,
     NetworkFunction,
     Packet,
+    TransformResult,
     elaborate,
     generate_records,
     make_nf,
@@ -212,18 +214,41 @@ def _as_one_packet_at_a_time(summary):
             summary.aborted, summary.snapshots_built, summary.checks_evaluated)
 
 
+def _refusing(nf, fault):
+    """``nf`` with each reply it rewrites cut inside the ICMPv6 header
+    (``fault`` "cut") or with an IPv6 next_header that announces TCP
+    ("mislinked"): two replies that mtu-too-big's egress walk refuses."""
+
+    def broken(packet):
+        result = nf.apply(packet)
+        if result.packet is packet:  # a pass-through
+            return result
+        reply = bytearray(result.packet.data)
+        if fault == "cut":
+            del reply[58:]
+        else:
+            reply[20] = 6
+        return TransformResult(Packet(reply))
+
+    return replace(nf, transform=broken)
+
+
 @pytest.mark.parametrize("policy", POLICIES)
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("variant", [*VARIANTS, "mtu-cut-reply", "mtu-mislinked-reply"])
 def test_the_checked_loop_equals_the_one_packet_api(registry, variant, policy):
-    nf_name, options = VARIANTS[variant]
-    nf = make_nf(nf_name, registry, **options)
+    if variant in VARIANTS:
+        nf_name, options = VARIANTS[variant]
+        nf = make_nf(nf_name, registry, **options)
+    else:
+        nf = _refusing(make_nf("mtu-too-big", registry), variant.split("-")[1])
     summary = run_records(
         nf, MUTANTS + CLEAN, registry, runtime=ContractRuntime(BuildMode.DEVELOPMENT),
         policy=policy,
     )
-    assert _as_one_packet_at_a_time(summary) == _one_packet_at_a_time(
-        nf, MUTANTS + CLEAN, policy
-    )
+    expected = _one_packet_at_a_time(nf, MUTANTS + CLEAN, policy)
+    assert _as_one_packet_at_a_time(summary) == expected
+    if variant not in VARIANTS:  # the API's egress refusal is reached
+        assert any(v["phase"] == "egress" and v["kind"] == "order" for v in expected[0])
 
 
 #: mtu-too-big's contract cut to one phase: its ingress phase, or its egress

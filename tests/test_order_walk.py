@@ -11,7 +11,9 @@ linkage checks; another compares each generated phase function with
 ``parse_chain``, ``build_snapshot`` and each check's ``test``, refusals
 included down to their text, and checks that every ingress packet the walk
 accepts re-encodes to its header bytes, so the snapshot holds the packet's
-ingress bytes. Both run on flipped, truncated and extended packets.
+ingress bytes. A third makes the same comparison for random well-typed
+contracts over every order the registry accepts, up to five headers. All
+run on flipped, truncated and extended packets.
 """
 
 import random
@@ -28,6 +30,8 @@ from pktcheck import (
     FieldRef,
     GeneratorSpec,
     Operand,
+    OrderElement,
+    OrderSpec,
     Packet,
     ParseError,
     PhaseSpec,
@@ -38,7 +42,7 @@ from pktcheck import (
     standard_registry,
     verify_order,
 )
-from pktcheck.engine import build_snapshot
+from pktcheck.engine import COMPARATORS, Source, build_snapshot
 from pktcheck.headers import HEADER_TYPES
 from pktcheck.registry import parse_chain
 
@@ -507,3 +511,125 @@ def test_generated_phase_agrees_on_every_unmutated_case():
             failing.add(phase)
     # the cases reach failing checks in both phases, not only passing ones
     assert failing == {"ingress", "egress"}
+
+
+# --- random contracts against the reference -----------------------------------------
+
+
+def _accepted_orders(registry, longest=5):
+    """Every order of at most ``longest`` elements that ``verify_order``
+    accepts, grown element by element: what it refuses, it refuses in every
+    longer order too."""
+    elements = [OrderElement(name, param)
+                for name in HEADER_TYPES for param in (None, *HEADER_TYPES)]
+    found, frontier = [], [()]
+    for _ in range(longest):
+        grown = []
+        for prefix in frontier:
+            for element in elements:
+                try:
+                    verify_order(registry, OrderSpec(prefix + (element,)))
+                except ChainOrderError:
+                    continue
+                grown.append(prefix + (element,))
+        found += grown
+        frontier = grown
+    return [OrderSpec(elements) for elements in found]
+
+
+ACCEPTED_ORDERS = _accepted_orders(standard_registry())
+#: Values some generated field always holds (version 6, routing type 4, the
+#: protocol numbers and the IPv6 ethertype), so that checks against
+#: literals hold as well as fail.
+LITERALS = st.sampled_from((0, 2, 4, 6, 43, 58, 64, 0x86DD)) | st.integers(0, 2**32)
+
+
+def _reads(spec, source):
+    """(kind, FieldRef) of every attribute of every header of ``spec``, by
+    occurrence, with and without the element's parameter."""
+    registry, reads, seen = standard_registry(), [], {}
+    for element in spec:
+        name = element.header_type
+        occurrence = seen[name] = seen.get(name, -1) + 1
+        for attribute, kind in registry.get(name).READ.kinds().items():
+            for param in {None, element.param}:
+                reads.append((kind, FieldRef(attribute, name, param, occurrence, source)))
+    return reads
+
+
+def _random_check(draw, current, operands, constants):
+    """A well-typed check: a byte field compared by == or neq with a byte
+    field; an int field compared by any comparator with a signed sum of
+    literals, constants and int fields, the first term negated or not, or
+    with itself plus -1, 0 or 1, so that each comparator meets its boundary.
+    Each operand may be the left-hand side itself."""
+    kind, lhs = draw(st.sampled_from(current))
+    same_kind = st.just(lhs) | st.sampled_from([ref for k, ref in operands if k == kind])
+    if kind == "bytes":
+        return Check(lhs, draw(st.sampled_from(("==", "neq"))), Operand.ref(draw(same_kind)))
+    term = same_kind | LITERALS
+    if constants:
+        term |= st.sampled_from(sorted(constants))
+    terms = draw(
+        st.lists(st.tuples(st.sampled_from((1, -1)), term), min_size=1, max_size=3)
+        | st.sampled_from([[(1, lhs)], [(1, lhs), (1, 1)], [(1, lhs), (-1, 1)]])
+    )
+    return Check(lhs, draw(st.sampled_from(sorted(COMPARATORS))), Operand(tuple(terms)))
+
+
+@st.composite
+def _random_contracts(draw):
+    """An elaborated contract over two accepted orders: ingress checks read
+    the packet in hand, egress checks that packet and the ingress snapshot."""
+    ingress = draw(st.sampled_from(ACCEPTED_ORDERS))
+    egress = draw(st.sampled_from(ACCEPTED_ORDERS))
+    constants = draw(st.dictionaries(st.sampled_from(("A", "B")), LITERALS, max_size=2))
+    ingress_reads = _reads(ingress, Source.CURRENT_PACKET)
+    egress_reads = _reads(egress, Source.CURRENT_PACKET)
+    phases = []
+    for order_spec, current, operands in (
+        (ingress, ingress_reads, ingress_reads),
+        (egress, egress_reads, egress_reads + _reads(ingress, Source.INGRESS_SNAPSHOT)),
+    ):
+        checks = [_random_check(draw, current, operands, constants)
+                  for _ in range(draw(st.integers(1, 4)))]
+        phases.append(PhaseSpec(order_spec, tuple(checks)))
+    return elaborate(ContractSpec("random", constants, (), *phases), standard_registry())
+
+
+def _packet_along(rng, spec):
+    """Random field values along ``spec``, each header announcing the next,
+    then random bytes."""
+    rest, proto = rng.randbytes(rng.randint(0, 24)), rng.choice((6, 43, 58, 59))
+    for element in reversed(spec.elements):
+        name = element.header_type
+        if name == "TcpHdr":
+            rest, proto = _tcp_fields(rng, rng.choice((5, 6, 15))), 6
+        elif name == "Icmpv6PktTooBig":
+            rest, proto = _ptb_fields(rng, rng.choice((0, 64))), 58
+        elif name == "Srv6RoutingHdr":
+            rest, proto = _srh_fields(rng, proto, rng.randint(1, 3), rest), 43
+        elif name == "Ipv6Hdr":
+            rest = _ipv6_fields(rng, rest, proto)
+        else:
+            rest = _eth(rng) + rest
+    return rest
+
+
+@settings(max_examples=150, deadline=None)
+@given(contract=_random_contracts(), seed=st.integers(0, 2**32),
+       kinds=st.tuples(MUTATIONS | st.just("none"), MUTATIONS | st.just("none")),
+       data=st.data())
+def test_generated_phases_of_random_contracts_agree_with_the_reference(
+        contract, seed, kinds, data):
+    # the snapshot comes from the ingress packet as built; each phase then
+    # sees it as built or mutated
+    rng = random.Random(seed)
+    bases = [_packet_along(rng, contract.ingress.order),
+             _packet_along(rng, contract.egress.order)]
+    _, snapshot = _reference_phase(contract, "ingress", bases[0], None)
+    for phase, base, kind in zip(("ingress", "egress"), bases, kinds):
+        raw = base if kind == "none" else _mutated(base, kind, data, len(base))
+        assert _generated_phase(contract, phase, raw, snapshot) == _reference_phase(
+            contract, phase, raw, snapshot
+        )

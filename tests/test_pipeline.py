@@ -33,6 +33,7 @@ from pktcheck import (
 )
 from pktcheck.nfs import MTU_TOO_BIG_CONTRACT
 from pktcheck.pcap import iter_pcap
+from pktcheck.pipeline import POLICIES
 from pktcheck.registry import parse_chain
 
 from oracles import build_tcp6_bytes
@@ -353,9 +354,9 @@ def test_tcp_reserved_bits_pass_both_phases(registry):
     assert bytes(data[14:100]) in summary.out_records[0].data
 
 
-def test_transform_drops_are_not_violations(registry):
-    # an SRv6 packet whose segment list is already full gets dropped by the
-    # transform itself, with a reason, and without any contract violation
+def _full_segment_list() -> bytes:
+    """An Eth/IPv6/SRv6 packet whose routing header holds as many segments
+    as its 8-bit length field allows."""
     from pktcheck.headers import EthHdr, Ipv6Hdr, Srv6RoutingHdr
     from pktcheck.nfs import MAX_SRV6_SEGMENTS
 
@@ -370,16 +371,53 @@ def test_transform_drops_are_not_violations(registry):
         hop_limit=64,
     )
     eth = EthHdr(dst=bytes(6), src=bytes(6), ether_type=0x86DD)
-    full = eth.emit() + ipv6.emit() + body
+    return eth.emit() + ipv6.emit() + body
 
+
+def test_transform_drops_are_not_violations(registry):
+    # an SRv6 packet whose segment list is already full gets dropped by the
+    # transform itself, with a reason, and without any contract violation
     nf = make_nf("srv6-change-pkt", registry)
-    summary = run_records(nf, [PcapRecord(data=full)], registry)
+    summary = run_records(nf, [PcapRecord(data=_full_segment_list())], registry)
     assert summary.packets_dropped == 1
     assert summary.violations == []
     assert len(summary.drops) == 1
     index, reason = summary.drops[0]
     assert index == 0
     assert reason.startswith("segment list full")
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_production_reports_the_transform_drops_development_does(registry, policy):
+    # among generated srv6 traffic, a full segment list and an IPv6 payload
+    # length that claims to be 8 short of 0xFFFF, so a new segment would
+    # overflow it: srv6-change-pkt drops both, with their reasons
+    records = generate_records(
+        GeneratorSpec(count=6, template="srv6", payload_len=(24, 200), seed=12)
+    )
+    near_max = bytearray(records[0].data)
+    near_max[18:20] = (0xFFFF - 8).to_bytes(2, "big")  # Ipv6Hdr payload_len
+    records[2:2] = [PcapRecord(_full_segment_list(), ts_usec=2),
+                    PcapRecord(bytes(near_max), ts_usec=3)]
+    nf = make_nf("srv6-change-pkt", registry)
+    dev, prod = (
+        run_records(nf, records, registry, runtime=ContractRuntime(mode), policy=policy)
+        for mode in (BuildMode.DEVELOPMENT, BuildMode.PRODUCTION)
+    )
+    assert dev.violations == [] and not dev.aborted
+    assert [(r.ts_usec, r.data) for r in prod.out_records] == [
+        (r.ts_usec, r.data) for r in dev.out_records
+    ]
+    assert len(prod.out_records) == 6
+    assert prod.drops == dev.drops == [
+        (2, "segment list full: 127 segments; appending would overflow the routing "
+            "header's 8-bit length field"),
+        (3, "IPv6 payload length 65527 cannot grow by 16 bytes within its 16-bit field"),
+    ]
+    for summary in (dev, prod):
+        assert summary.to_json()["transform_drops"] == [
+            {"packet_index": index, "reason": reason} for index, reason in dev.drops
+        ]
 
 
 def test_uncontracted_nf_runs_bare(registry):
