@@ -51,8 +51,8 @@ def main() -> None:
 
     print("\n== field surgery re-emits a header over its bytes ==")
     parsed, _ = Ipv6Hdr.parse(packet.data, 14)
-    packet.data[14:54] = replace(parsed, hop_limit=1).emit()
-    print(f"  hop_limit byte (offset 21) is now {packet.data[21]}")
+    data = packet.data[:14] + replace(parsed, hop_limit=1).emit() + packet.data[54:]
+    print(f"  hop_limit byte (offset 21) is now {data[21]}")
 
     print("\n== the checksum and its worked example ==")
     sample = bytes.fromhex("0001f203f4f5f6f7")

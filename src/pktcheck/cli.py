@@ -17,13 +17,13 @@ import argparse
 import json
 import sys
 
-from .engine import BuildMode
+from .engine import POLICIES, BuildMode
 from .exceptions import PktCheckError
 from .generator import TEMPLATES, GeneratorSpec, generate_records
 from .nfs import CATALOG, make_nf
 from .contracts import explain_contract
 from .pcap import write_pcap
-from .pipeline import POLICIES, RunConfig, bench, run_pipeline
+from .pipeline import RunConfig, bench, run_pipeline
 from .registry import standard_registry
 
 

@@ -50,6 +50,7 @@ from enum import Enum
 from .exceptions import ChainOrderError, ConfigError
 from .headers import Packet
 
+POLICIES = ("drop", "continue", "abort")
 COMPARATORS = {
     "==": operator.eq,
     "neq": operator.ne,
@@ -77,6 +78,12 @@ def check_build_mode(mode: BuildMode) -> None:
         raise ConfigError(
             f"unknown build mode {mode!r} (known: {', '.join(m.value for m in BuildMode)})"
         )
+
+
+def check_policy(policy: str) -> None:
+    """Refuse a violation ``policy`` that is not one of ``POLICIES``."""
+    if policy not in POLICIES:
+        raise ConfigError(f"unknown policy {policy!r} (known: {', '.join(POLICIES)})")
 
 
 @dataclass(frozen=True)
@@ -232,11 +239,8 @@ class ContractRuntime:
 
 def build_snapshot(headers: list, runtime: ContractRuntime | None = None) -> tuple:
     """The ingress snapshot: the tuple of ``headers``, which ``parse_chain``
-    has just decoded along the ingress order, by their position in it.
-
-    Transforms decode headers of their own, so later mutation of the packet
-    cannot leak into egress comparisons.
-    """
+    has just decoded along the ingress order, by their position in it. No
+    transform edits them: each decodes headers of its own."""
     if runtime is not None:
         runtime.snapshots_built += 1
     return tuple(headers)

@@ -163,10 +163,7 @@ def generate(spec: GeneratorSpec) -> list[Packet]:
 
 def generate_records(spec: GeneratorSpec) -> list[PcapRecord]:
     """Generate packets wrapped in pcap records with sequential timestamps,
-    one microsecond apart from 0.
-
-    Records take the generated bytes directly: no ``Packet`` is built per
-    record only to be copied back out."""
+    one microsecond apart from 0."""
     return [
         PcapRecord(raw, *divmod(index, 1_000_000))
         for index, raw in enumerate(_generate_bytes(spec))

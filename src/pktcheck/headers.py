@@ -27,17 +27,17 @@ last. A failed condition always fails one of them, so when none fails the
 field is in range but not an integer, and ``emit`` re-raises what the
 pack raised.
 
-A ``Packet`` is its bytes: the network functions and ``parse_chain`` call
-the codecs at running offsets and build new packets rather than edit one.
-``Packet.parse_header``/``decode`` and their chain serve only the
-benchmark's tracer and the tests.
+A ``Packet`` is its immutable bytes: the network functions and
+``parse_chain`` call the codecs at running offsets, and a rewrite builds
+new bytes. ``Packet.parse_header``/``decode`` and their chain serve only
+the benchmark's tracer and the tests.
 """
 
 from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .exceptions import EmitError, ParseError
@@ -499,27 +499,26 @@ class ChainEntry:
 
 @dataclass(slots=True)
 class Packet:
-    """A packet's bytes, plus the ``chain`` of headers that
-    :meth:`parse_header` has decoded from them (empty when fresh)."""
+    """A packet's ``bytes`` (:meth:`from_bytes` copies any other buffer into one)
+    and the ``chain`` of headers :meth:`parse_header` has decoded, () when fresh."""
 
-    data: bytearray
-    chain: list[ChainEntry] = field(default_factory=list)
+    data: bytes
+    chain: tuple[ChainEntry, ...] = ()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Packet":
-        return cls(bytearray(data))
+        return cls(data if type(data) is bytes else bytes(data))
 
     def parse_header(self, header_type: str, at_offset: int | None = None):
         """Decode one header at ``at_offset`` (default: where the chain ends)
-        and append its chain entry; return (header, consumed)."""
+        and add its chain entry; return (header, consumed)."""
         cls = HEADER_TYPES.get(header_type)
         if cls is None:
             raise ParseError(f"unknown header type {header_type!r}")
         if at_offset is None:
-            last = self.chain[-1] if self.chain else None
-            at_offset = last.offset + last.length if last else 0
+            at_offset = self.chain[-1].offset + self.chain[-1].length if self.chain else 0
         header, consumed = cls.parse(self.data, at_offset)
-        self.chain.append(ChainEntry(header_type, at_offset, consumed))
+        self.chain += (ChainEntry(header_type, at_offset, consumed),)
         return header, consumed
 
     def decode(self, entry: ChainEntry):

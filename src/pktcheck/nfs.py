@@ -92,6 +92,18 @@ class NetworkFunction:
         return self.transform(packet)
 
 
+def _eth_ipv6(data: bytes, next_header: int) -> tuple[EthHdr, Ipv6Hdr] | None:
+    """The Eth and IPv6 headers, or None unless both decode and lead to ``next_header``."""
+    try:
+        eth, _ = EthHdr.parse(data)
+        if eth.ether_type != ETHERTYPE_IPV6:
+            return None
+        ipv6, _ = Ipv6Hdr.parse(data, ETH_HDR_SIZE)
+    except ParseError:
+        return None
+    return (eth, ipv6) if ipv6.next_header == next_header else None
+
+
 # --- mtu-too-big -------------------------------------------------------------
 
 MTU_TOO_BIG_CONTRACT = """
@@ -133,13 +145,11 @@ def send_too_big(
     reply only if its TCP header decodes too.
     """
     data = packet.data
+    headers = _eth_ipv6(data, PROTO_TCP)
+    if headers is None or headers[1].payload_len <= IPV6_MIN_MTU:
+        return TransformResult(packet)
+    eth, ipv6 = headers
     try:
-        eth, _ = EthHdr.parse(data)
-        if eth.ether_type != ETHERTYPE_IPV6:
-            return TransformResult(packet)
-        ipv6, _ = Ipv6Hdr.parse(data, ETH_HDR_SIZE)
-        if ipv6.next_header != PROTO_TCP or ipv6.payload_len <= IPV6_MIN_MTU:
-            return TransformResult(packet)
         TcpHdr.parse(data, _L3_END)
     except ParseError:
         return TransformResult(packet)
@@ -159,10 +169,8 @@ def send_too_big(
         hop_limit=64,
     )
 
-    end = min(
-        _L3_END + ipv6.payload_len, len(packet.data), ETH_HDR_SIZE + MAX_INVOKING_BYTES
-    )
-    invoking = bytes(packet.data[ETH_HDR_SIZE:end])
+    end = min(_L3_END + ipv6.payload_len, len(data), ETH_HDR_SIZE + MAX_INVOKING_BYTES)
+    invoking = data[ETH_HDR_SIZE:end]
     icmp = Icmpv6PktTooBig(checksum=0, mtu=IPV6_MIN_MTU, invoking_packet=invoking)
     body = icmp.emit()
     icmp.checksum = pseudo_header_checksum(
@@ -221,13 +229,10 @@ def srv6_add_segment(
     consequence bug the egress contract flags on every affected packet.
     """
     data = packet.data
+    if (headers := _eth_ipv6(data, PROTO_SRV6)) is None:
+        return TransformResult(packet)
+    eth, ipv6 = headers
     try:
-        eth, _ = EthHdr.parse(data)
-        if eth.ether_type != ETHERTYPE_IPV6:
-            return TransformResult(packet)
-        ipv6, _ = Ipv6Hdr.parse(data, ETH_HDR_SIZE)
-        if ipv6.next_header != PROTO_SRV6:
-            return TransformResult(packet)
         srh, srh_size = Srv6RoutingHdr.parse(data, _L3_END)
     except ParseError:
         return TransformResult(packet)
@@ -252,7 +257,7 @@ def srv6_add_segment(
         srh.segments_left += 1
     if not omit_payload_len_update:
         ipv6.payload_len += len(DEFAULT_SEGMENT)
-    rest = bytes(data[_L3_END + srh_size :])
+    rest = data[_L3_END + srh_size :]
     out = Packet.from_bytes(eth.emit() + ipv6.emit() + srh.emit() + rest)
     return TransformResult(out)
 
@@ -295,7 +300,10 @@ def make_nf(name: str, registry: Registry, /, **switches) -> NetworkFunction:
             f"unknown switch {', '.join(map(repr, unknown))} for NF {name!r} "
             f"(known: {', '.join(sorted(known))})"
         )
-    contract = elaborate(specs[bool(switches.get("visit_new"))], registry)
+    for switch, value in switches.items():
+        if type(value) is not bool:  # a truthy "no" would turn the switch on
+            raise ConfigError(f"switch {switch!r} takes a bool, not {value!r}")
+    contract = elaborate(specs[switches.get("visit_new", False)], registry)
     if switches:
         transform = partial(transform, **switches)
     return NetworkFunction(name=name, transform=transform, contract=contract)

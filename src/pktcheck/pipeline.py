@@ -23,10 +23,10 @@ input order, through one loop picked per run:
   with no timers, keeps only counters and transform drops, and makes the
   same byte comparison to pick what is emitted.
 
-Neither loop copies a packet the NF did not change: an output whose bytes
-equal its input record's is emitted as that record, so ``out_records``
-may share record objects with the input; each rewritten packet becomes a
-new ``PcapRecord`` whose ``data`` is ``bytes``.
+Neither loop copies a packet: the NF gets the record's own ``bytes``, an
+output whose bytes equal the record's is emitted as that record, so
+``out_records`` may share record objects with the input, and a rewritten
+packet becomes a new ``PcapRecord`` around the NF's own output ``bytes``.
 
 Each loop returns what it counted, and ``run_records`` builds one fresh
 ``RunSummary`` from that after the loop; the per-check violation counts
@@ -69,6 +69,7 @@ from .engine import (
     _refusal,
     _violations,
     check_build_mode,
+    check_policy,
     # Not called here: the checked loop calls each phase itself. Kept
     # because pktbench/test_pktbench.py::test_uninstall_restores_every_binding
     # reads pipeline.run_ingress.
@@ -81,8 +82,6 @@ from .headers import Packet
 from .nfs import NetworkFunction, make_nf
 from .pcap import PcapRecord, PcapWriter, iter_pcap
 from .registry import Registry, standard_registry
-
-POLICIES = ("drop", "continue", "abort")
 
 
 @dataclass
@@ -99,10 +98,7 @@ class RunConfig:
 
     def __post_init__(self):
         check_build_mode(self.mode)
-        if self.policy not in POLICIES:
-            raise ConfigError(
-                f"unknown policy {self.policy!r} (known: {', '.join(POLICIES)})"
-            )
+        check_policy(self.policy)
         if (self.input_path is None) == (self.generator is None):
             raise ConfigError(
                 "exactly one input source required: a pcap path or a generator spec"
@@ -113,8 +109,7 @@ class RunConfig:
 class RunSummary:
     """What one run did. ``timings`` are measured in Development only and
     stay zero in Production, whose loop runs no timer. ``out_records`` holds
-    the emitted records only when ``run_records`` keeps its default sink;
-    an unchanged packet's record there is the input record object itself.
+    the emitted records only when ``run_records`` keeps its default sink.
     ``packets_out`` and ``violations_by_check`` are derived, on each read,
     from the packet counts and from ``violations``."""
 
@@ -190,8 +185,7 @@ def run_records(
     not a copy, so the sink may share objects with ``records``. Every call
     returns a summary, lists and dicts of its own.
     """
-    if policy not in POLICIES:
-        raise ConfigError(f"unknown policy {policy!r}")
+    check_policy(policy)
     if runtime is None:
         runtime = ContractRuntime()
     out_records = []
@@ -228,7 +222,7 @@ def _run_transform_only(nf, records, emit) -> tuple[int, list]:
         elif out.data == record.data:
             emit(record)
         else:
-            emit(PcapRecord(bytes(out.data), record.ts_sec, record.ts_usec))
+            emit(PcapRecord(out.data, record.ts_sec, record.ts_usec))
     return index + 1, drops
 
 
@@ -270,9 +264,7 @@ def _run_checked(nf, records, runtime: ContractRuntime, policy: str, emit) -> tu
             transform_ns += t2 - t1
 
             out = result.packet
-            # egress checks each output that differs from the record, not
-            # from packet.data, which the transform may have edited in place;
-            # it needs the ingress snapshot, unless there is no ingress
+            # egress checks each changed output, with the snapshot unless there is no ingress
             changed = out is not None and out.data != record.data
             if changed and run_out is not None and (snapshot is not None or run_in is None):
                 try:
@@ -292,7 +284,7 @@ def _run_checked(nf, records, runtime: ContractRuntime, policy: str, emit) -> tu
             elif violations and strict:
                 dropped += 1
             elif changed:
-                emit(PcapRecord(bytes(out.data), record.ts_sec, record.ts_usec))
+                emit(PcapRecord(out.data, record.ts_sec, record.ts_usec))
             else:
                 emit(record)
             if violations and policy == "abort":

@@ -50,10 +50,11 @@ def _snapshot(registry, packet, runtime=None):
 
 
 def _set_payload_len(packet, value):
-    """Rewrite the IPv6 payload length in place: re-emit the IPv6 header
-    over its 40 bytes."""
+    """Rewrite the IPv6 payload length: splice a re-emitted IPv6 header over
+    its 40 bytes."""
     ipv6, _ = Ipv6Hdr.parse(packet.data, 14)
-    packet.data[14:54] = replace(ipv6, payload_len=value).emit()
+    emitted = replace(ipv6, payload_len=value).emit()
+    packet.data = packet.data[:14] + emitted + packet.data[54:]
 
 
 def _compiled(registry, *checks, constants=None):

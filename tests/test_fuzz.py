@@ -30,9 +30,10 @@ from pktcheck import (
     run_ingress,
 )
 from pktcheck import contracts
+from pktcheck.engine import POLICIES
 from pktcheck.nfs import send_too_big
 from pktcheck.pcap import PcapRecord
-from pktcheck.pipeline import POLICIES, run_records
+from pktcheck.pipeline import run_records
 from pktcheck.registry import parse_chain
 
 SEED = 4041
@@ -223,11 +224,11 @@ def _refusing(nf, fault):
         result = nf.apply(packet)
         if result.packet is packet:  # a pass-through
             return result
-        reply = bytearray(result.packet.data)
+        reply = result.packet.data
         if fault == "cut":
-            del reply[58:]
+            reply = reply[:58]
         else:
-            reply[20] = 6
+            reply = reply[:20] + bytes([6]) + reply[21:]
         return TransformResult(Packet(reply))
 
     return replace(nf, transform=broken)

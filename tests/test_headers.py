@@ -354,10 +354,34 @@ def test_packet_chain_parsing(tcp6_packet):
     assert len(tcp6_packet.data) - 74 == 1300 - 20
 
 
+def test_a_packet_holds_the_bytes_it_was_built_from_and_no_chain():
+    raw = build_tcp6_bytes()
+    packet = Packet.from_bytes(raw)
+    assert packet.data is raw
+    assert packet.chain == ()
+
+
+@pytest.mark.parametrize("wrap", [bytearray, lambda raw: memoryview(bytearray(raw))],
+                         ids=["bytearray", "memoryview"])
+def test_a_packet_from_another_buffer_holds_bytes_of_its_own(wrap):
+    raw = build_tcp6_bytes()
+    buffer = wrap(raw)
+    packet = Packet.from_bytes(buffer)
+    buffer[21] ^= 0x80
+    assert type(packet.data) is bytes
+    assert packet.data == raw
+
+
+def test_a_packets_bytes_cannot_be_edited(tcp6_packet):
+    with pytest.raises(TypeError):
+        tcp6_packet.data[0] = 0
+
+
 def test_header_edit_in_place_changes_only_its_bytes(tcp6_packet):
     original = bytes(tcp6_packet.data)
     ipv6, _ = Ipv6Hdr.parse(tcp6_packet.data, 14)
-    tcp6_packet.data[14:54] = replace(ipv6, payload_len=60).emit()
+    emitted = replace(ipv6, payload_len=60).emit()
+    tcp6_packet.data = tcp6_packet.data[:14] + emitted + tcp6_packet.data[54:]
     assert Ipv6Hdr.parse(tcp6_packet.data, 14)[0].payload_len == 60
     assert len(tcp6_packet.data) == len(original)
     # only the two length bytes changed

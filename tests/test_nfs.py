@@ -14,9 +14,10 @@ from pktcheck import (
     srv6_add_segment,
     verify_order,
 )
-from pktcheck import headers
+from pktcheck import headers, nfs
+from pktcheck.contracts import elaborate
 from pktcheck.headers import EthHdr, Ipv6Hdr
-from pktcheck.nfs import DEFAULT_SEGMENT, MAX_SRV6_SEGMENTS
+from pktcheck.nfs import CATALOG, DEFAULT_SEGMENT, MAX_SRV6_SEGMENTS
 from pktcheck.pcap import PcapRecord
 from pktcheck.pipeline import run_records
 from pktcheck.registry import parse_chain
@@ -331,10 +332,27 @@ def test_a_clean_catalog_nf_calls_its_transform_itself(registry):
     assert make_nf("srv6-change-pkt", registry).transform is srv6_add_segment
 
 
-def test_a_truthy_visit_new_selects_the_visit_new_contract(registry):
+def test_visit_new_selects_the_visit_new_contract(registry):
     visiting = make_nf("srv6-change-pkt", registry, visit_new=True)
-    truthy = make_nf("srv6-change-pkt", registry, visit_new="yes")
-    assert truthy.contract == visiting.contract
-    assert truthy.contract != make_nf("srv6-change-pkt", registry).contract
+    assert visiting.contract == elaborate(CATALOG["srv6-change-pkt"][2][True], registry)
+    assert visiting.contract != make_nf("srv6-change-pkt", registry, visit_new=False).contract
     packet = Packet.from_bytes(_srv6_bytes(n_segments=2, segments_left=1))
-    assert truthy.apply(packet).packet.data == visiting.apply(packet).packet.data
+    out = visiting.apply(packet).packet
+    assert Srv6RoutingHdr.parse(out.data, 54)[0].segments_left == 2
+
+
+@pytest.mark.parametrize("name, switch, value", [
+    ("srv6-change-pkt", "visit_new", "no"),
+    ("mtu-too-big", "omit_ipv6_swap", 1),
+    ("srv6-change-pkt", "omit_payload_len_update", None),
+])
+def test_make_nf_refuses_a_switch_that_is_not_a_bool(registry, monkeypatch, name, switch,
+                                                     value):
+    # a truthy "no" or 1 would turn the switch on: refused before elaboration
+    def elaborated(*args):
+        raise AssertionError("elaborated a contract for a refused switch")
+
+    monkeypatch.setattr(nfs, "elaborate", elaborated)
+    with pytest.raises(ConfigError) as excinfo:
+        make_nf(name, registry, **{switch: value})
+    assert str(excinfo.value) == f"switch {switch!r} takes a bool, not {value!r}"

@@ -31,9 +31,9 @@ from pktcheck import (
     run_records,
     write_pcap,
 )
+from pktcheck.engine import POLICIES
 from pktcheck.nfs import MTU_TOO_BIG_CONTRACT
 from pktcheck.pcap import iter_pcap
-from pktcheck.pipeline import POLICIES
 from pktcheck.registry import parse_chain
 
 from oracles import build_tcp6_bytes
@@ -222,11 +222,11 @@ def test_a_reply_the_egress_walk_refuses_is_one_order_violation(registry, policy
     correct = make_nf("mtu-too-big", registry)
 
     def broken(packet):
-        reply = bytearray(correct.apply(packet).packet.data)
+        reply = correct.apply(packet).packet.data
         if fault == "cut":
-            del reply[58:]
+            reply = reply[:58]
         else:
-            reply[20] = 6
+            reply = reply[:20] + bytes([6]) + reply[21:]
         return TransformResult(Packet(reply))
 
     nf = replace(correct, transform=broken)
@@ -248,14 +248,18 @@ def test_a_reply_the_egress_walk_refuses_is_one_order_violation(registry, policy
 
 def _tampering(clean, in_place):
     """``clean`` wrapped so that each packet it passes through leaves with
-    its IPv6 hop limit changed, in a new Packet or in the one it was given."""
+    its IPv6 hop limit changed, in a new Packet or rebound in the one it
+    was given."""
 
     def tamper(packet):
         passed = clean.apply(packet).packet
         assert passed is packet
-        data = packet.data if in_place else bytearray(packet.data)
-        data[21] ^= 0x80  # Ipv6Hdr hop_limit
-        return TransformResult(packet if in_place else Packet(data))
+        data = packet.data
+        data = data[:21] + bytes([data[21] ^ 0x80]) + data[22:]  # Ipv6Hdr hop_limit
+        if not in_place:
+            return TransformResult(Packet(data))
+        packet.data = data
+        return TransformResult(packet)
 
     return replace(clean, transform=tamper)
 
@@ -308,18 +312,29 @@ def test_a_pass_through_is_emitted_as_its_input_record(registry, mode):
 def test_a_rewritten_packet_is_emitted_as_a_new_bytes_record(
     registry, mode, nf_name, payload_len
 ):
+    # no packet is copied: the NF gets each record's own bytes, and each
+    # rewritten record is new but holds the very bytes the NF built
     template = "srv6" if nf_name == "srv6-change-pkt" else "tcp6"
     records = generate_records(
         GeneratorSpec(count=8, template=template, payload_len=payload_len, seed=11)
     )
     nf = make_nf(nf_name, registry)
-    summary = run_records(nf, records, registry, runtime=ContractRuntime(mode))
-    assert summary.violations == [] and summary.packets_out == 8
-    for out, record in zip(summary.out_records, records):
+    seen = []
+
+    def keep(packet):
+        result = nf.apply(packet)
+        seen.append((packet.data, result.packet.data))
+        return result
+
+    summary = run_records(replace(nf, transform=keep), records, registry,
+                          runtime=ContractRuntime(mode))
+    assert summary.violations == [] and summary.packets_out == len(seen) == 8
+    for record, out, (given, built) in zip(records, summary.out_records, seen):
         assert out is not record
         assert type(out.data) is bytes and out.data != record.data
         assert (out.ts_sec, out.ts_usec) == (record.ts_sec, record.ts_usec)
         assert out.data == bytes(nf.apply(Packet.from_bytes(record.data)).packet.data)
+        assert given is record.data and out.data is built
 
 
 @pytest.mark.parametrize("mode", [BuildMode.DEVELOPMENT, BuildMode.PRODUCTION])
@@ -546,6 +561,17 @@ def test_nf_is_built_before_input_is_read(registry):
         run_pipeline(
             RunConfig(nf_name="nope", input_path="/nonexistent/in.pcap"), registry
         )
+
+
+def test_run_records_and_run_config_refuse_a_policy_alike(registry):
+    nf = make_nf("mtu-too-big", registry)
+    with pytest.raises(ConfigError) as from_run:
+        run_records(nf, _mixed_records(), registry, policy="bogus")
+    with pytest.raises(ConfigError) as from_config:
+        RunConfig(nf_name="x", input_path="a.pcap", policy="bogus")
+    assert str(from_run.value) == str(from_config.value) == (
+        "unknown policy 'bogus' (known: drop, continue, abort)"
+    )
 
 
 def test_run_config_validation():

@@ -255,7 +255,7 @@ def test_parse_chain_decodes_declared_order(registry):
     assert [type(h).__name__ for h in headers] == ["EthHdr", "Ipv6Hdr", "TcpHdr"]
     assert headers[1].payload_len == 1300
     assert ends == [14, 54, 74]
-    assert packet.chain == []  # the walk records no chain entries
+    assert packet.chain == ()  # the walk records no chain entries
 
 
 def test_parse_chain_checks_protocol_linkage(registry):
