@@ -60,10 +60,10 @@ def main() -> None:
           f"0x{internet_checksum(sample):04X}  (expect 0x220D)")
 
     print("\n== transport checksums cover a pseudo-header too ==")
-    csum = pseudo_header_checksum(ipv6.src, ipv6.dst, len(segment), 6, segment)
+    csum = pseudo_header_checksum(ipv6.src, ipv6.dst, 6, segment)
     print(f"  TCP checksum for the frame above: 0x{csum:04X}")
     filled = segment[:16] + csum.to_bytes(2, "big") + segment[18:]
-    verify = pseudo_header_checksum(ipv6.src, ipv6.dst, len(filled), 6, filled)
+    verify = pseudo_header_checksum(ipv6.src, ipv6.dst, 6, filled)
     print(f"  re-summing with the checksum in place folds to zero: 0x{verify:04X}")
 
 

@@ -57,8 +57,6 @@ from .nfs import (
     NetworkFunction,
     TransformResult,
     make_nf,
-    send_too_big,
-    srv6_add_segment,
 )
 from .pcap import PcapRecord, pcap_bytes, read_pcap, write_pcap
 from .pipeline import RunConfig, RunSummary, bench, run_pipeline, run_records
@@ -128,8 +126,6 @@ __all__ = [
     "run_ingress",
     "run_pipeline",
     "run_records",
-    "send_too_big",
-    "srv6_add_segment",
     "standard_registry",
     "verify_order",
     "write_pcap",

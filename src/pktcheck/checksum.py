@@ -32,21 +32,16 @@ def internet_checksum(data: bytes) -> int:
     return ~total & 0xFFFF
 
 
-def pseudo_header_checksum(
-    src: bytes, dst: bytes, upper_len: int, next_header: int, upper_layer_bytes: bytes
-) -> int:
+def pseudo_header_checksum(src: bytes, dst: bytes, next_header: int,
+                           upper_layer_bytes: bytes) -> int:
     """Checksum over the IPv6 pseudo-header followed by the upper-layer bytes.
 
     The pseudo-header is src | dst | 32-bit upper-layer length | 3 zero
-    bytes | next-header. The checksum field inside ``upper_layer_bytes``
+    bytes | next-header, where the length is that of ``upper_layer_bytes``
+    (RFC 8200 section 8.1). The checksum field inside ``upper_layer_bytes``
     must already be zeroed by the caller.
     """
     if len(src) != 16 or len(dst) != 16:
         raise EmitError("pseudo-header addresses must be 16 bytes")
-    if upper_len != len(upper_layer_bytes):
-        raise EmitError(
-            f"upper-layer length mismatch: declared {upper_len}, "
-            f"got {len(upper_layer_bytes)} bytes"
-        )
-    pseudo = src + dst + struct.pack("!I3xB", upper_len, next_header)
+    pseudo = src + dst + struct.pack("!I3xB", len(upper_layer_bytes), next_header)
     return internet_checksum(pseudo + upper_layer_bytes)

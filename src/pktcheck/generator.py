@@ -116,7 +116,7 @@ def _gen_tcp6(rng: random.Random, payload_len: int) -> bytes:
         urgent_ptr=0,
     )
     segment = tcp.emit() + app_bytes
-    tcp_checksum = pseudo_header_checksum(src, dst, len(segment), PROTO_TCP, segment)
+    tcp_checksum = pseudo_header_checksum(src, dst, PROTO_TCP, segment)
     segment = replace(tcp, checksum=tcp_checksum).emit() + app_bytes
     return _frame(rng, src, dst, PROTO_TCP, segment)
 

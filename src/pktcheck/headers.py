@@ -479,12 +479,9 @@ MAX_SRV6_SEGMENTS = next(
 _SRV6_SEGMENTS = [struct.Struct("16s" * n) for n in range(MAX_SRV6_SEGMENTS + 1)]
 
 
+#: The five codecs by class name, the name a ``Registry`` gives each.
 HEADER_TYPES = {
-    "EthHdr": EthHdr,
-    "Ipv6Hdr": Ipv6Hdr,
-    "TcpHdr": TcpHdr,
-    "Icmpv6PktTooBig": Icmpv6PktTooBig,
-    "Srv6RoutingHdr": Srv6RoutingHdr,
+    cls.__name__: cls for cls in (EthHdr, Ipv6Hdr, TcpHdr, Icmpv6PktTooBig, Srv6RoutingHdr)
 }
 
 

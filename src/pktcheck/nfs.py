@@ -16,7 +16,7 @@ Two NFs are provided, addressable by name:
     the segment list while forgetting the outer length field.
 
 The catalog is data: each NF's transform and its contract, parsed once,
-at import. ``make_nf`` elaborates the contract against a registry and binds
+at import. ``make_nf``, the way in, elaborates the contract against a registry and binds
 switches to the transform: fault-injection flags (``omit_ipv6_swap``,
 ``omit_payload_len_update``, ...) that produce deliberately buggy variants
 for exercising the contract machinery, and srv6-change-pkt's ``visit_new``,
@@ -154,13 +154,11 @@ def send_too_big(
     except ParseError:
         return TransformResult(packet)
 
-    if omit_eth_swap:
-        new_eth = EthHdr(dst=eth.dst, src=eth.src, ether_type=ETHERTYPE_IPV6)
-    else:
-        new_eth = EthHdr(dst=eth.src, src=eth.dst, ether_type=ETHERTYPE_IPV6)
-    new_src, new_dst = (
-        (ipv6.src, ipv6.dst) if omit_ipv6_swap else (ipv6.dst, ipv6.src)
+    # _eth_ipv6 accepted only the IPv6 ethertype, so eth is the unswapped reply's
+    new_eth = eth if omit_eth_swap else EthHdr(
+        dst=eth.src, src=eth.dst, ether_type=ETHERTYPE_IPV6
     )
+    new_src, new_dst = (ipv6.src, ipv6.dst) if omit_ipv6_swap else (ipv6.dst, ipv6.src)
     new_ipv6 = Ipv6Hdr(
         src=new_src,
         dst=new_dst,
@@ -173,9 +171,7 @@ def send_too_big(
     invoking = data[ETH_HDR_SIZE:end]
     icmp = Icmpv6PktTooBig(checksum=0, mtu=IPV6_MIN_MTU, invoking_packet=invoking)
     body = icmp.emit()
-    icmp.checksum = pseudo_header_checksum(
-        new_ipv6.src, new_ipv6.dst, len(body), PROTO_ICMPV6, body
-    )
+    icmp.checksum = pseudo_header_checksum(new_ipv6.src, new_ipv6.dst, PROTO_ICMPV6, body)
     out = Packet.from_bytes(new_eth.emit() + new_ipv6.emit() + icmp.emit())
     return TransformResult(out)
 

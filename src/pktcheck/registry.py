@@ -10,11 +10,12 @@ codec's attribute kinds (``FieldRead.kinds``) then too; it never changes.
 ``standard_registry`` is the one registry of the framework's codecs, built
 at import.
 
-``verify_order`` runs once, when a contract is elaborated: it proves an
-order against the predecessor rules and compiles it into a walk, one
-``OrderStep`` per element, holding the codec, the linkage field to
-cross-check and the protocol number it must read. A contract's generated
-phase functions follow its walks inline and raise the same errors, which
+``verify_order`` runs once, when a contract is elaborated: in one pass,
+in reading order, it proves each element of an order against those rules
+and compiles it into a walk step (an ``OrderStep``: the codec, the
+linkage field to cross-check and the protocol number it must read), so
+the first faulty element is the one refused. A contract's generated phase
+functions follow its walks inline and raise the same errors, which
 ``walk_error`` builds for both. ``parse_chain`` runs a walk on its own,
 outside the packet path: it calls each codec at a running offset and
 looks nothing up, and the tests hold the generated phases to it, down to
@@ -142,55 +143,45 @@ class Registry:
 
 
 def verify_order(registry: Registry, spec: OrderSpec) -> tuple[OrderStep, ...]:
-    """Validate an order spec against its codecs' predecessor rules and
-    compile it into the walk that ``parse_chain`` runs per packet.
+    """Validate an order spec against its codecs' chain rules and compile
+    it into the walk that ``parse_chain`` runs per packet.
 
-    Runs at elaboration/pipeline-construction time, never per packet.
-    Raises ChainOrderError naming the offending adjacent pair, or the
-    element whose ``<param>`` is out of scope or not its header's slot. A
-    header type the registry does not know, wherever it stands, raises the
-    ``RegistryError`` of ``registry.get``.
+    Runs at elaboration/pipeline-construction time, never per packet. One
+    pass over the elements, in reading order: each element's type is looked
+    up (an unknown one raises ``registry.get``'s ``RegistryError``), then
+    the root (index 0) or its predecessor is checked, then its ``<param>``'s
+    scope and slot, so the first faulty element raises a ChainOrderError.
     """
-    codecs = []
+    walk: list[OrderStep] = []
     for i, element in enumerate(spec):
         name = element.header_type
-        codecs.append(registry.get(name))
-        after = codecs[i].READ.after
-        if i and (prev := spec.elements[i - 1].header_type) not in after:
+        codec = registry.get(name)
+        layout = codec.READ
+        if i == 0 and layout.after:
+            raise ChainOrderError(
+                0, name, None, f"{name} is not a chain root and cannot start {spec}"
+            )
+        if i and (prev := walk[-1].header_type) not in layout.after:
             raise ChainOrderError(
                 i, name, prev,
                 f"{name} cannot follow {prev}: permitted predecessors are "
-                f"{{{', '.join(sorted(after)) or 'none (chain root)'}}}",
+                f"{{{', '.join(sorted(layout.after)) or 'none (chain root)'}}}",
             )
-    for i, element in enumerate(spec):
-        if element.param is not None:
-            earlier = {e.header_type for e in spec.elements[:i]}
-            if element.param not in earlier:
-                raise ChainOrderError(
-                    i, element.param, None,
-                    f"{element} names parameter {element.param} but no earlier "
-                    f"element in {spec} provides it",
-                )
-    root = spec.elements[0].header_type
-    if codecs[0].READ.after:
-        raise ChainOrderError(
-            0, root, None, f"{root} is not a chain root and cannot start {spec}"
-        )
-    for i, element in enumerate(spec):
-        slot = codecs[i].READ.slot
-        if element.param is not None and element.param != slot:
+        param, slot = element.param, layout.slot
+        if param is not None and param not in {step.header_type for step in walk}:
             raise ChainOrderError(
-                i, slot, element.param,
-                f"{element} names parameter {element.param}, but "
-                + (f"the parameter of {element.header_type} is {slot}" if slot
-                   else f"{element.header_type} takes no parameter")
+                i, param, None,
+                f"{element} names parameter {param} but no earlier element in {spec} provides it",
+            )
+        if param is not None and param != slot:
+            raise ChainOrderError(
+                i, slot, param,
+                f"{element} names parameter {param}, but "
+                + (f"the parameter of {name} is {slot}" if slot else f"{name} takes no parameter")
                 + f" in {spec}",
             )
-    walk = []
-    for i, codec in enumerate(codecs):
-        proto = codec.READ.proto
-        linkage = codecs[i - 1].READ.linkage if i and proto is not None else None
-        walk.append(OrderStep(codec, linkage, proto))
+        linkage = walk[-1].codec.READ.linkage if i and layout.proto is not None else None
+        walk.append(OrderStep(codec, linkage, layout.proto))
     return tuple(walk)
 
 

@@ -354,6 +354,6 @@ def reference_send_too_big(packet, *, omit_ipv6_swap=False, omit_eth_swap=False)
     invoking = bytes(packet.data[14:end])
     icmp = Icmpv6PktTooBig(checksum=0, mtu=1280, invoking_packet=invoking)
     body = icmp.emit()
-    icmp.checksum = pseudo_header_checksum(new_src, new_dst, len(body), 58, body)
+    icmp.checksum = pseudo_header_checksum(new_src, new_dst, 58, body)
     out = Packet.from_bytes(new_eth.emit() + new_ipv6.emit() + icmp.emit())
     return TransformResult(out)

@@ -10,14 +10,18 @@ from pktcheck import (
     internet_checksum,
     make_nf,
     order,
-    send_too_big,
-    srv6_add_segment,
     verify_order,
 )
 from pktcheck import headers, nfs
 from pktcheck.contracts import elaborate
 from pktcheck.headers import EthHdr, Ipv6Hdr
-from pktcheck.nfs import CATALOG, DEFAULT_SEGMENT, MAX_SRV6_SEGMENTS
+from pktcheck.nfs import (
+    CATALOG,
+    DEFAULT_SEGMENT,
+    MAX_SRV6_SEGMENTS,
+    send_too_big,
+    srv6_add_segment,
+)
 from pktcheck.pcap import PcapRecord
 from pktcheck.pipeline import run_records
 from pktcheck.registry import parse_chain

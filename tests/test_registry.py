@@ -240,7 +240,16 @@ def test_registry_lookup_refusal_texts(registry, lookup, text):
     (order("Srv6RoutingHdr"),
      (0, "Srv6RoutingHdr", None,
       "Srv6RoutingHdr is not a chain root and cannot start [Srv6RoutingHdr]")),
-], ids=["one-predecessor", "two-predecessors", "chain-root", "not-root", "lone-not-root"])
+    # two faults: the first in reading order is refused, whatever its kind
+    (order("Ipv6Hdr", "EthHdr"),
+     (0, "Ipv6Hdr", None,
+      "Ipv6Hdr is not a chain root and cannot start [Ipv6Hdr => EthHdr]")),
+    (order("EthHdr", "Ipv6Hdr", ("TcpHdr", "EthHdr"), "Ipv6Hdr"),
+     (2, "Ipv6Hdr", "EthHdr",
+      "TcpHdr<EthHdr> names parameter EthHdr, but the parameter of TcpHdr is "
+      "Ipv6Hdr in [EthHdr => Ipv6Hdr => TcpHdr<EthHdr> => Ipv6Hdr]")),
+], ids=["one-predecessor", "two-predecessors", "chain-root", "not-root", "lone-not-root",
+        "root-before-predecessor", "slot-before-predecessor"])
 def test_verify_order_refusal_texts(registry, spec, error):
     with pytest.raises(ChainOrderError) as excinfo:
         verify_order(registry, spec)
