@@ -46,7 +46,8 @@ the layout's tests, each refusal raising the ``ChainOrderError`` of
 function then builds each header from the fields read, as ``parse``
 does, and the headers become the snapshot; the egress function builds
 none and keeps only the fields its checks and linkage cross-checks name.
-Phases of the same text share one compiled code object. Production never
+NFs built from one contract text against one registry share one generated
+function per phase, which is written and compiled once. Production never
 generates them.
 """
 
@@ -58,7 +59,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 from . import headers
-from .engine import COMPARATORS, Check, CompiledCheck, FieldRef, Operand, Source
+from .engine import COMPARATORS, Check, CompiledCheck, FieldRef, Operand, Source, describe_sum
 from .exceptions import ContractSyntaxError, ElaborationError, RegistryError
 from .headers import BYTES, INT
 from .registry import (
@@ -81,9 +82,6 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
-
-_COMPARATOR_PUNCT = {"==", "<", "<=", ">", ">="}
-
 
 class Token(NamedTuple):
     kind: str  # "int" | "name" | punct text | "eof"
@@ -119,44 +117,22 @@ def _tokenize(text: str) -> list[Token]:
     return tokens
 
 
-# --- static assertion expressions -------------------------------------------
-# AST: ("int", value) | ("const", name) | (op, lhs, rhs) with op in {+,-,*}
-
-
 @dataclass(frozen=True)
 class StaticAssertion:
-    """A comparison over constants, decided at elaboration time."""
+    """A comparison over constants, decided at elaboration time. Each side
+    is a signed sum of products, ``((sign, (factor, ...)), ...)``, and each
+    factor an int or a constant's name."""
 
     lhs: tuple
     op: str
     rhs: tuple
 
     def text(self) -> str:
-        return f"{_expr_text(self.lhs)} {self.op} {_expr_text(self.rhs)}"
-
-
-def _expr_text(node: tuple) -> str:
-    tag = node[0]
-    if tag == "int":
-        return str(node[1])
-    if tag == "const":
-        return node[1]
-    return f"{_expr_text(node[1])} {tag} {_expr_text(node[2])}"
-
-
-def _expr_eval(node: tuple, constants: dict[str, int]) -> int:
-    tag = node[0]
-    if tag == "int":
-        return node[1]
-    if tag == "const":
-        if node[1] not in constants:
-            raise ElaborationError(
-                f"static assertion uses unbound constant {node[1]!r}"
-            )
-        return constants[node[1]]
-    a = _expr_eval(node[1], constants)
-    b = _expr_eval(node[2], constants)
-    return a + b if tag == "+" else a - b if tag == "-" else a * b
+        lhs, rhs = (
+            describe_sum((sign, " * ".join(map(str, factors))) for sign, factors in side)
+            for side in (self.lhs, self.rhs)
+        )
+        return f"{lhs} {self.op} {rhs}"
 
 
 @dataclass(frozen=True)
@@ -186,13 +162,13 @@ class Phase(PhaseSpec):
     they make."""
 
     name: str
-    walk: tuple[OrderStep, ...] = field(compare=False, repr=False)
-    compiled: tuple[CompiledCheck, ...] = field(compare=False, repr=False)
+    walk: tuple[OrderStep, ...] = field(repr=False)
+    compiled: tuple[CompiledCheck, ...] = field(repr=False)
 
     @cached_property
     def run(self) -> Callable:
-        """The phase as one generated function, compiled when a Development
-        run first needs it; Production never does.
+        """The phase as one generated function, shared by equal phases and
+        compiled when a Development run first needs it; Production never does.
 
         ``ingress(data)`` returns ``(failed, snapshot)`` and
         ``egress(data, snapshot)`` returns ``failed``, which lists each
@@ -270,20 +246,37 @@ class _Parser:
             egress=egress,
         )
 
+    def parse_list(self, item: Callable, sep: str) -> tuple:
+        """``item (sep item)*``: what each ``item()`` parsed, in order."""
+        items = [item()]
+        while self.peek().kind == sep:
+            self.advance()
+            items.append(item())
+        return tuple(items)
+
+    def parse_sum(self, term: Callable) -> tuple:
+        """``term ((+|-) term)*``: the signed sum of what each ``term()``
+        parsed, as ``(sign, term)`` pairs."""
+        terms = [(1, term())]
+        while self.peek().kind in ("+", "-"):
+            sign = 1 if self.advance().kind == "+" else -1
+            terms.append((sign, term()))
+        return tuple(terms)
+
     def parse_bindings(self) -> dict[str, int]:
         constants: dict[str, int] = {}
-        if self.peek().kind == ")":
-            return constants
-        while True:
+
+        def binding():
             name_tok = self.expect("name", "constant name")
             self.expect("=")
             value_tok = self.expect("int", "integer value")
             if name_tok.value in constants:
                 self.error(f"duplicate constant {name_tok.value!r}", name_tok)
             constants[name_tok.value] = value_tok.value
-            if self.peek().kind != ",":
-                return constants
-            self.advance()
+
+        if self.peek().kind != ")":
+            self.parse_list(binding, ",")
+        return constants
 
     def parse_phase(self, keyword: str) -> PhaseSpec:
         rhs_source = (
@@ -303,22 +296,16 @@ class _Parser:
         self.expect_keyword("checks")
         self.expect(":")
         self.expect("[")
-        checks = [self.parse_check(rhs_source)]
-        while self.peek().kind == ",":
-            self.advance()
-            checks.append(self.parse_check(rhs_source))
+        checks = self.parse_list(lambda: self.parse_check(rhs_source), ",")
         self.expect("]")
         self.expect("}")
-        return PhaseSpec(order=order, checks=tuple(checks))
+        return PhaseSpec(order=order, checks=checks)
 
     def parse_order(self) -> OrderSpec:
         self.expect("[")
-        elements = [self.parse_hdr()]
-        while self.peek().kind == "=>":
-            self.advance()
-            elements.append(self.parse_hdr())
+        elements = self.parse_list(self.parse_hdr, "=>")
         self.expect("]")
-        return OrderSpec(tuple(elements))
+        return OrderSpec(elements)
 
     def parse_hdr(self) -> OrderElement:
         name = self.expect("name", "header type").value
@@ -340,13 +327,9 @@ class _Parser:
         return Check(lhs=lhs, op=op, rhs=rhs)
 
     def parse_comparator(self) -> str:
-        tok = self.peek()
-        if tok.kind in _COMPARATOR_PUNCT:
+        if self.peek().value in COMPARATORS:
             return self.advance().value
-        if tok.kind == "name" and tok.value == "neq":
-            self.advance()
-            return "neq"
-        self.refuse("comparator (one of ==, neq, <, <=, >, >=)")
+        self.refuse(f"comparator (one of {', '.join(COMPARATORS)})")
 
     def parse_fieldref(self, source: Source) -> FieldRef:
         if self.peek().kind == ".":
@@ -363,11 +346,7 @@ class _Parser:
         )
 
     def parse_operand(self, source: Source) -> Operand:
-        terms = [(1, self.parse_operand_term(source))]
-        while self.peek().kind in ("+", "-"):
-            sign = 1 if self.advance().kind == "+" else -1
-            terms.append((sign, self.parse_operand_term(source)))
-        return Operand(tuple(terms))
+        return Operand(self.parse_sum(lambda: self.parse_operand_term(source)))
 
     def parse_operand_term(self, source: Source):
         tok = self.peek()
@@ -384,39 +363,22 @@ class _Parser:
         self.expect_keyword("static")
         self.expect(":")
         self.expect("[")
-        assertions = [self.parse_assert_expr()]
-        while self.peek().kind == ",":
-            self.advance()
-            assertions.append(self.parse_assert_expr())
+        assertions = self.parse_list(self.parse_assert_expr, ",")
         self.expect("]")
-        return tuple(assertions)
+        return assertions
 
     def parse_assert_expr(self) -> StaticAssertion:
-        lhs = self.parse_additive()
+        lhs = self.parse_sum(self.parse_product)
         op = self.parse_comparator()
-        rhs = self.parse_additive()
+        rhs = self.parse_sum(self.parse_product)
         return StaticAssertion(lhs=lhs, op=op, rhs=rhs)
 
-    def parse_additive(self) -> tuple:
-        node = self.parse_multiplicative()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            node = (op, node, self.parse_multiplicative())
-        return node
+    def parse_product(self) -> tuple:
+        return self.parse_list(self.parse_atom, "*")
 
-    def parse_multiplicative(self) -> tuple:
-        node = self.parse_atom()
-        while self.peek().kind == "*":
-            self.advance()
-            node = ("*", node, self.parse_atom())
-        return node
-
-    def parse_atom(self) -> tuple:
-        tok = self.peek()
-        if tok.kind == "int":
-            return ("int", self.advance().value)
-        if tok.kind == "name":
-            return ("const", self.advance().value)
+    def parse_atom(self) -> int | str:
+        if self.peek().kind in ("int", "name"):
+            return self.advance().value
         self.refuse("integer or constant")
 
 
@@ -523,6 +485,7 @@ def _compile_phase(
                 term_kinds.append(kind)
                 from_snapshot = term.source is Source.INGRESS_SNAPSHOT
                 reads.append((sign, from_snapshot, term.accessor, j))
+                term = term.describe()
             else:
                 if isinstance(term, str):
                     if term not in spec.constants:
@@ -564,7 +527,7 @@ def _compile_phase(
             idx,
             check.op,
             check.lhs.describe(),
-            Operand(tuple(terms)).describe(),
+            describe_sum(terms),
             check.lhs.accessor,
             i,
             tuple(reads),
@@ -574,12 +537,24 @@ def _compile_phase(
     return tuple(compiled)
 
 
+def _static_value(side: tuple, constants: dict[str, int]) -> int:
+    """The value of one side of a static assertion, a signed sum of products."""
+    total = 0
+    for sign, factors in side:
+        for factor in factors:
+            if isinstance(factor, str) and factor not in constants:
+                raise ElaborationError(f"static assertion uses unbound constant {factor!r}")
+            sign *= constants.get(factor, factor)
+        total += sign
+    return total
+
+
 def check_static_assertions(spec: ContractSpec) -> None:
     """Evaluate every static assertion; raise ElaborationError on failure,
     quoting the expression and the value of each side."""
     for assertion in spec.static_assertions:
-        lhs = _expr_eval(assertion.lhs, spec.constants)
-        rhs = _expr_eval(assertion.rhs, spec.constants)
+        lhs = _static_value(assertion.lhs, spec.constants)
+        rhs = _static_value(assertion.rhs, spec.constants)
         if not COMPARATORS[assertion.op](lhs, rhs):
             raise ElaborationError(
                 f"static assertion failed: {assertion.text()} "
@@ -625,29 +600,21 @@ _PY_OPS = {op: "!=" if op == "neq" else op for op in COMPARATORS}
 def _rhs_source(compiled: CompiledCheck, read) -> str:
     """The right-hand operand of ``compiled`` as one expression; ``read``
     spells a ``(from_snapshot, name, index)`` field read."""
-    if compiled.is_bytes:
-        return read(*compiled.reads[0][1:])
     terms = [
-        f"{'+' if sign > 0 else '-'} {read(from_snapshot, name, j)}"
+        (sign, read(from_snapshot, name, j))
         for sign, from_snapshot, name, j in compiled.reads
     ]
     if compiled.const or not terms:
-        terms.append(f"+ {compiled.const!r}")
-    expr = " ".join(terms)
-    return expr[2:] if expr[0] == "+" else "-" + expr[2:]
+        terms.append((1, compiled.const))
+    return describe_sum(terms)
 
 
 @lru_cache(maxsize=64)
-def _compile(source: str):
-    """The code object of generated ``source``, shared by every phase that
-    generates the same text."""
-    return compile(source, "<contract phase>", "exec")
-
-
 def _generate(phase: Phase) -> Callable:
     """Write ``phase`` as one function (see ``Phase.run``) and compile it,
     in a namespace of its own over the codecs' module scope, where their
-    layouts' expressions resolve.
+    layouts' expressions resolve. Equal phases share the one function: a
+    phase's equality covers the name, walk and compiled checks it runs.
 
     Per step of the walk, header ``k`` first cross-checks its predecessor's
     linkage field, as ``parse_chain`` does, then splices in its codec's
@@ -712,7 +679,7 @@ def _generate(phase: Phase) -> Callable:
         ]
     headers_built = ", ".join(f"h{k}" for k in range(len(walk)))
     lines.append(f"    return failed, ({headers_built},)" if ingress else "    return failed")
-    exec(_compile("\n".join(lines) + "\n"), namespace)
+    exec(compile("\n".join(lines) + "\n", "<contract phase>", "exec"), namespace)
     return namespace[name]
 
 

@@ -105,6 +105,15 @@ class FieldRef:
         return f"{self.accessor}[{hdr}{occ}]{suffix}"
 
 
+def describe_sum(terms) -> str:
+    """The text of a signed sum of ``(sign, term)`` pairs: ``a + b - c``,
+    and ``-a + b`` when the first sign is negative. Every signed sum prints
+    here: an operand, a static assertion's side and a generated phase's
+    right-hand expression."""
+    text = " ".join([f"+ {term}" if sign > 0 else f"- {term}" for sign, term in terms])
+    return text[2:] if text[:1] == "+" else text[:1] + text[2:]
+
+
 @dataclass(frozen=True)
 class Operand:
     """Right-hand side of a check: a signed sum of literals, (pre-elaboration)
@@ -129,14 +138,10 @@ class Operand:
         return cls(((1, ref),))
 
     def describe(self) -> str:
-        parts = []
-        for i, (sign, term) in enumerate(self.terms):
-            text = term.describe() if isinstance(term, FieldRef) else str(term)
-            if i == 0:
-                parts.append(text if sign > 0 else f"-{text}")
-            else:
-                parts.append(f"{'+' if sign > 0 else '-'} {text}")
-        return " ".join(parts)
+        return describe_sum([
+            (sign, term.describe() if isinstance(term, FieldRef) else term)
+            for sign, term in self.terms
+        ])
 
     def field_refs(self):
         return [term for _, term in self.terms if isinstance(term, FieldRef)]
@@ -246,7 +251,7 @@ def build_snapshot(headers: list, runtime: ContractRuntime | None = None) -> tup
     return tuple(headers)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CompiledCheck:
     """One check of an elaborated contract, resolved against its phase.
 
@@ -260,6 +265,8 @@ class CompiledCheck:
     and ``rhs_text`` are the operands' ``describe()`` texts, constants
     inlined, fixed here so that a failing check only assembles its message.
     The generated phase functions read the same attributes inline.
+    It hashes by value, since generated phases are cached on their checks,
+    but is not frozen: a frozen dataclass takes several times as long to build.
     """
 
     index: int

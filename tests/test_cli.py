@@ -220,6 +220,13 @@ def test_bench_text(capsys):
     assert "prod closed-loop latency p50=" in out
 
 
+def test_bench_of_no_packets(capsys):
+    assert main(["bench", "--nf", "mtu-too-big", "--count", "0", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["packets"] == 0
+    assert report["ingress_share_of_contract_overhead"] == 0.0
+
+
 def test_explain_prints_contract(capsys):
     assert main(["explain", "--nf", "mtu-too-big"]) == 0
     out = capsys.readouterr().out

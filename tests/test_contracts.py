@@ -199,6 +199,12 @@ def test_parse_rejects_duplicate_constants():
         parse_contract_spec("check(A = 1, A = 2)")
 
 
+def test_a_duplicate_constant_is_refused_before_a_later_syntax_error():
+    with pytest.raises(ContractSyntaxError) as excinfo:
+        parse_contract_spec("check(A = 1, A = 2, B = )")
+    assert str(excinfo.value) == "duplicate constant 'A' (line 1, column 14)"
+
+
 def test_parse_comments_and_hex_literals():
     text = """
     check(MAGIC = 0x10)  # binds 16
@@ -576,8 +582,33 @@ def test_elaboration_rejects_an_operand_no_parse_produces(registry, name):
 def test_contracts_of_one_text_share_their_compiled_phases(registry):
     first, second = (make_nf("srv6-change-pkt", registry).contract for _ in range(2))
     for one, other in ((first.ingress, second.ingress), (first.egress, second.egress)):
-        assert one.run is not other.run
-        assert one.run.__code__ is other.run.__code__
+        assert one.run is other.run
+
+
+def test_phases_that_check_different_values_share_no_function(registry):
+    text = "check(K = {}) pre {{ order: [EthHdr], checks: [(ether_type[EthHdr], ==, K)] }}"
+    one, two = (elaborate(parse_contract_spec(text.format(k)), registry).ingress
+                for k in (1, 2))
+    assert one != two
+    assert one.run is not two.run
+    frames = {k: bytes(12) + k.to_bytes(2, "big") for k in (1, 2)}
+    for phase, own, other in ((one, 1, 2), (two, 2, 1)):
+        assert phase.run(frames[own])[0] == []
+        assert phase.run(frames[other])[0] == [(0, other, own)]
+
+
+def test_elaboration_rejects_a_comparator_it_does_not_know(registry):
+    # the parser has no `!=`; only a hand-built check can carry one
+    check = Check(FieldRef("ether_type", "EthHdr"), "!=", Operand.literal(1))
+    spec = ContractSpec(
+        nf_name="x", constants={}, static_assertions=(),
+        ingress=PhaseSpec(order("EthHdr"), (check,)), egress=None,
+    )
+    with pytest.raises(ElaborationError) as excinfo:
+        elaborate(spec, registry)
+    assert str(excinfo.value) == (
+        "ingress check (ether_type[EthHdr], !=, 1): unknown comparator '!='"
+    )
 
 
 def test_elaborate_rejects_bad_order(registry):
@@ -619,6 +650,29 @@ def test_static_assertion_all_comparators(registry):
     elaborate(parse_contract_spec(text), registry)
 
 
+#: Static assertions and the exact refusal of each. The first multiplies
+#: before it adds (a left-to-right fold reads 18 and passes) and prints its hex
+#: literal in decimal.
+STATIC_REFUSALS = {
+    "products before sums": (
+        "check(A = 1, B = 16) static: [A + B * 2 - 0x10 == 18]",
+        "static assertion failed: A + B * 2 - 16 == 18 (lhs = 17, rhs = 18)",
+    ),
+    "unbound factor": (
+        "check(A = 1) static: [2 * A * C == 1]",
+        "static assertion uses unbound constant 'C'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", STATIC_REFUSALS)
+def test_static_assertion_refusal_text(registry, name):
+    text, message = STATIC_REFUSALS[name]
+    with pytest.raises(ElaborationError) as excinfo:
+        elaborate(parse_contract_spec(text), registry)
+    assert str(excinfo.value) == message
+
+
 def test_elaboration_is_deterministic(registry):
     first = elaborate(parse_contract_spec(MTU_TOO_BIG_CONTRACT, nf_name="m"), registry)
     second = elaborate(parse_contract_spec(MTU_TOO_BIG_CONTRACT, nf_name="m"), registry)
@@ -635,6 +689,17 @@ def test_explain_renders_phases(registry):
     assert "[EthHdr => Ipv6Hdr => TcpHdr<Ipv6Hdr>]" in text
     assert "IPV6_MIN_MTU = 1280" in text
     assert "#5" in text
+
+
+def test_explain_names_a_missing_phase(registry):
+    text = "check() pre { order: [EthHdr], checks: [(ether_type[EthHdr], ==, 0x86dd)] }"
+    assert explain_contract(elaborate(parse_contract_spec(text), registry)) == """\
+contract for NF nf
+ingress:
+  order: [EthHdr]
+  checks:
+    #0 (ether_type[EthHdr], ==, 34525)
+egress: (none)"""
 
 
 def test_explain_text_of_the_catalog_contracts(registry):

@@ -396,6 +396,12 @@ def test_packet_parse_truncated():
         packet.parse_header("Ipv6Hdr")
 
 
+def test_packet_parse_refuses_an_unknown_header_type():
+    with pytest.raises(ParseError) as excinfo:
+        Packet.from_bytes(build_tcp6_bytes()).parse_header("GreHdr")
+    assert str(excinfo.value) == "unknown header type 'GreHdr'"
+
+
 # --- every codec on hostile input ---------------------------------------------------
 
 CODECS = [EthHdr, Ipv6Hdr, TcpHdr, Icmpv6PktTooBig, Srv6RoutingHdr]

@@ -806,6 +806,13 @@ def test_bench_report_shape(registry):
         bench("mtu-too-big", records, registry, repetitions=0)
 
 
+def test_bench_over_no_records(registry):
+    report = bench("mtu-too-big", [], registry)
+    assert report["packets"] == 0
+    assert report["ingress_share_of_contract_overhead"] == 0.0
+    assert report["latency_us"] == {mode: {"p50": 0.0, "p99": 0.0} for mode in ("dev", "prod")}
+
+
 @pytest.mark.parametrize("repetitions", [1.5, "2", None, True])
 def test_bench_refuses_repetitions_that_are_not_an_int(registry, repetitions):
     records = generate_records(GeneratorSpec(count=2, payload_len=1300, seed=5))

@@ -12,7 +12,7 @@ from pktcheck import (
     standard_registry,
     verify_order,
 )
-from pktcheck.headers import HEADER_TYPES, FieldRead
+from pktcheck.headers import HEADER_TYPES, ChainEntry, FieldRead
 from pktcheck.registry import OrderElement, OrderSpec, Registry, match_chain, parse_chain
 
 from oracles import build_tcp6_bytes
@@ -298,6 +298,16 @@ def test_match_chain_rejects_wrong_shape(registry):
         match_chain(packet, order("EthHdr", "Ipv6Hdr"))
     with pytest.raises(ChainOrderError):
         match_chain(packet, order("EthHdr", "Ipv6Hdr", ("Icmpv6PktTooBig", "Ipv6Hdr")))
+
+
+def test_match_chain_refuses_a_parameter_no_earlier_header_provides():
+    packet = Packet(b"", (ChainEntry("EthHdr", 0, 14), ChainEntry("TcpHdr", 14, 20)))
+    with pytest.raises(ChainOrderError) as excinfo:
+        match_chain(packet, order("EthHdr", ("TcpHdr", "Ipv6Hdr")))
+    assert str(excinfo.value) == (
+        "order mismatch at index 1: TcpHdr<Ipv6Hdr> expects Ipv6Hdr earlier in "
+        "the chain"
+    )
 
 
 def test_srv6_chain_with_repeated_headers(registry):
