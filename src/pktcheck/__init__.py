@@ -41,7 +41,7 @@ from .exceptions import (
     PktCheckError,
     RegistryError,
 )
-from .generator import GeneratorSpec, generate, generate_records
+from .generator import GeneratorSpec, generate_records
 from .headers import (
     ETH_HDR_SIZE,
     IPV6_HDR_SIZE,
@@ -113,7 +113,6 @@ __all__ = [
     "bench",
     "elaborate",
     "explain_contract",
-    "generate",
     "generate_records",
     "internet_checksum",
     "make_nf",

@@ -22,7 +22,7 @@ from .exceptions import PktCheckError
 from .generator import TEMPLATES, GeneratorSpec, generate_records
 from .nfs import CATALOG, make_nf
 from .contracts import explain_contract
-from .pcap import write_pcap
+from .pcap import read_pcap, write_pcap
 from .pipeline import RunConfig, bench, run_pipeline
 from .registry import standard_registry
 
@@ -129,8 +129,6 @@ def _cmd_gen(args) -> int:
 
 def _cmd_bench(args) -> int:
     if args.input_path:
-        from .pcap import read_pcap
-
         records = read_pcap(args.input_path)
     else:
         records = generate_records(_generator_spec(args))
@@ -174,10 +172,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except PktCheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PktCheckError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -46,6 +46,9 @@ the layout's tests, each refusal raising the ``ChainOrderError`` of
 function then builds each header from the fields read, as ``parse``
 does, and the headers become the snapshot; the egress function builds
 none and keeps only the fields its checks and linkage cross-checks name.
+Each failing check appends its ``Violation``, the phase name, check index,
+texts and comparator written into the source and the NF's name and packet
+index passed in.
 NFs built from one contract text against one registry share one generated
 function per phase, which is written and compiled once. Production never
 generates them.
@@ -59,7 +62,8 @@ from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 from . import headers
-from .engine import COMPARATORS, Check, CompiledCheck, FieldRef, Operand, Source, describe_sum
+from .engine import (COMPARATORS, Check, CompiledCheck, FieldRef, Operand, Source, Violation,
+                     describe_sum, render_value)
 from .exceptions import ContractSyntaxError, ElaborationError, RegistryError
 from .headers import BYTES, INT
 from .registry import (
@@ -170,11 +174,12 @@ class Phase(PhaseSpec):
         """The phase as one generated function, shared by equal phases and
         compiled when a Development run first needs it; Production never does.
 
-        ``ingress(data)`` returns ``(failed, snapshot)`` and
-        ``egress(data, snapshot)`` returns ``failed``, which lists each
-        failing check as ``(index, lhs_value, rhs_value)``. A packet that
-        fails the phase's walk raises the ``ChainOrderError`` that
-        ``parse_chain`` raises for it.
+        ``ingress(data, nf, index)`` returns ``(violations, snapshot)`` and
+        ``egress(data, snapshot, nf, index)`` returns ``violations``, the
+        ``Violation`` of each failing check of packet ``index`` of NF ``nf``.
+        The NF's name is an argument because equal phases of NFs of other
+        names share the function. A packet that fails the phase's walk
+        raises the ``ChainOrderError`` that ``parse_chain`` raises for it.
         """
         return _generate(self)
 
@@ -627,16 +632,18 @@ def _generate(phase: Phase) -> Callable:
     there. At ingress each step then builds header ``hk`` from what it
     read, as the codec's ``parse`` does, and the snapshot is the headers
     built. At egress no header is built, and snapshot header ``j`` is
-    ``sj = snap[j]``.
+    ``sj = snap[j]``. A failing check appends its ``Violation``, its values
+    wrapped in ``render_value`` only for a byte check.
     """
     name, walk, checks = phase.name, phase.walk, phase.compiled
     ingress = name == "ingress"
-    namespace = {**vars(headers), "walk_error": walk_error, "walk": walk}
+    namespace = {**vars(headers), "walk_error": walk_error, "walk": walk,
+                 "Violation": Violation, "render_value": render_value}
     used = {(c.lhs_index, c.lhs) for c in checks}
     used |= {(j, attribute) for c in checks
              for _, from_snapshot, attribute, j in c.reads if not from_snapshot}
     used |= {(k - 1, step.linkage) for k, step in enumerate(walk) if step.linkage}
-    lines = ["def ingress(data):" if ingress else "def egress(data, snap):",
+    lines = [f"def {name}(data, {'' if ingress else 'snap, '}nf, index):",
              "    n = len(data)"]
     for k, step in enumerate(walk):
         header = step.header_type
@@ -671,11 +678,13 @@ def _generate(phase: Phase) -> Callable:
         return f"s{j}.{attribute}" if from_snapshot else f"h{j}_{attribute}"
 
     for c in checks:
+        lhs, rhs = ("render_value(lhs)", "render_value(rhs)") if c.is_bytes else ("lhs", "rhs")
         lines += [
             f"    lhs = {read(False, c.lhs, c.lhs_index)}",
             f"    rhs = {_rhs_source(c, read)}",
             f"    if not lhs {_PY_OPS[c.op]} rhs:",
-            f"        failed.append(({c.index}, lhs, rhs))",
+            f"        failed.append(Violation(nf, {name!r}, {c.index}, {c.lhs_text!r}, {lhs}, "
+            f"{c.op!r}, {c.rhs_text!r}, {rhs}, index))",
         ]
     headers_built = ", ".join(f"h{k}" for k in range(len(walk)))
     lines.append(f"    return failed, ({headers_built},)" if ingress else "    return failed")

@@ -11,21 +11,19 @@ the fields it read, as the codec's ``parse`` does, and the ingress snapshot
 is the tuple of those headers. The codecs are lossless (``emit(parse(b))``
 is ``b``'s span, a property the tests pin for every buffer a codec
 accepts), so the snapshot holds exactly the packet's ingress bytes. At
-egress it builds no header. It returns the failing checks as
-``(index, lhs, rhs)``, so only a failing check builds a Violation, and its
-message is formatted only when something reads it. A packet the walk
-refuses raises, in place, the exact ``ChainOrderError`` that
-``parse_chain`` raises for it, and that error becomes the packet's one
-order violation.
+egress it builds no header. It returns the packet's Violations: only a
+failing check builds one, in place, and its message is formatted only
+when something reads it. Only a byte check renders its values (an
+address becomes text); an int check's values are the ints compared. A
+packet the walk refuses raises, in place, the exact ``ChainOrderError``
+that ``parse_chain`` raises for it, and ``_refusal`` turns that error into
+the packet's one order violation.
 
 ``run_ingress`` and ``run_egress`` are the one-packet API: each runs one
-phase's function on one packet, counts its walk into a ``ContractRuntime``
-and turns what failed into Violations. The pipeline's checked loop calls
-the phase functions itself, with the same semantics and the same
-Violation builder, ``_violations``, and the tests hold that loop to
+phase's function on one packet and counts its walk into a
+``ContractRuntime``. The pipeline's checked loop calls the phase functions
+itself, with the same semantics, and the tests hold that loop to
 ``run_ingress`` → transform → ``run_egress``, packet by packet.
-``_violations`` renders a value only for a byte check (an address becomes
-text); an int check's values are the ints compared.
 
 ``parse_chain``, ``build_snapshot``, ``eval_check`` and
 ``CompiledCheck.test`` do what the phases do one step at a time, outside
@@ -308,8 +306,8 @@ def eval_check(
 
     ``current`` holds the headers ``parse_chain`` decoded along the phase
     order; ``snapshot`` is the ingress snapshot, which only a check that
-    reads it needs. The phases evaluate the same comparison inline, and
-    ``_violations`` builds the same Violation from what they return.
+    reads it needs. The phases evaluate the same comparison inline and
+    build the same Violation.
     """
     failed = compiled.test(current, snapshot)
     if failed is None:
@@ -319,22 +317,6 @@ def eval_check(
         nf, phase, compiled.index, compiled.lhs_text, render_value(lhs),
         compiled.op, compiled.rhs_text, render_value(rhs), packet_index,
     )
-
-
-def _violations(phase, failed: list, nf: str, packet_index: int) -> list[Violation]:
-    """The Violations of ``failed``, which a generated phase function
-    returned: ``(index, lhs_value, rhs_value)`` per failing check of
-    ``phase``. Only a byte check renders its values; an int renders as
-    itself."""
-    checks, name, found = phase.compiled, phase.name, []
-    for i, lhs, rhs in failed:
-        check = checks[i]
-        if check.is_bytes:
-            lhs, rhs = render_value(lhs), render_value(rhs)
-        found.append(Violation(
-            nf, name, i, check.lhs_text, lhs, check.op, check.rhs_text, rhs, packet_index
-        ))
-    return found
 
 
 def _refusal(exc: ChainOrderError, nf: str, phase: str, packet_index: int) -> Violation:
@@ -364,14 +346,12 @@ def run_ingress(
         return [], None
     phase = contract.ingress
     try:
-        failed, snapshot = phase.run(packet.data)
+        violations, snapshot = phase.run(packet.data, contract.nf_name, packet_index)
     except ChainOrderError as exc:
         return [_refusal(exc, contract.nf_name, "ingress", packet_index)], None
     runtime.snapshots_built += 1
     runtime.checks_evaluated += len(phase.compiled)
-    if failed:  # else the generated function's own empty list
-        failed = _violations(phase, failed, contract.nf_name, packet_index)
-    return failed, snapshot
+    return violations, snapshot
 
 
 def run_egress(
@@ -397,10 +377,8 @@ def run_egress(
         return []
     phase = contract.egress
     try:
-        failed = phase.run(packet.data, snapshot)
+        violations = phase.run(packet.data, snapshot, contract.nf_name, packet_index)
     except ChainOrderError as exc:
         return [_refusal(exc, contract.nf_name, "egress", packet_index)]
     runtime.checks_evaluated += len(phase.compiled)
-    if failed:
-        failed = _violations(phase, failed, contract.nf_name, packet_index)
-    return failed
+    return violations

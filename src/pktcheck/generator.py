@@ -23,7 +23,6 @@ from .headers import (
     PROTO_TCP,
     EthHdr,
     Ipv6Hdr,
-    Packet,
     Srv6RoutingHdr,
     TcpHdr,
 )
@@ -43,13 +42,17 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.template not in TEMPLATES:
+        try:  # an unhashable template is as unknown as a misspelt one
+            _, minimum = TEMPLATES[self.template]
+        except (KeyError, TypeError):
             raise ConfigError(
                 f"unknown template {self.template!r} (known: {', '.join(TEMPLATES)})"
-            )
-        # type() and not isinstance(): a bool is an int, but no count
-        if type(self.count) is not int:
-            raise ConfigError(f"count must be an int, not {self.count!r}")
+            ) from None
+        # type() and not isinstance(): a bool is an int, but no count or
+        # seed, and a seed of None would draw from the OS
+        for name, value in (("count", self.count), ("seed", self.seed)):
+            if type(value) is not int:
+                raise ConfigError(f"{name} must be an int, not {value!r}")
         if self.count < 0:
             raise ConfigError("count must be non-negative")
         payload = self.payload_len
@@ -63,7 +66,6 @@ class GeneratorSpec:
         lo, hi = self.payload_bounds()
         if lo > hi:
             raise ConfigError(f"empty payload length range {self.payload_len!r}")
-        _, minimum = TEMPLATES[self.template]
         if lo < minimum:
             raise ConfigError(
                 f"payload length {lo} below template minimum {minimum} "
@@ -156,14 +158,10 @@ def _generate_bytes(spec: GeneratorSpec):
     )
 
 
-def generate(spec: GeneratorSpec) -> list[Packet]:
-    """Generate ``spec.count`` packets; identical specs yield identical bytes."""
-    return [Packet.from_bytes(raw) for raw in _generate_bytes(spec)]
-
-
 def generate_records(spec: GeneratorSpec) -> list[PcapRecord]:
-    """Generate packets wrapped in pcap records with sequential timestamps,
-    one microsecond apart from 0."""
+    """Generate ``spec.count`` packets wrapped in pcap records with
+    sequential timestamps, one microsecond apart from 0; identical specs
+    yield identical bytes."""
     return [
         PcapRecord(raw, *divmod(index, 1_000_000))
         for index, raw in enumerate(_generate_bytes(spec))

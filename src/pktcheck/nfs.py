@@ -286,7 +286,7 @@ def make_nf(name: str, registry: Registry, /, **switches) -> NetworkFunction:
     transform itself."""
     try:
         transform, known, specs = CATALOG[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ConfigError(
             f"unknown NF {name!r} (known: {', '.join(sorted(CATALOG))})"
         ) from None

@@ -16,9 +16,10 @@ input order, through one loop picked per run:
   them to the runtime once, also when the run raises. It reads the clock
   once per phase boundary, ``t0 | ingress | t1 | transform | t2 | egress
   | t3``: 4 reads for a packet that runs egress, 3 for any other. Between
-  two reads there is only that phase's call and the Violations it builds,
-  plus the previous phase's running sum and, before egress, the test
-  whether egress runs, whose byte comparison also picks what is emitted;
+  two reads there is only that phase's call, which returns the packet's
+  Violations, plus the previous phase's running sum and, before egress,
+  the test whether egress runs, whose byte comparison also picks what is
+  emitted;
 - the transform-only loop runs ``Packet.from_bytes`` and ``nf.apply``
   with no timers, keeps only counters and transform drops, and makes the
   same byte comparison to pick what is emitted.
@@ -67,7 +68,6 @@ from .engine import (
     ContractRuntime,
     Violation,
     _refusal,
-    _violations,
     check_build_mode,
     check_policy,
     # Not called here: the checked loop calls each phase itself. Kept
@@ -249,13 +249,11 @@ def _run_checked(nf, records, runtime: ContractRuntime, policy: str, emit) -> tu
                 violations, snapshot = [], None
             else:
                 try:
-                    violations, snapshot = run_in(packet.data)
+                    violations, snapshot = run_in(packet.data, name, index)
                 except ChainOrderError as exc:
                     violations, snapshot = [_refusal(exc, name, "ingress", index)], None
                 else:
                     walks_in += 1
-                    if violations:
-                        violations = _violations(ingress, violations, name, index)
             t1 = clock()
             ingress_ns += t1 - t0
 
@@ -268,13 +266,11 @@ def _run_checked(nf, records, runtime: ContractRuntime, policy: str, emit) -> tu
             changed = out is not None and out.data != record.data
             if changed and run_out is not None and (snapshot is not None or run_in is None):
                 try:
-                    failed = run_out(out.data, snapshot)
+                    violations += run_out(out.data, snapshot, name, index)
                 except ChainOrderError as exc:
                     violations.append(_refusal(exc, name, "egress", index))
                 else:
                     walks_out += 1
-                    if failed:
-                        violations += _violations(egress, failed, name, index)
                 egress_ns += clock() - t2
 
             found += violations

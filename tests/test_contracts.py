@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pktcheck import (
     ChainOrderError,
     Check,
+    ContractRuntime,
     ContractSpec,
     ContractSyntaxError,
     ElaborationError,
@@ -15,6 +16,7 @@ from pktcheck import (
     FieldRef,
     Ipv6Hdr,
     Operand,
+    Packet,
     PktCheckError,
     PhaseSpec,
     Source,
@@ -23,8 +25,9 @@ from pktcheck import (
     explain_contract,
     order,
     parse_contract_spec,
+    run_ingress,
 )
-from pktcheck.engine import COMPARATORS
+from pktcheck.engine import COMPARATORS, render_value
 from pktcheck.headers import ETHERTYPE_IPV6, PROTO_NONE, PROTO_SRV6
 from pktcheck.nfs import MTU_TOO_BIG_CONTRACT, make_nf
 
@@ -485,8 +488,9 @@ def test_compiled_test_agrees_with_direct_evaluation(registry, check, data):
     # the generated egress phase makes the same comparison, reading the
     # fields from the headers' bytes
     data = bytearray(b"".join(header.emit() for header in current))
-    assert contract.egress.run(data, snapshot) == (
-        [] if expected is None else [(0, *expected)]
+    violations = contract.egress.run(data, snapshot, "srv6", 3)
+    assert [(v.check_index, v.lhs_value, v.rhs_value) for v in violations] == (
+        [] if expected is None else [(0, *map(render_value, expected))]
     )
 
 
@@ -593,8 +597,28 @@ def test_phases_that_check_different_values_share_no_function(registry):
     assert one.run is not two.run
     frames = {k: bytes(12) + k.to_bytes(2, "big") for k in (1, 2)}
     for phase, own, other in ((one, 1, 2), (two, 2, 1)):
-        assert phase.run(frames[own])[0] == []
-        assert phase.run(frames[other])[0] == [(0, other, own)]
+        assert phase.run(frames[own], "nf", 0)[0] == []
+        (violation,), _ = phase.run(frames[other], "nf", 0)
+        assert (violation.check_index, violation.lhs_value, violation.rhs_value) == (
+            0, other, own
+        )
+
+
+def test_contracts_of_one_text_under_two_names_share_one_function(registry):
+    # the generated function is cached on the phase, which leaves the NF's
+    # name out, so the name reaches each Violation as an argument
+    text = "check() pre { order: [EthHdr], checks: [(ether_type[EthHdr], ==, 1)] }"
+    one, two = (elaborate(parse_contract_spec(text, nf_name=name), registry)
+                for name in ("one", "two"))
+    assert one.ingress.run is two.ingress.run
+    runtime, frame = ContractRuntime(), Packet.from_bytes(bytes(12) + b"\x00\x02")
+    for contract, index in ((one, 4), (two, 5)):
+        (violation,), _ = run_ingress(contract, frame, runtime, index)
+        assert (violation.nf, violation.packet_index) == (contract.nf_name, index)
+        assert violation.text() == (
+            f"NF {contract.nf_name} [ingress#0] ether_type[EthHdr]=2 == 1=1 FAILED "
+            f"(packet {index})"
+        )
 
 
 def test_elaboration_rejects_a_comparator_it_does_not_know(registry):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from pktcheck import (
     ConfigError,
     GeneratorSpec,
-    generate,
+    Packet,
     generate_records,
     internet_checksum,
     order,
@@ -21,16 +21,16 @@ SRV6_ORDER = order("EthHdr", "Ipv6Hdr", "Srv6RoutingHdr")
 
 def test_same_spec_same_bytes():
     spec = GeneratorSpec(count=8, template="tcp6", payload_len=(60, 600), seed=99)
-    first = [bytes(p.data) for p in generate(spec)]
-    second = [bytes(p.data) for p in generate(spec)]
+    first = [r.data for r in generate_records(spec)]
+    second = [r.data for r in generate_records(spec)]
     assert first == second
 
 
 def test_different_seeds_differ():
     base = GeneratorSpec(count=4, template="tcp6", payload_len=200, seed=1)
     other = GeneratorSpec(count=4, template="tcp6", payload_len=200, seed=2)
-    assert [bytes(p.data) for p in generate(base)] != [
-        bytes(p.data) for p in generate(other)
+    assert [r.data for r in generate_records(base)] != [
+        r.data for r in generate_records(other)
     ]
 
 
@@ -38,16 +38,16 @@ def test_different_seeds_differ():
 @given(seed=st.integers(min_value=0, max_value=2**31), length=st.integers(60, 1600))
 def test_tcp6_packets_are_well_formed(registry, seed, length):
     spec = GeneratorSpec(count=2, template="tcp6", payload_len=length, seed=seed)
-    for packet in generate(spec):
-        decoded, _ = parse_chain(packet, verify_order(registry, TCP6_ORDER))
+    for record in generate_records(spec):
+        data = record.data
+        decoded, _ = parse_chain(Packet.from_bytes(data), verify_order(registry, TCP6_ORDER))
         ipv6 = decoded[1]
         assert ipv6.payload_len == length
         assert ipv6.src[:4] == bytes([0x20, 0x01, 0x0D, 0xB8])
-        assert len(packet.data) == 14 + 40 + length
+        assert len(data) == 14 + 40 + length
 
         # independent verification: TCP checksum over the pseudo-header
         # plus segment must fold to zero
-        data = bytes(packet.data)
         pseudo = data[22:38] + data[38:54] + struct.pack("!I3xB", length, 6)
         assert internet_checksum(pseudo + data[54:]) == 0
 
@@ -56,28 +56,29 @@ def test_tcp6_packets_are_well_formed(registry, seed, length):
 @given(seed=st.integers(min_value=0, max_value=2**31), length=st.integers(24, 900))
 def test_srv6_packets_are_well_formed(registry, seed, length):
     spec = GeneratorSpec(count=2, template="srv6", payload_len=length, seed=seed)
-    for packet in generate(spec):
-        decoded, _ = parse_chain(packet, verify_order(registry, SRV6_ORDER))
+    for record in generate_records(spec):
+        decoded, _ = parse_chain(Packet.from_bytes(record.data),
+                                 verify_order(registry, SRV6_ORDER))
         ipv6, srh = decoded[1], decoded[2]
         assert ipv6.payload_len == length
         assert ipv6.next_header == 43
         assert 1 <= len(srh.segments) <= 4
         assert srh.segments_left <= srh.last_entry + 1
-        assert len(packet.data) == 14 + 40 + length
+        assert len(record.data) == 14 + 40 + length
 
 
 def test_payload_range_respected():
     spec = GeneratorSpec(count=50, template="tcp6", payload_len=(20, 25), seed=3)
-    lengths = {len(p.data) - 54 for p in generate(spec)}
+    lengths = {len(r.data) - 54 for r in generate_records(spec)}
     assert lengths <= set(range(20, 26))
     assert len(lengths) > 1  # actually varies
 
 
 def test_minimum_payload_boundaries():
-    assert generate(GeneratorSpec(count=1, template="tcp6", payload_len=20))
+    assert generate_records(GeneratorSpec(count=1, template="tcp6", payload_len=20))
     with pytest.raises(ConfigError, match="below template minimum 20"):
         GeneratorSpec(count=1, template="tcp6", payload_len=19)
-    assert generate(GeneratorSpec(count=1, template="srv6", payload_len=24))
+    assert generate_records(GeneratorSpec(count=1, template="srv6", payload_len=24))
     with pytest.raises(ConfigError, match="below template minimum 24"):
         GeneratorSpec(count=1, template="srv6", payload_len=23)
 
@@ -91,6 +92,13 @@ def test_spec_validation():
         GeneratorSpec(count=1, payload_len=(100, 60))
     with pytest.raises(ConfigError, match="16-bit"):
         GeneratorSpec(count=1, payload_len=65536)
+
+
+def test_spec_refuses_an_unhashable_template_as_unknown():
+    # not with a bare TypeError from the template table's lookup
+    with pytest.raises(ConfigError) as excinfo:
+        GeneratorSpec(count=1, template=["tcp6"])
+    assert str(excinfo.value) == "unknown template ['tcp6'] (known: tcp6, srv6)"
 
 
 @pytest.mark.parametrize("payload_len", [(100,), (60, 100, 200), [60, 100], "100",
@@ -111,12 +119,21 @@ def test_spec_refuses_a_count_that_is_not_an_int(count):
     assert str(excinfo.value) == f"count must be an int, not {count!r}"
 
 
+@pytest.mark.parametrize("seed", [None, True, 1.0, "1"])
+def test_spec_refuses_a_seed_that_is_not_an_int(seed):
+    # None drew a new seed from the OS on every generation, and True
+    # silently stood for 1: neither spec named one byte stream
+    with pytest.raises(ConfigError) as excinfo:
+        GeneratorSpec(count=1, seed=seed)
+    assert str(excinfo.value) == f"seed must be an int, not {seed!r}"
+
+
 def test_records_have_sequential_timestamps():
     records = generate_records(GeneratorSpec(count=5, payload_len=30, seed=4))
     assert [r.ts_usec for r in records] == [0, 1, 2, 3, 4]
     assert all(r.ts_sec == 0 for r in records)
-    packets = generate(GeneratorSpec(count=5, payload_len=30, seed=4))
-    assert [r.data for r in records] == [bytes(p.data) for p in packets]
+    again = generate_records(GeneratorSpec(count=5, payload_len=30, seed=4))
+    assert [r.data for r in records] == [r.data for r in again]
 
 
 def test_timestamps_carry_into_seconds_at_a_million_records(monkeypatch):

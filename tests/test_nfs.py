@@ -302,6 +302,12 @@ def test_make_nf_unknown_name(registry):
         make_nf("nat64", registry)
 
 
+def test_make_nf_refuses_an_unhashable_name_as_unknown(registry):
+    with pytest.raises(ConfigError) as excinfo:
+        make_nf(["x"], registry)
+    assert str(excinfo.value) == "unknown NF ['x'] (known: mtu-too-big, srv6-change-pkt)"
+
+
 def test_catalog_nfs_have_contracts(registry):
     for name in ("mtu-too-big", "srv6-change-pkt"):
         nf = make_nf(name, registry)

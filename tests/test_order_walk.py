@@ -8,12 +8,13 @@ can fail the three catalog orders: its arguments, its message and the
 error along the same orders. One property compares the walk with a
 reference written here, which chains ``Packet.parse_header`` calls with
 linkage checks; another compares each generated phase function with
-``parse_chain``, ``build_snapshot`` and each check's ``test``, refusals
-included down to their text, and checks that every ingress packet the walk
-accepts re-encodes to its header bytes, so the snapshot holds the packet's
-ingress bytes. A third makes the same comparison for random well-typed
-contracts over every order the registry accepts, up to five headers. All
-run on flipped, truncated and extended packets.
+``parse_chain``, ``build_snapshot`` and ``eval_check`` of each check, down
+to each Violation's texts and rendered values and each refusal's text,
+and checks that every ingress packet the walk accepts re-encodes to its
+header bytes, so the snapshot holds the packet's ingress bytes. A third
+makes the same comparison for random well-typed contracts over every
+order the registry accepts, up to five headers. All run on flipped,
+truncated and extended packets.
 """
 
 import random
@@ -42,7 +43,7 @@ from pktcheck import (
     standard_registry,
     verify_order,
 )
-from pktcheck.engine import COMPARATORS, Source, build_snapshot
+from pktcheck.engine import COMPARATORS, Source, build_snapshot, eval_check
 from pktcheck.headers import HEADER_TYPES
 from pktcheck.registry import parse_chain
 
@@ -288,7 +289,7 @@ def test_walk_agrees_with_a_parse_header_reference(registry, base, kind, data):
         )
 
 
-# --- the generated phases against parse_chain and each check's test ----------------
+# --- the generated phases against parse_chain and eval_check ----------------------
 
 
 def _refused(exc):
@@ -298,23 +299,28 @@ def _refused(exc):
     return exc.index, exc.expected, exc.found, str(exc)
 
 
+#: The packet index each phase is run at, so that its Violations carry one.
+INDEX = 7
+
+
 def _generated_phase(contract, phase, raw, snapshot):
     """What the generated phase function says of ``raw``: what it returns,
     or what its refusal says."""
     try:
         if phase == "ingress":
-            return contract.ingress.run(bytearray(raw))
-        return contract.egress.run(bytearray(raw), snapshot)
+            return contract.ingress.run(bytearray(raw), contract.nf_name, INDEX)
+        return contract.egress.run(bytearray(raw), snapshot, contract.nf_name, INDEX)
     except ChainOrderError as exc:
         return _refused(exc)
 
 
 def _reference_phase(contract, phase, raw, snapshot):
-    """What ``parse_chain``, ``build_snapshot`` at ingress and each
-    ``CompiledCheck.test`` say of ``raw``, in the shape of
-    ``_generated_phase``: what ``parse_chain``'s refusal says when the walk
-    refuses the packet. An ingress packet the walk accepts must re-encode
-    to its header bytes, so that the snapshot holds exactly what arrived."""
+    """What ``parse_chain``, ``build_snapshot`` at ingress and ``eval_check``
+    of each check say of ``raw``, in the shape of ``_generated_phase``: the
+    Violations with their texts and rendered values, or what
+    ``parse_chain``'s refusal says when the walk refuses the packet. An
+    ingress packet the walk accepts must re-encode to its header bytes, so
+    that the snapshot holds exactly what arrived."""
     packet = Packet.from_bytes(raw)
     ingress = phase == "ingress"
     try:
@@ -327,9 +333,9 @@ def _reference_phase(contract, phase, raw, snapshot):
         assert b"".join(h.emit() for h in decoded) == raw[:ends[-1]]
         snapshot = build_snapshot(decoded)
     failed = [
-        (check.index, *result)
+        violation
         for check in (contract.ingress.compiled if ingress else contract.egress.compiled)
-        if (result := check.test(decoded, snapshot)) is not None
+        if (violation := eval_check(check, decoded, snapshot, contract.nf_name, phase, INDEX))
     ]
     return (failed, snapshot) if ingress else failed
 
@@ -499,7 +505,7 @@ def test_generated_phase_agrees_on_every_unmutated_case():
         # each case's walk accepts it, so every check by < or neq fails and
         # reports what it read
         assert {c.index for c in contract.egress.compiled if c.op != "=="} <= {
-            i for i, _, _ in generated
+            violation.check_index for violation in generated
         }
         assert generated == _reference_phase(contract, phase, base, snapshot)
     failing = set()

@@ -563,6 +563,12 @@ def test_nf_is_built_before_input_is_read(registry):
         )
 
 
+def test_run_pipeline_refuses_an_unhashable_nf_name_as_unknown(registry):
+    with pytest.raises(ConfigError) as excinfo:
+        run_pipeline(RunConfig(nf_name=["x"], input_path="/nonexistent/in.pcap"), registry)
+    assert str(excinfo.value).startswith("unknown NF ['x'] (known: ")
+
+
 def test_run_records_and_run_config_refuse_a_policy_alike(registry):
     nf = make_nf("mtu-too-big", registry)
     with pytest.raises(ConfigError) as from_run:
