@@ -36,22 +36,32 @@ this happens once, before any packet flows. Each phase of the result is
 one ``Phase``: the parsed phase plus its name, walk and compiled checks.
 
 On a phase's first Development use, ``Phase.run`` is generated as one
-Python function from source text: it follows the phase's walk with the
-linkage cross-checks inline and evaluates every check as one inline
-comparison. Both phases are written by one generator: per step it splices
-in the lines that each codec's ``READ`` writes (``headers.FieldRead.step``,
-which the codec's generated ``parse`` runs too): one ``unpack_from`` plus
-the layout's tests, each refusal raising the ``ChainOrderError`` of
-``registry.walk_error``, as ``registry.parse_chain`` does. The ingress
-function then builds each header from the fields read, as ``parse``
-does, and the headers become the snapshot; the egress function builds
-none and keeps only the fields its checks and linkage cross-checks name.
-Each failing check appends its ``Violation``, the phase name, check index,
-texts and comparator written into the source and the NF's name and packet
-index passed in.
-NFs built from one contract text against one registry share one generated
-function per phase, which is written and compiled once. Production never
-generates them.
+Python function from source text; this is the one full description of
+what it does. ``ingress(data, nf, index)`` returns ``(violations,
+snapshot)`` and ``egress(data, snapshot, nf, index)`` returns
+``(violations, walked)`` for packet ``index`` of NF ``nf``; the NF's name
+is an argument because equal phases of NFs of other names share the
+function. It follows the phase's walk at running offsets with the linkage
+cross-checks inline: per step one generator splices in the lines that
+the codec's ``READ`` writes (``headers.FieldRead.step``, which the
+codec's generated ``parse`` runs too), one ``unpack_from`` plus the
+layout's tests. A packet the walk refuses returns, in place of raising,
+its one order ``Violation``: ``engine._refusal`` of the
+``ChainOrderError`` that ``registry.walk_error`` builds, the one that
+``registry.parse_chain`` raises for it, with None for the snapshot at
+ingress and False at egress. The ingress function builds each header
+from the fields read, as ``parse`` does, and the snapshot is the tuple of
+those headers; the codecs are lossless (``emit(parse(b))`` is ``b``'s
+span, which the tests pin), so it holds exactly the packet's ingress
+bytes. The egress function builds none, keeps only the fields its checks
+and linkage cross-checks name, and returns True as ``walked`` once its
+walk accepts the packet. Every check is then one inline comparison, and
+each failing one appends its ``Violation``, the phase name, check index,
+texts and comparator written into the source; only a byte check renders
+its values (an address becomes text), and a message is formatted only
+when read. NFs built from one contract text against one registry share
+one generated function per phase, which is written and compiled once.
+Production never generates them.
 """
 
 from __future__ import annotations
@@ -63,7 +73,7 @@ from typing import Callable, NamedTuple
 
 from . import headers
 from .engine import (COMPARATORS, Check, CompiledCheck, FieldRef, Operand, Source, Violation,
-                     describe_sum, render_value)
+                     _refusal, describe_sum, render_value)
 from .exceptions import ContractSyntaxError, ElaborationError, RegistryError
 from .headers import BYTES, INT
 from .registry import (
@@ -171,16 +181,9 @@ class Phase(PhaseSpec):
 
     @cached_property
     def run(self) -> Callable:
-        """The phase as one generated function, shared by equal phases and
-        compiled when a Development run first needs it; Production never does.
-
-        ``ingress(data, nf, index)`` returns ``(violations, snapshot)`` and
-        ``egress(data, snapshot, nf, index)`` returns ``violations``, the
-        ``Violation`` of each failing check of packet ``index`` of NF ``nf``.
-        The NF's name is an argument because equal phases of NFs of other
-        names share the function. A packet that fails the phase's walk
-        raises the ``ChainOrderError`` that ``parse_chain`` raises for it.
-        """
+        """The phase as one generated function that returns its packet's
+        Violations, a walk refusal included, as the module docstring
+        describes; compiled when a Development run first needs it."""
         return _generate(self)
 
 
@@ -616,28 +619,22 @@ def _rhs_source(compiled: CompiledCheck, read) -> str:
 
 @lru_cache(maxsize=64)
 def _generate(phase: Phase) -> Callable:
-    """Write ``phase`` as one function (see ``Phase.run``) and compile it,
-    in a namespace of its own over the codecs' module scope, where their
-    layouts' expressions resolve. Equal phases share the one function: a
-    phase's equality covers the name, walk and compiled checks it runs.
+    """Write ``phase`` as the function the module docstring describes and
+    compile it, in a namespace of its own over the codecs' module scope,
+    where their layouts' expressions resolve. Equal phases share the one
+    function: a phase's equality covers the name, walk and compiled checks
+    it runs.
 
-    Per step of the walk, header ``k`` first cross-checks its predecessor's
-    linkage field, as ``parse_chain`` does, then splices in its codec's
-    layout step (``headers.FieldRead.step``: a length guard, one
-    ``unpack_from`` of its ``Struct`` and its tests in order). Attribute
-    ``a`` of header ``k`` is the local ``hk_a`` and the header ends at
-    offset ``ek``; of the sub-fields, only those that a check or the next
-    step's linkage cross-check reads get a local. Each refusal raises the
-    ``ChainOrderError`` of ``registry.walk_error``, as ``parse_chain`` does
-    there. At ingress each step then builds header ``hk`` from what it
-    read, as the codec's ``parse`` does, and the snapshot is the headers
-    built. At egress no header is built, and snapshot header ``j`` is
-    ``sj = snap[j]``. A failing check appends its ``Violation``, its values
-    wrapped in ``render_value`` only for a byte check.
+    Attribute ``a`` of header ``k`` is the local ``hk_a``, header ``k``
+    ends at offset ``ek`` and is built as ``hk`` at ingress, and snapshot
+    header ``j`` is ``sj = snap[j]`` at egress; of the sub-fields, only
+    those that a check or the next step's linkage cross-check reads get a
+    local.
     """
     name, walk, checks = phase.name, phase.walk, phase.compiled
     ingress = name == "ingress"
-    namespace = {**vars(headers), "walk_error": walk_error, "walk": walk,
+    refused = "None" if ingress else "False"
+    namespace = {**vars(headers), "walk_error": walk_error, "walk": walk, "_refusal": _refusal,
                  "Violation": Violation, "render_value": render_value}
     used = {(c.lhs_index, c.lhs) for c in checks}
     used |= {(j, attribute) for c in checks
@@ -657,12 +654,11 @@ def _generate(phase: Phase) -> Callable:
         reads = rule.reads()
         names.update({a: f"({rule.spell(e, names)})" for a, e in reads.items()})
         names["size"] = f"({rule.spell(rule.size, names)})"
+        refuse = f"return [_refusal(walk_error(walk, {k}, {{}}), nf, {name!r}, index)], {refused}"
         if step.linkage is not None:
             link = f"h{k - 1}_{step.linkage}"
-            lines += [f"    if {link} != {step.proto!r}:",
-                      f"        raise walk_error(walk, {k}, {link})"]
-        refuse = f"raise walk_error(walk, {k}, reason=f{{!r}})"
-        lines += [f"    {line}" for line in rule.step(names, refuse)]
+            lines += [f"    if {link} != {step.proto!r}:", f"        {refuse.format(link)}"]
+        lines += [f"    {line}" for line in rule.step(names, refuse.format("reason=f{!r}"))]
         if k < len(walk) - 1:
             lines.append(f"    e{k} = {at} + {names['size']}")
         kept = [a for a in reads if (k, a) in used]
@@ -687,7 +683,7 @@ def _generate(phase: Phase) -> Callable:
             f"{c.op!r}, {c.rhs_text!r}, {rhs}, index))",
         ]
     headers_built = ", ".join(f"h{k}" for k in range(len(walk)))
-    lines.append(f"    return failed, ({headers_built},)" if ingress else "    return failed")
+    lines.append(f"    return failed, ({headers_built},)" if ingress else "    return failed, True")
     exec(compile("\n".join(lines) + "\n", "<contract phase>", "exec"), namespace)
     return namespace[name]
 

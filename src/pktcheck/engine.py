@@ -1,23 +1,10 @@
 """Runtime contract engine: ingress snapshots, check evaluation, violation
 reporting, and build-mode gating.
 
-Each phase of an elaborated contract is a ``contracts.Phase``, and runs
-one function that ``contracts`` generated for it on its first Development
-use (``Phase.run``): it follows the phase's verified order at running
-offsets, reading each header's fields straight from the bytes with its
-codec's own tests and the linkage cross-checks inline, and evaluates every
-check as one inline comparison. At ingress it also builds each header from
-the fields it read, as the codec's ``parse`` does, and the ingress snapshot
-is the tuple of those headers. The codecs are lossless (``emit(parse(b))``
-is ``b``'s span, a property the tests pin for every buffer a codec
-accepts), so the snapshot holds exactly the packet's ingress bytes. At
-egress it builds no header. It returns the packet's Violations: only a
-failing check builds one, in place, and its message is formatted only
-when something reads it. Only a byte check renders its values (an
-address becomes text); an int check's values are the ints compared. A
-packet the walk refuses raises, in place, the exact ``ChainOrderError``
-that ``parse_chain`` raises for it, and ``_refusal`` turns that error into
-the packet's one order violation.
+Each phase of an elaborated contract is a ``contracts.Phase`` and runs
+one generated function (``Phase.run``) that returns its packet's
+Violations, a walk refusal's order violation (built by ``_refusal``)
+included; the ``contracts`` module docstring describes it in full.
 
 ``run_ingress`` and ``run_egress`` are the one-packet API: each runs one
 phase's function on one packet and counts its walk into a
@@ -345,12 +332,10 @@ def run_ingress(
             or contract.ingress is None):
         return [], None
     phase = contract.ingress
-    try:
-        violations, snapshot = phase.run(packet.data, contract.nf_name, packet_index)
-    except ChainOrderError as exc:
-        return [_refusal(exc, contract.nf_name, "ingress", packet_index)], None
-    runtime.snapshots_built += 1
-    runtime.checks_evaluated += len(phase.compiled)
+    violations, snapshot = phase.run(packet.data, contract.nf_name, packet_index)
+    if snapshot is not None:
+        runtime.snapshots_built += 1
+        runtime.checks_evaluated += len(phase.compiled)
     return violations, snapshot
 
 
@@ -376,9 +361,6 @@ def run_egress(
     if snapshot is None and contract.ingress is not None:
         return []
     phase = contract.egress
-    try:
-        violations = phase.run(packet.data, snapshot, contract.nf_name, packet_index)
-    except ChainOrderError as exc:
-        return [_refusal(exc, contract.nf_name, "egress", packet_index)]
-    runtime.checks_evaluated += len(phase.compiled)
+    violations, walked = phase.run(packet.data, snapshot, contract.nf_name, packet_index)
+    runtime.checks_evaluated += walked * len(phase.compiled)
     return violations

@@ -24,6 +24,11 @@ class ChainOrderError(PktCheckError):
     ``index`` is the position of the offending element; ``expected`` and
     ``found`` name the header types involved (``found`` may be None when
     the packet ran out of headers).
+
+    Raised where a caller is meant to catch it: ``verify_order`` refusing
+    an order at elaboration, and the reference walks ``parse_chain`` and
+    ``match_chain``. A generated contract phase builds the same error for
+    a packet its walk refuses and returns its order violation instead.
     """
 
     def __init__(self, index, expected, found, reason):

@@ -47,6 +47,10 @@ def _too_long(record: str, length: int) -> PcapError:
     return PcapError(f"{record} claims {length} bytes, over the {SNAPLEN}-byte limit")
 
 
+def _bad_time(record: str, ts: tuple) -> PcapError:
+    return PcapError(f"{record} has timestamp {ts!r}, not two ints in 0..{2**32 - 1}")
+
+
 def _open(target, mode: str):
     if isinstance(target, (str, Path)):
         return open(target, mode), True
@@ -64,12 +68,17 @@ class PcapWriter:
         self._write = fobj.write
 
     def append(self, record: PcapRecord) -> None:
-        """Write one record; one longer than ``SNAPLEN`` raises PcapError
-        before any of its bytes are written."""
+        """Write one record; one longer than ``SNAPLEN``, or whose timestamp
+        is not two ints in 0..2**32 - 1, raises PcapError before any of its
+        bytes are written."""
         data = record.data
         if len(data) > SNAPLEN:
             raise _too_long("record", len(data))
-        self._write(_RECORD_HDR.pack(record.ts_sec, record.ts_usec, len(data), len(data)))
+        try:
+            head = _RECORD_HDR.pack(record.ts_sec, record.ts_usec, len(data), len(data))
+        except struct.error:
+            raise _bad_time("record", (record.ts_sec, record.ts_usec)) from None
+        self._write(head)
         self._write(data)
 
     def extend(self, records: Iterable[PcapRecord]) -> int:
@@ -80,7 +89,11 @@ class PcapWriter:
             data = record.data
             if len(data) > SNAPLEN:
                 raise _too_long(f"record {count}", len(data))
-            write(pack(record.ts_sec, record.ts_usec, len(data), len(data)))
+            try:
+                head = pack(record.ts_sec, record.ts_usec, len(data), len(data))
+            except struct.error:
+                raise _bad_time(f"record {count}", (record.ts_sec, record.ts_usec)) from None
+            write(head)
             write(data)
             count += 1
         return count

@@ -10,16 +10,17 @@ In Production only the transform runs. Packets flow one at a time, in
 input order, through one loop picked per run:
 
 - the checked loop (Development with a contract) calls each phase's
-  generated function (``Phase.run``) itself, with the semantics of
-  ``engine.run_ingress`` and ``engine.run_egress``, the one-packet API
-  that the tests hold it to. It keeps its walk counts in locals and adds
-  them to the runtime once, also when the run raises. It reads the clock
-  once per phase boundary, ``t0 | ingress | t1 | transform | t2 | egress
-  | t3``: 4 reads for a packet that runs egress, 3 for any other. Between
-  two reads there is only that phase's call, which returns the packet's
-  Violations, plus the previous phase's running sum and, before egress,
-  the test whether egress runs, whose byte comparison also picks what is
-  emitted;
+  generated function (``Phase.run``, described in ``contracts``) itself,
+  with the semantics of ``engine.run_ingress`` and ``engine.run_egress``,
+  the one-packet API that the tests hold it to. Each call returns the
+  packet's Violations, a walk refusal's included, and whether the walk
+  accepted the packet, which the loop counts in locals and adds to the
+  runtime once, also when the run raises. It reads the clock once per
+  phase boundary, ``t0 | ingress | t1 | transform | t2 | egress | t3``:
+  4 reads for a packet that runs egress, 3 for any other. Between two
+  reads there is only that phase's call and its walk count, plus the
+  previous phase's running sum and, before egress, the test whether
+  egress runs, whose byte comparison also picks what is emitted;
 - the transform-only loop runs ``Packet.from_bytes`` and ``nf.apply``
   with no timers, keeps only counters and transform drops, and makes the
   same byte comparison to pick what is emitted.
@@ -67,7 +68,6 @@ from .engine import (
     BuildMode,
     ContractRuntime,
     Violation,
-    _refusal,
     check_build_mode,
     check_policy,
     # Not called here: the checked loop calls each phase itself. Kept
@@ -76,7 +76,7 @@ from .engine import (
     run_egress,
     run_ingress,
 )
-from .exceptions import ChainOrderError, ConfigError
+from .exceptions import ConfigError
 from .generator import GeneratorSpec, generate_records
 from .headers import Packet
 from .nfs import NetworkFunction, make_nf
@@ -248,12 +248,8 @@ def _run_checked(nf, records, runtime: ContractRuntime, policy: str, emit) -> tu
             if run_in is None:
                 violations, snapshot = [], None
             else:
-                try:
-                    violations, snapshot = run_in(packet.data, name, index)
-                except ChainOrderError as exc:
-                    violations, snapshot = [_refusal(exc, name, "ingress", index)], None
-                else:
-                    walks_in += 1
+                violations, snapshot = run_in(packet.data, name, index)
+                walks_in += snapshot is not None
             t1 = clock()
             ingress_ns += t1 - t0
 
@@ -265,12 +261,9 @@ def _run_checked(nf, records, runtime: ContractRuntime, policy: str, emit) -> tu
             # egress checks each changed output, with the snapshot unless there is no ingress
             changed = out is not None and out.data != record.data
             if changed and run_out is not None and (snapshot is not None or run_in is None):
-                try:
-                    violations += run_out(out.data, snapshot, name, index)
-                except ChainOrderError as exc:
-                    violations.append(_refusal(exc, name, "egress", index))
-                else:
-                    walks_out += 1
+                failed, walked = run_out(out.data, snapshot, name, index)
+                violations += failed
+                walks_out += walked
                 egress_ns += clock() - t2
 
             found += violations

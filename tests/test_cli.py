@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -234,6 +238,17 @@ def test_explain_prints_contract(capsys):
     assert "EthHdr => Ipv6Hdr => Icmpv6PktTooBig<Ipv6Hdr>" in out
     assert "(payload_len[Ipv6Hdr], ==, 1240)" in out
     assert "IPV6_MIN_MTU = 1280" in out
+
+
+def test_module_runs_as_the_cli(capsys):
+    assert main(["explain", "--nf", "mtu-too-big"]) == 0
+    expected = capsys.readouterr().out
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    result = subprocess.run(
+        [sys.executable, "-m", "pktcheck.cli", "explain", "--nf", "mtu-too-big"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, expected, "")
 
 
 def test_unknown_nf_rejected_by_argparse(capsys):

@@ -488,7 +488,8 @@ def test_compiled_test_agrees_with_direct_evaluation(registry, check, data):
     # the generated egress phase makes the same comparison, reading the
     # fields from the headers' bytes
     data = bytearray(b"".join(header.emit() for header in current))
-    violations = contract.egress.run(data, snapshot, "srv6", 3)
+    violations, walked = contract.egress.run(data, snapshot, "srv6", 3)
+    assert walked is True
     assert [(v.check_index, v.lhs_value, v.rhs_value) for v in violations] == (
         [] if expected is None else [(0, *map(render_value, expected))]
     )
@@ -723,6 +724,18 @@ ingress:
   order: [EthHdr]
   checks:
     #0 (ether_type[EthHdr], ==, 34525)
+egress: (none)"""
+
+
+def test_explain_names_a_phase_without_checks(registry):
+    # the contract text requires a check per phase; a hand-built spec may have none
+    phase = PhaseSpec(order=order("EthHdr"), checks=())
+    contract = elaborate(ContractSpec("bare", {}, (), phase, None), registry)
+    assert explain_contract(contract) == """\
+contract for NF bare
+ingress:
+  order: [EthHdr]
+  checks: (none)
 egress: (none)"""
 
 

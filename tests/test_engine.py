@@ -265,6 +265,9 @@ def test_render_value_addresses():
     assert render_value(bytes.fromhex("020000000001")) == "02:00:00:00:00:01"
     assert render_value(b"\x01\x02") == "0102"
     assert render_value(1300) == 1300
+    # neither an int nor bytes: its text
+    assert render_value(None) == "None"
+    assert render_value(2.5) == "2.5"
 
 
 # --- phase drivers ---------------------------------------------------------------

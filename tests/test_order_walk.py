@@ -4,13 +4,14 @@ phases that read every field of every codec.
 
 The error table pins the exact ``ChainOrderError`` of every way a packet
 can fail the three catalog orders: its arguments, its message and the
-``ParseError`` it chains from, and that the generated phases raise the same
-error along the same orders. One property compares the walk with a
-reference written here, which chains ``Packet.parse_header`` calls with
-linkage checks; another compares each generated phase function with
-``parse_chain``, ``build_snapshot`` and ``eval_check`` of each check, down
-to each Violation's texts and rendered values and each refusal's text,
-and checks that every ingress packet the walk accepts re-encodes to its
+``ParseError`` it chains from, and that the generated phases along the
+same orders return that error's order violation instead of raising it.
+One property compares the walk with a reference written here, which
+chains ``Packet.parse_header`` calls with linkage checks; another compares
+each generated phase function with ``parse_chain``, ``build_snapshot`` and
+``eval_check`` of each check, down to each Violation's texts and rendered
+values, refusals included, and what the phase says of its walk, and
+checks that every ingress packet the walk accepts re-encodes to its
 header bytes, so the snapshot holds the packet's ingress bytes. A third
 makes the same comparison for random well-typed contracts over every
 order the registry accepts, up to five headers. All run on flipped,
@@ -43,7 +44,7 @@ from pktcheck import (
     standard_registry,
     verify_order,
 )
-from pktcheck.engine import COMPARATORS, Source, build_snapshot, eval_check
+from pktcheck.engine import COMPARATORS, Source, _refusal, build_snapshot, eval_check
 from pktcheck.headers import HEADER_TYPES
 from pktcheck.registry import parse_chain
 
@@ -183,12 +184,17 @@ def test_walk_error_of_each_failure(registry, spec, data, index, expected, messa
         assert message.endswith(": " + str(exc.__cause__))
     else:
         assert exc.__cause__ is None
-    # the generated phases along the same order raise the same error
+    # the generated phases along the same order return, not raise, that
+    # error's order violation, and say that the walk refused the packet
     phase = PhaseSpec(spec, ())
     contract = elaborate(ContractSpec("walk", {}, (), phase, phase), registry)
-    for name in ("ingress", "egress"):
-        assert _generated_phase(contract, name, data, None) == (
-            index, expected, None, message
+    for name, refused in (("ingress", None), ("egress", False)):
+        (violation,), walked = _generated_phase(contract, name, data, None)
+        assert walked is refused
+        assert violation == _refusal(exc, "walk", name, INDEX)
+        assert (violation.kind, violation.phase, violation.packet_index) == ("order", name, INDEX)
+        assert (violation.rhs_value, violation.lhs_value, violation.message) == (
+            expected, None, message
         )
 
 
@@ -292,35 +298,33 @@ def test_walk_agrees_with_a_parse_header_reference(registry, base, kind, data):
 # --- the generated phases against parse_chain and eval_check ----------------------
 
 
-def _refused(exc):
-    """What a refusal says: the error's index, expected and found types and
-    its text."""
-    assert type(exc) is ChainOrderError and exc.args == (str(exc),)
-    return exc.index, exc.expected, exc.found, str(exc)
-
-
 #: The packet index each phase is run at, so that its Violations carry one.
 INDEX = 7
 
 
+def _refused(exc, nf, phase):
+    """What a phase returns for a packet its walk refuses with ``exc``: the
+    one order Violation, then None at ingress (no snapshot) and False at
+    egress (not walked)."""
+    assert type(exc) is ChainOrderError and exc.args == (str(exc),)
+    return [_refusal(exc, nf, phase, INDEX)], None if phase == "ingress" else False
+
+
 def _generated_phase(contract, phase, raw, snapshot):
-    """What the generated phase function says of ``raw``: what it returns,
-    or what its refusal says."""
-    try:
-        if phase == "ingress":
-            return contract.ingress.run(bytearray(raw), contract.nf_name, INDEX)
-        return contract.egress.run(bytearray(raw), snapshot, contract.nf_name, INDEX)
-    except ChainOrderError as exc:
-        return _refused(exc)
+    """What the generated phase function returns for ``raw``."""
+    if phase == "ingress":
+        return contract.ingress.run(bytearray(raw), contract.nf_name, INDEX)
+    return contract.egress.run(bytearray(raw), snapshot, contract.nf_name, INDEX)
 
 
 def _reference_phase(contract, phase, raw, snapshot):
     """What ``parse_chain``, ``build_snapshot`` at ingress and ``eval_check``
     of each check say of ``raw``, in the shape of ``_generated_phase``: the
-    Violations with their texts and rendered values, or what
-    ``parse_chain``'s refusal says when the walk refuses the packet. An
-    ingress packet the walk accepts must re-encode to its header bytes, so
-    that the snapshot holds exactly what arrived."""
+    Violations with their texts and rendered values, then the snapshot at
+    ingress and True at egress, or the refusal of ``parse_chain``'s error
+    when the walk refuses the packet. An ingress packet the walk accepts
+    must re-encode to its header bytes, so that the snapshot holds exactly
+    what arrived."""
     packet = Packet.from_bytes(raw)
     ingress = phase == "ingress"
     try:
@@ -328,7 +332,7 @@ def _reference_phase(contract, phase, raw, snapshot):
             packet, contract.ingress.walk if ingress else contract.egress.walk
         )
     except ChainOrderError as exc:
-        return _refused(exc)
+        return _refused(exc, contract.nf_name, phase)
     if ingress:
         assert b"".join(h.emit() for h in decoded) == raw[:ends[-1]]
         snapshot = build_snapshot(decoded)
@@ -337,7 +341,7 @@ def _reference_phase(contract, phase, raw, snapshot):
         for check in (contract.ingress.compiled if ingress else contract.egress.compiled)
         if (violation := eval_check(check, decoded, snapshot, contract.nf_name, phase, INDEX))
     ]
-    return (failed, snapshot) if ingress else failed
+    return failed, snapshot if ingress else True
 
 
 #: Every catalog NF variant, each with its own contract.
@@ -505,15 +509,15 @@ def test_generated_phase_agrees_on_every_unmutated_case():
         # each case's walk accepts it, so every check by < or neq fails and
         # reports what it read
         assert {c.index for c in contract.egress.compiled if c.op != "=="} <= {
-            violation.check_index for violation in generated
+            violation.check_index for violation in generated[0]
         }
         assert generated == _reference_phase(contract, phase, base, snapshot)
     failing = set()
     for contract, phase, base, snapshot in PHASE_CASES:
         generated = _generated_phase(contract, phase, base, snapshot)
         assert generated == _reference_phase(contract, phase, base, snapshot)
-        failed = generated[0] if phase == "ingress" else generated
-        if isinstance(failed, list) and failed:  # not a refusal's tuple
+        failed, _ = generated
+        if failed and failed[0].kind == "check":  # not a refusal
             failing.add(phase)
     # the cases reach failing checks in both phases, not only passing ones
     assert failing == {"ingress", "egress"}

@@ -5,7 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pktcheck import PcapError, PcapRecord, pcap_bytes, read_pcap, write_pcap
+from pktcheck import (
+    GeneratorSpec,
+    PcapError,
+    PcapRecord,
+    generate_records,
+    make_nf,
+    pcap_bytes,
+    read_pcap,
+    run_records,
+    standard_registry,
+    write_pcap,
+)
 from pktcheck.cli import main
 from pktcheck.pcap import LINKTYPE_ETHERNET, PCAP_MAGIC, SNAPLEN, PcapWriter
 
@@ -164,3 +175,42 @@ def test_declared_snap_length_covers_the_largest_generated_frame(tmp_path, capsy
     incl_len = struct.unpack_from("<I", blob, 24 + 8)[0]
     assert incl_len == 65589
     assert snaplen >= incl_len
+
+
+#: Timestamps the format cannot hold: each field is an unsigned 32-bit int.
+BAD_TIMES = [(-1, 0), (2**32, 0), (0, 2**32), (1.5, 0)]
+
+
+@pytest.mark.parametrize("ts_sec, ts_usec", BAD_TIMES)
+def test_writer_refuses_a_timestamp_it_cannot_hold_before_writing_it(ts_sec, ts_usec):
+    good, bad = PcapRecord(b"abcd", 1, 2), PcapRecord(b"efgh", ts_sec, ts_usec)
+    fobj = io.BytesIO()
+    with pytest.raises(PcapError) as excinfo:
+        write_pcap(fobj, [good, bad])
+    assert str(excinfo.value) == (
+        f"record 1 has timestamp ({ts_sec!r}, {ts_usec!r}), not two ints in 0..4294967295"
+    )
+    assert fobj.getvalue() == pcap_bytes([good])
+    fobj = io.BytesIO()
+    writer = PcapWriter(fobj)
+    with pytest.raises(PcapError, match=r"^record has timestamp "):
+        writer.append(bad)
+    assert fobj.getvalue() == pcap_bytes([])
+
+
+@pytest.mark.parametrize("ts_sec, ts_usec", BAD_TIMES)
+def test_a_run_into_a_writer_refuses_a_timestamp_it_cannot_hold(ts_sec, ts_usec):
+    # one packet passed through as its record, one rewritten into a new one
+    registry = standard_registry()
+    nf = make_nf("mtu-too-big", registry)
+    small, large = (
+        generate_records(GeneratorSpec(count=1, payload_len=length, seed=4))[0]
+        for length in (100, 1300)
+    )
+    for record in (small, large):
+        bad = PcapRecord(record.data, ts_sec, ts_usec)
+        fobj = io.BytesIO()
+        with pytest.raises(PcapError, match=r"^record has timestamp "):
+            run_records(nf, [record, bad], registry, out=PcapWriter(fobj))
+        (written,) = read_pcap(io.BytesIO(fobj.getvalue()))
+        assert (written.ts_sec, written.ts_usec) == (record.ts_sec, record.ts_usec)

@@ -120,6 +120,15 @@ def test_registry_rejects_dangling_predecessor():
     assert str(excinfo.value) == "TcpHdr names unknown parameter type 'Ipv6Hdr'"
 
 
+@pytest.mark.parametrize("flow_label", [16, 24])
+def test_registry_refuses_a_layout_whose_sub_fields_do_not_fill_their_word(flow_label):
+    # IPv6's first word is 4 + 8 + 20 bits; a short or a long split is refused
+    words = {"v_tc_fl": {"version": 4, "traffic_class": 8, "flow_label": flow_label}}
+    with pytest.raises(ValueError) as excinfo:
+        Registry([EthHdr, _stub("Ipv6Hdr", Ipv6Hdr, words=words)])
+    assert str(excinfo.value) == "the sub-fields of v_tc_fl do not fill it"
+
+
 def test_registry_checks_do_not_depend_on_order(registry):
     # TcpHdr may follow Srv6RoutingHdr, listed after it
     names = ["EthHdr", "Ipv6Hdr", "TcpHdr", "Srv6RoutingHdr", "Icmpv6PktTooBig"]
