@@ -34,19 +34,16 @@ def _add_generator_flags(parser: argparse.ArgumentParser) -> None:
                         help="generator seed (default %(default)s)")
     parser.add_argument("--template", choices=TEMPLATES, default=GeneratorSpec.template,
                         help="packet template (default %(default)s)")
-    parser.add_argument("--payload-len", type=int, default=GeneratorSpec.payload_len,
-                        help="fixed IPv6 payload length (default %(default)s)")
-    parser.add_argument("--payload-len-range", nargs=2, type=int,
-                        metavar=("LO", "HI"),
-                        help="random IPv6 payload length range (overrides --payload-len)")
+    parser.add_argument("--payload-len", nargs="+", type=int, metavar="N",
+                        default=GeneratorSpec.payload_len,
+                        help="IPv6 payload length, or LO HI for a random one in that "
+                             "range (default %(default)s)")
 
 
 def _generator_spec(args) -> GeneratorSpec:
-    payload = (
-        tuple(args.payload_len_range)
-        if args.payload_len_range is not None
-        else args.payload_len
-    )
+    payload = args.payload_len  # the default, or the one or two values given
+    if isinstance(payload, list):
+        payload = payload[0] if len(payload) == 1 else tuple(payload)
     return GeneratorSpec(
         count=args.count,
         template=args.template,

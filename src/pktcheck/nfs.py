@@ -15,15 +15,15 @@ Two NFs are provided, addressable by name:
     ingress snapshot, which is what catches the classic bug of growing
     the segment list while forgetting the outer length field.
 
-The catalog is data: each NF's transform and its contract, parsed once,
-at import. ``make_nf``, the way in, elaborates the contract against a registry and binds
-switches to the transform: fault-injection flags (``omit_ipv6_swap``,
-``omit_payload_len_update``, ...) that produce deliberately buggy variants
-for exercising the contract machinery, and srv6-change-pkt's ``visit_new``,
-which picks its contract too. Transforms are pure functions of the packet
-bytes: they never consult the ingress snapshot, so behavior is identical
-whether contracts run or not. They report only their output: the checked
-loop, not the NF, decides which outputs the egress contract checks.
+The catalog is data: each NF's transform and its one contract, parsed
+once, at import. ``make_nf``, the way in, elaborates the contract against a
+registry and binds switches to the transform: fault-injection flags
+(``omit_ipv6_swap``, ``omit_payload_len_update``, ...) that plant the bug a
+contract written for the correct NF must catch; no switch changes it.
+Transforms are pure functions of the packet bytes: they never consult the
+ingress snapshot, so behavior is identical whether contracts run or not.
+They report only their output: the checked loop, not the NF, decides which
+outputs the egress contract checks.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from functools import partial
 from typing import Callable
 
 from .checksum import pseudo_header_checksum
-from .contracts import Contract, elaborate, parse_contract_spec
+from .contracts import Contract, ContractSpec, elaborate, parse_contract_spec
 from .exceptions import ConfigError, ParseError
 from .headers import (
     ETH_HDR_SIZE,
@@ -183,43 +183,34 @@ def send_too_big(
 DEFAULT_SEGMENT = bytes.fromhex("20010db8000000000000000000000099")
 
 
-def _srv6_contract(visit_new: bool) -> str:
-    sl_rhs = "segments_left[Srv6RoutingHdr] + 1" if visit_new else (
-        "segments_left[Srv6RoutingHdr]"
-    )
-    return f"""
+SRV6_CHANGE_PKT_CONTRACT = """
 check(SEG_BYTES = 16, SRV6_TYPE = 4)
-pre {{
+pre {
     order: [EthHdr => Ipv6Hdr => Srv6RoutingHdr],
     checks: [(routing_type[Srv6RoutingHdr], ==, SRV6_TYPE),
              (segments_left[Srv6RoutingHdr], <=, last_entry[Srv6RoutingHdr] + 1)]
-}}
-post {{
+}
+post {
     order: [EthHdr => Ipv6Hdr => Srv6RoutingHdr],
     checks: [(payload_len[Ipv6Hdr], ==, payload_len[Ipv6Hdr] + SEG_BYTES),
              (hdr_ext_len[Srv6RoutingHdr], ==, hdr_ext_len[Srv6RoutingHdr] + 2),
              (last_entry[Srv6RoutingHdr], ==, last_entry[Srv6RoutingHdr] + 1),
-             (segments_left[Srv6RoutingHdr], ==, {sl_rhs})]
-}}
+             (segments_left[Srv6RoutingHdr], ==, segments_left[Srv6RoutingHdr])]
+}
 static: [SEG_BYTES * 8 == 128]
 """
 
 
-def srv6_add_segment(
-    packet: Packet,
-    *,
-    visit_new: bool = False,
-    omit_payload_len_update: bool = False,
-) -> TransformResult:
+def srv6_add_segment(packet: Packet, *, omit_payload_len_update: bool = False) -> TransformResult:
     """Append ``DEFAULT_SEGMENT`` to the packet's SRv6 routing header.
 
     Growing the segment list ripples into three other fields: last entry
     and the extension-header length inside the routing header, and the
-    payload length of the enclosing IPv6 header. ``visit_new`` additionally
-    bumps segments-left so the new segment is actually visited; otherwise
-    the insert is pure record-keeping. A full segment list (another entry
-    would overflow the 8-bit length), or an IPv6 payload length that the
-    new segment would push past 16 bits, drops the packet with a reason.
+    payload length of the enclosing IPv6 header. Segments-left and the IPv6
+    destination stay as they were: the insert is pure record-keeping.
+    A full segment list (another entry would overflow the 8-bit length), or
+    an IPv6 payload length that the new segment would push past 16 bits,
+    drops the packet with a reason.
 
     ``omit_payload_len_update`` leaves the IPv6 payload length stale — the
     consequence bug the egress contract flags on every affected packet.
@@ -249,8 +240,6 @@ def srv6_add_segment(
     # srh and ipv6 were decoded just above, for this call alone, so they
     # are updated in place
     srh.segments.append(DEFAULT_SEGMENT)
-    if visit_new:
-        srh.segments_left += 1
     if not omit_payload_len_update:
         ipv6.payload_len += len(DEFAULT_SEGMENT)
     rest = data[_L3_END + srh_size :]
@@ -262,20 +251,12 @@ def srv6_add_segment(
 
 
 #: Each catalog NF's transform, the switches ``make_nf`` may bind to it and
-#: its contract, parsed once, at import, keyed by ``visit_new``: only
-#: srv6-change-pkt's contract depends on it.
-CATALOG: dict[str, tuple[Callable[..., TransformResult], frozenset, dict]] = {
-    "mtu-too-big": (send_too_big, frozenset({"omit_ipv6_swap", "omit_eth_swap"}), {
-        False: parse_contract_spec(MTU_TOO_BIG_CONTRACT, nf_name="mtu-too-big"),
-    }),
-    "srv6-change-pkt": (
-        srv6_add_segment, frozenset({"visit_new", "omit_payload_len_update"}), {
-            visit_new: parse_contract_spec(
-                _srv6_contract(visit_new), nf_name="srv6-change-pkt"
-            )
-            for visit_new in (False, True)
-        },
-    ),
+#: its one contract, parsed once, at import.
+CATALOG: dict[str, tuple[Callable[..., TransformResult], frozenset, ContractSpec]] = {
+    "mtu-too-big": (send_too_big, frozenset({"omit_ipv6_swap", "omit_eth_swap"}),
+                    parse_contract_spec(MTU_TOO_BIG_CONTRACT, nf_name="mtu-too-big")),
+    "srv6-change-pkt": (srv6_add_segment, frozenset({"omit_payload_len_update"}),
+                        parse_contract_spec(SRV6_CHANGE_PKT_CONTRACT, nf_name="srv6-change-pkt")),
 }
 
 
@@ -285,7 +266,7 @@ def make_nf(name: str, registry: Registry, /, **switches) -> NetworkFunction:
     take is refused here, before any packet flows; the clean NF calls the
     transform itself."""
     try:
-        transform, known, specs = CATALOG[name]
+        transform, known, spec = CATALOG[name]
     except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ConfigError(
             f"unknown NF {name!r} (known: {', '.join(sorted(CATALOG))})"
@@ -299,7 +280,7 @@ def make_nf(name: str, registry: Registry, /, **switches) -> NetworkFunction:
     for switch, value in switches.items():
         if type(value) is not bool:  # a truthy "no" would turn the switch on
             raise ConfigError(f"switch {switch!r} takes a bool, not {value!r}")
-    contract = elaborate(specs[switches.get("visit_new", False)], registry)
+    contract = elaborate(spec, registry)
     if switches:
         transform = partial(transform, **switches)
     return NetworkFunction(name=name, transform=transform, contract=contract)

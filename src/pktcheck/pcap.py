@@ -23,6 +23,7 @@ LINKTYPE_ETHERNET = 1
 #: The snap length files declare, libpcap's largest: a generated frame
 #: (65,589 bytes at most) fits, and no longer record is written or read.
 SNAPLEN = 262144
+_USEC_PER_SEC = 1_000_000  # a record's ts_usec counts microseconds within its second
 
 _GLOBAL_HDR = struct.Struct("<IHHiIII")
 _GLOBAL_HDR_BE = struct.Struct(">IHHiIII")
@@ -51,6 +52,10 @@ def _bad_time(record: str, ts: tuple) -> PcapError:
     return PcapError(f"{record} has timestamp {ts!r}, not two ints in 0..{2**32 - 1}")
 
 
+def _bad_usec(record: str, ts_usec: int) -> PcapError:
+    return PcapError(f"{record} has ts_usec {ts_usec}, over {_USEC_PER_SEC - 1} microseconds")
+
+
 def _open(target, mode: str):
     if isinstance(target, (str, Path)):
         return open(target, mode), True
@@ -68,9 +73,9 @@ class PcapWriter:
         self._write = fobj.write
 
     def append(self, record: PcapRecord) -> None:
-        """Write one record; one longer than ``SNAPLEN``, or whose timestamp
-        is not two ints in 0..2**32 - 1, raises PcapError before any of its
-        bytes are written."""
+        """Write one record; one longer than ``SNAPLEN``, whose timestamp is
+        not two ints in 0..2**32 - 1 or whose ``ts_usec`` is a second or
+        more raises PcapError before any of its bytes are written."""
         data = record.data
         if len(data) > SNAPLEN:
             raise _too_long("record", len(data))
@@ -78,6 +83,8 @@ class PcapWriter:
             head = _RECORD_HDR.pack(record.ts_sec, record.ts_usec, len(data), len(data))
         except struct.error:
             raise _bad_time("record", (record.ts_sec, record.ts_usec)) from None
+        if record.ts_usec >= _USEC_PER_SEC:
+            raise _bad_usec("record", record.ts_usec)
         self._write(head)
         self._write(data)
 
@@ -93,6 +100,8 @@ class PcapWriter:
                 head = pack(record.ts_sec, record.ts_usec, len(data), len(data))
             except struct.error:
                 raise _bad_time(f"record {count}", (record.ts_sec, record.ts_usec)) from None
+            if record.ts_usec >= _USEC_PER_SEC:
+                raise _bad_usec(f"record {count}", record.ts_usec)
             write(head)
             write(data)
             count += 1
@@ -122,8 +131,9 @@ def iter_pcap(target: str | Path | BinaryIO) -> Iterator[PcapRecord]:
     under 24 bytes ("truncated pcap global header"), an unknown magic
     ("bad pcap magic"), a link type other than Ethernet ("unsupported link
     type"), a partial record header ("truncated record header at record
-    N"), an included length over ``SNAPLEN`` ("record N claims ... bytes")
-    or a record cut short ("truncated record N")."""
+    N"), an included length over ``SNAPLEN`` ("record N claims ... bytes"),
+    a ``ts_usec`` of a second or more ("record N has ts_usec ...") or a
+    record cut short ("truncated record N")."""
     fobj, owned = _open(target, "rb")
     try:
         head = fobj.read(_GLOBAL_HDR.size)
@@ -149,6 +159,8 @@ def iter_pcap(target: str | Path | BinaryIO) -> Iterator[PcapRecord]:
             ts_sec, ts_usec, incl_len, orig_len = rhdr.unpack(rec_head)
             if incl_len > SNAPLEN:
                 raise _too_long(f"record {index}", incl_len)
+            if ts_usec >= _USEC_PER_SEC:
+                raise _bad_usec(f"record {index}", ts_usec)
             data = fobj.read(incl_len)
             if len(data) < incl_len:
                 raise PcapError(

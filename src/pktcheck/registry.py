@@ -94,10 +94,11 @@ def order(*specs: str | tuple[str, str]) -> OrderSpec:
 
 class Registry:
     """Read-only map from header type name to codec, checked whole when
-    built: a duplicate type, a predecessor or parameter type it does not
-    hold, or a linkage field that is not one of its header's integer
-    attributes is refused with a ``RegistryError``. Each codec's attribute
-    kinds are derived once, here, and every lookup reads them."""
+    built: a duplicate type, a packed word whose sub-fields do not fill it,
+    a predecessor or parameter type it does not hold, or a linkage field
+    that is not one of its header's integer attributes is refused with a
+    ``RegistryError``. Each codec's attribute kinds are derived once, here,
+    and every lookup reads them."""
 
     def __init__(self, codecs: Iterable[type]):
         self._codecs: dict[str, type] = {}
@@ -106,9 +107,13 @@ class Registry:
             if name in self._codecs:
                 raise RegistryError(f"duplicate header type {name!r}")
             self._codecs[name] = codec
-        self._kinds = {name: codec.READ.kinds() for name, codec in self._codecs.items()}
+        self._kinds = {}
         for name, codec in self._codecs.items():
             layout = codec.READ
+            try:
+                self._kinds[name] = layout.kinds()
+            except ValueError as exc:  # a packed word's sub-fields do not fill it
+                raise RegistryError(f"{name}: {exc}") from None
             for pred in sorted(layout.after):
                 if pred not in self._codecs:
                     raise RegistryError(f"{name} names unknown predecessor {pred!r}")

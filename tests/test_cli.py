@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ from pktcheck import (
     read_pcap,
     write_pcap,
 )
-from pktcheck.cli import main
+from pktcheck.cli import _generator_spec, build_parser, main
 
 
 def test_gen_writes_parseable_pcap(tmp_path, capsys, registry):
@@ -33,7 +35,7 @@ def test_gen_payload_length_range(tmp_path, capsys):
     out = tmp_path / "gen.pcap"
     code = main(
         ["gen", "--out", str(out), "--count", "20", "--template", "srv6",
-         "--payload-len-range", "100", "200", "--seed", "3"]
+         "--payload-len", "100", "200", "--seed", "3"]
     )
     assert code == 0
     records = read_pcap(out)
@@ -255,3 +257,24 @@ def test_unknown_nf_rejected_by_argparse(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["run", "--nf", "bogus", "--count", "1"])
     assert excinfo.value.code == 2
+
+
+def _readme_commands() -> list[str]:
+    """Every ``pktcheck ...`` line of README.md's fenced code blocks."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S)
+    return [line.strip() for block in blocks for line in block.splitlines()
+            if line.strip().startswith("pktcheck ")]
+
+
+def test_every_readme_command_parses():
+    # a removed or renamed flag cannot leave the README stale
+    commands = _readme_commands()
+    assert {shlex.split(c)[1] for c in commands} == {"run", "gen", "bench", "explain"}
+    for command in commands:
+        try:
+            args = build_parser().parse_args(shlex.split(command, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
+        if args.command != "explain":
+            _generator_spec(args)  # the generator flags make a GeneratorSpec

@@ -75,7 +75,6 @@ VARIANTS = {
     "mtu-no-eth-swap": ("mtu-too-big", {"omit_eth_swap": True}),
     "srv6": ("srv6-change-pkt", {}),
     "srv6-stale-length": ("srv6-change-pkt", {"omit_payload_len_update": True}),
-    "srv6-visit-new": ("srv6-change-pkt", {"visit_new": True}),
 }
 
 #: sha256 of each variant's Production output over MUTANTS then CLEAN,
@@ -86,7 +85,6 @@ OUTPUT_DIGESTS = {
     "mtu-no-eth-swap": "82f11b80a80da9fbbf0f7fb3116579db60eba0da72c184a4888edca1ba898219",
     "srv6": "72014380afbae9d31f884837605fa165007c224252f8e99baa2c0a80d0d87aa2",
     "srv6-stale-length": "9bc5538bfbe944454bd8b2f679d71bf2ee072637885838d8d269de32d2c3d303",
-    "srv6-visit-new": "cd08b1ffa05cab0d74fcb2bc447574aee712090ae32f944d453cae75853fb8e7",
 }
 
 #: sha256 of each variant's Development ``continue`` violations over MUTANTS
@@ -98,7 +96,6 @@ VIOLATION_DIGESTS = {
     "mtu-no-eth-swap": "bd95532b71f6007893fb9eb166b69982cd52b5c746782878b71e1e7c31a57258",
     "srv6": "3e645c8a4b62bb558c21cc59d7a599af7487d5f89925a639d8bf2630e16f62a1",
     "srv6-stale-length": "9f4c9717daafbc4de7cc9f5c79cdc1abdec3314cfb380355e098392a24bf0b05",
-    "srv6-visit-new": "3e645c8a4b62bb558c21cc59d7a599af7487d5f89925a639d8bf2630e16f62a1",
 }
 
 #: The keys of every violation's ``to_json()``, in order: violations are

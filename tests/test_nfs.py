@@ -217,15 +217,6 @@ def test_segment_append_updates_dependent_fields():
     assert out.data[54 + srh_size :] == b"\xaa" * 30  # trailing bytes untouched
 
 
-def test_segment_append_visit_new_bumps_segments_left():
-    packet = Packet.from_bytes(_srv6_bytes(n_segments=2, segments_left=1))
-    out = srv6_add_segment(packet, visit_new=True).packet
-    out.parse_header("EthHdr")
-    out.parse_header("Ipv6Hdr")
-    srh, _ = out.parse_header("Srv6RoutingHdr")
-    assert srh.segments_left == 2
-
-
 def test_full_segment_list_drops_with_reason():
     packet = Packet.from_bytes(_srv6_bytes(n_segments=MAX_SRV6_SEGMENTS))
     result = srv6_add_segment(packet)
@@ -320,15 +311,15 @@ def test_catalog_nfs_have_contracts(registry):
 @pytest.mark.parametrize("name, switches, message", [
     ("mtu-too-big", {"bogus": True},
      "unknown switch 'bogus' for NF 'mtu-too-big' (known: omit_eth_swap, omit_ipv6_swap)"),
-    ("mtu-too-big", {"visit_new": True, "omit_payload_len_update": True},
-     "unknown switch 'omit_payload_len_update', 'visit_new' for NF 'mtu-too-big' "
+    ("mtu-too-big", {"omit_payload_len_update": True, "bogus": True},
+     "unknown switch 'bogus', 'omit_payload_len_update' for NF 'mtu-too-big' "
      "(known: omit_eth_swap, omit_ipv6_swap)"),
     ("srv6-change-pkt", {"segment": DEFAULT_SEGMENT},
      "unknown switch 'segment' for NF 'srv6-change-pkt' "
-     "(known: omit_payload_len_update, visit_new)"),
+     "(known: omit_payload_len_update)"),
     ("srv6-change-pkt", {"name": "renamed"},
      "unknown switch 'name' for NF 'srv6-change-pkt' "
-     "(known: omit_payload_len_update, visit_new)"),
+     "(known: omit_payload_len_update)"),
 ], ids=["bogus", "another-nfs-switches", "segment", "name"])
 def test_make_nf_refuses_an_unknown_switch_when_built(registry, name, switches, message):
     with pytest.raises(ConfigError) as excinfo:
@@ -342,17 +333,22 @@ def test_a_clean_catalog_nf_calls_its_transform_itself(registry):
     assert make_nf("srv6-change-pkt", registry).transform is srv6_add_segment
 
 
-def test_visit_new_selects_the_visit_new_contract(registry):
-    visiting = make_nf("srv6-change-pkt", registry, visit_new=True)
-    assert visiting.contract == elaborate(CATALOG["srv6-change-pkt"][2][True], registry)
-    assert visiting.contract != make_nf("srv6-change-pkt", registry, visit_new=False).contract
-    packet = Packet.from_bytes(_srv6_bytes(n_segments=2, segments_left=1))
-    out = visiting.apply(packet).packet
-    assert Srv6RoutingHdr.parse(out.data, 54)[0].segments_left == 2
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_a_switch_never_changes_the_contract(registry, name):
+    # a switch plants a fault in the transform; the one contract, written
+    # for the correct NF, is the one that must catch it
+    contract = make_nf(name, registry).contract
+    for switch in sorted(CATALOG[name][1]):
+        assert make_nf(name, registry, **{switch: True}).contract == contract
+
+
+def test_each_catalog_nf_elaborates_its_one_spec(registry):
+    for name, (_, _, spec) in CATALOG.items():
+        assert make_nf(name, registry).contract == elaborate(spec, registry)
 
 
 @pytest.mark.parametrize("name, switch, value", [
-    ("srv6-change-pkt", "visit_new", "no"),
+    ("srv6-change-pkt", "omit_payload_len_update", "no"),
     ("mtu-too-big", "omit_ipv6_swap", 1),
     ("srv6-change-pkt", "omit_payload_len_update", None),
 ])

@@ -349,7 +349,7 @@ CATALOG = [
     make_nf(name, standard_registry(), **options)
     for name, options in (
         ("mtu-too-big", {}), ("mtu-too-big", {"omit_ipv6_swap": True}),
-        ("srv6-change-pkt", {}), ("srv6-change-pkt", {"visit_new": True}),
+        ("srv6-change-pkt", {}),
         ("srv6-change-pkt", {"omit_payload_len_update": True}),
     )
 ]
@@ -361,7 +361,7 @@ _SRV6_WALK = (_ETH_STEP, _IPV6_STEP, ("Srv6RoutingHdr", "next_header", 43))
 WALKS = [
     ((_ETH_STEP, _IPV6_STEP, ("TcpHdr", "next_header", 6)),
      (_ETH_STEP, _IPV6_STEP, ("Icmpv6PktTooBig", "next_header", 58))),
-] * 2 + [(_SRV6_WALK, _SRV6_WALK)] * 3
+] * 2 + [(_SRV6_WALK, _SRV6_WALK)] * 2
 
 
 def test_catalog_walks():

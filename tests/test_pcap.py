@@ -18,7 +18,7 @@ from pktcheck import (
     write_pcap,
 )
 from pktcheck.cli import main
-from pktcheck.pcap import LINKTYPE_ETHERNET, PCAP_MAGIC, SNAPLEN, PcapWriter
+from pktcheck.pcap import LINKTYPE_ETHERNET, PCAP_MAGIC, SNAPLEN, PcapWriter, iter_pcap
 
 records_strategy = st.lists(
     st.builds(
@@ -214,3 +214,47 @@ def test_a_run_into_a_writer_refuses_a_timestamp_it_cannot_hold(ts_sec, ts_usec)
             run_records(nf, [record, bad], registry, out=PcapWriter(fobj))
         (written,) = read_pcap(io.BytesIO(fobj.getvalue()))
         assert (written.ts_sec, written.ts_usec) == (record.ts_sec, record.ts_usec)
+
+
+def test_writer_refuses_a_ts_usec_of_a_second_or_more_before_writing_it():
+    # magic 0xA1B2C3D4 declares microsecond stamps: 999,999 is the largest
+    good, bad = PcapRecord(b"abcd", 1, 999_999), PcapRecord(b"efgh", 1, 1_000_000)
+    assert read_pcap(io.BytesIO(pcap_bytes([good]))) == [good]
+    fobj = io.BytesIO()
+    with pytest.raises(PcapError) as excinfo:
+        write_pcap(fobj, [good, bad])
+    assert str(excinfo.value) == "record 1 has ts_usec 1000000, over 999999 microseconds"
+    assert fobj.getvalue() == pcap_bytes([good])
+    fobj = io.BytesIO()
+    with pytest.raises(PcapError, match=r"^record has ts_usec 5000000, "):
+        PcapWriter(fobj).append(PcapRecord(b"x", 1, 5_000_000))
+    assert fobj.getvalue() == pcap_bytes([])
+
+
+def test_a_run_into_a_writer_refuses_a_ts_usec_of_a_second_or_more():
+    # one packet passed through as its record, one rewritten into a new one
+    registry = standard_registry()
+    nf = make_nf("mtu-too-big", registry)
+    for length in (100, 1300):
+        (record,) = generate_records(GeneratorSpec(count=1, payload_len=length, seed=4))
+        bad = PcapRecord(record.data, 7, 1_000_000)
+        fobj = io.BytesIO()
+        with pytest.raises(PcapError, match=r"^record has ts_usec 1000000, "):
+            run_records(nf, [record, bad], registry, out=PcapWriter(fobj))
+        (written,) = read_pcap(io.BytesIO(fobj.getvalue()))
+        assert (written.ts_sec, written.ts_usec) == (record.ts_sec, record.ts_usec)
+
+
+@pytest.mark.parametrize("order", ["<", ">"], ids=["little-endian", "big-endian"])
+def test_reader_refuses_a_ts_usec_of_a_second_or_more(order):
+    # hand-built: the writer refuses such a record
+    blob = struct.pack(order + "IHHiIII", PCAP_MAGIC, 2, 4, 0, 0, SNAPLEN, LINKTYPE_ETHERNET)
+    for ts_usec, data in ((999_999, b"a"), (5_000_000, b"b")):
+        blob += struct.pack(order + "IIII", 1, ts_usec, 1, 1) + data
+    records = iter_pcap(io.BytesIO(blob))
+    assert next(records) == PcapRecord(b"a", 1, 999_999)
+    with pytest.raises(PcapError) as excinfo:
+        next(records)
+    assert str(excinfo.value) == "record 1 has ts_usec 5000000, over 999999 microseconds"
+    with pytest.raises(PcapError, match="^record 1 has ts_usec 5000000, "):
+        read_pcap(io.BytesIO(blob))

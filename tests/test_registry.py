@@ -124,9 +124,9 @@ def test_registry_rejects_dangling_predecessor():
 def test_registry_refuses_a_layout_whose_sub_fields_do_not_fill_their_word(flow_label):
     # IPv6's first word is 4 + 8 + 20 bits; a short or a long split is refused
     words = {"v_tc_fl": {"version": 4, "traffic_class": 8, "flow_label": flow_label}}
-    with pytest.raises(ValueError) as excinfo:
+    with pytest.raises(RegistryError) as excinfo:
         Registry([EthHdr, _stub("Ipv6Hdr", Ipv6Hdr, words=words)])
-    assert str(excinfo.value) == "the sub-fields of v_tc_fl do not fill it"
+    assert str(excinfo.value) == "Ipv6Hdr: the sub-fields of v_tc_fl do not fill it"
 
 
 def test_registry_checks_do_not_depend_on_order(registry):
