@@ -348,7 +348,7 @@ def test_each_catalog_nf_elaborates_its_one_spec(registry):
 
 
 @pytest.mark.parametrize("name, switch, value", [
-    ("srv6-change-pkt", "omit_payload_len_update", "no"),
+    pytest.param("srv6-change-pkt", "omit_payload_len_update", "no", id="srv6-payload-len-no"),
     ("mtu-too-big", "omit_ipv6_swap", 1),
     ("srv6-change-pkt", "omit_payload_len_update", None),
 ])
