@@ -4,6 +4,13 @@ Files are written little-endian with magic 0xA1B2C3D4, version 2.4,
 microsecond timestamps, and link type 1 (Ethernet). Reading accepts
 either byte order, keyed off the magic. Record bytes and timestamps
 round-trip exactly.
+
+A file opened here by path (and ``run_pipeline``'s ``<output>.part``)
+gets one 256 KiB buffer, not the filesystem's block size, so a pass
+makes one system call per 256 KiB of records, not one per 4 KiB.
+``PcapWriter`` checks a whole record, then hands it to the file in one
+``write`` of header plus data, so a refused record leaves no byte
+behind.
 """
 
 from __future__ import annotations
@@ -24,6 +31,9 @@ LINKTYPE_ETHERNET = 1
 #: (65,589 bytes at most) fits, and no longer record is written or read.
 SNAPLEN = 262144
 _USEC_PER_SEC = 1_000_000  # a record's ts_usec counts microseconds within its second
+#: Buffer bytes per file opened by path, over Python's default of the
+#: filesystem's block size (often 4 KiB: hundreds of system calls a pass).
+_BUFFER_BYTES = 256 * 1024
 
 _GLOBAL_HDR = struct.Struct("<IHHiIII")
 _GLOBAL_HDR_BE = struct.Struct(">IHHiIII")
@@ -58,7 +68,7 @@ def _bad_usec(record: str, ts_usec: int) -> PcapError:
 
 def _open(target, mode: str):
     if isinstance(target, (str, Path)):
-        return open(target, mode), True
+        return open(target, mode, buffering=_BUFFER_BYTES), True
     return target, False
 
 
@@ -85,8 +95,7 @@ class PcapWriter:
             raise _bad_time("record", (record.ts_sec, record.ts_usec)) from None
         if record.ts_usec >= _USEC_PER_SEC:
             raise _bad_usec("record", record.ts_usec)
-        self._write(head)
-        self._write(data)
+        self._write(head + data)
 
     def extend(self, records: Iterable[PcapRecord]) -> int:
         """Write every record, as ``append`` would; returns the count."""
@@ -102,8 +111,7 @@ class PcapWriter:
                 raise _bad_time(f"record {count}", (record.ts_sec, record.ts_usec)) from None
             if record.ts_usec >= _USEC_PER_SEC:
                 raise _bad_usec(f"record {count}", record.ts_usec)
-            write(head)
-            write(data)
+            write(head + data)
             count += 1
         return count
 
@@ -132,8 +140,9 @@ def iter_pcap(target: str | Path | BinaryIO) -> Iterator[PcapRecord]:
     ("bad pcap magic"), a link type other than Ethernet ("unsupported link
     type"), a partial record header ("truncated record header at record
     N"), an included length over ``SNAPLEN`` ("record N claims ... bytes"),
-    a ``ts_usec`` of a second or more ("record N has ts_usec ...") or a
-    record cut short ("truncated record N")."""
+    an original length under the included one ("record N has orig_len
+    ..."), a ``ts_usec`` of a second or more ("record N has ts_usec ...")
+    or a record cut short ("truncated record N")."""
     fobj, owned = _open(target, "rb")
     try:
         head = fobj.read(_GLOBAL_HDR.size)
@@ -159,6 +168,11 @@ def iter_pcap(target: str | Path | BinaryIO) -> Iterator[PcapRecord]:
             ts_sec, ts_usec, incl_len, orig_len = rhdr.unpack(rec_head)
             if incl_len > SNAPLEN:
                 raise _too_long(f"record {index}", incl_len)
+            if orig_len < incl_len:
+                raise PcapError(
+                    f"record {index} has orig_len {orig_len}, under its "
+                    f"incl_len {incl_len}"
+                )
             if ts_usec >= _USEC_PER_SEC:
                 raise _bad_usec(f"record {index}", ts_usec)
             data = fobj.read(incl_len)

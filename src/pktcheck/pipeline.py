@@ -80,7 +80,7 @@ from .exceptions import ConfigError
 from .generator import GeneratorSpec, generate_records
 from .headers import Packet
 from .nfs import NetworkFunction, make_nf
-from .pcap import PcapRecord, PcapWriter, iter_pcap
+from .pcap import _BUFFER_BYTES, PcapRecord, PcapWriter, iter_pcap
 from .registry import Registry, standard_registry
 
 
@@ -317,7 +317,7 @@ def run_pipeline(
         )
     part = Path(f"{config.output_path}.part")
     try:
-        with open(part, "wb") as fobj:
+        with open(part, "wb", buffering=_BUFFER_BYTES) as fobj:
             summary = run_records(
                 nf, records, registry, runtime=runtime, policy=config.policy,
                 out=PcapWriter(fobj),

@@ -6,19 +6,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pktcheck import (
+    BuildMode,
     GeneratorSpec,
     PcapError,
     PcapRecord,
+    RunConfig,
     generate_records,
     make_nf,
     pcap_bytes,
     read_pcap,
+    run_pipeline,
     run_records,
     standard_registry,
     write_pcap,
 )
 from pktcheck.cli import main
-from pktcheck.pcap import LINKTYPE_ETHERNET, PCAP_MAGIC, SNAPLEN, PcapWriter, iter_pcap
+from pktcheck.pcap import (
+    _BUFFER_BYTES,
+    LINKTYPE_ETHERNET,
+    PCAP_MAGIC,
+    SNAPLEN,
+    PcapWriter,
+    iter_pcap,
+)
 
 records_strategy = st.lists(
     st.builds(
@@ -258,3 +268,100 @@ def test_reader_refuses_a_ts_usec_of_a_second_or_more(order):
     assert str(excinfo.value) == "record 1 has ts_usec 5000000, over 999999 microseconds"
     with pytest.raises(PcapError, match="^record 1 has ts_usec 5000000, "):
         read_pcap(io.BytesIO(blob))
+
+
+@pytest.mark.parametrize("order", ["<", ">"], ids=["little-endian", "big-endian"])
+def test_reader_refuses_an_orig_len_under_the_incl_len(order):
+    # a capture cut at its snap length has orig_len over incl_len, never under
+    blob = struct.pack(order + "IHHiIII", PCAP_MAGIC, 2, 4, 0, 0, SNAPLEN, LINKTYPE_ETHERNET)
+    for orig_len in (9, 1):
+        blob += struct.pack(order + "IIII", 1, 2, 4, orig_len) + b"abcd"
+    records = iter_pcap(io.BytesIO(blob))
+    assert next(records) == PcapRecord(b"abcd", 1, 2)
+    with pytest.raises(PcapError) as excinfo:
+        next(records)
+    assert str(excinfo.value) == "record 1 has orig_len 1, under its incl_len 4"
+    with pytest.raises(PcapError, match="^record 1 has orig_len 1, "):
+        read_pcap(io.BytesIO(blob))
+
+
+def test_a_refused_record_leaves_the_stream_readable():
+    # a record is checked whole before any of its bytes reach the file
+    good = [PcapRecord(b"abcd", 1, 2), PcapRecord(b"ef", 3, 4)]
+    bad = PcapRecord("text", 1, 2)
+    fobj = io.BytesIO()
+    writer = PcapWriter(fobj)
+    for record in good:
+        writer.append(record)
+    with pytest.raises(TypeError):
+        writer.append(bad)
+    assert read_pcap(io.BytesIO(fobj.getvalue())) == good
+    fobj = io.BytesIO()
+    with pytest.raises(TypeError):
+        PcapWriter(fobj).extend([*good, bad])
+    assert fobj.getvalue() == pcap_bytes(good)
+
+
+class _CountWrites(io.BytesIO):
+    """A file that counts its ``write`` calls."""
+
+    writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        return super().write(data)
+
+
+def test_the_writer_makes_one_write_per_record():
+    records = [PcapRecord(bytes([i]) * i, i, i) for i in range(5)]
+    fobj = _CountWrites()
+    writer = PcapWriter(fobj)
+    assert fobj.writes == 1  # the global header
+    writer.append(records[0])
+    assert fobj.writes == 2
+    assert writer.extend(records[1:]) == 4
+    assert fobj.writes == 6
+    assert fobj.getvalue() == pcap_bytes(records)
+
+
+def _records_over_two_buffers() -> list[PcapRecord]:
+    # small records, one of SNAPLEN bytes across the first 256 KiB
+    # boundary, then enough small ones to pass the second
+    small = [PcapRecord(bytes([i % 251]) * (60 + i % 1400), i, i % 1_000_000)
+             for i in range(800)]
+    records = small[:150] + [PcapRecord(b"\xaa" * SNAPLEN, 7, 8)] + small[150:]
+    assert len(pcap_bytes(records[:150])) < _BUFFER_BYTES < len(pcap_bytes(records[:151]))
+    assert len(pcap_bytes(records)) > 2 * _BUFFER_BYTES
+    return records
+
+
+def _big_endian_bytes(records) -> bytes:
+    blob = struct.pack(">IHHiIII", PCAP_MAGIC, 2, 4, 0, 0, SNAPLEN, LINKTYPE_ETHERNET)
+    for r in records:
+        blob += struct.pack(">IIII", r.ts_sec, r.ts_usec, len(r.data), len(r.data)) + r.data
+    return blob
+
+
+def test_files_over_two_buffers_round_trip_through_paths(tmp_path):
+    records = _records_over_two_buffers()
+    expected = pcap_bytes(records)
+    path = tmp_path / "big.pcap"
+    assert write_pcap(path, records) == len(records)
+    assert path.read_bytes() == expected
+    assert pcap_bytes(iter_pcap(path)) == expected
+
+
+@pytest.mark.parametrize("order", ["<", ">"], ids=["little-endian", "big-endian"])
+def test_a_run_over_two_buffers_writes_its_records_unchanged(tmp_path, order):
+    # mtu-too-big passes every record here through as it came
+    records = _records_over_two_buffers()
+    expected = pcap_bytes(records)
+    source = tmp_path / "in.pcap"
+    source.write_bytes(expected if order == "<" else _big_endian_bytes(records))
+    out = tmp_path / "out.pcap"
+    summary = run_pipeline(RunConfig(
+        "mtu-too-big", input_path=str(source), output_path=str(out),
+        mode=BuildMode.PRODUCTION,
+    ))
+    assert summary.packets_out == len(records)
+    assert out.read_bytes() == expected
