@@ -2,15 +2,16 @@
 
 Files are written little-endian with magic 0xA1B2C3D4, version 2.4,
 microsecond timestamps, and link type 1 (Ethernet). Reading accepts
-either byte order, keyed off the magic. Record bytes and timestamps
-round-trip exactly.
+either byte order, looked up by the file's first four bytes. Record
+bytes, timestamps and a cut record's ``orig_len`` round-trip exactly.
 
 A file opened here by path (and ``run_pipeline``'s ``<output>.part``)
 gets one 256 KiB buffer, not the filesystem's block size, so a pass
 makes one system call per 256 KiB of records, not one per 4 KiB.
-``PcapWriter`` checks a whole record, then hands it to the file in one
-``write`` of header plus data, so a refused record leaves no byte
-behind.
+``PcapWriter.append``, the one record writer, checks a whole record and
+hands it to the file in one ``write`` of header plus data, so a refused
+record leaves no byte behind. Writer and reader both name a refused
+record ``record N``, N its place in the file.
 """
 
 from __future__ import annotations
@@ -35,10 +36,12 @@ _USEC_PER_SEC = 1_000_000  # a record's ts_usec counts microseconds within its s
 #: filesystem's block size (often 4 KiB: hundreds of system calls a pass).
 _BUFFER_BYTES = 256 * 1024
 
-_GLOBAL_HDR = struct.Struct("<IHHiIII")
-_GLOBAL_HDR_BE = struct.Struct(">IHHiIII")
-_RECORD_HDR = struct.Struct("<IIII")
-_RECORD_HDR_BE = struct.Struct(">IIII")
+#: The (global, record) header Structs of each byte order, by its magic's bytes.
+_ORDERS = {
+    struct.pack(o + "I", PCAP_MAGIC): (struct.Struct(o + "IHHiIII"), struct.Struct(o + "IIII"))
+    for o in "<>"
+}
+_GLOBAL_HDR, _RECORD_HDR = _ORDERS[struct.pack("<I", PCAP_MAGIC)]
 _FILE_HEADER = _GLOBAL_HDR.pack(
     PCAP_MAGIC, VERSION_MAJOR, VERSION_MINOR, 0, 0, SNAPLEN, LINKTYPE_ETHERNET
 )
@@ -47,23 +50,23 @@ _FILE_HEADER = _GLOBAL_HDR.pack(
 @dataclass(slots=True)
 class PcapRecord:
     """One captured packet: microsecond timestamp plus raw bytes. The
-    pipeline may emit a caller's record unchanged, as the same object."""
+    pipeline may emit a caller's record unchanged, as the same object.
+    ``orig_len`` is the packet's length on the wire when the capture cut
+    it to ``data``; None means ``data`` is the whole packet."""
 
     data: bytes
     ts_sec: int = 0
     ts_usec: int = 0
+    orig_len: int | None = None
 
 
-def _too_long(record: str, length: int) -> PcapError:
-    return PcapError(f"{record} claims {length} bytes, over the {SNAPLEN}-byte limit")
+def _too_long(index: int, length: int) -> PcapError:
+    return PcapError(f"record {index} claims {length} bytes, over the {SNAPLEN}-byte limit")
 
 
-def _bad_time(record: str, ts: tuple) -> PcapError:
-    return PcapError(f"{record} has timestamp {ts!r}, not two ints in 0..{2**32 - 1}")
-
-
-def _bad_usec(record: str, ts_usec: int) -> PcapError:
-    return PcapError(f"{record} has ts_usec {ts_usec}, over {_USEC_PER_SEC - 1} microseconds")
+def _bad_usec(index: int, ts_usec: int) -> PcapError:
+    return PcapError(f"record {index} has ts_usec {ts_usec}, "
+                     f"over {_USEC_PER_SEC - 1} microseconds")
 
 
 def _open(target, mode: str):
@@ -76,51 +79,52 @@ class PcapWriter:
     """Streams records into an open binary file as a classic pcap: the
     global header at construction, then each record as it is appended.
     Any object with ``append`` can take a run's output; this one keeps
-    no record after writing it."""
+    no record after writing it, only ``count``, the records written."""
 
     def __init__(self, fobj: BinaryIO):
         fobj.write(_FILE_HEADER)
         self._write = fobj.write
+        self.count = 0
 
     def append(self, record: PcapRecord) -> None:
-        """Write one record; one longer than ``SNAPLEN``, whose timestamp is
-        not two ints in 0..2**32 - 1 or whose ``ts_usec`` is a second or
-        more raises PcapError before any of its bytes are written."""
-        data = record.data
-        if len(data) > SNAPLEN:
-            raise _too_long("record", len(data))
+        """Write one record, as record ``count`` of the file. Raise
+        PcapError("record N ...") before writing any of its bytes if its
+        ``data`` is not bytes or bytearray or is longer than ``SNAPLEN``, its
+        ``orig_len`` is under that length or 2**32 or more, its timestamp is
+        not two ints in 0..2**32 - 1 or its ``ts_usec`` is a second or more."""
+        data, index = record.data, self.count
+        # type() first: exact bytes, the common case, skips the isinstance call
+        if type(data) is not bytes and not isinstance(data, (bytes, bytearray)):
+            raise PcapError(f"record {index} has data of type {type(data).__name__}, not bytes")
+        length = len(data)
+        if length > SNAPLEN:
+            raise _too_long(index, length)
+        orig_len = record.orig_len
+        if orig_len is None:
+            orig_len = length
+        elif not (isinstance(orig_len, int) and length <= orig_len < 2**32):
+            raise PcapError(f"record {index} has orig_len {orig_len!r}, "
+                            f"not an int in {length}..{2**32 - 1}")
         try:
-            head = _RECORD_HDR.pack(record.ts_sec, record.ts_usec, len(data), len(data))
+            head = _RECORD_HDR.pack(record.ts_sec, record.ts_usec, length, orig_len)
         except struct.error:
-            raise _bad_time("record", (record.ts_sec, record.ts_usec)) from None
+            raise PcapError(f"record {index} has timestamp {(record.ts_sec, record.ts_usec)!r}, "
+                            f"not two ints in 0..{2**32 - 1}") from None
         if record.ts_usec >= _USEC_PER_SEC:
-            raise _bad_usec("record", record.ts_usec)
+            raise _bad_usec(index, record.ts_usec)
         self._write(head + data)
-
-    def extend(self, records: Iterable[PcapRecord]) -> int:
-        """Write every record, as ``append`` would; returns the count."""
-        write, pack = self._write, _RECORD_HDR.pack
-        count = 0
-        for record in records:
-            data = record.data
-            if len(data) > SNAPLEN:
-                raise _too_long(f"record {count}", len(data))
-            try:
-                head = pack(record.ts_sec, record.ts_usec, len(data), len(data))
-            except struct.error:
-                raise _bad_time(f"record {count}", (record.ts_sec, record.ts_usec)) from None
-            if record.ts_usec >= _USEC_PER_SEC:
-                raise _bad_usec(f"record {count}", record.ts_usec)
-            write(head + data)
-            count += 1
-        return count
+        self.count = index + 1
 
 
 def write_pcap(target: str | Path | BinaryIO, records: Iterable[PcapRecord]) -> int:
-    """Write records to a classic pcap file; returns the record count."""
+    """Write records to a classic pcap file via ``PcapWriter.append``; returns the count."""
     fobj, owned = _open(target, "wb")
     try:
-        return PcapWriter(fobj).extend(records)
+        writer = PcapWriter(fobj)
+        append = writer.append
+        for record in records:
+            append(record)
+        return writer.count
     finally:
         if owned:
             fobj.close()
@@ -148,40 +152,38 @@ def iter_pcap(target: str | Path | BinaryIO) -> Iterator[PcapRecord]:
         head = fobj.read(_GLOBAL_HDR.size)
         if len(head) < _GLOBAL_HDR.size:
             raise PcapError("truncated pcap global header")
-        magic_le = struct.unpack("<I", head[:4])[0]
-        if magic_le == PCAP_MAGIC:
-            ghdr, rhdr = _GLOBAL_HDR, _RECORD_HDR
-        elif struct.unpack(">I", head[:4])[0] == PCAP_MAGIC:
-            ghdr, rhdr = _GLOBAL_HDR_BE, _RECORD_HDR_BE
-        else:
-            raise PcapError(f"bad pcap magic 0x{magic_le:08X}")
+        try:
+            ghdr, rhdr = _ORDERS[head[:4]]
+        except KeyError:
+            raise PcapError(f"bad pcap magic 0x{int.from_bytes(head[:4], 'little'):08X}") from None
         _, _, _, _, _, _, linktype = ghdr.unpack(head)
         if linktype != LINKTYPE_ETHERNET:
             raise PcapError(f"unsupported link type {linktype} (expected Ethernet)")
+        read, unpack, size = fobj.read, rhdr.unpack, rhdr.size
         index = 0
         while True:
-            rec_head = fobj.read(rhdr.size)
+            rec_head = read(size)
             if not rec_head:
                 return
-            if len(rec_head) < rhdr.size:
+            if len(rec_head) < size:
                 raise PcapError(f"truncated record header at record {index}")
-            ts_sec, ts_usec, incl_len, orig_len = rhdr.unpack(rec_head)
+            ts_sec, ts_usec, incl_len, orig_len = unpack(rec_head)
             if incl_len > SNAPLEN:
-                raise _too_long(f"record {index}", incl_len)
+                raise _too_long(index, incl_len)
             if orig_len < incl_len:
                 raise PcapError(
                     f"record {index} has orig_len {orig_len}, under its "
                     f"incl_len {incl_len}"
                 )
             if ts_usec >= _USEC_PER_SEC:
-                raise _bad_usec(f"record {index}", ts_usec)
-            data = fobj.read(incl_len)
+                raise _bad_usec(index, ts_usec)
+            data = read(incl_len)
             if len(data) < incl_len:
                 raise PcapError(
                     f"truncated record {index}: expected {incl_len} bytes, "
                     f"got {len(data)}"
                 )
-            yield PcapRecord(data, ts_sec, ts_usec)
+            yield PcapRecord(data, ts_sec, ts_usec, orig_len if orig_len > incl_len else None)
             index += 1
     finally:
         if owned:

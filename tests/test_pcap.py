@@ -163,13 +163,13 @@ def test_writer_refuses_a_record_over_the_snap_length_before_writing_it():
     writer = PcapWriter(fobj)
     writer.append(PcapRecord(data=b"abcd"))
     written = fobj.getvalue()
-    with pytest.raises(PcapError, match="record claims 262145 bytes, over the "
+    with pytest.raises(PcapError, match="^record 1 claims 262145 bytes, over the "
                                         "262144-byte limit"):
         writer.append(big)
     assert fobj.getvalue() == written
     fobj = io.BytesIO()
-    with pytest.raises(PcapError, match="record 1 claims 262145 bytes"):
-        PcapWriter(fobj).extend([PcapRecord(data=b"abcd"), big])
+    with pytest.raises(PcapError, match="^record 1 claims 262145 bytes"):
+        write_pcap(fobj, [PcapRecord(data=b"abcd"), big])
     assert fobj.getvalue() == written
     assert read_pcap(io.BytesIO(written))[0].data == b"abcd"
 
@@ -203,7 +203,7 @@ def test_writer_refuses_a_timestamp_it_cannot_hold_before_writing_it(ts_sec, ts_
     assert fobj.getvalue() == pcap_bytes([good])
     fobj = io.BytesIO()
     writer = PcapWriter(fobj)
-    with pytest.raises(PcapError, match=r"^record has timestamp "):
+    with pytest.raises(PcapError, match=r"^record 0 has timestamp "):
         writer.append(bad)
     assert fobj.getvalue() == pcap_bytes([])
 
@@ -220,7 +220,7 @@ def test_a_run_into_a_writer_refuses_a_timestamp_it_cannot_hold(ts_sec, ts_usec)
     for record in (small, large):
         bad = PcapRecord(record.data, ts_sec, ts_usec)
         fobj = io.BytesIO()
-        with pytest.raises(PcapError, match=r"^record has timestamp "):
+        with pytest.raises(PcapError, match=r"^record 1 has timestamp "):
             run_records(nf, [record, bad], registry, out=PcapWriter(fobj))
         (written,) = read_pcap(io.BytesIO(fobj.getvalue()))
         assert (written.ts_sec, written.ts_usec) == (record.ts_sec, record.ts_usec)
@@ -236,7 +236,7 @@ def test_writer_refuses_a_ts_usec_of_a_second_or_more_before_writing_it():
     assert str(excinfo.value) == "record 1 has ts_usec 1000000, over 999999 microseconds"
     assert fobj.getvalue() == pcap_bytes([good])
     fobj = io.BytesIO()
-    with pytest.raises(PcapError, match=r"^record has ts_usec 5000000, "):
+    with pytest.raises(PcapError, match=r"^record 0 has ts_usec 5000000, "):
         PcapWriter(fobj).append(PcapRecord(b"x", 1, 5_000_000))
     assert fobj.getvalue() == pcap_bytes([])
 
@@ -249,7 +249,7 @@ def test_a_run_into_a_writer_refuses_a_ts_usec_of_a_second_or_more():
         (record,) = generate_records(GeneratorSpec(count=1, payload_len=length, seed=4))
         bad = PcapRecord(record.data, 7, 1_000_000)
         fobj = io.BytesIO()
-        with pytest.raises(PcapError, match=r"^record has ts_usec 1000000, "):
+        with pytest.raises(PcapError, match=r"^record 1 has ts_usec 1000000, "):
             run_records(nf, [record, bad], registry, out=PcapWriter(fobj))
         (written,) = read_pcap(io.BytesIO(fobj.getvalue()))
         assert (written.ts_sec, written.ts_usec) == (record.ts_sec, record.ts_usec)
@@ -277,7 +277,7 @@ def test_reader_refuses_an_orig_len_under_the_incl_len(order):
     for orig_len in (9, 1):
         blob += struct.pack(order + "IIII", 1, 2, 4, orig_len) + b"abcd"
     records = iter_pcap(io.BytesIO(blob))
-    assert next(records) == PcapRecord(b"abcd", 1, 2)
+    assert next(records) == PcapRecord(b"abcd", 1, 2, orig_len=9)
     with pytest.raises(PcapError) as excinfo:
         next(records)
     assert str(excinfo.value) == "record 1 has orig_len 1, under its incl_len 4"
@@ -293,12 +293,12 @@ def test_a_refused_record_leaves_the_stream_readable():
     writer = PcapWriter(fobj)
     for record in good:
         writer.append(record)
-    with pytest.raises(TypeError):
+    with pytest.raises(PcapError, match="^record 2 has data of type str, not bytes$"):
         writer.append(bad)
     assert read_pcap(io.BytesIO(fobj.getvalue())) == good
     fobj = io.BytesIO()
-    with pytest.raises(TypeError):
-        PcapWriter(fobj).extend([*good, bad])
+    with pytest.raises(PcapError, match="^record 2 has data of type str, not bytes$"):
+        write_pcap(fobj, [*good, bad])
     assert fobj.getvalue() == pcap_bytes(good)
 
 
@@ -319,7 +319,8 @@ def test_the_writer_makes_one_write_per_record():
     assert fobj.writes == 1  # the global header
     writer.append(records[0])
     assert fobj.writes == 2
-    assert writer.extend(records[1:]) == 4
+    fobj = _CountWrites()
+    assert write_pcap(fobj, records) == 5
     assert fobj.writes == 6
     assert fobj.getvalue() == pcap_bytes(records)
 
@@ -365,3 +366,101 @@ def test_a_run_over_two_buffers_writes_its_records_unchanged(tmp_path, order):
     ))
     assert summary.packets_out == len(records)
     assert out.read_bytes() == expected
+
+
+#: Records the writer refuses, one of each kind: too long, a timestamp the
+#: format cannot hold, a ts_usec of a second or more, data that is not
+#: bytes, and an orig_len under the data's length or past 32 bits.
+refused_records = st.one_of(
+    st.builds(PcapRecord, st.just(bytes(SNAPLEN + 1))),
+    st.builds(PcapRecord, st.binary(max_size=8), st.sampled_from([-1, 2**32, 1.5])),
+    st.builds(PcapRecord, st.binary(max_size=8),
+              ts_usec=st.integers(min_value=1_000_000, max_value=2**32 - 1)),
+    st.builds(PcapRecord, st.text(max_size=8)),
+    st.builds(PcapRecord, st.binary(min_size=2, max_size=8),
+              orig_len=st.sampled_from([1, 2**32, 2**40])),
+)
+
+
+def _written_and_refused(write, records):
+    fobj = io.BytesIO()
+    try:
+        write(fobj, records)
+    except PcapError as error:
+        return fobj.getvalue(), str(error)
+    return fobj.getvalue(), None
+
+
+def _append_each(fobj, records):
+    writer = PcapWriter(fobj)
+    for record in records:
+        writer.append(record)
+
+
+@settings(max_examples=200)
+@given(records=records_strategy, refused=st.none() | refused_records, data=st.data())
+def test_write_pcap_writes_and_refuses_as_a_loop_of_append(records, refused, data):
+    if refused is not None:
+        at = data.draw(st.integers(min_value=0, max_value=len(records)))
+        records = records[:at] + [refused] + records[at:]
+    streamed = _written_and_refused(write_pcap, records)
+    assert streamed == _written_and_refused(_append_each, records)
+    blob, error = streamed
+    if refused is None:
+        assert (blob, error) == (pcap_bytes(records), None)
+    else:
+        assert error.startswith(f"record {at} ")
+        assert blob == pcap_bytes(records[:at])
+
+
+def _capture(order, rows) -> bytes:
+    # rows of (ts_sec, ts_usec, data, orig_len), packed in the given byte order
+    blob = struct.pack(order + "IHHiIII", PCAP_MAGIC, 2, 4, 0, 0, SNAPLEN, LINKTYPE_ETHERNET)
+    for ts_sec, ts_usec, data, orig_len in rows:
+        blob += struct.pack(order + "IIII", ts_sec, ts_usec, len(data), orig_len) + data
+    return blob
+
+
+@pytest.mark.parametrize("order", ["<", ">"], ids=["little-endian", "big-endian"])
+def test_an_orig_len_over_the_incl_len_round_trips(order):
+    # a capture cut at its snap length keeps the wire length of each packet
+    rows = [(1, 2, b"abcd", 9), (3, 4, b"ef", 2), (5, 6, b"", 2**32 - 1)]
+    records = read_pcap(io.BytesIO(_capture(order, rows)))
+    assert records == [PcapRecord(b"abcd", 1, 2, orig_len=9), PcapRecord(b"ef", 3, 4),
+                       PcapRecord(b"", 5, 6, orig_len=2**32 - 1)]
+    assert pcap_bytes(records) == _capture("<", rows)
+
+
+def test_writer_refuses_an_orig_len_it_cannot_write_before_writing_it():
+    good = PcapRecord(b"abcd", 1, 2, orig_len=4)
+    assert read_pcap(io.BytesIO(pcap_bytes([good]))) == [PcapRecord(b"abcd", 1, 2)]
+    for orig_len in (3, 2**32, 9.0):
+        fobj = io.BytesIO()
+        with pytest.raises(PcapError) as excinfo:
+            write_pcap(fobj, [good, PcapRecord(b"efgh", 1, 2, orig_len)])
+        assert str(excinfo.value) == (
+            f"record 1 has orig_len {orig_len!r}, not an int in 4..4294967295"
+        )
+        assert fobj.getvalue() == pcap_bytes([good])
+
+
+@pytest.mark.parametrize("mode", list(BuildMode), ids=lambda mode: mode.name.lower())
+def test_a_run_keeps_the_orig_len_of_a_record_it_passes_through(tmp_path, mode):
+    # mtu-too-big passes the 100-byte payload through and answers the
+    # 1,300-byte one with a new record: a packet of its own, whole
+    small, large = (
+        generate_records(GeneratorSpec(count=1, payload_len=length, seed=4))[0]
+        for length in (100, 1300)
+    )
+    source, out = tmp_path / "in.pcap", tmp_path / "out.pcap"
+    write_pcap(source, [
+        PcapRecord(small.data, 1, 2, orig_len=len(small.data) + 50),
+        PcapRecord(large.data, 3, 4, orig_len=len(large.data) + 50),
+    ])
+    run_pipeline(RunConfig(
+        "mtu-too-big", input_path=str(source), output_path=str(out), mode=mode,
+    ))
+    passed, answer = read_pcap(out)
+    assert passed == PcapRecord(small.data, 1, 2, orig_len=len(small.data) + 50)
+    assert (answer.ts_sec, answer.ts_usec, answer.orig_len) == (3, 4, None)
+    assert answer.data != large.data
