@@ -24,7 +24,6 @@ from .nfs import CATALOG, make_nf
 from .contracts import explain_contract
 from .pcap import read_pcap, write_pcap
 from .pipeline import RunConfig, bench, run_pipeline
-from .registry import standard_registry
 
 
 def _add_generator_flags(parser: argparse.ArgumentParser) -> None:
@@ -151,8 +150,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_explain(args) -> int:
-    registry = standard_registry()
-    nf = make_nf(args.nf, registry)
+    nf = make_nf(args.nf)
     print(explain_contract(nf.contract))
     return 0
 

@@ -131,7 +131,7 @@ def _gen_srv6(rng: random.Random, payload_len: int) -> bytes:
     srh = Srv6RoutingHdr(
         next_header=PROTO_NONE,
         segments_left=rng.randint(0, n_segments),
-        segments=[_random_addr(rng) for _ in range(n_segments)],
+        segments=b"".join(_random_addr(rng) for _ in range(n_segments)),
         tag=rng.getrandbits(16),
     )
     srh_bytes = srh.emit()

@@ -5,27 +5,29 @@ ICMPv6 Packet Too Big (type 2, code 0), and the SRv6 Routing extension
 header (routing type 4). All multi-byte integers are big-endian on the
 wire and are decoded to host ints.
 
-Each codec states its wire layout once, as its ``READ`` (a
-``FieldRead``), and four things come from it: the codec's ``parse`` and
-``emit``, which ``_codec`` generates at import; the field reads that a
-generated contract phase splices in to read a header's fields straight
-from the bytes (``contracts``); the kind of each attribute a contract may
-read (``FieldRead.kinds``); and the header's place in a chain, which the
+Each codec states its wire layout once, as its ``READ`` (a ``FieldRead``),
+and four things come from it: the codec's ``parse`` and ``emit``, which
+``_codec`` generates at import; the field reads that a generated contract
+phase splices in to read a header's fields straight from the bytes
+(``contracts``); the kind of each attribute a contract may read
+(``FieldRead.kinds``); and the header's place in a chain, which the
 registry reads straight from the layout (``registry``). Each generated
-function runs what a hand-written one would. ``parse`` checks the length, makes one ``unpack_from`` of a
-``struct.Struct`` compiled at import (whose ``s`` fields yield MAC and
-IPv6 addresses as ``bytes``), runs each test in order and builds the
-header from positional arguments. ``emit`` tests in one condition what
-the ``Struct`` cannot refuse (the sub-fields it shifts into a packed word,
-and the layout's emit tests, such as lengths that an ``s`` field would pad
-or truncate silently), then packs with the same ``Struct``, which
-range-checks every other field. When the condition fails or the pack
-refuses a field, ``emit`` raises the ``EmitError`` of the first check
-that fails in one order: the emit tests checked first, a range check of
-every integer on the wire in layout order, then the emit tests checked
-last. A failed condition always fails one of them, so when none fails the
-field is in range but not an integer, and ``emit`` re-raises what the
-pack raised.
+function runs what a hand-written one would. ``parse`` checks the length,
+makes one ``unpack_from`` of a ``struct.Struct`` compiled at import (whose
+``s`` fields yield MAC and IPv6 addresses as ``bytes``), runs each test in
+order and builds the header from positional arguments. Its span, the
+variable-length part (TCP options, the invoking packet, the SRv6 segment
+list), is the bytes from the fixed part's end to its size. ``emit`` tests
+in one condition what the ``Struct`` cannot refuse (the sub-fields it
+shifts into a packed word, and the layout's emit tests, such as lengths
+that an ``s`` field would pad or truncate silently), then packs with the
+same ``Struct``, which range-checks every other field, and appends the
+span. When the condition fails or the pack refuses a field, ``emit``
+raises the ``EmitError`` of the first check that fails in one order: the
+emit tests checked first, a range check of every integer on the wire in
+layout order, then the emit tests checked last. A failed condition always
+fails one of them, so when none fails a field in range is not an integer,
+or the span not bytes, and ``emit`` re-raises that error.
 
 A ``Packet`` is its immutable bytes: the network functions and
 ``parse_chain`` call the codecs at running offsets, and a rewrite builds
@@ -77,18 +79,18 @@ class FieldRead(NamedTuple):
     first, with their widths in bits, which fill the word. ``tests`` are
     the acceptance tests in ``parse`` order, each paired with its
     ``ParseError`` text, and ``size`` is the header's length in bytes.
-    ``extras`` gives each constructor argument that is neither a field nor
-    a sub-field: the variable-length part. ``hidden`` names the sub-fields
-    a contract may not read: TCP's reserved bits. The packet holds the
-    header when the buffer has ``unpack.size`` bytes at ``at`` and every
-    test holds, exactly when ``parse`` returns.
+    ``span``, if the header has a variable-length part, names the
+    attribute that holds it: the bytes from the fixed part's end to
+    ``size``. ``hidden`` names the sub-fields a contract may not read:
+    TCP's reserved bits. The packet holds the header when the buffer has
+    ``unpack.size`` bytes at ``at`` and every test holds, exactly when
+    ``parse`` returns.
 
     ``emit`` packs the header's fields and, in order, each ``computed``
-    field: a field on the wire that the header does not hold, which the
-    codec also gets as a property. ``emit_first`` and ``emit_last`` are
-    the tests ``emit`` checks before and after its range checks, each
-    paired with its ``EmitError`` text, and ``tail`` is the bytes after
-    the fixed part.
+    field (a field on the wire that the header does not hold, which the
+    codec also gets as a property), then appends the span. ``emit_first``
+    and ``emit_last`` are the tests ``emit`` checks before and after its
+    range checks, each paired with its ``EmitError`` text.
 
     Each is a Python expression, and each text an f-string, that may name
     ``fixed`` (the fixed part's length). Those of ``parse`` are over the
@@ -110,12 +112,11 @@ class FieldRead(NamedTuple):
     tests: tuple[tuple[str, str], ...]
     size: str
     words: dict[str, dict[str, int]] = {}
-    extras: dict[str, str] = {}
+    span: str | None = None
     hidden: tuple[str, ...] = ()
     computed: dict[str, str] = {}
     emit_first: tuple[tuple[str, str], ...] = ()
     emit_last: tuple[tuple[str, str], ...] = ()
-    tail: str = ""
     after: frozenset[str] = frozenset()
     slot: str | None = None
     proto: int | None = None
@@ -196,8 +197,9 @@ class FieldRead(NamedTuple):
     def arguments(self, cls, names: dict[str, str]) -> str:
         """The arguments that build ``cls`` from what ``step`` read, in its
         constructor's order: each field or sub-field as ``names`` spells
-        it, and each other argument by its ``extras`` expression."""
-        return ", ".join(self.spell(self.extras.get(f.name, f.name), names)
+        it, and the span as the bytes from ``fixed`` to ``size``."""
+        span = 'bytes(buf[at + fixed : at + size]) if size > fixed else b""'
+        return ", ".join(self.spell(span if f.name == self.span else f.name, names)
                          for f in fields(cls))
 
 
@@ -240,8 +242,8 @@ def _emit_lines(cls) -> list[str]:
     for name, _, word, shift in wire:
         terms.setdefault(word or name, []).append(f"{name} << {shift}" if shift else name)
     packed = f"pack({', '.join(' | '.join(t) for t in terms.values())})"
-    if layout.tail:
-        packed += f" + {layout.tail}"
+    if layout.span:
+        packed += f" + {layout.span}"
     computed = [f"{name} = {spell(source)}" for name, source in layout.computed.items()]
     lines = [
         "  def emit(self):",
@@ -366,14 +368,13 @@ class TcpHdr:
          ("at + size <= length", _truncated("TCP header with options", "size"))),
         "data_offset * 4",
         words={"off_flags": {"data_offset": 4, "reserved": 3, "flags": 9}},
-        extras={"options": 'bytes(buf[at + fixed : at + size]) if size > fixed else b""'},
+        span="options",
         hidden=("reserved",),
         emit_last=(
             ("data_offset >= 5", "TCP data offset {data_offset} below minimum 5"),
             ("data_offset * 4 == fixed + len(options)",
              "TCP data offset {data_offset} disagrees with {len(options)} option bytes"),
         ),
-        tail="options",
         after=frozenset({"Ipv6Hdr", "Srv6RoutingHdr"}), slot="Ipv6Hdr", proto=PROTO_TCP,
     )
 
@@ -404,14 +405,13 @@ class Icmpv6PktTooBig:
           "Packet Too Big message of {size} bytes exceeds the minimum-MTU reply "
           f"budget of {MAX_SIZE} bytes")),
         "length - at",
-        extras={"invoking_packet": "bytes(buf[at + fixed :])"},
+        span="invoking_packet",
         emit_first=((f"msg_type == {ICMPV6_PKT_TOO_BIG} and code == 0",
                      f"Packet Too Big requires type {ICMPV6_PKT_TOO_BIG} code 0, "
                      "got type {msg_type} code {code}"),),
         emit_last=((f"len(invoking_packet) <= {MAX_SIZE} - fixed",
                     "Packet Too Big body exceeds the minimum-MTU reply budget of "
                     f"{MAX_SIZE} bytes"),),
-        tail="invoking_packet",
         after=frozenset({"Ipv6Hdr"}), slot="Ipv6Hdr", proto=PROTO_ICMPV6,
     )
 
@@ -421,14 +421,14 @@ class Icmpv6PktTooBig:
 class Srv6RoutingHdr:
     """IPv6 Segment Routing header (routing type 4).
 
-    Serialized size is 8 + 8 * hdr_ext_len; the segment list holds
-    last_entry + 1 addresses of 16 bytes each, so hdr_ext_len is twice
+    Serialized size is 8 + 8 * hdr_ext_len; the segment list is the bytes
+    of last_entry + 1 addresses, 16 bytes each, so hdr_ext_len is twice
     the segment count.
     """
 
     next_header: int
     segments_left: int
-    segments: list[bytes]
+    segments: bytes
     flags: int = 0
     tag: int = 0
     routing_type: int = SRV6_ROUTING_TYPE
@@ -447,20 +447,16 @@ class Srv6RoutingHdr:
          ("segments_left <= last_entry + 1",
           "SRv6 segments left {segments_left} exceeds segment count {hdr_ext_len // 2}")),
         "fixed + 8 * hdr_ext_len",
-        extras={
-            "segments": "list(_SRV6_SEGMENTS[hdr_ext_len // 2].unpack_from(buf, at + fixed))"
-        },
-        computed={"hdr_ext_len": "2 * len(segments)", "last_entry": "hdr_ext_len // 2 - 1"},
+        span="segments",
+        computed={"hdr_ext_len": "len(segments) // 8", "last_entry": "hdr_ext_len // 2 - 1"},
         emit_first=(
             (f"routing_type == {SRV6_ROUTING_TYPE}",
              f"routing type must be {SRV6_ROUTING_TYPE}"),
             ("segments", "SRv6 routing header requires at least one segment"),
-            ("[*map(len, segments)].count(16) == len(segments)",
-             "SRv6 segments must be 16-byte addresses"),
+            ("not len(segments) % 16", "SRv6 segments must be 16-byte addresses"),
         ),
         emit_last=(("segments_left <= last_entry + 1",
-                    "segments left {segments_left} exceeds segment count {len(segments)}"),),
-        tail='b"".join(segments)',
+                    "segments left {segments_left} exceeds segment count {hdr_ext_len // 2}"),),
         # Extension headers chain: SRv6 may follow another SRv6 header.
         after=frozenset({"Ipv6Hdr", "Srv6RoutingHdr"}), proto=PROTO_SRV6,
         linkage="next_header",
@@ -474,9 +470,6 @@ MAX_SRV6_SEGMENTS = next(
     ((1 << bits) - 1) // 2
     for name, bits, _, _ in Srv6RoutingHdr.READ.wire() if name == "hdr_ext_len"
 )
-#: By segment count: the SRv6 segment list as that many 16-byte fields,
-#: which the generated ``Srv6RoutingHdr.parse`` unpacks with.
-_SRV6_SEGMENTS = [struct.Struct("16s" * n) for n in range(MAX_SRV6_SEGMENTS + 1)]
 
 
 #: The five codecs by class name, the name a ``Registry`` gives each.

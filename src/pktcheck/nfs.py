@@ -51,7 +51,7 @@ from .headers import (
     Srv6RoutingHdr,
     TcpHdr,
 )
-from .registry import Registry
+from .registry import Registry, standard_registry
 
 #: Largest invoking-packet slice that keeps the ICMPv6 reply's IPv6 payload
 #: at exactly IPV6_MIN_MTU - IPV6_HDR_SIZE bytes.
@@ -224,9 +224,9 @@ def srv6_add_segment(packet: Packet, *, omit_payload_len_update: bool = False) -
     except ParseError:
         return TransformResult(packet)
 
-    if len(srh.segments) + 1 > MAX_SRV6_SEGMENTS:
+    if (count := len(srh.segments) // 16) + 1 > MAX_SRV6_SEGMENTS:
         reason = (
-            f"segment list full: {len(srh.segments)} segments; appending "
+            f"segment list full: {count} segments; appending "
             "would overflow the routing header's 8-bit length field"
         )
         return TransformResult(None, reason)
@@ -239,7 +239,7 @@ def srv6_add_segment(packet: Packet, *, omit_payload_len_update: bool = False) -
 
     # srh and ipv6 were decoded just above, for this call alone, so they
     # are updated in place
-    srh.segments.append(DEFAULT_SEGMENT)
+    srh.segments += DEFAULT_SEGMENT
     if not omit_payload_len_update:
         ipv6.payload_len += len(DEFAULT_SEGMENT)
     rest = data[_L3_END + srh_size :]
@@ -260,11 +260,11 @@ CATALOG: dict[str, tuple[Callable[..., TransformResult], frozenset, ContractSpec
 }
 
 
-def make_nf(name: str, registry: Registry, /, **switches) -> NetworkFunction:
+def make_nf(name: str, registry: Registry | None = None, /, **switches) -> NetworkFunction:
     """Build a catalog NF by name: elaborate its parsed contract against
-    ``registry`` and bind ``switches`` to its transform. A switch it does not
-    take is refused here, before any packet flows; the clean NF calls the
-    transform itself."""
+    ``registry`` (``standard_registry()`` when None) and bind ``switches``
+    to its transform. A switch it does not take is refused here, before any
+    packet flows; the clean NF calls the transform itself."""
     try:
         transform, known, spec = CATALOG[name]
     except (KeyError, TypeError):  # TypeError: an unhashable name
@@ -280,7 +280,7 @@ def make_nf(name: str, registry: Registry, /, **switches) -> NetworkFunction:
     for switch, value in switches.items():
         if type(value) is not bool:  # a truthy "no" would turn the switch on
             raise ConfigError(f"switch {switch!r} takes a bool, not {value!r}")
-    contract = elaborate(spec, registry)
+    contract = elaborate(spec, standard_registry() if registry is None else registry)
     if switches:
         transform = partial(transform, **switches)
     return NetworkFunction(name=name, transform=transform, contract=contract)

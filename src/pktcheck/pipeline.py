@@ -81,7 +81,7 @@ from .generator import GeneratorSpec, generate_records
 from .headers import Packet
 from .nfs import NetworkFunction, make_nf
 from .pcap import _BUFFER_BYTES, PcapRecord, PcapWriter, iter_pcap
-from .registry import Registry, standard_registry
+from .registry import Registry
 
 
 @dataclass
@@ -168,7 +168,7 @@ class RunSummary:
 def run_records(
     nf: NetworkFunction,
     records: Iterable[PcapRecord],
-    registry: Registry,
+    registry: Registry | None,
     *,
     runtime: ContractRuntime | None = None,
     policy: str = "continue",
@@ -302,8 +302,6 @@ def run_pipeline(
     ``<output>.part``, which replaces the output only when the run completes
     and is deleted on any error; with no output path the records are
     dropped. ``summary.out_records`` stays empty either way."""
-    if registry is None:
-        registry = standard_registry()
     nf = make_nf(config.nf_name, registry)
     if config.input_path is not None:
         records = iter_pcap(config.input_path)
@@ -351,8 +349,6 @@ def bench(
         raise ConfigError(f"repetitions must be an int, not {repetitions!r}")
     if repetitions < 1:
         raise ConfigError("repetitions must be >= 1")
-    if registry is None:
-        registry = standard_registry()
     nf = make_nf(nf_name, registry)
 
     phase_samples = {"ingress_contract_ns": [], "transform_ns": [], "egress_contract_ns": []}

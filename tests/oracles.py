@@ -153,9 +153,7 @@ def parse_srv6(buf, offset=0):
             f"SRv6 segments left {segments_left} exceeds "
             f"segment count {n_segments}"
         )
-    segments = [
-        bytes(buf[offset + 8 + 16 * i : offset + 24 + 16 * i]) for i in range(n_segments)
-    ]
+    segments = bytes(buf[offset + 8 : offset + size])
     hdr = Srv6RoutingHdr(next_header, segments_left, segments, flags, tag, routing_type)
     return hdr, size
 
@@ -277,33 +275,30 @@ def emit_icmpv6_ptb(h):
 
 def emit_srv6(h):
     segments = h.segments
+    count, odd = divmod(len(segments), 16)
     try:
-        if (
-            h.routing_type == 4
-            and h.segments_left <= len(segments)
-            and set(map(len, segments)) == {16}
-        ):
+        if h.routing_type == 4 and h.segments_left <= count and not odd:
             return struct.pack(
-                "!BBBBBBH", h.next_header, 2 * len(segments), h.routing_type,
-                h.segments_left, len(segments) - 1, h.flags, h.tag,
-            ) + b"".join(segments)
+                "!BBBBBBH", h.next_header, 2 * count, h.routing_type,
+                h.segments_left, count - 1, h.flags, h.tag,
+            ) + segments
     except _REFUSED as exc:
         refused = exc
     if h.routing_type != 4:
         raise EmitError("routing type must be 4")
     if not segments:
         raise EmitError("SRv6 routing header requires at least one segment")
-    if any(len(s) != 16 for s in segments):
+    if odd:
         raise EmitError("SRv6 segments must be 16-byte addresses")
     _check_range(h.next_header, 8, "next_header")
-    _check_range(2 * len(segments), 8, "hdr_ext_len")
-    _check_range(len(segments) - 1, 8, "last_entry")
+    _check_range(2 * count, 8, "hdr_ext_len")
+    _check_range(count - 1, 8, "last_entry")
     _check_range(h.segments_left, 8, "segments_left")
     _check_range(h.flags, 8, "flags")
     _check_range(h.tag, 16, "tag")
-    if h.segments_left > len(segments):
+    if h.segments_left > count:
         raise EmitError(
-            f"segments left {h.segments_left} exceeds segment count {len(segments)}"
+            f"segments left {h.segments_left} exceeds segment count {count}"
         )
     raise refused
 

@@ -350,7 +350,7 @@ def _srv6_headers(draw):
     return Srv6RoutingHdr(
         next_header=draw(_u8),
         segments_left=draw(st.integers(0, len(segments))),
-        segments=segments,
+        segments=b"".join(segments),
         flags=draw(_u8),
         tag=draw(_u16),
     )

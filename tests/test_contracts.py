@@ -430,7 +430,7 @@ _SMALL = st.integers(0, 4)
 
 def _srh(draw, next_header):
     segments = draw(st.lists(_ADDRESSES, min_size=1, max_size=2))
-    return Srv6RoutingHdr(next_header, draw(st.integers(0, len(segments))), segments,
+    return Srv6RoutingHdr(next_header, draw(st.integers(0, len(segments))), b"".join(segments),
                           tag=draw(_SMALL))
 
 

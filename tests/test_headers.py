@@ -258,7 +258,7 @@ def test_srv6_emit_parse_identity(next_header, segments, flags, tag, data):
     segments_left = data.draw(st.integers(0, len(segments)))
     hdr = Srv6RoutingHdr(
         next_header=next_header, segments_left=segments_left,
-        segments=segments, flags=flags, tag=tag,
+        segments=b"".join(segments), flags=flags, tag=tag,
     )
     parsed, consumed = Srv6RoutingHdr.parse(hdr.emit())
     assert consumed == 8 + 16 * len(segments)
@@ -284,7 +284,7 @@ def test_srv6_parse_emit_identity(data, n_segments):
 def test_srv6_derived_fields():
     hdr = Srv6RoutingHdr(
         next_header=59, segments_left=1,
-        segments=[bytes(16), bytes(range(16))],
+        segments=bytes(16) + bytes(range(16)),
     )
     assert hdr.hdr_ext_len == 4
     assert hdr.last_entry == 1
@@ -297,7 +297,7 @@ def test_srv6_derived_fields():
 
 def test_srv6_parse_rejects_inconsistencies():
     good = Srv6RoutingHdr(
-        next_header=59, segments_left=0, segments=[bytes(16)]
+        next_header=59, segments_left=0, segments=bytes(16)
     ).emit()
 
     wrong_type = bytearray(good)
@@ -326,14 +326,14 @@ def test_srv6_parse_rejects_inconsistencies():
 
 def test_srv6_emit_rejects_bad_segments():
     with pytest.raises(EmitError):
-        Srv6RoutingHdr(next_header=59, segments_left=0, segments=[]).emit()
+        Srv6RoutingHdr(next_header=59, segments_left=0, segments=b"").emit()
     with pytest.raises(EmitError):
         Srv6RoutingHdr(
-            next_header=59, segments_left=0, segments=[bytes(8)]
+            next_header=59, segments_left=0, segments=bytes(8)
         ).emit()
     with pytest.raises(EmitError):
         Srv6RoutingHdr(
-            next_header=59, segments_left=2, segments=[bytes(16)]
+            next_header=59, segments_left=2, segments=bytes(16)
         ).emit()
 
 
@@ -517,7 +517,7 @@ def _tcp_with_options_cut():
 
 def _srv6_with_segments_cut():
     good = Srv6RoutingHdr(
-        next_header=59, segments_left=0, segments=[bytes(16), bytes(16)]
+        next_header=59, segments_left=0, segments=bytes(16) + bytes(16)
     ).emit()
     return good[:24]
 
@@ -571,7 +571,7 @@ def _valid_headers():
         ),
         Icmpv6PktTooBig: Icmpv6PktTooBig(checksum=0, mtu=1280, invoking_packet=b""),
         Srv6RoutingHdr: Srv6RoutingHdr(
-            next_header=59, segments_left=0, segments=[bytes(16)]
+            next_header=59, segments_left=0, segments=bytes(16)
         ),
     }
 
@@ -645,7 +645,7 @@ def test_emit_names_the_first_of_two_bad_fields(codec, first, then):
 
 
 def test_emit_names_a_derived_field():
-    header = Srv6RoutingHdr(next_header=59, segments_left=0, segments=[bytes(16)] * 128)
+    header = Srv6RoutingHdr(next_header=59, segments_left=0, segments=bytes(16) * 128)
     assert _emit_error(header) == "hdr_ext_len out of range for 8-bit field: 256"
 
 
@@ -667,12 +667,12 @@ def test_emit_names_a_derived_field():
          "Packet Too Big requires type 2 code 0, got type 2 code 1"),
         (Icmpv6PktTooBig, {"invoking_packet": bytes(1233)},
          "Packet Too Big body exceeds the minimum-MTU reply budget of 1240 bytes"),
-        (Srv6RoutingHdr, {"routing_type": 3, "segments": []}, "routing type must be 4"),
-        (Srv6RoutingHdr, {"segments": []},
+        (Srv6RoutingHdr, {"routing_type": 3, "segments": b""}, "routing type must be 4"),
+        (Srv6RoutingHdr, {"segments": b""},
          "SRv6 routing header requires at least one segment"),
-        (Srv6RoutingHdr, {"segments": [bytes(15), bytes(17)]},
+        (Srv6RoutingHdr, {"segments": bytes(15) + bytes(18)},
          "SRv6 segments must be 16-byte addresses"),
-        (Srv6RoutingHdr, {"segments": [bytes(16), bytes(15)], "tag": -1},
+        (Srv6RoutingHdr, {"segments": bytes(16) + bytes(15), "tag": -1},
          "SRv6 segments must be 16-byte addresses"),
         (Srv6RoutingHdr, {"segments_left": 2},
          "segments left 2 exceeds segment count 1"),
@@ -720,11 +720,13 @@ def _length(n):
 
 
 def _bad_segment_list():
+    # an empty address joins to no fault, so the bad one is cut or long
     return st.one_of(
-        st.just([]),
-        st.lists(addrs, min_size=128, max_size=129),
-        st.tuples(st.lists(addrs, max_size=3), _length(16)[1], st.lists(addrs, max_size=3))
-        .map(lambda t: t[0] + [t[1]] + t[2]),
+        st.just(b""),
+        st.lists(addrs, min_size=128, max_size=129).map(b"".join),
+        st.tuples(st.lists(addrs, max_size=3), _binary(st.sampled_from([15, 17])),
+                  st.lists(addrs, max_size=3))
+        .map(lambda t: b"".join(t[0] + [t[1]] + t[2])),
     )
 
 
@@ -758,7 +760,7 @@ EMIT_FIELDS = {
         "next_header": _bits(8), "flags": _bits(8), "tag": _bits(16),
         "routing_type": (st.just(SRV6_ROUTING_TYPE), st.sampled_from([-1, 0, 3, 256])),
         "segments": (st.one_of(st.lists(addrs, min_size=1, max_size=3),
-                               st.lists(addrs, min_size=126, max_size=127)),
+                               st.lists(addrs, min_size=126, max_size=127)).map(b"".join),
                      _bad_segment_list()),
         "segments_left": (st.none(), st.none()),
     },
@@ -766,15 +768,16 @@ EMIT_FIELDS = {
 
 
 @st.composite
-def _emit_inputs(draw, codec):
+def _emit_inputs(draw, codec, bad=(0, 1, 1, 2)):
+    """A header of ``codec`` with as many bad fields as drawn from ``bad``."""
     fields = EMIT_FIELDS[codec]
     shuffled = draw(st.permutations(sorted(fields)))
-    broken = set(shuffled[: draw(st.sampled_from([0, 1, 1, 2]))])
+    broken = set(shuffled[: draw(st.sampled_from(bad))])
     values = {name: draw(fields[name][name in broken]) for name in fields}
     if "data_offset" in values and values["data_offset"] is None:
         values["data_offset"] = 5 + len(values["options"]) // 4
     if "segments_left" in values:
-        count = len(values["segments"])
+        count = len(values["segments"]) // 16
         values["segments_left"] = draw(
             st.one_of(st.just(count + 1), st.sampled_from([-1, 256]))
             if "segments_left" in broken
@@ -794,6 +797,33 @@ def test_emit_gives_back_its_header_or_raises_emit_error(codec, data):
         return
     assert isinstance(raw, bytes)
     assert codec.parse(raw) == (header, len(raw))
+
+
+# --- the span: the bytes from the fixed part's end to the size -----------------
+
+SPANS = {EthHdr: None, Ipv6Hdr: None, TcpHdr: "options",
+         Icmpv6PktTooBig: "invoking_packet", Srv6RoutingHdr: "segments"}
+
+
+def test_each_layout_names_its_span():
+    assert {codec: codec.READ.span for codec in CODECS} == SPANS
+
+
+@pytest.mark.parametrize("codec", [c for c in CODECS if SPANS[c]], ids=lambda c: c.__name__)
+@settings(max_examples=200)
+@given(data=st.data(), at=st.integers(0, 8),
+       kind=st.sampled_from([bytes, bytearray, memoryview]))
+def test_a_parsed_span_is_the_bytes_past_the_fixed_part(codec, data, at, kind):
+    raw = data.draw(_emit_inputs(codec, bad=(0,))).emit()
+    # an ICMPv6 message runs to the buffer's end; the others may have bytes after
+    after = b"" if codec is Icmpv6PktTooBig else data.draw(st.binary(max_size=8))
+    buf = kind(data.draw(st.binary(min_size=at, max_size=at)) + raw + after)
+    header, size = codec.parse(buf, at)
+    span, fixed = getattr(header, SPANS[codec]), codec.READ.unpack.size
+    assert size == len(raw)
+    assert type(span) is bytes
+    assert span == buf[at + fixed : at + size]
+    assert header.emit()[fixed:] == span
 
 
 def _emitted(emit, header):

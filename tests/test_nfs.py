@@ -13,7 +13,7 @@ from pktcheck import (
     verify_order,
 )
 from pktcheck import headers, nfs
-from pktcheck.contracts import elaborate
+from pktcheck.contracts import elaborate, explain_contract
 from pktcheck.headers import EthHdr, Ipv6Hdr
 from pktcheck.nfs import (
     CATALOG,
@@ -35,7 +35,7 @@ def _srv6_bytes(n_segments=2, payload=b"", segments_left=1):
     srh = Srv6RoutingHdr(
         next_header=59,
         segments_left=segments_left,
-        segments=[bytes([i]) * 16 for i in range(1, n_segments + 1)],
+        segments=b"".join(bytes([i]) * 16 for i in range(1, n_segments + 1)),
     )
     body = srh.emit() + payload
     ipv6 = Ipv6Hdr(
@@ -212,8 +212,8 @@ def test_segment_append_updates_dependent_fields():
     assert srh.hdr_ext_len == before_srh.hdr_ext_len + 2
     assert srh.last_entry == before_srh.last_entry + 1
     assert srh.segments_left == before_srh.segments_left
-    assert srh.segments[:-1] == before_srh.segments
-    assert srh.segments[-1] == DEFAULT_SEGMENT
+    assert srh.segments[:-16] == before_srh.segments
+    assert srh.segments[-16:] == DEFAULT_SEGMENT
     assert out.data[54 + srh_size :] == b"\xaa" * 30  # trailing bytes untouched
 
 
@@ -231,11 +231,10 @@ def test_segment_limit_comes_from_the_layout():
     assert widths["hdr_ext_len"] == 8
     assert MAX_SRV6_SEGMENTS == ((1 << widths["hdr_ext_len"]) - 1) // 2 == 127
     assert headers.MAX_SRV6_SEGMENTS is MAX_SRV6_SEGMENTS
-    assert [s.size for s in headers._SRV6_SEGMENTS] == [16 * n for n in range(128)]
     full = Srv6RoutingHdr(next_header=59, segments_left=0,
-                          segments=[bytes([i]) * 16 for i in range(MAX_SRV6_SEGMENTS)])
+                          segments=b"".join(bytes([i]) * 16 for i in range(MAX_SRV6_SEGMENTS)))
     assert Srv6RoutingHdr.parse(full.emit()) == (full, 8 + 16 * MAX_SRV6_SEGMENTS)
-    full.segments.append(bytes(16))
+    full.segments += bytes(16)
     with pytest.raises(EmitError, match="hdr_ext_len out of range for 8-bit field: 256"):
         full.emit()
 
@@ -286,6 +285,12 @@ def test_output_reparses_cleanly(registry):
 
 
 # --- catalog ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(nfs.CATALOG))
+def test_make_nf_defaults_to_the_standard_registry(registry, name):
+    assert (explain_contract(make_nf(name).contract)
+            == explain_contract(make_nf(name, registry).contract))
 
 
 def test_make_nf_unknown_name(registry):

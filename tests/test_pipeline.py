@@ -378,7 +378,7 @@ def _full_segment_list() -> bytes:
     srh = Srv6RoutingHdr(
         next_header=59,
         segments_left=0,
-        segments=[bytes([i % 256]) * 16 for i in range(MAX_SRV6_SEGMENTS)],
+        segments=b"".join(bytes([i % 256]) * 16 for i in range(MAX_SRV6_SEGMENTS)),
     )
     body = srh.emit()
     ipv6 = Ipv6Hdr(

@@ -320,8 +320,8 @@ def test_match_chain_refuses_a_parameter_no_earlier_header_provides():
 
 
 def test_srv6_chain_with_repeated_headers(registry):
-    outer = Srv6RoutingHdr(next_header=43, segments_left=0, segments=[bytes(16)])
-    inner = Srv6RoutingHdr(next_header=59, segments_left=0, segments=[bytes(16)])
+    outer = Srv6RoutingHdr(next_header=43, segments_left=0, segments=bytes(16))
+    inner = Srv6RoutingHdr(next_header=59, segments_left=0, segments=bytes(16))
     ipv6 = Ipv6Hdr(
         src=bytes(16), dst=bytes(16),
         payload_len=len(outer.emit()) + len(inner.emit()),
@@ -339,7 +339,7 @@ def test_accessors_read_the_attribute_of_their_name(registry):
     packet = Packet.from_bytes(build_tcp6_bytes())
     tcp6 = order("EthHdr", "Ipv6Hdr", ("TcpHdr", "Ipv6Hdr"))
     decoded, _ = parse_chain(packet, verify_order(registry, tcp6))
-    srv6 = Srv6RoutingHdr(next_header=59, segments_left=1, segments=[bytes(16)] * 2)
+    srv6 = Srv6RoutingHdr(next_header=59, segments_left=1, segments=bytes(16) * 2)
     reply = Icmpv6PktTooBig(checksum=7, mtu=1280, invoking_packet=b"")
     count = 0
     for header in [*decoded, srv6, reply]:
