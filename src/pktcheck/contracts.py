@@ -401,14 +401,25 @@ def parse_contract_spec(text: str, nf_name: str = "nf") -> ContractSpec:
 
 def _resolve(
     ref: FieldRef,
+    check: Check,
     registry: Registry,
     phase_name: str,
     current: OrderSpec,
     ingress: OrderSpec | None,
 ) -> tuple[str, int]:
-    """Check one field reference against the registry and the order it
-    reads (``current`` or ``ingress``); return the kind of its attribute
-    and the index of its header in that order."""
+    """Check one field reference of ``check`` against the registry and the
+    order it reads (``current`` or ``ingress``); return the kind of its
+    attribute and the index of its header in that order."""
+    snapshot = ref.source is Source.INGRESS_SNAPSHOT
+    if snapshot and phase_name == "ingress":
+        raise ElaborationError(
+            f"ingress check {check.describe()}: the ingress phase has no snapshot to read"
+        )
+    if type(ref.occurrence) is not int:
+        raise ElaborationError(
+            f"{phase_name} check {check.describe()}: occurrence "
+            f"{ref.occurrence!r} is not an integer"
+        )
     if not registry.known(ref.header_type):
         raise ElaborationError(
             f"{phase_name} check references unknown header type "
@@ -423,7 +434,6 @@ def _resolve(
             f"{phase_name} check references unknown header type parameter "
             f"{ref.param!r}"
         )
-    snapshot = ref.source is Source.INGRESS_SNAPSHOT
     where, order = ("ingress", ingress) if snapshot else (phase_name, current)
     elements = order.elements if order is not None else ()
     positions = [i for i, e in enumerate(elements) if e.header_type == ref.header_type]
@@ -480,16 +490,16 @@ def _compile_phase(
                 f"{phase_name} check {check.describe()}: the right-hand side "
                 "has no terms"
             )
-        lhs_kind, i = _resolve(check.lhs, registry, phase_name, phase.order, ingress)
+        lhs_kind, i = _resolve(check.lhs, check, registry, phase_name, phase.order, ingress)
         terms, term_kinds, reads, const = [], [], [], 0
         for sign, term in check.rhs.terms:
-            if sign not in (1, -1):
+            if type(sign) is not int or sign not in (1, -1):
                 raise ElaborationError(
                     f"{phase_name} check {check.describe()}: term sign {sign!r} "
                     "is not +1 or -1"
                 )
             if isinstance(term, FieldRef):
-                kind, j = _resolve(term, registry, phase_name, phase.order, ingress)
+                kind, j = _resolve(term, check, registry, phase_name, phase.order, ingress)
                 term_kinds.append(kind)
                 from_snapshot = term.source is Source.INGRESS_SNAPSHOT
                 reads.append((sign, from_snapshot, term.accessor, j))

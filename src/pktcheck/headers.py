@@ -17,17 +17,17 @@ makes one ``unpack_from`` of a ``struct.Struct`` compiled at import (whose
 ``s`` fields yield MAC and IPv6 addresses as ``bytes``), runs each test in
 order and builds the header from positional arguments. Its span, the
 variable-length part (TCP options, the invoking packet, the SRv6 segment
-list), is the bytes from the fixed part's end to its size. ``emit`` tests
-in one condition what the ``Struct`` cannot refuse (the sub-fields it
-shifts into a packed word, and the layout's emit tests, such as lengths
-that an ``s`` field would pad or truncate silently), then packs with the
-same ``Struct``, which range-checks every other field, and appends the
-span. When the condition fails or the pack refuses a field, ``emit``
-raises the ``EmitError`` of the first check that fails in one order: the
-emit tests checked first, a range check of every integer on the wire in
-layout order, then the emit tests checked last. A failed condition always
-fails one of them, so when none fails a field in range is not an integer,
-or the span not bytes, and ``emit`` re-raises that error.
+list), is the bytes from the fixed part's end to its size. ``emit``
+refuses what ``parse`` would refuse in the header's own bytes: it tests
+in one condition what its ``Struct`` cannot refuse, then packs with that
+``Struct``, which range-checks every other value, and appends the span.
+When the condition fails or the pack refuses a value, ``emit`` raises
+the ``EmitError`` of the first check that fails in order: each ``s``
+field's width, each held value's range in layout order, the layout's
+tests with their ``ParseError`` texts, the size against the span, and
+each computed value's range. A failed condition always fails one of
+them, so when none fails a value in range is not an integer, or the
+span not bytes, and ``emit`` re-raises that error.
 
 A ``Packet`` is its immutable bytes: the network functions and
 ``parse_chain`` call the codecs at running offsets, and a rewrite builds
@@ -88,16 +88,18 @@ class FieldRead(NamedTuple):
 
     ``emit`` packs the header's fields and, in order, each ``computed``
     field (a field on the wire that the header does not hold, which the
-    codec also gets as a property), then appends the span. ``emit_first``
-    and ``emit_last`` are the tests ``emit`` checks before and after its
-    range checks, each paired with its ``EmitError`` text.
+    codec also gets as a property), then appends the span. It refuses
+    what ``parse`` would in the header's own bytes, checking in order each
+    ``s`` field's width, the range of each value the header holds, each
+    test that reads neither ``length`` nor ``buf`` (``at`` is 0 and
+    ``length`` the header's own), that a ``size`` not read from the buffer
+    is ``fixed`` plus the span's length, and each computed value's range.
 
     Each is a Python expression, and each text an f-string, that may name
     ``fixed`` (the fixed part's length). Those of ``parse`` are over the
     fields, the sub-fields, ``size``, ``at`` (the header's offset),
-    ``length`` (the buffer's length) and ``buf`` (the buffer); those of
-    ``emit`` over the header's attributes and the ``computed`` fields, each
-    of which may use those before it.
+    ``length`` (the buffer's length) and ``buf`` (the buffer); a computed
+    field is over the header's attributes and the computed fields before it.
 
     The rest places the header in a chain, with defaults that describe a
     chain root. ``after`` names the types it may follow and ``slot`` the
@@ -115,8 +117,6 @@ class FieldRead(NamedTuple):
     span: str | None = None
     hidden: tuple[str, ...] = ()
     computed: dict[str, str] = {}
-    emit_first: tuple[tuple[str, str], ...] = ()
-    emit_last: tuple[tuple[str, str], ...] = ()
     after: frozenset[str] = frozenset()
     slot: str | None = None
     proto: int | None = None
@@ -209,6 +209,8 @@ _NAME = re.compile(r"\b[A-Za-z_]\w*")
 _REPLACEMENT = re.compile(r"\{[^{}]*\}")
 #: One field's code in a ``struct`` format.
 _CODE = re.compile(r"\d*[A-Za-z?]")
+#: A layout expression that reads the buffer or its length.
+_READS_BUFFER = re.compile(r"\b(?:length|buf)\b").search
 
 
 def _truncated(what: str, need: str) -> str:
@@ -222,47 +224,52 @@ def _emit_lines(cls) -> list[str]:
     """The source of ``cls.emit``, from ``cls.READ`` (see the module
     docstring)."""
     layout = cls.READ
+    span, fixed, wire = layout.span, layout.unpack.size, layout.wire()
     names = {f.name: f"self.{f.name}" for f in fields(cls)}
+    names.update(at="0", length=f"({fixed} + len({names[span]}))" if span else str(fixed))
+    names["size"] = f"({layout.spell(layout.size, names)})"
 
     def spell(source):
         return layout.spell(source, names)
 
-    def check(test, text):
-        text = _REPLACEMENT.sub(lambda m: spell(m[0]), text)
-        return [f"    if not ({spell(test)}):", f"      raise EmitError(f{text!r})"]
-
-    wire = layout.wire()
+    ranges = {name: (f"0 <= {name} < {1 << bits}",
+                     f"{name} out of range for {bits}-bit field: {{{name}}}")
+              for name, bits, _, _ in wire if bits}
+    checks = [(f"len({name}) == {struct.calcsize(code)}",
+               f"{name} must be {struct.calcsize(code)} bytes")
+              for name, code in zip(layout.fields, _CODE.findall(layout.unpack.format))
+              if code.endswith("s")]
+    checks += [ranges[name] for name in ranges if name not in layout.computed]
+    checks += [(test, text) for test, text in layout.tests if not _READS_BUFFER(test)]
+    if span and not _READS_BUFFER(layout.size):
+        checks.append((f"size == fixed + len({span})",
+                       f"{layout.name} size {{size}} ({layout.spell(layout.size, {})}) "
+                       f"disagrees with {fixed} + {{len({span})}} bytes of {span}"))
+    checks += [ranges[name] for name in layout.computed if name in ranges]
+    # The pack refuses a packed value out of range, and a packed word whose
+    # most significant sub-field is.
     tops = {next(iter(subs)) for subs in layout.words.values()}
-    tests = [test for test, _ in layout.emit_first]
-    # The pack refuses a word's most significant sub-field out of range.
-    tests += [f"0 <= {name} < {1 << width}"
-              for name, width, word, _ in wire if word and name not in tops]
-    tests += [test for test, _ in layout.emit_last]
+    packs = {ranges[name][0] for name, _, word, _ in wire
+             if name in ranges and (word is None or name in tops)}
     terms = {}
     for name, _, word, shift in wire:
         terms.setdefault(word or name, []).append(f"{name} << {shift}" if shift else name)
     packed = f"pack({', '.join(' | '.join(t) for t in terms.values())})"
-    if layout.span:
-        packed += f" + {layout.span}"
-    computed = [f"{name} = {spell(source)}" for name, source in layout.computed.items()]
+    if span:
+        packed += f" + {span}"
+    condition = " and ".join(f"({test})" for test, _ in checks if test not in packs)
     lines = [
         "  def emit(self):",
+        *(f"    {name} = {spell(source)}" for name, source in layout.computed.items()),
         "    try:",
-        *(f"      {line}" for line in computed),
-        f"      if {spell(' and '.join(f'({test})' for test in tests))}:",
+        f"      if {spell(condition)}:",
         f"        return {spell(packed)}",
         "    except (struct.error, TypeError) as exc:",
         "      refused = exc",
     ]
-    for test, text in layout.emit_first:
-        lines += check(test, text)
-    lines += (f"    {line}" for line in computed)
-    for name, width, _, _ in wire:
-        if width:
-            lines += check(f"0 <= {name} < {1 << width}",
-                           f"{name} out of range for {width}-bit field: {{{name}}}")
-    for test, text in layout.emit_last:
-        lines += check(test, text)
+    for test, text in checks:
+        text = _REPLACEMENT.sub(lambda m: spell(m[0]), text)
+        lines += [f"    if not ({spell(test)}):", f"      raise EmitError(f{text!r})"]
     return lines + ["    raise refused"]
 
 
@@ -306,7 +313,6 @@ class EthHdr:
 
     READ = FieldRead(
         "Ethernet header", _ETH, ("dst", "src", "ether_type"), (), "fixed",
-        emit_first=(("len(dst) == 6 == len(src)", "MAC addresses must be 6 bytes"),),
         linkage="ether_type",
     )
 
@@ -331,8 +337,6 @@ class Ipv6Hdr:
         (("version == 6", "IPv6 version nibble is {version}, expected 6"),),
         "fixed",
         words={"v_tc_fl": {"version": 4, "traffic_class": 8, "flow_label": 20}},
-        emit_first=(("version == 6", "IPv6 version must be 6, got {version}"),),
-        emit_last=(("len(src) == 16 == len(dst)", "IPv6 addresses must be 16 bytes"),),
         after=frozenset({"EthHdr"}), proto=ETHERTYPE_IPV6, linkage="next_header",
     )
 
@@ -370,11 +374,6 @@ class TcpHdr:
         words={"off_flags": {"data_offset": 4, "reserved": 3, "flags": 9}},
         span="options",
         hidden=("reserved",),
-        emit_last=(
-            ("data_offset >= 5", "TCP data offset {data_offset} below minimum 5"),
-            ("data_offset * 4 == fixed + len(options)",
-             "TCP data offset {data_offset} disagrees with {len(options)} option bytes"),
-        ),
         after=frozenset({"Ipv6Hdr", "Srv6RoutingHdr"}), slot="Ipv6Hdr", proto=PROTO_TCP,
     )
 
@@ -406,12 +405,6 @@ class Icmpv6PktTooBig:
           f"budget of {MAX_SIZE} bytes")),
         "length - at",
         span="invoking_packet",
-        emit_first=((f"msg_type == {ICMPV6_PKT_TOO_BIG} and code == 0",
-                     f"Packet Too Big requires type {ICMPV6_PKT_TOO_BIG} code 0, "
-                     "got type {msg_type} code {code}"),),
-        emit_last=((f"len(invoking_packet) <= {MAX_SIZE} - fixed",
-                    "Packet Too Big body exceeds the minimum-MTU reply budget of "
-                    f"{MAX_SIZE} bytes"),),
         after=frozenset({"Ipv6Hdr"}), slot="Ipv6Hdr", proto=PROTO_ICMPV6,
     )
 
@@ -449,14 +442,6 @@ class Srv6RoutingHdr:
         "fixed + 8 * hdr_ext_len",
         span="segments",
         computed={"hdr_ext_len": "len(segments) // 8", "last_entry": "hdr_ext_len // 2 - 1"},
-        emit_first=(
-            (f"routing_type == {SRV6_ROUTING_TYPE}",
-             f"routing type must be {SRV6_ROUTING_TYPE}"),
-            ("segments", "SRv6 routing header requires at least one segment"),
-            ("not len(segments) % 16", "SRv6 segments must be 16-byte addresses"),
-        ),
-        emit_last=(("segments_left <= last_entry + 1",
-                    "segments left {segments_left} exceeds segment count {hdr_ext_len // 2}"),),
         # Extension headers chain: SRv6 may follow another SRv6 header.
         after=frozenset({"Ipv6Hdr", "Srv6RoutingHdr"}), proto=PROTO_SRV6,
         linkage="next_header",

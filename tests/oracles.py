@@ -4,8 +4,8 @@
 package's checksum code or header classes. ``REFERENCE_PARSE`` holds a
 hand-written ``parse`` per codec, each test and ``ParseError`` text spelled
 out; ``REFERENCE_EMIT`` holds a hand-written ``emit`` per codec, with its
-``struct`` format, its range checks and each ``EmitError`` text spelled
-out. The codecs' own ``parse`` and ``emit`` are generated from their
+``struct`` format, its width and range checks and each ``EmitError`` text
+spelled out. The codecs' own ``parse`` and ``emit`` are generated from their
 ``READ`` layouts, so these are what ``tests/test_headers.py`` holds them to.
 ``reference_send_too_big`` is mtu-too-big's transform in its earlier
 order, the whole Eth/IPv6/TCP chain decoded before the length decides
@@ -172,6 +172,16 @@ REFERENCE_PARSE = {
 #: re-raises the error.
 _REFUSED = (struct.error, TypeError)
 
+# Each reference ``emit`` checks in one order: each address's width, the
+# range of each field the header holds, then what ``parse`` would refuse in
+# the header's own bytes, with the ``ParseError`` texts above, and last the
+# range of each field it derives.
+
+
+def _check_width(value, n, what):
+    if len(value) != n:
+        raise EmitError(f"{what} must be {n} bytes")
+
 
 def _check_range(value, bits, what):
     if not 0 <= value < (1 << bits):
@@ -180,12 +190,12 @@ def _check_range(value, bits, what):
 
 def emit_eth(h):
     try:
-        if len(h.dst) == 6 == len(h.src):
+        if len(h.dst) == 6 and len(h.src) == 6:
             return struct.pack("!6s6sH", h.dst, h.src, h.ether_type)
     except _REFUSED as exc:
         refused = exc
-    if len(h.dst) != 6 or len(h.src) != 6:
-        raise EmitError("MAC addresses must be 6 bytes")
+    _check_width(h.dst, 6, "dst")
+    _check_width(h.src, 6, "src")
     _check_range(h.ether_type, 16, "ether_type")
     raise refused
 
@@ -193,10 +203,11 @@ def emit_eth(h):
 def emit_ipv6(h):
     try:
         if (
-            h.version == 6
+            len(h.src) == 16
+            and len(h.dst) == 16
             and 0 <= h.traffic_class < 0x100
             and 0 <= h.flow_label < 0x100000
-            and len(h.src) == 16 == len(h.dst)
+            and h.version == 6
         ):
             return struct.pack(
                 "!IHBB16s16s",
@@ -205,24 +216,25 @@ def emit_ipv6(h):
             )
     except _REFUSED as exc:
         refused = exc
-    if h.version != 6:
-        raise EmitError(f"IPv6 version must be 6, got {h.version}")
+    _check_width(h.src, 16, "src")
+    _check_width(h.dst, 16, "dst")
+    _check_range(h.version, 4, "version")
     _check_range(h.traffic_class, 8, "traffic_class")
     _check_range(h.flow_label, 20, "flow_label")
     _check_range(h.payload_len, 16, "payload_len")
     _check_range(h.next_header, 8, "next_header")
     _check_range(h.hop_limit, 8, "hop_limit")
-    if len(h.src) != 16 or len(h.dst) != 16:
-        raise EmitError("IPv6 addresses must be 16 bytes")
+    if h.version != 6:
+        raise EmitError(f"IPv6 version nibble is {h.version}, expected 6")
     raise refused
 
 
 def emit_tcp(h):
     try:
         if (
-            5 <= h.data_offset < 0x10
-            and 0 <= h.reserved < 0x8
+            0 <= h.reserved < 0x8
             and 0 <= h.flags < 0x200
+            and h.data_offset >= 5
             and h.data_offset * 4 == 20 + len(h.options)
         ):
             return struct.pack(
@@ -246,60 +258,77 @@ def emit_tcp(h):
         raise EmitError(f"TCP data offset {h.data_offset} below minimum 5")
     if h.data_offset * 4 != 20 + len(h.options):
         raise EmitError(
-            f"TCP data offset {h.data_offset} disagrees with "
-            f"{len(h.options)} option bytes"
+            f"TCP header size {h.data_offset * 4} (data_offset * 4) disagrees "
+            f"with 20 + {len(h.options)} bytes of options"
         )
     raise refused
 
 
 def emit_icmpv6_ptb(h):
+    size = 8 + len(h.invoking_packet)
     try:
-        if h.msg_type == 2 and h.code == 0 and len(h.invoking_packet) <= 1240 - 8:
+        if h.msg_type == 2 and h.code == 0 and size <= 1240:
             return struct.pack("!BBHI", h.msg_type, h.code, h.checksum, h.mtu) + (
                 h.invoking_packet
             )
     except _REFUSED as exc:
         refused = exc
-    if h.msg_type != 2 or h.code != 0:
-        raise EmitError(
-            f"Packet Too Big requires type 2 code 0, got type {h.msg_type} code {h.code}"
-        )
+    _check_range(h.msg_type, 8, "msg_type")
+    _check_range(h.code, 8, "code")
     _check_range(h.checksum, 16, "checksum")
     _check_range(h.mtu, 32, "mtu")
-    if 8 + len(h.invoking_packet) > 1240:
+    if h.msg_type != 2 or h.code != 0:
         raise EmitError(
-            "Packet Too Big body exceeds the minimum-MTU reply budget of 1240 bytes"
+            f"not an ICMPv6 Packet Too Big message: type {h.msg_type}, code {h.code}"
+        )
+    if size > 1240:
+        raise EmitError(
+            f"Packet Too Big message of {size} bytes exceeds the "
+            "minimum-MTU reply budget of 1240 bytes"
         )
     raise refused
 
 
 def emit_srv6(h):
     segments = h.segments
-    count, odd = divmod(len(segments), 16)
+    hdr_ext_len = len(segments) // 8
+    count = hdr_ext_len // 2
     try:
-        if h.routing_type == 4 and h.segments_left <= count and not odd:
+        if (
+            h.routing_type == 4
+            and segments
+            and not len(segments) % 16
+            and h.segments_left <= count
+        ):
             return struct.pack(
-                "!BBBBBBH", h.next_header, 2 * count, h.routing_type,
+                "!BBBBBBH", h.next_header, hdr_ext_len, h.routing_type,
                 h.segments_left, count - 1, h.flags, h.tag,
             ) + segments
     except _REFUSED as exc:
         refused = exc
-    if h.routing_type != 4:
-        raise EmitError("routing type must be 4")
-    if not segments:
-        raise EmitError("SRv6 routing header requires at least one segment")
-    if odd:
-        raise EmitError("SRv6 segments must be 16-byte addresses")
     _check_range(h.next_header, 8, "next_header")
-    _check_range(2 * count, 8, "hdr_ext_len")
-    _check_range(count - 1, 8, "last_entry")
+    _check_range(h.routing_type, 8, "routing_type")
     _check_range(h.segments_left, 8, "segments_left")
     _check_range(h.flags, 8, "flags")
     _check_range(h.tag, 16, "tag")
+    if h.routing_type != 4:
+        raise EmitError(f"routing type {h.routing_type}, expected 4 (SRv6)")
+    if hdr_ext_len < 2 or hdr_ext_len % 2:
+        raise EmitError(
+            f"SRv6 header extension length {hdr_ext_len} cannot hold 16-byte segments"
+        )
+    # the last entry is derived from the extension length, so it agrees
     if h.segments_left > count:
         raise EmitError(
-            f"segments left {h.segments_left} exceeds segment count {count}"
+            f"SRv6 segments left {h.segments_left} exceeds segment count {count}"
         )
+    if len(segments) % 8:
+        raise EmitError(
+            f"SRv6 routing header size {8 + 8 * hdr_ext_len} (8 + 8 * hdr_ext_len) "
+            f"disagrees with 8 + {len(segments)} bytes of segments"
+        )
+    _check_range(hdr_ext_len, 8, "hdr_ext_len")
+    _check_range(count - 1, 8, "last_entry")
     raise refused
 
 

@@ -544,6 +544,28 @@ def test_elaboration_rejects_lhs_reading_the_snapshot(registry):
         elaborate(_srv6_spec(SRV6_ORDER, SRV6_ORDER, check), registry)
 
 
+def test_elaboration_rejects_a_left_hand_occurrence_that_is_not_an_integer(registry):
+    check = Check(FieldRef("hop_limit", "Ipv6Hdr", occurrence="0"), "==", Operand.literal(0))
+    with pytest.raises(ElaborationError) as excinfo:
+        elaborate(_srv6_spec(SRV6_ORDER, SRV6_ORDER, check), registry)
+    assert str(excinfo.value) == (
+        "egress check (hop_limit[Ipv6Hdr#0], ==, 0): occurrence '0' is not an integer"
+    )
+
+
+def test_elaboration_rejects_an_ingress_check_reading_the_snapshot(registry):
+    hop_limit = FieldRef("hop_limit", "Ipv6Hdr")
+    snapshot = FieldRef("hop_limit", "Ipv6Hdr", source=Source.INGRESS_SNAPSHOT)
+    check = Check(hop_limit, "==", Operand.ref(snapshot))
+    spec = ContractSpec("x", {}, (), PhaseSpec(order("EthHdr", "Ipv6Hdr"), (check,)), None)
+    with pytest.raises(ElaborationError) as excinfo:
+        elaborate(spec, registry)
+    assert str(excinfo.value) == (
+        "ingress check (hop_limit[Ipv6Hdr], ==, hop_limit[Ipv6Hdr]@ingress): the "
+        "ingress phase has no snapshot to read"
+    )
+
+
 def test_elaboration_rejects_a_negated_byte_sequence(registry):
     # only a hand-built spec can negate a lone operand; a byte sequence has
     # no negation, so it is refused as bytes in arithmetic are
@@ -571,6 +593,25 @@ _HAND_BUILT_OPERANDS = {
     "float literal": (
         Operand(((1, 2.5),)),
         "egress check (hop_limit[Ipv6Hdr], ==, 2.5): literal 2.5 is not an integer",
+    ),
+    "bool sign": (
+        Operand(((True, 3),)),
+        "egress check (hop_limit[Ipv6Hdr], ==, 3): term sign True is not +1 or -1",
+    ),
+    "str occurrence": (
+        Operand.ref(FieldRef("hop_limit", "Ipv6Hdr", occurrence="0")),
+        "egress check (hop_limit[Ipv6Hdr], ==, hop_limit[Ipv6Hdr#0]): occurrence '0' "
+        "is not an integer",
+    ),
+    "float occurrence": (
+        Operand.ref(FieldRef("hop_limit", "Ipv6Hdr", occurrence=0.0)),
+        "egress check (hop_limit[Ipv6Hdr], ==, hop_limit[Ipv6Hdr]): occurrence 0.0 "
+        "is not an integer",
+    ),
+    "bool occurrence": (
+        Operand.ref(FieldRef("hop_limit", "Ipv6Hdr", occurrence=True)),
+        "egress check (hop_limit[Ipv6Hdr], ==, hop_limit[Ipv6Hdr#True]): occurrence "
+        "True is not an integer",
     ),
 }
 

@@ -649,38 +649,100 @@ def test_emit_names_a_derived_field():
     assert _emit_error(header) == "hdr_ext_len out of range for 8-bit field: 256"
 
 
+#: Each case: a valid header's changes, a fault they make (the case's id),
+#: and the refusal of the first fault in emit's order.
+REFUSALS = [
+    (EthHdr, {"dst": bytes(5)}, "MAC addresses must be 6 bytes", "dst must be 6 bytes"),
+    (EthHdr, {"src": bytes(7), "ether_type": -1}, "MAC addresses must be 6 bytes",
+     "src must be 6 bytes"),
+    (Ipv6Hdr, {"version": 4, "payload_len": -1}, "IPv6 version must be 6, got 4",
+     "payload_len out of range for 16-bit field: -1"),
+    (Ipv6Hdr, {"dst": bytes(15)}, "IPv6 addresses must be 16 bytes",
+     "dst must be 16 bytes"),
+    (Ipv6Hdr, {"src": bytes(17), "hop_limit": 256},
+     "hop_limit out of range for 8-bit field: 256", "src must be 16 bytes"),
+    (TcpHdr, {"data_offset": 4}, "TCP data offset 4 below minimum 5",
+     "TCP data offset 4 below minimum 5"),
+    (TcpHdr, {"data_offset": 6}, "TCP data offset 6 disagrees with 0 option bytes",
+     "TCP header size 24 (data_offset * 4) disagrees with 20 + 0 bytes of options"),
+    (TcpHdr, {"options": bytes(3)}, "TCP data offset 5 disagrees with 3 option bytes",
+     "TCP header size 20 (data_offset * 4) disagrees with 20 + 3 bytes of options"),
+    (Icmpv6PktTooBig, {"code": 1},
+     "Packet Too Big requires type 2 code 0, got type 2 code 1",
+     "not an ICMPv6 Packet Too Big message: type 2, code 1"),
+    (Icmpv6PktTooBig, {"invoking_packet": bytes(1233)},
+     "Packet Too Big body exceeds the minimum-MTU reply budget of 1240 bytes",
+     "Packet Too Big message of 1241 bytes exceeds the minimum-MTU reply budget "
+     "of 1240 bytes"),
+    (Srv6RoutingHdr, {"routing_type": 3, "segments": b""}, "routing type must be 4",
+     "routing type 3, expected 4 (SRv6)"),
+    (Srv6RoutingHdr, {"segments": b""},
+     "SRv6 routing header requires at least one segment",
+     "SRv6 header extension length 0 cannot hold 16-byte segments"),
+    (Srv6RoutingHdr, {"segments": bytes(15) + bytes(18)},
+     "SRv6 segments must be 16-byte addresses",
+     "SRv6 routing header size 40 (8 + 8 * hdr_ext_len) disagrees with 8 + 33 "
+     "bytes of segments"),
+    (Srv6RoutingHdr, {"segments": bytes(16) + bytes(15), "tag": -1},
+     "SRv6 segments must be 16-byte addresses", "tag out of range for 16-bit field: -1"),
+    (Srv6RoutingHdr, {"segments_left": 2}, "segments left 2 exceeds segment count 1",
+     "SRv6 segments left 2 exceeds segment count 1"),
+]
+
+
 @pytest.mark.parametrize(
     "codec, changes, message",
-    [
-        (EthHdr, {"dst": bytes(5)}, "MAC addresses must be 6 bytes"),
-        (EthHdr, {"src": bytes(7), "ether_type": -1}, "MAC addresses must be 6 bytes"),
-        (Ipv6Hdr, {"version": 4, "payload_len": -1}, "IPv6 version must be 6, got 4"),
-        (Ipv6Hdr, {"dst": bytes(15)}, "IPv6 addresses must be 16 bytes"),
-        (Ipv6Hdr, {"src": bytes(17), "hop_limit": 256},
-         "hop_limit out of range for 8-bit field: 256"),
-        (TcpHdr, {"data_offset": 4}, "TCP data offset 4 below minimum 5"),
-        (TcpHdr, {"data_offset": 6},
-         "TCP data offset 6 disagrees with 0 option bytes"),
-        (TcpHdr, {"options": bytes(3)},
-         "TCP data offset 5 disagrees with 3 option bytes"),
-        (Icmpv6PktTooBig, {"code": 1},
-         "Packet Too Big requires type 2 code 0, got type 2 code 1"),
-        (Icmpv6PktTooBig, {"invoking_packet": bytes(1233)},
-         "Packet Too Big body exceeds the minimum-MTU reply budget of 1240 bytes"),
-        (Srv6RoutingHdr, {"routing_type": 3, "segments": b""}, "routing type must be 4"),
-        (Srv6RoutingHdr, {"segments": b""},
-         "SRv6 routing header requires at least one segment"),
-        (Srv6RoutingHdr, {"segments": bytes(15) + bytes(18)},
-         "SRv6 segments must be 16-byte addresses"),
-        (Srv6RoutingHdr, {"segments": bytes(16) + bytes(15), "tag": -1},
-         "SRv6 segments must be 16-byte addresses"),
-        (Srv6RoutingHdr, {"segments_left": 2},
-         "segments left 2 exceeds segment count 1"),
-    ],
-    ids=lambda v: v.__name__ if isinstance(v, type) else None,
+    [(codec, changes, message) for codec, changes, _, message in REFUSALS],
+    ids=[f"{codec.__name__}-changes{i}-{fault}"
+         for i, (codec, _, fault, _) in enumerate(REFUSALS)],
 )
 def test_emit_refusal_messages(codec, changes, message):
     assert _emit_error(replace(_valid_headers()[codec], **changes)) == message
+
+
+#: Each fault a header's own values can make, as the wire bytes that carry
+#: it and the header that holds the same values.
+ONE_TEXT = {
+    "IPv6 version": (
+        Ipv6Hdr, bytes([0x40]) + bytes(39),
+        Ipv6Hdr(src=bytes(16), dst=bytes(16), payload_len=0, next_header=0,
+                hop_limit=0, version=4),
+    ),
+    "TCP data offset": (
+        TcpHdr, bytes(12) + bytes([0x40]) + bytes(7),
+        TcpHdr(src_port=0, dst_port=0, seq=0, ack=0, data_offset=4, flags=0,
+               window=0, checksum=0, urgent_ptr=0),
+    ),
+    "ICMPv6 type and code": (
+        Icmpv6PktTooBig, bytes([2, 1]) + bytes(6),
+        Icmpv6PktTooBig(checksum=0, mtu=0, invoking_packet=b"", code=1),
+    ),
+    "ICMPv6 budget": (
+        Icmpv6PktTooBig, bytes([2]) + bytes(1240),
+        Icmpv6PktTooBig(checksum=0, mtu=0, invoking_packet=bytes(1233)),
+    ),
+    "SRv6 routing type": (
+        Srv6RoutingHdr, bytes([59, 2, 3, 0, 0, 0, 0, 0]) + bytes(16),
+        Srv6RoutingHdr(next_header=59, segments_left=0, segments=bytes(16),
+                       routing_type=3),
+    ),
+    "SRv6 extension length": (
+        Srv6RoutingHdr, bytes([59, 3, 4, 0, 0, 0, 0, 0]) + bytes(24),
+        Srv6RoutingHdr(next_header=59, segments_left=0, segments=bytes(24)),
+    ),
+    "SRv6 segments left": (
+        Srv6RoutingHdr, bytes([59, 2, 4, 2, 0, 0, 0, 0]) + bytes(16),
+        Srv6RoutingHdr(next_header=59, segments_left=2, segments=bytes(16)),
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", ONE_TEXT)
+def test_emit_refuses_a_fault_with_the_text_parse_gives(fault):
+    codec, raw, header = ONE_TEXT[fault]
+    with pytest.raises(ParseError) as info:
+        codec.parse(raw)
+    assert _emit_error(header) == str(info.value)
 
 
 FLOAT_CASES = [
