@@ -42,10 +42,11 @@ snapshot)`` and ``egress(data, snapshot, nf, index)`` returns
 ``(violations, walked)`` for packet ``index`` of NF ``nf``; the NF's name
 is an argument because equal phases of NFs of other names share the
 function. It follows the phase's walk at running offsets with the linkage
-cross-checks inline: per step one generator splices in the lines that
+cross-checks inline: per step ``_walk_steps`` splices in the lines that
 the codec's ``READ`` writes (``headers.FieldRead.step``, which the
 codec's generated ``parse`` runs too), one ``unpack_from`` plus the
-layout's tests. A packet the walk refuses returns, in place of raising,
+layout's tests. ``reader`` writes a network function's input read from
+the same steps. A packet the walk refuses returns, in place of raising,
 its one order ``Violation``: ``engine._refusal`` of the
 ``ChainOrderError`` that ``registry.walk_error`` builds, the one that
 ``registry.parse_chain`` raises for it, with None for the snapshot at
@@ -420,20 +421,23 @@ def _resolve(
             f"{phase_name} check {check.describe()}: occurrence "
             f"{ref.occurrence!r} is not an integer"
         )
-    if not registry.known(ref.header_type):
-        raise ElaborationError(
-            f"{phase_name} check references unknown header type "
-            f"{ref.header_type!r}"
-        )
     try:
+        if not registry.known(ref.header_type):
+            raise ElaborationError(
+                f"{phase_name} check references unknown header type "
+                f"{ref.header_type!r}"
+            )
         kind = registry.accessor(ref.header_type, ref.accessor)
+        if ref.param is not None and not registry.known(ref.param):
+            raise ElaborationError(
+                f"{phase_name} check references unknown header type parameter "
+                f"{ref.param!r}"
+            )
     except RegistryError as exc:
         raise ElaborationError(str(exc)) from None
-    if ref.param is not None and not registry.known(ref.param):
-        raise ElaborationError(
-            f"{phase_name} check references unknown header type parameter "
-            f"{ref.param!r}"
-        )
+    except TypeError:  # the registry looks each name up by hash, in this order
+        name = next(n for n in (ref.header_type, ref.accessor, ref.param) if type(n) is not str)
+        raise ElaborationError(f"{phase_name} check {check.describe()}: {name!r} is not a name") from None
     where, order = ("ingress", ingress) if snapshot else (phase_name, current)
     elements = order.elements if order is not None else ()
     positions = [i for i, e in enumerate(elements) if e.header_type == ref.header_type]
@@ -473,7 +477,7 @@ def _compile_phase(
         return ()
     for element in phase.order.elements:
         for name in (element.header_type, element.param):
-            if name is not None and not registry.known(name):
+            if name is not None and (type(name) is not str or not registry.known(name)):
                 raise ElaborationError(
                     f"{phase_name} order references unknown header type {name!r}"
                 )
@@ -536,7 +540,7 @@ def _compile_phase(
                 f"{phase_name} check {check.describe()}: byte-sequence fields "
                 f"admit only == and neq, not {check.op}"
             )
-        if check.op not in COMPARATORS:
+        if type(check.op) is not str or check.op not in COMPARATORS:
             raise ElaborationError(
                 f"{phase_name} check {check.describe()}: unknown comparator "
                 f"{check.op!r}"
@@ -627,6 +631,48 @@ def _rhs_source(compiled: CompiledCheck, read) -> str:
     return describe_sum(terms)
 
 
+def _walk_steps(walk: tuple[OrderStep, ...], used: set, refuse: Callable[[int], str],
+                namespace: dict, first: int = 0):
+    """Yield, for each step of ``walk`` from ``first``, the source lines that
+    read it at its running offset and the names its layout is spelled with.
+
+    A step's lines are the linkage cross-check against its predecessor, the
+    lines its codec's ``READ`` writes (``headers.FieldRead.step``), its end
+    offset ``ek`` (but for the last step) and a local ``hk_a`` for each
+    sub-field ``a`` that ``used`` names as ``(k, a)`` or the next step's
+    linkage cross-check reads. Field ``f`` of header ``k`` is the local
+    ``hk_f``, and the names spell each other sub-field over its word.
+    ``refuse(k)`` is the statement that refuses the packet at step ``k``,
+    with ``{}`` where the linkage value or ``reason=`` and the refusal's
+    text go. Each step's ``unpack_from`` goes into ``namespace`` as
+    ``unpackk``. When ``first`` is not 0, the caller binds the offset and
+    the linkage field that its step reads from header ``first - 1``.
+    """
+    for k in range(first, len(walk)):
+        step = walk[k]
+        rule = step.codec.READ
+        unpack = f"unpack{k}"
+        namespace[unpack] = rule.unpack.unpack_from
+        at = f"e{k - 1}" if k else "0"
+        names = {field: f"h{k}_{field}" for field in rule.fields}
+        names.update(at=at, length="n", buf="data", unpack=unpack)
+        reads = rule.reads()
+        names.update({a: f"({rule.spell(e, names)})" for a, e in reads.items()})
+        names["size"] = f"({rule.spell(rule.size, names)})"
+        lines = []
+        if step.linkage is not None:
+            link = f"h{k - 1}_{step.linkage}"
+            lines += [f"if {link} != {step.proto!r}:", f"    {refuse(k).format(link)}"]
+        lines += rule.step(names, refuse(k).format("reason=f{!r}"))
+        if k < len(walk) - 1:
+            lines.append(f"e{k} = {at} + {names['size']}")
+        linkage = walk[k + 1].linkage if k + 1 < len(walk) else None
+        kept = [a for a in reads if (k, a) in used or a == linkage]
+        lines += [f"h{k}_{a} = {names[a]}" for a in kept]
+        names.update({a: f"h{k}_{a}" for a in kept})
+        yield lines, names
+
+
 @lru_cache(maxsize=64)
 def _generate(phase: Phase) -> Callable:
     """Write ``phase`` as the function the module docstring describes and
@@ -635,11 +681,10 @@ def _generate(phase: Phase) -> Callable:
     function: a phase's equality covers the name, walk and compiled checks
     it runs.
 
-    Attribute ``a`` of header ``k`` is the local ``hk_a``, header ``k``
-    ends at offset ``ek`` and is built as ``hk`` at ingress, and snapshot
-    header ``j`` is ``sj = snap[j]`` at egress; of the sub-fields, only
-    those that a check or the next step's linkage cross-check reads get a
-    local.
+    The walk's lines are ``_walk_steps``'s; header ``k`` is also built as
+    ``hk`` at ingress, and snapshot header ``j`` is ``sj = snap[j]`` at
+    egress; of the sub-fields, only those that a check or the next step's
+    linkage cross-check reads get a local.
     """
     name, walk, checks = phase.name, phase.walk, phase.compiled
     ingress = name == "ingress"
@@ -649,33 +694,18 @@ def _generate(phase: Phase) -> Callable:
     used = {(c.lhs_index, c.lhs) for c in checks}
     used |= {(j, attribute) for c in checks
              for _, from_snapshot, attribute, j in c.reads if not from_snapshot}
-    used |= {(k - 1, step.linkage) for k, step in enumerate(walk) if step.linkage}
     lines = [f"def {name}(data, {'' if ingress else 'snap, '}nf, index):",
              "    n = len(data)"]
-    for k, step in enumerate(walk):
-        header = step.header_type
-        codec = namespace[header] = step.codec
-        rule = codec.READ
-        unpack = f"unpack{k}"
-        namespace[unpack] = rule.unpack.unpack_from
-        at = f"e{k - 1}" if k else "0"
-        names = {field: f"h{k}_{field}" for field in rule.fields}
-        names.update(at=at, length="n", buf="data", unpack=unpack)
-        reads = rule.reads()
-        names.update({a: f"({rule.spell(e, names)})" for a, e in reads.items()})
-        names["size"] = f"({rule.spell(rule.size, names)})"
-        refuse = f"return [_refusal(walk_error(walk, {k}, {{}}), nf, {name!r}, index)], {refused}"
-        if step.linkage is not None:
-            link = f"h{k - 1}_{step.linkage}"
-            lines += [f"    if {link} != {step.proto!r}:", f"        {refuse.format(link)}"]
-        lines += [f"    {line}" for line in rule.step(names, refuse.format("reason=f{!r}"))]
-        if k < len(walk) - 1:
-            lines.append(f"    e{k} = {at} + {names['size']}")
-        kept = [a for a in reads if (k, a) in used]
-        lines += [f"    h{k}_{a} = {names[a]}" for a in kept]
-        names.update({a: f"h{k}_{a}" for a in kept})
+
+    def refuse(k):
+        return f"return [_refusal(walk_error(walk, {k}, {{}}), nf, {name!r}, index)], {refused}"
+
+    for k, (step_lines, names) in enumerate(_walk_steps(walk, used, refuse, namespace)):
+        lines += [f"    {line}" for line in step_lines]
         if ingress:
-            lines.append(f"    h{k} = {header}({rule.arguments(codec, names)})")
+            codec = walk[k].codec
+            namespace[codec.__name__] = codec
+            lines.append(f"    h{k} = {codec.__name__}({codec.READ.arguments(codec, names)})")
     lines.append("    failed = []")
     snapshot = {j for c in checks for _, from_snapshot, _, j in c.reads if from_snapshot}
     lines += [f"    s{j} = snap[{j}]" for j in sorted(snapshot)]
@@ -696,6 +726,36 @@ def _generate(phase: Phase) -> Callable:
     lines.append(f"    return failed, ({headers_built},)" if ingress else "    return failed, True")
     exec(compile("\n".join(lines) + "\n", "<contract phase>", "exec"), namespace)
     return namespace[name]
+
+
+def reader(walk: tuple[OrderStep, ...], reads: tuple[tuple[int, str], ...],
+           first: int = 0) -> Callable:
+    """Generate and compile the function that reads ``reads`` along ``walk``.
+
+    It runs the walk's steps from ``first`` (``_walk_steps``, the lines a
+    contract phase runs) and returns None at the first refusal, or the
+    tuple of the values of ``reads``, each ``(k, attribute)`` of header
+    ``k`` (the span's bytes for a span), and the offset where the walk
+    ends. Its arguments are the packet's bytes and, when ``first`` is not
+    0, the end offset of header ``first - 1`` and, if step ``first``
+    cross-checks it, that header's linkage field. It builds no header and
+    raises nothing on any bytes.
+    """
+    namespace = dict(vars(headers))
+    steps = list(_walk_steps(walk, set(reads), lambda k: "return None", namespace, first))
+    names = [step_names for _, step_names in steps]
+    values = [walk[k].codec.READ.value(a, names[k - first]) for k, a in reads]
+    values.append(f"{names[-1]['at']} + {names[-1]['size']}")
+    arguments = ["data"]
+    if first:
+        arguments.append(f"e{first - 1}")
+        if walk[first].linkage is not None:
+            arguments.append(f"h{first - 1}_{walk[first].linkage}")
+    lines = [f"def read({', '.join(arguments)}):", "    n = len(data)"]
+    lines += [f"    {line}" for step_lines, _ in steps for line in step_lines]
+    lines.append(f"    return ({', '.join(values)},)")
+    exec(compile("\n".join(lines) + "\n", "<walk reader>", "exec"), namespace)
+    return namespace["read"]
 
 
 def explain_contract(contract: Contract) -> str:

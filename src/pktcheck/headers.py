@@ -8,10 +8,11 @@ wire and are decoded to host ints.
 Each codec states its wire layout once, as its ``READ`` (a ``FieldRead``),
 and four things come from it: the codec's ``parse`` and ``emit``, which
 ``_codec`` generates at import; the field reads that a generated contract
-phase splices in to read a header's fields straight from the bytes
-(``contracts``); the kind of each attribute a contract may read
-(``FieldRead.kinds``); and the header's place in a chain, which the
-registry reads straight from the layout (``registry``). Each generated
+phase, and each network function's generated reader, splice in to read a
+header's fields straight from the bytes (``contracts``); the kind of each
+attribute a contract may read (``FieldRead.kinds``); and the header's
+place in a chain, which the registry reads straight from the layout
+(``registry``). Each generated
 function runs what a hand-written one would. ``parse`` checks the length,
 makes one ``unpack_from`` of a ``struct.Struct`` compiled at import (whose
 ``s`` fields yield MAC and IPv6 addresses as ``bytes``), runs each test in
@@ -29,10 +30,12 @@ each computed value's range. A failed condition always fails one of
 them, so when none fails a value in range is not an integer, or the
 span not bytes, and ``emit`` re-raises that error.
 
-A ``Packet`` is its immutable bytes: the network functions and
-``parse_chain`` call the codecs at running offsets, and a rewrite builds
-new bytes. ``Packet.parse_header``/``decode`` and their chain serve only
-the benchmark's tracer and the tests.
+A ``Packet`` is its immutable bytes, and a rewrite builds new bytes.
+Nothing on the packet path calls a codec's ``parse``: the network
+functions and the contract phases run the layouts' steps inline. It
+serves the tests and ``registry.parse_chain`` and
+``Packet.parse_header``/``decode``, which only the benchmark's tracer
+and the tests call.
 """
 
 from __future__ import annotations
@@ -91,9 +94,11 @@ class FieldRead(NamedTuple):
     codec also gets as a property), then appends the span. It refuses
     what ``parse`` would in the header's own bytes, checking in order each
     ``s`` field's width, the range of each value the header holds, each
-    test that reads neither ``length`` nor ``buf`` (``at`` is 0 and
-    ``length`` the header's own), that a ``size`` not read from the buffer
-    is ``fixed`` plus the span's length, and each computed value's range.
+    test that reads neither ``length`` nor ``buf`` (``at`` is 0, ``length``
+    the header's own and a ``size`` read from the buffer that length) and
+    does not state a computed field's own definition, that a ``size`` not
+    read from the buffer is ``fixed`` plus the span's length, and each
+    computed value's range.
 
     Each is a Python expression, and each text an f-string, that may name
     ``fixed`` (the fixed part's length). Those of ``parse`` are over the
@@ -194,13 +199,17 @@ class FieldRead(NamedTuple):
             lines += [f"if not ({spell(test)}):", f"    {refusal(text)}"]
         return lines
 
-    def arguments(self, cls, names: dict[str, str]) -> str:
-        """The arguments that build ``cls`` from what ``step`` read, in its
-        constructor's order: each field or sub-field as ``names`` spells
-        it, and the span as the bytes from ``fixed`` to ``size``."""
+    def value(self, name: str, names: dict[str, str]) -> str:
+        """The value of attribute ``name`` from what ``step`` read: the
+        field or sub-field as ``names`` spells it, and the span as the bytes
+        from ``fixed`` to ``size``."""
         span = 'bytes(buf[at + fixed : at + size]) if size > fixed else b""'
-        return ", ".join(self.spell(span if f.name == self.span else f.name, names)
-                         for f in fields(cls))
+        return self.spell(span if name == self.span else name, names)
+
+    def arguments(self, cls, names: dict[str, str]) -> str:
+        """The arguments that build ``cls`` from what ``step`` read, each
+        its ``value``, in its constructor's order."""
+        return ", ".join(self.value(f.name, names) for f in fields(cls))
 
 
 #: A name in a layout's expression.
@@ -227,7 +236,9 @@ def _emit_lines(cls) -> list[str]:
     span, fixed, wire = layout.span, layout.unpack.size, layout.wire()
     names = {f.name: f"self.{f.name}" for f in fields(cls)}
     names.update(at="0", length=f"({fixed} + len({names[span]}))" if span else str(fixed))
-    names["size"] = f"({layout.spell(layout.size, names)})"
+    # a header sized by its buffer fills the one that emit builds
+    names["size"] = (names["length"] if _READS_BUFFER(layout.size)
+                     else f"({layout.spell(layout.size, names)})")
 
     def spell(source):
         return layout.spell(source, names)
@@ -240,7 +251,10 @@ def _emit_lines(cls) -> list[str]:
               for name, code in zip(layout.fields, _CODE.findall(layout.unpack.format))
               if code.endswith("s")]
     checks += [ranges[name] for name in ranges if name not in layout.computed]
-    checks += [(test, text) for test, text in layout.tests if not _READS_BUFFER(test)]
+    # emit computes each computed field by its definition, so never refuses it
+    definitions = {f"{name} == {source}" for name, source in layout.computed.items()}
+    checks += [(test, text) for test, text in layout.tests
+               if not _READS_BUFFER(test) and test not in definitions]
     if span and not _READS_BUFFER(layout.size):
         checks.append((f"size == fixed + len({span})",
                        f"{layout.name} size {{size}} ({layout.spell(layout.size, {})}) "

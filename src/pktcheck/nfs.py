@@ -24,6 +24,13 @@ Transforms are pure functions of the packet bytes: they never consult the
 ingress snapshot, so behavior is identical whether contracts run or not.
 They report only their output: the checked loop, not the NF, decides which
 outputs the egress contract checks.
+
+Each transform reads its input through readers generated once, at import,
+from the order it reads (``contracts.reader``): straight-line code of the
+same layout steps and linkage cross-checks that a contract phase runs,
+which returns only the values the transform uses and the offset where the
+order ends, or None when any step refuses. It builds no input header;
+it builds only the headers it emits. Every NF built shares the readers.
 """
 
 from __future__ import annotations
@@ -33,8 +40,8 @@ from functools import partial
 from typing import Callable
 
 from .checksum import pseudo_header_checksum
-from .contracts import Contract, ContractSpec, elaborate, parse_contract_spec
-from .exceptions import ConfigError, ParseError
+from .contracts import Contract, ContractSpec, elaborate, parse_contract_spec, reader
+from .exceptions import ConfigError
 from .headers import (
     ETH_HDR_SIZE,
     ETHERTYPE_IPV6,
@@ -42,23 +49,17 @@ from .headers import (
     IPV6_MIN_MTU,
     MAX_SRV6_SEGMENTS,
     PROTO_ICMPV6,
-    PROTO_SRV6,
-    PROTO_TCP,
     EthHdr,
     Icmpv6PktTooBig,
     Ipv6Hdr,
     Packet,
     Srv6RoutingHdr,
-    TcpHdr,
 )
-from .registry import Registry, standard_registry
+from .registry import Registry, order, standard_registry, verify_order
 
 #: Largest invoking-packet slice that keeps the ICMPv6 reply's IPv6 payload
 #: at exactly IPV6_MIN_MTU - IPV6_HDR_SIZE bytes.
 MAX_INVOKING_BYTES = IPV6_MIN_MTU - IPV6_HDR_SIZE - Icmpv6PktTooBig.READ.unpack.size
-
-#: Offset of the header after Ethernet and the fixed IPv6 header.
-_L3_END = ETH_HDR_SIZE + IPV6_HDR_SIZE
 
 
 @dataclass(slots=True)
@@ -92,19 +93,17 @@ class NetworkFunction:
         return self.transform(packet)
 
 
-def _eth_ipv6(data: bytes, next_header: int) -> tuple[EthHdr, Ipv6Hdr] | None:
-    """The Eth and IPv6 headers, or None unless both decode and lead to ``next_header``."""
-    try:
-        eth, _ = EthHdr.parse(data)
-        if eth.ether_type != ETHERTYPE_IPV6:
-            return None
-        ipv6, _ = Ipv6Hdr.parse(data, ETH_HDR_SIZE)
-    except ParseError:
-        return None
-    return (eth, ipv6) if ipv6.next_header == next_header else None
-
-
 # --- mtu-too-big -------------------------------------------------------------
+
+#: The order mtu-too-big reads. ``_READ_IPV6`` reads its first two headers
+#: and returns both Ethernet addresses, the IPv6 addresses, payload length
+#: and next header, and the IPv6 header's end; ``_ACCEPT_TCP`` reads the
+#: TCP header there, given that end and next header, and returns only its
+#: own end.
+_TCP6 = verify_order(standard_registry(), order("EthHdr", "Ipv6Hdr", ("TcpHdr", "Ipv6Hdr")))
+_READ_IPV6 = reader(_TCP6[:2], ((0, "dst"), (0, "src"), (1, "src"), (1, "dst"),
+                                (1, "payload_len"), (1, "next_header")))
+_ACCEPT_TCP = reader(_TCP6, (), 2)
 
 MTU_TOO_BIG_CONTRACT = """
 check(IPV6_MIN_MTU = 1280, ETH_HDR_SIZE = 14)
@@ -141,24 +140,19 @@ def send_too_big(
     the bug the egress contract exists to catch.
 
     Pass-through is decided on the Ethernet and IPv6 headers alone, so
-    that an undersized packet costs no TCP decode; an oversized one gets a
-    reply only if its TCP header decodes too.
+    that an undersized packet costs no TCP read; an oversized one gets a
+    reply only if its TCP header is accepted too.
     """
     data = packet.data
-    headers = _eth_ipv6(data, PROTO_TCP)
-    if headers is None or headers[1].payload_len <= IPV6_MIN_MTU:
+    if (read := _READ_IPV6(data)) is None:
         return TransformResult(packet)
-    eth, ipv6 = headers
-    try:
-        TcpHdr.parse(data, _L3_END)
-    except ParseError:
+    eth_dst, eth_src, src, dst, payload_len, next_header, l3_end = read
+    if payload_len <= IPV6_MIN_MTU or _ACCEPT_TCP(data, l3_end, next_header) is None:
         return TransformResult(packet)
 
-    # _eth_ipv6 accepted only the IPv6 ethertype, so eth is the unswapped reply's
-    new_eth = eth if omit_eth_swap else EthHdr(
-        dst=eth.src, src=eth.dst, ether_type=ETHERTYPE_IPV6
-    )
-    new_src, new_dst = (ipv6.src, ipv6.dst) if omit_ipv6_swap else (ipv6.dst, ipv6.src)
+    reply_dst, reply_src = (eth_dst, eth_src) if omit_eth_swap else (eth_src, eth_dst)
+    new_eth = EthHdr(dst=reply_dst, src=reply_src, ether_type=ETHERTYPE_IPV6)
+    new_src, new_dst = (src, dst) if omit_ipv6_swap else (dst, src)
     new_ipv6 = Ipv6Hdr(
         src=new_src,
         dst=new_dst,
@@ -167,7 +161,7 @@ def send_too_big(
         hop_limit=64,
     )
 
-    end = min(_L3_END + ipv6.payload_len, len(data), ETH_HDR_SIZE + MAX_INVOKING_BYTES)
+    end = min(l3_end + payload_len, len(data), ETH_HDR_SIZE + MAX_INVOKING_BYTES)
     invoking = data[ETH_HDR_SIZE:end]
     icmp = Icmpv6PktTooBig(checksum=0, mtu=IPV6_MIN_MTU, invoking_packet=invoking)
     body = icmp.emit()
@@ -200,6 +194,17 @@ post {
 static: [SEG_BYTES * 8 == 128]
 """
 
+#: srv6-change-pkt's read of ``[EthHdr => Ipv6Hdr => Srv6RoutingHdr]``:
+#: every IPv6 and routing header value that the rewrite emits again (the
+#: layouts' tests fix IPv6 ``version`` at 6 and the routing type at 4),
+#: then the routing header's end.
+_READ_SRV6 = reader(
+    verify_order(standard_registry(), order("EthHdr", "Ipv6Hdr", "Srv6RoutingHdr")),
+    ((1, "src"), (1, "dst"), (1, "payload_len"), (1, "next_header"), (1, "hop_limit"),
+     (1, "traffic_class"), (1, "flow_label"), (2, "next_header"), (2, "segments_left"),
+     (2, "segments"), (2, "flags"), (2, "tag")),
+)
+
 
 def srv6_add_segment(packet: Packet, *, omit_payload_len_update: bool = False) -> TransformResult:
     """Append ``DEFAULT_SEGMENT`` to the packet's SRv6 routing header.
@@ -216,34 +221,31 @@ def srv6_add_segment(packet: Packet, *, omit_payload_len_update: bool = False) -
     consequence bug the egress contract flags on every affected packet.
     """
     data = packet.data
-    if (headers := _eth_ipv6(data, PROTO_SRV6)) is None:
+    if (read := _READ_SRV6(data)) is None:
         return TransformResult(packet)
-    eth, ipv6 = headers
-    try:
-        srh, srh_size = Srv6RoutingHdr.parse(data, _L3_END)
-    except ParseError:
-        return TransformResult(packet)
+    (src, dst, payload_len, next_header, hop_limit, traffic_class, flow_label,
+     srh_next_header, segments_left, segments, flags, tag, end) = read
 
-    if (count := len(srh.segments) // 16) + 1 > MAX_SRV6_SEGMENTS:
+    if (count := len(segments) // 16) + 1 > MAX_SRV6_SEGMENTS:
         reason = (
             f"segment list full: {count} segments; appending "
             "would overflow the routing header's 8-bit length field"
         )
         return TransformResult(None, reason)
-    if not omit_payload_len_update and ipv6.payload_len + len(DEFAULT_SEGMENT) > 0xFFFF:
+    if not omit_payload_len_update and payload_len + len(DEFAULT_SEGMENT) > 0xFFFF:
         reason = (
-            f"IPv6 payload length {ipv6.payload_len} cannot grow by "
+            f"IPv6 payload length {payload_len} cannot grow by "
             f"{len(DEFAULT_SEGMENT)} bytes within its 16-bit field"
         )
         return TransformResult(None, reason)
 
-    # srh and ipv6 were decoded just above, for this call alone, so they
-    # are updated in place
-    srh.segments += DEFAULT_SEGMENT
     if not omit_payload_len_update:
-        ipv6.payload_len += len(DEFAULT_SEGMENT)
-    rest = data[_L3_END + srh_size :]
-    out = Packet.from_bytes(eth.emit() + ipv6.emit() + srh.emit() + rest)
+        payload_len += len(DEFAULT_SEGMENT)
+    ipv6 = Ipv6Hdr(src, dst, payload_len, next_header, hop_limit,
+                   traffic_class=traffic_class, flow_label=flow_label)
+    srh = Srv6RoutingHdr(srh_next_header, segments_left, segments + DEFAULT_SEGMENT, flags, tag)
+    # the Ethernet header and whatever follows the routing header are kept as read
+    out = Packet.from_bytes(data[:ETH_HDR_SIZE] + ipv6.emit() + srh.emit() + data[end:])
     return TransformResult(out)
 
 

@@ -30,6 +30,7 @@ from pktcheck import (
 from pktcheck.engine import COMPARATORS, render_value
 from pktcheck.headers import ETHERTYPE_IPV6, PROTO_NONE, PROTO_SRV6
 from pktcheck.nfs import MTU_TOO_BIG_CONTRACT, make_nf
+from pktcheck.registry import OrderElement, OrderSpec
 
 SRV6_ORDER = order("EthHdr", "Ipv6Hdr", "Srv6RoutingHdr")
 TWO_SRV6_ORDER = order("EthHdr", "Ipv6Hdr", "Srv6RoutingHdr", "Srv6RoutingHdr")
@@ -838,9 +839,19 @@ def _contract_text(pre=None, post=None, constants="", static=""):
     return text + (f" static: [{static}]" if static else "")
 
 
-#: Faulty contracts and the first error elaboration reports for each. The
-#: last five carry two faults: every reference error comes before any order
-#: error, ingress before egress, and checks before static assertions.
+def _ipv6_spec(check, elements=("EthHdr", "Ipv6Hdr")):
+    elements = tuple(OrderElement(e) for e in elements)
+    return ContractSpec("x", {}, (), PhaseSpec(OrderSpec(elements), (check,)), None)
+
+
+_HOP_LIMIT = FieldRef("hop_limit", "Ipv6Hdr")
+
+#: Faulty contracts, as text or as a hand-built spec, and the first error
+#: elaboration reports for each. Five texts carry two faults: every
+#: reference error comes before any order error, ingress before egress,
+#: and checks before static assertions. The specs put a list where a name
+#: goes, which no parse produces and which the registry and the comparator
+#: table cannot look up by hash.
 ELABORATION_FAULTS = {
     "unknown order parameter": (
         _contract_text(pre=("[EthHdr => Ipv6Hdr => TcpHdr<GreHdr>]",
@@ -927,13 +938,46 @@ ELABORATION_FAULTS = {
         ElaborationError,
         "ingress check (payload_len[Ipv6Hdr], >, MTU) uses unbound constant 'MTU'",
     ),
+    "list header type": (
+        _ipv6_spec(Check(FieldRef("hop_limit", ["Ipv6Hdr"]), "==", Operand.literal(1))),
+        ElaborationError,
+        "ingress check (hop_limit[['Ipv6Hdr']], ==, 1): ['Ipv6Hdr'] is not a name",
+    ),
+    "list parameter": (
+        _ipv6_spec(Check(FieldRef("hop_limit", "Ipv6Hdr", param=["EthHdr"]), "==",
+                         Operand.literal(1))),
+        ElaborationError,
+        "ingress check (hop_limit[Ipv6Hdr<['EthHdr']>], ==, 1): ['EthHdr'] is not a name",
+    ),
+    "list comparator": (
+        _ipv6_spec(Check(_HOP_LIMIT, ["=="], Operand.literal(1))),
+        ElaborationError,
+        "ingress check (hop_limit[Ipv6Hdr], ['=='], 1): unknown comparator ['==']",
+    ),
+    "list accessor": (
+        _ipv6_spec(Check(FieldRef(["hop_limit"], "Ipv6Hdr"), "==", Operand.literal(1))),
+        ElaborationError,
+        "ingress check (['hop_limit'][Ipv6Hdr], ==, 1): ['hop_limit'] is not a name",
+    ),
+    "list operand header type": (
+        _ipv6_spec(Check(_HOP_LIMIT, "==", Operand.ref(FieldRef("hop_limit", ["Ipv6Hdr"])))),
+        ElaborationError,
+        "ingress check (hop_limit[Ipv6Hdr], ==, hop_limit[['Ipv6Hdr']]): ['Ipv6Hdr'] "
+        "is not a name",
+    ),
+    "list order element": (
+        _ipv6_spec(Check(_HOP_LIMIT, "==", Operand.literal(1)), ("EthHdr", ["Ipv6Hdr"])),
+        ElaborationError, "ingress order references unknown header type ['Ipv6Hdr']",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", ELABORATION_FAULTS)
 def test_elaboration_error_of_each_faulty_contract(registry, name):
-    text, error_type, message = ELABORATION_FAULTS[name]
+    spec, error_type, message = ELABORATION_FAULTS[name]
+    if isinstance(spec, str):
+        spec = parse_contract_spec(spec)
     with pytest.raises(PktCheckError) as excinfo:
-        elaborate(parse_contract_spec(text), registry)
+        elaborate(spec, registry)
     assert type(excinfo.value) is error_type
     assert str(excinfo.value) == message

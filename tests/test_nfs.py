@@ -26,8 +26,18 @@ from pktcheck.pcap import PcapRecord
 from pktcheck.pipeline import run_records
 from pktcheck.registry import parse_chain
 
-from oracles import build_tcp6_bytes, ones_complement_oracle, reference_send_too_big
+from oracles import (
+    build_tcp6_bytes,
+    ones_complement_oracle,
+    parse_eth,
+    parse_ipv6,
+    parse_srv6,
+    parse_tcp,
+    reference_send_too_big,
+)
+from test_fuzz import CLEAN, MUTANTS
 
+import builtins
 import struct
 
 
@@ -282,6 +292,143 @@ def test_output_reparses_cleanly(registry):
     _, ends = parse_chain(out, verify_order(registry, srv6))
     assert ends == [14, 54, 54 + 8 + 16 * 5]
     assert out.data[ends[-1] :] == b"xyz"
+
+
+# --- the generated readers ------------------------------------------------------
+#
+# Each NF reads its fields through a reader generated at import from the
+# codecs' layout steps. The hand-written parsers of tests/oracles.py, with
+# each linkage cross-check spelled out, are what they are held to.
+
+
+def _reference_l3(data):
+    """Ethernet, its linkage to IPv6 and IPv6 by the hand-written parsers:
+    both headers and the IPv6 header's end, or None where any refuses."""
+    try:
+        eth, at = parse_eth(data)
+        if eth.ether_type != 0x86DD:
+            return None
+        ipv6, size = parse_ipv6(data, at)
+    except headers.ParseError:
+        return None
+    return eth, ipv6, at + size
+
+
+def _reference_read_ipv6(data):
+    if (l3 := _reference_l3(data)) is None:
+        return None
+    eth, ipv6, end = l3
+    return eth.dst, eth.src, ipv6.src, ipv6.dst, ipv6.payload_len, ipv6.next_header, end
+
+
+def _reference_accept_tcp(data, at, next_header):
+    if next_header != 6:
+        return None
+    try:
+        _, size = parse_tcp(data, at)
+    except headers.ParseError:
+        return None
+    return (at + size,)
+
+
+def _reference_read_srv6(data):
+    if (l3 := _reference_l3(data)) is None or l3[1].next_header != 43:
+        return None
+    _, ipv6, at = l3
+    try:
+        srh, size = parse_srv6(data, at)
+    except headers.ParseError:
+        return None
+    return (ipv6.src, ipv6.dst, ipv6.payload_len, ipv6.next_header, ipv6.hop_limit,
+            ipv6.traffic_class, ipv6.flow_label, srh.next_header, srh.segments_left,
+            srh.segments, srh.flags, srh.tag, at + size)
+
+
+def _readers_agree(data):
+    """Run each reader on ``data`` (none may raise) and assert it returns
+    what the reference does; return which of them accepted it."""
+    got = nfs._READ_IPV6(data)
+    assert got == _reference_read_ipv6(data)
+    accepted = {"ipv6": got is not None}
+    if got is not None:
+        *_, next_header, end = got
+        for proto in {next_header, 6}:
+            tcp = nfs._ACCEPT_TCP(data, end, proto)
+            assert tcp == _reference_accept_tcp(data, end, proto)
+            accepted["tcp"] = accepted.get("tcp", False) or tcp is not None
+    srv6 = nfs._READ_SRV6(data)
+    assert srv6 == _reference_read_srv6(data)
+    accepted["srv6"] = srv6 is not None
+    return accepted
+
+
+#: Frames the mutations start from: tcp6 with and without options, srv6 of
+#: one to three segments with and without a payload.
+_FRAMES = [build_tcp6_bytes(payload_len=n) for n in (20, 100, 1300)] + [
+    _srv6_bytes(n_segments=n, payload=payload)
+    for n in (1, 3) for payload in (b"", b"tail")
+]
+_FRAMES.append(_FRAMES[1][:66] + bytes([0x70]) + _FRAMES[1][67:])  # 8 bytes of TCP options
+
+
+@st.composite
+def _mutated_frame(draw):
+    """A frame with up to 3 header bytes flipped, then cut or extended."""
+    data = bytearray(draw(st.sampled_from(_FRAMES)))
+    for _ in range(draw(st.integers(0, 3))):
+        data[draw(st.integers(0, min(95, len(data) - 1)))] ^= draw(st.integers(1, 255))
+    end = draw(st.sampled_from(("keep", "cut", "extend")))
+    if end == "cut":
+        del data[draw(st.integers(0, len(data))):]
+    elif end == "extend":
+        data += draw(st.binary(min_size=1, max_size=64))
+    return bytes(data)
+
+
+def _with(data, at, value):
+    return data[:at] + bytes([value]) + data[at + 1:]
+
+
+@settings(max_examples=300, deadline=None)
+@example(data=_with(_FRAMES[0], 12, 0x08))  # not the IPv6 ethertype
+@example(data=_with(_FRAMES[0], 14, 0x40))  # IPv6 version 4
+@example(data=_with(_FRAMES[0], 66, 0x40))  # TCP data offset 4
+@example(data=_FRAMES[-1][:70])  # cut inside the TCP options
+@example(data=_with(_FRAMES[3], 56, 3))  # routing type 3
+@example(data=_with(_FRAMES[3], 55, 3))  # odd extension length
+@example(data=_with(_FRAMES[3], 58, 1))  # last entry disagrees
+@example(data=_with(_FRAMES[3], 57, 2))  # segments left past the count
+@example(data=_FRAMES[3][:70])  # cut inside the segment list
+@given(data=st.binary(max_size=140) | _mutated_frame())
+def test_readers_accept_what_the_reference_chain_accepts(data):
+    _readers_agree(data)
+
+
+def test_readers_agree_with_the_reference_over_the_fuzz_traffic():
+    outcomes = {}
+    for record in MUTANTS + CLEAN:
+        for reader, accepted in _readers_agree(record.data).items():
+            outcomes.setdefault(reader, set()).add(accepted)
+    # every reader both accepts and refuses some of this traffic
+    assert outcomes == {reader: {True, False} for reader in ("ipv6", "tcp", "srv6")}
+
+
+def test_make_nf_generates_nothing(registry, monkeypatch):
+    # the readers are generated at import, and every NF built reads
+    # through the same ones, so make_nf compiles no source
+    assert nfs._READ_IPV6.__code__.co_filename == "<walk reader>"
+    compiled, reads = [], []
+    real_compile, real_read = builtins.compile, nfs._READ_IPV6
+    monkeypatch.setattr(builtins, "compile", lambda *a, **k: compiled.append(a) or
+                        real_compile(*a, **k))
+    monkeypatch.setattr(nfs, "_READ_IPV6", lambda data: reads.append(data) or real_read(data))
+    nfs_built = [make_nf("mtu-too-big", registry), make_nf("mtu-too-big", registry,
+                                                           omit_eth_swap=True)]
+    assert compiled == []
+    packet = Packet.from_bytes(build_tcp6_bytes(payload_len=1300))
+    for nf in nfs_built:
+        assert nf.apply(packet).packet.data != packet.data
+    assert reads == [packet.data, packet.data]
 
 
 # --- catalog ------------------------------------------------------------------------

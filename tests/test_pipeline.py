@@ -647,7 +647,6 @@ def test_each_header_is_decoded_once_per_phase(registry, monkeypatch):
             return function(*args, **kwargs)
         return wrapper
 
-    # the walks bind each codec's parse at elaboration, so count it first
     for cls in headers_module.HEADER_TYPES.values():
         monkeypatch.setattr(cls, "parse", staticmethod(counting("parse", cls.parse)))
     nf = make_nf("mtu-too-big", registry)  # elaboration may look names up
@@ -664,12 +663,12 @@ def test_each_header_is_decoded_once_per_phase(registry, monkeypatch):
         registry,
     )
     assert summary.violations == [] and summary.snapshots_built == 50
-    # per packet: the transform decodes its 3 headers by their codec's
-    # parse, none through Packet.parse_header; ingress decodes its 3 inline,
-    # from each codec's layout step, and calls no parse; egress reads its
-    # fields from the bytes and decodes none; the 4 emits all build the
-    # reply, since the snapshot is the ingress headers as decoded
-    assert counts == {"parse": 50 * 3, "decode": 0, "accessor": 0, "emit": 50 * 4,
+    # per packet: the transform reads its 3 headers through its readers,
+    # generated at import from each codec's layout step, and calls no parse;
+    # ingress decodes its 3 inline, from the same steps, and calls no parse
+    # either; egress reads its fields from the bytes and decodes none; the 4
+    # emits all build the reply, since the snapshot is the ingress headers
+    assert counts == {"parse": 0, "decode": 0, "accessor": 0, "emit": 50 * 4,
                       "parse_header": 0}
 
 
