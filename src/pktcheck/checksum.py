@@ -39,9 +39,13 @@ def pseudo_header_checksum(src: bytes, dst: bytes, next_header: int,
     The pseudo-header is src | dst | 32-bit upper-layer length | 3 zero
     bytes | next-header, where the length is that of ``upper_layer_bytes``
     (RFC 8200 section 8.1). The checksum field inside ``upper_layer_bytes``
-    must already be zeroed by the caller.
+    must already be zeroed by the caller. A next header that is not an
+    ``int`` in 0..255 (a bool is not) is refused, as is a bad address.
     """
     if len(src) != 16 or len(dst) != 16:
         raise EmitError("pseudo-header addresses must be 16 bytes")
+    if type(next_header) is not int or not 0 <= next_header <= 255:
+        raise EmitError(f"pseudo-header next header must be an int in 0..255, "
+                        f"not {next_header!r}")
     pseudo = src + dst + struct.pack("!I3xB", len(upper_layer_bytes), next_header)
     return internet_checksum(pseudo + upper_layer_bytes)

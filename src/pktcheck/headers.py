@@ -6,12 +6,14 @@ header (routing type 4). All multi-byte integers are big-endian on the
 wire and are decoded to host ints.
 
 Each codec states its wire layout once, as its ``READ`` (a ``FieldRead``),
-and four things come from it: the codec's ``parse`` and ``emit``, which
+and five things come from it: the codec's ``parse`` and ``emit``, which
 ``_codec`` generates at import; the field reads that a generated contract
 phase, and each network function's generated reader, splice in to read a
-header's fields straight from the bytes (``contracts``); the kind of each
-attribute a contract may read (``FieldRead.kinds``); and the header's
-place in a chain, which the registry reads straight from the layout
+header's fields straight from the bytes (``contracts``); the writers that
+the network functions emit their output chains through, which splice in
+each ``emit``'s fast path (``writer``); the kind of each attribute a
+contract may read (``FieldRead.kinds``); and the header's place in a
+chain, which the registry reads straight from the layout
 (``registry``). Each generated
 function runs what a hand-written one would. ``parse`` checks the length,
 makes one ``unpack_from`` of a ``struct.Struct`` compiled at import (whose
@@ -31,11 +33,12 @@ them, so when none fails a value in range is not an integer, or the
 span not bytes, and ``emit`` re-raises that error.
 
 A ``Packet`` is its immutable bytes, and a rewrite builds new bytes.
-Nothing on the packet path calls a codec's ``parse``: the network
-functions and the contract phases run the layouts' steps inline. It
-serves the tests and ``registry.parse_chain`` and
-``Packet.parse_header``/``decode``, which only the benchmark's tracer
-and the tests call.
+Nothing on the packet path calls a codec's ``parse`` or ``emit``: the
+network functions and the contract phases run the layouts' steps inline,
+and the network functions write through their writers. ``parse`` serves
+the tests and ``registry.parse_chain`` and ``Packet.parse_header``/``decode``,
+which only the benchmark's tracer and the tests call; ``emit`` serves the
+tests and a writer whose arguments it refuses.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass, fields
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .exceptions import EmitError, ParseError
 
@@ -91,7 +94,8 @@ class FieldRead(NamedTuple):
 
     ``emit`` packs the header's fields and, in order, each ``computed``
     field (a field on the wire that the header does not hold, which the
-    codec also gets as a property), then appends the span. It refuses
+    codec also gets as a property), then appends the span (``packing``
+    writes these lines for ``emit`` and each ``writer``). It refuses
     what ``parse`` would in the header's own bytes, checking in order each
     ``s`` field's width, the range of each value the header holds, each
     test that reads neither ``length`` nor ``buf`` (``at`` is 0, ``length``
@@ -211,6 +215,65 @@ class FieldRead(NamedTuple):
         its ``value``, in its constructor's order."""
         return ", ".join(self.value(f.name, names) for f in fields(cls))
 
+    def emitted(self, names: dict[str, str]) -> dict[str, str]:
+        """``names``, which spells each attribute the header holds, with
+        ``at``, ``length`` and ``size`` as ``emit`` reads them: over the
+        header's own bytes, with a ``size`` read from the buffer that
+        length."""
+        fixed = self.unpack.size
+        length = f"({fixed} + len({names[self.span]}))" if self.span else str(fixed)
+        names = {**names, "at": "0", "length": length}
+        # a header sized by its buffer fills the one that emit builds
+        names["size"] = (length if _READS_BUFFER(self.size)
+                         else f"({self.spell(self.size, names)})")
+        return names
+
+    def refusals(self) -> list[tuple[str, str]]:
+        """The tests ``emit`` refuses by, in order, each paired with its
+        ``EmitError`` text (see above)."""
+        ranges = {name: _range(name, bits) for name, bits, _, _ in self.wire() if bits}
+        checks = [(f"len({name}) == {struct.calcsize(code)}",
+                   f"{name} must be {struct.calcsize(code)} bytes")
+                  for name, code in zip(self.fields, _CODE.findall(self.unpack.format))
+                  if code.endswith("s")]
+        checks += [ranges[name] for name in ranges if name not in self.computed]
+        # emit computes each computed field by its definition, so never refuses it
+        definitions = {f"{name} == {source}" for name, source in self.computed.items()}
+        checks += [(test, text) for test, text in self.tests
+                   if not _READS_BUFFER(test) and test not in definitions]
+        if self.span and not _READS_BUFFER(self.size):
+            checks.append((f"size == fixed + len({self.span})",
+                           f"{self.name} size {{size}} ({self.spell(self.size, {})}) "
+                           f"disagrees with {self.unpack.size} + {{len({self.span})}} "
+                           f"bytes of {self.span}"))
+        checks += [ranges[name] for name in self.computed if name in ranges]
+        return checks
+
+    def packing(self, names: dict[str, str]) -> tuple[list[str], list[str], list[str]]:
+        """What ``emit`` runs when it refuses nothing, spelled by ``names``
+        (as ``emitted`` completes them; a computed field they do not map is
+        a local of its own name): the lines that bind each computed field,
+        the terms of the condition, each a refusal test that the pack
+        cannot make, and the values that one ``pack`` of ``unpack`` takes,
+        each word's sub-fields shifted into it. The span follows the packed
+        bytes."""
+        wire = self.wire()
+        # The pack refuses a packed value out of range, and a packed word
+        # whose most significant sub-field is.
+        tops = {next(iter(subs)) for subs in self.words.values()}
+        packs = {_range(name, bits)[0] for name, bits, word, _ in wire
+                 if bits and (word is None or name in tops)}
+        values = {}
+        for name, _, word, shift in wire:
+            values.setdefault(word or name, []).append(f"{name} << {shift}" if shift else name)
+
+        def spell(source):
+            return self.spell(source, names)
+
+        return ([f"{spell(name)} = {spell(source)}" for name, source in self.computed.items()],
+                [f"({spell(test)})" for test, _ in self.refusals() if test not in packs],
+                [spell(" | ".join(terms)) for terms in values.values()])
+
 
 #: A name in a layout's expression.
 _NAME = re.compile(r"\b[A-Za-z_]\w*")
@@ -220,6 +283,12 @@ _REPLACEMENT = re.compile(r"\{[^{}]*\}")
 _CODE = re.compile(r"\d*[A-Za-z?]")
 #: A layout expression that reads the buffer or its length.
 _READS_BUFFER = re.compile(r"\b(?:length|buf)\b").search
+
+
+def _range(name: str, bits: int) -> tuple[str, str]:
+    """The test that ``name`` fits ``bits`` unsigned bits, and its text."""
+    return (f"0 <= {name} < {1 << bits}",
+            f"{name} out of range for {bits}-bit field: {{{name}}}")
 
 
 def _truncated(what: str, need: str) -> str:
@@ -233,57 +302,24 @@ def _emit_lines(cls) -> list[str]:
     """The source of ``cls.emit``, from ``cls.READ`` (see the module
     docstring)."""
     layout = cls.READ
-    span, fixed, wire = layout.span, layout.unpack.size, layout.wire()
-    names = {f.name: f"self.{f.name}" for f in fields(cls)}
-    names.update(at="0", length=f"({fixed} + len({names[span]}))" if span else str(fixed))
-    # a header sized by its buffer fills the one that emit builds
-    names["size"] = (names["length"] if _READS_BUFFER(layout.size)
-                     else f"({layout.spell(layout.size, names)})")
-
-    def spell(source):
-        return layout.spell(source, names)
-
-    ranges = {name: (f"0 <= {name} < {1 << bits}",
-                     f"{name} out of range for {bits}-bit field: {{{name}}}")
-              for name, bits, _, _ in wire if bits}
-    checks = [(f"len({name}) == {struct.calcsize(code)}",
-               f"{name} must be {struct.calcsize(code)} bytes")
-              for name, code in zip(layout.fields, _CODE.findall(layout.unpack.format))
-              if code.endswith("s")]
-    checks += [ranges[name] for name in ranges if name not in layout.computed]
-    # emit computes each computed field by its definition, so never refuses it
-    definitions = {f"{name} == {source}" for name, source in layout.computed.items()}
-    checks += [(test, text) for test, text in layout.tests
-               if not _READS_BUFFER(test) and test not in definitions]
-    if span and not _READS_BUFFER(layout.size):
-        checks.append((f"size == fixed + len({span})",
-                       f"{layout.name} size {{size}} ({layout.spell(layout.size, {})}) "
-                       f"disagrees with {fixed} + {{len({span})}} bytes of {span}"))
-    checks += [ranges[name] for name in layout.computed if name in ranges]
-    # The pack refuses a packed value out of range, and a packed word whose
-    # most significant sub-field is.
-    tops = {next(iter(subs)) for subs in layout.words.values()}
-    packs = {ranges[name][0] for name, _, word, _ in wire
-             if name in ranges and (word is None or name in tops)}
-    terms = {}
-    for name, _, word, shift in wire:
-        terms.setdefault(word or name, []).append(f"{name} << {shift}" if shift else name)
-    packed = f"pack({', '.join(' | '.join(t) for t in terms.values())})"
-    if span:
-        packed += f" + {span}"
-    condition = " and ".join(f"({test})" for test, _ in checks if test not in packs)
+    names = layout.emitted({f.name: f"self.{f.name}" for f in fields(cls)})
+    computed, terms, values = layout.packing(names)
+    packed = f"pack({', '.join(values)})"
+    if layout.span:
+        packed += f" + {names[layout.span]}"
     lines = [
         "  def emit(self):",
-        *(f"    {name} = {spell(source)}" for name, source in layout.computed.items()),
+        *(f"    {line}" for line in computed),
         "    try:",
-        f"      if {spell(condition)}:",
-        f"        return {spell(packed)}",
+        f"      if {' and '.join(terms)}:",
+        f"        return {packed}",
         "    except (struct.error, TypeError) as exc:",
         "      refused = exc",
     ]
-    for test, text in checks:
-        text = _REPLACEMENT.sub(lambda m: spell(m[0]), text)
-        lines += [f"    if not ({spell(test)}):", f"      raise EmitError(f{text!r})"]
+    for test, text in layout.refusals():
+        text = _REPLACEMENT.sub(lambda m: layout.spell(m[0], names), text)
+        lines += [f"    if not ({layout.spell(test, names)}):",
+                  f"      raise EmitError(f{text!r})"]
     return lines + ["    raise refused"]
 
 
@@ -314,6 +350,58 @@ def _codec(cls):
     exec(compile("\n".join(lines), f"<{cls.__name__} codec>", "exec"), globals(), scope)
     scope["define"](cls, layout.unpack.unpack_from, layout.unpack.pack)
     return cls
+
+
+def writer(*chain) -> Callable[..., bytes]:
+    """Generate and compile the function that emits the headers of
+    ``chain``, codec classes in order, as one byte string.
+
+    It takes each header's constructor arguments, in the constructor's
+    order, header after header, and returns the joined bytes of the
+    ``emit`` of each header they build, or raises what the first ``emit``
+    to raise would. It builds no header to do so: it runs every ``emit``'s
+    fast path (``FieldRead.packing``) over its arguments, binding the
+    computed fields, testing the conjunction of the conditions and packing
+    with one ``Struct`` per run of fixed parts. A span ends its run and
+    follows its packed bytes, so a span inside the chain splits the pack.
+    When the conditions fail, or the pack or an expression raises
+    ``struct.error`` or ``TypeError``, it returns the codecs' own ``emit``s
+    in chain order, so each refusal is that codec's own.
+    """
+    namespace = dict(globals())
+    arguments, computed, terms, parts, emits = [], [], [], [], []
+    formats, values = [], []
+    for k, cls in enumerate(chain):
+        layout = cls.READ
+        names = {f.name: f"h{k}_{f.name}" for f in fields(cls)}
+        arguments += names.values()
+        namespace[cls.__name__] = cls
+        emits.append(f"{cls.__name__}({', '.join(names.values())}).emit()")
+        names = layout.emitted({**names, **{name: f"h{k}_{name}" for name in layout.computed}})
+        lines, condition, packed = layout.packing(names)
+        computed += lines
+        terms += condition
+        formats.append(layout.unpack.format.removeprefix("!"))
+        values += packed
+        if layout.span or k == len(chain) - 1:
+            pack = f"pack{k}"
+            namespace[pack] = struct.Struct("!" + "".join(formats)).pack
+            parts.append(f"{pack}({', '.join(values)})")
+            if layout.span:
+                parts.append(names[layout.span])
+            formats, values = [], []
+    lines = [
+        f"def write({', '.join(arguments)}):",
+        "    try:",
+        *(f"        {line}" for line in computed),
+        f"        if {' and '.join(terms)}:",
+        f"            return {' + '.join(parts)}",
+        "    except (struct.error, TypeError):",
+        "        pass",
+        f"    return {' + '.join(emits)}",
+    ]
+    exec(compile("\n".join(lines) + "\n", "<chain writer>", "exec"), namespace)
+    return namespace["write"]
 
 
 @_codec

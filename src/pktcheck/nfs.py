@@ -30,7 +30,10 @@ from the order it reads (``contracts.reader``): straight-line code of the
 same layout steps and linkage cross-checks that a contract phase runs,
 which returns only the values the transform uses and the offset where the
 order ends, or None when any step refuses. It builds no input header;
-it builds only the headers it emits. Every NF built shares the readers.
+of the headers it emits, it builds none: it writes its output chain with
+one call of a writer generated at import from their layouts
+(``headers.writer``), which packs their fixed parts at once and appends
+the span. Every NF built shares the readers and the writers.
 """
 
 from __future__ import annotations
@@ -45,15 +48,18 @@ from .exceptions import ConfigError
 from .headers import (
     ETH_HDR_SIZE,
     ETHERTYPE_IPV6,
+    ICMPV6_PKT_TOO_BIG,
     IPV6_HDR_SIZE,
     IPV6_MIN_MTU,
     MAX_SRV6_SEGMENTS,
     PROTO_ICMPV6,
+    SRV6_ROUTING_TYPE,
     EthHdr,
     Icmpv6PktTooBig,
     Ipv6Hdr,
     Packet,
     Srv6RoutingHdr,
+    writer,
 )
 from .registry import Registry, order, standard_registry, verify_order
 
@@ -104,6 +110,11 @@ _TCP6 = verify_order(standard_registry(), order("EthHdr", "Ipv6Hdr", ("TcpHdr", 
 _READ_IPV6 = reader(_TCP6[:2], ((0, "dst"), (0, "src"), (1, "src"), (1, "dst"),
                                 (1, "payload_len"), (1, "next_header")))
 _ACCEPT_TCP = reader(_TCP6, (), 2)
+#: The reply's writer, from the arguments of its three headers, and the
+#: ICMPv6 header of every reply with its checksum zeroed, which the
+#: checksum sums before the invoking packet.
+_WRITE_REPLY = writer(EthHdr, Ipv6Hdr, Icmpv6PktTooBig)
+_PTB_HEAD = Icmpv6PktTooBig(0, IPV6_MIN_MTU, b"").emit()
 
 MTU_TOO_BIG_CONTRACT = """
 check(IPV6_MIN_MTU = 1280, ETH_HDR_SIZE = 14)
@@ -151,23 +162,16 @@ def send_too_big(
         return TransformResult(packet)
 
     reply_dst, reply_src = (eth_dst, eth_src) if omit_eth_swap else (eth_src, eth_dst)
-    new_eth = EthHdr(dst=reply_dst, src=reply_src, ether_type=ETHERTYPE_IPV6)
     new_src, new_dst = (src, dst) if omit_ipv6_swap else (dst, src)
-    new_ipv6 = Ipv6Hdr(
-        src=new_src,
-        dst=new_dst,
-        payload_len=IPV6_MIN_MTU - IPV6_HDR_SIZE,
-        next_header=PROTO_ICMPV6,
-        hop_limit=64,
-    )
-
     end = min(l3_end + payload_len, len(data), ETH_HDR_SIZE + MAX_INVOKING_BYTES)
     invoking = data[ETH_HDR_SIZE:end]
-    icmp = Icmpv6PktTooBig(checksum=0, mtu=IPV6_MIN_MTU, invoking_packet=invoking)
-    body = icmp.emit()
-    icmp.checksum = pseudo_header_checksum(new_ipv6.src, new_ipv6.dst, PROTO_ICMPV6, body)
-    out = Packet.from_bytes(new_eth.emit() + new_ipv6.emit() + icmp.emit())
-    return TransformResult(out)
+    checksum = pseudo_header_checksum(new_src, new_dst, PROTO_ICMPV6, _PTB_HEAD + invoking)
+    out = _WRITE_REPLY(
+        reply_dst, reply_src, ETHERTYPE_IPV6,
+        new_src, new_dst, IPV6_MIN_MTU - IPV6_HDR_SIZE, PROTO_ICMPV6, 64, 6, 0, 0,
+        checksum, IPV6_MIN_MTU, invoking, ICMPV6_PKT_TOO_BIG, 0,
+    )
+    return TransformResult(Packet(out))
 
 
 # --- srv6-change-pkt ---------------------------------------------------------
@@ -204,6 +208,9 @@ _READ_SRV6 = reader(
      (1, "traffic_class"), (1, "flow_label"), (2, "next_header"), (2, "segments_left"),
      (2, "segments"), (2, "flags"), (2, "tag")),
 )
+#: srv6-change-pkt's writer, from the arguments of the IPv6 and routing
+#: headers it emits again.
+_WRITE_SRV6 = writer(Ipv6Hdr, Srv6RoutingHdr)
 
 
 def srv6_add_segment(packet: Packet, *, omit_payload_len_update: bool = False) -> TransformResult:
@@ -241,12 +248,12 @@ def srv6_add_segment(packet: Packet, *, omit_payload_len_update: bool = False) -
 
     if not omit_payload_len_update:
         payload_len += len(DEFAULT_SEGMENT)
-    ipv6 = Ipv6Hdr(src, dst, payload_len, next_header, hop_limit,
-                   traffic_class=traffic_class, flow_label=flow_label)
-    srh = Srv6RoutingHdr(srh_next_header, segments_left, segments + DEFAULT_SEGMENT, flags, tag)
+    written = _WRITE_SRV6(
+        src, dst, payload_len, next_header, hop_limit, 6, traffic_class, flow_label,
+        srh_next_header, segments_left, segments + DEFAULT_SEGMENT, flags, tag, SRV6_ROUTING_TYPE,
+    )
     # the Ethernet header and whatever follows the routing header are kept as read
-    out = Packet.from_bytes(data[:ETH_HDR_SIZE] + ipv6.emit() + srh.emit() + data[end:])
-    return TransformResult(out)
+    return TransformResult(Packet(data[:ETH_HDR_SIZE] + written + data[end:]))
 
 
 # --- catalog -----------------------------------------------------------------

@@ -117,3 +117,21 @@ def test_pseudo_header_rejects_bad_addresses():
         pseudo_header_checksum(b"\x00" * 4, b"\x00" * 16, PROTO_TCP, b"")
     with pytest.raises(EmitError):
         pseudo_header_checksum(b"\x00" * 16, b"\x00" * 15, PROTO_TCP, b"")
+
+
+@pytest.mark.parametrize("next_header", [256, -1, "6", True, 6.0, None],
+                         ids=["256", "-1", "str", "bool", "float", "none"])
+def test_pseudo_header_rejects_a_bad_next_header(next_header):
+    with pytest.raises(EmitError) as info:
+        pseudo_header_checksum(bytes(16), bytes(16), next_header, b"")
+    assert str(info.value) == (
+        f"pseudo-header next header must be an int in 0..255, not {next_header!r}"
+    )
+
+
+@pytest.mark.parametrize("next_header", [0, 255])
+def test_pseudo_header_takes_each_end_of_the_next_header_range(next_header):
+    pseudo = bytes(32) + struct.pack("!I3xB", 0, next_header)
+    assert pseudo_header_checksum(bytes(16), bytes(16), next_header, b"") == (
+        ones_complement_oracle(pseudo)
+    )

@@ -1,5 +1,7 @@
 import struct
-from dataclasses import replace
+from contextlib import ExitStack
+from dataclasses import fields, replace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,8 @@ from pktcheck import (
     TcpHdr,
     standard_registry,
 )
-from pktcheck.headers import ICMPV6_PKT_TOO_BIG, SRV6_ROUTING_TYPE
+from pktcheck import nfs
+from pktcheck.headers import ICMPV6_PKT_TOO_BIG, SRV6_ROUTING_TYPE, writer
 
 from oracles import REFERENCE_EMIT, REFERENCE_PARSE, build_tcp6_bytes
 
@@ -907,3 +910,73 @@ def test_emit_agrees_with_the_reference(codec, data):
     # the pack raises when none fails.
     header = data.draw(_emit_inputs(codec))
     assert _emitted(codec.emit, header) == _emitted(REFERENCE_EMIT[codec], header)
+
+
+# --- chain writers: the emits of a chain, in one pack ----------------------------
+
+#: Each writer with the chain it writes: the catalog NFs' two, and one whose
+#: span inside the chain splits the pack.
+WRITERS = {
+    "mtu-too-big-reply": (nfs._WRITE_REPLY, (EthHdr, Ipv6Hdr, Icmpv6PktTooBig)),
+    "srv6-change-pkt": (nfs._WRITE_SRV6, (Ipv6Hdr, Srv6RoutingHdr)),
+    "span-inside": (writer(Ipv6Hdr, Srv6RoutingHdr, TcpHdr), (Ipv6Hdr, Srv6RoutingHdr, TcpHdr)),
+}
+
+
+def _odd(value):
+    """Values of a kind the field does not hold: a string, a float, a bool
+    or None for an integer; for bytes, the same length as a string, a
+    bytearray or a list, or an integer."""
+    if isinstance(value, bytes):
+        return st.sampled_from([value.decode("latin-1"), bytearray(value), list(value),
+                                len(value)])
+    return st.one_of(st.sampled_from([float(value), str(value), None]), st.booleans(),
+                     st.floats())
+
+
+@st.composite
+def _chain_arguments(draw, chain):
+    """The constructor arguments of a header per codec of ``chain``, in
+    order, some out of range or of the wrong length, and some of a kind the
+    field does not hold."""
+    headers = [draw(_emit_inputs(codec, bad=(0, 0, 0, 1, 2))) for codec in chain]
+    arguments = [getattr(header, f.name) for header in headers for f in fields(header)]
+    odd = st.lists(st.integers(0, len(arguments) - 1), max_size=2, unique=True)
+    for at in draw(st.one_of(st.just([]), odd)):
+        arguments[at] = draw(_odd(arguments[at]))
+    return arguments
+
+
+def _emits(chain, arguments):
+    """The joined ``emit``s of the headers built from ``arguments``, or the
+    type and text of what the first ``emit`` to raise raises."""
+    out = b""
+    for codec in chain:
+        count = len(fields(codec))
+        header, arguments = codec(*arguments[:count]), arguments[count:]
+        try:
+            out += header.emit()
+        except (EmitError, struct.error, TypeError) as exc:
+            return type(exc), str(exc)
+    return out
+
+
+def _no_emit(header):
+    raise AssertionError(f"{type(header).__name__}.emit called")
+
+
+@pytest.mark.parametrize("name", WRITERS)
+@settings(max_examples=500)
+@given(data=st.data())
+def test_a_writer_gives_the_emits_of_its_chain(name, data):
+    write, chain = WRITERS[name]
+    arguments = data.draw(_chain_arguments(chain))
+    expected = _emits(chain, arguments)
+    assert _emitted(lambda args: write(*args), arguments) == expected
+    if type(expected) is bytes:
+        # what every emit accepts, the one pack writes: no emit runs
+        with ExitStack() as stack:
+            for codec in chain:
+                stack.enter_context(patch.object(codec, "emit", _no_emit))
+            assert write(*arguments) == expected
+
