@@ -2,8 +2,9 @@
 """Contracts end to end: write one, elaborate it, watch it catch a bug.
 
 An NF's contract is plain text with two phases. The ingress phase states
-what the NF assumes about arriving packets; the egress phase states what
-it guarantees about rewritten ones. Before any traffic flows, elaboration
+which arriving packets the contract covers (its `when:` guard) and what
+the NF assumes about them; the egress phase states what it guarantees
+about rewritten ones. Before any traffic flows, elaboration
 verifies the header orders against the registry and proves the static
 assertions. Per packet (in dev builds only), each phase checks header
 order and then evaluates its checks — egress checks can compare against

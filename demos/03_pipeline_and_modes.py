@@ -5,8 +5,9 @@ Streams generated traffic through `mtu-too-big` twice — once in
 Development mode (contracts on) and once in Production mode (contracts
 compiled out) — and shows that production evaluates nothing, builds no
 snapshots, and still emits byte-identical output. Also demonstrates the
-three violation policies on a stream that breaks the NF's ingress
-precondition.
+three violation policies: on undersized packets, which fall outside the
+contract's guard and are left alone, and on oversized SRv6 packets, which
+are inside it and break the ingress header order.
 """
 
 import tempfile
@@ -47,25 +48,31 @@ def main() -> None:
     print(f"  output pcaps byte-identical: {identical}")
 
     print("\n== violation policies ==")
-    # a stream of undersized packets breaks the ingress precondition
-    # (payload_len must exceed 1280); each policy reacts differently
-    small = GeneratorSpec(count=6, payload_len=200, seed=4)
-    for policy in ("continue", "drop", "abort"):
-        with tempfile.TemporaryDirectory() as tmp:
-            out = Path(tmp) / "out.pcap"
-            summary = run_pipeline(
-                RunConfig(
-                    nf_name="mtu-too-big",
-                    generator=small,
-                    output_path=str(out),
-                    policy=policy,
-                ),
-                registry,
-            )
-            print(f"  {policy:8s} in={summary.packets_in} "
-                  f"out={summary.packets_out} dropped={summary.packets_dropped} "
-                  f"violations={len(summary.violations)} "
-                  f"aborted={summary.aborted}")
+    # undersized packets are outside the guard (payload_len must exceed
+    # 1280) and pass under every policy; oversized SRv6 packets are inside
+    # it, the ingress walk refuses them where it expects TCP, and each
+    # policy reacts differently
+    streams = {
+        "small tcp6": GeneratorSpec(count=6, payload_len=200, seed=4),
+        "big srv6": GeneratorSpec(count=6, template="srv6", payload_len=1300, seed=4),
+    }
+    for label, spec in streams.items():
+        for policy in ("continue", "drop", "abort"):
+            with tempfile.TemporaryDirectory() as tmp:
+                out = Path(tmp) / "out.pcap"
+                summary = run_pipeline(
+                    RunConfig(
+                        nf_name="mtu-too-big",
+                        generator=spec,
+                        output_path=str(out),
+                        policy=policy,
+                    ),
+                    registry,
+                )
+                print(f"  {label:10s} {policy:8s} in={summary.packets_in} "
+                      f"out={summary.packets_out} dropped={summary.packets_dropped} "
+                      f"violations={len(summary.violations)} "
+                      f"aborted={summary.aborted}")
 
 
 if __name__ == "__main__":

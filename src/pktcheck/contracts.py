@@ -2,14 +2,17 @@
 
 A contract block binds named constants, declares ingress (``pre``) and
 egress (``post``) phases — each a header order plus a list of field
-checks — and may add ``static:`` assertions over the constants.
+checks, which may be empty — and may add ``static:`` assertions over the
+constants. The ingress phase may also state a ``when:`` guard, the packets
+the contract covers.
 
 Surface form::
 
     check(IPV6_MIN_MTU = 1280)
     pre {
         order: [EthHdr => Ipv6Hdr => TcpHdr<Ipv6Hdr>],
-        checks: [(payload_len[Ipv6Hdr], >, IPV6_MIN_MTU)]
+        when: [(payload_len[Ipv6Hdr], >, IPV6_MIN_MTU)],
+        checks: []
     }
     post {
         order: [EthHdr => Ipv6Hdr => Icmpv6PktTooBig<Ipv6Hdr>],
@@ -19,11 +22,21 @@ Surface form::
     static: [IPV6_MIN_MTU + 14 == 1294]
 
 Field references on a check's right-hand side read the current packet in
-``pre`` checks and the ingress snapshot in ``post`` checks, so
+``pre`` checks and guards and the ingress snapshot in ``post`` checks, so
 ``(src[Ipv6Hdr], ==, dst[Ipv6Hdr])`` in ``post`` asserts that the outgoing
 source address equals the *original* destination address. Right-hand
 operands may be sums/differences of literals, constants, and field
 references (``payload_len[Ipv6Hdr] + 16``).
+
+A guard is a list of checks, compiled like the ingress checks, that reads
+only the packet in hand; a packet is inside it when every one holds. It is
+decided as soon as the ingress walk has read the last header it names
+(``Phase.decided_at``). A packet outside it gets no precondition, no
+snapshot and no egress: its output must equal its input, which the checked
+loop tests (``engine.run_egress`` gives that frame condition's violation).
+So a walk refusal at or before that step is an order violation on any
+packet, and one after it is an order violation inside the guard. A contract
+without ``when:`` covers every packet.
 
 ``elaborate`` turns a parsed spec into an executable contract in one walk
 over each phase: every field reference is resolved against the registry
@@ -38,7 +51,9 @@ one ``Phase``: the parsed phase plus its name, walk and compiled checks.
 On a phase's first Development use, ``Phase.run`` is generated as one
 Python function from source text; this is the one full description of
 what it does. ``ingress(data, nf, index)`` returns ``(violations,
-snapshot)`` and ``egress(data, snapshot, nf, index)`` returns
+snapshot)``, or ``([], OUTSIDE)`` for a packet outside its guard, which it
+tests right after the step that decides it, before it walks any later
+step or builds any header, and ``egress(data, snapshot, nf, index)`` returns
 ``(violations, walked)`` for packet ``index`` of NF ``nf``; the NF's name
 is an argument because equal phases of NFs of other names share the
 function. It follows the phase's walk at running offsets with the linkage
@@ -73,8 +88,8 @@ from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 from . import headers
-from .engine import (COMPARATORS, Check, CompiledCheck, FieldRef, Operand, Source, Violation,
-                     _refusal, describe_sum, render_value)
+from .engine import (COMPARATORS, OUTSIDE, Check, CompiledCheck, FieldRef, Operand, Source,
+                     Violation, _refusal, describe_sum, render_value)
 from .exceptions import ContractSyntaxError, ElaborationError, RegistryError
 from .headers import BYTES, INT
 from .registry import (
@@ -152,10 +167,12 @@ class StaticAssertion:
 
 @dataclass(frozen=True)
 class PhaseSpec:
-    """One contract phase: the declared header order plus its checks."""
+    """One contract phase: the declared header order plus its checks, and
+    the ``when`` guard of an ingress phase, None when it has none."""
 
     order: OrderSpec
     checks: tuple[Check, ...]
+    when: tuple[Check, ...] | None = field(default=None, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -173,12 +190,21 @@ class ContractSpec:
 class Phase(PhaseSpec):
     """One elaborated phase, ``name`` "ingress" or "egress": its order
     compiled into the ``walk`` that ``run`` and ``parse_chain`` follow, and
-    its checks, constants inlined, resolved into the ``compiled`` reads
-    they make."""
+    its checks and guard, constants inlined, resolved into the
+    ``compiled`` and ``guard`` reads they make."""
 
     name: str
     walk: tuple[OrderStep, ...] = field(repr=False)
     compiled: tuple[CompiledCheck, ...] = field(repr=False)
+    guard: tuple[CompiledCheck, ...] = field(default=(), repr=False, kw_only=True)
+
+    @cached_property
+    def decided_at(self) -> int | None:
+        """The walk step after which the guard is decided, the last header
+        its checks read; None without a guard."""
+        if not self.guard:
+            return None
+        return max(max((c.lhs_index, *(j for *_, j in c.reads))) for c in self.guard)
 
     @cached_property
     def run(self) -> Callable:
@@ -302,13 +328,26 @@ class _Parser:
         self.expect(":")
         order = self.parse_order()
         self.expect(",")
+        when = None
+        if self.at_keyword("when"):  # elaboration refuses it outside ``pre``
+            self.advance()
+            self.expect(":")
+            when = self.parse_checks(rhs_source)
+            self.expect(",")
         self.expect_keyword("checks")
         self.expect(":")
-        self.expect("[")
-        checks = self.parse_list(lambda: self.parse_check(rhs_source), ",")
-        self.expect("]")
+        checks = self.parse_checks(rhs_source)
         self.expect("}")
-        return PhaseSpec(order=order, checks=checks)
+        return PhaseSpec(order=order, checks=checks, when=when)
+
+    def parse_checks(self, rhs_source: Source) -> tuple[Check, ...]:
+        """``[check (, check)*]`` or ``[]``."""
+        self.expect("[")
+        checks = ()
+        if self.peek().kind != "]":
+            checks = self.parse_list(lambda: self.parse_check(rhs_source), ",")
+        self.expect("]")
+        return checks
 
     def parse_order(self) -> OrderSpec:
         self.expect("[")
@@ -404,58 +443,60 @@ def _resolve(
     ref: FieldRef,
     check: Check,
     registry: Registry,
+    what: str,
     phase_name: str,
     current: OrderSpec,
     ingress: OrderSpec | None,
 ) -> tuple[str, int]:
-    """Check one field reference of ``check`` against the registry and the
-    order it reads (``current`` or ``ingress``); return the kind of its
-    attribute and the index of its header in that order."""
+    """Check one field reference of ``check``, which errors name as
+    ``what`` (an "ingress check", say), against the registry and the order
+    it reads (``current`` or ``ingress``); return the kind of its attribute
+    and the index of its header in that order."""
     snapshot = ref.source is Source.INGRESS_SNAPSHOT
     if snapshot and phase_name == "ingress":
         raise ElaborationError(
-            f"ingress check {check.describe()}: the ingress phase has no snapshot to read"
+            f"{what} {check.describe()}: the ingress phase has no snapshot to read"
         )
     if type(ref.occurrence) is not int:
         raise ElaborationError(
-            f"{phase_name} check {check.describe()}: occurrence "
+            f"{what} {check.describe()}: occurrence "
             f"{ref.occurrence!r} is not an integer"
         )
     try:
         if not registry.known(ref.header_type):
             raise ElaborationError(
-                f"{phase_name} check references unknown header type "
+                f"{what} references unknown header type "
                 f"{ref.header_type!r}"
             )
         kind = registry.accessor(ref.header_type, ref.accessor)
         if ref.param is not None and not registry.known(ref.param):
             raise ElaborationError(
-                f"{phase_name} check references unknown header type parameter "
+                f"{what} references unknown header type parameter "
                 f"{ref.param!r}"
             )
     except RegistryError as exc:
         raise ElaborationError(str(exc)) from None
     except TypeError:  # the registry looks each name up by hash, in this order
         name = next(n for n in (ref.header_type, ref.accessor, ref.param) if type(n) is not str)
-        raise ElaborationError(f"{phase_name} check {check.describe()}: {name!r} is not a name") from None
+        raise ElaborationError(f"{what} {check.describe()}: {name!r} is not a name") from None
     where, order = ("ingress", ingress) if snapshot else (phase_name, current)
     elements = order.elements if order is not None else ()
     positions = [i for i, e in enumerate(elements) if e.header_type == ref.header_type]
     if not positions:
         raise ElaborationError(
-            f"{phase_name} check references {ref.describe()}, but "
+            f"{what} references {ref.describe()}, but "
             f"{ref.header_type} is not in the {where} order"
             + (" (dangling snapshot reference)" if snapshot else "")
         )
     if not 0 <= ref.occurrence < len(positions):
         raise ElaborationError(
-            f"{phase_name} check references {ref.describe()}, but the {where} "
+            f"{what} references {ref.describe()}, but the {where} "
             f"order holds {len(positions)} {ref.header_type} header(s)"
         )
     i = positions[ref.occurrence]
     if ref.param is not None and ref.param != elements[i].param:
         raise ElaborationError(
-            f"{phase_name} check references {ref.describe()}, but the {where} "
+            f"{what} references {ref.describe()}, but the {where} "
             f"order holds {elements[i]}"
         )
     return kind, i
@@ -466,44 +507,73 @@ def _compile_phase(
     phase: PhaseSpec | None,
     phase_name: str,
     registry: Registry,
-) -> tuple[CompiledCheck, ...]:
-    """Check, inline and compile each check of ``phase`` in one walk.
+) -> tuple[tuple[CompiledCheck, ...], tuple[CompiledCheck, ...]]:
+    """Check, inline and compile the guard and then each check of
+    ``phase`` in one walk; return both, compiled.
 
     Every reference is resolved once, against the phase order or the
     ingress order; constants are inlined and folded with the literals into
     one number; each read is bound to its header's index and attribute.
+    Only an ingress phase may have a guard, and a guard holds a check.
     """
     if phase is None:
-        return ()
+        return (), ()
     for element in phase.order.elements:
         for name in (element.header_type, element.param):
             if name is not None and (type(name) is not str or not registry.known(name)):
                 raise ElaborationError(
                     f"{phase_name} order references unknown header type {name!r}"
                 )
+    if phase.when is not None and phase_name != "ingress":
+        raise ElaborationError(
+            f"{phase_name} phase has a when: guard, but only the ingress phase "
+            "decides which packets a contract covers"
+        )
+    if phase.when is not None and not phase.when:
+        raise ElaborationError(
+            "ingress guard has no checks: a contract that covers every packet "
+            "has no when:"
+        )
+    guard = _compile_checks(spec, phase.when or (), f"{phase_name} guard check", phase_name,
+                            phase.order, registry)
+    return guard, _compile_checks(spec, phase.checks, f"{phase_name} check", phase_name,
+                                  phase.order, registry)
+
+
+def _compile_checks(
+    spec: ContractSpec,
+    checks: tuple[Check, ...],
+    what: str,
+    phase_name: str,
+    current: OrderSpec,
+    registry: Registry,
+) -> tuple[CompiledCheck, ...]:
+    """Compile ``checks`` of phase ``phase_name``, whose order is
+    ``current``, as ``_compile_phase`` describes; errors name each as
+    ``what``."""
     ingress = spec.ingress.order if spec.ingress is not None else None
     compiled = []
-    for idx, check in enumerate(phase.checks):
+    for idx, check in enumerate(checks):
         if check.lhs.source is not Source.CURRENT_PACKET:
             raise ElaborationError(
-                f"{phase_name} check {check.describe()}: the left-hand side "
+                f"{what} {check.describe()}: the left-hand side "
                 "must read the packet in hand, not the ingress snapshot"
             )
         if not check.rhs.terms:
             raise ElaborationError(
-                f"{phase_name} check {check.describe()}: the right-hand side "
+                f"{what} {check.describe()}: the right-hand side "
                 "has no terms"
             )
-        lhs_kind, i = _resolve(check.lhs, check, registry, phase_name, phase.order, ingress)
+        lhs_kind, i = _resolve(check.lhs, check, registry, what, phase_name, current, ingress)
         terms, term_kinds, reads, const = [], [], [], 0
         for sign, term in check.rhs.terms:
             if type(sign) is not int or sign not in (1, -1):
                 raise ElaborationError(
-                    f"{phase_name} check {check.describe()}: term sign {sign!r} "
+                    f"{what} {check.describe()}: term sign {sign!r} "
                     "is not +1 or -1"
                 )
             if isinstance(term, FieldRef):
-                kind, j = _resolve(term, check, registry, phase_name, phase.order, ingress)
+                kind, j = _resolve(term, check, registry, what, phase_name, current, ingress)
                 term_kinds.append(kind)
                 from_snapshot = term.source is Source.INGRESS_SNAPSHOT
                 reads.append((sign, from_snapshot, term.accessor, j))
@@ -512,13 +582,13 @@ def _compile_phase(
                 if isinstance(term, str):
                     if term not in spec.constants:
                         raise ElaborationError(
-                            f"{phase_name} check {check.describe()} uses unbound "
+                            f"{what} {check.describe()} uses unbound "
                             f"constant {term!r}"
                         )
                     term = spec.constants[term]
                 elif type(term) is not int:
                     raise ElaborationError(
-                        f"{phase_name} check {check.describe()}: literal {term!r} "
+                        f"{what} {check.describe()}: literal {term!r} "
                         "is not an integer"
                     )
                 term_kinds.append(INT)
@@ -527,22 +597,22 @@ def _compile_phase(
         if check.rhs.is_arithmetic():
             if lhs_kind != INT or any(k != INT for k in term_kinds):
                 raise ElaborationError(
-                    f"{phase_name} check {check.describe()}: arithmetic "
+                    f"{what} {check.describe()}: arithmetic "
                     "operands require integer fields"
                 )
         elif term_kinds[0] != lhs_kind:
             raise ElaborationError(
-                f"{phase_name} check {check.describe()}: cannot compare "
+                f"{what} {check.describe()}: cannot compare "
                 f"{lhs_kind} field with {term_kinds[0]} operand"
             )
         if lhs_kind == BYTES and check.op not in ("==", "neq"):
             raise ElaborationError(
-                f"{phase_name} check {check.describe()}: byte-sequence fields "
+                f"{what} {check.describe()}: byte-sequence fields "
                 f"admit only == and neq, not {check.op}"
             )
         if type(check.op) is not str or check.op not in COMPARATORS:
             raise ElaborationError(
-                f"{phase_name} check {check.describe()}: unknown comparator "
+                f"{what} {check.describe()}: unknown comparator "
                 f"{check.op!r}"
             )
         compiled.append(CompiledCheck(
@@ -601,9 +671,10 @@ def elaborate(spec: ContractSpec, registry: Registry) -> Contract:
     compiled = [_compile_phase(spec, phase, name, registry) for name, phase in phases]
     ingress, egress = (
         None if phase is None else Phase(
-            phase.order, phase.checks, name, verify_order(registry, phase.order), checks
+            phase.order, phase.checks, name, verify_order(registry, phase.order), checks,
+            when=phase.when, guard=guard,
         )
-        for (name, phase), checks in zip(phases, compiled)
+        for (name, phase), (guard, checks) in zip(phases, compiled)
     )
     check_static_assertions(spec)
     return Contract(
@@ -683,16 +754,18 @@ def _generate(phase: Phase) -> Callable:
 
     The walk's lines are ``_walk_steps``'s; header ``k`` is also built as
     ``hk`` at ingress, and snapshot header ``j`` is ``sj = snap[j]`` at
-    egress; of the sub-fields, only those that a check or the next step's
-    linkage cross-check reads get a local.
+    egress; of the sub-fields, only those that a check, the guard or the
+    next step's linkage cross-check reads get a local. A guard is one test
+    after the step that decides it, and the headers up to that step are
+    built after the test; without a guard each is built after its step.
     """
-    name, walk, checks = phase.name, phase.walk, phase.compiled
+    name, walk, checks, guard = phase.name, phase.walk, phase.compiled, phase.guard
     ingress = name == "ingress"
     refused = "None" if ingress else "False"
     namespace = {**vars(headers), "walk_error": walk_error, "walk": walk, "_refusal": _refusal,
-                 "Violation": Violation, "render_value": render_value}
-    used = {(c.lhs_index, c.lhs) for c in checks}
-    used |= {(j, attribute) for c in checks
+                 "Violation": Violation, "render_value": render_value, "OUTSIDE": OUTSIDE}
+    used = {(c.lhs_index, c.lhs) for c in checks + guard}
+    used |= {(j, attribute) for c in checks + guard
              for _, from_snapshot, attribute, j in c.reads if not from_snapshot}
     lines = [f"def {name}(data, {'' if ingress else 'snap, '}nf, index):",
              "    n = len(data)"]
@@ -700,18 +773,28 @@ def _generate(phase: Phase) -> Callable:
     def refuse(k):
         return f"return [_refusal(walk_error(walk, {k}, {{}}), nf, {name!r}, index)], {refused}"
 
+    def read(from_snapshot, attribute, j):
+        return f"s{j}.{attribute}" if from_snapshot else f"h{j}_{attribute}"
+
+    decided, built = phase.decided_at, []
     for k, (step_lines, names) in enumerate(_walk_steps(walk, used, refuse, namespace)):
         lines += [f"    {line}" for line in step_lines]
         if ingress:
             codec = walk[k].codec
             namespace[codec.__name__] = codec
-            lines.append(f"    h{k} = {codec.__name__}({codec.READ.arguments(codec, names)})")
+            built.append(f"    h{k} = {codec.__name__}({codec.READ.arguments(codec, names)})")
+            if k == decided:
+                inside = " and ".join(
+                    f"{read(False, c.lhs, c.lhs_index)} {_PY_OPS[c.op]} {_rhs_source(c, read)}"
+                    for c in guard
+                )
+                lines += [f"    if not ({inside}):", "        return [], OUTSIDE"]
+            if decided is None or k >= decided:
+                lines += built
+                built.clear()
     lines.append("    failed = []")
     snapshot = {j for c in checks for _, from_snapshot, _, j in c.reads if from_snapshot}
     lines += [f"    s{j} = snap[{j}]" for j in sorted(snapshot)]
-
-    def read(from_snapshot, attribute, j):
-        return f"s{j}.{attribute}" if from_snapshot else f"h{j}_{attribute}"
 
     for c in checks:
         lhs, rhs = ("render_value(lhs)", "render_value(rhs)") if c.is_bytes else ("lhs", "rhs")
@@ -775,6 +858,10 @@ def explain_contract(contract: Contract) -> str:
             continue
         lines.append(f"{phase_name}:")
         lines.append(f"  order: {phase.order}")
+        if phase.guard:
+            lines.append(f"  when (decided at {phase.order.elements[phase.decided_at]}):")
+            for c in phase.guard:
+                lines.append(f"    ({c.lhs_text}, {c.op}, {c.rhs_text})")
         if phase.compiled:
             lines.append("  checks:")
             for c in phase.compiled:

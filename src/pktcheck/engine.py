@@ -6,11 +6,20 @@ one generated function (``Phase.run``) that returns its packet's
 Violations, a walk refusal's order violation (built by ``_refusal``)
 included; the ``contracts`` module docstring describes it in full.
 
+A contract whose ingress phase has a ``when:`` guard covers only the
+packets the guard holds for. The ingress function returns ``OUTSIDE``, a
+sentinel tested by identity, in place of a snapshot for any other packet:
+no precondition, no snapshot and no egress apply to it. Its frame condition
+does instead: an output whose bytes differ from the input's is one
+Violation of kind ``"frame"`` (built by ``_frame``), and a transform drop
+is none.
+
 ``run_ingress`` and ``run_egress`` are the one-packet API: each runs one
 phase's function on one packet and counts its walk into a
-``ContractRuntime``. The pipeline's checked loop calls the phase functions
-itself, with the same semantics, and the tests hold that loop to
-``run_ingress`` → transform → ``run_egress``, packet by packet.
+``ContractRuntime``; ``run_egress`` also applies the frame condition. The
+pipeline's checked loop calls the phase functions itself, with the same
+semantics, and the tests hold that loop to ``run_ingress`` → transform →
+``run_egress``, packet by packet.
 
 ``parse_chain``, ``build_snapshot``, ``eval_check`` and
 ``CompiledCheck.test`` do what the phases do one step at a time, outside
@@ -44,6 +53,19 @@ COMPARATORS = {
     ">": operator.gt,
     ">=": operator.ge,
 }
+
+
+class _Outside:
+    """The type of ``OUTSIDE``, which an ingress phase returns in place of a
+    snapshot for a packet outside its guard."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "OUTSIDE"
+
+
+OUTSIDE = _Outside()
 
 
 class Source(Enum):
@@ -164,12 +186,14 @@ def render_value(value) -> object:
 
 @dataclass(slots=True)
 class Violation:
-    """Structured record of one failed check (or failed order match).
+    """Structured record of one failed check, failed order match or
+    broken frame condition.
 
-    ``reason`` is the error text of an order violation, which is its
-    ``message``, and None for a failed check, whose ``message`` is its
+    ``reason`` is the error text of an order or frame violation, which is
+    its ``message``, and None for a failed check, whose ``message`` is its
     ``text()``, formatted only when read. ``text()`` is the one-line
-    report of either."""
+    report of any of them, tagged ``phase#index`` for a check and
+    ``phase#kind`` for the others."""
 
     nf: str
     phase: str  # "ingress" | "egress"
@@ -180,17 +204,20 @@ class Violation:
     rhs: str
     rhs_value: object
     packet_index: int
-    kind: str = "check"  # "check" | "order"
+    kind: str = "check"  # "check" | "order" | "frame"
     reason: str | None = None
 
     @property
     def message(self) -> str:
         return self.text() if self.reason is None else self.reason
 
+    def key(self) -> str:
+        """``phase#index`` for a failed check, ``phase#kind`` for the others."""
+        return f"{self.phase}#{self.kind if self.check_index is None else self.check_index}"
+
     def text(self) -> str:
         if self.reason is not None:
-            return (f"NF {self.nf} [{self.phase}#order] {self.reason} "
-                    f"(packet {self.packet_index})")
+            return f"NF {self.nf} [{self.key()}] {self.reason} (packet {self.packet_index})"
         return (
             f"NF {self.nf} [{self.phase}#{self.check_index}] "
             f"{self.lhs}={self.lhs_value} {self.op} {self.rhs}={self.rhs_value} "
@@ -314,28 +341,46 @@ def _refusal(exc: ChainOrderError, nf: str, phase: str, packet_index: int) -> Vi
     )
 
 
+#: The text of every frame violation.
+FRAME_REASON = "a packet outside the contract's guard left with its bytes changed"
+
+
+def _frame(nf: str, packet_index: int) -> Violation:
+    """The frame violation of a packet outside the guard whose output bytes
+    differ from its input's."""
+    return Violation(
+        nf, "egress", None, "frame", "changed", None, "expected", "unchanged",
+        packet_index, "frame", FRAME_REASON,
+    )
+
+
 def run_ingress(
     contract,
     packet: Packet,
     runtime: ContractRuntime,
     packet_index: int = 0,
-) -> tuple[list[Violation], tuple | None]:
-    """Evaluate the ingress phase: parse along the order, snapshot, then
-    every check, in the contract's generated ingress function.
+) -> tuple[list[Violation], tuple | _Outside | None]:
+    """Evaluate the ingress phase: parse along the order, decide the guard
+    where its last field is read, snapshot, then every check, in the
+    contract's generated ingress function.
 
     No-op in Production. On an order mismatch the phase reports a single
     order violation; the checks are unresolvable without the declared
     chain and are not evaluated. No snapshot is returned then, so egress
-    evaluates nothing either.
+    evaluates nothing either, and no check counts, the guard's included. A
+    packet outside the guard returns ``([], OUTSIDE)`` and counts only the
+    guard's checks.
     """
     if (runtime.mode is not BuildMode.DEVELOPMENT or contract is None
             or contract.ingress is None):
         return [], None
     phase = contract.ingress
     violations, snapshot = phase.run(packet.data, contract.nf_name, packet_index)
-    if snapshot is not None:
+    if snapshot is OUTSIDE:
+        runtime.checks_evaluated += len(phase.guard)
+    elif snapshot is not None:
         runtime.snapshots_built += 1
-        runtime.checks_evaluated += len(phase.compiled)
+        runtime.checks_evaluated += len(phase.guard) + len(phase.compiled)
     return violations, snapshot
 
 
@@ -348,15 +393,22 @@ def run_egress(
 ) -> list[Violation]:
     """Evaluate the egress phase against the outgoing packet, reading
     snapshot operands from the ingress snapshot, in the contract's
-    generated egress function. No-op in Production.
+    generated egress function. No-op in Production. Called, like the
+    checked loop's egress, only for an output whose bytes differ from its
+    input's.
 
     Without a snapshot, a contract with an ingress phase evaluates nothing:
     its ingress order failed, and that order violation is the packet's one
     root cause. A contract without one runs egress as usual, since
-    elaboration refused every snapshot read in it.
+    elaboration refused every snapshot read in it. For a packet outside
+    the guard (``snapshot`` is ``OUTSIDE``) the one violation is the frame
+    condition's.
     """
-    if (runtime.mode is not BuildMode.DEVELOPMENT or contract is None
-            or contract.egress is None):
+    if runtime.mode is not BuildMode.DEVELOPMENT or contract is None:
+        return []
+    if snapshot is OUTSIDE:
+        return [_frame(contract.nf_name, packet_index)]
+    if contract.egress is None:
         return []
     if snapshot is None and contract.ingress is not None:
         return []

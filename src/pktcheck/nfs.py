@@ -6,7 +6,9 @@ Two NFs are provided, addressable by name:
     Rewrites oversized Eth/IPv6/TCP packets into ICMPv6 Packet Too Big
     replies returned to the sender (Ethernet and IPv6 addresses swapped,
     payload truncated to fit the IPv6 minimum MTU). Undersized or
-    non-matching packets pass through untouched.
+    non-matching packets pass through untouched. Its contract covers only
+    oversized packets: its ``when:`` guard is decided at the IPv6 header,
+    and any other IPv6 packet must leave unchanged.
 
 ``srv6-change-pkt``
     Appends one segment to an SRv6 routing header and keeps the dependent
@@ -120,7 +122,8 @@ MTU_TOO_BIG_CONTRACT = """
 check(IPV6_MIN_MTU = 1280, ETH_HDR_SIZE = 14)
 pre {
     order: [EthHdr => Ipv6Hdr => TcpHdr<Ipv6Hdr>],
-    checks: [(payload_len[Ipv6Hdr], >, IPV6_MIN_MTU)]
+    when: [(payload_len[Ipv6Hdr], >, IPV6_MIN_MTU)],
+    checks: []
 }
 post {
     order: [EthHdr => Ipv6Hdr => Icmpv6PktTooBig<Ipv6Hdr>],

@@ -5,7 +5,10 @@ egress contract. The egress phase applies to each output whose bytes differ
 from its input record's: the loop observes what the NF changed, the NF
 reports nothing. It needs the ingress snapshot when the contract has an
 ingress phase: a packet whose ingress walk failed has that order violation
-as its one root cause.
+as its one root cause. A packet outside the contract's ``when:`` guard
+(its ingress phase returns ``OUTSIDE``) runs no egress: a changed output
+gets the one frame violation, keyed ``egress#frame``, and an unchanged
+output or a transform drop gets none.
 In Production only the transform runs. Packets flow one at a time, in
 input order, through one loop picked per run:
 
@@ -17,10 +20,11 @@ input order, through one loop picked per run:
   accepted the packet, which the loop counts in locals and adds to the
   runtime once, also when the run raises. It reads the clock once per
   phase boundary, ``t0 | ingress | t1 | transform | t2 | egress | t3``:
-  4 reads for a packet that runs egress, 3 for any other. Between two
-  reads there is only that phase's call and its walk count, plus the
-  previous phase's running sum and, before egress, the test whether
-  egress runs, whose byte comparison also picks what is emitted;
+  4 reads for a packet that runs egress or breaks the frame condition, 3
+  for any other. Between two reads there is only that phase's call and
+  its walk count, plus the previous phase's running sum and, before
+  egress, the test whether egress runs, whose byte comparison also picks
+  what is emitted and decides the frame condition;
 - the transform-only loop runs ``Packet.from_bytes`` and ``nf.apply``
   with no timers, keeps only counters and transform drops, and makes the
   same byte comparison to pick what is emitted.
@@ -65,9 +69,11 @@ from pathlib import Path
 from typing import Iterable
 
 from .engine import (
+    OUTSIDE,
     BuildMode,
     ContractRuntime,
     Violation,
+    _frame,
     check_build_mode,
     check_policy,
     # Not called here: the checked loop calls each phase itself. Kept
@@ -132,12 +138,11 @@ class RunSummary:
 
     @property
     def violations_by_check(self) -> dict[str, int]:
-        """Violations per check, keyed ``phase#index`` (``phase#order`` for
-        an order violation), in the order each key first failed."""
+        """Violations per check, keyed ``phase#index`` (``phase#kind`` for
+        an order or frame violation), in the order each key first failed."""
         counts = {}
         for violation in self.violations:
-            index = "order" if violation.check_index is None else violation.check_index
-            key = f"{violation.phase}#{index}"
+            key = violation.key()
             counts[key] = counts.get(key, 0) + 1
         return counts
 
@@ -239,7 +244,7 @@ def _run_checked(nf, records, runtime: ContractRuntime, policy: str, emit) -> tu
     found, drops = [], []
     strict, aborted = policy != "continue", False
     ingress_ns = transform_ns = egress_ns = 0
-    index, dropped, walks_in, walks_out = -1, 0, 0, 0
+    index, dropped, walks_in, walks_out, outside = -1, 0, 0, 0, 0
     try:
         for index, record in enumerate(records):
             packet = from_bytes(record.data)
@@ -249,7 +254,10 @@ def _run_checked(nf, records, runtime: ContractRuntime, policy: str, emit) -> tu
                 violations, snapshot = [], None
             else:
                 violations, snapshot = run_in(packet.data, name, index)
-                walks_in += snapshot is not None
+                if snapshot is OUTSIDE:
+                    outside += 1
+                else:
+                    walks_in += snapshot is not None
             t1 = clock()
             ingress_ns += t1 - t0
 
@@ -258,13 +266,18 @@ def _run_checked(nf, records, runtime: ContractRuntime, policy: str, emit) -> tu
             transform_ns += t2 - t1
 
             out = result.packet
-            # egress checks each changed output, with the snapshot unless there is no ingress
+            # egress checks each changed output, with the snapshot unless there is no
+            # ingress; outside the guard, a changed output breaks the frame condition
             changed = out is not None and out.data != record.data
-            if changed and run_out is not None and (snapshot is not None or run_in is None):
-                failed, walked = run_out(out.data, snapshot, name, index)
-                violations += failed
-                walks_out += walked
-                egress_ns += clock() - t2
+            if changed:
+                if snapshot is OUTSIDE:
+                    violations.append(_frame(name, index))
+                    egress_ns += clock() - t2
+                elif run_out is not None and (snapshot is not None or run_in is None):
+                    failed, walked = run_out(out.data, snapshot, name, index)
+                    violations += failed
+                    walks_out += walked
+                    egress_ns += clock() - t2
 
             found += violations
             if out is None:
@@ -281,8 +294,9 @@ def _run_checked(nf, records, runtime: ContractRuntime, policy: str, emit) -> tu
                 break
     finally:
         runtime.snapshots_built += walks_in
-        if walks_in:
-            runtime.checks_evaluated += walks_in * len(ingress.compiled)
+        if walks_in or outside:
+            guard = len(ingress.guard)
+            runtime.checks_evaluated += walks_in * (guard + len(ingress.compiled)) + outside * guard
         if walks_out:
             runtime.checks_evaluated += walks_out * len(egress.compiled)
     timings = {

@@ -10,6 +10,9 @@ spelled out. The codecs' own ``parse`` and ``emit`` are generated from their
 ``reference_send_too_big`` is mtu-too-big's transform in its earlier
 order, the whole Eth/IPv6/TCP chain decoded before the length decides
 pass-through, which ``tests/test_nfs.py`` holds the reordered one to.
+``PRECONDITION_CONTRACT`` is mtu-too-big's contract in its earlier form,
+its ``when:`` guard stated as an ingress check: a precondition that every
+packet must meet, small ones included.
 """
 
 import struct
@@ -27,7 +30,12 @@ from pktcheck import (
     pseudo_header_checksum,
 )
 from pktcheck.headers import ICMPV6_PKT_TOO_BIG, SRV6_ROUTING_TYPE
-from pktcheck.nfs import MAX_INVOKING_BYTES
+from pktcheck.nfs import MAX_INVOKING_BYTES, MTU_TOO_BIG_CONTRACT
+
+PRECONDITION_CONTRACT = MTU_TOO_BIG_CONTRACT.replace(
+    "when: [(payload_len[Ipv6Hdr], >, IPV6_MIN_MTU)],\n    checks: []",
+    "checks: [(payload_len[Ipv6Hdr], >, IPV6_MIN_MTU)]",
+)
 
 
 def ones_complement_oracle(data: bytes) -> int:

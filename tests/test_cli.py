@@ -138,16 +138,16 @@ def test_run_text_output_names_each_transform_drop(tmp_path, capsys):
 
 
 def test_run_text_output_says_the_run_aborted(capsys):
-    # 100-byte payloads fail mtu-too-big's ingress check, the first one ends
-    # the run
+    # SRv6 packets above 1280 bytes are inside mtu-too-big's guard, and its
+    # ingress walk refuses their routing header; the first one ends the run
     code = main(
-        ["run", "--nf", "mtu-too-big", "--count", "3", "--payload-len", "100",
-         "--policy", "abort"]
+        ["run", "--nf", "mtu-too-big", "--count", "3", "--template", "srv6",
+         "--payload-len", "1300", "--policy", "abort"]
     )
     lines = capsys.readouterr().out.splitlines()
     assert code == 1
     assert len(lines) == 3
-    assert lines[0].startswith("NF mtu-too-big [ingress#0] ")
+    assert lines[0].startswith("NF mtu-too-big [ingress#order] ")
     assert lines[1:] == [
         "mtu-too-big: in=1 out=0 dropped=1 violations=1 mode=dev policy=abort",
         "run aborted at first violating packet",

@@ -51,18 +51,18 @@ def test_parse_constants_and_phases(registry):
     assert spec.constants == {"IPV6_MIN_MTU": 1280, "ETH_HDR_SIZE": 14}
     assert str(spec.ingress.order) == "[EthHdr => Ipv6Hdr => TcpHdr<Ipv6Hdr>]"
     assert str(spec.egress.order) == "[EthHdr => Ipv6Hdr => Icmpv6PktTooBig<Ipv6Hdr>]"
-    assert len(spec.ingress.checks) == 1
-    assert len(spec.egress.checks) == 6
+    assert len(spec.ingress.when) == 1 and spec.ingress.checks == ()
+    assert spec.egress.when is None and len(spec.egress.checks) == 6
     assert len(spec.static_assertions) == 1
 
 
 def test_rhs_source_depends_on_phase(registry):
     spec = elaborate(parse_contract_spec(MTU_TOO_BIG_CONTRACT), registry)
-    (ingress_check,) = spec.ingress.checks
-    # pre-phase right-hand sides read the same (incoming) packet
+    (guard_check,) = spec.ingress.when
+    # pre-phase right-hand sides, the guard's too, read the same (incoming) packet
     assert all(
         ref.source is Source.CURRENT_PACKET
-        for ref in ingress_check.rhs.field_refs()
+        for ref in guard_check.rhs.field_refs()
     )
     # post-phase right-hand sides read the ingress snapshot
     for check in spec.egress.checks:
@@ -99,6 +99,36 @@ def test_parse_operand_arithmetic():
     signs = [sign for sign, _ in check.rhs.terms]
     assert signs == [1, 1, -1]
     assert check.rhs.is_arithmetic()
+
+
+def test_parse_a_guard_and_an_empty_check_list(registry):
+    text = """
+    check(MTU = 1280)
+    pre {
+        order: [EthHdr => Ipv6Hdr => TcpHdr<Ipv6Hdr>],
+        when: [(payload_len[Ipv6Hdr], >, MTU), (dst_port[TcpHdr], ==, 443)],
+        checks: []
+    }
+    post { order: [EthHdr => Ipv6Hdr], checks: [] }
+    """
+    spec = parse_contract_spec(text)
+    assert [check.describe() for check in spec.ingress.when] == [
+        "(payload_len[Ipv6Hdr], >, MTU)", "(dst_port[TcpHdr], ==, 443)",
+    ]
+    assert spec.ingress.checks == () and spec.egress.checks == ()
+    assert spec.egress.when is None
+    contract = elaborate(spec, registry)
+    assert [(c.index, c.lhs_index, c.const) for c in contract.ingress.guard] == [
+        (0, 1, 1280), (1, 2, 443),
+    ]
+    # a guard that reads TCP is decided only once the TCP step is walked
+    assert contract.ingress.decided_at == 2 and contract.egress.decided_at is None
+    assert explain_contract(contract).splitlines()[5:9] == [
+        "  when (decided at TcpHdr<Ipv6Hdr>):",
+        "    (payload_len[Ipv6Hdr], >, 1280)",
+        "    (dst_port[TcpHdr], ==, 443)",
+        "  checks: (none)",
+    ]
 
 
 def test_syntax_error_carries_line_and_column():
@@ -340,21 +370,22 @@ def test_elaborate_inlines_constants(registry):
     contract = elaborate(
         parse_contract_spec(MTU_TOO_BIG_CONTRACT, nf_name="mtu"), registry
     )
-    (ingress_check,) = contract.ingress.compiled
-    assert (ingress_check.reads, ingress_check.const) == ((), 1280)
+    (guard_check,) = contract.ingress.guard
+    assert (guard_check.reads, guard_check.const) == ((), 1280)
 
 
 def test_elaborate_compiles_one_evaluator_per_check(registry):
     contract = elaborate(
         parse_contract_spec(MTU_TOO_BIG_CONTRACT, nf_name="mtu"), registry
     )
-    assert [c.index for c in contract.ingress.compiled] == [0]
+    assert [c.index for c in contract.ingress.guard] == [0]
+    assert contract.ingress.compiled == () and contract.egress.guard == ()
     assert [c.index for c in contract.egress.compiled] == list(range(6))
     assert [(c.lhs_text, c.op, c.rhs_text) for c in contract.egress.compiled] == [
         (check.lhs.describe(), check.op, check.rhs.describe())
         for check in contract.egress.checks
     ]
-    assert all(callable(c.test) for c in contract.ingress.compiled + contract.egress.compiled)
+    assert all(callable(c.test) for c in contract.ingress.guard + contract.egress.compiled)
 
 
 def test_compiled_check_indexes_the_named_occurrence(registry):
@@ -792,8 +823,9 @@ static assertions (proven at elaboration):
   IPV6_MIN_MTU + ETH_HDR_SIZE == 1294
 ingress:
   order: [EthHdr => Ipv6Hdr => TcpHdr<Ipv6Hdr>]
-  checks:
-    #0 (payload_len[Ipv6Hdr], >, 1280)
+  when (decided at Ipv6Hdr):
+    (payload_len[Ipv6Hdr], >, 1280)
+  checks: (none)
 egress:
   order: [EthHdr => Ipv6Hdr => Icmpv6PktTooBig<Ipv6Hdr>]
   checks:
@@ -964,6 +996,40 @@ ELABORATION_FAULTS = {
         ElaborationError,
         "ingress check (hop_limit[Ipv6Hdr], ==, hop_limit[['Ipv6Hdr']]): ['Ipv6Hdr'] "
         "is not a name",
+    ),
+    "guard in post": (
+        f"check() pre {{ order: {_TCP6}, checks: [] }} "
+        f"post {{ order: {_PTB}, when: [(mtu[Icmpv6PktTooBig], >, 0)], checks: [] }}",
+        ElaborationError,
+        "egress phase has a when: guard, but only the ingress phase decides which "
+        "packets a contract covers",
+    ),
+    "guard that reads the snapshot": (
+        ContractSpec("x", {}, (), PhaseSpec(order("EthHdr", "Ipv6Hdr"), (), when=(
+            Check(FieldRef("payload_len", "Ipv6Hdr"), ">", Operand.ref(
+                FieldRef("payload_len", "Ipv6Hdr", source=Source.INGRESS_SNAPSHOT))),
+        )), None),
+        ElaborationError,
+        "ingress guard check (payload_len[Ipv6Hdr], >, payload_len[Ipv6Hdr]@ingress): "
+        "the ingress phase has no snapshot to read",
+    ),
+    "unknown guard field": (
+        f"check() pre {{ order: {_TCP6}, when: [(ttl[Ipv6Hdr], >, 0)], checks: [] }}",
+        ElaborationError,
+        "header Ipv6Hdr has no accessor 'ttl' (known: dst, flow_label, hop_limit, "
+        "next_header, payload_len, src, traffic_class, version)",
+    ),
+    "guard header outside the order": (
+        f"check() pre {{ order: {_TCP6}, when: [(tag[Srv6RoutingHdr], >, 0)], "
+        "checks: [] }",
+        ElaborationError,
+        "ingress guard check references tag[Srv6RoutingHdr], but Srv6RoutingHdr is "
+        "not in the ingress order",
+    ),
+    "empty guard": (
+        f"check() pre {{ order: {_TCP6}, when: [], checks: [] }}",
+        ElaborationError,
+        "ingress guard has no checks: a contract that covers every packet has no when:",
     ),
     "list order element": (
         _ipv6_spec(Check(_HOP_LIMIT, "==", Operand.literal(1)), ("EthHdr", ["Ipv6Hdr"])),

@@ -21,11 +21,11 @@ from pktcheck import (
     run_ingress,
     verify_order,
 )
-from pktcheck.engine import Violation, build_snapshot, eval_check, render_value
+from pktcheck.engine import OUTSIDE, Violation, build_snapshot, eval_check, render_value
 from pktcheck.nfs import MTU_TOO_BIG_CONTRACT, send_too_big
 from pktcheck.registry import parse_chain
 
-from oracles import build_tcp6_bytes
+from oracles import PRECONDITION_CONTRACT, build_tcp6_bytes
 
 TCP6_ORDER = order("EthHdr", "Ipv6Hdr", ("TcpHdr", "Ipv6Hdr"))
 
@@ -290,7 +290,8 @@ def test_run_ingress_returns_snapshot_on_pass(registry):
 
 
 def test_run_ingress_collects_check_violation(registry):
-    contract = _mtu_contract(registry)
+    contract = elaborate(parse_contract_spec(PRECONDITION_CONTRACT, nf_name="mtu"), registry)
+    assert not contract.ingress.guard
     runtime = ContractRuntime()
     violations, snapshot = run_ingress(
         contract, _tcp6(1280), runtime
@@ -369,3 +370,51 @@ def test_run_phases_are_noops_in_production(registry):
     assert run_egress(contract, packet, snapshot, runtime) == []
     assert runtime.snapshots_built == 0
     assert runtime.checks_evaluated == 0
+
+
+def test_the_guard_is_decided_before_the_tcp_step(registry):
+    # a packet outside the guard is not walked past the IPv6 header: one
+    # cut inside its TCP header is outside, not an order violation, and
+    # counts the guard's one check; an oversized one cut there is refused
+    # inside the guard and counts none
+    contract = _mtu_contract(registry)
+    runtime = ContractRuntime()
+    small = Packet.from_bytes(build_tcp6_bytes(payload_len=100)[:60])
+    assert run_ingress(contract, small, runtime) == ([], OUTSIDE)
+    assert (runtime.snapshots_built, runtime.checks_evaluated) == (0, 1)
+    big = Packet.from_bytes(build_tcp6_bytes(payload_len=1300)[:60])
+    (violation,), snapshot = run_ingress(contract, big, runtime)
+    assert snapshot is None and violation.key() == "ingress#order"
+    assert violation.message.startswith("order mismatch at index 2: cannot parse TcpHdr")
+    assert (runtime.snapshots_built, runtime.checks_evaluated) == (0, 1)
+
+
+def test_run_egress_outside_the_guard_is_the_frame_condition(registry):
+    # run_egress takes an output whose bytes differ from its input's: outside
+    # the guard that is one frame violation, whatever the bytes, and no check
+    contract = _mtu_contract(registry)
+    runtime = ContractRuntime()
+    packet = _tcp6(100)
+    (violation,) = run_egress(contract, packet, OUTSIDE, runtime, packet_index=4)
+    assert (violation.phase, violation.kind, violation.check_index) == ("egress", "frame", None)
+    assert violation.key() == "egress#frame"
+    assert violation.text() == (
+        "NF mtu [egress#frame] a packet outside the contract's guard left with its "
+        "bytes changed (packet 4)"
+    )
+    assert violation.to_json()["message"] == (
+        "a packet outside the contract's guard left with its bytes changed"
+    )
+    assert runtime.checks_evaluated == 0
+    production = ContractRuntime(BuildMode.PRODUCTION)
+    assert run_egress(contract, packet, OUTSIDE, production) == []
+
+
+def test_a_violation_without_a_check_index_is_keyed_by_its_kind():
+    order_violation = Violation("nf", "ingress", None, "order", "TcpHdr", None, "expected",
+                                "Srv6RoutingHdr", 3, "order", "order mismatch")
+    check_violation = Violation("nf", "egress", 2, "a", 1, "==", "b", 2, 3)
+    assert order_violation.key() == "ingress#order"
+    assert order_violation.text() == "NF nf [ingress#order] order mismatch (packet 3)"
+    assert check_violation.key() == "egress#2"
+    assert check_violation.text() == "NF nf [egress#2] a=1 == b=2 FAILED (packet 3)"

@@ -91,9 +91,9 @@ OUTPUT_DIGESTS = {
 #: then CLEAN, as the JSON list of their ``to_json()``. Any change to these
 #: means some violation, or a byte of its JSON, moved.
 VIOLATION_DIGESTS = {
-    "mtu": "b6810a44f126a2cb195cef086324dde65e98d8253a1ae0db91a82a8445bcea48",
-    "mtu-no-swap": "a76d854f3b476c989df05538ba3a6a2511db4c93e42cb9f07ff3fccaa447f615",
-    "mtu-no-eth-swap": "bd95532b71f6007893fb9eb166b69982cd52b5c746782878b71e1e7c31a57258",
+    "mtu": "127051b3f7e2c978a120ac3059baaf2853ed45c8f2e7c306a9b7d28478ab6eee",
+    "mtu-no-swap": "732bbe34d1131563b54b1e76daa8f126f8df02e1d6b215d8c41fdb183d9c07ae",
+    "mtu-no-eth-swap": "66e699712c7e97056c45e7bb287512d6d7e9cc0e58dd6651f8609a13603f673f",
     "srv6": "3e645c8a4b62bb558c21cc59d7a599af7487d5f89925a639d8bf2630e16f62a1",
     "srv6-stale-length": "9f4c9717daafbc4de7cc9f5c79cdc1abdec3314cfb380355e098392a24bf0b05",
 }
@@ -180,6 +180,25 @@ def test_mutated_traffic_never_crashes_and_modes_agree(registry, nf_name, option
     assert _out(abort) == [(i, d) for i, d in _out(dev) if i < first]
 
 
+#: Each clean NF with the CLEAN records its contract covers or leaves
+#: outside its guard: all of them for mtu-too-big, the SRv6 ones for
+#: srv6-change-pkt, whose contract has no guard and refuses tcp6 by its
+#: order.
+CLEAN_TRAFFIC = {"mtu": CLEAN, "srv6": CLEAN[40:]}
+
+
+@pytest.mark.parametrize("variant", CLEAN_TRAFFIC)
+def test_clean_nfs_emit_the_production_bytes_under_every_policy(registry, variant):
+    nf_name, options = VARIANTS[variant]
+    nf = make_nf(nf_name, registry, **options)
+    records = CLEAN_TRAFFIC[variant]
+    prod = run_records(nf, records, registry, runtime=ContractRuntime(BuildMode.PRODUCTION))
+    assert any(data != record.data for (_, data), record in zip(_out(prod), records))
+    for policy in POLICIES:
+        dev = run_records(nf, records, registry, policy=policy)
+        assert dev.violations == [] and _out(dev) == _out(prod)
+
+
 def _one_packet_at_a_time(nf, records, policy):
     """What a Development run must give: each record through ``run_ingress``,
     ``nf.apply`` and, on each output whose bytes differ from the record's,
@@ -212,6 +231,21 @@ def _as_one_packet_at_a_time(summary):
             summary.aborted, summary.snapshots_built, summary.checks_evaluated)
 
 
+def _tampering(nf):
+    """``nf`` with each packet it passes through whole enough to carry an
+    IPv6 hop limit leaving with it changed: frame violations outside
+    mtu-too-big's guard."""
+
+    def tamper(packet):
+        result = nf.apply(packet)
+        data = packet.data
+        if result.packet is not packet or len(data) < 22:
+            return result
+        return TransformResult(Packet(data[:21] + bytes([data[21] ^ 0x80]) + data[22:]))
+
+    return replace(nf, transform=tamper)
+
+
 def _refusing(nf, fault):
     """``nf`` with each reply it rewrites cut inside the ICMPv6 header
     (``fault`` "cut") or with an IPv6 next_header that announces TCP
@@ -232,11 +266,14 @@ def _refusing(nf, fault):
 
 
 @pytest.mark.parametrize("policy", POLICIES)
-@pytest.mark.parametrize("variant", [*VARIANTS, "mtu-cut-reply", "mtu-mislinked-reply"])
+@pytest.mark.parametrize("variant", [*VARIANTS, "mtu-cut-reply", "mtu-mislinked-reply",
+                                     "mtu-tampered-pass-through"])
 def test_the_checked_loop_equals_the_one_packet_api(registry, variant, policy):
     if variant in VARIANTS:
         nf_name, options = VARIANTS[variant]
         nf = make_nf(nf_name, registry, **options)
+    elif variant == "mtu-tampered-pass-through":
+        nf = _tampering(make_nf("mtu-too-big", registry))
     else:
         nf = _refusing(make_nf("mtu-too-big", registry), variant.split("-")[1])
     summary = run_records(
@@ -245,7 +282,9 @@ def test_the_checked_loop_equals_the_one_packet_api(registry, variant, policy):
     )
     expected = _one_packet_at_a_time(nf, MUTANTS + CLEAN, policy)
     assert _as_one_packet_at_a_time(summary) == expected
-    if variant not in VARIANTS:  # the API's egress refusal is reached
+    if variant == "mtu-tampered-pass-through":  # the API's frame rule is reached
+        assert any(v["kind"] == "frame" for v in expected[0])
+    elif variant not in VARIANTS:  # the API's egress refusal is reached
         assert any(v["phase"] == "egress" and v["kind"] == "order" for v in expected[0])
 
 

@@ -12,9 +12,11 @@ each generated phase function with ``parse_chain``, ``build_snapshot`` and
 ``eval_check`` of each check, down to each Violation's texts and rendered
 values, refusals included, and what the phase says of its walk, and
 checks that every ingress packet the walk accepts re-encodes to its
-header bytes, so the snapshot holds the packet's ingress bytes. A third
-makes the same comparison for random well-typed contracts over every
-order the registry accepts, up to five headers. All run on flipped,
+header bytes, so the snapshot holds the packet's ingress bytes. The
+reference decides a ``when:`` guard with ``CompiledCheck.test`` once
+``parse_chain`` has walked the last header it reads. A third makes the
+same comparison for random well-typed contracts, guards included, over
+every order the registry accepts, up to five headers. All run on flipped,
 truncated and extended packets.
 """
 
@@ -41,12 +43,16 @@ from pktcheck import (
     generate_records,
     make_nf,
     order,
+    parse_contract_spec,
     standard_registry,
     verify_order,
 )
-from pktcheck.engine import COMPARATORS, Source, _refusal, build_snapshot, eval_check
+from pktcheck.engine import (COMPARATORS, OUTSIDE, Source, _refusal, build_snapshot,
+                             eval_check)
 from pktcheck.headers import HEADER_TYPES
 from pktcheck.registry import parse_chain
+
+from oracles import PRECONDITION_CONTRACT
 
 TCP6 = order("EthHdr", "Ipv6Hdr", ("TcpHdr", "Ipv6Hdr"))
 PTB = order("EthHdr", "Ipv6Hdr", ("Icmpv6PktTooBig", "Ipv6Hdr"))
@@ -322,15 +328,22 @@ def _reference_phase(contract, phase, raw, snapshot):
     of each check say of ``raw``, in the shape of ``_generated_phase``: the
     Violations with their texts and rendered values, then the snapshot at
     ingress and True at egress, or the refusal of ``parse_chain``'s error
-    when the walk refuses the packet. An ingress packet the walk accepts
-    must re-encode to its header bytes, so that the snapshot holds exactly
-    what arrived."""
+    when the walk refuses the packet. At ingress a guard is decided on the
+    headers up to the last one it reads, before the rest are walked: a
+    packet outside it is ``([], OUTSIDE)``. An ingress packet the walk
+    accepts must re-encode to its header bytes, so that the snapshot holds
+    exactly what arrived."""
     packet = Packet.from_bytes(raw)
     ingress = phase == "ingress"
+    walk = contract.ingress.walk if ingress else contract.egress.walk
     try:
-        decoded, ends = parse_chain(
-            packet, contract.ingress.walk if ingress else contract.egress.walk
-        )
+        if ingress and contract.ingress.guard:
+            last = max(max(c.lhs_index, *(j for *_, j in c.reads), 0)
+                       for c in contract.ingress.guard)
+            decoded, _ = parse_chain(packet, walk[:last + 1])
+            if any(c.test(decoded, None) is not None for c in contract.ingress.guard):
+                return [], OUTSIDE
+        decoded, ends = parse_chain(packet, walk)
     except ChainOrderError as exc:
         return _refused(exc, contract.nf_name, phase)
     if ingress:
@@ -381,6 +394,11 @@ OVERSIZE = [
 #: The first of them again with the 3 reserved TCP bits set (byte 66 holds
 #: the data offset and those bits), which the snapshot must keep too.
 OVERSIZE.append(OVERSIZE[0][:66] + bytes([OVERSIZE[0][66] | 0x0E]) + OVERSIZE[0][67:])
+#: An oversized SRv6 packet, inside mtu-too-big's guard, whose TCP step the
+#: ingress walk then refuses.
+OVERSIZE += [record.data for record in generate_records(
+    GeneratorSpec(count=1, template="srv6", payload_len=1300, seed=607)
+)]
 
 
 def _phase_cases():
@@ -512,15 +530,27 @@ def test_generated_phase_agrees_on_every_unmutated_case():
             violation.check_index for violation in generated[0]
         }
         assert generated == _reference_phase(contract, phase, base, snapshot)
-    failing = set()
-    for contract, phase, base, snapshot in PHASE_CASES:
+    # no catalog ingress check fails on a packet its walk accepts (the SRv6
+    # layout refuses what srv6-change-pkt's two test), so mtu-too-big's
+    # guard stated as an ingress check brings the failing ones
+    precondition = elaborate(parse_contract_spec(PRECONDITION_CONTRACT, nf_name="mtu-too-big"),
+                             standard_registry())
+    assert not precondition.ingress.guard
+    failing, outcomes = set(), set()
+    for contract, phase, base, snapshot in PHASE_CASES + [
+        (precondition, "ingress", base, None) for base in BASES
+    ]:
         generated = _generated_phase(contract, phase, base, snapshot)
         assert generated == _reference_phase(contract, phase, base, snapshot)
-        failed, _ = generated
+        failed, walked = generated
         if failed and failed[0].kind == "check":  # not a refusal
             failing.add(phase)
-    # the cases reach failing checks in both phases, not only passing ones
+        if contract.ingress.guard and phase == "ingress":
+            outcomes.add("outside" if walked is OUTSIDE else type(walked).__name__)
+    # the cases reach failing checks in both phases, not only passing ones,
+    # and packets on both sides of mtu-too-big's guard and refused inside it
     assert failing == {"ingress", "egress"}
+    assert outcomes == {"outside", "tuple", "NoneType"}
 
 
 # --- random contracts against the reference -----------------------------------------
@@ -589,8 +619,9 @@ def _random_check(draw, current, operands, constants):
 
 @st.composite
 def _random_contracts(draw):
-    """An elaborated contract over two accepted orders: ingress checks read
-    the packet in hand, egress checks that packet and the ingress snapshot."""
+    """An elaborated contract over two accepted orders: ingress checks and
+    the ingress guard, when drawn, read the packet in hand, egress checks
+    that packet and the ingress snapshot."""
     ingress = draw(st.sampled_from(ACCEPTED_ORDERS))
     egress = draw(st.sampled_from(ACCEPTED_ORDERS))
     constants = draw(st.dictionaries(st.sampled_from(("A", "B")), LITERALS, max_size=2))
@@ -604,6 +635,10 @@ def _random_contracts(draw):
         checks = [_random_check(draw, current, operands, constants)
                   for _ in range(draw(st.integers(1, 4)))]
         phases.append(PhaseSpec(order_spec, tuple(checks)))
+    if draw(st.booleans()):
+        when = [_random_check(draw, ingress_reads, ingress_reads, constants)
+                for _ in range(draw(st.integers(1, 3)))]
+        phases[0] = PhaseSpec(ingress, phases[0].checks, when=tuple(when))
     return elaborate(ContractSpec("random", constants, (), *phases), standard_registry())
 
 
@@ -632,12 +667,13 @@ def _packet_along(rng, spec):
        data=st.data())
 def test_generated_phases_of_random_contracts_agree_with_the_reference(
         contract, seed, kinds, data):
-    # the snapshot comes from the ingress packet as built; each phase then
-    # sees it as built or mutated
+    # the snapshot comes from the ingress packet as built, whichever side of
+    # the guard it falls on; each phase then sees it as built or mutated,
+    # and ingress answers with its checks' outcome, a refusal or OUTSIDE
     rng = random.Random(seed)
     bases = [_packet_along(rng, contract.ingress.order),
              _packet_along(rng, contract.egress.order)]
-    _, snapshot = _reference_phase(contract, "ingress", bases[0], None)
+    snapshot = build_snapshot(parse_chain(Packet.from_bytes(bases[0]), contract.ingress.walk)[0])
     for phase, base, kind in zip(("ingress", "egress"), bases, kinds):
         raw = base if kind == "none" else _mutated(base, kind, data, len(base))
         assert _generated_phase(contract, phase, raw, snapshot) == _reference_phase(

@@ -31,12 +31,12 @@ from pktcheck import (
     run_records,
     write_pcap,
 )
-from pktcheck.engine import POLICIES
+from pktcheck.engine import FRAME_REASON, POLICIES
 from pktcheck.nfs import MTU_TOO_BIG_CONTRACT
 from pktcheck.pcap import iter_pcap
 from pktcheck.registry import parse_chain
 
-from oracles import build_tcp6_bytes
+from oracles import PRECONDITION_CONTRACT, build_tcp6_bytes
 
 
 def _mixed_records(n_big=4, n_small=3):
@@ -49,6 +49,15 @@ def _mixed_records(n_big=4, n_small=3):
         for i in range(n_small)
     ]
     return records
+
+
+def _oversize_srv6(n):
+    """``n`` SRv6 packets above mtu-too-big's 1280-byte guard, timestamped
+    as ``_mixed_records`` stamps its small ones: the guard holds, and then
+    the ingress walk refuses their routing header where it expects TCP."""
+    records = generate_records(GeneratorSpec(count=n, template="srv6", payload_len=1300,
+                                             seed=5))
+    return [PcapRecord(record.data, ts_usec=100 + i) for i, record in enumerate(records)]
 
 
 def _untimed(summary):
@@ -96,16 +105,21 @@ def test_a_run_that_raises_mid_stream_keeps_the_counts_it_made(tmp_path, registr
 
 
 def test_small_packets_violate_the_ingress_precondition(registry):
-    # the NF's ingress phase asserts payload_len > 1280: packets below the
-    # threshold are flagged at ingress (the fault lies upstream, not in the
-    # transform, which passes them through unmodified)
+    # stated as an ingress check, payload_len > 1280 is a precondition:
+    # packets below the threshold are flagged at ingress, though the
+    # transform passes them through unmodified; stated as mtu-too-big's
+    # when: guard, it leaves them outside the contract and flags none
     nf = make_nf("mtu-too-big", registry)
-    summary = run_records(nf, _mixed_records(n_big=4, n_small=3), registry)
+    precondition = replace(nf, contract=elaborate(
+        parse_contract_spec(PRECONDITION_CONTRACT, nf_name="mtu-too-big"), registry))
+    summary = run_records(precondition, _mixed_records(n_big=4, n_small=3), registry)
     assert summary.packets_out == 7  # continue policy still emits them
     assert len(summary.violations) == 3
     assert summary.violations_by_check == {"ingress#0": 3}
     assert all(v.phase == "ingress" for v in summary.violations)
     assert {v.packet_index for v in summary.violations} == {4, 5, 6}
+    guarded = run_records(nf, _mixed_records(n_big=4, n_small=3), registry)
+    assert guarded.violations == [] and guarded.packets_out == 7
 
 
 def test_conservation_under_policies(registry):
@@ -128,9 +142,11 @@ def test_policy_continue_emits_everything(registry):
 
 def test_policy_drop_withholds_violators(registry):
     # drop applies to any violating packet, whichever phase flagged it:
-    # undersized inputs break the ingress precondition and are withheld
+    # oversized SRv6 inputs break the ingress order inside the guard and
+    # are withheld
     good = make_nf("mtu-too-big", registry)
-    summary = run_records(good, _mixed_records(), registry, policy="drop")
+    records = _mixed_records(n_small=0) + _oversize_srv6(3)
+    summary = run_records(good, records, registry, policy="drop")
     assert summary.packets_dropped == 3
     assert summary.packets_out == 4
     assert not summary.aborted
@@ -269,28 +285,83 @@ def test_a_tampered_pass_through_is_checked_at_egress(registry, in_place):
     # the loop, not the NF, decides which outputs egress checks: a wrapper
     # that changes the IPv6 hop limit of each packet mtu-too-big passes
     # through, in a new Packet or in the one it was given, reports no
-    # rewrite, and each tampered packet still gets its egress order
-    # violation after its ingress one
+    # rewrite, and each tampered packet, outside the guard, still breaks
+    # the frame condition
     clean = make_nf("mtu-too-big", registry)
     records = generate_records(GeneratorSpec(count=50, payload_len=(60, 1280), seed=3))
     reference = run_records(clean, records, registry)
     summary = run_records(_tampering(clean, in_place), records, registry)
 
-    reason = ("order mismatch at index 2: Ipv6Hdr next_header=0x6 does not "
-              "announce Icmpv6PktTooBig (protocol 0x3a)")
-    assert [(v.packet_index, v.phase, v.check_index) for v in reference.violations] == [
-        (index, "ingress", 0) for index in range(50)
+    assert reference.violations == []
+    assert [(v.packet_index, v.phase, v.kind) for v in summary.violations] == [
+        (index, "egress", "frame") for index in range(50)
     ]
-    assert [(v.packet_index, v.phase, v.check_index) for v in summary.violations] == [
-        (index, phase, check) for index in range(50)
-        for phase, check in (("ingress", 0), ("egress", None))
-    ]
-    assert summary.violations[::2] == reference.violations
-    assert {v.message for v in summary.violations[1::2]} == {reason}
-    assert summary.violations_by_check == {"ingress#0": 50, "egress#order": 50}
+    assert {v.message for v in summary.violations} == {FRAME_REASON}
+    assert summary.violations_by_check == {"egress#frame": 50}
+    assert summary.checks_evaluated == 50 and summary.snapshots_built == 0
     assert summary.packets_out == 50
     assert all(out.data != record.data
                for out, record in zip(summary.out_records, records))
+
+
+#: Traffic that mtu-too-big passes through untouched: tcp6 mostly below its
+#: 1280-byte guard, and SRv6 below it, each with every violation policy.
+DROP_PROBES = {
+    "tcp6": (GeneratorSpec(count=200, template="tcp6", payload_len=(60, 1500), seed=3), 26),
+    "srv6": (GeneratorSpec(count=100, template="srv6", payload_len=(24, 400), seed=3), 0),
+}
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("probe", DROP_PROBES)
+def test_development_emits_what_production_emits_on_clean_traffic(registry, probe, policy):
+    # only the packets the guard holds for are checked: the correct NF's
+    # passes and replies alike leave Development as they leave Production,
+    # with no violation, whatever the policy
+    spec, rewritten = DROP_PROBES[probe]
+    records = generate_records(spec)
+    nf = make_nf("mtu-too-big", registry)
+    prod = run_records(nf, records, registry, runtime=ContractRuntime(BuildMode.PRODUCTION))
+    dev = run_records(nf, records, registry, policy=policy)
+    assert dev.violations == [] and not dev.aborted
+    assert [(r.ts_usec, r.data) for r in dev.out_records] == [
+        (r.ts_usec, r.data) for r in prod.out_records
+    ]
+    assert dev.packets_out == len(records)
+    assert sum(out is not record for out, record in zip(dev.out_records, records)) == rewritten
+    # each packet counts its guard check, and each reply its 6 egress checks
+    assert dev.snapshots_built == rewritten
+    assert dev.checks_evaluated == len(records) + 6 * rewritten
+
+
+@pytest.mark.parametrize("payload_len, inside", [(1280, False), (1281, True)])
+def test_a_run_decides_the_guard_at_its_boundary(registry, payload_len, inside):
+    nf = make_nf("mtu-too-big", registry)
+    summary = run_records(nf, [PcapRecord(build_tcp6_bytes(payload_len=payload_len))],
+                          registry)
+    assert summary.violations == []
+    assert (summary.checks_evaluated, summary.snapshots_built) == (
+        (7, 1) if inside else (1, 0)
+    )
+    assert (summary.timings["egress_contract_ns"] > 0) == inside
+
+
+def test_a_transform_drop_outside_the_guard_is_no_violation(registry):
+    # the frame condition holds an output to its input's bytes; a packet the
+    # transform drops, with its reason, has no output to hold
+    clean = make_nf("mtu-too-big", registry)
+
+    def dropping(packet):
+        result = clean.apply(packet)
+        return TransformResult(None, "shed") if result.packet is packet else result
+
+    records = _mixed_records(n_big=2, n_small=3)
+    for policy in POLICIES:
+        summary = run_records(replace(clean, transform=dropping), records, registry,
+                              policy=policy)
+        assert summary.violations == []
+        assert summary.drops == [(index, "shed") for index in (2, 3, 4)]
+        assert summary.packets_out == 2
 
 
 @pytest.mark.parametrize("mode", [BuildMode.DEVELOPMENT, BuildMode.PRODUCTION])
@@ -301,7 +372,7 @@ def test_a_pass_through_is_emitted_as_its_input_record(registry, mode):
     nf = make_nf("mtu-too-big", registry)
     summary = run_records(nf, records, registry, runtime=ContractRuntime(mode))
     assert summary.packets_out == 6
-    assert len(summary.violations) == (6 if mode is BuildMode.DEVELOPMENT else 0)
+    assert len(summary.violations) == 0
     assert all(out is record for out, record in zip(summary.out_records, records))
 
 
@@ -472,10 +543,10 @@ def test_run_pipeline_round_trip(tmp_path, registry):
 @pytest.mark.parametrize("policy", ["continue", "drop", "abort"])
 @pytest.mark.parametrize("mode", [BuildMode.DEVELOPMENT, BuildMode.PRODUCTION])
 def test_streamed_output_matches_a_list_sink(tmp_path, registry, mode, policy):
-    # mtu-too-big's precondition fails on the 3 small packets after the 4
-    # big ones, so the first violator in dev is packet 4
+    # mtu-too-big's ingress walk refuses the 3 oversized SRv6 packets after
+    # the 4 big tcp6 ones, so the first violator in dev is packet 4
     in_path, out_path = tmp_path / "in.pcap", tmp_path / "out.pcap"
-    write_pcap(in_path, _mixed_records())
+    write_pcap(in_path, _mixed_records(n_small=0) + _oversize_srv6(3))
     streamed = run_pipeline(
         RunConfig(nf_name="mtu-too-big", input_path=str(in_path),
                   output_path=str(out_path), mode=mode, policy=policy),
@@ -780,11 +851,13 @@ def test_summary_derives_out_and_per_check_counts(registry, mode, policy):
 
 
 def test_violations_by_check_keeps_first_seen_order(registry):
-    # the small packet fails ingress#0 after the big ones failed egress
+    # the oversized SRv6 packet fails its ingress order after the big ones
+    # failed egress
     nf = make_nf("mtu-too-big", registry, omit_eth_swap=True)
-    summary = run_records(nf, _mixed_records(n_big=2, n_small=1), registry)
+    summary = run_records(nf, _mixed_records(n_big=2, n_small=0) + _oversize_srv6(1),
+                          registry)
     assert list(summary.violations_by_check.items()) == [
-        ("egress#4", 2), ("egress#5", 2), ("ingress#0", 1),
+        ("egress#4", 2), ("egress#5", 2), ("ingress#order", 1),
     ]
 
 
