@@ -42,11 +42,12 @@ without ``when:`` covers every packet.
 over each phase: every field reference is resolved against the registry
 and the header orders, constants are inlined and folded with the literals
 into one number, and each check is compiled into a ``CompiledCheck`` that
-records its reads (header index, attribute name, snapshot flag); then both
-orders are verified, each compiled into the walk that parses packets along
-it, and the static assertions are evaluated (in every build mode). All of
-this happens once, before any packet flows. Each phase of the result is
-one ``Phase``: the parsed phase plus its name, walk and compiled checks.
+records its reads (header index, attribute name, snapshot flag, codec);
+then both orders are verified, each compiled into the walk that parses
+packets along it, and the static assertions are evaluated (in every build
+mode). All of this happens once, before any packet flows. Each phase of
+the result is one ``Phase``: the parsed phase plus its name, walk and
+compiled checks.
 
 On a phase's first Development use, ``Phase.run`` is generated as one
 Python function from source text; this is the one full description of
@@ -60,19 +61,24 @@ function. It follows the phase's walk at running offsets with the linkage
 cross-checks inline: per step ``_walk_steps`` splices in the lines that
 the codec's ``READ`` writes (``headers.FieldRead.step``, which the
 codec's generated ``parse`` runs too), one ``unpack_from`` plus the
-layout's tests. ``reader`` writes a network function's input read from
-the same steps. A packet the walk refuses returns, in place of raising,
-its one order ``Violation``: ``engine._refusal`` of the
-``ChainOrderError`` that ``registry.walk_error`` builds, the one that
-``registry.parse_chain`` raises for it, with None for the snapshot at
-ingress and False at egress. The ingress function builds each header
-from the fields read, as ``parse`` does, and the snapshot is the tuple of
-those headers; the codecs are lossless (``emit(parse(b))`` is ``b``'s
-span, which the tests pin), so it holds exactly the packet's ingress
-bytes. The egress function builds none, keeps only the fields its checks
-and linkage cross-checks name, and returns True as ``walked`` once its
-walk accepts the packet. Every check is then one inline comparison, and
-each failing one appends its ``Violation``, the phase name, check index,
+layout's tests. A run of two or more fixed parts (``headers.runs``, which
+ends one at a span, at the guard's step and at the walk's end) is read
+first by one bounds test, one ``unpack_from`` and one condition, and runs
+its steps' lines only to refuse a packet. ``reader`` writes a network
+function's input read from the same steps. A packet the walk refuses
+returns, in place of raising, its one order ``Violation``:
+``engine._refusal`` of the ``ChainOrderError`` that
+``registry.walk_error`` builds, the one that ``registry.parse_chain``
+raises for it, with None for the snapshot at ingress and False at
+egress. The ingress function builds each header from the fields read, as
+``parse`` does, and the snapshot is the tuple of those headers; the
+codecs are lossless (``emit(parse(b))`` is ``b``'s span, which the tests
+pin), so it holds exactly the packet's ingress bytes. The egress
+function builds none, keeps only the fields its checks and linkage
+cross-checks name, reads a snapshot header's computed field by its
+definition, and returns True as ``walked`` once its walk accepts the
+packet. Every check is then one inline comparison, and each failing one
+appends its ``Violation``, the phase name, check index,
 texts and comparator written into the source; only a byte check renders
 its values (an address becomes text), and a message is formatted only
 when read. NFs built from one contract text against one registry share
@@ -83,7 +89,7 @@ Production never generates them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
@@ -204,7 +210,7 @@ class Phase(PhaseSpec):
         its checks read; None without a guard."""
         if not self.guard:
             return None
-        return max(max((c.lhs_index, *(j for *_, j in c.reads))) for c in self.guard)
+        return max(max((c.lhs_index, *(j for _, _, _, j, _ in c.reads))) for c in self.guard)
 
     @cached_property
     def run(self) -> Callable:
@@ -447,11 +453,11 @@ def _resolve(
     phase_name: str,
     current: OrderSpec,
     ingress: OrderSpec | None,
-) -> tuple[str, int]:
+) -> tuple[str, int, type]:
     """Check one field reference of ``check``, which errors name as
     ``what`` (an "ingress check", say), against the registry and the order
-    it reads (``current`` or ``ingress``); return the kind of its attribute
-    and the index of its header in that order."""
+    it reads (``current`` or ``ingress``); return the kind of its attribute,
+    the index of its header in that order and the header's codec."""
     snapshot = ref.source is Source.INGRESS_SNAPSHOT
     if snapshot and phase_name == "ingress":
         raise ElaborationError(
@@ -463,11 +469,7 @@ def _resolve(
             f"{ref.occurrence!r} is not an integer"
         )
     try:
-        if not registry.known(ref.header_type):
-            raise ElaborationError(
-                f"{what} references unknown header type "
-                f"{ref.header_type!r}"
-            )
+        codec = registry.get(ref.header_type)
         kind = registry.accessor(ref.header_type, ref.accessor)
         if ref.param is not None and not registry.known(ref.param):
             raise ElaborationError(
@@ -475,6 +477,10 @@ def _resolve(
                 f"{ref.param!r}"
             )
     except RegistryError as exc:
+        if not registry.known(ref.header_type):
+            raise ElaborationError(
+                f"{what} references unknown header type {ref.header_type!r}"
+            ) from None
         raise ElaborationError(str(exc)) from None
     except TypeError:  # the registry looks each name up by hash, in this order
         name = next(n for n in (ref.header_type, ref.accessor, ref.param) if type(n) is not str)
@@ -499,7 +505,7 @@ def _resolve(
             f"{what} references {ref.describe()}, but the {where} "
             f"order holds {elements[i]}"
         )
-    return kind, i
+    return kind, i, codec
 
 
 def _compile_phase(
@@ -564,7 +570,7 @@ def _compile_checks(
                 f"{what} {check.describe()}: the right-hand side "
                 "has no terms"
             )
-        lhs_kind, i = _resolve(check.lhs, check, registry, what, phase_name, current, ingress)
+        lhs_kind, i, _ = _resolve(check.lhs, check, registry, what, phase_name, current, ingress)
         terms, term_kinds, reads, const = [], [], [], 0
         for sign, term in check.rhs.terms:
             if type(sign) is not int or sign not in (1, -1):
@@ -573,10 +579,11 @@ def _compile_checks(
                     "is not +1 or -1"
                 )
             if isinstance(term, FieldRef):
-                kind, j = _resolve(term, check, registry, what, phase_name, current, ingress)
+                kind, j, codec = _resolve(term, check, registry, what, phase_name, current,
+                                          ingress)
                 term_kinds.append(kind)
                 from_snapshot = term.source is Source.INGRESS_SNAPSHOT
-                reads.append((sign, from_snapshot, term.accessor, j))
+                reads.append((sign, from_snapshot, term.accessor, j, codec))
                 term = term.describe()
             else:
                 if isinstance(term, str):
@@ -692,10 +699,10 @@ _PY_OPS = {op: "!=" if op == "neq" else op for op in COMPARATORS}
 
 def _rhs_source(compiled: CompiledCheck, read) -> str:
     """The right-hand operand of ``compiled`` as one expression; ``read``
-    spells a ``(from_snapshot, name, index)`` field read."""
+    spells a ``(from_snapshot, name, index, codec)`` field read."""
     terms = [
-        (sign, read(from_snapshot, name, j))
-        for sign, from_snapshot, name, j in compiled.reads
+        (sign, read(from_snapshot, name, j, codec))
+        for sign, from_snapshot, name, j, codec in compiled.reads
     ]
     if compiled.const or not terms:
         terms.append((1, compiled.const))
@@ -703,45 +710,69 @@ def _rhs_source(compiled: CompiledCheck, read) -> str:
 
 
 def _walk_steps(walk: tuple[OrderStep, ...], used: set, refuse: Callable[[int], str],
-                namespace: dict, first: int = 0):
-    """Yield, for each step of ``walk`` from ``first``, the source lines that
-    read it at its running offset and the names its layout is spelled with.
+                namespace: dict, first: int = 0, decided: int | None = None):
+    """Yield, for each run of ``walk`` from ``first``, the range of its
+    steps, the source lines that read them and the names each step's layout
+    is spelled with. ``headers.runs`` plans the runs as it plans the
+    writers' packs: a run ends at a span, at step ``decided`` and at the
+    walk's end.
 
-    A step's lines are the linkage cross-check against its predecessor, the
-    lines its codec's ``READ`` writes (``headers.FieldRead.step``), its end
-    offset ``ek`` (but for the last step) and a local ``hk_a`` for each
-    sub-field ``a`` that ``used`` names as ``(k, a)`` or the next step's
-    linkage cross-check reads. Field ``f`` of header ``k`` is the local
-    ``hk_f``, and the names spell each other sub-field over its word.
-    ``refuse(k)`` is the statement that refuses the packet at step ``k``,
-    with ``{}`` where the linkage value or ``reason=`` and the refusal's
-    text go. Each step's ``unpack_from`` goes into ``namespace`` as
-    ``unpackk``. When ``first`` is not 0, the caller binds the offset and
-    the linkage field that its step reads from header ``first - 1``.
+    A step's lines are the linkage cross-check against its predecessor and
+    the lines its codec's ``READ`` writes (``headers.FieldRead.step``). A
+    run of two or more steps takes its fast path first: one bounds test,
+    one ``unpack_from`` of the run's ``Struct`` (``unpacka_b`` for steps
+    ``a`` to ``b``) into the same locals and one condition, the conjunction
+    of the steps' cross-checks and tests. Only a packet that fails it runs
+    the steps' lines, which refuse it with their texts. After the run come
+    its end offset ``ek`` (but at the walk's end) and a local ``hk_a`` for
+    each sub-field ``a`` of its step ``k`` that ``used`` names as ``(k, a)``
+    or the next step's cross-check reads. Field ``f`` of header ``k`` is
+    the local ``hk_f``, and the names spell each other sub-field over its
+    word. ``refuse(k)`` is the statement that refuses the packet at step
+    ``k``, with ``{}`` where the linkage value or ``reason=`` and the
+    refusal's text go. Each step's ``unpack_from`` goes into ``namespace``
+    as ``unpackk``. When ``first`` is not 0, the caller binds the offset
+    and the linkage field that its step reads from header ``first - 1``.
     """
-    for k in range(first, len(walk)):
-        step = walk[k]
-        rule = step.codec.READ
-        unpack = f"unpack{k}"
-        namespace[unpack] = rule.unpack.unpack_from
-        at = f"e{k - 1}" if k else "0"
-        names = {field: f"h{k}_{field}" for field in rule.fields}
-        names.update(at=at, length="n", buf="data", unpack=unpack)
-        reads = rule.reads()
-        names.update({a: f"({rule.spell(e, names)})" for a, e in reads.items()})
-        names["size"] = f"({rule.spell(rule.size, names)})"
-        lines = []
-        if step.linkage is not None:
-            link = f"h{k - 1}_{step.linkage}"
-            lines += [f"if {link} != {step.proto!r}:", f"    {refuse(k).format(link)}"]
-        lines += rule.step(names, refuse(k).format("reason=f{!r}"))
-        if k < len(walk) - 1:
-            lines.append(f"e{k} = {at} + {names['size']}")
-        linkage = walk[k + 1].linkage if k + 1 < len(walk) else None
-        kept = [a for a in reads if (k, a) in used or a == linkage]
-        lines += [f"h{k}_{a} = {names[a]}" for a in kept]
-        names.update({a: f"h{k}_{a}" for a in kept})
-        yield lines, names
+    layouts = [step.codec.READ for step in walk]
+    spelled = {}  # each step's names
+    for run, joined in headers.runs(layouts, first, (decided,)):
+        base, offset, last = f"e{run.start - 1}" if run.start else "0", 0, run[-1]
+        lines, unpacked, condition = [], [], []
+        for k in run:
+            step, rule = walk[k], layouts[k]
+            namespace[f"unpack{k}"] = rule.unpack.unpack_from
+            names = {field: f"h{k}_{field}" for field in rule.fields}
+            unpacked += names.values()
+            at = f"({base} + {offset})" if offset else base
+            names.update(at=at, length="n", buf="data", unpack=f"unpack{k}")
+            names.update({a: f"({rule.spell(e, names)})" for a, e in rule.reads().items()})
+            names["size"] = f"({rule.spell(rule.size, names)})"
+            if step.linkage is not None:
+                link = spelled[k - 1][step.linkage] if k > first else f"h{k - 1}_{step.linkage}"
+                lines += [f"if {link} != {step.proto!r}:", f"    {refuse(k).format(link)}"]
+                condition.append(f"{link} == {step.proto!r}")
+            lines += rule.step(names, refuse(k).format("reason=f{!r}"))
+            condition += [f"({rule.spell(test, names)})" for test, _ in rule.tests]
+            spelled[k] = names
+            offset += rule.unpack.size
+        if len(run) > 1:
+            namespace[f"unpack{run.start}_{last}"] = joined.unpack_from
+            lines = [f"if {base} + {joined.size} <= n:",
+                     f"    {', '.join(unpacked)} = unpack{run.start}_{last}(data, {base})",
+                     f"    fast = {' and '.join(condition) or 'True'}",
+                     "else:",
+                     "    fast = False",
+                     "if not fast:",
+                     *(f"    {line}" for line in lines)]
+        if last < len(walk) - 1:
+            lines.append(f"e{last} = {spelled[last]['at']} + {spelled[last]['size']}")
+        for k in run:
+            linkage = walk[k + 1].linkage if k + 1 < len(walk) else None
+            kept = [a for a in layouts[k].reads() if (k, a) in used or a == linkage]
+            lines += [f"h{k}_{a} = {spelled[k][a]}" for a in kept]
+            spelled[k].update({a: f"h{k}_{a}" for a in kept})
+        yield run, lines, [spelled[k] for k in run]
 
 
 @lru_cache(maxsize=64)
@@ -752,12 +783,14 @@ def _generate(phase: Phase) -> Callable:
     function: a phase's equality covers the name, walk and compiled checks
     it runs.
 
-    The walk's lines are ``_walk_steps``'s; header ``k`` is also built as
-    ``hk`` at ingress, and snapshot header ``j`` is ``sj = snap[j]`` at
-    egress; of the sub-fields, only those that a check, the guard or the
-    next step's linkage cross-check reads get a local. A guard is one test
-    after the step that decides it, and the headers up to that step are
-    built after the test; without a guard each is built after its step.
+    The walk's lines are ``_walk_steps``'s, whose runs end at the step
+    that decides the guard; the guard is one test after that run. At
+    ingress, header ``k`` is then built as ``hk`` once the walk has
+    accepted the packet. At egress, snapshot header ``j`` is
+    ``sj = snap[j]``, and a computed field of it is read by its
+    definition (``headers.FieldRead.attributes``), as its property does. Of
+    the sub-fields, only those that a check, the guard or the next step's
+    linkage cross-check reads get a local.
     """
     name, walk, checks, guard = phase.name, phase.walk, phase.compiled, phase.guard
     ingress = name == "ingress"
@@ -766,34 +799,36 @@ def _generate(phase: Phase) -> Callable:
                  "Violation": Violation, "render_value": render_value, "OUTSIDE": OUTSIDE}
     used = {(c.lhs_index, c.lhs) for c in checks + guard}
     used |= {(j, attribute) for c in checks + guard
-             for _, from_snapshot, attribute, j in c.reads if not from_snapshot}
+             for _, from_snapshot, attribute, j, _ in c.reads if not from_snapshot}
     lines = [f"def {name}(data, {'' if ingress else 'snap, '}nf, index):",
              "    n = len(data)"]
 
     def refuse(k):
         return f"return [_refusal(walk_error(walk, {k}, {{}}), nf, {name!r}, index)], {refused}"
 
-    def read(from_snapshot, attribute, j):
-        return f"s{j}.{attribute}" if from_snapshot else f"h{j}_{attribute}"
+    def read(from_snapshot, attribute, j, codec=None):
+        if not from_snapshot:
+            return f"h{j}_{attribute}"
+        return codec.READ.attributes({f.name: f"s{j}.{f.name}" for f in fields(codec)})[attribute]
 
-    decided, built = phase.decided_at, []
-    for k, (step_lines, names) in enumerate(_walk_steps(walk, used, refuse, namespace)):
+    steps = []
+    for run, step_lines, names in _walk_steps(walk, used, refuse, namespace,
+                                              decided=phase.decided_at):
         lines += [f"    {line}" for line in step_lines]
-        if ingress:
+        steps += names
+        if run[-1] == phase.decided_at:
+            inside = " and ".join(
+                f"{read(False, c.lhs, c.lhs_index)} {_PY_OPS[c.op]} {_rhs_source(c, read)}"
+                for c in guard
+            )
+            lines += [f"    if not ({inside}):", "        return [], OUTSIDE"]
+    if ingress:
+        for k, names in enumerate(steps):
             codec = walk[k].codec
             namespace[codec.__name__] = codec
-            built.append(f"    h{k} = {codec.__name__}({codec.READ.arguments(codec, names)})")
-            if k == decided:
-                inside = " and ".join(
-                    f"{read(False, c.lhs, c.lhs_index)} {_PY_OPS[c.op]} {_rhs_source(c, read)}"
-                    for c in guard
-                )
-                lines += [f"    if not ({inside}):", "        return [], OUTSIDE"]
-            if decided is None or k >= decided:
-                lines += built
-                built.clear()
+            lines.append(f"    h{k} = {codec.__name__}({codec.READ.arguments(codec, names)})")
     lines.append("    failed = []")
-    snapshot = {j for c in checks for _, from_snapshot, _, j in c.reads if from_snapshot}
+    snapshot = {j for c in checks for _, from_snapshot, _, j, _ in c.reads if from_snapshot}
     lines += [f"    s{j} = snap[{j}]" for j in sorted(snapshot)]
 
     for c in checks:
@@ -816,17 +851,17 @@ def reader(walk: tuple[OrderStep, ...], reads: tuple[tuple[int, str], ...],
     """Generate and compile the function that reads ``reads`` along ``walk``.
 
     It runs the walk's steps from ``first`` (``_walk_steps``, the lines a
-    contract phase runs) and returns None at the first refusal, or the
-    tuple of the values of ``reads``, each ``(k, attribute)`` of header
-    ``k`` (the span's bytes for a span), and the offset where the walk
-    ends. Its arguments are the packet's bytes and, when ``first`` is not
-    0, the end offset of header ``first - 1`` and, if step ``first``
-    cross-checks it, that header's linkage field. It builds no header and
-    raises nothing on any bytes.
+    contract phase runs, each run of fixed parts on its fast path first)
+    and returns None at the first refusal, or the tuple of the values of
+    ``reads``, each ``(k, attribute)`` of header ``k`` (the span's bytes
+    for a span), and the offset where the walk ends. Its arguments are the
+    packet's bytes and, when ``first`` is not 0, the end offset of header
+    ``first - 1`` and, if step ``first`` cross-checks it, that header's
+    linkage field. It builds no header and raises nothing on any bytes.
     """
     namespace = dict(vars(headers))
     steps = list(_walk_steps(walk, set(reads), lambda k: "return None", namespace, first))
-    names = [step_names for _, step_names in steps]
+    names = [step_names for _, _, run_names in steps for step_names in run_names]
     values = [walk[k].codec.READ.value(a, names[k - first]) for k, a in reads]
     values.append(f"{names[-1]['at']} + {names[-1]['size']}")
     arguments = ["data"]
@@ -835,7 +870,7 @@ def reader(walk: tuple[OrderStep, ...], reads: tuple[tuple[int, str], ...],
         if walk[first].linkage is not None:
             arguments.append(f"h{first - 1}_{walk[first].linkage}")
     lines = [f"def read({', '.join(arguments)}):", "    n = len(data)"]
-    lines += [f"    {line}" for step_lines, _ in steps for line in step_lines]
+    lines += [f"    {line}" for _, run_lines, _ in steps for line in run_lines]
     lines.append(f"    return ({', '.join(values)},)")
     exec(compile("\n".join(lines) + "\n", "<walk reader>", "exec"), namespace)
     return namespace["read"]

@@ -270,12 +270,13 @@ class CompiledCheck:
     The left-hand side reads the attribute named ``lhs`` of the header at
     ``lhs_index`` of the headers decoded along the phase order, and ``op``
     compares it with the right-hand side. ``reads`` holds the right-hand
-    field reads as ``(sign, from_snapshot, name, index)``, by index in the
-    phase order or in the ingress snapshot, and ``const`` is the sum of the
-    operand's literals and constants. When ``is_bytes``, both sides are
-    byte sequences and the right-hand side is its one read. ``lhs_text``
-    and ``rhs_text`` are the operands' ``describe()`` texts, constants
-    inlined, fixed here so that a failing check only assembles its message.
+    field reads as ``(sign, from_snapshot, name, index, codec)``, by index
+    in the phase order or in the ingress snapshot, with that header's codec,
+    and ``const`` is the sum of the operand's literals and constants. When
+    ``is_bytes``, both sides are byte sequences and the right-hand side is
+    its one read. ``lhs_text`` and ``rhs_text`` are the operands'
+    ``describe()`` texts, constants inlined, fixed here so that a failing
+    check only assembles its message.
     The generated phase functions read the same attributes inline.
     It hashes by value, since generated phases are cached on their checks,
     but is not frozen: a frozen dataclass takes several times as long to build.
@@ -287,7 +288,7 @@ class CompiledCheck:
     rhs_text: str
     lhs: str
     lhs_index: int
-    reads: tuple[tuple[int, bool, str, int], ...]
+    reads: tuple[tuple[int, bool, str, int, type], ...]
     const: int
     is_bytes: bool
 
@@ -298,7 +299,7 @@ class CompiledCheck:
         lhs = getattr(current[self.lhs_index], self.lhs)
         values = [
             (sign, getattr((snapshot if from_snapshot else current)[j], name))
-            for sign, from_snapshot, name, j in self.reads
+            for sign, from_snapshot, name, j, _ in self.reads
         ]
         if self.is_bytes:
             rhs = values[0][1]

@@ -5,32 +5,34 @@ ICMPv6 Packet Too Big (type 2, code 0), and the SRv6 Routing extension
 header (routing type 4). All multi-byte integers are big-endian on the
 wire and are decoded to host ints.
 
-Each codec states its wire layout once, as its ``READ`` (a ``FieldRead``),
-and five things come from it: the codec's ``parse`` and ``emit``, which
-``_codec`` generates at import; the field reads that a generated contract
-phase, and each network function's generated reader, splice in to read a
-header's fields straight from the bytes (``contracts``); the writers that
-the network functions emit their output chains through, which splice in
-each ``emit``'s fast path (``writer``); the kind of each attribute a
-contract may read (``FieldRead.kinds``); and the header's place in a
-chain, which the registry reads straight from the layout
-(``registry``). Each generated
-function runs what a hand-written one would. ``parse`` checks the length,
-makes one ``unpack_from`` of a ``struct.Struct`` compiled at import (whose
-``s`` fields yield MAC and IPv6 addresses as ``bytes``), runs each test in
-order and builds the header from positional arguments. Its span, the
-variable-length part (TCP options, the invoking packet, the SRv6 segment
-list), is the bytes from the fixed part's end to its size. ``emit``
-refuses what ``parse`` would refuse in the header's own bytes: it tests
-in one condition what its ``Struct`` cannot refuse, then packs with that
-``Struct``, which range-checks every other value, and appends the span.
-When the condition fails or the pack refuses a value, ``emit`` raises
-the ``EmitError`` of the first check that fails in order: each ``s``
-field's width, each held value's range in layout order, the layout's
-tests with their ``ParseError`` texts, the size against the span, and
-each computed value's range. A failed condition always fails one of
-them, so when none fails a value in range is not an integer, or the
-span not bytes, and ``emit`` re-raises that error.
+Each codec states its wire layout once, as its ``READ`` (a
+``FieldRead``), and five things come from it: the codec's ``parse`` and
+``emit``, which ``_codec`` generates at import; the field reads that a
+generated contract phase, and each network function's generated reader,
+splice in to read a header's fields straight from the bytes
+(``contracts``); the writers that the network functions emit their
+output chains through, which splice in each ``emit``'s fast path
+(``writer``); the kind of each attribute a contract may read
+(``FieldRead.kinds``); and the header's place in a chain, which the
+registry reads straight from the layout (``registry``). One planner,
+``runs``, splits a chain into the runs of fixed parts that a writer
+packs at once and a generated walk reads at once. Each generated
+function runs what a hand-written one would. ``parse`` checks the
+length, makes one ``unpack_from`` of a ``struct.Struct`` compiled at
+import (whose ``s`` fields yield MAC and IPv6 addresses as ``bytes``),
+runs each test in order and builds the header from positional arguments.
+Its span, the variable-length part (TCP options, the invoking packet,
+the SRv6 segment list), is the bytes from the fixed part's end to its
+size. ``emit`` refuses what ``parse`` would refuse in the header's own
+bytes: it tests in one condition what its ``Struct`` cannot refuse, then
+packs with that ``Struct``, which range-checks every other value, and
+appends the span. When the condition fails or the pack refuses a value,
+``emit`` raises the ``EmitError`` of the first check that fails in
+order: each ``s`` field's width, each held value's range in layout
+order, the layout's tests with their ``ParseError`` texts, the size
+against the span, and each computed value's range. A failed condition
+always fails one of them, so when none fails a value in range is not an
+integer, or the span not bytes, and ``emit`` re-raises that error.
 
 A ``Packet`` is its immutable bytes, and a rewrite builds new bytes.
 Nothing on the packet path calls a codec's ``parse`` or ``emit``: the
@@ -215,6 +217,14 @@ class FieldRead(NamedTuple):
         its ``value``, in its constructor's order."""
         return ", ".join(self.value(f.name, names) for f in fields(cls))
 
+    def attributes(self, names: dict[str, str]) -> dict[str, str]:
+        """``names``, which spells each attribute the header holds, with
+        each computed field spelled by its definition, as its property reads it."""
+        names = dict(names)
+        for name, source in self.computed.items():
+            names[name] = f"({self.spell(source, names)})"
+        return names
+
     def emitted(self, names: dict[str, str]) -> dict[str, str]:
         """``names``, which spells each attribute the header holds, with
         ``at``, ``length`` and ``size`` as ``emit`` reads them: over the
@@ -333,9 +343,7 @@ def _codec(cls):
     """
     layout = cls.READ
     names = {"at": "offset", "length": "len(buf)"}
-    own = {f.name: f"self.{f.name}" for f in fields(cls)}
-    for name, source in layout.computed.items():
-        own[name] = f"({layout.spell(source, own)})"
+    own = layout.attributes({f.name: f"self.{f.name}" for f in fields(cls)})
     lines = [
         "def define(cls, unpack, pack):",
         "  def parse(buf, offset=0):",
@@ -352,6 +360,22 @@ def _codec(cls):
     return cls
 
 
+def runs(layouts, first: int = 0, ends=()) -> list[tuple[range, struct.Struct]]:
+    """Split ``layouts``, a chain's from index ``first``, into runs of fixed
+    parts, each its indexes and the ``Struct`` of its formats joined, which
+    ``writer`` packs and a generated walk unpacks at once. A run ends at a
+    span, whose size is known only once its fixed part is read, at an index
+    in ``ends`` and at the chain's end."""
+    planned, start = [], first
+    for k in range(first, len(layouts)):
+        if layouts[k].span or k in ends or k == len(layouts) - 1:
+            run = range(start, k + 1)
+            formats = (layouts[i].unpack.format.removeprefix("!") for i in run)
+            planned.append((run, struct.Struct("!" + "".join(formats))))
+            start = k + 1
+    return planned
+
+
 def writer(*chain) -> Callable[..., bytes]:
     """Generate and compile the function that emits the headers of
     ``chain``, codec classes in order, as one byte string.
@@ -362,34 +386,32 @@ def writer(*chain) -> Callable[..., bytes]:
     to raise would. It builds no header to do so: it runs every ``emit``'s
     fast path (``FieldRead.packing``) over its arguments, binding the
     computed fields, testing the conjunction of the conditions and packing
-    with one ``Struct`` per run of fixed parts. A span ends its run and
-    follows its packed bytes, so a span inside the chain splits the pack.
-    When the conditions fail, or the pack or an expression raises
+    with one ``Struct`` per run of fixed parts (``runs``). A span ends its
+    run and follows its packed bytes, so a span inside the chain splits the
+    pack. When the conditions fail, or the pack or an expression raises
     ``struct.error`` or ``TypeError``, it returns the codecs' own ``emit``s
     in chain order, so each refusal is that codec's own.
     """
     namespace = dict(globals())
     arguments, computed, terms, parts, emits = [], [], [], [], []
-    formats, values = [], []
-    for k, cls in enumerate(chain):
-        layout = cls.READ
-        names = {f.name: f"h{k}_{f.name}" for f in fields(cls)}
-        arguments += names.values()
-        namespace[cls.__name__] = cls
-        emits.append(f"{cls.__name__}({', '.join(names.values())}).emit()")
-        names = layout.emitted({**names, **{name: f"h{k}_{name}" for name in layout.computed}})
-        lines, condition, packed = layout.packing(names)
-        computed += lines
-        terms += condition
-        formats.append(layout.unpack.format.removeprefix("!"))
-        values += packed
-        if layout.span or k == len(chain) - 1:
-            pack = f"pack{k}"
-            namespace[pack] = struct.Struct("!" + "".join(formats)).pack
-            parts.append(f"{pack}({', '.join(values)})")
-            if layout.span:
-                parts.append(names[layout.span])
-            formats, values = [], []
+    for run, joined in runs([cls.READ for cls in chain]):
+        values = []
+        for k in run:
+            cls, layout = chain[k], chain[k].READ
+            names = {f.name: f"h{k}_{f.name}" for f in fields(cls)}
+            arguments += names.values()
+            namespace[cls.__name__] = cls
+            emits.append(f"{cls.__name__}({', '.join(names.values())}).emit()")
+            names = layout.emitted({**names, **{name: f"h{k}_{name}" for name in layout.computed}})
+            lines, condition, packed = layout.packing(names)
+            computed += lines
+            terms += condition
+            values += packed
+        pack = f"pack{k}"
+        namespace[pack] = joined.pack
+        parts.append(f"{pack}({', '.join(values)})")
+        if layout.span:
+            parts.append(names[layout.span])
     lines = [
         f"def write({', '.join(arguments)}):",
         "    try:",

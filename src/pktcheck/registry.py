@@ -136,8 +136,8 @@ class Registry:
 
     def accessor(self, header_type: str, name: str) -> str:
         """The kind of accessor ``name`` of ``header_type``, INT or BYTES."""
-        self.get(header_type)
-        kinds = self._kinds[header_type]
+        if (kinds := self._kinds.get(header_type)) is None:
+            self.get(header_type)  # refuses the unknown type
         try:
             return kinds[name]
         except KeyError:

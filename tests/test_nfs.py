@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 from pktcheck import (
     ConfigError,
     EmitError,
+    GeneratorSpec,
     Packet,
     Srv6RoutingHdr,
+    generate_records,
     internet_checksum,
     make_nf,
     order,
@@ -14,6 +16,7 @@ from pktcheck import (
 )
 from pktcheck import headers, nfs
 from pktcheck.contracts import elaborate, explain_contract
+from pktcheck.engine import OUTSIDE
 from pktcheck.headers import EthHdr, Ipv6Hdr
 from pktcheck.nfs import (
     CATALOG,
@@ -38,6 +41,7 @@ from oracles import (
 from test_fuzz import CLEAN, MUTANTS
 
 import builtins
+import re
 import struct
 
 
@@ -404,6 +408,14 @@ def test_readers_accept_what_the_reference_chain_accepts(data):
     _readers_agree(data)
 
 
+def test_readers_agree_on_every_cut_of_each_frame():
+    # the buffer ends at each byte of each run of fixed parts, so that each
+    # run's fast path and its steps' refusals both meet every boundary
+    for frame in _FRAMES:
+        for cut in range(len(frame) + 1):
+            _readers_agree(frame[:cut])
+
+
 def test_readers_agree_with_the_reference_over_the_fuzz_traffic():
     outcomes = {}
     for record in MUTANTS + CLEAN:
@@ -411,6 +423,74 @@ def test_readers_agree_with_the_reference_over_the_fuzz_traffic():
             outcomes.setdefault(reader, set()).add(accepted)
     # every reader both accepts and refuses some of this traffic
     assert outcomes == {reader: {True, False} for reader in ("ipv6", "tcp", "srv6")}
+
+
+# --- the fast path ------------------------------------------------------------------
+#
+# A generated walk reads each run of two or more fixed parts with one
+# ``unpack_from`` of the run's joined Struct, ``unpacka_b`` in its globals
+# for steps a to b; a step's own ``unpackk`` runs only for a packet that
+# the run's condition refuses, or in a run of one step.
+
+
+def _unpack_calls(monkeypatch, functions):
+    """Wrap each ``unpack_from`` in the globals of ``functions``, by label,
+    and return the list of their calls as (label, global, bytes read)."""
+    calls = []
+    for label, function in functions.items():
+        for name, unpack in list(function.__globals__.items()):
+            if re.fullmatch(r"unpack\d+(_\d+)?", name):
+                def counted(data, at, label=label, name=name, unpack=unpack):
+                    calls.append((label, name, unpack.__self__.size))
+                    return unpack(data, at)
+
+                monkeypatch.setitem(function.__globals__, name, counted)
+    return calls
+
+
+def _in_a_run(function, name):
+    """Whether ``name`` is the ``unpack_from`` of a step inside a run of two
+    or more steps of ``function``."""
+    runs = [tuple(map(int, m.groups())) for g in function.__globals__
+            if (m := re.fullmatch(r"unpack(\d+)_(\d+)", g))]
+    step = re.fullmatch(r"unpack(\d+)", name)
+    return step is not None and any(a <= int(step[1]) <= b for a, b in runs)
+
+
+def test_clean_traffic_takes_every_fast_path(registry, monkeypatch):
+    nfs_built = {name: make_nf(name, registry) for name in ("mtu-too-big", "srv6-change-pkt")}
+    functions = {"read ipv6": nfs._READ_IPV6, "accept tcp": nfs._ACCEPT_TCP,
+                 "read srv6": nfs._READ_SRV6}
+    for name, nf in nfs_built.items():
+        functions[f"{name} ingress"] = nf.contract.ingress.run
+        functions[f"{name} egress"] = nf.contract.egress.run
+    calls = _unpack_calls(monkeypatch, functions)
+    small = generate_records(GeneratorSpec(count=20, template="tcp6", payload_len=(20, 200),
+                                           seed=41))
+    for name, records in (("mtu-too-big", CLEAN + small), ("srv6-change-pkt", CLEAN[40:])):
+        summary = run_records(nfs_built[name], records, registry)
+        assert summary.violations == [] and summary.packets_out == len(records)
+    # every reader and phase read, each run with its one unpack_from, and no
+    # step of a run on its own
+    assert {label for label, _, _ in calls} == set(functions)
+    assert [call for call in calls if _in_a_run(functions[call[0]], call[1])] == []
+    runs = {(label, name, size) for label, name, size in calls if "_" in name}
+    assert runs == {
+        ("read ipv6", "unpack0_1", 54), ("read srv6", "unpack0_2", 62),
+        ("mtu-too-big ingress", "unpack0_1", 54), ("mtu-too-big egress", "unpack0_2", 62),
+        ("srv6-change-pkt ingress", "unpack0_2", 62), ("srv6-change-pkt egress", "unpack0_2", 62),
+    }
+
+
+def test_a_packet_outside_the_guard_reads_one_run_and_no_tcp(registry, monkeypatch):
+    nf = make_nf("mtu-too-big", registry)
+    ingress = nf.contract.ingress.run
+    calls = _unpack_calls(monkeypatch, {"ingress": ingress, "read ipv6": nfs._READ_IPV6,
+                                        "accept tcp": nfs._ACCEPT_TCP})
+    packet = Packet.from_bytes(build_tcp6_bytes(payload_len=100))
+    assert ingress(packet.data, nf.name, 0) == ([], OUTSIDE)
+    assert nf.apply(packet).packet is packet
+    assert calls == [("ingress", "unpack0_1", 54), ("read ipv6", "unpack0_1", 54)]
 
 
 def test_make_nf_generates_nothing(registry, monkeypatch):

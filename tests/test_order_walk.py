@@ -17,7 +17,9 @@ reference decides a ``when:`` guard with ``CompiledCheck.test`` once
 ``parse_chain`` has walked the last header it reads. A third makes the
 same comparison for random well-typed contracts, guards included, over
 every order the registry accepts, up to five headers. All run on flipped,
-truncated and extended packets.
+truncated and extended packets, and the third on every cut of each packet
+it builds, so that each run of fixed parts that a walk reads at once is
+cut at each of its bytes.
 """
 
 import random
@@ -338,7 +340,7 @@ def _reference_phase(contract, phase, raw, snapshot):
     walk = contract.ingress.walk if ingress else contract.egress.walk
     try:
         if ingress and contract.ingress.guard:
-            last = max(max(c.lhs_index, *(j for *_, j in c.reads), 0)
+            last = max(max(c.lhs_index, *(j for _, _, _, j, _ in c.reads), 0)
                        for c in contract.ingress.guard)
             decoded, _ = parse_chain(packet, walk[:last + 1])
             if any(c.test(decoded, None) is not None for c in contract.ingress.guard):
@@ -679,3 +681,10 @@ def test_generated_phases_of_random_contracts_agree_with_the_reference(
         assert _generated_phase(contract, phase, raw, snapshot) == _reference_phase(
             contract, phase, raw, snapshot
         )
+        # every cut of the packet as built: the buffer ends at each byte of
+        # each run of fixed parts, so that each run's fast path and its
+        # steps' refusals both meet every boundary
+        for cut in range(len(base) + 1):
+            assert _generated_phase(contract, phase, base[:cut], snapshot) == _reference_phase(
+                contract, phase, base[:cut], snapshot
+            )
