@@ -50,40 +50,38 @@ the result is one ``Phase``: the parsed phase plus its name, walk and
 compiled checks.
 
 On a phase's first Development use, ``Phase.run`` is generated as one
-Python function from source text; this is the one full description of
-what it does. ``ingress(data, nf, index)`` returns ``(violations,
-snapshot)``, or ``([], OUTSIDE)`` for a packet outside its guard, which it
-tests right after the step that decides it, before it walks any later
-step or builds any header, and ``egress(data, snapshot, nf, index)`` returns
+Python function from source text; this is the one full description of what
+it does. ``ingress(data, nf, index)`` returns ``(violations, snapshot)``,
+or ``([], OUTSIDE)`` for a packet outside its guard, which it tests right
+after the step that decides it, before it walks any later step or builds
+any header, and ``egress(data, snapshot, nf, index)`` returns
 ``(violations, walked)`` for packet ``index`` of NF ``nf``; the NF's name
 is an argument because equal phases of NFs of other names share the
 function. It follows the phase's walk at running offsets with the linkage
 cross-checks inline: per step ``_walk_steps`` splices in the lines that
-the codec's ``READ`` writes (``headers.FieldRead.step``, which the
-codec's generated ``parse`` runs too), one ``unpack_from`` plus the
-layout's tests. A run of two or more fixed parts (``headers.runs``, which
-ends one at a span, at the guard's step and at the walk's end) is read
-first by one bounds test, one ``unpack_from`` and one condition, and runs
-its steps' lines only to refuse a packet. ``reader`` writes a network
-function's input read from the same steps. A packet the walk refuses
-returns, in place of raising, its one order ``Violation``:
-``engine._refusal`` of the ``ChainOrderError`` that
+the codec's ``READ`` writes (``headers.FieldRead.step``, which the codec's
+generated ``parse`` runs too), one ``unpack_from`` plus the layout's
+tests. Each run of two or more fixed parts (``headers.runs``) is read
+first by one bounds test, one ``unpack_from`` and one condition, which
+saves on the packets the run accepts (``_walk_steps`` says what a refused
+one pays). ``reader`` writes a network function's input read from the same
+steps. A packet the walk refuses returns, in place of raising, its one
+order ``Violation``: ``engine._refusal`` of the ``ChainOrderError`` that
 ``registry.walk_error`` builds, the one that ``registry.parse_chain``
-raises for it, with None for the snapshot at ingress and False at
-egress. The ingress function builds each header from the fields read, as
-``parse`` does, and the snapshot is the tuple of those headers; the
-codecs are lossless (``emit(parse(b))`` is ``b``'s span, which the tests
-pin), so it holds exactly the packet's ingress bytes. The egress
-function builds none, keeps only the fields its checks and linkage
-cross-checks name, reads a snapshot header's computed field by its
-definition, and returns True as ``walked`` once its walk accepts the
-packet. Every check is then one inline comparison, and each failing one
-appends its ``Violation``, the phase name, check index,
-texts and comparator written into the source; only a byte check renders
-its values (an address becomes text), and a message is formatted only
-when read. NFs built from one contract text against one registry share
-one generated function per phase, which is written and compiled once.
-Production never generates them.
+raises for it, with None for the snapshot at ingress and False at egress.
+The ingress function builds each header from the fields read, as ``parse``
+does, and the snapshot is the tuple of those headers; the codecs are
+lossless (``emit(parse(b))`` is ``b``'s span, which the tests pin), so it
+holds exactly the packet's ingress bytes. The egress function builds none,
+keeps only the fields its checks and linkage cross-checks name, reads a
+snapshot header's computed field by its definition, and returns True as
+``walked`` once its walk accepts the packet. Every check is then one
+inline comparison, and each failing one appends its ``Violation``, the
+phase name, check index, texts and comparator written into the source;
+only a byte check renders its values (an address becomes text), and a
+message is formatted only when read. NFs built from one contract text
+against one registry share one generated function per phase, which is
+written and compiled once. Production never generates them.
 """
 
 from __future__ import annotations
@@ -709,7 +707,7 @@ def _rhs_source(compiled: CompiledCheck, read) -> str:
     return describe_sum(terms)
 
 
-def _walk_steps(walk: tuple[OrderStep, ...], used: set, refuse: Callable[[int], str],
+def _walk_steps(walk: tuple[OrderStep, ...], used: set, refuse: Callable[[int], str] | str,
                 namespace: dict, first: int = 0, decided: int | None = None):
     """Yield, for each run of ``walk`` from ``first``, the range of its
     steps, the source lines that read them and the names each step's layout
@@ -723,18 +721,25 @@ def _walk_steps(walk: tuple[OrderStep, ...], used: set, refuse: Callable[[int], 
     one ``unpack_from`` of the run's ``Struct`` (``unpacka_b`` for steps
     ``a`` to ``b``) into the same locals and one condition, the conjunction
     of the steps' cross-checks and tests. Only a packet that fails it runs
-    the steps' lines, which refuse it with their texts. After the run come
-    its end offset ``ek`` (but at the walk's end) and a local ``hk_a`` for
-    each sub-field ``a`` of its step ``k`` that ``used`` names as ``(k, a)``
-    or the next step's cross-check reads. Field ``f`` of header ``k`` is
-    the local ``hk_f``, and the names spell each other sub-field over its
-    word. ``refuse(k)`` is the statement that refuses the packet at step
-    ``k``, with ``{}`` where the linkage value or ``reason=`` and the
-    refusal's text go. Each step's ``unpack_from`` goes into ``namespace``
-    as ``unpackk``. When ``first`` is not 0, the caller binds the offset
-    and the linkage field that its step reads from header ``first - 1``.
+    the steps' lines, which refuse it with their texts, unless ``refuse``
+    is one statement for every step (a reader's ``return None``), which
+    then refuses it alone. That bets on the packet being accepted: one
+    refused early in a run, such as a non-IPv6 frame, pays the run's wider
+    ``unpack_from`` in place of its first header's, and in a phase the
+    steps' lines besides. After the run come its end offset ``ek`` (but
+    at the walk's end) and a local ``hk_a`` for each sub-field ``a`` of its
+    step ``k`` that ``used`` names as ``(k, a)`` or the next step's
+    cross-check reads. Field ``f`` of header ``k`` is the local ``hk_f``,
+    and the names spell each other sub-field over its word. ``refuse(k)``
+    is the statement that refuses the packet at step ``k``, with ``{}``
+    where the linkage value or ``reason=`` and the refusal's text go, or
+    ``refuse`` is that statement for every step. Each step's
+    ``unpack_from`` goes into ``namespace`` as ``unpackk``. When ``first``
+    is not 0, the caller binds the offset and the linkage field that its
+    step reads from header ``first - 1``.
     """
     layouts = [step.codec.READ for step in walk]
+    refusal = (lambda k: refuse) if isinstance(refuse, str) else refuse
     spelled = {}  # each step's names
     for run, joined in headers.runs(layouts, first, (decided,)):
         base, offset, last = f"e{run.start - 1}" if run.start else "0", 0, run[-1]
@@ -750,13 +755,14 @@ def _walk_steps(walk: tuple[OrderStep, ...], used: set, refuse: Callable[[int], 
             names["size"] = f"({rule.spell(rule.size, names)})"
             if step.linkage is not None:
                 link = spelled[k - 1][step.linkage] if k > first else f"h{k - 1}_{step.linkage}"
-                lines += [f"if {link} != {step.proto!r}:", f"    {refuse(k).format(link)}"]
+                lines += [f"if {link} != {step.proto!r}:", f"    {refusal(k).format(link)}"]
                 condition.append(f"{link} == {step.proto!r}")
-            lines += rule.step(names, refuse(k).format("reason=f{!r}"))
+            lines += rule.step(names, refusal(k).format("reason=f{!r}"))
             condition += [f"({rule.spell(test, names)})" for test, _ in rule.tests]
             spelled[k] = names
             offset += rule.unpack.size
         if len(run) > 1:
+            slow = [refuse] if isinstance(refuse, str) else lines
             namespace[f"unpack{run.start}_{last}"] = joined.unpack_from
             lines = [f"if {base} + {joined.size} <= n:",
                      f"    {', '.join(unpacked)} = unpack{run.start}_{last}(data, {base})",
@@ -764,7 +770,7 @@ def _walk_steps(walk: tuple[OrderStep, ...], used: set, refuse: Callable[[int], 
                      "else:",
                      "    fast = False",
                      "if not fast:",
-                     *(f"    {line}" for line in lines)]
+                     *(f"    {line}" for line in slow)]
         if last < len(walk) - 1:
             lines.append(f"e{last} = {spelled[last]['at']} + {spelled[last]['size']}")
         for k in run:
@@ -851,16 +857,17 @@ def reader(walk: tuple[OrderStep, ...], reads: tuple[tuple[int, str], ...],
     """Generate and compile the function that reads ``reads`` along ``walk``.
 
     It runs the walk's steps from ``first`` (``_walk_steps``, the lines a
-    contract phase runs, each run of fixed parts on its fast path first)
-    and returns None at the first refusal, or the tuple of the values of
-    ``reads``, each ``(k, attribute)`` of header ``k`` (the span's bytes
-    for a span), and the offset where the walk ends. Its arguments are the
-    packet's bytes and, when ``first`` is not 0, the end offset of header
-    ``first - 1`` and, if step ``first`` cross-checks it, that header's
-    linkage field. It builds no header and raises nothing on any bytes.
+    contract phase runs, each run of fixed parts on its fast path, which
+    here refuses at once when its condition fails) and returns None at the
+    first refusal, or the tuple of the values of ``reads``, each ``(k,
+    attribute)`` of header ``k`` (the span's bytes for a span), and the
+    offset where the walk ends. Its arguments are the packet's bytes and,
+    when ``first`` is not 0, the end offset of header ``first - 1`` and, if
+    step ``first`` cross-checks it, that header's linkage field. It builds
+    no header and raises nothing on any bytes.
     """
     namespace = dict(vars(headers))
-    steps = list(_walk_steps(walk, set(reads), lambda k: "return None", namespace, first))
+    steps = list(_walk_steps(walk, set(reads), "return None", namespace, first))
     names = [step_names for _, _, run_names in steps for step_names in run_names]
     values = [walk[k].codec.READ.value(a, names[k - first]) for k, a in reads]
     values.append(f"{names[-1]['at']} + {names[-1]['size']}")

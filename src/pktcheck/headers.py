@@ -5,34 +5,33 @@ ICMPv6 Packet Too Big (type 2, code 0), and the SRv6 Routing extension
 header (routing type 4). All multi-byte integers are big-endian on the
 wire and are decoded to host ints.
 
-Each codec states its wire layout once, as its ``READ`` (a
-``FieldRead``), and five things come from it: the codec's ``parse`` and
-``emit``, which ``_codec`` generates at import; the field reads that a
-generated contract phase, and each network function's generated reader,
-splice in to read a header's fields straight from the bytes
-(``contracts``); the writers that the network functions emit their
-output chains through, which splice in each ``emit``'s fast path
-(``writer``); the kind of each attribute a contract may read
-(``FieldRead.kinds``); and the header's place in a chain, which the
-registry reads straight from the layout (``registry``). One planner,
-``runs``, splits a chain into the runs of fixed parts that a writer
-packs at once and a generated walk reads at once. Each generated
-function runs what a hand-written one would. ``parse`` checks the
-length, makes one ``unpack_from`` of a ``struct.Struct`` compiled at
-import (whose ``s`` fields yield MAC and IPv6 addresses as ``bytes``),
-runs each test in order and builds the header from positional arguments.
-Its span, the variable-length part (TCP options, the invoking packet,
-the SRv6 segment list), is the bytes from the fixed part's end to its
-size. ``emit`` refuses what ``parse`` would refuse in the header's own
-bytes: it tests in one condition what its ``Struct`` cannot refuse, then
-packs with that ``Struct``, which range-checks every other value, and
-appends the span. When the condition fails or the pack refuses a value,
-``emit`` raises the ``EmitError`` of the first check that fails in
-order: each ``s`` field's width, each held value's range in layout
-order, the layout's tests with their ``ParseError`` texts, the size
-against the span, and each computed value's range. A failed condition
-always fails one of them, so when none fails a value in range is not an
-integer, or the span not bytes, and ``emit`` re-raises that error.
+Each codec states its wire layout once, as its ``READ`` (a ``FieldRead``),
+and five things come from it: the codec's ``parse`` and ``emit``, which
+``_codec`` generates at import; the field reads that a generated contract
+phase, and each network function's generated reader, splice in to read a
+header's fields straight from the bytes (``contracts``); the writers that
+the network functions emit their output chains through, which splice in
+each ``emit``'s fast path (``writer``); the kind of each attribute a
+contract may read (``FieldRead.kinds``); and the header's place in a
+chain, which the registry reads straight from the layout (``registry``).
+One planner, ``runs``, splits a chain into the runs of fixed parts that a
+writer packs at once and a generated walk reads at once. Each generated
+function runs what a hand-written one would. ``parse`` checks the length,
+makes one ``unpack_from`` of a ``struct.Struct`` compiled at import (whose
+``s`` fields yield MAC and IPv6 addresses as ``bytes``), runs each test in
+order and builds the header from positional arguments. Its span, the
+variable-length part (TCP options, the invoking packet, the SRv6 segment
+list), is the bytes from the fixed part's end to its size. ``emit``
+refuses what ``parse`` would refuse in the header's own bytes: it tests in
+one condition what its ``Struct`` cannot refuse, then packs with that
+``Struct``, which range-checks every other value, and appends the span.
+When the condition fails or the pack refuses a value, ``emit`` raises the
+``EmitError`` of the first check that fails in order: each ``s`` field's
+width, each held value's range in layout order, the layout's tests with
+their ``ParseError`` texts, the size against the span, and each computed
+value's range. A failed condition always fails one of them, so when none
+fails a value in range is not an integer, or the span not bytes, and
+``emit`` re-raises that error.
 
 A ``Packet`` is its immutable bytes, and a rewrite builds new bytes.
 Nothing on the packet path calls a codec's ``parse`` or ``emit``: the

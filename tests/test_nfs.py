@@ -410,7 +410,7 @@ def test_readers_accept_what_the_reference_chain_accepts(data):
 
 def test_readers_agree_on_every_cut_of_each_frame():
     # the buffer ends at each byte of each run of fixed parts, so that each
-    # run's fast path and its steps' refusals both meet every boundary
+    # run's bounds test and condition both meet every boundary
     for frame in _FRAMES:
         for cut in range(len(frame) + 1):
             _readers_agree(frame[:cut])
@@ -429,8 +429,9 @@ def test_readers_agree_with_the_reference_over_the_fuzz_traffic():
 #
 # A generated walk reads each run of two or more fixed parts with one
 # ``unpack_from`` of the run's joined Struct, ``unpacka_b`` in its globals
-# for steps a to b; a step's own ``unpackk`` runs only for a packet that
-# the run's condition refuses, or in a run of one step.
+# for steps a to b; a step's own ``unpackk`` runs in a run of one step, or
+# in a phase for a packet that the run's condition refuses. A reader
+# returns None there at once.
 
 
 def _unpack_calls(monkeypatch, functions):
@@ -491,6 +492,20 @@ def test_a_packet_outside_the_guard_reads_one_run_and_no_tcp(registry, monkeypat
     assert ingress(packet.data, nf.name, 0) == ([], OUTSIDE)
     assert nf.apply(packet).packet is packet
     assert calls == [("ingress", "unpack0_1", 54), ("read ipv6", "unpack0_1", 54)]
+
+
+def test_pass_through_frames_make_at_most_one_read_per_reader(registry, monkeypatch):
+    # a frame a reader refuses costs it one run's read at most: a tcp6 frame
+    # through srv6-change-pkt, refused at the routing header's linkage, and
+    # a non-IPv6 one through mtu-too-big make no read of a single step
+    srv6, mtu = make_nf("srv6-change-pkt", registry), make_nf("mtu-too-big", registry)
+    calls = _unpack_calls(monkeypatch, {"read ipv6": nfs._READ_IPV6, "accept tcp": nfs._ACCEPT_TCP,
+                                        "read srv6": nfs._READ_SRV6})
+    tcp6 = build_tcp6_bytes(payload_len=100)
+    for nf, data in ((srv6, tcp6), (mtu, _with(tcp6, 12, 0x08)), (mtu, tcp6[:42])):
+        packet = Packet.from_bytes(data)
+        assert nf.apply(packet).packet is packet
+    assert calls == [("read srv6", "unpack0_2", 62), ("read ipv6", "unpack0_1", 54)]
 
 
 def test_make_nf_generates_nothing(registry, monkeypatch):
